@@ -114,6 +114,17 @@ def build_task(cfg: ExperimentConfig) -> TaskBundle:
             hx, hy = gen_logreg_data(t.holdout, beta_true, hold_rng)
             holdout = (hx, hy)
 
+    n_rows = x.shape[0]
+    size = max(n_rows // n_agents if t.per_agent is None else t.per_agent, 1)
+    if size * n_agents > n_rows:
+        key = "network.n" if t.per_agent is None else "task.per_agent"
+        raise ConfigError(
+            f"{key}: {n_agents} agents x {size} points need "
+            f"{size * n_agents} rows, the data has {n_rows}")
+    batch = cfg.sampler.batch
+    if batch is not None and batch > size:
+        raise ConfigError(
+            f"sampler.batch: {batch} exceeds the shard size {size}")
     shards = partition_data(x, y, n_agents, rng, per_agent=t.per_agent)
     xs = tuple(s[0] for s in shards)
     ys = tuple(s[1] for s in shards)

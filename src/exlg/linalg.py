@@ -2,41 +2,26 @@
 
 Everything downstream (mixing matrices, Wasserstein distances, theory
 constants) funnels through the three operations here, so they are kept
-deliberately small: a cyclic Jacobi eigensolver (bitwise reproducible, no
-external solver), an eigendecomposition-based PSD root with explicit
-clipping policy, and a block-apply that contracts only over the agent axis.
-
-Matrices here are tiny (network size or data dimension, tens at most), so
-O(n^3) with a Python sweep loop is more than fast enough.
+deliberately small: a validated symmetric eigensolve (one LAPACK ``eigh``
+call behind the symmetric-input checks of ``SymMatrix``), an
+eigendecomposition-based PSD root with explicit clipping policy, and a
+block-apply that contracts only over the agent axis.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
 __all__ = [
     "SymMatrix",
     "Spectrum",
-    "EigenConvergenceError",
     "NotPSDError",
     "sym_eig",
     "psd_sqrt",
     "mix_apply",
 ]
-
-# Sweep budget for the Jacobi iteration.  Convergence for n <= 64 is
-# typically 6-10 sweeps; hitting this limit means the input was not a real
-# symmetric matrix (NaN/Inf slip through to here only if validation was
-# bypassed).
-_MAX_SWEEPS = 100
-_OFF_TOL = 1e-14
-
-
-class EigenConvergenceError(RuntimeError):
-    """Jacobi sweeps exhausted without annihilating the off-diagonal."""
 
 
 class NotPSDError(ValueError):
@@ -92,7 +77,7 @@ def _as_sym(a) -> np.ndarray:
 
 
 def sym_eig(a) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
+    """Full eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
     Parameters
     ----------
@@ -102,63 +87,17 @@ def sym_eig(a) -> Spectrum:
     Returns
     -------
     Spectrum
-        Eigenvalues sorted ascending (stable order, so exact ties keep
-        their sweep order) with the rotated eigenvector columns.
+        Eigenvalues sorted ascending with matching orthonormal eigenvector
+        columns.
 
     Raises
     ------
-    EigenConvergenceError
-        If the off-diagonal mass has not fallen below 1e-14 * ||a||_F
-        after the sweep budget; the message names the offending matrix.
+    ValueError
+        If the input is not square or not finite, or if LAPACK fails to
+        converge (``np.linalg.LinAlgError`` is a ``ValueError``).
     """
-    A = _as_sym(a).copy()
-    n = A.shape[0]
-    if n == 1:
-        return Spectrum(values=A.diagonal().copy(), vectors=np.ones((1, 1)))
-    V = np.eye(n)
-    target = _OFF_TOL * max(np.linalg.norm(A), 1e-300)
-    for _sweep in range(_MAX_SWEEPS):
-        # Off-diagonal Frobenius mass, summed directly (a sum-of-squares
-        # subtraction cancels catastrophically near convergence).
-        strict = A[~np.eye(n, dtype=bool)]
-        off = math.sqrt(float(np.sum(strict * strict)))
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                # Stable rotation angle: t = sign(th)/(|th| + sqrt(th^2+1)).
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                v_p = V[:, p].copy()
-                v_q = V[:, q].copy()
-                V[:, p] = c * v_p - s * v_q
-                V[:, q] = s * v_p + c * v_q
-    else:
-        raise EigenConvergenceError(
-            f"Jacobi failed to converge on a {n}x{n} matrix after "
-            f"{_MAX_SWEEPS} sweeps (off-diagonal norm {off:.3e}, "
-            f"target {target:.3e}); first rows: {np.asarray(a)[:2]}"
-        )
-    vals = A.diagonal().copy()
-    order = np.argsort(vals, kind="stable")
-    return Spectrum(values=vals[order], vectors=V[:, order])
+    values, vectors = np.linalg.eigh(_as_sym(a))
+    return Spectrum(values=values, vectors=vectors)
 
 
 def psd_sqrt(a, clip_tol: float | None = None) -> np.ndarray:

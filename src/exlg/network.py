@@ -394,7 +394,8 @@ def validate_assumptions(ms: MixingSet) -> ValidationReport:
         f"min eig((I+W)/2 - W~) = {upper_min:.3e} (>= -1e-10)",
     )
 
-    lower_min = float(sym_eig(ms.u).values[0])
+    uv = sym_eig(ms.u).values
+    lower_min = float(uv[0])
     add(
         "psd-order-lower",
         lower_min >= -1e-10,
@@ -402,7 +403,6 @@ def validate_assumptions(ms: MixingSet) -> ValidationReport:
         f"min eig(W~ - W) = {lower_min:.3e} (>= -1e-10)",
     )
 
-    uv = sym_eig(ms.u).values
     u_norm = max(1.0, float(np.max(np.abs(uv))))
     null_dim = int(np.sum(uv < _NULL_TOL * u_norm))
     add(

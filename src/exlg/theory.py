@@ -205,6 +205,39 @@ def gamma_wtilde(t: float) -> float:
         return (5.0 * t - 3.0 * t * t - 2.0) / (3.0 * t - 1.0)
 
 
+def _coupling(p: ProblemParams) -> tuple:
+    """Spectral gain and coupling constants shared by the constant stack
+    and the step-size certificate: (g, spec_w, A, gamma1, gamma2).
+
+    ``spec_w`` is (1 - gammabar_w)(1 - gammabar_iw^2).  Raises
+    :class:`InadmissibleSpectrumError` when W~ has no spectral gap, when
+    |lambda_2(Wtilde)|^2 zeroes the gain, or when ``spec_w`` is not
+    positive.
+    """
+    mu, L, N = p.mu, p.L, float(p.N)
+    sp = p.spectral
+    t = sp.lam2_wt ** 2
+    if not (0.0 < t < 1.0):
+        raise InadmissibleSpectrumError(
+            f"|lambda_2(Wtilde)|^2 = {t} has no spectral gap")
+    g = gamma_wtilde(t)
+    if g <= 0.0:
+        raise InadmissibleSpectrumError(
+            f"inadmissible spectral point: |lambda_2(Wtilde)|^2 = {t} "
+            "zeroes the spectral gain")
+    spec_w = (1.0 - sp.gammabar_w) * (1.0 - sp.gammabar_iw ** 2)
+    if spec_w <= 0.0:
+        raise InadmissibleSpectrumError(
+            f"(1 - gammabar_w)(1 - gammabar_iw^2) = {spec_w} must be > 0")
+    nb2 = p.norm_B ** 2
+    A = (L / mu - 1.0 + g / (2.0 * (1.0 + mu / L))) \
+        * (4.0 * L * L / (N * N)) * (1.0 + (2.0 + 2.0 * L) / mu)
+    gamma1 = (1.0 / g) * (1.0 / L + 2.0 + 1.0 / (L * mu))
+    gamma2 = 12.0 * (L * L + L * nb2) / spec_w \
+        * (1.0 + 4.0 * L * L * (1.0 + (2.0 + 2.0 * L) / mu) / (N * N * mu))
+    return g, spec_w, A, gamma1, gamma2
+
+
 def compute_constants(p: ProblemParams) -> TheoryConstants:
     """Evaluate the full constant stack for one parameter bundle.
 
@@ -220,34 +253,16 @@ def compute_constants(p: ProblemParams) -> TheoryConstants:
     nb2 = p.norm_B ** 2
     r = p.grad_at_min_sq
     sp = p.spectral
-    gw, giw, gwt = sp.gammabar_w, sp.gammabar_iw, sp.gammabar_wt
+    gw, gwt = sp.gammabar_w, sp.gammabar_wt
     m = p.init_moments
 
     if 1.0 - eta * L / 2.0 <= 0:
         raise ValueError(f"eta={eta} is too large: 1 - eta*L/2 <= 0")
-    t = sp.lam2_wt ** 2
-    if not (0.0 < t < 1.0):
-        raise InadmissibleSpectrumError(
-            f"|lambda_2(Wtilde)|^2 = {t} has no spectral gap")
-    g = gamma_wtilde(t)
-    if g <= 0.0:
-        raise InadmissibleSpectrumError(
-            f"inadmissible spectral point: |lambda_2(Wtilde)|^2 = {t} "
-            "zeroes the spectral gain")
+    g, spec_w, A, gamma1, gamma2 = _coupling(p)
     if gw >= 1.0 or gwt >= 1.0:
         raise InadmissibleSpectrumError(
             f"mixing spectrum touches the unit circle (gammabar_w={gw}, "
             f"gammabar_wt={gwt})")
-    spec_w = (1.0 - gw) * (1.0 - giw ** 2)
-    if spec_w <= 0.0:
-        raise InadmissibleSpectrumError(
-            f"(1 - gammabar_w)(1 - gammabar_iw^2) = {spec_w} must be > 0")
-
-    A = (L / mu - 1.0 + g / (2.0 * (1.0 + mu / L))) \
-        * (4.0 * L * L / (N * N)) * (1.0 + (2.0 + 2.0 * L) / mu)
-    gamma1 = (1.0 / g) * (1.0 / L + 2.0 + 1.0 / (L * mu))
-    gamma2 = 12.0 * (L * L + L * nb2) / spec_w \
-        * (1.0 + 4.0 * L * L * (1.0 + (2.0 + 2.0 * L) / mu) / (N * N * mu))
     w1 = 2.0 * ((N * N + 1.0) / g + (4.0 / g) * (L / mu + 3.0 * eta * L - 1.0))
     w2 = 8.0 * (6.0 * (L * L + L * nb2) + N * N * mu) / (N * mu * spec_w)
     E1 = (8.0 / g) * (L / mu + 3.0 * eta * L - 1.0)
@@ -382,32 +397,14 @@ def validate_stepsize(p: ProblemParams) -> CertReport:
     problems surface as failed clauses with a note.
     """
     sp = p.spectral
-    mu, L, N = p.mu, p.L, p.N
+    mu, L = p.mu, p.L
     h, eta = p.h, p.eta
     gw, giw = sp.gammabar_w, sp.gammabar_iw
     notes = []
 
-    t = sp.lam2_wt ** 2
     g = A = gamma1 = gamma2 = None
     try:
-        if not (0.0 < t < 1.0):
-            raise InadmissibleSpectrumError(
-                f"|lambda_2(Wtilde)|^2 = {t} has no spectral gap")
-        g = gamma_wtilde(t)
-        if g <= 0.0:
-            raise InadmissibleSpectrumError(
-                f"inadmissible spectral point: |lambda_2(Wtilde)|^2 = {t}")
-        nb2 = p.norm_B ** 2
-        spec_w = (1.0 - gw) * (1.0 - giw ** 2)
-        if spec_w <= 0.0:
-            raise InadmissibleSpectrumError(
-                "(1 - gammabar_w)(1 - gammabar_iw^2) must be > 0")
-        A = (L / mu - 1.0 + g / (2.0 * (1.0 + mu / L))) \
-            * (4.0 * L * L / (N * N)) * (1.0 + (2.0 + 2.0 * L) / mu)
-        gamma1 = (1.0 / g) * (1.0 / L + 2.0 + 1.0 / (L * mu))
-        gamma2 = 12.0 * (L * L + L * nb2) / spec_w \
-            * (1.0 + 4.0 * L * L * (1.0 + (2.0 + 2.0 * L) / mu)
-               / (N * N * mu))
+        g, _, A, gamma1, gamma2 = _coupling(p)
     except InadmissibleSpectrumError as e:
         notes.append(str(e))
 

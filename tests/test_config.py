@@ -233,3 +233,11 @@ class TestEcho:
         assert echo["compare"]["algorithms"] == ["DE_SGLD", "GEN_EXTRA_SGLD"]
         assert set(echo) == {"task", "network", "sampler", "run",
                              "compare", "sweep", "theory"}
+
+
+class TestModule:
+    def test_all_names_exist(self):
+        import exlg.config as config
+
+        missing = [n for n in config.__all__ if not hasattr(config, n)]
+        assert missing == []

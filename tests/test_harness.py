@@ -8,11 +8,14 @@ values: that is the actual contract.
 
 import json
 import os
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
 import pytest
 
+import exlg
 from exlg import __version__
 from exlg.cli import main
 from exlg.config import ConfigError, load_config
@@ -237,6 +240,37 @@ class TestDeterminism:
         b = self._run(tmp_path, "out2", {})
         assert a == b
 
+    def test_blas_threads_do_not_change_bytes(self, tmp_path):
+        # run and theory (whose shrink loop is eigensolve-bound) in fresh
+        # interpreters, since BLAS reads its thread count at load time
+        src = os.path.dirname(os.path.dirname(os.path.abspath(exlg.__file__)))
+        pythonpath = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+        def outputs(command, text, edits, threads, out_name):
+            path = make_cfg(tmp_path, out_name=out_name, text=text, **edits)
+            env = dict(os.environ, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from exlg.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))",
+                 command, "--config", path],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            out = tmp_path / out_name
+            return {n: (out / n).read_bytes() for n in sorted(os.listdir(out))
+                    if n.endswith(".csv")}
+
+        for command, text, edits in (
+                ("theory", BASE + "\n[theory]\nshrink = true\n",
+                 {"n = 6": "n = 30", "n_points = 120": "n_points = 600"}),
+                ("run", BASE, {})):
+            one = outputs(command, text, edits, "1", f"{command}1")
+            assert one
+            assert outputs(command, text, edits, "2", f"{command}2") == one
+            assert outputs(command, text, edits, "1", f"{command}1b") == one
+
     def test_seed_changes_trajectories(self, tmp_path):
         a = self._run(tmp_path, "out1", {})
         b = self._run(tmp_path, "out2", {"seed = 7": "seed = 8"})
@@ -419,6 +453,18 @@ class TestCliPlumbing:
                                      "replicas = 3": "replicas = 1"})
         assert main(["run", "--config", path]) == EXIT_DIVERGENCE
         assert "replica 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edits", [
+        {"steps = 40": "steps = 40\nb_mode = custom"},
+        {"steps = 40": "steps = 40\nbatch = 21"},          # shard is 20
+        {"dim = 2": "dim = 2\nper_agent = 21"},            # 6 x 21 > 120
+        {"n_points = 120": "n_points = 5"},                # 6 agents
+    ], ids=["b-mode-custom", "batch-over-shard", "per-agent-over-data",
+            "agents-over-data"])
+    def test_unsuppliable_inputs_exit_two(self, tmp_path, capsys, edits):
+        path = make_cfg(tmp_path, **edits)
+        assert main(["run", "--config", path]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     def test_cli_overrides_reach_config(self, tmp_path):
         path = make_cfg(tmp_path)

@@ -302,12 +302,14 @@ class TestValidateStepsize:
         assert "eta-strong-convexity" in [c.name for c in rep.failed()]
 
     def test_inadmissible_spectrum_reported_not_raised(self):
-        sp = _spectral(0.5, -0.2, 1.0, 0.1)  # no gap in W~
-        p = ProblemParams(mu=0.8, L=2.5, sigma2=0.0, d=3, N=4, eta=1e-4,
-                          h=1e-6, norm_B=0.9, grad_at_min_sq=0.0, spectral=sp)
-        rep = validate_stepsize(p)
-        assert not rep.ok
-        assert rep.notes
+        for sp in (_spectral(0.5, -0.2, 1.0, 0.1),   # no gap in W~
+                   _spectral(1.0, -0.2, 0.5, 0.1)):  # no gap in W
+            p = ProblemParams(mu=0.8, L=2.5, sigma2=0.0, d=3, N=4, eta=1e-4,
+                              h=1e-6, norm_B=0.9, grad_at_min_sq=0.0,
+                              spectral=sp)
+            rep = validate_stepsize(p)
+            assert not rep.ok
+            assert rep.notes
 
     def test_report_lines_render(self):
         rep = validate_stepsize(_params_from_set(SET_A))
