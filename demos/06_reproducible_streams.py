@@ -1,9 +1,9 @@
-"""Counter-based noise streams: reruns and thread counts never change results.
+"""Counter-based noise streams: reruns and draw order never change results.
 
 Every random draw in a chain is indexed by (seed, iteration, agent,
 purpose) through a counter-based generator, so there is no hidden
-generator state to protect.  Replicas can run in any order, on any
-number of threads, and a rerun reproduces the trajectory bit for bit.
+generator state to protect.  Replicas and draws can come in any order,
+and a rerun reproduces the trajectory bit for bit.
 The seed for replica r is itself derived by hashing (master, "replica",
 r), so one master integer pins an entire experiment.
 """
@@ -48,7 +48,7 @@ print("\ntwo runs of the same chain are bit-identical:",
       np.array_equal(a, b))
 
 # The CLI exposes the same property end to end: running
-#   exlg run --config exp.cfg --threads 1
-#   exlg run --config exp.cfg --threads 8
-# produces byte-identical CSV files, because thread count only changes
-# who computes a replica, never which stream the replica consumes.
+#   exlg run --config exp.cfg --replicas 2
+#   exlg run --config exp.cfg --replicas 8
+# writes the same trajectory.csv rows for replicas 0 and 1, because
+# replica r's streams depend on (master, "replica", r) alone.

@@ -53,9 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="master seed (overrides run.seed)")
         p.add_argument("--replicas", type=int, metavar="R",
                        help="replica count (overrides run.replicas)")
-        p.add_argument("--threads", type=int, metavar="T",
-                       help="worker threads; speed only, never results "
-                            "(overrides run.threads and EXLG_THREADS)")
     return parser
 
 
@@ -67,7 +64,6 @@ def main(argv=None) -> int:
         "run.out": args.out,
         "run.seed": args.seed,
         "run.replicas": args.replicas,
-        "run.threads": args.threads,
     }
     try:
         cfg = load_config(args.config, overrides)

@@ -74,7 +74,7 @@ class RunConfig:
     out: str
     replicas: int = 1
     record_every: int = 1
-    threads: Optional[int] = None
+    threads: Optional[int] = None  # accepted and ignored
     allow_assumption_violations: bool = False
 
 

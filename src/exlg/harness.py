@@ -3,8 +3,7 @@
 Each ``cmd_*`` function implements one CLI subcommand and returns a
 process exit code (0 success, 2 config error, 3 assumption violation,
 4 divergence; the CLI maps raised errors to the same codes).  Replicas
-run as a parallel map over a thread pool; results are consumed in replica
-order, so the emitted files are byte-identical whatever the thread count.
+run one after another in replica order.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import logging
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -77,6 +75,24 @@ class TaskBundle:
     holdout: Optional[tuple]  # (X, y) for classification accuracy
 
 
+def _synthetic_data(t, rng: np.random.Generator):
+    """(x, y, beta_true) of a synthetic task, drawn from ``rng``.
+
+    beta_true is drawn first unless the config fixes it; ``build_task``
+    and ``cmd_gen_data`` both call this, so dataset.csv is exactly the
+    data a run shards.
+    """
+    if t.beta_true is not None:
+        beta_true = np.asarray(t.beta_true, dtype=float)
+    else:
+        beta_true = rng.standard_normal(t.dim)
+    if t.kind == "linreg":
+        x, y = gen_linreg_data(t.n_points, beta_true, t.noise_std, rng)
+    else:
+        x, y = gen_logreg_data(t.n_points, beta_true, rng)
+    return x, y, beta_true
+
+
 def build_task(cfg: ExperimentConfig) -> TaskBundle:
     """Generate or load the dataset and shard it across agents.
 
@@ -100,19 +116,12 @@ def build_task(cfg: ExperimentConfig) -> TaskBundle:
         x, y = x[train_idx], y[train_idx]
         beta_true = None
     else:
-        if t.beta_true is not None:
-            beta_true = np.asarray(t.beta_true, dtype=float)
-        else:
-            beta_true = rng.standard_normal(t.dim)
-        if t.kind == "linreg":
-            x, y = gen_linreg_data(t.n_points, beta_true, t.noise_std, rng)
-            holdout = None
-        else:
-            x, y = gen_logreg_data(t.n_points, beta_true, rng)
+        x, y, beta_true = _synthetic_data(t, rng)
+        holdout = None
+        if t.kind == "logreg-synthetic":
             hold_rng = np.random.default_rng(
                 derive_seed(cfg.run.seed, "holdout"))
-            hx, hy = gen_logreg_data(t.holdout, beta_true, hold_rng)
-            holdout = (hx, hy)
+            holdout = gen_logreg_data(t.holdout, beta_true, hold_rng)
 
     n_rows = x.shape[0]
     size = max(n_rows // n_agents if t.per_agent is None else t.per_agent, 1)
@@ -184,29 +193,21 @@ def _replica_seeds(master: int, replicas: int, tag: Optional[str] = None):
 
 
 def run_replicas(task, ms: Optional[MixingSet], scfg: SamplerConfig,
-                 seeds, threads: int, record_every: int):
-    """Parallel map over replica chains; results come back replica-ordered.
+                 seeds, record_every: int):
+    """One chain per replica seed, run in replica order.
 
     Returns (ks, xs_all) with xs_all of shape (n_rec, R, A, d) where A is
     the number of chain rows (agents, or 1 for centralized samplers).
     Divergence is re-raised tagged with the replica index.
     """
-
-    def one(args):
-        r, seed = args
+    results = []
+    for r, seed in enumerate(seeds):
+        one = dataclasses.replace(scfg, seed=seed)
         try:
-            res = run_chain(task, dataclasses.replace(scfg, seed=seed),
-                            mixing=ms, record_every=record_every)
+            results.append(run_chain(task, one, mixing=ms,
+                                     record_every=record_every))
         except ChainDivergenceError as e:
             raise ChainDivergenceError(f"replica {r}: {e}") from None
-        return res
-
-    jobs = list(enumerate(seeds))
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(j) for j in jobs]
     ks = results[0].ks
     xs_all = np.stack([res.xs for res in results], axis=1)
     return ks, xs_all
@@ -349,20 +350,6 @@ class ManifestWriter:
                                  default=str) + "\n")
 
 
-def _resolve_threads(cfg: ExperimentConfig) -> int:
-    if cfg.run.threads is not None:
-        return cfg.run.threads
-    env = os.environ.get("EXLG_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-            if n >= 1:
-                return n
-        except ValueError:
-            logger.warning("ignoring unparseable EXLG_THREADS=%r", env)
-    return 1
-
-
 def _sampler_config(cfg: ExperimentConfig, algorithm: Optional[str] = None,
                     eta: Optional[float] = None) -> SamplerConfig:
     s = cfg.sampler
@@ -432,7 +419,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     bundle, ms = _prepare(cfg)
     seeds = _replica_seeds(cfg.run.seed, cfg.run.replicas)
     ks, xs_all = run_replicas(bundle.task, ms, _sampler_config(cfg), seeds,
-                              _resolve_threads(cfg), cfg.run.record_every)
+                              cfg.run.record_every)
     series = series_for_run(cfg, bundle.task, ks, xs_all, bundle.holdout)
 
     d = xs_all.shape[-1]
@@ -481,7 +468,6 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         check_assumptions(ms, cfg)
 
     labels = _compare_labels(algos)
-    threads = _resolve_threads(cfg)
     all_series = []
     plateau_rows = []
     seed_map = {}
@@ -491,7 +477,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         use_ms = None if algo in _CENTRALIZED else ms
         ks, xs_all = run_replicas(bundle.task, use_ms,
                                   _sampler_config(cfg, algorithm=algo),
-                                  seeds, threads, cfg.run.record_every)
+                                  seeds, cfg.run.record_every)
         cfg_one = dataclasses.replace(
             cfg, sampler=dataclasses.replace(cfg.sampler, algorithm=algo))
         for s in series_for_run(cfg_one, bundle.task, ks, xs_all,
@@ -649,15 +635,8 @@ def cmd_gen_data(cfg: ExperimentConfig) -> int:
     out = cfg.run.out
     os.makedirs(out, exist_ok=True)
     manifest = ManifestWriter(cfg, "gen-data")
-    rng = np.random.default_rng(derive_seed(cfg.run.seed, "data"))
-    if t.beta_true is not None:
-        beta = np.asarray(t.beta_true, dtype=float)
-    else:
-        beta = rng.standard_normal(t.dim)
-    if t.kind == "linreg":
-        x, y = gen_linreg_data(t.n_points, beta, t.noise_std, rng)
-    else:
-        x, y = gen_logreg_data(t.n_points, beta, rng)
+    x, y, beta = _synthetic_data(
+        t, np.random.default_rng(derive_seed(cfg.run.seed, "data")))
     header = [f"x_{j}" for j in range(t.dim)] + ["y"]
     n = write_csv(os.path.join(out, "dataset.csv"), header,
                   ((*row, yv) for row, yv in zip(x, y)))

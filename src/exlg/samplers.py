@@ -22,6 +22,15 @@ The same gradient draw and the same Gaussian block feed both halves of the
 generalized update.  Temperature 0 switches every noise term off and leaves
 the optimization skeleton (DGD, EXTRA).
 
+`run_chain` is one loop, ``x, v = step(k, x, v)``, followed by one
+divergence guard and one recording block.  ``step`` comes from a
+per-algorithm table built on the public ``step_*`` functions: EXTRA's
+bootstrap is exactly one DE-SGLD step, and its closure keeps the previous
+iterate, gradient and Gaussian block; the centralized chains sum every
+agent's gradient at the one shared row.  Only the generalized chain moves
+v, so only it guards and records v.  Because each draw depends on
+(seed, k, i) alone, this reproduces every recursion bit for bit.
+
 The dual average v-bar stays at exactly zero up to accumulated roundoff
 because U's column sums vanish; `run_chain` never materializes the
 integrated dual q.
@@ -264,13 +273,18 @@ def step_reference_chain(x, grad_sum, n_agents, eta, noise_mean,
     )
 
 
-def _check_finite(x, k):
-    m = float(np.max(np.abs(x))) if x.size else 0.0
-    if not np.isfinite(m) or m > _DIVERGENCE_LIMIT:
-        raise ChainDivergenceError(
-            f"chain diverged at iteration {k}: max |entry| = {m:.6e} "
-            f"(limit {_DIVERGENCE_LIMIT:.1e})"
-        )
+def _guard(algo, k, x, v=None):
+    """Raise ChainDivergenceError if x (or v, when given) left the ball."""
+    for name, blk in (("x", x), ("v", v)):
+        if blk is None or not blk.size:
+            continue
+        m = float(np.max(np.abs(blk)))
+        if not np.isfinite(m) or m > _DIVERGENCE_LIMIT:
+            agent = int(np.argmax(np.abs(blk)) // blk.shape[1])
+            raise ChainDivergenceError(
+                f"{algo} diverged at iteration {k}, agent {agent}: "
+                f"max |{name}| entry = {m:.6e} (limit {_DIVERGENCE_LIMIT:.1e})"
+            )
 
 
 def _grad_block(oracle, x, k, batch, noise):
@@ -283,17 +297,6 @@ def _grad_block(oracle, x, k, batch, noise):
                 oracle.stoch_grad(i, x[i], batch, noise.batch_rng(k, i))
             )
     return np.stack(rows)
-
-
-def _grad_total(oracle, x_row, k, batch, noise):
-    """Sum over agents of grad f_i at a single shared point."""
-    total = np.zeros_like(x_row)
-    for i in range(oracle.n_agents):
-        if batch is None:
-            total += oracle.full_grad(i, x_row)
-        else:
-            total += oracle.stoch_grad(i, x_row, batch, noise.batch_rng(k, i))
-    return total
 
 
 def _initial_block(oracle, cfg, n_rows, init, noise):
@@ -328,6 +331,60 @@ def _b_apply(cfg: SamplerConfig, mixing, x: np.ndarray) -> np.ndarray:
     return mix_apply(cfg.b_custom, x)
 
 
+def _step_fn(oracle, cfg: SamplerConfig, mixing, noise):
+    """The transition (k, x^k, v^k) -> (x^{k+1}, v^{k+1}) of cfg.algorithm."""
+    eta, temp = cfg.eta, cfg.temperature
+
+    def grads(x, k):
+        return _grad_block(oracle, x, k, cfg.batch, noise)
+
+    def grad_sum(x, k):
+        # every agent's gradient at the one shared row, summed in agent
+        # order (accumulate never reorders the additions)
+        shared = np.broadcast_to(x, (oracle.n_agents, x.shape[1]))
+        return np.add.accumulate(grads(shared, k))[-1:]
+
+    def ula(k, x, v):
+        wblk = noise.gaussian_block(k + 1)[:1]
+        return step_ula(x, grad_sum(x, k), eta, wblk, temp), v
+
+    def reference(k, x, v):
+        wbar = noise.gaussian_block(k + 1).mean(axis=0)[None, :]
+        return step_reference_chain(x, grad_sum(x, k), oracle.n_agents, eta,
+                                    wbar, temp), v
+
+    def de_sgld(k, x, v):
+        return step_de_sgld(x, grads(x, k), mixing.w, eta,
+                            noise.gaussian_block(k + 1), temp), v
+
+    def gen_extra(k, x, v):
+        return step_gen_extra(x, v, grads(x, k), _b_apply(cfg, mixing, x),
+                              mixing.w_tilde, mixing.u, eta,
+                              noise.gaussian_block(k + 1), temp)
+
+    prev = None  # EXTRA's (x^{k-1}, g^{k-1}, w^k)
+
+    def extra(k, x, v):
+        nonlocal prev
+        g, wblk = grads(x, k), noise.gaussian_block(k + 1)
+        if k == 0:  # the W-based bootstrap is one DE-SGLD transition
+            x_next = step_de_sgld(x, g, mixing.w, eta, wblk, temp)
+        else:
+            x_prev, g_prev, w_prev = prev
+            x_next = step_extra_two(x, x_prev, g, g_prev, mixing.w,
+                                    mixing.w_tilde, eta, wblk - w_prev, temp)
+        prev = (x, g, wblk)
+        return x_next, v
+
+    return {
+        "ULA": ula,
+        "DE_SGLD": de_sgld,
+        "EXTRA_SGLD": extra,
+        "GEN_EXTRA_SGLD": gen_extra,
+        "REFERENCE_CHAIN": reference,
+    }[cfg.algorithm]
+
+
 def run_chain(
     oracle,
     cfg: SamplerConfig,
@@ -353,118 +410,31 @@ def run_chain(
         raise ValueError(
             f"oracle has {oracle.n_agents} agents but mixing has {n_rows}"
         )
-    d = oracle.dim
     if noise is None:
         stream_rows = oracle.n_agents if algo == "REFERENCE_CHAIN" else n_rows
-        noise = NoiseStream(cfg.seed, stream_rows, d)
-    temp = cfg.temperature
-    s2e = np.sqrt(2.0 * cfg.eta)
+        noise = NoiseStream(cfg.seed, stream_rows, oracle.dim)
+    step = _step_fn(oracle, cfg, mixing, noise)
+    dual = algo == "GEN_EXTRA_SGLD"  # the only chain that moves v
 
     x = _initial_block(oracle, cfg, n_rows, init, noise)
-    v = np.zeros((n_rows, d))
-    _check_finite(x, 0)
+    v = np.zeros_like(x)
+    _guard(algo, 0, x)
 
     want = set(range(0, cfg.steps + 1, record_every))
     want.add(cfg.steps)
-    rec_ks, rec_xs, rec_vs = [], [], []
+    rec_ks, rec_xs, rec_vs = [0], [x.copy()], [v.copy()] if dual else []
+    for k in range(cfg.steps):
+        x, v = step(k, x, v)
+        _guard(algo, k + 1, x, v if dual else None)
+        if k + 1 in want:
+            rec_ks.append(k + 1)
+            rec_xs.append(x.copy())
+            if dual:
+                rec_vs.append(v.copy())
 
-    def record(k, xblk, vblk):
-        if k in want:
-            rec_ks.append(k)
-            rec_xs.append(xblk.copy())
-            rec_vs.append(vblk.copy())
-
-    record(0, x, v)
-
-    if algo == "EXTRA_SGLD":
-        x_prev = None
-        g_prev = None
-        w_prev = None
-        for k in range(cfg.steps):
-            if k == 0:
-                g_prev = _grad_block(oracle, x, 0, cfg.batch, noise)
-                w_new = noise.gaussian_block(1)
-                x_new = (
-                    mix_apply(mixing.w, x)
-                    - cfg.eta * g_prev
-                    + temp * s2e * w_new
-                )
-                x_prev, x = x, x_new
-                w_prev = w_new
-            else:
-                g_curr = _grad_block(oracle, x, k, cfg.batch, noise)
-                w_new = noise.gaussian_block(k + 1)
-                x_new = step_extra_two(
-                    x,
-                    x_prev,
-                    g_curr,
-                    g_prev,
-                    mixing.w,
-                    mixing.w_tilde,
-                    cfg.eta,
-                    w_new - w_prev,
-                    temperature=temp,
-                )
-                x_prev, x = x, x_new
-                g_prev = g_curr
-                w_prev = w_new
-            _check_finite(x, k + 1)
-            record(k + 1, x, v)
-    elif algo == "GEN_EXTRA_SGLD":
-        for k in range(cfg.steps):
-            g = _grad_block(oracle, x, k, cfg.batch, noise)
-            bx = _b_apply(cfg, mixing, x)
-            wblk = noise.gaussian_block(k + 1)
-            x, v = step_gen_extra(
-                x,
-                v,
-                g,
-                bx,
-                mixing.w_tilde,
-                mixing.u,
-                cfg.eta,
-                wblk,
-                temperature=temp,
-            )
-            _check_finite(x, k + 1)
-            _check_finite(v, k + 1)
-            record(k + 1, x, v)
-    elif algo == "DE_SGLD":
-        for k in range(cfg.steps):
-            g = _grad_block(oracle, x, k, cfg.batch, noise)
-            wblk = noise.gaussian_block(k + 1)
-            x = step_de_sgld(x, g, mixing.w, cfg.eta, wblk, temperature=temp)
-            _check_finite(x, k + 1)
-            record(k + 1, x, v)
-    elif algo == "ULA":
-        for k in range(cfg.steps):
-            g = _grad_total(oracle, x[0], k, cfg.batch, noise)
-            wblk = noise.gaussian_block(k + 1)
-            x = step_ula(x, g[None, :], cfg.eta, wblk[:1], temperature=temp)
-            _check_finite(x, k + 1)
-            record(k + 1, x, v)
-    elif algo == "REFERENCE_CHAIN":
-        n_for_avg = oracle.n_agents
-        for k in range(cfg.steps):
-            g = _grad_total(oracle, x[0], k, cfg.batch, noise)
-            wbar = noise.gaussian_block(k + 1).mean(axis=0)
-            x = step_reference_chain(
-                x,
-                g[None, :],
-                n_for_avg,
-                cfg.eta,
-                wbar[None, :],
-                temperature=temp,
-            )
-            _check_finite(x, k + 1)
-            record(k + 1, x, v)
-    else:  # pragma: no cover -- SamplerConfig already validated
-        raise ValueError(algo)
-
-    vs = np.stack(rec_vs) if algo == "GEN_EXTRA_SGLD" else None
     return ChainResult(
         ks=np.array(rec_ks, dtype=int),
         xs=np.stack(rec_xs),
-        vs=vs,
+        vs=np.stack(rec_vs) if dual else None,
         final=EnsembleState(k=cfg.steps, x=x.copy(), v=v.copy()),
     )

@@ -185,12 +185,6 @@ class LinRegTask:
             x, y, self.prior_var, noise_std=LOSS_MATCHED_NOISE_STD
         )
 
-    def grad_at_min_norm(self) -> float:
-        """||grad F(x*)|| of the stacked per-agent gradients at the minimizer."""
-        m = self.minimizer()
-        g = np.concatenate([self.full_grad(i, m) for i in range(self.n_agents)])
-        return float(np.linalg.norm(g))
-
 
 @dataclasses.dataclass(frozen=True)
 class LogRegTask:
@@ -288,11 +282,6 @@ class LogRegTask:
             f"Newton failed to reach tol={tol} in {max_iter} iterations "
             f"(||grad|| = {np.linalg.norm(grad(beta)):.3e})"
         )
-
-    def grad_at_min_norm(self) -> float:
-        m = self.minimizer()
-        g = np.concatenate([self.full_grad(i, m) for i in range(self.n_agents)])
-        return float(np.linalg.norm(g))
 
 
 def gen_linreg_data(

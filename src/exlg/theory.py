@@ -531,7 +531,11 @@ def problem_params_from(task, ms: MixingSet, eta: float, *,
 
     mu, L = task.mu, task.L
     xstar = task.minimizer()
-    r = float(task.grad_at_min_norm() ** 2)
+    # stacked per-agent gradients at x*: they sum to zero but need not
+    # vanish agentwise
+    g = np.concatenate([task.full_grad(i, xstar)
+                        for i in range(task.n_agents)])
+    r = float(np.linalg.norm(g)) ** 2
     N, d = ms.topology.n, task.dim
 
     if init == "zeros":

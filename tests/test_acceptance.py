@@ -83,7 +83,7 @@ def _ensemble(task, ms, algo, *, eta, steps, reps, master, record_every,
     seeds = [derive_seed(master, algo, r) for r in range(reps)]
     scfg = SamplerConfig(algorithm=algo, eta=eta, steps=steps, seed=0,
                          batch=batch, temperature=temperature)
-    return run_replicas(task, ms, scfg, seeds, 1, record_every)
+    return run_replicas(task, ms, scfg, seeds, record_every)
 
 
 def _linreg_task(master, n_points, n_agents, dim, per_agent=None,

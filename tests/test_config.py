@@ -207,6 +207,12 @@ class TestSemantics:
         text = MINIMAL.replace("seed = 7", "seed = 7\nreplicas = 0")
         self.check(tmp_path, text, "run.replicas")
 
+    def test_threads_accepted_but_checked(self, tmp_path):
+        text = MINIMAL.replace("seed = 7", "seed = 7\nthreads = 4")
+        assert load_config(write_cfg(tmp_path, text)).run.threads == 4
+        self.check(tmp_path, text.replace("threads = 4", "threads = 0"),
+                   "run.threads")
+
     def test_compare_membership(self, tmp_path):
         text = MINIMAL + "\n[compare]\nalgorithms = DE_SGLD, HMC\n"
         self.check(tmp_path, text, "compare.algorithms")

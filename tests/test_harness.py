@@ -26,7 +26,6 @@ from exlg.harness import (
     EXIT_OK,
     _compare_labels,
     _fmt,
-    _resolve_threads,
     build_mixing,
     build_task,
     cmd_compare,
@@ -435,6 +434,26 @@ class TestGenData:
         with open(out / "manifest.json") as fh:
             assert json.load(fh)["beta_true"] == [1.0, -0.5]
 
+    @pytest.mark.parametrize("edits", [
+        {},
+        {"beta_true = 1.0 -0.5": ""},
+        {"kind = linreg": "kind = logreg-synthetic\nholdout = 50"},
+    ], ids=["linreg", "linreg-drawn-beta", "logreg-synthetic"])
+    def test_dataset_rows_are_the_shard_rows(self, tmp_path, edits):
+        # 120 points over 6 agents: the shards hold every row exactly once
+        path = make_cfg(tmp_path, **edits)
+        assert main(["gen-data", "--config", path]) == EXIT_OK
+        data = np.genfromtxt(tmp_path / "out" / "dataset.csv",
+                             delimiter=",", skip_header=1)
+        task = build_task(load_config(path)).task
+        shards = np.vstack([np.column_stack([x, y])
+                            for x, y in zip(task.xs, task.ys)])
+
+        def multiset(rows):
+            return rows[np.lexsort(rows.T[::-1])]
+
+        np.testing.assert_array_equal(multiset(data), multiset(shards))
+
     def test_rejects_csv_task(self, tmp_path):
         csv = tmp_path / "d.csv"
         csv.write_text("a,b,y\n1,2,0\n3,4,1\n")
@@ -475,19 +494,6 @@ class TestCliPlumbing:
             man = json.load(fh)
         assert man["master_seed"] == 21
         assert len(man["replica_seeds"]) == 2
-
-    def test_threads_resolution(self, tmp_path, monkeypatch):
-        cfg = load_config(make_cfg(tmp_path))
-        monkeypatch.delenv("EXLG_THREADS", raising=False)
-        assert _resolve_threads(cfg) == 1
-        monkeypatch.setenv("EXLG_THREADS", "3")
-        assert _resolve_threads(cfg) == 3
-        monkeypatch.setenv("EXLG_THREADS", "lots")
-        assert _resolve_threads(cfg) == 1
-        explicit = load_config(make_cfg(
-            tmp_path, **{"seed = 7": "seed = 7\nthreads = 2"}))
-        monkeypatch.setenv("EXLG_THREADS", "5")
-        assert _resolve_threads(explicit) == 2
 
     def test_fmt_round_trip(self):
         assert _fmt(True) == "true"

@@ -9,15 +9,20 @@ import dataclasses
 import numpy as np
 import pytest
 
+from exlg.linalg import mix_apply
 from exlg.network import build_mixing_set, ring
 from exlg.samplers import (
+    ALGORITHMS,
     ChainDivergenceError,
     NoiseStream,
     RawMixing,
     SamplerConfig,
     derive_seed,
     run_chain,
+    step_de_sgld,
+    step_extra_two,
     step_gen_extra,
+    step_reference_chain,
     step_ula,
 )
 from exlg.tasks import LinRegTask, gen_linreg_data, partition_data
@@ -281,6 +286,81 @@ class TestReductions:
         assert np.max(np.abs(extra.xs - gen.xs)) <= 1e-8
 
 
+def _written_out_chain(task, cfg, ms):
+    """The five recursions spelled out from the public step functions.
+
+    Returns (xs, vs, final_x, final_v) for a zero start, recording every
+    iterate; vs is None except for the generalized chain.
+    """
+    algo, eta, temp = cfg.algorithm, cfg.eta, cfg.temperature
+    n, d = task.n_agents, task.dim
+    rows = 1 if algo in ("ULA", "REFERENCE_CHAIN") else n
+    noise = NoiseStream(cfg.seed, 1 if algo == "ULA" else n, d)
+
+    def grad(i, xi, k):
+        if cfg.batch is None:
+            return task.full_grad(i, xi)
+        return task.stoch_grad(i, xi, cfg.batch, noise.batch_rng(k, i))
+
+    def grads(x, k):
+        return np.stack([grad(i, x[i], k) for i in range(n)])
+
+    def grad_sum(x, k):
+        total = np.zeros(d)
+        for i in range(n):
+            total = total + grad(i, x[0], k)
+        return total[None, :]
+
+    x, v = np.zeros((rows, d)), np.zeros((rows, d))
+    xs, vs = [x], [v]
+    x_prev = g_prev = w_prev = None
+    for k in range(cfg.steps):
+        w_new = noise.gaussian_block(k + 1)
+        if algo == "ULA":
+            x = step_ula(x, grad_sum(x, k), eta, w_new[:1], temp)
+        elif algo == "REFERENCE_CHAIN":
+            x = step_reference_chain(x, grad_sum(x, k), n, eta,
+                                     w_new.mean(axis=0)[None, :], temp)
+        elif algo == "DE_SGLD" or (algo == "EXTRA_SGLD" and k == 0):
+            g = grads(x, k)
+            x_prev, g_prev, w_prev = x, g, w_new
+            x = step_de_sgld(x, g, ms.w, eta, w_new, temp)
+        elif algo == "EXTRA_SGLD":
+            g = grads(x, k)
+            x_prev, x = x, step_extra_two(x, x_prev, g, g_prev, ms.w,
+                                          ms.w_tilde, eta, w_new - w_prev,
+                                          temp)
+            g_prev, w_prev = g, w_new
+        else:
+            x, v = step_gen_extra(x, v, grads(x, k),
+                                  mix_apply(ms.w_tilde, x) / eta,
+                                  ms.w_tilde, ms.u, eta, w_new, temp)
+        xs.append(x)
+        vs.append(v)
+    gen = algo == "GEN_EXTRA_SGLD"
+    return np.stack(xs), np.stack(vs) if gen else None, x, v
+
+
+@pytest.mark.parametrize("batch", [None, 2], ids=["full", "batch2"])
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_run_chain_matches_step_functions(algo, batch):
+    task = _toy_task(seed=21, n_i=6)
+    ms = build_mixing_set(ring(6), h=0.35, delta=0.2)
+    cfg = SamplerConfig(algo, eta=0.02, steps=25, seed=33, batch=batch)
+    res = run_chain(task, cfg,
+                    mixing=None if algo in ("ULA", "REFERENCE_CHAIN") else ms)
+    xs, vs, final_x, final_v = _written_out_chain(task, cfg, ms)
+    assert np.array_equal(res.ks, np.arange(cfg.steps + 1))
+    assert np.array_equal(res.xs, xs)
+    if vs is None:
+        assert res.vs is None
+    else:
+        assert np.array_equal(res.vs, vs)
+    assert res.final.k == cfg.steps
+    assert np.array_equal(res.final.x, final_x)
+    assert np.array_equal(res.final.v, final_v)
+
+
 class TestDualAverage:
     def test_vbar_exactly_zero_within_tolerance(self):
         task = _toy_task()
@@ -428,12 +508,29 @@ class TestRunChainMechanics:
     def test_divergence_guard_names_iteration(self):
         task = _toy_task()
         ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
-        with pytest.raises(ChainDivergenceError, match="iteration"):
+        with pytest.raises(ChainDivergenceError,
+                           match=r"^DE_SGLD diverged at iteration \d+, "
+                                 r"agent [0-5]: max \|x\| entry"):
             run_chain(
                 task,
                 SamplerConfig("DE_SGLD", eta=50.0, steps=500, seed=5),
                 mixing=ms,
             )
+
+        @dataclasses.dataclass(frozen=True)
+        class SpikeOracle(QuadOracle):
+            """Agent 3's gradient alone leaves the guard ball at once."""
+
+            def full_grad(self, i, x):
+                return x - (1e16 if i == 3 else 0.0)
+
+        for algo in ("DE_SGLD", "EXTRA_SGLD", "GEN_EXTRA_SGLD"):
+            with pytest.raises(ChainDivergenceError,
+                               match=f"^{algo} diverged at iteration 1, "
+                                     "agent 3:"):
+                run_chain(SpikeOracle(6, 2),
+                          SamplerConfig(algo, eta=0.01, steps=5, seed=5),
+                          mixing=ms)
 
     def test_init_prior_and_minimizer(self):
         task = _toy_task()

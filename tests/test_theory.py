@@ -404,7 +404,10 @@ class TestProblemParamsFrom:
         assert p.L == task.L
         assert p.N == 4 and p.d == 2
         assert p.h == 0.3
-        assert p.grad_at_min_sq == pytest.approx(task.grad_at_min_norm() ** 2)
+        m = task.minimizer()
+        stacked = np.concatenate(
+            [task.full_grad(i, m) for i in range(task.n_agents)])
+        assert p.grad_at_min_sq == pytest.approx(np.linalg.norm(stacked) ** 2)
         # ||B|| for B = W~/eta, against a direct spectral norm.
         direct = float(np.linalg.norm(np.asarray(ms.w_tilde), 2)) / 0.001
         assert p.norm_B == pytest.approx(direct, rel=1e-10)
