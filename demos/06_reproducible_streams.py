@@ -5,13 +5,21 @@ purpose) through a counter-based generator, so there is no hidden
 generator state to protect.  Replicas and draws can come in any order,
 and a rerun reproduces the trajectory bit for bit.
 The seed for replica r is itself derived by hashing (master, "replica",
-r), so one master integer pins an entire experiment.
+r), so one master integer pins an entire experiment.  Replicas advance
+together as one ensemble, and replica 0 comes out the same whether it
+runs alone or beside seven others.
 """
 
 import numpy as np
 
 from exlg.network import build_mixing_set, make_topology
-from exlg.samplers import NoiseStream, SamplerConfig, derive_seed, run_chain
+from exlg.samplers import (
+    NoiseStream,
+    SamplerConfig,
+    derive_seed,
+    run_chain,
+    run_ensemble,
+)
 from exlg.tasks import LinRegTask, gen_linreg_data, partition_data
 
 # --- seed derivation -------------------------------------------------------
@@ -46,6 +54,14 @@ a = run_chain(task, cfg, mixing=ms).xs
 b = run_chain(task, cfg, mixing=ms).xs
 print("\ntwo runs of the same chain are bit-identical:",
       np.array_equal(a, b))
+
+# --- replica count --------------------------------------------------------
+seeds = [derive_seed(master, "replica", r) for r in range(8)]
+alone = run_ensemble(task, cfg, seeds[:1], mixing=ms).xs[:, 0]
+of_eight = run_ensemble(task, cfg, seeds, mixing=ms).xs[:, 0]
+print("replica 0 at R = 1 and at R = 8 is bit-identical:",
+      np.array_equal(alone, of_eight))
+assert np.array_equal(alone, of_eight)
 
 # The CLI exposes the same property end to end: running
 #   exlg run --config exp.cfg --replicas 2

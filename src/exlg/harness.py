@@ -2,8 +2,8 @@
 
 Each ``cmd_*`` function implements one CLI subcommand and returns a
 process exit code (0 success, 2 config error, 3 assumption violation,
-4 divergence; the CLI maps raised errors to the same codes).  Replicas
-run one after another in replica order.
+4 divergence; the CLI maps raised errors to the same codes).  A run's
+replicas advance together as one ensemble (``samplers.run_ensemble``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .samplers import (
     ChainDivergenceError,
     SamplerConfig,
     derive_seed,
-    run_chain,
+    run_ensemble,
 )
 from .tasks import (
     LinRegTask,
@@ -40,6 +40,7 @@ from .tasks import (
     gen_linreg_data,
     gen_logreg_data,
     load_csv_dataset,
+    mu_L_bounds,
     partition_data,
 )
 from .theory import (
@@ -194,23 +195,21 @@ def _replica_seeds(master: int, replicas: int, tag: Optional[str] = None):
 
 def run_replicas(task, ms: Optional[MixingSet], scfg: SamplerConfig,
                  seeds, record_every: int):
-    """One chain per replica seed, run in replica order.
+    """One chain per replica seed, all advanced together.
 
     Returns (ks, xs_all) with xs_all of shape (n_rec, R, A, d) where A is
     the number of chain rows (agents, or 1 for centralized samplers).
     Divergence is re-raised tagged with the replica index.
     """
-    results = []
-    for r, seed in enumerate(seeds):
-        one = dataclasses.replace(scfg, seed=seed)
-        try:
-            results.append(run_chain(task, one, mixing=ms,
-                                     record_every=record_every))
-        except ChainDivergenceError as e:
-            raise ChainDivergenceError(f"replica {r}: {e}") from None
-    ks = results[0].ks
-    xs_all = np.stack([res.xs for res in results], axis=1)
-    return ks, xs_all
+    try:
+        res = run_ensemble(task, scfg, seeds, mixing=ms,
+                           record_every=record_every)
+    except ChainDivergenceError as e:
+        raise ChainDivergenceError(
+            f"replica {e.replica}: {e}", algorithm=e.algorithm,
+            replica=e.replica, k=e.k, agent=e.agent, value=e.value,
+        ) from None
+    return res.ks, res.xs
 
 
 def series_for_run(cfg: ExperimentConfig, task, ks, xs_all,
@@ -387,9 +386,9 @@ def cmd_validate(cfg: ExperimentConfig, echo=print) -> int:
             echo("  " + line)
     except ValueError as e:
         echo(f"stepsize report unavailable: {e}")
-    if cfg.sampler.eta * bundle.task.L / 2.0 >= 1.0:
-        echo(f"warning: eta*L/2 = "
-             f"{cfg.sampler.eta * bundle.task.L / 2.0:.3g} >= 1; "
+    margin = cfg.sampler.eta * mu_L_bounds(bundle.task)[1] / 2.0
+    if margin >= 1.0:
+        echo(f"warning: eta*L/2 = {margin:.3g} >= 1; "
              "the discretization is unstable at this stepsize")
     if not report.ok:
         if cfg.run.allow_assumption_violations:
@@ -413,6 +412,12 @@ def _prepare(cfg: ExperimentConfig):
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     """Run R replicas, write trajectory/metric CSVs and the manifest."""
+    _run(cfg)
+    return EXIT_OK
+
+
+def _run(cfg: ExperimentConfig):
+    """cmd_run's work; returns the metric series it wrote."""
     out = cfg.run.out
     os.makedirs(out, exist_ok=True)
     manifest = ManifestWriter(cfg, "run")
@@ -437,7 +442,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
                    for s in series))
     manifest.add_file(out, "plateau.csv", n)
     manifest.finish(out, replica_seeds=[int(s) for s in seeds])
-    return EXIT_OK
+    return series
 
 
 def _compare_labels(algorithms):
@@ -524,14 +529,8 @@ def cmd_sweep_h(cfg: ExperimentConfig) -> int:
             cfg,
             network=dataclasses.replace(cfg.network, h=float(h)),
             run=dataclasses.replace(cfg.run, out=sub_out))
-        cmd_run(sub)
-        with open(os.path.join(sub_out, "plateau.csv")) as fh:
-            lines = fh.read().splitlines()[1:]
-        here = {}
-        for line in lines:
-            _algo, label, val = line.split(",")
-            here[label] = float(val)
-            rows.append((float(h), label, float(val)))
+        here = {s.label: plateau(s.values) for s in _run(sub)}
+        rows.extend((float(h), label, val) for label, val in here.items())
         for label in _SWEEP_OBJECTIVE:
             if label in here:
                 obj = -here[label] if label == "accuracy" else here[label]

@@ -5,7 +5,8 @@ constants) funnels through the three operations here, so they are kept
 deliberately small: a validated symmetric eigensolve (one LAPACK ``eigh``
 call behind the symmetric-input checks of ``SymMatrix``), an
 eigendecomposition-based PSD root with explicit clipping policy, and a
-block-apply that contracts only over the agent axis.
+block-apply that contracts only over the agent axis, of one block or of
+a stack of them.
 """
 
 from __future__ import annotations
@@ -124,19 +125,21 @@ def psd_sqrt(a, clip_tol: float | None = None) -> np.ndarray:
 
 
 def mix_apply(m, x: np.ndarray) -> np.ndarray:
-    """Apply an (N, N) mixing matrix across the agent axis of an (N, d) block.
+    """Apply an (N, N) mixing matrix across the agent axis of an (..., N, d)
+    block.
 
-    Row i of the result is sum_j m[i, j] * x[j]; equivalent to
+    Row i of the result is sum_j m[i, j] * x[..., j, :]; equivalent to
     (m kron I_d) acting on the stacked vector, without ever forming the
-    Kronecker product.
+    Kronecker product.  A stacked block is one ``np.matmul``: one BLAS
+    call per (N, d) slice, identical to the call on that slice alone.
     """
     m = np.asarray(m, dtype=float)
     x = np.asarray(x, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"mixing matrix must be square, got shape {m.shape}")
-    if x.ndim != 2 or x.shape[0] != m.shape[0]:
+    if x.ndim < 2 or x.shape[-2] != m.shape[0]:
         raise ValueError(
             f"state block shape {x.shape} incompatible with "
             f"{m.shape[0]} agents"
         )
-    return m @ x
+    return np.matmul(m, x)

@@ -69,6 +69,12 @@ def estimate_moments(samples: np.ndarray) -> MomentEstimate:
 
 
 def w2_gaussian(a: GaussianDist, b: GaussianDist) -> float:
+    return _w2_gaussian(a, b, None)
+
+
+def _w2_gaussian(a: GaussianDist, b: GaussianDist, root_b) -> float:
+    """W2 between a and b; ``root_b`` is psd_sqrt(b.cov), or None to
+    compute it here."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov):
@@ -76,7 +82,8 @@ def w2_gaussian(a: GaussianDist, b: GaussianDist) -> float:
         # below would return a sqrt-of-roundoff floor (~1e-7) instead.
         return 0.0
     diff = a.mean - b.mean
-    root_b = psd_sqrt(b.cov)
+    if root_b is None:
+        root_b = psd_sqrt(b.cov)
     inner = root_b @ a.cov @ root_b
     inner = (inner + inner.T) / 2.0
     cross = float(np.trace(psd_sqrt(inner)))
@@ -93,7 +100,8 @@ def w2_series(
 
     ``xs_by_k`` has shape (n_rec, R, d): R replica draws of one series
     (an agent's iterate, or the agent average) per recorded k.  Needs
-    R >= 2 for the covariance fit.
+    R >= 2 for the covariance fit.  The target's covariance root is
+    computed once; each value equals ``w2_gaussian`` on that record.
     """
     xs_by_k = np.asarray(xs_by_k, dtype=float)
     if xs_by_k.ndim != 3:
@@ -102,9 +110,10 @@ def w2_series(
         )
     if xs_by_k.shape[1] < 2:
         raise ValueError("need at least 2 replicas to fit moments")
+    root = psd_sqrt(target.cov)
     vals = np.array(
         [
-            w2_gaussian(estimate_moments(block).as_gaussian(), target)
+            _w2_gaussian(estimate_moments(block).as_gaussian(), target, root)
             for block in xs_by_k
         ]
     )

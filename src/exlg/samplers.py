@@ -22,18 +22,29 @@ The same gradient draw and the same Gaussian block feed both halves of the
 generalized update.  Temperature 0 switches every noise term off and leaves
 the optimization skeleton (DGD, EXTRA).
 
-`run_chain` is one loop, ``x, v = step(k, x, v)``, followed by one
-divergence guard and one recording block.  ``step`` comes from a
-per-algorithm table built on the public ``step_*`` functions: EXTRA's
-bootstrap is exactly one DE-SGLD step, and its closure keeps the previous
-iterate, gradient and Gaussian block; the centralized chains sum every
-agent's gradient at the one shared row.  Only the generalized chain moves
-v, so only it guards and records v.  Because each draw depends on
-(seed, k, i) alone, this reproduces every recursion bit for bit.
+`run_ensemble` advances R replicas together: the state is one
+(R, rows, d) array, where rows is the agent count (1 for ULA and the
+reference chain).  Each transition is ``x, v = step(k, x, v)``, followed
+by one divergence guard and one recording block.  ``step`` comes from a
+per-algorithm table built on the public ``step_*`` functions, which act
+on the whole array: mixing is one BLAS product per replica slice, and a
+task's ``grad_block`` returns every (replica, agent) gradient in one call.
+EXTRA's bootstrap is exactly one DE-SGLD step, and its closure keeps the
+previous iterate, gradient and Gaussian block; the centralized chains sum
+every agent's gradient at the one shared row.  Only the generalized chain
+moves v, so only it guards and records v.  `run_chain` is the R = 1 case.
+
+Replica r draws from its own stream, keyed by its seed, and each draw
+depends on (seed, k, i) alone.  With row bits that do not depend on how
+many rows share a call, a replica's values do not depend on how many
+replicas run beside it.  A `NoiseStream` keeps one Philox generator and
+resets its counter for every block, which gives the same draws as a
+fresh generator at that counter.
 
 The dual average v-bar stays at exactly zero up to accumulated roundoff
-because U's column sums vanish; `run_chain` never materializes the
-integrated dual q.
+because U's column sums vanish; the guard checks it at every step of the
+generalized chain.  `run_ensemble` never materializes the integrated
+dual q.
 """
 
 from __future__ import annotations
@@ -61,6 +72,7 @@ __all__ = [
     "step_extra_two",
     "step_reference_chain",
     "run_chain",
+    "run_ensemble",
 ]
 
 ALGORITHMS = (
@@ -74,6 +86,9 @@ ALGORITHMS = (
 B_MODES = ("wtilde-over-eta", "scaled-identity", "custom")
 
 _DIVERGENCE_LIMIT = 1e12
+# the dual average max |sum_i v_i| / N may drift from 0 by at most this
+# much times max(1, max |v|)
+_DUAL_TOL = 1e-8
 
 # Philox counter word 3 tags the stream family; word 0 is the in-stream
 # draw counter (little-endian), words 1 and 2 carry (k, i).
@@ -83,7 +98,22 @@ _TAG_INIT = 3
 
 
 class ChainDivergenceError(RuntimeError):
-    """An iterate left the guard ball (entries above 1e12 or non-finite)."""
+    """An iterate left the guard ball (entries above 1e12 or non-finite),
+    or the generalized chain's dual average left zero.
+
+    ``algorithm``, ``replica`` (index into the run's seeds), ``k``,
+    ``agent`` (the row holding the largest |entry|; None for the dual
+    average) and ``value`` (that entry, or the dual drift) say where.
+    """
+
+    def __init__(self, message, *, algorithm=None, replica=None, k=None,
+                 agent=None, value=None):
+        super().__init__(message)
+        self.algorithm = algorithm
+        self.replica = replica
+        self.k = k
+        self.agent = agent
+        self.value = value
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -105,18 +135,27 @@ class NoiseStream:
     Generator for agent i's minibatch indices at iterate k.  Streams are
     separated in the high Philox counter words, so no amount of drawing
     from one can reach another.
+
+    One Philox generator is kept and its counter reset to [0, k, i, tag]
+    for every draw, which yields exactly the draws of a fresh
+    ``Philox(key=seed, counter=[0, k, i, tag])``.  So a Generator
+    returned by ``batch_rng`` or ``init_rng`` is valid only until the
+    next draw from the same stream: use it at once.
     """
 
     def __init__(self, seed: int, n_agents: int, dim: int):
         self.seed = int(seed) & ((1 << 128) - 1)
         self.n_agents = int(n_agents)
         self.dim = int(dim)
+        self._bits = np.random.Philox(key=self.seed)
+        self._rng = np.random.Generator(self._bits)
+        self._fresh = self._bits.state  # key set, buffer empty
 
     def _gen(self, k: int, i: int, tag: int) -> np.random.Generator:
-        counter = np.array([0, k, i, tag], dtype=np.uint64)
-        return np.random.Generator(
-            np.random.Philox(key=self.seed, counter=counter)
-        )
+        self._fresh["state"]["counter"] = np.array([0, k, i, tag],
+                                                   dtype=np.uint64)
+        self._bits.state = self._fresh
+        return self._rng
 
     def gaussian_block(self, k: int) -> np.ndarray:
         return self._gen(k, 0, _TAG_NOISE).standard_normal(
@@ -190,7 +229,11 @@ class EnsembleState:
 
 @dataclasses.dataclass(frozen=True)
 class ChainResult:
-    """Recorded trajectory: ks ascending, xs[j] the block at iterate ks[j]."""
+    """Recorded trajectory: ks ascending, xs[j] the block at iterate ks[j].
+
+    From `run_chain` a block is (rows, d); from `run_ensemble` it is
+    (R, rows, d), and ``final`` holds the (R, rows, d) end state.
+    """
 
     ks: np.ndarray
     xs: np.ndarray
@@ -199,8 +242,9 @@ class ChainResult:
 
     @property
     def means(self) -> np.ndarray:
-        """Agent-averaged iterate x-bar at each recorded k: (n_rec, d)."""
-        return self.xs.mean(axis=1)
+        """Agent-averaged iterate x-bar at each recorded k: (n_rec, d),
+        or (n_rec, R, d) for an ensemble."""
+        return self.xs.mean(axis=-2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -274,52 +318,86 @@ def step_reference_chain(x, grad_sum, n_agents, eta, noise_mean,
 
 
 def _guard(algo, k, x, v=None):
-    """Raise ChainDivergenceError if x (or v, when given) left the ball."""
-    for name, blk in (("x", x), ("v", v)):
-        if blk is None or not blk.size:
-            continue
-        m = float(np.max(np.abs(blk)))
-        if not np.isfinite(m) or m > _DIVERGENCE_LIMIT:
-            agent = int(np.argmax(np.abs(blk)) // blk.shape[1])
+    """Raise ChainDivergenceError if some replica's x (or v, when given)
+    left the ball, or its dual average left zero.
+
+    x and v are (R, rows, d).  The lowest such replica is named; for it x
+    is checked before v, and v before the dual average.
+    """
+    blocks = [("x", x)] if v is None else [("x", x), ("v", v)]
+    peaks = [np.max(np.abs(blk), axis=(1, 2)) for _name, blk in blocks]
+    bad = np.zeros(x.shape[0], dtype=bool)
+    for peak in peaks:
+        bad |= ~(peak <= _DIVERGENCE_LIMIT)  # NaN counts as bad
+    if v is not None:
+        drift = np.max(np.abs(v.sum(axis=1)), axis=1) / v.shape[1]
+        dual_limit = _DUAL_TOL * np.maximum(1.0, peaks[1])
+        bad |= drift > dual_limit
+    if not bad.any():
+        return
+    r = int(np.argmax(bad))
+    for (name, blk), peak in zip(blocks, peaks):
+        m = float(peak[r])
+        if not m <= _DIVERGENCE_LIMIT:
+            agent = int(np.argmax(np.abs(blk[r])) // blk.shape[2])
             raise ChainDivergenceError(
                 f"{algo} diverged at iteration {k}, agent {agent}: "
-                f"max |{name}| entry = {m:.6e} (limit {_DIVERGENCE_LIMIT:.1e})"
-            )
+                f"max |{name}| entry = {m:.6e} "
+                f"(limit {_DIVERGENCE_LIMIT:.1e})",
+                algorithm=algo, replica=r, k=k, agent=agent, value=m)
+    value = float(drift[r])
+    raise ChainDivergenceError(
+        f"{algo} dual average left zero at iteration {k}: "
+        f"max |sum_i v_i|/N = {value:.6e} "
+        f"(limit {float(dual_limit[r]):.1e})",
+        algorithm=algo, replica=r, k=k, agent=None, value=value)
 
 
-def _grad_block(oracle, x, k, batch, noise):
-    rows = []
-    for i in range(x.shape[0]):
-        if batch is None:
-            rows.append(oracle.full_grad(i, x[i]))
-        else:
-            rows.append(
-                oracle.stoch_grad(i, x[i], batch, noise.batch_rng(k, i))
-            )
-    return np.stack(rows)
+def _grad_block(oracle, x, k, batch, noises):
+    """Agent i's gradient at x[r, i] for every replica r and row i.
+
+    Minibatch indices for (r, k, i) come from ``noises[r].batch_rng(k, i)``.
+    An oracle with ``grad_block`` (and ``draw_batch`` for minibatches)
+    takes the whole (R, rows, d) array in one call; any other oracle is
+    called once per row.
+    """
+    if hasattr(oracle, "grad_block"):
+        idx = None
+        if batch is not None:
+            idx = np.array([[oracle.draw_batch(i, batch, nz.batch_rng(k, i))
+                             for i in range(x.shape[1])] for nz in noises])
+        return oracle.grad_block(x, idx)
+    if batch is None:
+        return np.array([[oracle.full_grad(i, row) for i, row in enumerate(xr)]
+                         for xr in x])
+    return np.array([[oracle.stoch_grad(i, row, batch, nz.batch_rng(k, i))
+                      for i, row in enumerate(xr)]
+                     for xr, nz in zip(x, noises)])
 
 
-def _initial_block(oracle, cfg, n_rows, init, noise):
-    d = oracle.dim
+def _initial_block(oracle, n_rows, init, noises):
+    """The (R, n_rows, d) start: one block per replica stream."""
+    shape = (len(noises), n_rows, oracle.dim)
     if isinstance(init, np.ndarray):
         x0 = np.array(init, dtype=float)
-        if x0.shape != (n_rows, d):
+        if x0.shape != shape[1:]:
             raise ValueError(
-                f"init block shape {x0.shape} != ({n_rows}, {d})"
+                f"init block shape {x0.shape} != ({n_rows}, {oracle.dim})"
             )
-        return x0
+        return np.broadcast_to(x0, shape).copy()
     if init == "zeros":
-        return np.zeros((n_rows, d))
+        return np.zeros(shape)
     if init == "prior":
         prior_var = getattr(oracle, "prior_var", None)
         if prior_var is None:
             raise ValueError("init='prior' needs an oracle with prior_var")
-        return np.sqrt(prior_var) * noise.init_rng().standard_normal(
-            (n_rows, d)
-        )
+        return np.stack([
+            np.sqrt(prior_var) * nz.init_rng().standard_normal(shape[1:])
+            for nz in noises
+        ])
     if init == "minimizer":
-        m = oracle.minimizer()
-        return np.tile(np.asarray(m, dtype=float), (n_rows, 1))
+        m = np.asarray(oracle.minimizer(), dtype=float)
+        return np.broadcast_to(m, shape).copy()
     raise ValueError(f"unknown init {init!r}")
 
 
@@ -331,42 +409,46 @@ def _b_apply(cfg: SamplerConfig, mixing, x: np.ndarray) -> np.ndarray:
     return mix_apply(cfg.b_custom, x)
 
 
-def _step_fn(oracle, cfg: SamplerConfig, mixing, noise):
-    """The transition (k, x^k, v^k) -> (x^{k+1}, v^{k+1}) of cfg.algorithm."""
+def _step_fn(oracle, cfg: SamplerConfig, mixing, noises):
+    """The transition (k, x^k, v^k) -> (x^{k+1}, v^{k+1}) of cfg.algorithm,
+    over (R, rows, d) arrays with replica r drawing from noises[r]."""
     eta, temp = cfg.eta, cfg.temperature
 
     def grads(x, k):
-        return _grad_block(oracle, x, k, cfg.batch, noise)
+        return _grad_block(oracle, x, k, cfg.batch, noises)
+
+    def gaussians(k):
+        return np.stack([nz.gaussian_block(k) for nz in noises])
 
     def grad_sum(x, k):
         # every agent's gradient at the one shared row, summed in agent
         # order (accumulate never reorders the additions)
-        shared = np.broadcast_to(x, (oracle.n_agents, x.shape[1]))
-        return np.add.accumulate(grads(shared, k))[-1:]
+        shared = np.broadcast_to(x, (x.shape[0], oracle.n_agents, x.shape[2]))
+        return np.add.accumulate(grads(shared, k), axis=1)[:, -1:]
 
     def ula(k, x, v):
-        wblk = noise.gaussian_block(k + 1)[:1]
+        wblk = gaussians(k + 1)[:, :1]
         return step_ula(x, grad_sum(x, k), eta, wblk, temp), v
 
     def reference(k, x, v):
-        wbar = noise.gaussian_block(k + 1).mean(axis=0)[None, :]
+        wbar = gaussians(k + 1).mean(axis=1, keepdims=True)
         return step_reference_chain(x, grad_sum(x, k), oracle.n_agents, eta,
                                     wbar, temp), v
 
     def de_sgld(k, x, v):
-        return step_de_sgld(x, grads(x, k), mixing.w, eta,
-                            noise.gaussian_block(k + 1), temp), v
+        return step_de_sgld(x, grads(x, k), mixing.w, eta, gaussians(k + 1),
+                            temp), v
 
     def gen_extra(k, x, v):
         return step_gen_extra(x, v, grads(x, k), _b_apply(cfg, mixing, x),
-                              mixing.w_tilde, mixing.u, eta,
-                              noise.gaussian_block(k + 1), temp)
+                              mixing.w_tilde, mixing.u, eta, gaussians(k + 1),
+                              temp)
 
     prev = None  # EXTRA's (x^{k-1}, g^{k-1}, w^k)
 
     def extra(k, x, v):
         nonlocal prev
-        g, wblk = grads(x, k), noise.gaussian_block(k + 1)
+        g, wblk = grads(x, k), gaussians(k + 1)
         if k == 0:  # the W-based bootstrap is one DE-SGLD transition
             x_next = step_de_sgld(x, g, mixing.w, eta, wblk, temp)
         else:
@@ -385,19 +467,24 @@ def _step_fn(oracle, cfg: SamplerConfig, mixing, noise):
     }[cfg.algorithm]
 
 
-def run_chain(
+def run_ensemble(
     oracle,
     cfg: SamplerConfig,
+    seeds,
     mixing=None,
     record_every: int = 1,
-    noise: NoiseStream | None = None,
     init="zeros",
+    noises=None,
 ) -> ChainResult:
-    """Run one chain for cfg.steps transitions, recording every
-    ``record_every`` iterates (k = 0 and the final iterate always).
+    """Run one chain per seed, all advancing together as one
+    (R, rows, d) array, for cfg.steps transitions; cfg.seed is unused.
 
-    Reruns with identical arguments are bit-identical: all randomness flows
-    through the counter-based stream keyed by cfg.seed.
+    Records every ``record_every`` iterates (k = 0 and the final iterate
+    always); ``xs`` is (n_rec, R, rows, d).  ``noises`` overrides the
+    per-replica streams ``NoiseStream(seeds[r], ...)``.  Row r equals
+    `run_chain` at seed ``seeds[r]`` bit for bit, whatever R is.  A
+    divergence names the earliest iteration at which any replica left
+    the ball, and the lowest replica index at that iteration.
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
@@ -410,13 +497,20 @@ def run_chain(
         raise ValueError(
             f"oracle has {oracle.n_agents} agents but mixing has {n_rows}"
         )
-    if noise is None:
+    if not len(seeds):
+        raise ValueError("run_ensemble needs at least one seed")
+    if noises is None:
         stream_rows = oracle.n_agents if algo == "REFERENCE_CHAIN" else n_rows
-        noise = NoiseStream(cfg.seed, stream_rows, oracle.dim)
-    step = _step_fn(oracle, cfg, mixing, noise)
+        noises = [NoiseStream(s, stream_rows, oracle.dim) for s in seeds]
+    if len(noises) != len(seeds):
+        raise ValueError(
+            f"need one noise stream per seed, got {len(noises)} streams "
+            f"for {len(seeds)} seeds"
+        )
+    step = _step_fn(oracle, cfg, mixing, noises)
     dual = algo == "GEN_EXTRA_SGLD"  # the only chain that moves v
 
-    x = _initial_block(oracle, cfg, n_rows, init, noise)
+    x = _initial_block(oracle, n_rows, init, noises)
     v = np.zeros_like(x)
     _guard(algo, 0, x)
 
@@ -437,4 +531,31 @@ def run_chain(
         xs=np.stack(rec_xs),
         vs=np.stack(rec_vs) if dual else None,
         final=EnsembleState(k=cfg.steps, x=x.copy(), v=v.copy()),
+    )
+
+
+def run_chain(
+    oracle,
+    cfg: SamplerConfig,
+    mixing=None,
+    record_every: int = 1,
+    noise: NoiseStream | None = None,
+    init="zeros",
+) -> ChainResult:
+    """Run one chain for cfg.steps transitions, recording every
+    ``record_every`` iterates (k = 0 and the final iterate always).
+
+    The one-replica case of `run_ensemble`.  Reruns with identical
+    arguments are bit-identical: all randomness flows through the
+    counter-based stream keyed by cfg.seed.
+    """
+    res = run_ensemble(oracle, cfg, [cfg.seed], mixing=mixing,
+                       record_every=record_every, init=init,
+                       noises=None if noise is None else [noise])
+    return ChainResult(
+        ks=res.ks,
+        xs=res.xs[:, 0],
+        vs=None if res.vs is None else res.vs[:, 0],
+        final=EnsembleState(k=res.final.k, x=res.final.x[0],
+                            v=res.final.v[0]),
     )

@@ -14,6 +14,12 @@ Gradient conventions (the per-agent f_i everything samples from):
 
     linreg:  grad f_i = sum_j 2 (beta^T X_j - y_j) X_j + beta / (lambda N)
     logreg:  grad f_i = sum_j -s_j X_j sigma(-beta^T s_j X_j) + beta/(N lambda)
+
+Each task's ``grad_block`` evaluates these for a whole (replicas, agents,
+dim) block in one call; ``full_grad`` and ``stoch_grad`` are its one-row
+case.  A row's bits do not depend on how many rows share the call:
+products over the feature axis run as a fixed-order loop of elementwise
+operations, and sums over data rows run along a contiguous last axis.
 """
 
 from __future__ import annotations
@@ -122,20 +128,50 @@ def _as_shards(xs, ys):
     return xs, ys
 
 
-@dataclasses.dataclass(frozen=True)
-class LinRegTask:
-    """Decentralized Bayesian linear regression."""
+def _stack_equal(shards):
+    """Equal-size shards stacked as one (N, n_i, ...) array; None if ragged."""
+    if len({s.shape[0] for s in shards}) != 1:
+        return None
+    return np.stack(shards)
 
-    xs: tuple
-    ys: tuple
-    prior_var: float
 
-    def __post_init__(self):
+def _matvec(m, v):
+    """sum_j m[..., j] * v[..., j] (broadcast), as a fixed-order loop over j.
+
+    Elementwise products and sums give every output entry the same bits
+    whatever the leading shapes, unlike a BLAS call over the whole stack.
+    """
+    out = m[..., 0] * v[..., 0]
+    for j in range(1, m.shape[-1]):
+        out = out + m[..., j] * v[..., j]
+    return out
+
+
+def _rmatvec(a, r):
+    """Per block, a^T r: a is (..., n, d), r is (..., n); returns (..., d).
+
+    Each column is one sum over a contiguous last axis, so its bits
+    depend on n alone.
+    """
+    return np.stack([np.sum(a[..., c] * r, axis=-1)
+                     for c in range(a.shape[-1])], axis=-1)
+
+
+class _ShardedTask:
+    """What both tasks share: per-agent shards, minibatch draws, the block
+    gradient's argument handling, and the prior term.
+
+    Subclasses are frozen dataclasses with fields xs, ys and prior_var.
+    """
+
+    def _init_shards(self):
         xs, ys = _as_shards(self.xs, self.ys)
         if self.prior_var <= 0.0:
             raise ValueError("prior_var must be positive")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "_sizes",
+                           np.array([x.shape[0] for x in xs], dtype=float))
 
     @property
     def n_agents(self) -> int:
@@ -145,21 +181,6 @@ class LinRegTask:
     def dim(self) -> int:
         return self.xs[0].shape[1]
 
-    def full_grad(self, i, x):
-        return linreg_grad(self, i, x)
-
-    def stoch_grad(self, i, x, batch, rng):
-        return minibatch_grad(self, i, x, batch, rng)
-
-    def _data_grad(self, i, beta, idx=None):
-        x, y = self.xs[i], self.ys[i]
-        if idx is not None:
-            x, y = x[idx], y[idx]
-        return 2.0 * (x.T @ (x @ beta - y))
-
-    def _prior_grad(self, beta):
-        return beta / (self.prior_var * self.n_agents)
-
     @property
     def mu(self) -> float:
         return mu_L_bounds(self)[0]
@@ -167,6 +188,109 @@ class LinRegTask:
     @property
     def L(self) -> float:
         return mu_L_bounds(self)[1]
+
+    def draw_batch(self, i, batch, rng):
+        """``batch`` distinct row indices of agent i's shard, from ``rng``."""
+        n_i = self.xs[i].shape[0]
+        if not 1 <= batch <= n_i:
+            raise ValueError(
+                f"batch size {batch} outside [1, {n_i}] for agent {i}")
+        return rng.choice(n_i, size=batch, replace=False)
+
+    def _prior_grad(self, beta):
+        return beta / (self.prior_var * self.n_agents)
+
+    def _block_args(self, x, agents, idx):
+        """x as an (R, n, d) float array and the agent of each row."""
+        x = np.asarray(x, dtype=float)
+        agents = (np.arange(self.n_agents) if agents is None
+                  else np.atleast_1d(np.asarray(agents, dtype=int)))
+        if x.ndim != 3 or x.shape[1:] != (agents.size, self.dim):
+            raise ValueError(
+                f"block shape {x.shape} is not (R, {agents.size}, "
+                f"{self.dim})")
+        if idx is not None and np.shape(idx)[:2] != x.shape[:2]:
+            raise ValueError(
+                f"index shape {np.shape(idx)} does not match {x.shape[:2]}")
+        return x, agents
+
+    def _one_agent_at_a_time(self, x, idx, agents):
+        """Ragged shards cannot be stacked: one call per row's agent."""
+        return np.concatenate([
+            self.grad_block(x[:, j:j + 1],
+                            None if idx is None else idx[:, j:j + 1],
+                            agents[j:j + 1])
+            for j in range(agents.size)
+        ], axis=1)
+
+    def _minibatch_scale(self, agents, idx):
+        """n_i / batch for each row, shaped to scale (R, n, d) blocks."""
+        return (self._sizes[agents] / np.shape(idx)[-1])[:, None]
+
+
+def _gather(stack, shards, agents, idx):
+    """The rows of each agent's shard a block gradient reads.
+
+    Full batch: (n, n_i, ...) from the stack.  With ``idx`` (R, n, b):
+    (R, n, b, ...).  Ragged shards (``stack`` None) serve one agent.
+    """
+    if stack is None:
+        shard = shards[int(agents[0])]
+        return shard[None] if idx is None else shard[idx]
+    if idx is None:
+        return stack[agents]
+    return stack[agents[:, None], idx]
+
+
+@dataclasses.dataclass(frozen=True)
+class LinRegTask(_ShardedTask):
+    """Decentralized Bayesian linear regression.
+
+    Full-batch gradients use per-agent sufficient statistics computed
+    once: G_i = 2 X_i^T X_i and b_i = 2 X_i^T y_i, so
+    grad f_i(x) = G_i x - b_i + x / (lambda N) whatever the shard size.
+    """
+
+    xs: tuple
+    ys: tuple
+    prior_var: float
+
+    def __post_init__(self):
+        self._init_shards()
+        object.__setattr__(self, "_gram",
+                           np.stack([2.0 * (x.T @ x) for x in self.xs]))
+        object.__setattr__(self, "_xty", np.stack(
+            [2.0 * (x.T @ y) for x, y in zip(self.xs, self.ys)]))
+        object.__setattr__(self, "_x_stack", _stack_equal(self.xs))
+        object.__setattr__(self, "_y_stack", _stack_equal(self.ys))
+
+    def full_grad(self, i, x):
+        return linreg_grad(self, i, x)
+
+    def stoch_grad(self, i, x, batch, rng):
+        return minibatch_grad(self, i, x, batch, rng)
+
+    def grad_block(self, x, idx=None, agents=None):
+        """Gradients at every row of an (R, n, d) block.
+
+        Row j of replica r gets grad f_a(x[r, j]) for a = agents[j]
+        (default: all N agents in order).  With ``idx`` (R, n, b), the
+        data part is the minibatch estimate over those shard rows, scaled
+        by n_i / b.  A row's bits do not depend on R or n.
+        """
+        x, agents = self._block_args(x, agents, idx)
+        if idx is None:
+            data = _matvec(self._gram[agents], x[..., None, :]) \
+                - self._xty[agents]
+        elif self._x_stack is None and agents.size > 1:
+            return self._one_agent_at_a_time(x, idx, agents)
+        else:
+            xb = _gather(self._x_stack, self.xs, agents, idx)
+            yb = _gather(self._y_stack, self.ys, agents, idx)
+            resid = _matvec(xb, x[..., None, :]) - yb
+            data = self._minibatch_scale(agents, idx) \
+                * (2.0 * _rmatvec(xb, resid))
+        return data + self._prior_grad(x)
 
     def stacked_design(self):
         return np.vstack(self.xs), np.concatenate(self.ys)
@@ -187,7 +311,7 @@ class LinRegTask:
 
 
 @dataclasses.dataclass(frozen=True)
-class LogRegTask:
+class LogRegTask(_ShardedTask):
     """Decentralized Bayesian logistic regression, labels in {0, 1}."""
 
     xs: tuple
@@ -195,29 +319,19 @@ class LogRegTask:
     prior_var: float
 
     def __post_init__(self):
-        xs, ys = _as_shards(self.xs, self.ys)
-        for y in ys:
+        self._init_shards()
+        for y in self.ys:
             if y.size and not np.all((y == 0.0) | (y == 1.0)):
                 raise ValueError("logistic labels must be 0 or 1")
-        if self.prior_var <= 0.0:
-            raise ValueError("prior_var must be positive")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-
-    @property
-    def n_agents(self) -> int:
-        return len(self.xs)
-
-    @property
-    def dim(self) -> int:
-        return self.xs[0].shape[1]
+        signed = tuple(x * (2.0 * y - 1.0)[:, None]
+                       for x, y in zip(self.xs, self.ys))
+        object.__setattr__(self, "_signed", signed)
+        object.__setattr__(self, "_s_stack", _stack_equal(signed))
 
     def signed(self, i, idx=None):
         """Features folded with the label sign: s_j X_j, s_j = 2 y_j - 1."""
-        x, y = self.xs[i], self.ys[i]
-        if idx is not None:
-            x, y = x[idx], y[idx]
-        return x * (2.0 * y - 1.0)[:, None]
+        s = self._signed[i]
+        return s if idx is None else s[idx]
 
     def full_grad(self, i, x):
         return logreg_grad(self, i, x)
@@ -225,20 +339,22 @@ class LogRegTask:
     def stoch_grad(self, i, x, batch, rng):
         return minibatch_grad(self, i, x, batch, rng)
 
-    def _data_grad(self, i, beta, idx=None):
-        s = self.signed(i, idx)
-        return -(s.T @ expit(-(s @ beta)))
+    def grad_block(self, x, idx=None, agents=None):
+        """Gradients at every row of an (R, n, d) block.
 
-    def _prior_grad(self, beta):
-        return beta / (self.n_agents * self.prior_var)
-
-    @property
-    def mu(self) -> float:
-        return mu_L_bounds(self)[0]
-
-    @property
-    def L(self) -> float:
-        return mu_L_bounds(self)[1]
+        Row j of replica r gets grad f_a(x[r, j]) for a = agents[j]
+        (default: all N agents in order).  With ``idx`` (R, n, b), the
+        data part is the minibatch estimate over those shard rows, scaled
+        by n_i / b.  A row's bits do not depend on R or n.
+        """
+        x, agents = self._block_args(x, agents, idx)
+        if self._s_stack is None and agents.size > 1:
+            return self._one_agent_at_a_time(x, idx, agents)
+        s = _gather(self._s_stack, self._signed, agents, idx)
+        data = -_rmatvec(s, expit(-_matvec(s, x[..., None, :])))
+        if idx is not None:
+            data = self._minibatch_scale(agents, idx) * data
+        return data + self._prior_grad(x)
 
     def minimizer(self, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
         """argmin of sum_i f_i by damped Newton (backtracking line search)."""
@@ -343,12 +459,12 @@ def linreg_posterior(
 
 def linreg_grad(task: LinRegTask, i: int, beta: np.ndarray) -> np.ndarray:
     beta = np.asarray(beta, dtype=float)
-    return task._data_grad(i, beta) + task._prior_grad(beta)
+    return task.grad_block(beta[None, None], agents=i)[0, 0]
 
 
 def logreg_grad(task: LogRegTask, i: int, beta: np.ndarray) -> np.ndarray:
     beta = np.asarray(beta, dtype=float)
-    return task._data_grad(i, beta) + task._prior_grad(beta)
+    return task.grad_block(beta[None, None], agents=i)[0, 0]
 
 
 def minibatch_grad(
@@ -361,12 +477,8 @@ def minibatch_grad(
     full gradient exactly (up to summation order).
     """
     beta = np.asarray(beta, dtype=float)
-    n_i = task.xs[i].shape[0]
-    if not 1 <= batch <= n_i:
-        raise ValueError(f"batch size {batch} outside [1, {n_i}] for agent {i}")
-    idx = rng.choice(n_i, size=batch, replace=False)
-    scale = n_i / batch
-    return scale * task._data_grad(i, beta, idx) + task._prior_grad(beta)
+    idx = task.draw_batch(i, batch, rng)
+    return task.grad_block(beta[None, None], idx[None, None], agents=i)[0, 0]
 
 
 def mu_L_bounds(task) -> tuple[float, float]:

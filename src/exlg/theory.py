@@ -527,9 +527,9 @@ def problem_params_from(task, ms: MixingSet, eta: float, *,
     point-mass-at-start distance to the target fills it in.
     """
     from .metrics import w2_gaussian
-    from .tasks import GaussianDist
+    from .tasks import GaussianDist, mu_L_bounds
 
-    mu, L = task.mu, task.L
+    mu, L = mu_L_bounds(task)
     xstar = task.minimizer()
     # stacked per-agent gradients at x*: they sum to zero but need not
     # vanish agentwise

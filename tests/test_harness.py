@@ -6,6 +6,7 @@ seconds.  The determinism checks compare emitted bytes, not parsed
 values: that is the actual contract.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -34,9 +35,11 @@ from exlg.harness import (
     cmd_sweep_h,
     cmd_theory,
     cmd_validate,
+    run_replicas,
     write_csv,
 )
-from exlg.samplers import derive_seed
+from exlg.network import build_mixing_set, ring
+from exlg.samplers import ChainDivergenceError, SamplerConfig, derive_seed
 from exlg.tasks import gen_linreg_data
 from exlg.theory import compute_constants, shrink_to_admissible
 
@@ -340,6 +343,24 @@ class TestSweep:
         assert man["h_grid"] == pytest.approx([0.1, 0.3, 0.5])
         assert {f"{man['best_h']:.17g}"} == marked
 
+    def test_summary_rows_are_the_plateau_rows(self, tmp_path):
+        text = BASE + "\n[sweep]\nh_min = 0.1\nh_max = 0.5\npoints = 3\n"
+        cfg = load_config(make_cfg(tmp_path, out_name="sweep", text=text,
+                                   **{"steps = 40": "steps = 20"}))
+        cmd_sweep_h(cfg)
+        with open(tmp_path / "sweep" / "sweep_summary.csv") as fh:
+            summary = [line.split(",") for line in fh.read().splitlines()[1:]]
+        by_h = {}
+        for h, label, value, _mark in summary:
+            by_h.setdefault(h, []).append([label, value])
+        assert len(by_h) == 3
+        for h, rows in by_h.items():
+            sub = tmp_path / "sweep" / f"h_{float(h):.6g}" / "plateau.csv"
+            with open(sub) as fh:
+                plateau_rows = [line.split(",")[1:]
+                                for line in fh.read().splitlines()[1:]]
+            assert rows == plateau_rows
+
 
 class TestTheoryCmd:
     def test_inadmissible_exit_names_binding_clause(self, tmp_path, capsys):
@@ -463,6 +484,33 @@ class TestGenData:
                f"kind = logreg-csv\ncsv_path = {csv}\nlabel_col = y"}))
         with pytest.raises(ConfigError, match="synthetic"):
             cmd_gen_data(cfg)
+
+
+@dataclasses.dataclass(frozen=True)
+class SpikeOracle:
+    """Agent 3's gradient alone leaves the guard ball at once."""
+
+    n_agents: int = 6
+    dim: int = 2
+
+    def full_grad(self, i, x):
+        return x - (1e16 if i == 3 else 0.0)
+
+    def stoch_grad(self, i, x, batch, rng):
+        return self.full_grad(i, x)
+
+
+def test_run_replicas_names_replica_iteration_and_agent():
+    ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
+    cfg = SamplerConfig("DE_SGLD", eta=0.01, steps=5, seed=0)
+    with pytest.raises(ChainDivergenceError,
+                       match=r"^replica 0: DE_SGLD diverged at iteration 1, "
+                             r"agent 3: max \|x\| entry") as info:
+        run_replicas(SpikeOracle(), ms, cfg, seeds=[11, 12, 13],
+                     record_every=1)
+    e = info.value
+    assert (e.algorithm, e.replica, e.k, e.agent) == ("DE_SGLD", 0, 1, 3)
+    assert e.value == pytest.approx(0.01 * 1e16, rel=1e-9)
 
 
 class TestCliPlumbing:

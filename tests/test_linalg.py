@@ -144,6 +144,17 @@ class TestMixApply:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             mix_apply(np.eye(3), np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            mix_apply(np.eye(3), np.zeros((5, 4, 2)))
+
+    def test_stack_equals_each_slice_exactly(self):
+        rng = np.random.default_rng(4)
+        for n, d, reps in ((6, 3, 4), (20, 2, 10), (5, 1, 3), (1, 4, 2)):
+            m = rng.standard_normal((n, n))
+            x = rng.standard_normal((reps, n, d))
+            out = mix_apply(m, x)
+            for r in range(reps):
+                assert np.array_equal(out[r], mix_apply(m, x[r]))
 
     def test_kronecker_oracle(self):
         rng = np.random.default_rng(3)

@@ -149,6 +149,17 @@ class TestW2Series:
         assert s.label == "agent-0"
         assert list(s.ks) == [0, 5, 10, 15]
 
+    def test_equals_per_record_w2_gaussian_exactly(self):
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((3, 3))
+        target = GaussianDist(rng.standard_normal(3), a @ a.T + np.eye(3))
+        draws = rng.standard_normal((6, 40, 3))
+        draws[2] = draws[2][:1]  # identical rows: a zero covariance fit
+        s = w2_series(draws, np.arange(6), target, "x")
+        each = [w2_gaussian(estimate_moments(b).as_gaussian(), target)
+                for b in draws]
+        assert np.array_equal(s.values, each)
+
 
 class TestConsensusError:
     def test_two_agent_example(self):

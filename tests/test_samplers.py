@@ -9,6 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from exlg.harness import run_replicas
 from exlg.linalg import mix_apply
 from exlg.network import build_mixing_set, ring
 from exlg.samplers import (
@@ -19,13 +20,20 @@ from exlg.samplers import (
     SamplerConfig,
     derive_seed,
     run_chain,
+    run_ensemble,
     step_de_sgld,
     step_extra_two,
     step_gen_extra,
     step_reference_chain,
     step_ula,
 )
-from exlg.tasks import LinRegTask, gen_linreg_data, partition_data
+from exlg.tasks import (
+    LinRegTask,
+    LogRegTask,
+    gen_linreg_data,
+    gen_logreg_data,
+    partition_data,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,6 +143,35 @@ class TestNoiseStream:
         s = NoiseStream(6, 2, 2)
         with pytest.raises(IndexError):
             s.gaussian(0, 2)
+
+    def test_draws_equal_a_fresh_philox(self):
+        # The stream resets one Philox; every draw must equal a generator
+        # built fresh at counter [0, k, i, tag] (tags: 1 noise, 2 batch,
+        # 3 init), whatever was drawn before it.
+        seed = derive_seed(11, "replica", 3)
+
+        def fresh(k, i, tag):
+            return np.random.Generator(np.random.Philox(
+                key=seed, counter=np.array([0, k, i, tag], dtype=np.uint64)))
+
+        s = NoiseStream(seed, 5, 3)
+        for k, i in ((0, 0), (1, 4), (7, 2), (1, 4), (123456, 3), (0, 0)):
+            assert np.array_equal(s.gaussian_block(k),
+                                  fresh(k, 0, 1).standard_normal((5, 3)))
+            assert np.array_equal(s.batch_rng(k, i).choice(40, 8,
+                                                           replace=False),
+                                  fresh(k, i, 2).choice(40, 8, replace=False))
+            assert np.array_equal(s.init_rng().standard_normal((5, 3)),
+                                  fresh(0, 0, 3).standard_normal((5, 3)))
+            assert np.array_equal(s.batch_rng(k, i).integers(0, 1000, 9),
+                                  fresh(k, i, 2).integers(0, 1000, 9))
+            # a partly used generator, then a reset in the middle of it
+            rng = s.batch_rng(k, i)
+            head = rng.integers(0, 2**40, 3)
+            assert np.array_equal(s.gaussian(k, 1),
+                                  fresh(k, 0, 1).standard_normal((5, 3))[1])
+            ref = fresh(k, i, 2)
+            assert np.array_equal(head, ref.integers(0, 2**40, 3))
 
 
 class TestStepFunctions:
@@ -361,6 +398,98 @@ def test_run_chain_matches_step_functions(algo, batch):
     assert np.array_equal(res.final.v, final_v)
 
 
+def _toy_logreg(seed=0, n_agents=6, n_i=8, d=3, prior_var=10.0):
+    rng = np.random.default_rng(seed)
+    x, y = gen_logreg_data(n_agents * n_i, rng.standard_normal(d), rng)
+    shards = partition_data(x, y, n_agents, rng)
+    return LogRegTask(
+        xs=tuple(s[0] for s in shards),
+        ys=tuple(s[1] for s in shards),
+        prior_var=prior_var,
+    )
+
+
+@pytest.mark.parametrize("init", ["zeros", "prior"])
+@pytest.mark.parametrize("kind", ["linreg", "logreg"])
+@pytest.mark.parametrize("batch", [None, 2], ids=["full", "batch2"])
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_replica_values_do_not_depend_on_replica_count(algo, batch, kind,
+                                                       init):
+    task = _toy_task(seed=8, n_i=6) if kind == "linreg" else _toy_logreg(8)
+    ms = build_mixing_set(ring(6), h=0.35, delta=0.2)
+    mixing = None if algo in ("ULA", "REFERENCE_CHAIN") else ms
+    cfg = SamplerConfig(algo, eta=0.02, steps=12, seed=0, batch=batch)
+    seeds = [derive_seed(5, "replica", r) for r in range(4)]
+    ens = run_ensemble(task, cfg, seeds, mixing=mixing, record_every=3,
+                       init=init)
+    assert ens.xs.shape[:2] == (5, 4)
+    if init == "zeros":  # what the CLI runs
+        ks, xs_all = run_replicas(task, mixing, cfg, seeds, record_every=3)
+        assert np.array_equal(ks, ens.ks)
+        assert np.array_equal(xs_all, ens.xs)
+    for r, seed in enumerate(seeds):
+        one = run_chain(task, dataclasses.replace(cfg, seed=seed),
+                        mixing=mixing, record_every=3, init=init)
+        assert np.array_equal(ens.ks, one.ks)
+        assert np.array_equal(ens.xs[:, r], one.xs)
+        assert np.array_equal(ens.final.x[r], one.final.x)
+        assert np.array_equal(ens.final.v[r], one.final.v)
+        if one.vs is not None:
+            assert np.array_equal(ens.vs[:, r], one.vs)
+
+
+@pytest.mark.parametrize("kind", ["linreg", "logreg"])
+def test_ragged_shards_fall_back_to_per_agent_gradients(kind):
+    rng = np.random.default_rng(3)
+    sizes = (4, 7, 5)
+    gen = gen_linreg_data if kind == "linreg" else gen_logreg_data
+    cls = LinRegTask if kind == "linreg" else LogRegTask
+    shards = [gen(n, np.array([0.5, -1.0]), 1.0, rng) if kind == "linreg"
+              else gen(n, np.array([0.5, -1.0]), rng) for n in sizes]
+    task = cls(xs=tuple(s[0] for s in shards), ys=tuple(s[1] for s in shards),
+               prior_var=3.0)
+    x = rng.standard_normal((2, 3, 2))
+    block = task.grad_block(x)
+    for r in range(2):
+        for i in range(3):
+            assert np.array_equal(block[r, i], task.full_grad(i, x[r, i]))
+    streams = [NoiseStream(s, 3, 2) for s in (1, 2)]
+    idx = np.array([[task.draw_batch(i, 3, nz.batch_rng(4, i))
+                     for i in range(3)] for nz in streams])
+    block = task.grad_block(x, idx)
+    for r, nz in enumerate(streams):
+        for i in range(3):
+            assert np.array_equal(
+                block[r, i],
+                task.stoch_grad(i, x[r, i], 3, nz.batch_rng(4, i)))
+    # and a whole chain over the ragged task equals the per-row loop
+    ms = build_mixing_set(ring(3), h=0.35, delta=0.2)
+    cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.02, steps=10, seed=6,
+                        batch=3)
+    xs, vs, final_x, final_v = _written_out_chain(task, cfg, ms)
+    res = run_chain(task, cfg, mixing=ms)
+    assert np.array_equal(res.xs, xs)
+    assert np.array_equal(res.final.x, final_x)
+    assert np.array_equal(res.vs, vs)
+
+
+def test_u_with_nonzero_column_sums_trips_the_dual_check():
+    task = _toy_task()
+    ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
+    raw = RawMixing(w=ms.w, w_tilde=ms.w_tilde, u=0.1 * np.eye(6))
+    cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=5, seed=77)
+    with pytest.raises(ChainDivergenceError,
+                       match=r"^GEN_EXTRA_SGLD dual average left zero "
+                             r"at iteration 1:") as info:
+        run_chain(task, cfg, mixing=raw)
+    e = info.value
+    assert (e.algorithm, e.replica, e.k, e.agent) == (
+        "GEN_EXTRA_SGLD", 0, 1, None)
+    assert e.value > 1e-8
+    # the same matrices with a zero-column-sum U run clean
+    run_chain(task, cfg, mixing=RawMixing(ms.w, ms.w_tilde, ms.u))
+
+
 class TestDualAverage:
     def test_vbar_exactly_zero_within_tolerance(self):
         task = _toy_task()
@@ -531,6 +660,29 @@ class TestRunChainMechanics:
                 run_chain(SpikeOracle(6, 2),
                           SamplerConfig(algo, eta=0.01, steps=5, seed=5),
                           mixing=ms)
+
+    def test_earliest_iteration_wins_over_lower_replica(self):
+        class Burst(NoiseStream):
+            """Gaussian block ``at`` is scaled far out of the ball."""
+
+            def __init__(self, seed, at):
+                super().__init__(seed, 6, 3)
+                self.at = at
+
+            def gaussian_block(self, k):
+                blk = super().gaussian_block(k)
+                return blk * 1e300 if k == self.at else blk
+
+        task = _toy_task()
+        ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
+        cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=20, seed=0)
+        noises = [Burst(1, 9), Burst(2, 4), Burst(3, 4)]
+        with pytest.raises(ChainDivergenceError,
+                           match=r"^GEN_EXTRA_SGLD diverged at iteration 4, "
+                                 r"agent \d: max \|x\| entry") as info:
+            run_ensemble(task, cfg, [1, 2, 3], mixing=ms, noises=noises)
+        assert (info.value.replica, info.value.k) == (1, 4)
+        assert info.value.value > 1e290
 
     def test_init_prior_and_minimizer(self):
         task = _toy_task()
