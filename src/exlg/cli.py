@@ -53,13 +53,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="master seed (overrides run.seed)")
         p.add_argument("--replicas", type=int, metavar="R",
                        help="replica count (overrides run.replicas)")
+        p.add_argument("--log-level", default="INFO",
+                       choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                       help="least severe log record shown on stderr "
+                            "(default INFO)")
     return parser
 
 
 def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
-    args = build_parser().parse_args(argv)
+    logging.getLogger("exlg").setLevel(args.log_level)
     overrides = {
         "run.out": args.out,
         "run.seed": args.seed,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import os
 from typing import Optional
 
@@ -247,6 +248,13 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ExperimentConfig
 
 def _validate_semantics(cfg: ExperimentConfig, problems: list):
     t, net, s, r = cfg.task, cfg.network, cfg.sampler, cfg.run
+    for section, keys in _SCHEMA.items():
+        for key, (kind, _) in keys.items():
+            value = getattr(getattr(cfg, section), key)
+            values = value if kind == "floats" else [value]
+            if kind in ("float", "floats") and value is not None \
+                    and not all(map(math.isfinite, values)):
+                problems.append(f"{section}.{key}: must be finite")
     if t.kind not in TASK_KINDS:
         problems.append(f"task.kind: {t.kind!r} not one of {TASK_KINDS}")
     if t.kind == "logreg-csv":
@@ -260,6 +268,8 @@ def _validate_semantics(cfg: ExperimentConfig, problems: list):
         problems.append(f"task.dim: must be >= 1, got {t.dim}")
     if t.prior_var <= 0:
         problems.append("task.prior_var: must be > 0")
+    if t.noise_std < 0:
+        problems.append(f"task.noise_std: must be >= 0, got {t.noise_std}")
     if t.per_agent is not None and t.per_agent < 1:
         problems.append("task.per_agent: must be >= 1 when set")
     if t.beta_true is not None and len(t.beta_true) != t.dim:
@@ -325,3 +335,5 @@ def _validate_semantics(cfg: ExperimentConfig, problems: list):
         problems.append(f"sweep.points: must be >= 1, got {sw.points}")
     if cfg.theory.sigma2 is not None and cfg.theory.sigma2 < 0:
         problems.append("theory.sigma2: must be >= 0 when set")
+    if cfg.theory.w2_init is not None and cfg.theory.w2_init < 0:
+        problems.append("theory.w2_init: must be >= 0 when set")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig
-from .metrics import MetricSeries, accuracy, consensus_error, plateau, w2_series
+from .metrics import MetricSeries, plateau, w2_batch
 from .network import (
     MixingSet,
     build_mixing_set,
@@ -187,9 +187,7 @@ def check_assumptions(ms: MixingSet, cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 # replica execution
 
-def _replica_seeds(master: int, replicas: int, tag: Optional[str] = None):
-    if tag is None:
-        return [derive_seed(master, "replica", r) for r in range(replicas)]
+def _replica_seeds(master: int, replicas: int, tag: str = "replica"):
     return [derive_seed(master, tag, r) for r in range(replicas)]
 
 
@@ -220,69 +218,54 @@ def series_for_run(cfg: ExperimentConfig, task, ks, xs_all,
     replicas >= 2 at unit temperature.  Logistic runs report held-out
     accuracy of the agent average.  Zero-temperature runs report the
     worst-agent optimization error instead of distributional metrics.
-    Consensus error is always included.
+    Consensus error is always included.  Each series is one array
+    expression over the (n_rec, R, A, d) ensemble, averaged over
+    replicas; every value equals the per-record function
+    (``consensus_error``, ``w2_gaussian``, ``accuracy``) on that record.
     """
+    ks = np.asarray(ks, dtype=int)
     out = []
-    n_rec, n_reps = xs_all.shape[0], xs_all.shape[1]
-    cons = np.array([
-        float(np.mean([consensus_error(xs_all[j, r])
-                       for r in range(n_reps)]))
-        for j in range(n_rec)
-    ])
-    out.append(MetricSeries(ks=tuple(ks), values=tuple(cons),
-                            label="consensus"))
+    centered = xs_all - xs_all.mean(axis=2, keepdims=True)
+    cons = np.sqrt(np.sum(centered * centered, axis=(2, 3))).mean(axis=1)
+    out.append(MetricSeries(ks=ks, values=cons, label="consensus"))
 
     if cfg.sampler.temperature == 0.0:
-        xstar = task.minimizer()
-        vals = []
-        for j in range(n_rec):
-            worst = [
-                float(np.max(np.linalg.norm(xs_all[j, r] - xstar, axis=1)))
-                for r in range(n_reps)
-            ]
-            vals.append(float(np.mean(worst)))
-        out.append(MetricSeries(ks=tuple(ks), values=tuple(vals),
+        dist = np.linalg.norm(xs_all - task.minimizer(), axis=3)
+        out.append(MetricSeries(ks=ks, values=dist.max(axis=2).mean(axis=1),
                                 label="opt_error"))
         return out
 
-    if cfg.task.kind == "linreg" and n_reps >= 2:
+    means = xs_all.mean(axis=2)
+    if cfg.task.kind == "linreg" and xs_all.shape[1] >= 2:
         target = task.target()
-        means = xs_all.mean(axis=2)
-        out.append(w2_series(means, ks, target, "w2_mean"))
-        n_agents = xs_all.shape[2]
-        per_agent = np.stack([
-            w2_series(xs_all[:, :, a, :], ks, target, f"agent{a}").values
-            for a in range(n_agents)
-        ])
-        out.append(MetricSeries(ks=tuple(ks),
-                                values=tuple(per_agent.mean(axis=0)),
-                                label="w2_agents"))
+        out.append(MetricSeries(ks=ks, values=w2_batch(means, target),
+                                label="w2_mean"))
+        by_agent = np.ascontiguousarray(np.moveaxis(xs_all, 2, 0))
+        per_agent = w2_batch(by_agent, target).mean(axis=0)
+        out.append(MetricSeries(ks=ks, values=per_agent, label="w2_agents"))
 
     if holdout is not None:
-        hx, hy = holdout
-        means = xs_all.mean(axis=2)
-        acc = [
-            float(np.mean([accuracy(means[j, r], hx, hy)
-                           for r in range(n_reps)]))
-            for j in range(n_rec)
-        ]
-        out.append(MetricSeries(ks=tuple(ks), values=tuple(acc),
-                                label="accuracy"))
+        acc = _accuracies(means, *holdout).mean(axis=1)
+        out.append(MetricSeries(ks=ks, values=acc, label="accuracy"))
     return out
+
+
+def _accuracies(means, hx, hy, chunk_cells: int = 1 << 16):
+    """``accuracy`` of each (n_rec, R, d) agent average, as (n_rec, R).
+
+    One matrix-vector product per (record, replica), as in ``accuracy``;
+    records go in chunks of about ``chunk_cells`` (record, replica,
+    point) cells, so the temporaries stay small.
+    """
+    step = max(1, chunk_cells // max(1, means.shape[1] * len(hy)))
+    return np.concatenate([
+        np.mean(((hx @ means[j:j + step, ..., None])[..., 0] >= 0.0)
+                .astype(float) == hy, axis=-1)
+        for j in range(0, len(means), step)])
 
 
 # ---------------------------------------------------------------------------
 # output files
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
-    return str(v)
-
 
 def _atomic_write(path: str, text: str):
     d = os.path.dirname(os.path.abspath(path))
@@ -300,35 +283,60 @@ def _atomic_write(path: str, text: str):
 def write_csv(path: str, header, rows) -> int:
     """Write header + rows atomically; floats at 17 significant digits.
 
-    Returns the data row count (header excluded).
+    Each row is filled into a ``%`` template made for its tuple of cell
+    types: ``%d`` for integers, ``%.17g`` for floats, ``%s`` otherwise,
+    with bools written as true/false.  Returns the data row count (header
+    excluded).
     """
     lines = [",".join(header)]
-    n = 0
+    templates: dict = {}
     for row in rows:
-        lines.append(",".join(_fmt(c) for c in row))
-        n += 1
+        kinds = tuple(map(type, row))
+        tmpl = templates.get(kinds)
+        if tmpl is None:
+            tmpl = templates[kinds] = ",".join(map(_cell_format, kinds))
+        if bool in kinds:
+            row = tuple(("true" if c else "false") if type(c) is bool else c
+                        for c in row)
+        lines.append(tmpl % tuple(row))
     _atomic_write(path, "\n".join(lines) + "\n")
-    return n
+    return len(lines) - 1
+
+
+def _cell_format(kind: type) -> str:
+    if issubclass(kind, (int, np.integer)) and kind is not bool:
+        return "%d"
+    if issubclass(kind, (float, np.floating)):
+        return "%.17g"
+    return "%s"
 
 
 def trajectory_rows(ks, xs_all):
-    n_rec, n_reps, n_agents, _d = xs_all.shape
-    for r in range(n_reps):
-        for j in range(n_rec):
-            for a in range(n_agents):
-                yield (r, ks[j], a, *xs_all[j, r, a])
+    ks = np.asarray(ks).tolist()
+    for r in range(xs_all.shape[1]):
+        xs = xs_all[:, r].tolist()
+        for k, block in zip(ks, xs):
+            for a, x in enumerate(block):
+                yield (r, k, a, *x)
 
 
 def metric_rows(series_list):
     for s in series_list:
-        for k, v in zip(s.ks, s.values):
+        for k, v in zip(np.asarray(s.ks).tolist(),
+                        np.asarray(s.values).tolist()):
             yield (k, s.label, v)
 
 
 class ManifestWriter:
-    """Collects run facts and writes the manifest atomically at the end."""
+    """Collects run facts and writes the manifest atomically at the end.
+
+    Creates ``run.out``; ``write_csv`` writes a CSV there and records its
+    row count.
+    """
 
     def __init__(self, cfg: ExperimentConfig, command: str):
+        self.out = cfg.run.out
+        os.makedirs(self.out, exist_ok=True)
         self.payload = {
             "command": command,
             "version": __version__,
@@ -338,15 +346,21 @@ class ManifestWriter:
         }
         self._t0 = time.monotonic()
 
-    def add_file(self, out_dir: str, name: str, rows: int):
-        self.payload["files"][name] = {"rows": rows}
+    def write_csv(self, name: str, header, rows):
+        n = write_csv(os.path.join(self.out, name), header, rows)
+        self.payload["files"][name] = {"rows": n}
 
-    def finish(self, out_dir: str, **extra):
+    def finish(self, **extra):
         self.payload.update(extra)
         self.payload["wall_clock_s"] = round(time.monotonic() - self._t0, 3)
-        _atomic_write(os.path.join(out_dir, "manifest.json"),
+        _atomic_write(os.path.join(self.out, "manifest.json"),
                       json.dumps(self.payload, indent=2, sort_keys=True,
                                  default=str) + "\n")
+
+
+def _b_scale(cfg: ExperimentConfig) -> float:
+    """The scale of B = b_scale * I in scaled-identity mode (default 1)."""
+    return 1.0 if cfg.sampler.b_scale is None else cfg.sampler.b_scale
 
 
 def _sampler_config(cfg: ExperimentConfig, algorithm: Optional[str] = None,
@@ -357,7 +371,7 @@ def _sampler_config(cfg: ExperimentConfig, algorithm: Optional[str] = None,
         eta=s.eta if eta is None else eta,
         steps=s.steps, seed=0, batch=s.batch,
         temperature=s.temperature, b_mode=s.b_mode,
-        b_scale=1.0 if s.b_scale is None else s.b_scale)
+        b_scale=_b_scale(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +393,8 @@ def cmd_validate(cfg: ExperimentConfig, echo=print) -> int:
     bundle = build_task(cfg)
     try:
         p = problem_params_from(bundle.task, ms, cfg.sampler.eta,
-                                b_mode=cfg.sampler.b_mode)
+                                b_mode=cfg.sampler.b_mode,
+                                b_scale=_b_scale(cfg))
         cert = validate_stepsize(p)
         echo("stepsize clauses (informational):")
         for line in cert.lines():
@@ -401,15 +416,6 @@ def cmd_validate(cfg: ExperimentConfig, echo=print) -> int:
     return EXIT_OK
 
 
-def _prepare(cfg: ExperimentConfig):
-    bundle = build_task(cfg)
-    ms = None
-    if cfg.sampler.algorithm not in _CENTRALIZED:
-        ms = build_mixing(cfg)
-        check_assumptions(ms, cfg)
-    return bundle, ms
-
-
 def cmd_run(cfg: ExperimentConfig) -> int:
     """Run R replicas, write trajectory/metric CSVs and the manifest."""
     _run(cfg)
@@ -418,30 +424,25 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
 def _run(cfg: ExperimentConfig):
     """cmd_run's work; returns the metric series it wrote."""
-    out = cfg.run.out
-    os.makedirs(out, exist_ok=True)
     manifest = ManifestWriter(cfg, "run")
-    bundle, ms = _prepare(cfg)
+    bundle, ms = build_task(cfg), None
+    if cfg.sampler.algorithm not in _CENTRALIZED:
+        ms = build_mixing(cfg)
+        check_assumptions(ms, cfg)
     seeds = _replica_seeds(cfg.run.seed, cfg.run.replicas)
     ks, xs_all = run_replicas(bundle.task, ms, _sampler_config(cfg), seeds,
                               cfg.run.record_every)
     series = series_for_run(cfg, bundle.task, ks, xs_all, bundle.holdout)
 
-    d = xs_all.shape[-1]
-    coords = [f"coord_{j}" for j in range(d)]
-    n = write_csv(os.path.join(out, "trajectory.csv"),
-                  ["replica", "k", "agent", *coords],
-                  trajectory_rows(ks, xs_all))
-    manifest.add_file(out, "trajectory.csv", n)
-    n = write_csv(os.path.join(out, "metrics.csv"),
-                  ["k", "label", "value"], metric_rows(series))
-    manifest.add_file(out, "metrics.csv", n)
-    n = write_csv(os.path.join(out, "plateau.csv"),
-                  ["algorithm", "label", "plateau"],
-                  ((cfg.sampler.algorithm, s.label, plateau(s.values))
-                   for s in series))
-    manifest.add_file(out, "plateau.csv", n)
-    manifest.finish(out, replica_seeds=[int(s) for s in seeds])
+    coords = [f"coord_{j}" for j in range(xs_all.shape[-1])]
+    manifest.write_csv("trajectory.csv", ["replica", "k", "agent", *coords],
+                       trajectory_rows(ks, xs_all))
+    manifest.write_csv("metrics.csv", ["k", "label", "value"],
+                       metric_rows(series))
+    manifest.write_csv("plateau.csv", ["algorithm", "label", "plateau"],
+                       ((cfg.sampler.algorithm, s.label, plateau(s.values))
+                        for s in series))
+    manifest.finish(replica_seeds=[int(s) for s in seeds])
     return series
 
 
@@ -463,8 +464,6 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     algos = cfg.compare.algorithms
     if len(algos) < 2:
         raise ConfigError("compare.algorithms: need at least 2 entries")
-    out = cfg.run.out
-    os.makedirs(out, exist_ok=True)
     manifest = ManifestWriter(cfg, "compare")
     bundle = build_task(cfg)
     ms = None
@@ -483,22 +482,17 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         ks, xs_all = run_replicas(bundle.task, use_ms,
                                   _sampler_config(cfg, algorithm=algo),
                                   seeds, cfg.run.record_every)
-        cfg_one = dataclasses.replace(
-            cfg, sampler=dataclasses.replace(cfg.sampler, algorithm=algo))
-        for s in series_for_run(cfg_one, bundle.task, ks, xs_all,
+        for s in series_for_run(cfg, bundle.task, ks, xs_all,
                                 bundle.holdout):
-            tagged = MetricSeries(ks=s.ks, values=s.values,
-                                  label=f"{label}:{s.label}")
-            all_series.append(tagged)
+            all_series.append(
+                dataclasses.replace(s, label=f"{label}:{s.label}"))
             plateau_rows.append((label, s.label, plateau(s.values)))
 
-    n = write_csv(os.path.join(out, "metrics.csv"),
-                  ["k", "label", "value"], metric_rows(all_series))
-    manifest.add_file(out, "metrics.csv", n)
-    n = write_csv(os.path.join(out, "plateau.csv"),
-                  ["algorithm", "label", "plateau"], plateau_rows)
-    manifest.add_file(out, "plateau.csv", n)
-    manifest.finish(out, replica_seeds=seed_map)
+    manifest.write_csv("metrics.csv", ["k", "label", "value"],
+                       metric_rows(all_series))
+    manifest.write_csv("plateau.csv", ["algorithm", "label", "plateau"],
+                       plateau_rows)
+    manifest.finish(replica_seeds=seed_map)
     return EXIT_OK
 
 
@@ -513,18 +507,13 @@ def cmd_sweep_h(cfg: ExperimentConfig) -> int:
     negated so "argmin" uniformly means "best".
     """
     sw = cfg.sweep
-    if sw.points == 1:
-        grid = [sw.h_min]
-    else:
-        grid = list(np.linspace(sw.h_min, sw.h_max, sw.points))
-    out = cfg.run.out
-    os.makedirs(out, exist_ok=True)
+    grid = list(np.linspace(sw.h_min, sw.h_max, sw.points))
     manifest = ManifestWriter(cfg, "sweep-h")
 
     rows = []
     objectives = []
     for h in grid:
-        sub_out = os.path.join(out, f"h_{h:.6g}")
+        sub_out = os.path.join(manifest.out, f"h_{h:.6g}")
         sub = dataclasses.replace(
             cfg,
             network=dataclasses.replace(cfg.network, h=float(h)),
@@ -538,13 +527,11 @@ def cmd_sweep_h(cfg: ExperimentConfig) -> int:
                 break
 
     best_h = min(objectives)[1] if objectives else None
-    n = write_csv(os.path.join(out, "sweep_summary.csv"),
-                  ["h", "label", "plateau", "is_argmin"],
-                  ((h, label, val,
-                    "true" if best_h is not None and h == best_h else "false")
-                   for h, label, val in rows))
-    manifest.add_file(out, "sweep_summary.csv", n)
-    manifest.finish(out, h_grid=[float(h) for h in grid], best_h=best_h)
+    manifest.write_csv("sweep_summary.csv",
+                       ["h", "label", "plateau", "is_argmin"],
+                       ((h, label, val, h == best_h)
+                        for h, label, val in rows))
+    manifest.finish(h_grid=[float(h) for h in grid], best_h=best_h)
     return EXIT_OK
 
 
@@ -555,8 +542,6 @@ def cmd_theory(cfg: ExperimentConfig, echo=print) -> int:
     3 naming the binding clause; with [theory] shrink = true the pair is
     shrunk to admissibility first and both pairs are reported.
     """
-    out = cfg.run.out
-    os.makedirs(out, exist_ok=True)
     manifest = ManifestWriter(cfg, "theory")
     bundle = build_task(cfg)
     ms = build_mixing(cfg)
@@ -576,7 +561,7 @@ def cmd_theory(cfg: ExperimentConfig, echo=print) -> int:
             echo(f"estimated gradient noise sigma^2 = {sigma2:.6g}")
 
     p = problem_params_from(bundle.task, ms, cfg.sampler.eta, sigma2=sigma2,
-                            b_mode=cfg.sampler.b_mode,
+                            b_mode=cfg.sampler.b_mode, b_scale=_b_scale(cfg),
                             w2_init=cfg.theory.w2_init)
     cert = validate_stepsize(p)
     for line in cert.lines():
@@ -592,33 +577,24 @@ def cmd_theory(cfg: ExperimentConfig, echo=print) -> int:
              f"eta={cfg.sampler.eta:.6g})")
         p, used_ms = shrink_to_admissible(
             bundle.task, ms, cfg.sampler.eta, sigma2=sigma2,
-            b_mode=cfg.sampler.b_mode)
+            b_mode=cfg.sampler.b_mode, b_scale=_b_scale(cfg))
         echo(f"admissible pair: h={p.h:.9g}, eta={p.eta:.9g}")
         cert = validate_stepsize(p)
         for line in cert.lines():
             echo(line)
 
     tc = compute_constants(p)
-    n = write_csv(os.path.join(out, "theory_constants.csv"),
-                  ["name", "value"], tc.as_rows())
-    manifest.add_file(out, "theory_constants.csv", n)
+    manifest.write_csv("theory_constants.csv", ["name", "value"],
+                       tc.as_rows())
 
     ks = sorted(set(range(0, cfg.sampler.steps + 1, cfg.run.record_every))
                 | {cfg.sampler.steps})
-    rows = []
-    for k in ks:
-        if k < tc.K0:
-            continue
-        rows.append((k, "bound_w2_mean", bound_w2_mean(p, tc, k)))
-    for k in ks:
-        if k < tc.K0:
-            continue
-        rows.append((k, "bound_w2_agents", bound_w2_agents(p, tc, k)))
-    n = write_csv(os.path.join(out, "theory_bounds.csv"),
-                  ["k", "label", "value"], rows)
-    manifest.add_file(out, "theory_bounds.csv", n)
-    manifest.finish(out, h_used=p.h, eta_used=p.eta, sigma2=sigma2,
-                    K0=tc.K0)
+    rows = [(k, label, bound(p, tc, k))
+            for label, bound in (("bound_w2_mean", bound_w2_mean),
+                                 ("bound_w2_agents", bound_w2_agents))
+            for k in ks if k >= tc.K0]
+    manifest.write_csv("theory_bounds.csv", ["k", "label", "value"], rows)
+    manifest.finish(h_used=p.h, eta_used=p.eta, sigma2=sigma2, K0=tc.K0)
     return EXIT_OK
 
 
@@ -631,14 +607,11 @@ def cmd_gen_data(cfg: ExperimentConfig) -> int:
     t = cfg.task
     if t.kind == "logreg-csv":
         raise ConfigError("gen-data only applies to synthetic tasks")
-    out = cfg.run.out
-    os.makedirs(out, exist_ok=True)
     manifest = ManifestWriter(cfg, "gen-data")
     x, y, beta = _synthetic_data(
         t, np.random.default_rng(derive_seed(cfg.run.seed, "data")))
     header = [f"x_{j}" for j in range(t.dim)] + ["y"]
-    n = write_csv(os.path.join(out, "dataset.csv"), header,
-                  ((*row, yv) for row, yv in zip(x, y)))
-    manifest.add_file(out, "dataset.csv", n)
-    manifest.finish(out, beta_true=[float(b) for b in beta])
+    manifest.write_csv("dataset.csv", header,
+                       ((*row, yv) for row, yv in zip(x.tolist(), y.tolist())))
+    manifest.finish(beta_true=[float(b) for b in beta])
     return EXIT_OK

@@ -5,8 +5,9 @@ constants) funnels through the three operations here, so they are kept
 deliberately small: a validated symmetric eigensolve (one LAPACK ``eigh``
 call behind the symmetric-input checks of ``SymMatrix``), an
 eigendecomposition-based PSD root with explicit clipping policy, and a
-block-apply that contracts only over the agent axis, of one block or of
-a stack of them.
+block-apply that contracts only over the agent axis.  Each takes one
+matrix or block, or a stack of them along leading axes; a stacked call
+gives every slice the bits of the call on that slice alone.
 """
 
 from __future__ import annotations
@@ -31,27 +32,28 @@ class NotPSDError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class SymMatrix:
-    """A validated square symmetric matrix.
+    """A validated square symmetric matrix, or a stack (..., n, n) of them.
 
-    The constructor symmetrizes via (a + a.T)/2, so ``entries`` is exactly
-    symmetric; non-square or non-finite input is rejected.
+    The constructor symmetrizes via (a + a^T)/2 over the last two axes, so
+    ``entries`` is exactly symmetric; non-square or non-finite input is
+    rejected.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
-        a = (a + a.T) / 2.0
+        a = (a + a.swapaxes(-1, -2)) / 2.0
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
     def __array__(self, dtype=None, copy=None):
         if dtype is not None:
@@ -63,7 +65,7 @@ class SymMatrix:
 class Spectrum:
     """Eigenvalues (ascending) and matching orthonormal eigenvectors.
 
-    ``vectors[:, j]`` belongs to ``values[j]``; reconstruction and
+    ``vectors[..., :, j]`` belongs to ``values[..., j]``; reconstruction and
     orthonormality hold to 1e-10 relative (see tests).
     """
 
@@ -83,13 +85,14 @@ def sym_eig(a) -> Spectrum:
     Parameters
     ----------
     a : array_like or SymMatrix
-        Square symmetric matrix (symmetrized on entry if handed raw).
+        Square symmetric matrix, or a (..., n, n) stack of them
+        (symmetrized on entry if handed raw).
 
     Returns
     -------
     Spectrum
         Eigenvalues sorted ascending with matching orthonormal eigenvector
-        columns.
+        columns, per matrix of the stack.
 
     Raises
     ------
@@ -104,24 +107,28 @@ def sym_eig(a) -> Spectrum:
 def psd_sqrt(a, clip_tol: float | None = None) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues in [-clip_tol, 0) are clamped to zero; anything below
-    -clip_tol raises ``NotPSDError`` reporting the offending eigenvalue.
-    ``clip_tol`` defaults to 1e-10 times the spectral norm of ``a``.
+    ``a`` is one matrix or a (..., n, n) stack; each matrix gets its own
+    window.  Eigenvalues in [-clip_tol, 0) are clamped to zero; anything
+    below -clip_tol raises ``NotPSDError`` reporting the offending
+    eigenvalue.  ``clip_tol`` defaults to 1e-10 times the spectral norm of
+    the matrix.
     """
     spec = sym_eig(a)
     vals = spec.values
-    snorm = float(np.max(np.abs(vals))) if vals.size else 0.0
     if clip_tol is None:
-        clip_tol = 1e-10 * snorm
-    lo = float(vals[0])
-    if lo < -clip_tol:
+        clip_tol = 1e-10 * np.max(np.abs(vals), axis=-1)
+    clip_tol = np.broadcast_to(clip_tol, vals.shape[:-1])
+    lo = vals[..., 0]
+    bad = lo < -clip_tol
+    if np.any(bad):
         raise NotPSDError(
-            f"matrix is not PSD within the clip window: eigenvalue {lo:.6e} "
-            f"< -{clip_tol:.6e}"
+            f"matrix is not PSD within the clip window: eigenvalue "
+            f"{lo[bad][0]:.6e} < -{clip_tol[bad][0]:.6e}"
         )
-    clipped = np.clip(vals, 0.0, None)
-    root = (spec.vectors * np.sqrt(clipped)) @ spec.vectors.T
-    return (root + root.T) / 2.0
+    vecs = spec.vectors
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) \
+        @ vecs.swapaxes(-1, -2)
+    return (root + root.swapaxes(-1, -2)) / 2.0
 
 
 def mix_apply(m, x: np.ndarray) -> np.ndarray:

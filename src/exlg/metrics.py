@@ -8,6 +8,12 @@ with the inner product re-symmetrized before the second root so roundoff
 cannot push it off the PSD cone.  Sampler output is scored by fitting a
 Gaussian across replicas at each recorded iterate and comparing with the
 target posterior.
+
+``w2_gaussian`` scores one pair of Gaussians; ``w2_batch`` scores a stack
+of replica blocks at once (one stacked ``eigh`` for every inner root),
+with the bits and the checks of the single-record path: finite fits,
+GaussianDist's PSD window, psd_sqrt's clip window, and exactly 0 for a
+fit equal to the target.
 """
 
 from __future__ import annotations
@@ -17,13 +23,14 @@ import dataclasses
 import numpy as np
 
 from .linalg import psd_sqrt
-from .tasks import GaussianDist
+from .tasks import GaussianDist, checked_cov
 
 __all__ = [
     "MomentEstimate",
     "MetricSeries",
     "estimate_moments",
     "w2_gaussian",
+    "w2_batch",
     "w2_series",
     "consensus_error",
     "accuracy",
@@ -69,12 +76,6 @@ def estimate_moments(samples: np.ndarray) -> MomentEstimate:
 
 
 def w2_gaussian(a: GaussianDist, b: GaussianDist) -> float:
-    return _w2_gaussian(a, b, None)
-
-
-def _w2_gaussian(a: GaussianDist, b: GaussianDist, root_b) -> float:
-    """W2 between a and b; ``root_b`` is psd_sqrt(b.cov), or None to
-    compute it here."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov):
@@ -82,8 +83,7 @@ def _w2_gaussian(a: GaussianDist, b: GaussianDist, root_b) -> float:
         # below would return a sqrt-of-roundoff floor (~1e-7) instead.
         return 0.0
     diff = a.mean - b.mean
-    if root_b is None:
-        root_b = psd_sqrt(b.cov)
+    root_b = psd_sqrt(b.cov)
     inner = root_b @ a.cov @ root_b
     inner = (inner + inner.T) / 2.0
     cross = float(np.trace(psd_sqrt(inner)))
@@ -93,33 +93,56 @@ def _w2_gaussian(a: GaussianDist, b: GaussianDist, root_b) -> float:
     return float(np.sqrt(max(w2sq, 0.0)))
 
 
+def w2_batch(xs: np.ndarray, target: GaussianDist) -> np.ndarray:
+    """Gaussian-fit W2 to ``target`` of every (R, d) block of ``xs``.
+
+    ``xs`` has shape (..., R, d): R replica draws per block; the result
+    has shape (...).  Needs R >= 2.  Each value equals
+    ``w2_gaussian(estimate_moments(block).as_gaussian(), target)`` bit for
+    bit: the blocks are made C-contiguous, and every matmul, ``eigh`` and
+    reduction runs per block as the single-record call runs it.  Non-finite
+    fits raise ``ValueError``, as does a fitted covariance outside
+    GaussianDist's PSD window; an inner product outside psd_sqrt's clip
+    window raises ``NotPSDError``.
+    """
+    xs = np.ascontiguousarray(xs, dtype=float)
+    if xs.ndim < 2:
+        raise ValueError(f"expected (..., R, d), got shape {xs.shape}")
+    n, d = xs.shape[-2:]
+    if n < 2:
+        raise ValueError("need at least 2 replicas to fit moments")
+    if d != target.dim:
+        raise ValueError(f"dimension mismatch: {d} vs {target.dim}")
+    mean = xs.mean(axis=-2)
+    centered = xs - mean[..., None, :]
+    cov = checked_cov(centered.swapaxes(-1, -2) @ centered / (n - 1))
+    root = psd_sqrt(target.cov)
+    cross = np.trace(psd_sqrt(root @ cov @ root), axis1=-2, axis2=-1)
+    diff = (mean - target.mean)[..., None, :]
+    w2sq = (diff @ diff.swapaxes(-1, -2))[..., 0, 0] + (
+        np.trace(cov, axis1=-2, axis2=-1) + np.trace(target.cov)
+    ) - 2.0 * cross
+    same = np.all(mean == target.mean, axis=-1) & np.all(
+        cov == target.cov, axis=(-2, -1))
+    return np.where(same, 0.0, np.sqrt(np.maximum(w2sq, 0.0)))
+
+
 def w2_series(
     xs_by_k: np.ndarray, ks, target: GaussianDist, label: str
 ) -> MetricSeries:
     """Gaussian-fit W2 to ``target`` at each recorded iterate.
 
     ``xs_by_k`` has shape (n_rec, R, d): R replica draws of one series
-    (an agent's iterate, or the agent average) per recorded k.  Needs
-    R >= 2 for the covariance fit.  The target's covariance root is
-    computed once; each value equals ``w2_gaussian`` on that record.
+    (an agent's iterate, or the agent average) per recorded k; the values
+    are ``w2_batch`` of it.
     """
     xs_by_k = np.asarray(xs_by_k, dtype=float)
     if xs_by_k.ndim != 3:
         raise ValueError(
             f"expected (n_rec, R, d), got shape {xs_by_k.shape}"
         )
-    if xs_by_k.shape[1] < 2:
-        raise ValueError("need at least 2 replicas to fit moments")
-    root = psd_sqrt(target.cov)
-    vals = np.array(
-        [
-            _w2_gaussian(estimate_moments(block).as_gaussian(), target, root)
-            for block in xs_by_k
-        ]
-    )
-    return MetricSeries(
-        ks=np.asarray(ks, dtype=int), values=vals, label=label
-    )
+    return MetricSeries(ks=np.asarray(ks, dtype=int),
+                        values=w2_batch(xs_by_k, target), label=label)
 
 
 def consensus_error(x_block: np.ndarray) -> float:

@@ -31,10 +31,11 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 from scipy.special import expit
 
-from .linalg import sym_eig
+from .linalg import SymMatrix, sym_eig
 
 __all__ = [
     "GaussianDist",
+    "checked_cov",
     "GradientOracle",
     "LinRegTask",
     "LogRegTask",
@@ -72,19 +73,30 @@ class GaussianDist:
             raise ValueError(
                 f"cov shape {c.shape} does not match mean dim {m.size}"
             )
-        c = (c + c.T) / 2.0
-        lo = float(sym_eig(c).values[0])
-        scale = max(1.0, float(np.max(np.abs(c))))
-        if lo < -1e-10 * scale:
-            raise ValueError(f"covariance not PSD: min eigenvalue {lo:.3e}")
+        c = checked_cov(c)
         m.setflags(write=False)
-        c.setflags(write=False)
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "cov", c)
 
     @property
     def dim(self) -> int:
         return self.mean.size
+
+
+def checked_cov(c) -> np.ndarray:
+    """A covariance, or a (..., d, d) stack of them, symmetrized and checked.
+
+    Raises ``ValueError`` on non-finite entries, or when a matrix's least
+    eigenvalue is below -1e-10 * max(1, max|c|) of that matrix.  The
+    result is read-only.
+    """
+    c = SymMatrix(c).entries
+    lo = np.linalg.eigvalsh(c)[..., 0]
+    bad = lo < -1e-10 * np.maximum(1.0, np.max(np.abs(c), axis=(-2, -1)))
+    if np.any(bad):
+        raise ValueError(
+            f"covariance not PSD: min eigenvalue {lo[bad][0]:.3e}")
+    return c
 
 
 @runtime_checkable

@@ -573,6 +573,7 @@ def problem_params_from(task, ms: MixingSet, eta: float, *,
 def shrink_to_admissible(task, ms: MixingSet, eta: float, *,
                          sigma2: float = 0.0, init: str = "zeros",
                          b_mode: str = "wtilde-over-eta",
+                         b_scale: float = 0.0,
                          h_frac: float = 0.5, eta_frac: float = 0.5,
                          max_iter: int = 32):
     """Shrink (h, eta) until every stepsize clause passes.
@@ -592,7 +593,7 @@ def shrink_to_admissible(task, ms: MixingSet, eta: float, *,
     cur_ms, cur_eta = ms, float(eta)
     for _ in range(max_iter):
         p = problem_params_from(task, cur_ms, cur_eta, sigma2=sigma2,
-                                init=init, b_mode=b_mode)
+                                init=init, b_mode=b_mode, b_scale=b_scale)
         rep = validate_stepsize(p)
         want_h = h_frac * rep.max_h if math.isfinite(rep.max_h) else cur_ms.h
         want_h = min(want_h, 0.5)
@@ -605,7 +606,7 @@ def shrink_to_admissible(task, ms: MixingSet, eta: float, *,
                                   h=want_h)
         cur_eta = want_eta
     p = problem_params_from(task, cur_ms, cur_eta, sigma2=sigma2,
-                            init=init, b_mode=b_mode)
+                            init=init, b_mode=b_mode, b_scale=b_scale)
     rep = validate_stepsize(p)
     if not rep.ok:
         raise RuntimeError(

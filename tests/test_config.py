@@ -4,7 +4,7 @@ import textwrap
 
 import pytest
 
-from exlg.config import ConfigError, load_config
+from exlg.config import _SCHEMA, ConfigError, load_config
 
 MINIMAL = """
 [task]
@@ -227,6 +227,24 @@ class TestSemantics:
         text = MINIMAL + "\n[theory]\nsigma2 = -1.0\n"
         self.check(tmp_path, text, "theory.sigma2")
 
+    def test_negative_w2_init(self, tmp_path):
+        text = MINIMAL + "\n[theory]\nw2_init = -1.0\n"
+        self.check(tmp_path, text, "theory.w2_init: must be >= 0")
+
+    def test_negative_noise_std(self, tmp_path):
+        text = MINIMAL.replace("kind = linreg",
+                               "kind = linreg\nnoise_std = -1")
+        self.check(tmp_path, text, "task.noise_std: must be >= 0")
+
+    def test_non_finite_values_reported_together(self, tmp_path):
+        text = MINIMAL.replace("kind = linreg",
+                               "kind = linreg\nprior_var = nan")
+        text = text.replace("eta = 0.01", "eta = inf")
+        with pytest.raises(ConfigError) as err:
+            load_config(write_cfg(tmp_path, text))
+        assert "task.prior_var: must be finite" in str(err.value)
+        assert "sampler.eta: must be finite" in str(err.value)
+
 
 class TestEcho:
     def test_echo_round_trips_values(self, tmp_path):
@@ -247,3 +265,42 @@ class TestModule:
 
         missing = [n for n in config.__all__ if not hasattr(config, n)]
         assert missing == []
+
+
+PROBE = {
+    "task": {"kind": "linreg", "n_points": "120", "dim": "2",
+             "beta_true": "1.0 -0.5"},
+    "network": {"topology": "ring", "n": "6", "h": "0.3", "delta": "0.2"},
+    "sampler": {"algorithm": "GEN_EXTRA_SGLD", "eta": "0.01", "steps": "5"},
+    "run": {"seed": "7", "replicas": "2"},
+    "compare": {"algorithms": "DE_SGLD GEN_EXTRA_SGLD"},
+    "sweep": {"points": "2"},
+    "theory": {"shrink": "true"},
+}
+FLOAT_KEYS = [f"{section}.{key}" for section, keys in _SCHEMA.items()
+              for key, (kind, _) in keys.items()
+              if kind in ("float", "floats")]
+NON_FINITE = ("nan", "inf", "-inf")
+
+
+@pytest.mark.parametrize("value", NON_FINITE + ("-1",))
+@pytest.mark.parametrize("skey", FLOAT_KEYS)
+def test_float_key_probe_exits_cleanly(tmp_path, capsys, skey, value):
+    """Every float key at nan, +-inf and -1, under every command: a clean
+    exit code, and a config error for every non-finite value."""
+    from exlg.cli import _COMMANDS, main
+
+    section, key = skey.split(".")
+    sections = {name: dict(keys) for name, keys in PROBE.items()}
+    sections[section][key] = (f"{value} 0.5" if key == "beta_true"
+                              else value)
+    path = write_cfg(tmp_path, "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()))
+    for command in _COMMANDS:
+        out = str(tmp_path / command)
+        code = main([command, "--config", path, "--out", out])
+        assert code in (0, 2, 3, 4), (command, code)
+        if value in NON_FINITE:
+            assert code == 2, command
+            assert f"{skey}: must be finite" in capsys.readouterr().err

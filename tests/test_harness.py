@@ -8,6 +8,7 @@ values: that is the actual contract.
 
 import dataclasses
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import exlg
-from exlg import __version__
+from exlg import __version__, harness
 from exlg.cli import main
 from exlg.config import ConfigError, load_config
 from exlg.harness import (
@@ -26,7 +27,6 @@ from exlg.harness import (
     EXIT_DIVERGENCE,
     EXIT_OK,
     _compare_labels,
-    _fmt,
     build_mixing,
     build_task,
     cmd_compare,
@@ -38,10 +38,20 @@ from exlg.harness import (
     run_replicas,
     write_csv,
 )
+from exlg.metrics import (
+    accuracy,
+    consensus_error,
+    estimate_moments,
+    w2_gaussian,
+)
 from exlg.network import build_mixing_set, ring
 from exlg.samplers import ChainDivergenceError, SamplerConfig, derive_seed
 from exlg.tasks import gen_linreg_data
-from exlg.theory import compute_constants, shrink_to_admissible
+from exlg.theory import (
+    compute_constants,
+    problem_params_from,
+    shrink_to_admissible,
+)
 
 BASE = """
 [task]
@@ -435,6 +445,36 @@ class TestTheoryCmd:
             assert json.load(fh)["sigma2"] == 0.25
 
 
+    def test_scaled_identity_bound_uses_b_scale(self, tmp_path, capsys):
+        # ||B|| = |b_scale| enters gamma2; the chain runs with
+        # B = b_scale * I, so the bound must be computed with it too
+        text = BASE + "\n[theory]\nshrink = true\n"
+
+        def gamma2(b_scale):
+            out = f"out{b_scale}"
+            cfg = load_config(make_cfg(
+                tmp_path, out_name=out, text=text,
+                **{"n = 6": "n = 4",
+                   "steps = 40": "steps = 40\nb_mode = scaled-identity\n"
+                                 f"b_scale = {b_scale}"}))
+            assert cmd_theory(cfg) == EXIT_OK
+            rows = dict(line.split(",") for line in
+                        (tmp_path / out / "theory_constants.csv")
+                        .read_text().splitlines()[1:])
+            return cfg, float(rows["gamma2"])
+
+        _, one = gamma2(1)
+        cfg, fifty = gamma2(50)
+        assert fifty != one
+        bundle = build_task(cfg)
+        p, ms = shrink_to_admissible(bundle.task, build_mixing(cfg),
+                                     cfg.sampler.eta,
+                                     b_mode="scaled-identity", b_scale=50.0)
+        direct = compute_constants(problem_params_from(
+            bundle.task, ms, p.eta, b_mode="scaled-identity", b_scale=50.0))
+        assert fifty == direct.gamma2
+
+
 class TestGenData:
     def test_dataset_round_trip(self, tmp_path):
         path = make_cfg(tmp_path)
@@ -513,6 +553,122 @@ def test_run_replicas_names_replica_iteration_and_agent():
     assert e.value == pytest.approx(0.01 * 1e16, rel=1e-9)
 
 
+def _series_per_record(cfg, task, ks, xs_all, holdout):
+    """The per-record metric loops that series_for_run replaced: the
+    oracle of its array expressions, as (label, values) pairs."""
+    n_rec, n_reps = xs_all.shape[0], xs_all.shape[1]
+    out = [("consensus", [
+        float(np.mean([consensus_error(xs_all[j, r])
+                       for r in range(n_reps)]))
+        for j in range(n_rec)])]
+    if cfg.sampler.temperature == 0.0:
+        xstar = task.minimizer()
+        out.append(("opt_error", [
+            float(np.mean([
+                float(np.max(np.linalg.norm(xs_all[j, r] - xstar, axis=1)))
+                for r in range(n_reps)]))
+            for j in range(n_rec)]))
+        return out
+    means = xs_all.mean(axis=2)
+    if cfg.task.kind == "linreg" and n_reps >= 2:
+        target = task.target()
+
+        def w2(blocks):
+            return [w2_gaussian(estimate_moments(b).as_gaussian(), target)
+                    for b in blocks]
+
+        out.append(("w2_mean", w2(means)))
+        out.append(("w2_agents", list(np.stack([
+            w2(xs_all[:, :, a, :]) for a in range(xs_all.shape[2])
+        ]).mean(axis=0))))
+    if holdout is not None:
+        out.append(("accuracy", [
+            float(np.mean([accuracy(means[j, r], *holdout)
+                           for r in range(n_reps)]))
+            for j in range(n_rec)]))
+    return out
+
+
+class TestSeriesArrays:
+    """series_for_run's array expressions equal the per-record loops."""
+
+    def _check(self, tmp_path, monkeypatch, labels, **edits):
+        calls, w2_inputs = [], []
+        real_series, real_w2 = harness.series_for_run, harness.w2_batch
+
+        def series_spy(*args):
+            calls.append((args, real_series(*args)))
+            return calls[-1][1]
+
+        def w2_spy(xs, target):
+            w2_inputs.append(xs)
+            return real_w2(xs, target)
+
+        monkeypatch.setattr(harness, "series_for_run", series_spy)
+        monkeypatch.setattr(harness, "w2_batch", w2_spy)
+        assert cmd_run(load_config(make_cfg(tmp_path, **edits))) == EXIT_OK
+        (args, got), = calls
+        want = _series_per_record(*args)
+        assert [s.label for s in got] == labels == [lb for lb, _ in want]
+        for s, (_, values) in zip(got, want):
+            assert np.array_equal(s.ks, args[2])
+            assert np.array_equal(s.values, values), s.label
+        assert all(xs.flags.c_contiguous for xs in w2_inputs)
+        return args
+
+    def test_linreg(self, tmp_path, monkeypatch):
+        self._check(tmp_path, monkeypatch,
+                    ["consensus", "w2_mean", "w2_agents"])
+
+    def test_logreg(self, tmp_path, monkeypatch):
+        args = self._check(
+            tmp_path, monkeypatch, ["consensus", "accuracy"],
+            **{"kind = linreg": "kind = logreg-synthetic\nholdout = 200",
+               "n_points = 120": "n_points = 240",
+               "beta_true = 1.0 -0.5": "beta_true = 2.0 -1.0"})
+        means, holdout = args[3].mean(axis=2), args[4]
+        assert np.array_equal(
+            harness._accuracies(means, *holdout, chunk_cells=1),
+            harness._accuracies(means, *holdout))
+
+    def test_zero_temperature(self, tmp_path, monkeypatch):
+        self._check(tmp_path, monkeypatch, ["consensus", "opt_error"],
+                    **{"steps = 40": "steps = 40\ntemperature = 0"})
+
+
+def _fmt(v) -> str:
+    """The per-cell formatter write_csv's row templates replaced."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return f"{float(v):.17g}"
+    return str(v)
+
+
+def test_write_csv_matches_per_cell_formatter(tmp_path):
+    rows = [
+        (1, "a", 0.1 + 0.2, True),
+        (np.int64(-7), "b", 5, False),               # int in a float column
+        (2 ** 53 + 1, "c", np.float64(1.0 / 3.0), np.bool_(True)),
+        (np.uint64(2 ** 64 - 1), "d", -0.0, "text"),
+        (-(2 ** 70), "e", float("nan"), None),
+        (np.int32(3), "f", float("inf"), 2.5),
+        (0, "g", float("-inf"), 7),
+        (4, "h", 5e-324, np.float32(0.1)),           # subnormal
+        (5, "i", 2.2250738585072014e-308 / 3, -2.5e17),
+        (6, "j", np.float64(-1e300), 1e-300),
+        (7, "k", 5.5, 0),
+    ]
+    path = str(tmp_path / "mixed.csv")
+    assert write_csv(path, ["w", "x", "y", "z"], iter(rows)) == len(rows)
+    want = "w,x,y,z\n" + "".join(
+        ",".join(_fmt(c) for c in row) + "\n" for row in rows)
+    with open(path, newline="") as fh:
+        assert fh.read() == want
+
+
 class TestCliPlumbing:
     def test_divergence_exit_code(self, tmp_path, capsys):
         path = make_cfg(tmp_path, **{"eta = 0.01": "eta = 50.0",
@@ -533,6 +689,45 @@ class TestCliPlumbing:
         assert main(["run", "--config", path]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    def test_log_level_warning_silences_assumption_lines(self, tmp_path):
+        # fresh interpreters, so logging is configured by main alone
+        src = os.path.dirname(os.path.dirname(os.path.abspath(exlg.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        path = make_cfg(tmp_path)
+
+        def stderr(*flags):
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from exlg.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))",
+                 "run", "--config", path, *flags],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            return proc.stderr
+
+        assert "INFO [pass]" in stderr()
+        assert "[pass]" not in stderr("--log-level", "WARNING")
+
+    def test_log_level_does_not_change_bytes(self, tmp_path):
+        logger = logging.getLogger("exlg")
+        saved = logger.level
+        files = {}
+        try:
+            for level in ("DEBUG", "INFO", "WARNING", "ERROR"):
+                out = tmp_path / level
+                assert main(["run", "--config", make_cfg(tmp_path),
+                             "--out", str(out), "--log-level", level]) \
+                    == EXIT_OK
+                assert logger.level == getattr(logging, level)
+                files[level] = {n: (out / n).read_bytes()
+                                for n in sorted(os.listdir(out))
+                                if n.endswith(".csv")}
+        finally:
+            logger.setLevel(saved)
+        assert files["INFO"]
+        assert all(f == files["INFO"] for f in files.values())
+
     def test_cli_overrides_reach_config(self, tmp_path):
         path = make_cfg(tmp_path)
         other = str(tmp_path / "other")
@@ -543,13 +738,14 @@ class TestCliPlumbing:
         assert man["master_seed"] == 21
         assert len(man["replica_seeds"]) == 2
 
-    def test_fmt_round_trip(self):
-        assert _fmt(True) == "true"
-        assert _fmt(False) == "false"
-        assert _fmt(3) == "3"
-        assert _fmt(np.int64(4)) == "4"
-        for v in (0.1 + 0.2, 1.0 / 3.0, 1e-300, -2.5e17):
-            assert float(_fmt(v)) == v
+    def test_fmt_round_trip(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        floats = (0.1 + 0.2, 1.0 / 3.0, 1e-300, -2.5e17)
+        write_csv(path, ["c"] * 8, [(True, False, 3, np.int64(4), *floats)])
+        with open(path) as fh:
+            cells = fh.read().splitlines()[1].split(",")
+        assert cells[:4] == ["true", "false", "3", "4"]
+        assert [float(c) for c in cells[4:]] == list(floats)
 
     def test_write_csv_counts_rows(self, tmp_path):
         path = str(tmp_path / "t.csv")

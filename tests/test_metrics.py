@@ -7,12 +7,14 @@ and the mean-shift lower bound.
 import numpy as np
 import pytest
 
+from exlg.linalg import NotPSDError
 from exlg.metrics import (
     MetricSeries,
     accuracy,
     consensus_error,
     estimate_moments,
     plateau,
+    w2_batch,
     w2_gaussian,
     w2_series,
 )
@@ -159,6 +161,67 @@ class TestW2Series:
         each = [w2_gaussian(estimate_moments(b).as_gaussian(), target)
                 for b in draws]
         assert np.array_equal(s.values, each)
+
+
+def _per_record(xs, target):
+    """The single-record oracle over the leading axes of xs."""
+    lead = xs.shape[:-2]
+    return np.array([
+        w2_gaussian(estimate_moments(xs[i]).as_gaussian(), target)
+        for i in np.ndindex(lead)]).reshape(lead)
+
+
+class TestW2Batch:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_stack_equals_per_record_exactly(self, d):
+        rng = np.random.default_rng(20 + d)
+        xs = rng.standard_normal((3, 4, 6, d)) * [1.0, 2.0, 0.5][:d]
+        xs[0, 1] = xs[0, 1][:1]  # identical rows: a zero covariance fit
+        target = estimate_moments(xs[2, 3]).as_gaussian()
+        got = w2_batch(xs, target)
+        assert got.shape == (3, 4)
+        assert np.array_equal(got, _per_record(xs, target))
+        assert got[2, 3] == 0.0  # the fit equals the target
+        assert got[0, 1] > 0.0
+
+    def test_strided_input_equals_per_record(self):
+        rng = np.random.default_rng(24)
+        a = rng.standard_normal((2, 2))
+        target = GaussianDist(rng.standard_normal(2), a @ a.T + np.eye(2))
+        xs = np.moveaxis(rng.standard_normal((5, 10, 4, 2)), 2, 0)
+        assert not xs.flags.c_contiguous
+        assert np.array_equal(w2_batch(xs, target), _per_record(xs, target))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_draws_raise(self, bad):
+        xs = np.random.default_rng(25).standard_normal((4, 5, 2))
+        xs[2, 3, 1] = bad
+        target = GaussianDist(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match="finite"):
+            w2_batch(xs, target)
+        with pytest.raises(ValueError, match="finite"):
+            w2_gaussian(estimate_moments(xs[2]).as_gaussian(), target)
+
+    def test_inner_product_outside_clip_window_raises(self):
+        # a target with condition number 1e20 and a rank-one fit along its
+        # thin axis: roundoff puts root @ cov @ root far off the PSD cone
+        q = np.array([[np.cos(0.3), -np.sin(0.3)],
+                      [np.sin(0.3), np.cos(0.3)]])
+        target = GaussianDist(np.zeros(2), q @ np.diag([1e10, 1e-10]) @ q.T)
+        draws = np.random.default_rng(0).standard_normal((5, 1)) \
+            * q[:, 1] * 1e-3
+        with pytest.raises(NotPSDError, match="eigenvalue -"):
+            w2_gaussian(estimate_moments(draws).as_gaussian(), target)
+        with pytest.raises(NotPSDError, match="eigenvalue -"):
+            w2_batch(np.stack([np.ones((5, 2)), draws]), target)
+
+    def test_needs_replicas_and_matching_dim(self):
+        target = GaussianDist(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match="2 replicas"):
+            w2_batch(np.zeros((3, 1, 2)), target)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            w2_batch(np.zeros((3, 4, 3)), target)
 
 
 class TestConsensusError:

@@ -18,6 +18,7 @@ from exlg.tasks import (
     GradientOracle,
     LinRegTask,
     LogRegTask,
+    checked_cov,
     estimate_grad_noise,
     gen_linreg_data,
     gen_logreg_data,
@@ -84,6 +85,17 @@ class TestGaussianDist:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="PSD"):
             GaussianDist(np.zeros(2), np.diag([1.0, -1.0]))
+
+    def test_stacked_check_uses_each_matrix_window(self):
+        # the window is -1e-10 * max(1, max|c|) of each matrix: -1e-9 is
+        # inside it next to an entry of 100, outside it next to 1
+        ok = checked_cov(np.stack([np.eye(2), np.diag([100.0, -1e-9])]))
+        assert ok.shape == (2, 2, 2) and not ok.flags.writeable
+        with pytest.raises(ValueError, match="min eigenvalue -1.000e-09"):
+            checked_cov(np.stack([np.diag([100.0, 0.0]),
+                                  np.diag([1.0, -1e-9])]))
+        with pytest.raises(ValueError, match="finite"):
+            checked_cov(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
 
     def test_oracle_protocol(self):
         assert isinstance(_toy_linreg(), GradientOracle)
