@@ -16,6 +16,7 @@ from exlg.network import build_mixing_set, make_topology
 from exlg.samplers import (
     NoiseStream,
     SamplerConfig,
+    batch_table,
     derive_seed,
     run_chain,
     run_ensemble,
@@ -39,6 +40,17 @@ print("\ndraw at (k=500, agent=2) twice, with another draw in between:")
 print(" first :", late)
 print(" second:", again)
 assert np.array_equal(late, again)
+
+# --- minibatch indices, drawn as a table ----------------------------------
+# A chain reads agent i's minibatch at iterate k from batch_table, which
+# draws a chunk of steps for every replica and agent at once; each row
+# equals the stream's own batch_rng(k, i).choice.
+table = batch_table([stream], ks=[500], sizes=[40] * 4, batch=6)
+scalar = stream.batch_rng(500, 2).choice(40, 6, replace=False)
+print("\nminibatch of agent 2 at k=500 (shard of 40 rows, batch 6):")
+print(" batch_table       :", table[0, 0, 2])
+print(" batch_rng().choice:", scalar)
+assert np.array_equal(table[0, 0, 2], scalar)
 
 # --- whole-chain reproducibility ------------------------------------------
 rng = np.random.default_rng(derive_seed(master, "data"))

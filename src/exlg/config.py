@@ -270,6 +270,8 @@ def _validate_semantics(cfg: ExperimentConfig, problems: list):
         problems.append("task.prior_var: must be > 0")
     if t.noise_std < 0:
         problems.append(f"task.noise_std: must be >= 0, got {t.noise_std}")
+    if t.holdout < 1:
+        problems.append(f"task.holdout: must be >= 1, got {t.holdout}")
     if t.per_agent is not None and t.per_agent < 1:
         problems.append("task.per_agent: must be >= 1 when set")
     if t.beta_true is not None and len(t.beta_true) != t.dim:

@@ -363,6 +363,31 @@ def _b_scale(cfg: ExperimentConfig) -> float:
     return 1.0 if cfg.sampler.b_scale is None else cfg.sampler.b_scale
 
 
+def _problem_params(cfg: ExperimentConfig, task, ms: MixingSet, **kw):
+    """`problem_params_from` at the configured eta and B.  In-domain values
+    that leave the bounds undefined are config errors naming the key."""
+    try:
+        p = problem_params_from(task, ms, cfg.sampler.eta,
+                                b_mode=cfg.sampler.b_mode,
+                                b_scale=_b_scale(cfg), **kw)
+    except ValueError:
+        mu, L = mu_L_bounds(task)
+        if mu < L:
+            raise
+        # the prior curvature 1 / (prior_var N) swamps the data's
+        raise ConfigError(
+            f"task.prior_var: {cfg.task.prior_var:g} leaves the prior "
+            f"curvature alone, mu = L = {L:.6g}; the bounds need mu < L"
+        ) from None
+    if not np.isfinite(p.norm_B * p.norm_B):  # a vanishing eta, or huge B
+        key = ("sampler.b_scale" if cfg.sampler.b_mode == "scaled-identity"
+               else "sampler.eta")
+        raise ConfigError(
+            f"{key}: ||B|| = {p.norm_B:.3g} is too large for the bound "
+            "constants (its square overflows)")
+    return p
+
+
 def _sampler_config(cfg: ExperimentConfig, algorithm: Optional[str] = None,
                     eta: Optional[float] = None) -> SamplerConfig:
     s = cfg.sampler
@@ -392,13 +417,12 @@ def cmd_validate(cfg: ExperimentConfig, echo=print) -> int:
         echo(line)
     bundle = build_task(cfg)
     try:
-        p = problem_params_from(bundle.task, ms, cfg.sampler.eta,
-                                b_mode=cfg.sampler.b_mode,
-                                b_scale=_b_scale(cfg))
-        cert = validate_stepsize(p)
+        cert = validate_stepsize(_problem_params(cfg, bundle.task, ms))
         echo("stepsize clauses (informational):")
         for line in cert.lines():
             echo("  " + line)
+    except ConfigError:
+        raise
     except ValueError as e:
         echo(f"stepsize report unavailable: {e}")
     margin = cfg.sampler.eta * mu_L_bounds(bundle.task)[1] / 2.0
@@ -560,9 +584,8 @@ def cmd_theory(cfg: ExperimentConfig, echo=print) -> int:
                 200, rng)
             echo(f"estimated gradient noise sigma^2 = {sigma2:.6g}")
 
-    p = problem_params_from(bundle.task, ms, cfg.sampler.eta, sigma2=sigma2,
-                            b_mode=cfg.sampler.b_mode, b_scale=_b_scale(cfg),
-                            w2_init=cfg.theory.w2_init)
+    p = _problem_params(cfg, bundle.task, ms, sigma2=sigma2,
+                        w2_init=cfg.theory.w2_init)
     cert = validate_stepsize(p)
     for line in cert.lines():
         echo(line)
@@ -575,9 +598,12 @@ def cmd_theory(cfg: ExperimentConfig, echo=print) -> int:
             return EXIT_ASSUMPTION
         echo(f"shrinking to admissible from (h={ms.h:.6g}, "
              f"eta={cfg.sampler.eta:.6g})")
-        p, used_ms = shrink_to_admissible(
-            bundle.task, ms, cfg.sampler.eta, sigma2=sigma2,
-            b_mode=cfg.sampler.b_mode, b_scale=_b_scale(cfg))
+        try:
+            p, used_ms = shrink_to_admissible(
+                bundle.task, ms, cfg.sampler.eta, sigma2=sigma2,
+                b_mode=cfg.sampler.b_mode, b_scale=_b_scale(cfg))
+        except RuntimeError as e:
+            raise AssumptionError(str(e)) from None
         echo(f"admissible pair: h={p.h:.9g}, eta={p.eta:.9g}")
         cert = validate_stepsize(p)
         for line in cert.lines():

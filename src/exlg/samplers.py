@@ -41,6 +41,15 @@ replicas run beside it.  A `NoiseStream` keeps one Philox generator and
 resets its counter for every block, which gives the same draws as a
 fresh generator at that counter.
 
+Minibatch indices never depend on the chain state, so they are drawn
+ahead of it: `batch_table` fills the (steps, R, N, b) indices of a chunk
+of steps at once, with a vectorized Philox4x64-10 (`philox4x64`) and a
+copy of numpy's ``Generator.choice(n, b, replace=False)`` (Lemire's
+bounded draw, Floyd's sampler, the final shuffle).  Each entry equals
+``batch_rng(k, i).choice``, which stays the definition of the stream;
+the copy was verified on numpy 2.4.6, and the tests compare the two so
+that another numpy version cannot shift the streams unnoticed.
+
 The dual average v-bar stays at exactly zero up to accumulated roundoff
 because U's column sums vanish; the guard checks it at every step of the
 generalized chain.  `run_ensemble` never materializes the integrated
@@ -66,6 +75,8 @@ __all__ = [
     "NoiseStream",
     "RawMixing",
     "derive_seed",
+    "philox4x64",
+    "batch_table",
     "step_ula",
     "step_de_sgld",
     "step_gen_extra",
@@ -141,6 +152,12 @@ class NoiseStream:
     ``Philox(key=seed, counter=[0, k, i, tag])``.  So a Generator
     returned by ``batch_rng`` or ``init_rng`` is valid only until the
     next draw from the same stream: use it at once.
+
+    Agent i's minibatch at iterate k is ``batch_rng(k, i).choice(n_i, b,
+    replace=False)``.  Chains read it from `batch_table` instead, which
+    computes the same indices from ``seed`` for a chunk of steps at once
+    and calls ``batch_rng`` only where its copy of numpy's draw does not
+    apply.
     """
 
     def __init__(self, seed: int, n_agents: int, dim: int):
@@ -172,6 +189,128 @@ class NoiseStream:
 
     def init_rng(self) -> np.random.Generator:
         return self._gen(0, 0, _TAG_INIT)
+
+
+# Philox4x64-10 (Salmon et al., SC'11) as numpy's Philox runs it: round
+# multipliers and the Weyl increments of the key.
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LO32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+# bytes a chunk of the minibatch index table may take, with its temporaries
+_TABLE_BYTES = 1 << 20
+
+
+def _mulhilo(a, m):
+    """High and low 64-bit words of the 128-bit products a * m."""
+    a0, a1 = a & _LO32, a >> _32
+    m0, m1 = m & _LO32, m >> _32
+    p01, p10 = a0 * m1, a1 * m0
+    mid = (a0 * m0 >> _32) + (p01 & _LO32) + (p10 & _LO32)
+    return a1 * m1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32), a * m
+
+
+def philox4x64(ctr, key):
+    """The Philox4x64-10 block of each counter under its key.
+
+    ``ctr`` is four uint64 arrays (word 0 first) and ``key`` two; all
+    broadcast against word 0, which must have the full shape.  Returns
+    the four output words: what numpy's ``Philox(key=...)`` yields, in
+    that order, once its counter has been stepped to ``ctr``.
+    """
+    c0, c1, c2, c3 = ctr
+    k0, k1 = key
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0, c1, c2, c3
+
+
+def _floyd_rows(u32, n, b):
+    """``Generator.choice(n, b, replace=False)`` of numpy's Floyd branch,
+    one row per stream, from that stream's 32-bit draws ``u32`` (S, m).
+
+    The draws are Lemire's bounded integers on [0, j]: Floyd's sampler
+    for j = n-b .. n-1 (no draw at j = 0), then the final Fisher-Yates
+    shuffle for j = b-1 .. 1.  Returns the (S, b) rows and a mask of the
+    streams whose draws hit a Lemire rejection: numpy would have drawn
+    again there, so those rows are wrong.
+    """
+    bound = np.concatenate([np.arange(max(n - b, 1), n),
+                            np.arange(b - 1, 0, -1)]).astype(np.uint64)
+    span = bound + np.uint64(1)
+    m = u32[:, :bound.size] * span
+    rejected = ((m & _LO32) < (_LO32 - bound) % span).any(axis=1)
+    m >>= _32
+    draws = iter(m.T)
+    rows = np.arange(u32.shape[0])
+    out = np.empty((rows.size, b), dtype=np.int64)
+    taken = np.zeros((rows.size, n), dtype=bool)
+    for t, j in enumerate(range(n - b, n)):
+        val = next(draws) if j else np.zeros(rows.size, dtype=np.uint64)
+        out[:, t] = np.where(taken[rows, val], j, val)
+        taken[rows, out[:, t]] = True
+    for t in range(b - 1, 0, -1):
+        j = next(draws)
+        out[:, t], out[rows, j] = out[rows, j], out[:, t].copy()
+    return out, rejected
+
+
+def batch_table(noises, ks, sizes, batch) -> np.ndarray:
+    """Minibatch indices of every (step, replica, agent): a (len(ks), R,
+    N, batch) int64 table whose entry [t, r, i] equals
+    ``noises[r].batch_rng(ks[t], i).choice(sizes[i], batch,
+    replace=False)``.
+
+    Stream (r, k, i) is Philox keyed by ``noises[r].seed`` at counters
+    [1.., k, i, 2]; one `philox4x64` call serves every stream of a shard
+    size and `_floyd_rows` turns the words into indices.  Three cases
+    call the scalar ``batch_rng(k, i).choice`` instead: a stream that hits
+    a Lemire rejection, numpy's tail-shuffle branch (n > 10000 and
+    b > n // 50), and a replica whose stream is not a `NoiseStream`.
+    """
+    ks = np.asarray(ks, dtype=np.uint64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    for i, n in enumerate(sizes):
+        if not 1 <= batch <= n:
+            raise ValueError(
+                f"batch size {batch} outside [1, {n}] for agent {i}")
+    table = np.empty((ks.size, len(noises), sizes.size, batch),
+                     dtype=np.int64)
+    seeds = [nz.seed if isinstance(nz, NoiseStream) else 0 for nz in noises]
+    key = np.array([[s & 0xFFFFFFFFFFFFFFFF, s >> 64] for s in seeds],
+                   dtype=np.uint64)[None, :, None, None, :]
+    foreign = np.array([not isinstance(nz, NoiseStream) for nz in noises])
+    for n in np.unique(sizes):
+        agents = np.flatnonzero(sizes == n)
+        shape = (ks.size, len(noises), agents.size)
+        if n > 10000 and batch > n // 50:
+            scalar = np.ones(shape, dtype=bool)
+        else:
+            n_draws = 2 * batch - 1 - (n == batch)
+            n_blocks = max(1, -(-n_draws // 8))  # 8 32-bit draws a block
+            c0 = np.broadcast_to(np.arange(1, n_blocks + 1, dtype=np.uint64),
+                                 shape + (n_blocks,))
+            words = np.stack(philox4x64(
+                (c0, ks[:, None, None, None],
+                 agents.astype(np.uint64)[:, None], np.uint64(_TAG_BATCH)),
+                (key[..., 0], key[..., 1])), axis=-1).reshape(-1, 4 * n_blocks)
+            # each 64-bit word is two 32-bit draws, its low half first
+            u32 = words.astype("<u8", copy=False).view("<u4")
+            step = max(1, _TABLE_BYTES // int(n))  # Floyd bitmaps, n bytes
+            rows, rejected = map(np.concatenate, zip(*(
+                _floyd_rows(u32[s:s + step], int(n), batch)
+                for s in range(0, len(u32), step))))
+            table[:, :, agents] = rows.reshape(shape + (batch,))
+            scalar = rejected.reshape(shape) | foreign[:, None]
+        for t, r, a in zip(*np.nonzero(scalar)):
+            i = int(agents[a])
+            table[t, r, i] = noises[r].batch_rng(int(ks[t]), i).choice(
+                int(n), batch, replace=False)
+    return table
 
 
 @dataclasses.dataclass(frozen=True)
@@ -353,26 +492,48 @@ def _guard(algo, k, x, v=None):
         algorithm=algo, replica=r, k=k, agent=None, value=value)
 
 
-def _grad_block(oracle, x, k, batch, noises):
-    """Agent i's gradient at x[r, i] for every replica r and row i.
+def _table_steps(n_streams, n, batch):
+    """Steps per chunk of `batch_table`: about _TABLE_BYTES for
+    ``n_streams`` streams a step over shards of at most n rows.  A stream
+    takes about 25 bytes of Philox words and temporaries per 32-bit draw,
+    and an n-byte Floyd bitmap."""
+    return max(1, _TABLE_BYTES // (n_streams * (50 * batch + n)))
 
-    Minibatch indices for (r, k, i) come from ``noises[r].batch_rng(k, i)``.
-    An oracle with ``grad_block`` (and ``draw_batch`` for minibatches)
-    takes the whole (R, rows, d) array in one call; any other oracle is
-    called once per row.
+
+def _grads_fn(oracle, cfg: SamplerConfig, noises):
+    """``grads(x, k)``: agent i's gradient at x[r, i] for every replica r
+    and row i of an (R, N, d) block.
+
+    Minibatch indices for (r, k, i) come from stream (k, i) of noises[r].
+    An oracle with ``grad_block`` takes the whole block in one call, its
+    indices read from a `batch_table` over ``oracle.shard_sizes`` drawn
+    once per chunk of steps; any other oracle is called once per row,
+    with ``batch_rng(k, i)``.
     """
-    if hasattr(oracle, "grad_block"):
-        idx = None
-        if batch is not None:
-            idx = np.array([[oracle.draw_batch(i, batch, nz.batch_rng(k, i))
-                             for i in range(x.shape[1])] for nz in noises])
-        return oracle.grad_block(x, idx)
+    batch = cfg.batch
+    if not hasattr(oracle, "grad_block"):
+        def grads(x, k):
+            if batch is None:
+                return np.array([[oracle.full_grad(i, row)
+                                  for i, row in enumerate(xr)] for xr in x])
+            return np.array([[oracle.stoch_grad(i, row, batch,
+                                                nz.batch_rng(k, i))
+                              for i, row in enumerate(xr)]
+                             for xr, nz in zip(x, noises)])
+        return grads
     if batch is None:
-        return np.array([[oracle.full_grad(i, row) for i, row in enumerate(xr)]
-                         for xr in x])
-    return np.array([[oracle.stoch_grad(i, row, batch, nz.batch_rng(k, i))
-                      for i, row in enumerate(xr)]
-                     for xr, nz in zip(x, noises)])
+        return lambda x, k: oracle.grad_block(x)
+    sizes = oracle.shard_sizes
+    chunk = _table_steps(len(noises) * sizes.size, int(sizes.max()), batch)
+    k0, table = 0, ()
+
+    def grads(x, k):
+        nonlocal k0, table
+        if not k0 <= k < k0 + len(table):
+            k0, table = k, batch_table(
+                noises, range(k, min(k + chunk, cfg.steps)), sizes, batch)
+        return oracle.grad_block(x, table[k - k0])
+    return grads
 
 
 def _initial_block(oracle, n_rows, init, noises):
@@ -413,9 +574,7 @@ def _step_fn(oracle, cfg: SamplerConfig, mixing, noises):
     """The transition (k, x^k, v^k) -> (x^{k+1}, v^{k+1}) of cfg.algorithm,
     over (R, rows, d) arrays with replica r drawing from noises[r]."""
     eta, temp = cfg.eta, cfg.temperature
-
-    def grads(x, k):
-        return _grad_block(oracle, x, k, cfg.batch, noises)
+    grads = _grads_fn(oracle, cfg, noises)
 
     def gaussians(k):
         return np.stack([nz.gaussian_block(k) for nz in noises])

@@ -183,7 +183,7 @@ class _ShardedTask:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "_sizes",
-                           np.array([x.shape[0] for x in xs], dtype=float))
+                           np.array([x.shape[0] for x in xs], dtype=np.int64))
 
     @property
     def n_agents(self) -> int:
@@ -192,6 +192,11 @@ class _ShardedTask:
     @property
     def dim(self) -> int:
         return self.xs[0].shape[1]
+
+    @property
+    def shard_sizes(self) -> np.ndarray:
+        """Rows in each agent's shard."""
+        return self._sizes
 
     @property
     def mu(self) -> float:

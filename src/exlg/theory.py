@@ -598,6 +598,8 @@ def shrink_to_admissible(task, ms: MixingSet, eta: float, *,
         want_h = h_frac * rep.max_h if math.isfinite(rep.max_h) else cur_ms.h
         want_h = min(want_h, 0.5)
         want_eta = eta_frac * rep.max_eta if rep.max_eta > 0 else cur_eta
+        if want_h <= 0.0:  # the h limit underflowed: nothing to shrink to
+            break
         close_h = abs(cur_ms.h - want_h) <= 1e-9 * max(want_h, 1e-30)
         close_eta = abs(cur_eta - want_eta) <= 1e-9 * max(want_eta, 1e-30)
         if rep.ok and close_h and close_eta:

@@ -304,3 +304,69 @@ def test_float_key_probe_exits_cleanly(tmp_path, capsys, skey, value):
         if value in NON_FINITE:
             assert code == 2, command
             assert f"{skey}: must be finite" in capsys.readouterr().err
+
+
+LOGREG_PROBE = {**PROBE,
+             "task": {"kind": "logreg-synthetic", "n_points": "120",
+                      "dim": "2", "beta_true": "1.0 -0.5", "holdout": "40"},
+             "sampler": {**PROBE["sampler"], "batch": "4"}}
+INT_KEYS = [f"{section}.{key}" for section, keys in _SCHEMA.items()
+            for key, (kind, _) in keys.items() if kind == "int"]
+
+
+def _probe_cfg(tmp_path, base, overrides):
+    """``base`` with {"section.key": value} overrides, written as a
+    config."""
+    sections = {name: dict(keys) for name, keys in base.items()}
+    for skey, value in overrides.items():
+        section, key = skey.split(".")
+        sections[section][key] = value
+    return write_cfg(tmp_path, "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()))
+
+
+@pytest.mark.parametrize("value", ("0", "-1"))
+@pytest.mark.parametrize("skey", INT_KEYS)
+def test_int_key_probe_exits_cleanly(tmp_path, capsys, skey, value):
+    """Every integer key at 0 and -1, under every command, on a minibatch
+    logistic task: a clean exit code, and a config error naming the key
+    for a holdout set that is empty or negative."""
+    from exlg.cli import _COMMANDS, main
+
+    path = _probe_cfg(tmp_path, LOGREG_PROBE, {skey: value})
+    for command in _COMMANDS:
+        out = str(tmp_path / command)
+        code = main([command, "--config", path, "--out", out])
+        assert code in (0, 2, 3, 4), (command, code)
+        if skey == "task.holdout":
+            assert code == 2, command
+            assert "task.holdout: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base, overrides, commands, code, message", [
+    # ||B|| = ||W~|| / eta squares past the float range
+    (PROBE, {"sampler.eta": "1e-300"}, ("validate", "theory"), 2,
+     "sampler.eta: ||B|| = 1e+300 is too large"),
+    # the prior curvature 1 / (prior_var N) swamps the data: mu = L
+    (PROBE, {"task.prior_var": "1e-300"}, ("validate", "theory"), 2,
+     "task.prior_var: 1e-300 leaves the prior curvature alone"),
+    # mu = 1 / (prior_var N) underflows every clause limit: no (h, eta)
+    # to shrink to
+    (LOGREG_PROBE, {"task.prior_var": "1e300"}, ("theory",), 3,
+     "could not reach an admissible (h, eta)"),
+    # the bounds need h > 0; validate's stepsize report says so and goes on
+    (PROBE, {"network.h": "0", "network.de_sgld_mode": "true"},
+     ("validate",), 3, "stepsize report unavailable: h must be > 0"),
+], ids=["eta-tiny", "prior_var-tiny", "prior_var-huge", "de_sgld_mode"])
+def test_degenerate_theory_inputs_exit_cleanly(tmp_path, capsys, base,
+                                               overrides, commands, code,
+                                               message):
+    from exlg.cli import main
+
+    path = _probe_cfg(tmp_path, base, overrides)
+    for command in commands:
+        assert main([command, "--config", path, "--out",
+                     str(tmp_path / command)]) == code, command
+        captured = capsys.readouterr()
+        assert message in captured.out + captured.err, command

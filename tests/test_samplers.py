@@ -12,13 +12,16 @@ import pytest
 from exlg.harness import run_replicas
 from exlg.linalg import mix_apply
 from exlg.network import build_mixing_set, ring
+from exlg import samplers
 from exlg.samplers import (
     ALGORITHMS,
     ChainDivergenceError,
     NoiseStream,
     RawMixing,
     SamplerConfig,
+    batch_table,
     derive_seed,
+    philox4x64,
     run_chain,
     run_ensemble,
     step_de_sgld,
@@ -752,3 +755,147 @@ class TestSamplerConfigValidation:
             run_chain(
                 task, SamplerConfig("DE_SGLD", eta=0.01, steps=1, seed=0)
             )
+
+
+def _scalar_table(noises, ks, sizes, batch):
+    """batch_table's definition, one ``batch_rng(k, i).choice`` at a time."""
+    return np.array([[[nz.batch_rng(k, i).choice(n, batch, replace=False)
+                       for i, n in enumerate(sizes)] for nz in noises]
+                     for k in ks])
+
+
+@pytest.fixture
+def batch_rng_calls(monkeypatch):
+    """Counts NoiseStream.batch_rng calls: the scalar draws."""
+    calls = []
+    real = NoiseStream.batch_rng
+
+    def counted(self, k, i):
+        calls.append((k, i))
+        return real(self, k, i)
+
+    monkeypatch.setattr(NoiseStream, "batch_rng", counted)
+    return calls
+
+
+class TestBatchTable:
+    """The vectorized table copies numpy's ``Generator.choice(n, b,
+    replace=False)`` on Philox.  If a numpy release changes that
+    algorithm, these comparisons fail instead of the streams shifting."""
+
+    def test_philox_matches_numpy(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            key = int(rng.integers(0, 2**64, dtype=np.uint64)) << 64 | int(
+                rng.integers(0, 2**64, dtype=np.uint64))
+            ctr = rng.integers(1, 2**64, 4, dtype=np.uint64)
+            # numpy steps word 0 of its counter before each block
+            ref = np.random.Philox(key=key, counter=ctr - np.array(
+                [1, 0, 0, 0], dtype=np.uint64)).random_raw(4)
+            words = philox4x64(
+                tuple(np.array([c], dtype=np.uint64) for c in ctr),
+                (np.array([key & (2**64 - 1)], dtype=np.uint64),
+                 np.array([key >> 64], dtype=np.uint64)))
+            assert [int(w[0]) for w in words] == [int(r) for r in ref]
+
+    @pytest.mark.parametrize("n, b", [
+        (1, 1), (7, 1), (5, 5), (100, 1), (100, 32), (100, 100),
+        (1000, 999), (9999, 17), (9999, 199), (9999, 200),
+        (10001, 200), (10001, 201), (20000, 100),
+    ])
+    def test_equals_choice_on_every_stream(self, n, b, batch_rng_calls):
+        noises = [NoiseStream(derive_seed(4, "replica", r), 3, 2)
+                  for r in range(2)]
+        ks = [0, 1, 37]
+        table = batch_table(noises, ks, [n] * 3, b)
+        assert table.shape == (3, 2, 3, b) and table.dtype == np.int64
+        # numpy's tail-shuffle branch is drawn by the scalar choice
+        tail = n > 10000 and b > n // 50
+        assert len(batch_rng_calls) == (3 * 2 * 3 if tail else 0)
+        assert np.array_equal(table, _scalar_table(noises, ks, [n] * 3, b))
+
+    def test_ragged_shards(self):
+        sizes = [4, 9, 4, 30, 9]
+        noises = [NoiseStream(s, 5, 2) for s in (11, 12, 13)]
+        ks = range(6)
+        assert np.array_equal(batch_table(noises, ks, sizes, 4),
+                              _scalar_table(noises, ks, sizes, 4))
+
+    def test_floyd_bitmaps_in_blocks(self, monkeypatch):
+        # two streams' bitmaps a block: the 36 streams take 18 blocks
+        monkeypatch.setattr(samplers, "_TABLE_BYTES", 250)
+        noises = [NoiseStream(s, 6, 2) for s in (3, 4)]
+        assert np.array_equal(batch_table(noises, range(3), [100] * 6, 9),
+                              _scalar_table(noises, range(3), [100] * 6, 9))
+
+    def test_high_key_word_and_large_counters(self):
+        seed = (0xDEADBEEF << 64) | 0x0123456789ABCDEF
+        noises = [NoiseStream(seed, 1, 1), NoiseStream(2**128 - 1, 1, 1)]
+        ks = [2**32 + 5, 2**63 + 11, 2**64 - 1]
+        sizes = [12] * 300  # agent (counter word 2) up to 299
+        assert np.array_equal(batch_table(noises, ks, sizes, 3),
+                              _scalar_table(noises, ks, sizes, 3))
+
+    def test_lemire_rejection_falls_back(self, batch_rng_calls):
+        # Found by a search over k: the fifth 32-bit draw of this stream
+        # (Floyd's last, on [0, 9713]) is rejected, so numpy draws again
+        # and every later draw shifts by one.
+        seed, k, i, n, b = 20241018, 474353, 3, 9714, 5
+        nz = NoiseStream(seed, 4, 1)
+        table = batch_table([nz], [k], [n] * 4, b)
+        assert batch_rng_calls == [(k, i)]
+        assert np.array_equal(table[0, 0, i],
+                              nz.batch_rng(k, i).choice(n, b, replace=False))
+        assert np.array_equal(table, _scalar_table([nz], [k], [n] * 4, b))
+
+    def test_stream_that_is_not_a_noise_stream(self, batch_rng_calls):
+        class Wrapped:  # a noise source without a Philox seed
+            def __init__(self, base):
+                self.base = base
+
+            def batch_rng(self, k, i):
+                return self.base.batch_rng(k, i)
+
+        nz = NoiseStream(8, 3, 1)
+        table = batch_table([nz, Wrapped(nz)], [0, 4], [20] * 3, 5)
+        assert len(batch_rng_calls) == 2 * 3
+        assert np.array_equal(table[:, 1], table[:, 0])
+
+    def test_batch_outside_shard_rejected(self):
+        nz = NoiseStream(1, 2, 1)
+        with pytest.raises(ValueError, match=r"batch size 6 outside \[1, 5\]"
+                                             " for agent 1"):
+            batch_table([nz], [0], [8, 5], 6)
+
+
+def _logreg_chain_vs_written_out(steps, batch_rng_calls=None):
+    task = _toy_logreg(seed=5)
+    ms = build_mixing_set(ring(6), h=0.35, delta=0.2)
+    cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.02, steps=steps, seed=41,
+                        batch=3)
+    res = run_chain(task, cfg, mixing=ms)
+    if batch_rng_calls is not None:
+        assert batch_rng_calls == []
+    xs, vs, final_x, final_v = _written_out_chain(task, cfg, ms)
+    assert np.array_equal(res.xs, xs)
+    assert np.array_equal(res.vs, vs)
+    assert np.array_equal(res.final.x, final_x)
+    assert np.array_equal(res.final.v, final_v)
+
+
+@pytest.mark.parametrize("steps", ["0", "1", "chunk-1", "chunk+1"])
+def test_minibatch_chain_across_table_chunks(monkeypatch, steps):
+    # a table chunk of 7 steps for the 6 streams a step of this chain
+    chunk = 7
+    monkeypatch.setattr(samplers, "_TABLE_BYTES",
+                        chunk * 6 * (50 * 3 + 8))
+    assert samplers._table_steps(6, 8, 3) == chunk
+    _logreg_chain_vs_written_out({"0": 0, "1": 1, "chunk-1": chunk - 1,
+                                  "chunk+1": chunk + 1}[steps])
+
+
+def test_minibatch_chain_at_default_chunk_draws_no_scalar_batches(
+        batch_rng_calls):
+    steps = samplers._table_steps(6, 8, 3) + 1
+    assert steps < 3000
+    _logreg_chain_vs_written_out(steps, batch_rng_calls)
