@@ -27,8 +27,9 @@ the optimization skeleton (DGD, EXTRA).
 reference chain).  Each transition is ``x, v = step(k, x, v)``, followed
 by one divergence guard and one recording block.  ``step`` comes from a
 per-algorithm table built on the public ``step_*`` functions, which act
-on the whole array: mixing is one BLAS product per replica slice, and a
-task's ``grad_block`` returns every (replica, agent) gradient in one call.
+on the whole array: mixing is one BLAS product per replica slice, and
+``grad_block``, the one gradient method of a `GradientOracle`, returns
+every (replica, agent) gradient in one call.
 EXTRA's bootstrap is exactly one DE-SGLD step, and its closure keeps the
 previous iterate, gradient and Gaussian block; the centralized chains sum
 every agent's gradient at the one shared row.  Only the generalized chain
@@ -267,10 +268,10 @@ def batch_table(noises, ks, sizes, batch) -> np.ndarray:
 
     Stream (r, k, i) is Philox keyed by ``noises[r].seed`` at counters
     [1.., k, i, 2]; one `philox4x64` call serves every stream of a shard
-    size and `_floyd_rows` turns the words into indices.  Three cases
-    call the scalar ``batch_rng(k, i).choice`` instead: a stream that hits
-    a Lemire rejection, numpy's tail-shuffle branch (n > 10000 and
-    b > n // 50), and a replica whose stream is not a `NoiseStream`.
+    size and `_floyd_rows` turns the words into indices.  Two cases call
+    the scalar ``batch_rng(k, i).choice`` instead: a stream that hits a
+    Lemire rejection, and numpy's tail-shuffle branch (n > 10000 and
+    b > n // 50).
     """
     ks = np.asarray(ks, dtype=np.uint64)
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -280,10 +281,8 @@ def batch_table(noises, ks, sizes, batch) -> np.ndarray:
                 f"batch size {batch} outside [1, {n}] for agent {i}")
     table = np.empty((ks.size, len(noises), sizes.size, batch),
                      dtype=np.int64)
-    seeds = [nz.seed if isinstance(nz, NoiseStream) else 0 for nz in noises]
-    key = np.array([[s & 0xFFFFFFFFFFFFFFFF, s >> 64] for s in seeds],
-                   dtype=np.uint64)[None, :, None, None, :]
-    foreign = np.array([not isinstance(nz, NoiseStream) for nz in noises])
+    key = np.array([[nz.seed & 0xFFFFFFFFFFFFFFFF, nz.seed >> 64]
+                    for nz in noises], dtype=np.uint64)[None, :, None, None, :]
     for n in np.unique(sizes):
         agents = np.flatnonzero(sizes == n)
         shape = (ks.size, len(noises), agents.size)
@@ -305,7 +304,7 @@ def batch_table(noises, ks, sizes, batch) -> np.ndarray:
                 _floyd_rows(u32[s:s + step], int(n), batch)
                 for s in range(0, len(u32), step))))
             table[:, :, agents] = rows.reshape(shape + (batch,))
-            scalar = rejected.reshape(shape) | foreign[:, None]
+            scalar = rejected.reshape(shape)
         for t, r, a in zip(*np.nonzero(scalar)):
             i = int(agents[a])
             table[t, r, i] = noises[r].batch_rng(int(ks[t]), i).choice(
@@ -502,25 +501,13 @@ def _table_steps(n_streams, n, batch):
 
 def _grads_fn(oracle, cfg: SamplerConfig, noises):
     """``grads(x, k)``: agent i's gradient at x[r, i] for every replica r
-    and row i of an (R, N, d) block.
+    and row i of an (R, N, d) block, from one ``oracle.grad_block`` call.
 
-    Minibatch indices for (r, k, i) come from stream (k, i) of noises[r].
-    An oracle with ``grad_block`` takes the whole block in one call, its
-    indices read from a `batch_table` over ``oracle.shard_sizes`` drawn
-    once per chunk of steps; any other oracle is called once per row,
-    with ``batch_rng(k, i)``.
+    Minibatch indices for (r, k, i) come from stream (k, i) of noises[r],
+    read from a `batch_table` over ``oracle.shard_sizes`` that is drawn
+    once per chunk of steps.
     """
     batch = cfg.batch
-    if not hasattr(oracle, "grad_block"):
-        def grads(x, k):
-            if batch is None:
-                return np.array([[oracle.full_grad(i, row)
-                                  for i, row in enumerate(xr)] for xr in x])
-            return np.array([[oracle.stoch_grad(i, row, batch,
-                                                nz.batch_rng(k, i))
-                              for i, row in enumerate(xr)]
-                             for xr, nz in zip(x, noises)])
-        return grads
     if batch is None:
         return lambda x, k: oracle.grad_block(x)
     sizes = oracle.shard_sizes
@@ -639,8 +626,10 @@ def run_ensemble(
     (R, rows, d) array, for cfg.steps transitions; cfg.seed is unused.
 
     Records every ``record_every`` iterates (k = 0 and the final iterate
-    always); ``xs`` is (n_rec, R, rows, d).  ``noises`` overrides the
-    per-replica streams ``NoiseStream(seeds[r], ...)``.  Row r equals
+    always); ``xs`` is (n_rec, R, rows, d).  ``noises`` holds one
+    `NoiseStream` (or subclass) per seed, in place of the default
+    ``NoiseStream(seeds[r], ...)``; minibatch indices are keyed by their
+    ``seed``.  Row r equals
     `run_chain` at seed ``seeds[r]`` bit for bit, whatever R is.  A
     divergence names the earliest iteration at which any replica left
     the ball, and the lowest replica index at that iteration.
@@ -652,7 +641,7 @@ def run_ensemble(
     if not centralized and mixing is None:
         raise ValueError(f"{algo} needs a mixing set")
     n_rows = 1 if centralized else mixing.n
-    if not centralized and getattr(oracle, "n_agents", n_rows) != n_rows:
+    if not centralized and oracle.n_agents != n_rows:
         raise ValueError(
             f"oracle has {oracle.n_agents} agents but mixing has {n_rows}"
         )

@@ -16,10 +16,11 @@ Gradient conventions (the per-agent f_i everything samples from):
     logreg:  grad f_i = sum_j -s_j X_j sigma(-beta^T s_j X_j) + beta/(N lambda)
 
 Each task's ``grad_block`` evaluates these for a whole (replicas, agents,
-dim) block in one call; ``full_grad`` and ``stoch_grad`` are its one-row
-case.  A row's bits do not depend on how many rows share the call:
-products over the feature axis run as a fixed-order loop of elementwise
-operations, and sums over data rows run along a contiguous last axis.
+dim) block in one call, with or without minibatch indices; it is the only
+gradient entry point.  A row's bits do not depend on how many rows share
+the call: products over the feature axis run as a fixed-order loop of
+elementwise operations, and sums over data rows run along a contiguous
+last axis.
 """
 
 from __future__ import annotations
@@ -43,9 +44,6 @@ __all__ = [
     "gen_linreg_data",
     "gen_logreg_data",
     "linreg_posterior",
-    "linreg_grad",
-    "logreg_grad",
-    "minibatch_grad",
     "mu_L_bounds",
     "load_csv_dataset",
     "partition_data",
@@ -101,7 +99,14 @@ def checked_cov(c) -> np.ndarray:
 
 @runtime_checkable
 class GradientOracle(Protocol):
-    """What a sampler needs from a task."""
+    """What a sampler needs from a task: the stacked gradient.
+
+    ``grad_block(x, idx, agents)`` takes an (R, n, d) block and returns
+    grad f_a(x[r, j]) at every row, a = agents[j] (default: all N agents
+    in order).  With ``idx`` (R, n, b) the data part is the minibatch
+    estimate over those shard rows; a minibatch sampler then also reads
+    the oracle's ``shard_sizes``.
+    """
 
     @property
     def dim(self) -> int: ...
@@ -109,17 +114,8 @@ class GradientOracle(Protocol):
     @property
     def n_agents(self) -> int: ...
 
-    def full_grad(self, i: int, x: np.ndarray) -> np.ndarray: ...
-
-    def stoch_grad(
-        self, i: int, x: np.ndarray, batch: int, rng: np.random.Generator
-    ) -> np.ndarray: ...
-
-    @property
-    def mu(self) -> float: ...
-
-    @property
-    def L(self) -> float: ...
+    def grad_block(self, x: np.ndarray, idx=None, agents=None) -> np.ndarray:
+        ...
 
 
 def _as_shards(xs, ys):
@@ -170,8 +166,8 @@ def _rmatvec(a, r):
 
 
 class _ShardedTask:
-    """What both tasks share: per-agent shards, minibatch draws, the block
-    gradient's argument handling, and the prior term.
+    """What both tasks share: per-agent shards, the block gradient's
+    argument handling, and the prior term.
 
     Subclasses are frozen dataclasses with fields xs, ys and prior_var.
     """
@@ -197,22 +193,6 @@ class _ShardedTask:
     def shard_sizes(self) -> np.ndarray:
         """Rows in each agent's shard."""
         return self._sizes
-
-    @property
-    def mu(self) -> float:
-        return mu_L_bounds(self)[0]
-
-    @property
-    def L(self) -> float:
-        return mu_L_bounds(self)[1]
-
-    def draw_batch(self, i, batch, rng):
-        """``batch`` distinct row indices of agent i's shard, from ``rng``."""
-        n_i = self.xs[i].shape[0]
-        if not 1 <= batch <= n_i:
-            raise ValueError(
-                f"batch size {batch} outside [1, {n_i}] for agent {i}")
-        return rng.choice(n_i, size=batch, replace=False)
 
     def _prior_grad(self, beta):
         return beta / (self.prior_var * self.n_agents)
@@ -281,12 +261,6 @@ class LinRegTask(_ShardedTask):
         object.__setattr__(self, "_x_stack", _stack_equal(self.xs))
         object.__setattr__(self, "_y_stack", _stack_equal(self.ys))
 
-    def full_grad(self, i, x):
-        return linreg_grad(self, i, x)
-
-    def stoch_grad(self, i, x, batch, rng):
-        return minibatch_grad(self, i, x, batch, rng)
-
     def grad_block(self, x, idx=None, agents=None):
         """Gradients at every row of an (R, n, d) block.
 
@@ -345,16 +319,9 @@ class LogRegTask(_ShardedTask):
         object.__setattr__(self, "_signed", signed)
         object.__setattr__(self, "_s_stack", _stack_equal(signed))
 
-    def signed(self, i, idx=None):
+    def signed(self, i):
         """Features folded with the label sign: s_j X_j, s_j = 2 y_j - 1."""
-        s = self._signed[i]
-        return s if idx is None else s[idx]
-
-    def full_grad(self, i, x):
-        return logreg_grad(self, i, x)
-
-    def stoch_grad(self, i, x, batch, rng):
-        return minibatch_grad(self, i, x, batch, rng)
+        return self._signed[i]
 
     def grad_block(self, x, idx=None, agents=None):
         """Gradients at every row of an (R, n, d) block.
@@ -389,7 +356,9 @@ class LogRegTask(_ShardedTask):
             return v
 
         def grad(b):
-            return sum(self.full_grad(i, b) for i in range(self.n_agents))
+            # the agents' gradients at b, summed in agent order
+            return sum(self.grad_block(
+                np.broadcast_to(b, (1, self.n_agents, d)))[0])
 
         def hess(b):
             hh = np.eye(d) / self.prior_var
@@ -472,30 +441,6 @@ def linreg_posterior(
     v = (v + v.T) / 2.0
     m = v @ (x.T @ y / noise_std**2)
     return GaussianDist(m, v)
-
-
-def linreg_grad(task: LinRegTask, i: int, beta: np.ndarray) -> np.ndarray:
-    beta = np.asarray(beta, dtype=float)
-    return task.grad_block(beta[None, None], agents=i)[0, 0]
-
-
-def logreg_grad(task: LogRegTask, i: int, beta: np.ndarray) -> np.ndarray:
-    beta = np.asarray(beta, dtype=float)
-    return task.grad_block(beta[None, None], agents=i)[0, 0]
-
-
-def minibatch_grad(
-    task, i: int, beta: np.ndarray, batch: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Unbiased minibatch gradient of f_i.
-
-    Draws ``batch`` indices without replacement, scales the data part by
-    n_i / batch, and adds the full prior term.  batch = n_i reproduces the
-    full gradient exactly (up to summation order).
-    """
-    beta = np.asarray(beta, dtype=float)
-    idx = task.draw_batch(i, batch, rng)
-    return task.grad_block(beta[None, None], idx[None, None], agents=i)[0, 0]
 
 
 def mu_L_bounds(task) -> tuple[float, float]:
@@ -674,15 +619,19 @@ def estimate_grad_noise(
     """Monte Carlo estimate of E ||xi||^2, the stacked gradient-noise power.
 
     xi stacks the per-agent minibatch deviations (stoch - full) at ``beta``;
-    feeds the sigma^2 slot of the theory constants.
+    feeds the sigma^2 slot of the theory constants.  Each draw takes
+    ``rng.choice(n_i, batch, replace=False)`` for agents i = 0..N-1 in
+    turn and evaluates all N minibatch gradients in one block call.
     """
-    beta = np.asarray(beta, dtype=float)
-    full = [task.full_grad(i, beta) for i in range(task.n_agents)]
+    x = np.broadcast_to(np.asarray(beta, dtype=float),
+                        (1, task.n_agents, task.dim))
+    full = task.grad_block(x)[0]
     total = 0.0
     for _ in range(n_draws):
+        idx = [rng.choice(int(n_i), batch, replace=False)
+               for n_i in task.shard_sizes]
         acc = 0.0
-        for i in range(task.n_agents):
-            diff = task.stoch_grad(i, beta, batch, rng) - full[i]
+        for diff in task.grad_block(x, np.array(idx)[None])[0] - full:
             acc += float(diff @ diff)
         total += acc
     return total / n_draws

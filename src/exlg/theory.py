@@ -533,8 +533,8 @@ def problem_params_from(task, ms: MixingSet, eta: float, *,
     xstar = task.minimizer()
     # stacked per-agent gradients at x*: they sum to zero but need not
     # vanish agentwise
-    g = np.concatenate([task.full_grad(i, xstar)
-                        for i in range(task.n_agents)])
+    g = task.grad_block(
+        np.broadcast_to(xstar, (1, task.n_agents, task.dim)))[0].ravel()
     r = float(np.linalg.norm(g)) ** 2
     N, d = ms.topology.n, task.dim
 

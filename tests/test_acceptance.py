@@ -34,7 +34,6 @@ from exlg.tasks import (
     gen_linreg_data,
     gen_logreg_data,
     load_csv_dataset,
-    minibatch_grad,
     partition_data,
 )
 from exlg.theory import (
@@ -288,7 +287,7 @@ def test_06_gradient_fidelity():
         for _ in range(20):
             i = int(rng.integers(task.n_agents))
             b = rng.standard_normal(3)
-            analytic = task.full_grad(i, b)
+            analytic = task.grad_block(b[None, None], agents=i)[0, 0]
             fd = _fd_grad(lambda bb: f(i, bb), b)
             rel = np.linalg.norm(analytic - fd) / (
                 np.linalg.norm(analytic) + 1e-12)
@@ -309,8 +308,8 @@ def test_07_minibatch_unbiasedness():
         sub = np.array(idx)
         g = 2.0 * (x[sub].T @ (x[sub] @ beta - y[sub])) * (4 / 2)
         acc += g + task._prior_grad(beta)
-    assert np.max(np.abs(acc / len(subsets) - task.full_grad(0, beta))) \
-        <= 1e-12
+    full = task.grad_block(beta[None, None], agents=0)[0, 0]
+    assert np.max(np.abs(acc / len(subsets) - full)) <= 1e-12
 
     beta0 = rng.standard_normal(3)
     xl, yl = gen_logreg_data(36, beta0, rng)
@@ -318,9 +317,13 @@ def test_07_minibatch_unbiasedness():
     big = LogRegTask(xs=tuple(s[0] for s in sh), ys=tuple(s[1] for s in sh),
                      prior_var=2.0)
     beta = 0.3 * rng.standard_normal(3)
-    full = big.full_grad(0, beta)
-    draws = np.array([minibatch_grad(big, 0, beta, 4, rng)
-                      for _ in range(10_000)])
+    full = big.grad_block(beta[None, None], agents=0)[0, 0]
+    n_i = big.xs[0].shape[0]
+    draws = np.array([
+        big.grad_block(beta[None, None],
+                       rng.choice(n_i, 4, replace=False)[None, None],
+                       agents=0)[0, 0]
+        for _ in range(10_000)])
     se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - full) <= 3.0 * se + 1e-12)
     _under(t0, 5.0, "minibatch unbiasedness")

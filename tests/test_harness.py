@@ -533,11 +533,8 @@ class SpikeOracle:
     n_agents: int = 6
     dim: int = 2
 
-    def full_grad(self, i, x):
-        return x - (1e16 if i == 3 else 0.0)
-
-    def stoch_grad(self, i, x, batch, rng):
-        return self.full_grad(i, x)
+    def grad_block(self, x, idx=None, agents=None):
+        return x - 1e16 * (np.arange(self.n_agents) == 3)[:, None]
 
 
 def test_run_replicas_names_replica_iteration_and_agent():

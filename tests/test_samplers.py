@@ -5,6 +5,7 @@ vs its special cases) under shared noise, and the exact-zero dual average.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -46,19 +47,8 @@ class QuadOracle:
     n_agents: int
     dim: int
 
-    def full_grad(self, i, x):
+    def grad_block(self, x, idx=None, agents=None):
         return x / self.n_agents
-
-    def stoch_grad(self, i, x, batch, rng):
-        return self.full_grad(i, x)
-
-    @property
-    def mu(self):
-        return 1.0 / self.n_agents
-
-    @property
-    def L(self):
-        return 1.0 / self.n_agents
 
     def minimizer(self):
         return np.zeros(self.dim)
@@ -69,19 +59,8 @@ class ZeroOracle:
     n_agents: int
     dim: int
 
-    def full_grad(self, i, x):
-        return np.zeros_like(x)
-
-    def stoch_grad(self, i, x, batch, rng):
-        return np.zeros_like(x)
-
-    @property
-    def mu(self):
-        return 0.0
-
-    @property
-    def L(self):
-        return 0.0
+    def grad_block(self, x, idx=None, agents=None):
+        return np.zeros(np.shape(x))
 
 
 def _toy_task(seed=0, n_agents=6, n_i=5, d=3, prior_var=10.0):
@@ -338,9 +317,9 @@ def _written_out_chain(task, cfg, ms):
     noise = NoiseStream(cfg.seed, 1 if algo == "ULA" else n, d)
 
     def grad(i, xi, k):
-        if cfg.batch is None:
-            return task.full_grad(i, xi)
-        return task.stoch_grad(i, xi, cfg.batch, noise.batch_rng(k, i))
+        idx = None if cfg.batch is None else noise.batch_rng(k, i).choice(
+            task.xs[i].shape[0], cfg.batch, replace=False)[None, None]
+        return task.grad_block(xi[None, None], idx, agents=i)[0, 0]
 
     def grads(x, k):
         return np.stack([grad(i, x[i], k) for i in range(n)])
@@ -455,16 +434,19 @@ def test_ragged_shards_fall_back_to_per_agent_gradients(kind):
     block = task.grad_block(x)
     for r in range(2):
         for i in range(3):
-            assert np.array_equal(block[r, i], task.full_grad(i, x[r, i]))
+            assert np.array_equal(
+                block[r, i], task.grad_block(x[r, i][None, None],
+                                             agents=i)[0, 0])
     streams = [NoiseStream(s, 3, 2) for s in (1, 2)]
-    idx = np.array([[task.draw_batch(i, 3, nz.batch_rng(4, i))
-                     for i in range(3)] for nz in streams])
+    idx = np.array([[nz.batch_rng(4, i).choice(n, 3, replace=False)
+                     for i, n in enumerate(sizes)] for nz in streams])
     block = task.grad_block(x, idx)
-    for r, nz in enumerate(streams):
+    for r in range(2):
         for i in range(3):
             assert np.array_equal(
-                block[r, i],
-                task.stoch_grad(i, x[r, i], 3, nz.batch_rng(4, i)))
+                block[r, i], task.grad_block(x[r, i][None, None],
+                                             idx[r, i][None, None],
+                                             agents=i)[0, 0])
     # and a whole chain over the ragged task equals the per-row loop
     ms = build_mixing_set(ring(3), h=0.35, delta=0.2)
     cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.02, steps=10, seed=6,
@@ -653,8 +635,8 @@ class TestRunChainMechanics:
         class SpikeOracle(QuadOracle):
             """Agent 3's gradient alone leaves the guard ball at once."""
 
-            def full_grad(self, i, x):
-                return x - (1e16 if i == 3 else 0.0)
+            def grad_block(self, x, idx=None, agents=None):
+                return x - 1e16 * (np.arange(self.n_agents) == 3)[:, None]
 
         for algo in ("DE_SGLD", "EXTRA_SGLD", "GEN_EXTRA_SGLD"):
             with pytest.raises(ChainDivergenceError,
@@ -848,24 +830,15 @@ class TestBatchTable:
                               nz.batch_rng(k, i).choice(n, b, replace=False))
         assert np.array_equal(table, _scalar_table([nz], [k], [n] * 4, b))
 
-    def test_stream_that_is_not_a_noise_stream(self, batch_rng_calls):
-        class Wrapped:  # a noise source without a Philox seed
-            def __init__(self, base):
-                self.base = base
-
-            def batch_rng(self, k, i):
-                return self.base.batch_rng(k, i)
-
-        nz = NoiseStream(8, 3, 1)
-        table = batch_table([nz, Wrapped(nz)], [0, 4], [20] * 3, 5)
-        assert len(batch_rng_calls) == 2 * 3
-        assert np.array_equal(table[:, 1], table[:, 0])
-
-    def test_batch_outside_shard_rejected(self):
+    @pytest.mark.parametrize("batch, bad", [(6, "[1, 5] for agent 1"),
+                                            (0, "[1, 8] for agent 0"),
+                                            (9, "[1, 8] for agent 0")],
+                             ids=["6-of-5", "0-of-8", "9-of-8"])
+    def test_batch_outside_shard_rejected(self, batch, bad):
         nz = NoiseStream(1, 2, 1)
-        with pytest.raises(ValueError, match=r"batch size 6 outside \[1, 5\]"
-                                             " for agent 1"):
-            batch_table([nz], [0], [8, 5], 6)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"batch size {batch} outside {bad}")):
+            batch_table([nz], [0], [8, 5], batch)
 
 
 def _logreg_chain_vs_written_out(steps, batch_rng_calls=None):

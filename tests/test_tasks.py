@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from exlg.network import build_mixing_set, ring
 from exlg.tasks import (
     LOSS_MATCHED_NOISE_STD,
     GaussianDist,
@@ -24,10 +25,10 @@ from exlg.tasks import (
     gen_logreg_data,
     linreg_posterior,
     load_csv_dataset,
-    minibatch_grad,
     mu_L_bounds,
     partition_data,
 )
+from exlg.theory import problem_params_from
 
 
 def _fd_grad(f, x, eps=1e-5):
@@ -37,6 +38,15 @@ def _fd_grad(f, x, eps=1e-5):
         e[j] = eps
         g[j] = (f(x + e) - f(x - e)) / (2.0 * eps)
     return g
+
+
+def _grad(task, i, beta, idx=None):
+    """Agent i's gradient at beta from a one-row block; with ``idx``, the
+    minibatch estimate over those rows of its shard."""
+    beta = np.asarray(beta, dtype=float)
+    return task.grad_block(beta[None, None],
+                           None if idx is None else idx[None, None],
+                           agents=i)[0, 0]
 
 
 def _linreg_f(task, i, beta):
@@ -161,7 +171,7 @@ class TestGradients:
         for _ in range(20):
             beta = rng.standard_normal(task.dim)
             i = int(rng.integers(task.n_agents))
-            g = task.full_grad(i, beta)
+            g = _grad(task, i, beta)
             fd = _fd_grad(lambda b: _linreg_f(task, i, b), beta)
             rel = np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(fd))
             assert rel <= 1e-5
@@ -172,7 +182,7 @@ class TestGradients:
         for _ in range(20):
             beta = 0.5 * rng.standard_normal(task.dim)
             i = int(rng.integers(task.n_agents))
-            g = task.full_grad(i, beta)
+            g = _grad(task, i, beta)
             fd = _fd_grad(lambda b: _logreg_f(task, i, b), beta)
             rel = np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(fd))
             assert rel <= 1e-5
@@ -180,7 +190,7 @@ class TestGradients:
     def test_logreg_zero_beta_single_datum(self):
         x = np.array([[2.0, -1.0, 0.5]])
         task = LogRegTask(xs=(x,), ys=(np.array([1.0]),), prior_var=10.0)
-        g = task.full_grad(0, np.zeros(3))
+        g = _grad(task, 0, np.zeros(3))
         assert np.allclose(g, -x[0] / 2.0, atol=1e-14)
 
     def test_logreg_prior_only(self):
@@ -190,12 +200,12 @@ class TestGradients:
             prior_var=5.0,
         )
         beta = np.array([1.0, -2.0])
-        assert np.allclose(task.full_grad(0, beta), beta / 10.0, atol=1e-15)
+        assert np.allclose(_grad(task, 0, beta), beta / 10.0, atol=1e-15)
 
     def test_linreg_stationarity_at_target_mean(self):
         task = _toy_linreg(seed=12)
         m = task.target().mean
-        total = sum(task.full_grad(i, m) for i in range(task.n_agents))
+        total = sum(_grad(task, i, m) for i in range(task.n_agents))
         assert np.linalg.norm(total) <= 1e-6 * (1.0 + np.linalg.norm(m))
 
     def test_target_is_loss_matched_posterior(self):
@@ -214,12 +224,13 @@ class TestMinibatch:
         rng = np.random.default_rng(3)
         beta = rng.standard_normal(task.dim)
         n_i = task.xs[0].shape[0]
-        g = minibatch_grad(task, 0, beta, n_i, rng)
-        assert np.allclose(g, task.full_grad(0, beta), atol=1e-12)
+        g = _grad(task, 0, beta, rng.choice(n_i, n_i, replace=False))
+        assert np.allclose(g, _grad(task, 0, beta), atol=1e-12)
 
     def test_exhaustive_enumeration(self):
-        # 4-point shard, batch 2: averaging all C(4,2) subsets must give
-        # the full gradient exactly.
+        # 4-point shard, batch 2: each subset's estimate is the scaled
+        # subset gradient, and averaging all C(4,2) of them must give the
+        # full gradient exactly.
         rng = np.random.default_rng(4)
         x = rng.standard_normal((4, 2))
         y = rng.standard_normal(4)
@@ -230,31 +241,24 @@ class TestMinibatch:
         for idx in itertools.combinations(range(4), 2):
             sub = np.array(idx)
             g = 2.0 * (x[sub].T @ (x[sub] @ beta - y[sub])) * (4 / 2)
-            acc += g + task._prior_grad(beta)
+            g = g + task._prior_grad(beta)
+            assert np.allclose(_grad(task, 0, beta, sub), g, atol=1e-12)
+            acc += g
             count += 1
         mean_subset = acc / count
-        assert np.allclose(mean_subset, task.full_grad(0, beta), atol=1e-12)
+        assert np.allclose(mean_subset, _grad(task, 0, beta), atol=1e-12)
 
     def test_unbiased_monte_carlo(self):
         task = _toy_logreg(seed=21, n_i=12)
         rng = np.random.default_rng(22)
         beta = 0.3 * rng.standard_normal(task.dim)
-        full = task.full_grad(0, beta)
-        draws = np.array(
-            [minibatch_grad(task, 0, beta, 4, rng) for _ in range(10_000)]
-        )
+        full = _grad(task, 0, beta)
+        n_i = task.xs[0].shape[0]
+        draws = np.array([_grad(task, 0, beta,
+                                rng.choice(n_i, 4, replace=False))
+                          for _ in range(10_000)])
         se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - full) <= 3.0 * se + 1e-12)
-
-    def test_batch_bounds(self):
-        task = _toy_linreg()
-        rng = np.random.default_rng(5)
-        with pytest.raises(ValueError):
-            minibatch_grad(task, 0, np.zeros(task.dim), 0, rng)
-        with pytest.raises(ValueError):
-            minibatch_grad(
-                task, 0, np.zeros(task.dim), task.xs[0].shape[0] + 1, rng
-            )
 
     def test_noise_power_estimate_positive(self):
         task = _toy_linreg(seed=30)
@@ -310,11 +314,69 @@ class TestMuL:
             assert vals.max() <= L + 1e-9
 
 
+def _sharded(kind, sizes, seed=60):
+    """A three-agent task with the given shard sizes."""
+    rng = np.random.default_rng(seed)
+    beta = np.array([0.8, -0.5])
+    shards = [gen_linreg_data(n, beta, 1.0, rng) if kind == "linreg"
+              else gen_logreg_data(n, beta, rng) for n in sizes]
+    cls = LinRegTask if kind == "linreg" else LogRegTask
+    return cls(xs=tuple(s[0] for s in shards),
+               ys=tuple(s[1] for s in shards), prior_var=3.0)
+
+
+@pytest.mark.parametrize("sizes", [(6, 6, 6), (4, 7, 5)],
+                         ids=["equal", "ragged"])
+class TestBlockCallersMatchOneRowLoops:
+    """The callers that evaluate every agent in one block call give the
+    bits of a loop of one-row calls, agent by agent."""
+
+    @pytest.mark.parametrize("kind", ["linreg", "logreg"])
+    def test_grad_at_min(self, kind, sizes):
+        task = _sharded(kind, sizes)
+        ms = build_mixing_set(ring(3), h=0.3, delta=0.2)
+        m = task.minimizer()
+        g = np.concatenate([_grad(task, i, m) for i in range(3)])
+        p = problem_params_from(task, ms, eta=0.001)
+        assert p.grad_at_min_sq == float(np.linalg.norm(g)) ** 2
+
+    @pytest.mark.parametrize("kind", ["linreg", "logreg"])
+    def test_grad_noise(self, kind, sizes):
+        task = _sharded(kind, sizes)
+        beta = np.array([0.3, -0.2])
+        got = estimate_grad_noise(task, beta, 3, 20,
+                                  np.random.default_rng(61))
+        rng = np.random.default_rng(61)
+        full = [_grad(task, i, beta) for i in range(3)]
+        total = 0.0
+        for _ in range(20):
+            acc = 0.0
+            for i, n_i in enumerate(sizes):
+                idx = rng.choice(n_i, 3, replace=False)
+                diff = _grad(task, i, beta, idx) - full[i]
+                acc += float(diff @ diff)
+            total += acc
+        assert got == total / 20
+
+    def test_logreg_minimizer(self, sizes, monkeypatch):
+        task = _sharded("logreg", sizes)
+        got = task.minimizer()
+        block = LogRegTask.grad_block
+
+        def one_row_calls(self, x, idx=None, agents=None):
+            assert idx is None and agents is None
+            return np.array([[block(self, row[None, None], agents=i)[0, 0]
+                              for i, row in enumerate(xr)] for xr in x])
+
+        monkeypatch.setattr(LogRegTask, "grad_block", one_row_calls)
+        assert np.array_equal(got, task.minimizer())
+
+
 class TestNewtonMinimizer:
     def test_logreg_gradient_vanishes(self):
         task = _toy_logreg(seed=50)
         m = task.minimizer()
-        g = sum(task.full_grad(i, m) for i in range(task.n_agents))
+        g = sum(_grad(task, i, m) for i in range(task.n_agents))
         assert np.linalg.norm(g) <= 1e-8 * (1.0 + np.linalg.norm(m))
 
     def test_linreg_grad_at_min_norm(self):
@@ -322,10 +384,10 @@ class TestNewtonMinimizer:
         # Stacked per-agent gradients at x* need not vanish agentwise,
         # but their sum does; the stacked norm is what theory consumes.
         m = task.minimizer()
-        total = sum(task.full_grad(i, m) for i in range(task.n_agents))
+        total = sum(_grad(task, i, m) for i in range(task.n_agents))
         assert np.linalg.norm(total) <= 1e-8 * (1.0 + np.linalg.norm(m))
         stacked = np.concatenate(
-            [task.full_grad(i, m) for i in range(task.n_agents)])
+            [_grad(task, i, m) for i in range(task.n_agents)])
         assert np.linalg.norm(stacked) > 0.0
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from exlg.network import SpectralSummary, make_topology, build_mixing_set
-from exlg.tasks import LinRegTask, gen_linreg_data, partition_data
+from exlg.tasks import LinRegTask, gen_linreg_data, mu_L_bounds, partition_data
 from exlg.theory import (
     InadmissibleSpectrumError,
     InitMoments,
@@ -400,13 +400,13 @@ class TestProblemParamsFrom:
     def test_fields_assembled_from_task_and_mixing(self):
         task, ms = self._setup()
         p = problem_params_from(task, ms, eta=0.001)
-        assert p.mu == task.mu
-        assert p.L == task.L
+        assert (p.mu, p.L) == mu_L_bounds(task)
         assert p.N == 4 and p.d == 2
         assert p.h == 0.3
         m = task.minimizer()
         stacked = np.concatenate(
-            [task.full_grad(i, m) for i in range(task.n_agents)])
+            [task.grad_block(m[None, None], agents=i)[0, 0]
+             for i in range(task.n_agents)])
         assert p.grad_at_min_sq == pytest.approx(np.linalg.norm(stacked) ** 2)
         # ||B|| for B = W~/eta, against a direct spectral norm.
         direct = float(np.linalg.norm(np.asarray(ms.w_tilde), 2)) / 0.001
