@@ -34,12 +34,13 @@ ms = build_mixing_set(make_topology("ring", 12), h=0.38, delta=0.125)
 eta = 0.009
 
 print("clause report at the practical pair (h=0.38, eta=0.009):")
-cert = validate_stepsize(problem_params_from(task, ms, eta))
+p0 = problem_params_from(task, ms, eta)
+cert = validate_stepsize(p0)
 for line in cert.lines():
     print(" ", line)
 
 print("\nshrinking to the admissible region...")
-p, ms_adm = shrink_to_admissible(task, ms, eta)
+p, ms_adm = shrink_to_admissible(p0, ms)
 print(f"admissible pair: h = {p.h:.3e}, eta = {p.eta:.3e}")
 assert validate_stepsize(p).ok
 

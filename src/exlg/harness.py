@@ -589,7 +589,6 @@ def cmd_theory(cfg: ExperimentConfig, echo=print) -> int:
     cert = validate_stepsize(p)
     for line in cert.lines():
         echo(line)
-    used_ms = ms
     if not cert.ok:
         if not cfg.theory.shrink:
             bad = [c.name for c in cert.failed()]
@@ -599,9 +598,8 @@ def cmd_theory(cfg: ExperimentConfig, echo=print) -> int:
         echo(f"shrinking to admissible from (h={ms.h:.6g}, "
              f"eta={cfg.sampler.eta:.6g})")
         try:
-            p, used_ms = shrink_to_admissible(
-                bundle.task, ms, cfg.sampler.eta, sigma2=sigma2,
-                b_mode=cfg.sampler.b_mode, b_scale=_b_scale(cfg))
+            p, _ = shrink_to_admissible(p, ms, b_mode=cfg.sampler.b_mode,
+                                        b_scale=_b_scale(cfg))
         except RuntimeError as e:
             raise AssumptionError(str(e)) from None
         echo(f"admissible pair: h={p.h:.9g}, eta={p.eta:.9g}")

@@ -2,8 +2,8 @@
 
 A mixing matrix is built from a graph Laplacian as W = I - delta * L, then
 smoothed to W~ = h*I + (1-h)*W with h in (0, 1/2].  U = W~ - W = h(I - W)
-carries the dual update in the generalized sampler; its PSD square root and
-the spectral summary feed the theory module.
+carries the dual update in the generalized sampler; the spectral summary of
+W and W~ feeds the theory module.
 
 Assumption checks mirror the standing assumptions on the mixing pair: W
 doubly stochastic with positive diagonal, spectra inside (-1, 1] and (0, 1],
@@ -17,7 +17,7 @@ import dataclasses
 
 import numpy as np
 
-from .linalg import SymMatrix, mix_apply, psd_sqrt, sym_eig
+from .linalg import mix_apply, sym_eig
 
 __all__ = [
     "TOPOLOGY_KINDS",
@@ -239,7 +239,6 @@ class MixingSet:
     w: np.ndarray
     w_tilde: np.ndarray
     u: np.ndarray
-    u_sqrt: np.ndarray
     h: float
     delta: float
     spectral: SpectralSummary
@@ -280,17 +279,15 @@ def build_mixing_set(
     # U = W~ - W = h*(I - W); the scaled form avoids the cancellation the
     # literal difference suffers once h is small (entries h*O(1) computed
     # from O(1) inputs), which otherwise leaves U with eps-level negative
-    # eigenvalues that break the PSD root.
+    # eigenvalues.
     u = h * (np.eye(top.n) - w)
     u = (u + u.T) / 2.0
-    u_sqrt = psd_sqrt(SymMatrix(u))
     lap_gap = float(sym_eig(laplacian(top)).values[1])
     return MixingSet(
         topology=top,
         w=w,
         w_tilde=w_tilde,
         u=u,
-        u_sqrt=u_sqrt,
         h=h,
         delta=delta,
         spectral=_spectral_summary(w, w_tilde),

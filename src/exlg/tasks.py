@@ -452,25 +452,15 @@ def mu_L_bounds(task) -> tuple[float, float]:
             L  = max_i (1/4) lam_max(X_i^T X_i) + 1/(N lambda)
     With no data both collapse to the prior curvature 1/(lambda N).
     """
-    n = task.n_agents
-    prior_curv = 1.0 / (task.prior_var * n)
+    prior_curv = 1.0 / (task.prior_var * task.n_agents)
+    # one eigensolve over the stacked Gram matrices; an empty shard's zero
+    # matrix contributes the eigenvalue 0
     if isinstance(task, LogRegTask):
-        lmax = 0.0
-        for x in task.xs:
-            if x.shape[0]:
-                lmax = max(lmax, 0.25 * float(sym_eig(x.T @ x).values[-1]))
-        return prior_curv, lmax + prior_curv
-    lo, hi = np.inf, 0.0
-    for x in task.xs:
-        if x.shape[0]:
-            vals = sym_eig(2.0 * (x.T @ x)).values
-            lo = min(lo, float(vals[0]))
-            hi = max(hi, float(vals[-1]))
-        else:
-            lo, hi = min(lo, 0.0), max(hi, 0.0)
-    if not np.isfinite(lo):
-        lo = 0.0
-    return lo + prior_curv, hi + prior_curv
+        vals = sym_eig(np.stack([x.T @ x for x in task.xs])).values
+        return prior_curv, 0.25 * float(vals[:, -1].max()) + prior_curv
+    vals = sym_eig(np.stack([2.0 * (x.T @ x) for x in task.xs])).values
+    return (float(vals[:, 0].min()) + prior_curv,
+            float(vals[:, -1].max()) + prior_curv)
 
 
 def load_csv_dataset(

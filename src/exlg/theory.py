@@ -14,7 +14,7 @@ identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -80,11 +80,6 @@ def _delta2_complement(eta: float, mu: float, L: float, h: float,
     return min(a, b)
 
 
-def _delta2_lower(eta: float, mu: float, L: float, h: float,
-                  gammabar_w: float, gammabar_iw: float) -> float:
-    return 1.0 - _delta2_complement(eta, mu, L, h, gammabar_w, gammabar_iw)
-
-
 @dataclass(frozen=True)
 class ProblemParams:
     """Frozen bundle of everything the constant stack reads.
@@ -147,12 +142,6 @@ class ProblemParams:
                 f"[{lo}, 1)")
         else:
             object.__setattr__(self, "delta2_complement", 1.0 - self.delta2)
-
-    def delta2_interval(self) -> tuple:
-        """Admissible interval for delta^2 (left endpoint, open right at 1)."""
-        lo = _delta2_lower(self.eta, self.mu, self.L, self.h,
-                           self.spectral.gammabar_w, self.spectral.gammabar_iw)
-        return (lo, 1.0)
 
 
 @dataclass(frozen=True)
@@ -451,13 +440,9 @@ def _geom_ratio(a: float, b: float, K: int) -> float:
     return (a ** K - b ** K) / (a - b)
 
 
-def bound_w2_mean(p: ProblemParams, tc: TheoryConstants, K: int) -> float:
-    """Theorem bound on W2(law of the average iterate at step K, target).
-
-    Valid for K >= K0 only; below the burn-in the bound is vacuous and
-    asking for it is an error.  As K grows the geometric terms die and the
-    value settles at sqrt(eta) * script_E1.
-    """
+def _average_terms(p: ProblemParams, tc: TheoryConstants, K: int) -> tuple:
+    """The two geometric terms both bounds share at step K >= K0: the
+    initial-moment transient and the contracted W2(init, target)."""
     if K < tc.K0:
         raise ValueError(f"K={K} is below the burn-in K0={tc.K0:.6g}")
     eta, mu, L, N = p.eta, p.mu, p.L, float(p.N)
@@ -468,8 +453,18 @@ def bound_w2_mean(p: ProblemParams, tc: TheoryConstants, K: int) -> float:
     term1 = math.sqrt(ratio) * (2.0 * L * gwt / math.sqrt(N)) \
         * math.sqrt(p.init_moments.x0_sq)
     term2 = (1.0 - mu * eta) ** K * p.w2_init
-    term3 = math.sqrt(eta) * tc.script_E1
-    return term1 + term2 + term3
+    return term1, term2
+
+
+def bound_w2_mean(p: ProblemParams, tc: TheoryConstants, K: int) -> float:
+    """Theorem bound on W2(law of the average iterate at step K, target).
+
+    Valid for K >= K0 only; below the burn-in the bound is vacuous and
+    asking for it is an error.  As K grows the geometric terms die and the
+    value settles at sqrt(eta) * script_E1.
+    """
+    term1, term2 = _average_terms(p, tc, K)
+    return term1 + term2 + math.sqrt(p.eta) * tc.script_E1
 
 
 def bound_w2_agents(p: ProblemParams, tc: TheoryConstants, K: int) -> float:
@@ -479,19 +474,12 @@ def bound_w2_agents(p: ProblemParams, tc: TheoryConstants, K: int) -> float:
     geometric term in gammabar_wt) on top of the average-iterate terms, so
     it always sits at or above :func:`bound_w2_mean`.
     """
-    if K < tc.K0:
-        raise ValueError(f"K={K} is below the burn-in K0={tc.K0:.6g}")
-    eta, mu, L, N = p.eta, p.mu, p.L, float(p.N)
-    gwt = p.spectral.gammabar_wt
-    a = gwt ** 2
-    b = 1.0 - eta * mu * (1.0 - eta * L / 2.0)
-    ratio = max(_geom_ratio(a, b, K), 0.0)
-    x0 = math.sqrt(p.init_moments.x0_sq)
-    term1 = math.sqrt(ratio) * (2.0 * L * gwt / math.sqrt(N)) * x0
-    term2 = (1.0 - mu * eta) ** K * p.w2_init
+    term1, term2 = _average_terms(p, tc, K)
+    eta, N = p.eta, float(p.N)
     head = eta * tc.D1 / math.sqrt(N) \
         + math.sqrt(eta) * (tc.D2 + tc.script_E1)
-    tail = 2.0 * gwt ** K / math.sqrt(N) * x0
+    tail = 2.0 * p.spectral.gammabar_wt ** K / math.sqrt(N) \
+        * math.sqrt(p.init_moments.x0_sq)
     return head + term1 + term2 + tail
 
 
@@ -513,9 +501,8 @@ def _norm_b_for(ms: MixingSet, b_mode: str, eta: float,
 def problem_params_from(task, ms: MixingSet, eta: float, *,
                         sigma2: float = 0.0, init: str = "zeros",
                         b_mode: str = "wtilde-over-eta", b_scale: float = 0.0,
-                        b_custom=None, delta2: Optional[float] = None,
-                        w2_init: Optional[float] = None,
-                        h: Optional[float] = None) -> ProblemParams:
+                        b_custom=None,
+                        w2_init: Optional[float] = None) -> ProblemParams:
     """Assemble a ProblemParams bundle from a task and a mixing set.
 
     Curvature bounds come from the task, the spectrum from the mixing
@@ -564,54 +551,64 @@ def problem_params_from(task, ms: MixingSet, eta: float, *,
 
     return ProblemParams(
         mu=float(mu), L=float(L), sigma2=float(sigma2), d=d, N=N,
-        eta=float(eta), h=float(ms.h if h is None else h),
+        eta=float(eta), h=float(ms.h),
         norm_B=_norm_b_for(ms, b_mode, eta, b_scale, b_custom),
         grad_at_min_sq=r, spectral=ms.spectral, init_moments=moments,
-        delta2=delta2, w2_init=float(w2_init))
+        w2_init=float(w2_init))
 
 
-def shrink_to_admissible(task, ms: MixingSet, eta: float, *,
-                         sigma2: float = 0.0, init: str = "zeros",
+# shrink_to_admissible aims at these fractions of the h and eta limits and
+# gives up after this many rebuilds of the mixing set
+_SHRINK_H_FRAC = 0.5
+_SHRINK_ETA_FRAC = 0.5
+_SHRINK_ITERS = 32
+
+
+def shrink_to_admissible(p: ProblemParams, ms: MixingSet, *,
                          b_mode: str = "wtilde-over-eta",
-                         b_scale: float = 0.0,
-                         h_frac: float = 0.5, eta_frac: float = 0.5,
-                         max_iter: int = 32):
-    """Shrink (h, eta) until every stepsize clause passes.
+                         b_scale: float = 0.0):
+    """Shrink (h, eta) of ``p`` until every stepsize clause passes.
 
+    ``p`` must be the bundle at ``ms`` (as :func:`problem_params_from`
+    builds it) and ``b_mode`` / ``b_scale`` the B it was built with.
     Changing h changes Wtilde = h*I + (1-h)*W and with it the whole
     spectral summary, and in the default mode ||B|| = ||Wtilde||/eta moves
     with both, so each iteration rebuilds the mixing set at the candidate
-    h, re-derives the clause limits there, and targets h_frac / eta_frac
-    of them.  Returns the admissible ``(params, mixing_set)`` pair; the
-    loop settles in a handful of iterations because the limits move
-    slowly in h.
+    h, re-derives the clause limits there, and targets fixed fractions of
+    them.  Only h, eta, the spectrum, ||B|| and delta^2 move: the
+    task-side inputs (mu, L, sigma^2, ||grad F(x*)||^2, the initial
+    moments and w2_init) stay as ``p`` has them.  Returns the admissible
+    ``(params, mixing_set)`` pair; the loop settles in a handful of
+    iterations because the limits move slowly in h.
     """
     from .network import build_mixing_set
 
-    if not (0.0 < h_frac <= 1.0 and 0.0 < eta_frac <= 1.0):
-        raise ValueError("h_frac and eta_frac must lie in (0, 1]")
-    cur_ms, cur_eta = ms, float(eta)
-    for _ in range(max_iter):
-        p = problem_params_from(task, cur_ms, cur_eta, sigma2=sigma2,
-                                init=init, b_mode=b_mode, b_scale=b_scale)
-        rep = validate_stepsize(p)
-        want_h = h_frac * rep.max_h if math.isfinite(rep.max_h) else cur_ms.h
-        want_h = min(want_h, 0.5)
-        want_eta = eta_frac * rep.max_eta if rep.max_eta > 0 else cur_eta
+    def at(ms_: MixingSet, eta: float) -> ProblemParams:
+        return replace(p, h=float(ms_.h), eta=eta, spectral=ms_.spectral,
+                       norm_B=_norm_b_for(ms_, b_mode, eta, b_scale),
+                       delta2=None)
+
+    cur_ms, cur_eta = ms, p.eta
+    for _ in range(_SHRINK_ITERS):
+        q = at(cur_ms, cur_eta)
+        rep = validate_stepsize(q)
+        want_h = _SHRINK_H_FRAC * rep.max_h  # max_h <= 1/2 (h-half)
+        want_eta = _SHRINK_ETA_FRAC * rep.max_eta if rep.max_eta > 0 \
+            else cur_eta
         if want_h <= 0.0:  # the h limit underflowed: nothing to shrink to
             break
         close_h = abs(cur_ms.h - want_h) <= 1e-9 * max(want_h, 1e-30)
         close_eta = abs(cur_eta - want_eta) <= 1e-9 * max(want_eta, 1e-30)
         if rep.ok and close_h and close_eta:
-            return p, cur_ms
+            return q, cur_ms
         cur_ms = build_mixing_set(cur_ms.topology, delta=cur_ms.delta,
                                   h=want_h)
         cur_eta = want_eta
-    p = problem_params_from(task, cur_ms, cur_eta, sigma2=sigma2,
-                            init=init, b_mode=b_mode, b_scale=b_scale)
-    rep = validate_stepsize(p)
+    else:
+        q = at(cur_ms, cur_eta)
+        rep = validate_stepsize(q)
     if not rep.ok:
         raise RuntimeError(
             "could not reach an admissible (h, eta); failing clauses: "
             + "; ".join(c.name for c in rep.failed()))
-    return p, cur_ms
+    return q, cur_ms

@@ -39,6 +39,7 @@ from exlg.tasks import (
 from exlg.theory import (
     bound_w2_mean,
     compute_constants,
+    problem_params_from,
     shrink_to_admissible,
     validate_stepsize,
 )
@@ -354,7 +355,8 @@ def test_09_w2_bound_dominates_empirical(desk_linreg):
     # the tuned (h, eta) sit far outside the conservative admissible set,
     # so both are shrunk until every stepsize clause passes and the bound
     # is evaluated where it is actually stated
-    p, ms_adm = shrink_to_admissible(desk_linreg, ms, 0.009)
+    p, ms_adm = shrink_to_admissible(
+        problem_params_from(desk_linreg, ms, 0.009), ms)
     assert validate_stepsize(p).ok
     tc = compute_constants(p)
     assert tc.K0 == 0.0  # zero-init transients vanish

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import exlg
-from exlg import __version__, harness
+from exlg import __version__, harness, tasks, theory
 from exlg.cli import main
 from exlg.config import ConfigError, load_config
 from exlg.harness import (
@@ -48,6 +48,8 @@ from exlg.network import build_mixing_set, ring
 from exlg.samplers import ChainDivergenceError, SamplerConfig, derive_seed
 from exlg.tasks import gen_linreg_data
 from exlg.theory import (
+    bound_w2_agents,
+    bound_w2_mean,
     compute_constants,
     problem_params_from,
     shrink_to_admissible,
@@ -404,10 +406,9 @@ class TestTheoryCmd:
         cmd_theory(cfg)
         bundle = build_task(cfg)
         ms = build_mixing(cfg)
-        p, _ = shrink_to_admissible(bundle.task, ms, cfg.sampler.eta,
-                                    sigma2=0.0)
+        p, _ = shrink_to_admissible(
+            problem_params_from(bundle.task, ms, cfg.sampler.eta), ms)
         tc = compute_constants(p)
-        from exlg.theory import bound_w2_agents, bound_w2_mean
 
         got = {}
         with open(tmp_path / "out" / "theory_bounds.csv") as fh:
@@ -422,6 +423,67 @@ class TestTheoryCmd:
             assert got[(k, "bound_w2_agents")] == bound_w2_agents(p, tc, k)
         mean_curve = [got[(k, "bound_w2_mean")] for k in ks]
         assert all(b <= a for a, b in zip(mean_curve, mean_curve[1:]))
+
+    def test_shrink_keeps_configured_w2_init(self, tmp_path):
+        # shrinking moves only (h, eta): a configured w2_init reaches the
+        # bounds instead of the task's own point-mass distance
+        text = BASE + "\n[theory]\nshrink = true\n"
+
+        def bounds(out, extra=""):
+            path = make_cfg(tmp_path, out_name=out, text=text + extra,
+                            **{"n = 6": "n = 4"})
+            assert main(["theory", "--config", path]) == EXIT_OK
+            lines = (tmp_path / out / "theory_bounds.csv").read_text()
+            rows = {}
+            for line in lines.splitlines()[1:]:
+                k, label, value = line.split(",")
+                rows[(int(k), label)] = float(value)
+            return path, rows
+
+        _, unset = bounds("unset")
+        path, five = bounds("five", "w2_init = 5\n")
+        cfg = load_config(path)
+        ms = build_mixing(cfg)
+        p, _ = shrink_to_admissible(
+            problem_params_from(build_task(cfg).task, ms, cfg.sampler.eta,
+                                w2_init=5.0), ms)
+        assert p.w2_init == 5.0
+        tc = compute_constants(p)
+        by_label = {"bound_w2_mean": bound_w2_mean,
+                    "bound_w2_agents": bound_w2_agents}
+        assert five == {(k, label): by_label[label](p, tc, k)
+                        for k, label in unset}
+        assert all(five[key] != unset[key] for key in unset)
+
+    def test_shrink_reads_task_inputs_once(self, tmp_path, monkeypatch):
+        # mu, L, x* and the bundle do not depend on (h, eta), so a
+        # full-batch theory command derives each once however many
+        # shrink iterations it runs
+        calls = dict.fromkeys(
+            ("problem_params_from", "mu_L_bounds", "minimizer"), 0)
+
+        def count(name, fn):
+            def counted(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+            return counted
+
+        params = count("problem_params_from", theory.problem_params_from)
+        monkeypatch.setattr(theory, "problem_params_from", params)
+        monkeypatch.setattr(harness, "problem_params_from", params)
+        mu_l = count("mu_L_bounds", tasks.mu_L_bounds)
+        monkeypatch.setattr(tasks, "mu_L_bounds", mu_l)
+        monkeypatch.setattr(harness, "mu_L_bounds", mu_l)
+        monkeypatch.setattr(tasks.LinRegTask, "minimizer",
+                            count("minimizer", tasks.LinRegTask.minimizer))
+        text = BASE + "\n[theory]\nshrink = true\n"
+        cfg = load_config(make_cfg(tmp_path, text=text,
+                                   **{"n = 6": "n = 4"}))
+        assert cmd_theory(cfg) == EXIT_OK
+        with open(tmp_path / "out" / "manifest.json") as fh:
+            assert json.load(fh)["h_used"] < 0.3  # the loop did run
+        assert calls == {"problem_params_from": 1, "mu_L_bounds": 1,
+                         "minimizer": 1}
 
     def test_sigma2_estimated_when_batch_set(self, tmp_path, capsys):
         text = BASE + "\n[theory]\nshrink = true\n"
@@ -467,9 +529,11 @@ class TestTheoryCmd:
         cfg, fifty = gamma2(50)
         assert fifty != one
         bundle = build_task(cfg)
-        p, ms = shrink_to_admissible(bundle.task, build_mixing(cfg),
-                                     cfg.sampler.eta,
-                                     b_mode="scaled-identity", b_scale=50.0)
+        ms = build_mixing(cfg)
+        p, ms = shrink_to_admissible(
+            problem_params_from(bundle.task, ms, cfg.sampler.eta,
+                                b_mode="scaled-identity", b_scale=50.0),
+            ms, b_mode="scaled-identity", b_scale=50.0)
         direct = compute_constants(problem_params_from(
             bundle.task, ms, p.eta, b_mode="scaled-identity", b_scale=50.0))
         assert fifty == direct.gamma2

@@ -146,10 +146,6 @@ class TestMixingSet:
         ms = build_mixing_set(ring(6), h=0.38, delta=0.2)
         assert np.allclose(ms.u, 0.38 * (np.eye(6) - ms.w), atol=1e-14)
 
-    def test_u_sqrt_squares_back(self):
-        ms = build_mixing_set(star(6), h=0.13, delta=0.1)
-        assert np.max(np.abs(ms.u_sqrt @ ms.u_sqrt - ms.u)) <= 1e-10
-
     def test_connected_flags(self):
         assert build_mixing_set(ring(6), h=0.2, delta=0.2).connected
         assert not build_mixing_set(disconnected(6), h=0.2).connected

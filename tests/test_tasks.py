@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from exlg.linalg import sym_eig
 from exlg.network import build_mixing_set, ring
 from exlg.tasks import (
     LOSS_MATCHED_NOISE_STD,
@@ -323,6 +324,39 @@ def _sharded(kind, sizes, seed=60):
     cls = LinRegTask if kind == "linreg" else LogRegTask
     return cls(xs=tuple(s[0] for s in shards),
                ys=tuple(s[1] for s in shards), prior_var=3.0)
+
+
+def _mu_L_per_shard(task):
+    """mu_L_bounds written out as a loop of one eigensolve per shard, with
+    the empty-shard cases spelled out."""
+    prior_curv = 1.0 / (task.prior_var * task.n_agents)
+    if isinstance(task, LogRegTask):
+        lmax = 0.0
+        for x in task.xs:
+            if x.shape[0]:
+                lmax = max(lmax, 0.25 * float(sym_eig(x.T @ x).values[-1]))
+        return prior_curv, lmax + prior_curv
+    lo, hi = np.inf, 0.0
+    for x in task.xs:
+        if x.shape[0]:
+            vals = sym_eig(2.0 * (x.T @ x)).values
+            lo = min(lo, float(vals[0]))
+            hi = max(hi, float(vals[-1]))
+        else:
+            lo, hi = min(lo, 0.0), max(hi, 0.0)
+    if not np.isfinite(lo):
+        lo = 0.0
+    return lo + prior_curv, hi + prior_curv
+
+
+@pytest.mark.parametrize("kind", ["linreg", "logreg"])
+@pytest.mark.parametrize("sizes", [(6, 6, 6), (4, 7, 5), (5, 0, 7),
+                                   (0, 0, 0)],
+                         ids=["equal", "ragged", "one-empty", "all-empty"])
+def test_mu_L_matches_per_shard_loop(kind, sizes):
+    # the stacked eigensolve gives the bits of one solve per shard
+    task = _sharded(kind, sizes)
+    assert mu_L_bounds(task) == _mu_L_per_shard(task)
 
 
 @pytest.mark.parametrize("sizes", [(6, 6, 6), (4, 7, 5)],

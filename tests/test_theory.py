@@ -233,7 +233,7 @@ class TestProblemParams:
 
     def test_delta2_defaults_to_lower_endpoint(self):
         p = _params_from_set(SET_A)
-        lo, hi = p.delta2_interval()
+        lo, hi = validate_stepsize(p).delta2_interval
         assert p.delta2 == lo
         assert hi == 1.0
 
@@ -429,7 +429,8 @@ class TestProblemParamsFrom:
 
     def test_shrink_reaches_admissible_pair(self):
         task, ms = self._setup()
-        p, ms2 = shrink_to_admissible(task, ms, eta=0.009)
+        p, ms2 = shrink_to_admissible(
+            problem_params_from(task, ms, eta=0.009), ms)
         rep = validate_stepsize(p)
         assert rep.ok
         assert p.h == ms2.h
