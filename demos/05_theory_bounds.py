@@ -40,7 +40,7 @@ for line in cert.lines():
     print(" ", line)
 
 print("\nshrinking to the admissible region...")
-p, ms_adm = shrink_to_admissible(p0, ms)
+p, ms_adm = shrink_to_admissible(p0, ms, b_mode="wtilde-over-eta")
 print(f"admissible pair: h = {p.h:.3e}, eta = {p.eta:.3e}")
 assert validate_stepsize(p).ok
 

@@ -598,8 +598,7 @@ def cmd_theory(cfg: ExperimentConfig, echo=print) -> int:
         echo(f"shrinking to admissible from (h={ms.h:.6g}, "
              f"eta={cfg.sampler.eta:.6g})")
         try:
-            p, _ = shrink_to_admissible(p, ms, b_mode=cfg.sampler.b_mode,
-                                        b_scale=_b_scale(cfg))
+            p, _ = shrink_to_admissible(p, ms, b_mode=cfg.sampler.b_mode)
         except RuntimeError as e:
             raise AssumptionError(str(e)) from None
         echo(f"admissible pair: h={p.h:.9g}, eta={p.eta:.9g}")

@@ -453,14 +453,14 @@ def mu_L_bounds(task) -> tuple[float, float]:
     With no data both collapse to the prior curvature 1/(lambda N).
     """
     prior_curv = 1.0 / (task.prior_var * task.n_agents)
-    # one eigensolve over the stacked Gram matrices; an empty shard's zero
-    # matrix contributes the eigenvalue 0
+    # one eigensolve per shard keeps the temporaries at O(d^2); an empty
+    # shard's zero Gram matrix contributes the eigenvalue 0
     if isinstance(task, LogRegTask):
-        vals = sym_eig(np.stack([x.T @ x for x in task.xs])).values
-        return prior_curv, 0.25 * float(vals[:, -1].max()) + prior_curv
-    vals = sym_eig(np.stack([2.0 * (x.T @ x) for x in task.xs])).values
+        lmax = max(float(sym_eig(x.T @ x).values[-1]) for x in task.xs)
+        return prior_curv, 0.25 * lmax + prior_curv
+    vals = np.array([sym_eig(g).values[[0, -1]] for g in task._gram])
     return (float(vals[:, 0].min()) + prior_curv,
-            float(vals[:, -1].max()) + prior_curv)
+            float(vals[:, 1].max()) + prior_curv)
 
 
 def load_csv_dataset(

@@ -564,18 +564,18 @@ _SHRINK_ETA_FRAC = 0.5
 _SHRINK_ITERS = 32
 
 
-def shrink_to_admissible(p: ProblemParams, ms: MixingSet, *,
-                         b_mode: str = "wtilde-over-eta",
-                         b_scale: float = 0.0):
+def shrink_to_admissible(p: ProblemParams, ms: MixingSet, *, b_mode: str):
     """Shrink (h, eta) of ``p`` until every stepsize clause passes.
 
     ``p`` must be the bundle at ``ms`` (as :func:`problem_params_from`
-    builds it) and ``b_mode`` / ``b_scale`` the B it was built with.
+    builds it) and ``b_mode`` the B mode it was built with.
     Changing h changes Wtilde = h*I + (1-h)*W and with it the whole
-    spectral summary, and in the default mode ||B|| = ||Wtilde||/eta moves
-    with both, so each iteration rebuilds the mixing set at the candidate
-    h, re-derives the clause limits there, and targets fixed fractions of
-    them.  Only h, eta, the spectrum, ||B|| and delta^2 move: the
+    spectral summary, and in "wtilde-over-eta" mode ||B|| = ||Wtilde||/eta
+    moves with both, so each iteration rebuilds the mixing set at the
+    candidate h, re-derives the clause limits there, and targets fixed
+    fractions of them.  In the other modes ||B|| does not depend on
+    (h, eta) and stays ``p.norm_B``.  Only h, eta, the spectrum, ||B|| and
+    delta^2 move: the
     task-side inputs (mu, L, sigma^2, ||grad F(x*)||^2, the initial
     moments and w2_init) stay as ``p`` has them.  Returns the admissible
     ``(params, mixing_set)`` pair; the loop settles in a handful of
@@ -584,9 +584,10 @@ def shrink_to_admissible(p: ProblemParams, ms: MixingSet, *,
     from .network import build_mixing_set
 
     def at(ms_: MixingSet, eta: float) -> ProblemParams:
+        norm_B = (_norm_b_for(ms_, b_mode, eta)
+                  if b_mode == "wtilde-over-eta" else p.norm_B)
         return replace(p, h=float(ms_.h), eta=eta, spectral=ms_.spectral,
-                       norm_B=_norm_b_for(ms_, b_mode, eta, b_scale),
-                       delta2=None)
+                       norm_B=norm_B, delta2=None)
 
     cur_ms, cur_eta = ms, p.eta
     for _ in range(_SHRINK_ITERS):

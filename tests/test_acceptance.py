@@ -356,7 +356,8 @@ def test_09_w2_bound_dominates_empirical(desk_linreg):
     # so both are shrunk until every stepsize clause passes and the bound
     # is evaluated where it is actually stated
     p, ms_adm = shrink_to_admissible(
-        problem_params_from(desk_linreg, ms, 0.009), ms)
+        problem_params_from(desk_linreg, ms, 0.009), ms,
+        b_mode="wtilde-over-eta")
     assert validate_stepsize(p).ok
     tc = compute_constants(p)
     assert tc.K0 == 0.0  # zero-init transients vanish

@@ -407,7 +407,8 @@ class TestTheoryCmd:
         bundle = build_task(cfg)
         ms = build_mixing(cfg)
         p, _ = shrink_to_admissible(
-            problem_params_from(bundle.task, ms, cfg.sampler.eta), ms)
+            problem_params_from(bundle.task, ms, cfg.sampler.eta), ms,
+            b_mode="wtilde-over-eta")
         tc = compute_constants(p)
 
         got = {}
@@ -446,7 +447,7 @@ class TestTheoryCmd:
         ms = build_mixing(cfg)
         p, _ = shrink_to_admissible(
             problem_params_from(build_task(cfg).task, ms, cfg.sampler.eta,
-                                w2_init=5.0), ms)
+                                w2_init=5.0), ms, b_mode="wtilde-over-eta")
         assert p.w2_init == 5.0
         tc = compute_constants(p)
         by_label = {"bound_w2_mean": bound_w2_mean,
@@ -533,7 +534,8 @@ class TestTheoryCmd:
         p, ms = shrink_to_admissible(
             problem_params_from(bundle.task, ms, cfg.sampler.eta,
                                 b_mode="scaled-identity", b_scale=50.0),
-            ms, b_mode="scaled-identity", b_scale=50.0)
+            ms, b_mode="scaled-identity")
+        assert p.norm_B == 50.0  # ||B|| = |b_scale| whatever (h, eta)
         direct = compute_constants(problem_params_from(
             bundle.task, ms, p.eta, b_mode="scaled-identity", b_scale=50.0))
         assert fifty == direct.gamma2

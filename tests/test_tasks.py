@@ -354,7 +354,7 @@ def _mu_L_per_shard(task):
                                    (0, 0, 0)],
                          ids=["equal", "ragged", "one-empty", "all-empty"])
 def test_mu_L_matches_per_shard_loop(kind, sizes):
-    # the stacked eigensolve gives the bits of one solve per shard
+    # no empty-shard branches: a zero Gram matrix gives the same bits
     task = _sharded(kind, sizes)
     assert mu_L_bounds(task) == _mu_L_per_shard(task)
 

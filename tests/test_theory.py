@@ -430,7 +430,8 @@ class TestProblemParamsFrom:
     def test_shrink_reaches_admissible_pair(self):
         task, ms = self._setup()
         p, ms2 = shrink_to_admissible(
-            problem_params_from(task, ms, eta=0.009), ms)
+            problem_params_from(task, ms, eta=0.009), ms,
+            b_mode="wtilde-over-eta")
         rep = validate_stepsize(p)
         assert rep.ok
         assert p.h == ms2.h
