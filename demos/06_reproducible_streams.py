@@ -45,7 +45,7 @@ assert np.array_equal(late, again)
 # A chain reads agent i's minibatch at iterate k from batch_table, which
 # draws a chunk of steps for every replica and agent at once; each row
 # equals the stream's own batch_rng(k, i).choice.
-table = batch_table([stream], ks=[500], sizes=[40] * 4, batch=6)
+table = batch_table([stream], ks=[500], n_agents=4, n=40, batch=6)
 scalar = stream.batch_rng(500, 2).choice(40, 6, replace=False)
 print("\nminibatch of agent 2 at k=500 (shard of 40 rows, batch 6):")
 print(" batch_table       :", table[0, 0, 2])

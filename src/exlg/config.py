@@ -55,7 +55,6 @@ class NetworkConfig:
     h: float
     delta: Optional[float] = None
     adjacency: Optional[str] = None
-    de_sgld_mode: bool = False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,7 +130,6 @@ _SCHEMA = {
     "network": {
         "topology": ("str", True), "n": ("int", True), "h": ("float", True),
         "delta": ("float", False), "adjacency": ("str", False),
-        "de_sgld_mode": ("bool", False),
     },
     "sampler": {
         "algorithm": ("str", True), "eta": ("float", True),
@@ -286,10 +284,7 @@ def _validate_semantics(cfg: ExperimentConfig, problems: list):
         elif not os.path.exists(net.adjacency):
             problems.append(
                 f"network.adjacency: file not found: {net.adjacency}")
-    if net.de_sgld_mode:
-        if net.h != 0.0:
-            problems.append("network.h: must be 0 in de_sgld_mode")
-    elif not (0.0 < net.h <= 0.5):
+    if not (0.0 < net.h <= 0.5):
         problems.append(f"network.h: must lie in (0, 1/2], got {net.h}")
 
     from .samplers import ALGORITHMS, B_MODES

@@ -167,8 +167,7 @@ def build_mixing(cfg: ExperimentConfig) -> MixingSet:
 
             delta = draw_delta(top, int(derive_seed(cfg.run.seed, "delta")
                                         % (2 ** 31)))
-        return build_mixing_set(top, h=net.h, delta=delta,
-                                de_sgld_mode=net.de_sgld_mode)
+        return build_mixing_set(top, h=net.h, delta=delta)
     except ValueError as e:
         raise ConfigError(f"network: {e}") from None
 
@@ -571,6 +570,7 @@ def cmd_theory(cfg: ExperimentConfig, echo=print) -> int:
     ms = build_mixing(cfg)
     check_assumptions(ms, cfg)
 
+    xstar = bundle.task.minimizer()
     sigma2 = cfg.theory.sigma2
     if sigma2 is None:
         sigma2 = 0.0
@@ -579,13 +579,12 @@ def cmd_theory(cfg: ExperimentConfig, echo=print) -> int:
 
             rng = np.random.default_rng(
                 derive_seed(cfg.run.seed, "noise-est"))
-            sigma2 = estimate_grad_noise(
-                bundle.task, bundle.task.minimizer(), cfg.sampler.batch,
-                200, rng)
+            sigma2 = estimate_grad_noise(bundle.task, xstar,
+                                         cfg.sampler.batch, 200, rng)
             echo(f"estimated gradient noise sigma^2 = {sigma2:.6g}")
 
     p = _problem_params(cfg, bundle.task, ms, sigma2=sigma2,
-                        w2_init=cfg.theory.w2_init)
+                        w2_init=cfg.theory.w2_init, xstar=xstar)
     cert = validate_stepsize(p)
     for line in cert.lines():
         echo(line)

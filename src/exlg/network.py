@@ -198,15 +198,9 @@ def build_w(
     return np.eye(top.n) - delta * lap
 
 
-def build_w_tilde(
-    w: np.ndarray, h: float, de_sgld_mode: bool = False
-) -> np.ndarray:
-    """W~ = h*I + (1-h)*W with h in (0, 1/2]; h = 0 only in de-sgld mode."""
+def build_w_tilde(w: np.ndarray, h: float) -> np.ndarray:
+    """W~ = h*I + (1-h)*W with h in (0, 1/2]."""
     w = np.asarray(w, dtype=float)
-    if de_sgld_mode:
-        if h != 0.0:
-            raise ValueError("de-sgld mode fixes h = 0")
-        return w.copy()
     if not 0.0 < h <= 0.5:
         raise ValueError(f"h must lie in (0, 1/2], got {h}")
     return h * np.eye(w.shape[0]) + (1.0 - h) * w
@@ -270,12 +264,11 @@ def build_mixing_set(
     h: float,
     delta: float | None = None,
     seed: int | None = None,
-    de_sgld_mode: bool = False,
 ) -> MixingSet:
     if delta is None:
         delta = draw_delta(top, seed if seed is not None else 0)
     w = build_w(top, delta=delta)
-    w_tilde = build_w_tilde(w, h, de_sgld_mode=de_sgld_mode)
+    w_tilde = build_w_tilde(w, h)
     # U = W~ - W = h*(I - W); the scaled form avoids the cancellation the
     # literal difference suffers once h is small (entries h*O(1) computed
     # from O(1) inputs), which otherwise leaves U with eps-level negative
@@ -400,8 +393,9 @@ def validate_assumptions(ms: MixingSet) -> ValidationReport:
         f"min eig(W~ - W) = {lower_min:.3e} (>= -1e-10)",
     )
 
-    u_norm = max(1.0, float(np.max(np.abs(uv))))
-    null_dim = int(np.sum(uv < _NULL_TOL * u_norm))
+    # relative to U's own scale, which is h times that of I - W; U = 0
+    # (no edges) has every direction null
+    null_dim = int(np.sum(uv <= _NULL_TOL * float(np.max(np.abs(uv)))))
     add(
         "null-space",
         null_dim == 1,

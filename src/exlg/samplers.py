@@ -154,7 +154,7 @@ class NoiseStream:
     returned by ``batch_rng`` or ``init_rng`` is valid only until the
     next draw from the same stream: use it at once.
 
-    Agent i's minibatch at iterate k is ``batch_rng(k, i).choice(n_i, b,
+    Agent i's minibatch at iterate k is ``batch_rng(k, i).choice(n, b,
     replace=False)``.  Chains read it from `batch_table` instead, which
     computes the same indices from ``seed`` for a chunk of steps at once
     and calls ``batch_rng`` only where its copy of numpy's draw does not
@@ -260,55 +260,48 @@ def _floyd_rows(u32, n, b):
     return out, rejected
 
 
-def batch_table(noises, ks, sizes, batch) -> np.ndarray:
+def batch_table(noises, ks, n_agents, n, batch) -> np.ndarray:
     """Minibatch indices of every (step, replica, agent): a (len(ks), R,
-    N, batch) int64 table whose entry [t, r, i] equals
-    ``noises[r].batch_rng(ks[t], i).choice(sizes[i], batch,
-    replace=False)``.
+    n_agents, batch) int64 table whose entry [t, r, i] equals
+    ``noises[r].batch_rng(ks[t], i).choice(n, batch, replace=False)``.
 
     Stream (r, k, i) is Philox keyed by ``noises[r].seed`` at counters
-    [1.., k, i, 2]; one `philox4x64` call serves every stream of a shard
-    size and `_floyd_rows` turns the words into indices.  Two cases call
-    the scalar ``batch_rng(k, i).choice`` instead: a stream that hits a
+    [1.., k, i, 2]; one `philox4x64` call serves every stream and
+    `_floyd_rows` turns the words into indices.  Two cases call the
+    scalar ``batch_rng(k, i).choice`` instead: a stream that hits a
     Lemire rejection, and numpy's tail-shuffle branch (n > 10000 and
     b > n // 50).
     """
+    if not 1 <= batch <= n:
+        raise ValueError(f"batch size {batch} outside [1, {n}]")
     ks = np.asarray(ks, dtype=np.uint64)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    for i, n in enumerate(sizes):
-        if not 1 <= batch <= n:
-            raise ValueError(
-                f"batch size {batch} outside [1, {n}] for agent {i}")
-    table = np.empty((ks.size, len(noises), sizes.size, batch),
-                     dtype=np.int64)
-    key = np.array([[nz.seed & 0xFFFFFFFFFFFFFFFF, nz.seed >> 64]
-                    for nz in noises], dtype=np.uint64)[None, :, None, None, :]
-    for n in np.unique(sizes):
-        agents = np.flatnonzero(sizes == n)
-        shape = (ks.size, len(noises), agents.size)
-        if n > 10000 and batch > n // 50:
-            scalar = np.ones(shape, dtype=bool)
-        else:
-            n_draws = 2 * batch - 1 - (n == batch)
-            n_blocks = max(1, -(-n_draws // 8))  # 8 32-bit draws a block
-            c0 = np.broadcast_to(np.arange(1, n_blocks + 1, dtype=np.uint64),
-                                 shape + (n_blocks,))
-            words = np.stack(philox4x64(
-                (c0, ks[:, None, None, None],
-                 agents.astype(np.uint64)[:, None], np.uint64(_TAG_BATCH)),
-                (key[..., 0], key[..., 1])), axis=-1).reshape(-1, 4 * n_blocks)
-            # each 64-bit word is two 32-bit draws, its low half first
-            u32 = words.astype("<u8", copy=False).view("<u4")
-            step = max(1, _TABLE_BYTES // int(n))  # Floyd bitmaps, n bytes
-            rows, rejected = map(np.concatenate, zip(*(
-                _floyd_rows(u32[s:s + step], int(n), batch)
-                for s in range(0, len(u32), step))))
-            table[:, :, agents] = rows.reshape(shape + (batch,))
-            scalar = rejected.reshape(shape)
-        for t, r, a in zip(*np.nonzero(scalar)):
-            i = int(agents[a])
-            table[t, r, i] = noises[r].batch_rng(int(ks[t]), i).choice(
-                int(n), batch, replace=False)
+    shape = (ks.size, len(noises), n_agents)
+    if n > 10000 and batch > n // 50:
+        table = np.empty(shape + (batch,), dtype=np.int64)
+        scalar = np.ones(shape, dtype=bool)
+    else:
+        key = np.array([[nz.seed & 0xFFFFFFFFFFFFFFFF, nz.seed >> 64]
+                        for nz in noises], dtype=np.uint64)[:, None, None]
+        n_draws = 2 * batch - 1 - (n == batch)
+        n_blocks = max(1, -(-n_draws // 8))  # 8 32-bit draws a block
+        c0 = np.broadcast_to(np.arange(1, n_blocks + 1, dtype=np.uint64),
+                             shape + (n_blocks,))
+        words = np.stack(philox4x64(
+            (c0, ks[:, None, None, None],
+             np.arange(n_agents, dtype=np.uint64)[:, None],
+             np.uint64(_TAG_BATCH)),
+            (key[..., 0], key[..., 1])), axis=-1).reshape(-1, 4 * n_blocks)
+        # each 64-bit word is two 32-bit draws, its low half first
+        u32 = words.astype("<u8", copy=False).view("<u4")
+        step = max(1, _TABLE_BYTES // n)  # Floyd bitmaps, n bytes a stream
+        rows, rejected = map(np.concatenate, zip(*(
+            _floyd_rows(u32[s:s + step], n, batch)
+            for s in range(0, len(u32), step))))
+        table = rows.reshape(shape + (batch,))
+        scalar = rejected.reshape(shape)
+    for t, r, i in zip(*np.nonzero(scalar)):
+        table[t, r, i] = noises[r].batch_rng(int(ks[t]), int(i)).choice(
+            n, batch, replace=False)
     return table
 
 
@@ -493,7 +486,7 @@ def _guard(algo, k, x, v=None):
 
 def _table_steps(n_streams, n, batch):
     """Steps per chunk of `batch_table`: about _TABLE_BYTES for
-    ``n_streams`` streams a step over shards of at most n rows.  A stream
+    ``n_streams`` streams a step over shards of n rows.  A stream
     takes about 25 bytes of Philox words and temporaries per 32-bit draw,
     and an n-byte Floyd bitmap."""
     return max(1, _TABLE_BYTES // (n_streams * (50 * batch + n)))
@@ -504,21 +497,22 @@ def _grads_fn(oracle, cfg: SamplerConfig, noises):
     and row i of an (R, N, d) block, from one ``oracle.grad_block`` call.
 
     Minibatch indices for (r, k, i) come from stream (k, i) of noises[r],
-    read from a `batch_table` over ``oracle.shard_sizes`` that is drawn
-    once per chunk of steps.
+    read from a `batch_table` over ``oracle.shard_size`` rows that is
+    drawn once per chunk of steps.
     """
     batch = cfg.batch
     if batch is None:
         return lambda x, k: oracle.grad_block(x)
-    sizes = oracle.shard_sizes
-    chunk = _table_steps(len(noises) * sizes.size, int(sizes.max()), batch)
+    n_agents, n = oracle.n_agents, oracle.shard_size
+    chunk = _table_steps(len(noises) * n_agents, n, batch)
     k0, table = 0, ()
 
     def grads(x, k):
         nonlocal k0, table
         if not k0 <= k < k0 + len(table):
             k0, table = k, batch_table(
-                noises, range(k, min(k + chunk, cfg.steps)), sizes, batch)
+                noises, range(k, min(k + chunk, cfg.steps)), n_agents, n,
+                batch)
         return oracle.grad_block(x, table[k - k0])
     return grads
 

@@ -105,7 +105,7 @@ class GradientOracle(Protocol):
     grad f_a(x[r, j]) at every row, a = agents[j] (default: all N agents
     in order).  With ``idx`` (R, n, b) the data part is the minibatch
     estimate over those shard rows; a minibatch sampler then also reads
-    the oracle's ``shard_sizes``.
+    the oracle's ``shard_size``, the rows every agent holds.
     """
 
     @property
@@ -118,29 +118,27 @@ class GradientOracle(Protocol):
         ...
 
 
-def _as_shards(xs, ys):
-    xs = tuple(np.atleast_2d(np.asarray(x, dtype=float)) for x in xs)
-    ys = tuple(np.atleast_1d(np.asarray(y, dtype=float)) for y in ys)
+def _as_stacks(xs, ys):
+    """Equal, nonempty per-agent shards as one (N, n, d) feature stack and
+    one (N, n) target stack."""
+    xs = [np.atleast_2d(np.asarray(x, dtype=float)) for x in xs]
+    ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
     if len(xs) != len(ys) or not xs:
         raise ValueError("need matching, nonempty per-agent shard lists")
-    d = xs[0].shape[1]
-    if d == 0:
-        raise ValueError("first shard has no columns to infer the dimension")
     for x, y in zip(xs, ys):
         if x.shape[0] != y.shape[0]:
             raise ValueError(
                 f"shard has {x.shape[0]} rows but {y.shape[0]} targets"
             )
-        if x.shape[1] != d:
+        if x.shape[1:] != xs[0].shape[1:]:
             raise ValueError("shards disagree on the feature dimension")
-    return xs, ys
-
-
-def _stack_equal(shards):
-    """Equal-size shards stacked as one (N, n_i, ...) array; None if ragged."""
-    if len({s.shape[0] for s in shards}) != 1:
-        return None
-    return np.stack(shards)
+    sizes = sorted({x.shape[0] for x in xs})
+    if len(sizes) != 1 or sizes[0] == 0:
+        raise ValueError(
+            f"shards must be equal and nonempty; got sizes {sizes}")
+    if xs[0].shape[1] == 0:
+        raise ValueError("shards have no feature columns")
+    return np.stack(xs), np.stack(ys)
 
 
 def _matvec(m, v):
@@ -166,33 +164,33 @@ def _rmatvec(a, r):
 
 
 class _ShardedTask:
-    """What both tasks share: per-agent shards, the block gradient's
+    """What both tasks share: the shard stacks, the block gradient's
     argument handling, and the prior term.
 
     Subclasses are frozen dataclasses with fields xs, ys and prior_var.
+    They accept a sequence of equal shards and hold them as one (N, n, d)
+    stack ``xs`` and one (N, n) stack ``ys``.
     """
 
     def _init_shards(self):
-        xs, ys = _as_shards(self.xs, self.ys)
+        xs, ys = _as_stacks(self.xs, self.ys)
         if self.prior_var <= 0.0:
             raise ValueError("prior_var must be positive")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "_sizes",
-                           np.array([x.shape[0] for x in xs], dtype=np.int64))
 
     @property
     def n_agents(self) -> int:
-        return len(self.xs)
+        return self.xs.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.xs[0].shape[1]
+        return self.xs.shape[2]
 
     @property
-    def shard_sizes(self) -> np.ndarray:
-        """Rows in each agent's shard."""
-        return self._sizes
+    def shard_size(self) -> int:
+        """Rows in every agent's shard."""
+        return self.xs.shape[1]
 
     def _prior_grad(self, beta):
         return beta / (self.prior_var * self.n_agents)
@@ -211,29 +209,10 @@ class _ShardedTask:
                 f"index shape {np.shape(idx)} does not match {x.shape[:2]}")
         return x, agents
 
-    def _one_agent_at_a_time(self, x, idx, agents):
-        """Ragged shards cannot be stacked: one call per row's agent."""
-        return np.concatenate([
-            self.grad_block(x[:, j:j + 1],
-                            None if idx is None else idx[:, j:j + 1],
-                            agents[j:j + 1])
-            for j in range(agents.size)
-        ], axis=1)
 
-    def _minibatch_scale(self, agents, idx):
-        """n_i / batch for each row, shaped to scale (R, n, d) blocks."""
-        return (self._sizes[agents] / np.shape(idx)[-1])[:, None]
-
-
-def _gather(stack, shards, agents, idx):
-    """The rows of each agent's shard a block gradient reads.
-
-    Full batch: (n, n_i, ...) from the stack.  With ``idx`` (R, n, b):
-    (R, n, b, ...).  Ragged shards (``stack`` None) serve one agent.
-    """
-    if stack is None:
-        shard = shards[int(agents[0])]
-        return shard[None] if idx is None else shard[idx]
+def _gather(stack, agents, idx):
+    """The shard rows a block gradient reads from a stack: (n, shard
+    rows, ...) at full batch, (R, n, b, ...) with ``idx`` (R, n, b)."""
     if idx is None:
         return stack[agents]
     return stack[agents[:, None], idx]
@@ -248,8 +227,8 @@ class LinRegTask(_ShardedTask):
     grad f_i(x) = G_i x - b_i + x / (lambda N) whatever the shard size.
     """
 
-    xs: tuple
-    ys: tuple
+    xs: np.ndarray
+    ys: np.ndarray
     prior_var: float
 
     def __post_init__(self):
@@ -258,8 +237,6 @@ class LinRegTask(_ShardedTask):
                            np.stack([2.0 * (x.T @ x) for x in self.xs]))
         object.__setattr__(self, "_xty", np.stack(
             [2.0 * (x.T @ y) for x, y in zip(self.xs, self.ys)]))
-        object.__setattr__(self, "_x_stack", _stack_equal(self.xs))
-        object.__setattr__(self, "_y_stack", _stack_equal(self.ys))
 
     def grad_block(self, x, idx=None, agents=None):
         """Gradients at every row of an (R, n, d) block.
@@ -267,24 +244,22 @@ class LinRegTask(_ShardedTask):
         Row j of replica r gets grad f_a(x[r, j]) for a = agents[j]
         (default: all N agents in order).  With ``idx`` (R, n, b), the
         data part is the minibatch estimate over those shard rows, scaled
-        by n_i / b.  A row's bits do not depend on R or n.
+        by n / b.  A row's bits do not depend on R or n.
         """
         x, agents = self._block_args(x, agents, idx)
         if idx is None:
             data = _matvec(self._gram[agents], x[..., None, :]) \
                 - self._xty[agents]
-        elif self._x_stack is None and agents.size > 1:
-            return self._one_agent_at_a_time(x, idx, agents)
         else:
-            xb = _gather(self._x_stack, self.xs, agents, idx)
-            yb = _gather(self._y_stack, self.ys, agents, idx)
+            xb = _gather(self.xs, agents, idx)
+            yb = _gather(self.ys, agents, idx)
             resid = _matvec(xb, x[..., None, :]) - yb
-            data = self._minibatch_scale(agents, idx) \
+            data = (self.shard_size / np.shape(idx)[-1]) \
                 * (2.0 * _rmatvec(xb, resid))
         return data + self._prior_grad(x)
 
     def stacked_design(self):
-        return np.vstack(self.xs), np.concatenate(self.ys)
+        return self.xs.reshape(-1, self.dim), self.ys.ravel()
 
     def minimizer(self) -> np.ndarray:
         """argmin of sum_i f_i, in closed form."""
@@ -305,19 +280,16 @@ class LinRegTask(_ShardedTask):
 class LogRegTask(_ShardedTask):
     """Decentralized Bayesian logistic regression, labels in {0, 1}."""
 
-    xs: tuple
-    ys: tuple
+    xs: np.ndarray
+    ys: np.ndarray
     prior_var: float
 
     def __post_init__(self):
         self._init_shards()
-        for y in self.ys:
-            if y.size and not np.all((y == 0.0) | (y == 1.0)):
-                raise ValueError("logistic labels must be 0 or 1")
-        signed = tuple(x * (2.0 * y - 1.0)[:, None]
-                       for x, y in zip(self.xs, self.ys))
-        object.__setattr__(self, "_signed", signed)
-        object.__setattr__(self, "_s_stack", _stack_equal(signed))
+        if not np.all((self.ys == 0.0) | (self.ys == 1.0)):
+            raise ValueError("logistic labels must be 0 or 1")
+        object.__setattr__(self, "_signed",
+                           self.xs * (2.0 * self.ys - 1.0)[..., None])
 
     def signed(self, i):
         """Features folded with the label sign: s_j X_j, s_j = 2 y_j - 1."""
@@ -329,15 +301,13 @@ class LogRegTask(_ShardedTask):
         Row j of replica r gets grad f_a(x[r, j]) for a = agents[j]
         (default: all N agents in order).  With ``idx`` (R, n, b), the
         data part is the minibatch estimate over those shard rows, scaled
-        by n_i / b.  A row's bits do not depend on R or n.
+        by n / b.  A row's bits do not depend on R or n.
         """
         x, agents = self._block_args(x, agents, idx)
-        if self._s_stack is None and agents.size > 1:
-            return self._one_agent_at_a_time(x, idx, agents)
-        s = _gather(self._s_stack, self._signed, agents, idx)
+        s = _gather(self._signed, agents, idx)
         data = -_rmatvec(s, expit(-_matvec(s, x[..., None, :])))
         if idx is not None:
-            data = self._minibatch_scale(agents, idx) * data
+            data = (self.shard_size / np.shape(idx)[-1]) * data
         return data + self._prior_grad(x)
 
     def minimizer(self, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
@@ -347,12 +317,9 @@ class LogRegTask(_ShardedTask):
 
         def value(b):
             v = 0.5 * float(b @ b) / self.prior_var
-            for i in range(self.n_agents):
-                s = self.signed(i)
-                if s.size:
-                    # -log sigma(z) = log(1 + exp(-z)), computed stably
-                    z = s @ b
-                    v += float(np.sum(np.logaddexp(0.0, -z)))
+            for s in self._signed:
+                # -log sigma(z) = log(1 + exp(-z)), computed stably
+                v += float(np.sum(np.logaddexp(0.0, -(s @ b))))
             return v
 
         def grad(b):
@@ -362,11 +329,9 @@ class LogRegTask(_ShardedTask):
 
         def hess(b):
             hh = np.eye(d) / self.prior_var
-            for i in range(self.n_agents):
-                s = self.signed(i)
-                if s.size:
-                    p = expit(s @ b)
-                    hh += (s * (p * (1.0 - p))[:, None]).T @ s
+            for s in self._signed:
+                p = expit(s @ b)
+                hh += (s * (p * (1.0 - p))[:, None]).T @ s
             return hh
 
         for _ in range(max_iter):
@@ -450,11 +415,9 @@ def mu_L_bounds(task) -> tuple[float, float]:
             L  = max_i lam_max(2 X_i^T X_i) + 1/(lambda N)
     logreg: mu = 1/(N lambda),
             L  = max_i (1/4) lam_max(X_i^T X_i) + 1/(N lambda)
-    With no data both collapse to the prior curvature 1/(lambda N).
     """
     prior_curv = 1.0 / (task.prior_var * task.n_agents)
-    # one eigensolve per shard keeps the temporaries at O(d^2); an empty
-    # shard's zero Gram matrix contributes the eigenvalue 0
+    # one eigensolve per shard keeps the temporaries at O(d^2)
     if isinstance(task, LogRegTask):
         lmax = max(float(sym_eig(x.T @ x).values[-1]) for x in task.xs)
         return prior_curv, 0.25 * lmax + prior_curv
@@ -610,7 +573,7 @@ def estimate_grad_noise(
 
     xi stacks the per-agent minibatch deviations (stoch - full) at ``beta``;
     feeds the sigma^2 slot of the theory constants.  Each draw takes
-    ``rng.choice(n_i, batch, replace=False)`` for agents i = 0..N-1 in
+    ``rng.choice(n, batch, replace=False)`` for agents i = 0..N-1 in
     turn and evaluates all N minibatch gradients in one block call.
     """
     x = np.broadcast_to(np.asarray(beta, dtype=float),
@@ -618,8 +581,8 @@ def estimate_grad_noise(
     full = task.grad_block(x)[0]
     total = 0.0
     for _ in range(n_draws):
-        idx = [rng.choice(int(n_i), batch, replace=False)
-               for n_i in task.shard_sizes]
+        idx = [rng.choice(task.shard_size, batch, replace=False)
+               for _ in range(task.n_agents)]
         acc = 0.0
         for diff in task.grad_block(x, np.array(idx)[None])[0] - full:
             acc += float(diff @ diff)

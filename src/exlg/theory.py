@@ -501,13 +501,14 @@ def _norm_b_for(ms: MixingSet, b_mode: str, eta: float,
 def problem_params_from(task, ms: MixingSet, eta: float, *,
                         sigma2: float = 0.0, init: str = "zeros",
                         b_mode: str = "wtilde-over-eta", b_scale: float = 0.0,
-                        b_custom=None,
-                        w2_init: Optional[float] = None) -> ProblemParams:
+                        b_custom=None, w2_init: Optional[float] = None,
+                        xstar: Optional[np.ndarray] = None) -> ProblemParams:
     """Assemble a ProblemParams bundle from a task and a mixing set.
 
     Curvature bounds come from the task, the spectrum from the mixing
-    set, and ||grad F(x*)||^2 from the task minimiser.  Initial moments
-    follow the configured initialiser: the default zero start reports
+    set, and ||grad F(x*)||^2 from the task minimiser ``xstar``
+    (``task.minimizer()`` unless the caller has it already).  Initial
+    moments follow the configured initialiser: the default zero start reports
     exact zeros, a minimiser start carries N*||x*||^2 in the first slot,
     and a prior draw uses the analytic moments of N(0, lambda*I).  When
     the task exposes a Gaussian target and ``w2_init`` is not given, the
@@ -517,7 +518,8 @@ def problem_params_from(task, ms: MixingSet, eta: float, *,
     from .tasks import GaussianDist, mu_L_bounds
 
     mu, L = mu_L_bounds(task)
-    xstar = task.minimizer()
+    if xstar is None:
+        xstar = task.minimizer()
     # stacked per-agent gradients at x*: they sum to zero but need not
     # vanish agentwise
     g = task.grad_block(

@@ -162,16 +162,9 @@ class TestSemantics:
         self.check(tmp_path, MINIMAL.replace("h = 0.3", "h = 0.7"),
                    "network.h")
 
-    def test_h_zero_without_de_sgld_mode(self, tmp_path):
+    def test_h_zero(self, tmp_path):
         self.check(tmp_path, MINIMAL.replace("h = 0.3", "h = 0.0"),
                    "network.h")
-
-    def test_de_sgld_mode_forces_h_zero(self, tmp_path):
-        text = MINIMAL.replace("h = 0.3", "h = 0.3\nde_sgld_mode = true")
-        self.check(tmp_path, text, "network.h")
-        ok = MINIMAL.replace("h = 0.3", "h = 0.0\nde_sgld_mode = true")
-        cfg = load_config(write_cfg(tmp_path, ok))
-        assert cfg.network.de_sgld_mode
 
     def test_n_too_small(self, tmp_path):
         self.check(tmp_path, MINIMAL.replace("n = 6", "n = 1"), "network.n")
@@ -355,10 +348,7 @@ def test_int_key_probe_exits_cleanly(tmp_path, capsys, skey, value):
     # to shrink to
     (LOGREG_PROBE, {"task.prior_var": "1e300"}, ("theory",), 3,
      "could not reach an admissible (h, eta)"),
-    # the bounds need h > 0; validate's stepsize report says so and goes on
-    (PROBE, {"network.h": "0", "network.de_sgld_mode": "true"},
-     ("validate",), 3, "stepsize report unavailable: h must be > 0"),
-], ids=["eta-tiny", "prior_var-tiny", "prior_var-huge", "de_sgld_mode"])
+], ids=["eta-tiny", "prior_var-tiny", "prior_var-huge"])
 def test_degenerate_theory_inputs_exit_cleanly(tmp_path, capsys, base,
                                                overrides, commands, code,
                                                message):
@@ -370,3 +360,15 @@ def test_degenerate_theory_inputs_exit_cleanly(tmp_path, capsys, base,
                      str(tmp_path / command)]) == code, command
         captured = capsys.readouterr()
         assert message in captured.out + captured.err, command
+
+
+def test_de_sgld_mode_is_an_unknown_key(tmp_path, capsys):
+    """DE-SGLD is ``sampler.algorithm = DE_SGLD``; the old network knob
+    that set W~ = W is a config error under every command."""
+    from exlg.cli import _COMMANDS, main
+
+    path = _probe_cfg(tmp_path, PROBE, {"network.de_sgld_mode": "false"})
+    for command in _COMMANDS:
+        assert main([command, "--config", path, "--out",
+                     str(tmp_path / command)]) == 2, command
+        assert "network.de_sgld_mode: unknown key" in capsys.readouterr().err

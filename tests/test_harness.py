@@ -111,6 +111,16 @@ class TestValidate:
         assert "OK" in out
         assert "stepsize clauses" in out
 
+    @pytest.mark.parametrize("n, h", [("20", "1e-12"), ("50", "3.4e-23")])
+    def test_connected_ring_at_tiny_h_passes_null_space(self, tmp_path,
+                                                        capsys, n, h):
+        # U = h (I - W) shrinks with h; the null-space floor shrinks too
+        path = make_cfg(tmp_path, **{"n = 6": f"n = {n}",
+                                     "h = 0.3": f"h = {h}"})
+        assert main(["validate", "--config", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "[pass] null-space: dim null(U) = 1," in out
+
     def test_disconnected_exits_three(self, tmp_path, capsys):
         path = make_cfg(tmp_path,
                         **{"topology = ring": "topology = disconnected"})
@@ -458,10 +468,10 @@ class TestTheoryCmd:
 
     def test_shrink_reads_task_inputs_once(self, tmp_path, monkeypatch):
         # mu, L, x* and the bundle do not depend on (h, eta), so a
-        # full-batch theory command derives each once however many
-        # shrink iterations it runs
-        calls = dict.fromkeys(
-            ("problem_params_from", "mu_L_bounds", "minimizer"), 0)
+        # theory command derives each once however many shrink
+        # iterations it runs; with a minibatch the sigma^2 estimate
+        # reads the same x* (a Newton solve on logreg)
+        calls = {}
 
         def count(name, fn):
             def counted(*args, **kw):
@@ -475,16 +485,28 @@ class TestTheoryCmd:
         mu_l = count("mu_L_bounds", tasks.mu_L_bounds)
         monkeypatch.setattr(tasks, "mu_L_bounds", mu_l)
         monkeypatch.setattr(harness, "mu_L_bounds", mu_l)
-        monkeypatch.setattr(tasks.LinRegTask, "minimizer",
-                            count("minimizer", tasks.LinRegTask.minimizer))
+        for cls in (tasks.LinRegTask, tasks.LogRegTask):
+            monkeypatch.setattr(cls, "minimizer",
+                                count("minimizer", cls.minimizer))
         text = BASE + "\n[theory]\nshrink = true\n"
-        cfg = load_config(make_cfg(tmp_path, text=text,
-                                   **{"n = 6": "n = 4"}))
-        assert cmd_theory(cfg) == EXIT_OK
-        with open(tmp_path / "out" / "manifest.json") as fh:
-            assert json.load(fh)["h_used"] < 0.3  # the loop did run
-        assert calls == {"problem_params_from": 1, "mu_L_bounds": 1,
-                         "minimizer": 1}
+        full_batch = {"n = 6": "n = 4"}
+        logreg_minibatch = {
+            "kind = linreg": "kind = logreg-synthetic\nholdout = 100",
+            "n_points = 120": "n_points = 600",
+            "steps = 40": "steps = 40\nbatch = 32"}
+        for name, edits in (("full", full_batch),
+                            ("minibatch", logreg_minibatch)):
+            calls.update(dict.fromkeys(
+                ("problem_params_from", "mu_L_bounds", "minimizer"), 0))
+            cfg = load_config(make_cfg(tmp_path, out_name=name, text=text,
+                                       **edits))
+            assert cmd_theory(cfg) == EXIT_OK
+            with open(tmp_path / name / "manifest.json") as fh:
+                man = json.load(fh)
+            assert man["h_used"] < 0.3  # the loop did run
+            assert (man["sigma2"] > 0) == (name == "minibatch")
+            assert calls == {"problem_params_from": 1, "mu_L_bounds": 1,
+                             "minimizer": 1}, name
 
     def test_sigma2_estimated_when_batch_set(self, tmp_path, capsys):
         text = BASE + "\n[theory]\nshrink = true\n"

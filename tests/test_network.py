@@ -133,13 +133,6 @@ class TestBuildWTilde:
             with pytest.raises(ValueError):
                 build_w_tilde(w, h)
 
-    def test_h_zero_needs_mode_flag(self):
-        w = build_w(ring(4), delta=0.2)
-        wt = build_w_tilde(w, 0.0, de_sgld_mode=True)
-        assert np.array_equal(wt, w)
-        with pytest.raises(ValueError):
-            build_w_tilde(w, 0.3, de_sgld_mode=True)
-
 
 class TestMixingSet:
     def test_u_is_h_times_i_minus_w(self):
@@ -165,11 +158,13 @@ class TestValidateAssumptions:
         assert "null-space" in failed
         assert failed["null-space"].magnitude == 5.0
 
-    def test_de_sgld_mode_null_space_fails(self):
-        ms = build_mixing_set(ring(6), h=0.0, delta=0.2, de_sgld_mode=True)
-        report = validate_assumptions(ms)
-        failed = {c.name for c in report.failed()}
-        assert "null-space" in failed
+    @pytest.mark.parametrize("n, h", [(20, 1e-12), (50, 3.4e-23)])
+    def test_null_space_floor_scales_with_h(self, n, h):
+        # U = h (I - W): at tiny h only the ones direction is null
+        ms = build_mixing_set(ring(n), h=h, delta=0.125)
+        null = {c.name: c for c in validate_assumptions(ms).checks}
+        assert null["null-space"].passed
+        assert null["null-space"].magnitude == 1.0
 
     def test_report_lines_name_each_clause(self):
         ms = build_mixing_set(ring(4), h=0.25, delta=0.2)

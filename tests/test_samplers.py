@@ -420,44 +420,6 @@ def test_replica_values_do_not_depend_on_replica_count(algo, batch, kind,
             assert np.array_equal(ens.vs[:, r], one.vs)
 
 
-@pytest.mark.parametrize("kind", ["linreg", "logreg"])
-def test_ragged_shards_fall_back_to_per_agent_gradients(kind):
-    rng = np.random.default_rng(3)
-    sizes = (4, 7, 5)
-    gen = gen_linreg_data if kind == "linreg" else gen_logreg_data
-    cls = LinRegTask if kind == "linreg" else LogRegTask
-    shards = [gen(n, np.array([0.5, -1.0]), 1.0, rng) if kind == "linreg"
-              else gen(n, np.array([0.5, -1.0]), rng) for n in sizes]
-    task = cls(xs=tuple(s[0] for s in shards), ys=tuple(s[1] for s in shards),
-               prior_var=3.0)
-    x = rng.standard_normal((2, 3, 2))
-    block = task.grad_block(x)
-    for r in range(2):
-        for i in range(3):
-            assert np.array_equal(
-                block[r, i], task.grad_block(x[r, i][None, None],
-                                             agents=i)[0, 0])
-    streams = [NoiseStream(s, 3, 2) for s in (1, 2)]
-    idx = np.array([[nz.batch_rng(4, i).choice(n, 3, replace=False)
-                     for i, n in enumerate(sizes)] for nz in streams])
-    block = task.grad_block(x, idx)
-    for r in range(2):
-        for i in range(3):
-            assert np.array_equal(
-                block[r, i], task.grad_block(x[r, i][None, None],
-                                             idx[r, i][None, None],
-                                             agents=i)[0, 0])
-    # and a whole chain over the ragged task equals the per-row loop
-    ms = build_mixing_set(ring(3), h=0.35, delta=0.2)
-    cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.02, steps=10, seed=6,
-                        batch=3)
-    xs, vs, final_x, final_v = _written_out_chain(task, cfg, ms)
-    res = run_chain(task, cfg, mixing=ms)
-    assert np.array_equal(res.xs, xs)
-    assert np.array_equal(res.final.x, final_x)
-    assert np.array_equal(res.vs, vs)
-
-
 def test_u_with_nonzero_column_sums_trips_the_dual_check():
     task = _toy_task()
     ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
@@ -739,10 +701,10 @@ class TestSamplerConfigValidation:
             )
 
 
-def _scalar_table(noises, ks, sizes, batch):
+def _scalar_table(noises, ks, n_agents, n, batch):
     """batch_table's definition, one ``batch_rng(k, i).choice`` at a time."""
     return np.array([[[nz.batch_rng(k, i).choice(n, batch, replace=False)
-                       for i, n in enumerate(sizes)] for nz in noises]
+                       for i in range(n_agents)] for nz in noises]
                      for k in ks])
 
 
@@ -789,34 +751,27 @@ class TestBatchTable:
         noises = [NoiseStream(derive_seed(4, "replica", r), 3, 2)
                   for r in range(2)]
         ks = [0, 1, 37]
-        table = batch_table(noises, ks, [n] * 3, b)
+        table = batch_table(noises, ks, 3, n, b)
         assert table.shape == (3, 2, 3, b) and table.dtype == np.int64
         # numpy's tail-shuffle branch is drawn by the scalar choice
         tail = n > 10000 and b > n // 50
         assert len(batch_rng_calls) == (3 * 2 * 3 if tail else 0)
-        assert np.array_equal(table, _scalar_table(noises, ks, [n] * 3, b))
-
-    def test_ragged_shards(self):
-        sizes = [4, 9, 4, 30, 9]
-        noises = [NoiseStream(s, 5, 2) for s in (11, 12, 13)]
-        ks = range(6)
-        assert np.array_equal(batch_table(noises, ks, sizes, 4),
-                              _scalar_table(noises, ks, sizes, 4))
+        assert np.array_equal(table, _scalar_table(noises, ks, 3, n, b))
 
     def test_floyd_bitmaps_in_blocks(self, monkeypatch):
         # two streams' bitmaps a block: the 36 streams take 18 blocks
         monkeypatch.setattr(samplers, "_TABLE_BYTES", 250)
         noises = [NoiseStream(s, 6, 2) for s in (3, 4)]
-        assert np.array_equal(batch_table(noises, range(3), [100] * 6, 9),
-                              _scalar_table(noises, range(3), [100] * 6, 9))
+        assert np.array_equal(batch_table(noises, range(3), 6, 100, 9),
+                              _scalar_table(noises, range(3), 6, 100, 9))
 
     def test_high_key_word_and_large_counters(self):
         seed = (0xDEADBEEF << 64) | 0x0123456789ABCDEF
         noises = [NoiseStream(seed, 1, 1), NoiseStream(2**128 - 1, 1, 1)]
         ks = [2**32 + 5, 2**63 + 11, 2**64 - 1]
-        sizes = [12] * 300  # agent (counter word 2) up to 299
-        assert np.array_equal(batch_table(noises, ks, sizes, 3),
-                              _scalar_table(noises, ks, sizes, 3))
+        # agent (counter word 2) up to 299
+        assert np.array_equal(batch_table(noises, ks, 300, 12, 3),
+                              _scalar_table(noises, ks, 300, 12, 3))
 
     def test_lemire_rejection_falls_back(self, batch_rng_calls):
         # Found by a search over k: the fifth 32-bit draw of this stream
@@ -824,21 +779,19 @@ class TestBatchTable:
         # and every later draw shifts by one.
         seed, k, i, n, b = 20241018, 474353, 3, 9714, 5
         nz = NoiseStream(seed, 4, 1)
-        table = batch_table([nz], [k], [n] * 4, b)
+        table = batch_table([nz], [k], 4, n, b)
         assert batch_rng_calls == [(k, i)]
         assert np.array_equal(table[0, 0, i],
                               nz.batch_rng(k, i).choice(n, b, replace=False))
-        assert np.array_equal(table, _scalar_table([nz], [k], [n] * 4, b))
+        assert np.array_equal(table, _scalar_table([nz], [k], 4, n, b))
 
-    @pytest.mark.parametrize("batch, bad", [(6, "[1, 5] for agent 1"),
-                                            (0, "[1, 8] for agent 0"),
-                                            (9, "[1, 8] for agent 0")],
+    @pytest.mark.parametrize("batch, n", [(6, 5), (0, 8), (9, 8)],
                              ids=["6-of-5", "0-of-8", "9-of-8"])
-    def test_batch_outside_shard_rejected(self, batch, bad):
+    def test_batch_outside_shard_rejected(self, batch, n):
         nz = NoiseStream(1, 2, 1)
-        with pytest.raises(ValueError,
-                           match=re.escape(f"batch size {batch} outside {bad}")):
-            batch_table([nz], [0], [8, 5], batch)
+        with pytest.raises(ValueError, match=re.escape(
+                f"batch size {batch} outside [1, {n}]")):
+            batch_table([nz], [0], 2, n, batch)
 
 
 def _logreg_chain_vs_written_out(steps, batch_rng_calls=None):

@@ -60,7 +60,7 @@ def _linreg_f(task, i, beta):
 
 def _logreg_f(task, i, beta):
     s = task.signed(i)
-    val = float(np.sum(np.logaddexp(0.0, -(s @ beta)))) if s.size else 0.0
+    val = float(np.sum(np.logaddexp(0.0, -(s @ beta))))
     return val + float(beta @ beta) / (2.0 * task.n_agents * task.prior_var)
 
 
@@ -194,15 +194,6 @@ class TestGradients:
         g = _grad(task, 0, np.zeros(3))
         assert np.allclose(g, -x[0] / 2.0, atol=1e-14)
 
-    def test_logreg_prior_only(self):
-        task = LogRegTask(
-            xs=(np.zeros((0, 2)), np.zeros((0, 2))),
-            ys=(np.zeros(0), np.zeros(0)),
-            prior_var=5.0,
-        )
-        beta = np.array([1.0, -2.0])
-        assert np.allclose(_grad(task, 0, beta), beta / 10.0, atol=1e-15)
-
     def test_linreg_stationarity_at_target_mean(self):
         task = _toy_linreg(seed=12)
         m = task.target().mean
@@ -272,16 +263,6 @@ class TestMinibatch:
 
 
 class TestMuL:
-    def test_prior_only(self):
-        task = LinRegTask(
-            xs=(np.zeros((0, 2)),) * 4,
-            ys=(np.zeros(0),) * 4,
-            prior_var=10.0,
-        )
-        mu, L = mu_L_bounds(task)
-        assert mu == pytest.approx(1.0 / 40.0, abs=1e-15)
-        assert L == pytest.approx(1.0 / 40.0, abs=1e-15)
-
     def test_scalar_curvature(self):
         task = LinRegTask(
             xs=(np.array([[1.0], [2.0]]),),
@@ -327,40 +308,64 @@ def _sharded(kind, sizes, seed=60):
 
 
 def _mu_L_per_shard(task):
-    """mu_L_bounds written out as a loop of one eigensolve per shard, with
-    the empty-shard cases spelled out."""
+    """mu_L_bounds written out as a loop of one eigensolve per shard."""
     prior_curv = 1.0 / (task.prior_var * task.n_agents)
     if isinstance(task, LogRegTask):
         lmax = 0.0
         for x in task.xs:
-            if x.shape[0]:
-                lmax = max(lmax, 0.25 * float(sym_eig(x.T @ x).values[-1]))
+            lmax = max(lmax, 0.25 * float(sym_eig(x.T @ x).values[-1]))
         return prior_curv, lmax + prior_curv
     lo, hi = np.inf, 0.0
     for x in task.xs:
-        if x.shape[0]:
-            vals = sym_eig(2.0 * (x.T @ x)).values
-            lo = min(lo, float(vals[0]))
-            hi = max(hi, float(vals[-1]))
-        else:
-            lo, hi = min(lo, 0.0), max(hi, 0.0)
-    if not np.isfinite(lo):
-        lo = 0.0
+        vals = sym_eig(2.0 * (x.T @ x)).values
+        lo = min(lo, float(vals[0]))
+        hi = max(hi, float(vals[-1]))
     return lo + prior_curv, hi + prior_curv
 
 
 @pytest.mark.parametrize("kind", ["linreg", "logreg"])
-@pytest.mark.parametrize("sizes", [(6, 6, 6), (4, 7, 5), (5, 0, 7),
-                                   (0, 0, 0)],
-                         ids=["equal", "ragged", "one-empty", "all-empty"])
+@pytest.mark.parametrize("sizes", [(6, 6, 6)], ids=["equal"])
 def test_mu_L_matches_per_shard_loop(kind, sizes):
-    # no empty-shard branches: a zero Gram matrix gives the same bits
     task = _sharded(kind, sizes)
     assert mu_L_bounds(task) == _mu_L_per_shard(task)
 
 
-@pytest.mark.parametrize("sizes", [(6, 6, 6), (4, 7, 5)],
-                         ids=["equal", "ragged"])
+@pytest.mark.parametrize("kind", ["linreg", "logreg"])
+class TestShardStacks:
+    """Tasks hold their equal shards as one (N, n, d) stack."""
+
+    def test_equal_shards_become_one_stack(self, kind):
+        task = _sharded(kind, (6, 6, 6))
+        assert task.xs.shape == (3, 6, 2) and task.ys.shape == (3, 6)
+        assert task.shard_size == 6
+
+    def test_stack_input_gives_the_same_task(self, kind):
+        task = _sharded(kind, (6, 6, 6))
+        again = type(task)(xs=task.xs, ys=task.ys, prior_var=3.0)
+        assert np.array_equal(again.xs, task.xs)
+        assert np.array_equal(again.ys, task.ys)
+        x = np.random.default_rng(1).standard_normal((2, 3, 2))
+        assert np.array_equal(again.grad_block(x), task.grad_block(x))
+
+    @pytest.mark.parametrize("sizes", [(4, 7, 5), (5, 0, 7), (0, 0, 0)],
+                             ids=["ragged", "one-empty", "all-empty"])
+    def test_unequal_or_empty_shards_rejected(self, kind, sizes):
+        with pytest.raises(ValueError, match="equal and nonempty"):
+            _sharded(kind, sizes)
+
+    @pytest.mark.parametrize("xs, ys, message", [
+        ((np.ones((3, 2)),), (np.ones(4),), "3 rows but 4 targets"),
+        ((np.ones((3, 2)), np.ones((3, 1))), (np.ones(3),) * 2,
+         "disagree on the feature dimension"),
+        ((), (), "nonempty per-agent shard lists"),
+    ], ids=["rows-vs-targets", "feature-dims", "no-shards"])
+    def test_malformed_shards_rejected(self, kind, xs, ys, message):
+        cls = LinRegTask if kind == "linreg" else LogRegTask
+        with pytest.raises(ValueError, match=message):
+            cls(xs=xs, ys=ys, prior_var=3.0)
+
+
+@pytest.mark.parametrize("sizes", [(6, 6, 6)], ids=["equal"])
 class TestBlockCallersMatchOneRowLoops:
     """The callers that evaluate every agent in one block call give the
     bits of a loop of one-row calls, agent by agent."""
