@@ -80,7 +80,7 @@ def main(argv=None) -> int:
         print(f"assumption violation: {e}", file=sys.stderr)
         return EXIT_ASSUMPTION
     except ChainDivergenceError as e:
-        print(f"divergence: {e}", file=sys.stderr)
+        print(f"divergence: replica {e.replica}: {e}", file=sys.stderr)
         return EXIT_DIVERGENCE
 
 

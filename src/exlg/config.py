@@ -303,10 +303,6 @@ def _validate_semantics(cfg: ExperimentConfig, problems: list):
             f"sampler.temperature: must be 0 or 1, got {s.temperature}")
     if s.b_mode not in B_MODES:
         problems.append(f"sampler.b_mode: {s.b_mode!r} not one of {B_MODES}")
-    elif s.b_mode == "custom":
-        problems.append(
-            "sampler.b_mode: 'custom' needs a B matrix, which only the "
-            "Python API can supply")
 
     if r.replicas < 1:
         problems.append(f"run.replicas: must be >= 1, got {r.replicas}")

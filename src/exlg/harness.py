@@ -24,16 +24,12 @@ from .metrics import MetricSeries, plateau, w2_batch
 from .network import (
     MixingSet,
     build_mixing_set,
+    draw_delta,
     make_topology,
     topology_from_file,
     validate_assumptions,
 )
-from .samplers import (
-    ChainDivergenceError,
-    SamplerConfig,
-    derive_seed,
-    run_ensemble,
-)
+from .samplers import SamplerConfig, derive_seed, run_ensemble
 from .tasks import (
     LinRegTask,
     LogRegTask,
@@ -163,8 +159,6 @@ def build_mixing(cfg: ExperimentConfig) -> MixingSet:
         delta = net.delta
         if delta is None:
             # seeded so the drawn delta is part of the reproducible config
-            from .network import draw_delta
-
             delta = draw_delta(top, int(derive_seed(cfg.run.seed, "delta")
                                         % (2 ** 31)))
         return build_mixing_set(top, h=net.h, delta=delta)
@@ -188,25 +182,6 @@ def check_assumptions(ms: MixingSet, cfg: ExperimentConfig):
 
 def _replica_seeds(master: int, replicas: int, tag: str = "replica"):
     return [derive_seed(master, tag, r) for r in range(replicas)]
-
-
-def run_replicas(task, ms: Optional[MixingSet], scfg: SamplerConfig,
-                 seeds, record_every: int):
-    """One chain per replica seed, all advanced together.
-
-    Returns (ks, xs_all) with xs_all of shape (n_rec, R, A, d) where A is
-    the number of chain rows (agents, or 1 for centralized samplers).
-    Divergence is re-raised tagged with the replica index.
-    """
-    try:
-        res = run_ensemble(task, scfg, seeds, mixing=ms,
-                           record_every=record_every)
-    except ChainDivergenceError as e:
-        raise ChainDivergenceError(
-            f"replica {e.replica}: {e}", algorithm=e.algorithm,
-            replica=e.replica, k=e.k, agent=e.agent, value=e.value,
-        ) from None
-    return res.ks, res.xs
 
 
 def series_for_run(cfg: ExperimentConfig, task, ks, xs_all,
@@ -249,14 +224,18 @@ def series_for_run(cfg: ExperimentConfig, task, ks, xs_all,
     return out
 
 
-def _accuracies(means, hx, hy, chunk_cells: int = 1 << 16):
+# (record, replica, point) cells per chunk of _accuracies
+_ACC_CHUNK_CELLS = 1 << 16
+
+
+def _accuracies(means, hx, hy):
     """``accuracy`` of each (n_rec, R, d) agent average, as (n_rec, R).
 
     One matrix-vector product per (record, replica), as in ``accuracy``;
-    records go in chunks of about ``chunk_cells`` (record, replica,
+    records go in chunks of about _ACC_CHUNK_CELLS (record, replica,
     point) cells, so the temporaries stay small.
     """
-    step = max(1, chunk_cells // max(1, means.shape[1] * len(hy)))
+    step = max(1, _ACC_CHUNK_CELLS // max(1, means.shape[1] * len(hy)))
     return np.concatenate([
         np.mean(((hx @ means[j:j + step, ..., None])[..., 0] >= 0.0)
                 .astype(float) == hy, axis=-1)
@@ -453,8 +432,9 @@ def _run(cfg: ExperimentConfig):
         ms = build_mixing(cfg)
         check_assumptions(ms, cfg)
     seeds = _replica_seeds(cfg.run.seed, cfg.run.replicas)
-    ks, xs_all = run_replicas(bundle.task, ms, _sampler_config(cfg), seeds,
-                              cfg.run.record_every)
+    res = run_ensemble(bundle.task, _sampler_config(cfg), seeds, mixing=ms,
+                       record_every=cfg.run.record_every)
+    ks, xs_all = res.ks, res.xs
     series = series_for_run(cfg, bundle.task, ks, xs_all, bundle.holdout)
 
     coords = [f"coord_{j}" for j in range(xs_all.shape[-1])]
@@ -501,11 +481,10 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     for algo, label in zip(algos, labels):
         seeds = _replica_seeds(cfg.run.seed, cfg.run.replicas, tag=algo)
         seed_map[label] = [int(s) for s in seeds]
-        use_ms = None if algo in _CENTRALIZED else ms
-        ks, xs_all = run_replicas(bundle.task, use_ms,
-                                  _sampler_config(cfg, algorithm=algo),
-                                  seeds, cfg.run.record_every)
-        for s in series_for_run(cfg, bundle.task, ks, xs_all,
+        res = run_ensemble(bundle.task, _sampler_config(cfg, algorithm=algo),
+                           seeds, mixing=None if algo in _CENTRALIZED else ms,
+                           record_every=cfg.run.record_every)
+        for s in series_for_run(cfg, bundle.task, res.ks, res.xs,
                                 bundle.holdout):
             all_series.append(
                 dataclasses.replace(s, label=f"{label}:{s.label}"))
@@ -525,18 +504,26 @@ _SWEEP_OBJECTIVE = ("w2_mean", "accuracy", "opt_error", "consensus")
 def cmd_sweep_h(cfg: ExperimentConfig) -> int:
     """cmd_run once per h on the grid; summarize plateaus and mark the best.
 
+    Point h runs in the subdirectory h_<h to 6 significant digits>; a grid
+    whose points share one is a config error, raised before any output.
     The objective is the plateau of the first available label in
     {w2_mean, accuracy, opt_error, consensus}; accuracy plateaus are
     negated so "argmin" uniformly means "best".
     """
     sw = cfg.sweep
     grid = list(np.linspace(sw.h_min, sw.h_max, sw.points))
+    names = [f"h_{h:.6g}" for h in grid]
+    if len(set(names)) < len(names):
+        raise ConfigError(
+            f"sweep.points: {sw.points} points on [{sw.h_min}, {sw.h_max}] "
+            f"give only {len(set(names))} distinct run directories (h to 6 "
+            "significant digits); use fewer points or a wider range")
     manifest = ManifestWriter(cfg, "sweep-h")
 
     rows = []
     objectives = []
-    for h in grid:
-        sub_out = os.path.join(manifest.out, f"h_{h:.6g}")
+    for h, name in zip(grid, names):
+        sub_out = os.path.join(manifest.out, name)
         sub = dataclasses.replace(
             cfg,
             network=dataclasses.replace(cfg.network, h=float(h)),

@@ -4,7 +4,7 @@ Everything downstream (mixing matrices, Wasserstein distances, theory
 constants) funnels through the three operations here, so they are kept
 deliberately small: a validated symmetric eigensolve (one LAPACK ``eigh``
 call behind the symmetric-input checks of ``SymMatrix``), an
-eigendecomposition-based PSD root with explicit clipping policy, and a
+eigendecomposition-based PSD root with a fixed relative clip window, and a
 block-apply that contracts only over the agent axis.  Each takes one
 matrix or block, or a stack of them along leading axes; a stacked call
 gives every slice the bits of the call on that slice alone.
@@ -24,6 +24,10 @@ __all__ = [
     "psd_sqrt",
     "mix_apply",
 ]
+
+
+# psd_sqrt clamps eigenvalues down to -_PSD_CLIP times the spectral norm
+_PSD_CLIP = 1e-10
 
 
 class NotPSDError(ValueError):
@@ -104,26 +108,23 @@ def sym_eig(a) -> Spectrum:
     return Spectrum(values=values, vectors=vectors)
 
 
-def psd_sqrt(a, clip_tol: float | None = None) -> np.ndarray:
+def psd_sqrt(a) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
     ``a`` is one matrix or a (..., n, n) stack; each matrix gets its own
-    window.  Eigenvalues in [-clip_tol, 0) are clamped to zero; anything
-    below -clip_tol raises ``NotPSDError`` reporting the offending
-    eigenvalue.  ``clip_tol`` defaults to 1e-10 times the spectral norm of
-    the matrix.
+    window, 1e-10 times its spectral norm.  Eigenvalues inside the window
+    below zero are clamped to zero; anything below it raises
+    ``NotPSDError`` reporting the offending eigenvalue.
     """
     spec = sym_eig(a)
     vals = spec.values
-    if clip_tol is None:
-        clip_tol = 1e-10 * np.max(np.abs(vals), axis=-1)
-    clip_tol = np.broadcast_to(clip_tol, vals.shape[:-1])
+    window = _PSD_CLIP * np.max(np.abs(vals), axis=-1)
     lo = vals[..., 0]
-    bad = lo < -clip_tol
+    bad = lo < -window
     if np.any(bad):
         raise NotPSDError(
             f"matrix is not PSD within the clip window: eigenvalue "
-            f"{lo[bad][0]:.6e} < -{clip_tol[bad][0]:.6e}"
+            f"{lo[bad][0]:.6e} < -{window[bad][0]:.6e}"
         )
     vecs = spec.vectors
     root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) \

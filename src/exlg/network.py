@@ -178,16 +178,10 @@ def draw_delta(top: Topology, seed: int) -> float:
     return float(rng.uniform(0.05, 0.95)) / lam_max
 
 
-def build_w(
-    top: Topology, delta: float | None = None, seed: int | None = None
-) -> np.ndarray:
+def build_w(top: Topology, delta: float) -> np.ndarray:
     """W = I - delta * L.  ``delta`` must lie in (0, 2/lambda_max(L))."""
     lap = laplacian(top)
     lam_max = float(sym_eig(lap).values[-1])
-    if delta is None:
-        if seed is None:
-            raise ValueError("build_w needs either an explicit delta or a seed")
-        delta = draw_delta(top, seed)
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     if lam_max > 0.0 and delta >= 2.0 / lam_max:
@@ -259,14 +253,10 @@ def _spectral_summary(w: np.ndarray, w_tilde: np.ndarray) -> SpectralSummary:
     )
 
 
-def build_mixing_set(
-    top: Topology,
-    h: float,
-    delta: float | None = None,
-    seed: int | None = None,
-) -> MixingSet:
-    if delta is None:
-        delta = draw_delta(top, seed if seed is not None else 0)
+def build_mixing_set(top: Topology, h: float, delta: float) -> MixingSet:
+    """W = I - delta * L, W~ = h*I + (1-h)*W and U = h(I - W) on ``top``,
+    with their spectral summary.  ``delta`` is explicit: `draw_delta`
+    draws one from a seed."""
     w = build_w(top, delta=delta)
     w_tilde = build_w_tilde(w, h)
     # U = W~ - W = h*(I - W); the scaled form avoids the cancellation the

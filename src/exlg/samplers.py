@@ -24,10 +24,11 @@ the optimization skeleton (DGD, EXTRA).
 
 `run_ensemble` advances R replicas together: the state is one
 (R, rows, d) array, where rows is the agent count (1 for ULA and the
-reference chain).  Each transition is ``x, v = step(k, x, v)``, followed
-by one divergence guard and one recording block.  ``step`` comes from a
-per-algorithm table built on the public ``step_*`` functions, which act
-on the whole array: mixing is one BLAS product per replica slice, and
+reference chain), and every chain starts at x = v = 0.  Each transition
+is ``x, v = step(k, x, v)``, followed by one divergence guard and one
+recording block.  ``step`` comes from a per-algorithm table built on the
+public ``step_*`` functions, which act on the whole array: mixing is one
+BLAS product per replica slice, and
 ``grad_block``, the one gradient method of a `GradientOracle`, returns
 every (replica, agent) gradient in one call.
 EXTRA's bootstrap is exactly one DE-SGLD step, and its closure keeps the
@@ -95,7 +96,7 @@ ALGORITHMS = (
     "REFERENCE_CHAIN",
 )
 
-B_MODES = ("wtilde-over-eta", "scaled-identity", "custom")
+B_MODES = ("wtilde-over-eta", "scaled-identity")
 
 _DIVERGENCE_LIMIT = 1e12
 # the dual average max |sum_i v_i| / N may drift from 0 by at most this
@@ -106,7 +107,6 @@ _DUAL_TOL = 1e-8
 # draw counter (little-endian), words 1 and 2 carry (k, i).
 _TAG_NOISE = 1
 _TAG_BATCH = 2
-_TAG_INIT = 3
 
 
 class ChainDivergenceError(RuntimeError):
@@ -151,8 +151,8 @@ class NoiseStream:
     One Philox generator is kept and its counter reset to [0, k, i, tag]
     for every draw, which yields exactly the draws of a fresh
     ``Philox(key=seed, counter=[0, k, i, tag])``.  So a Generator
-    returned by ``batch_rng`` or ``init_rng`` is valid only until the
-    next draw from the same stream: use it at once.
+    returned by ``batch_rng`` is valid only until the next draw from the
+    same stream: use it at once.
 
     Agent i's minibatch at iterate k is ``batch_rng(k, i).choice(n, b,
     replace=False)``.  Chains read it from `batch_table` instead, which
@@ -187,9 +187,6 @@ class NoiseStream:
 
     def batch_rng(self, k: int, i: int) -> np.random.Generator:
         return self._gen(k, i, _TAG_BATCH)
-
-    def init_rng(self) -> np.random.Generator:
-        return self._gen(0, 0, _TAG_INIT)
 
 
 # Philox4x64-10 (Salmon et al., SC'11) as numpy's Philox runs it: round
@@ -315,7 +312,6 @@ class SamplerConfig:
     temperature: float = 1.0
     b_mode: str = "wtilde-over-eta"
     b_scale: float = 1.0
-    b_custom: np.ndarray | None = None
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -337,18 +333,6 @@ class SamplerConfig:
             raise ValueError(
                 f"unknown b_mode {self.b_mode!r}; choose from {B_MODES}"
             )
-        if self.b_mode == "custom":
-            if self.b_custom is None:
-                raise ValueError("b_mode='custom' needs b_custom")
-            b = np.asarray(self.b_custom, dtype=float)
-            cols = b.sum(axis=0)
-            dev = float(np.max(np.abs(cols - cols[0])))
-            if dev > 1e-10 * max(1.0, float(np.max(np.abs(cols)))):
-                raise ValueError(
-                    f"custom B must have equal column sums "
-                    f"(1^T B = c 1^T); max deviation {dev:.3e}"
-                )
-            object.__setattr__(self, "b_custom", b)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -517,38 +501,10 @@ def _grads_fn(oracle, cfg: SamplerConfig, noises):
     return grads
 
 
-def _initial_block(oracle, n_rows, init, noises):
-    """The (R, n_rows, d) start: one block per replica stream."""
-    shape = (len(noises), n_rows, oracle.dim)
-    if isinstance(init, np.ndarray):
-        x0 = np.array(init, dtype=float)
-        if x0.shape != shape[1:]:
-            raise ValueError(
-                f"init block shape {x0.shape} != ({n_rows}, {oracle.dim})"
-            )
-        return np.broadcast_to(x0, shape).copy()
-    if init == "zeros":
-        return np.zeros(shape)
-    if init == "prior":
-        prior_var = getattr(oracle, "prior_var", None)
-        if prior_var is None:
-            raise ValueError("init='prior' needs an oracle with prior_var")
-        return np.stack([
-            np.sqrt(prior_var) * nz.init_rng().standard_normal(shape[1:])
-            for nz in noises
-        ])
-    if init == "minimizer":
-        m = np.asarray(oracle.minimizer(), dtype=float)
-        return np.broadcast_to(m, shape).copy()
-    raise ValueError(f"unknown init {init!r}")
-
-
 def _b_apply(cfg: SamplerConfig, mixing, x: np.ndarray) -> np.ndarray:
     if cfg.b_mode == "wtilde-over-eta":
         return mix_apply(mixing.w_tilde, x) / cfg.eta
-    if cfg.b_mode == "scaled-identity":
-        return cfg.b_scale * x
-    return mix_apply(cfg.b_custom, x)
+    return cfg.b_scale * x
 
 
 def _step_fn(oracle, cfg: SamplerConfig, mixing, noises):
@@ -613,11 +569,11 @@ def run_ensemble(
     seeds,
     mixing=None,
     record_every: int = 1,
-    init="zeros",
     noises=None,
 ) -> ChainResult:
     """Run one chain per seed, all advancing together as one
-    (R, rows, d) array, for cfg.steps transitions; cfg.seed is unused.
+    (R, rows, d) array from x = v = 0, for cfg.steps transitions;
+    cfg.seed is unused.
 
     Records every ``record_every`` iterates (k = 0 and the final iterate
     always); ``xs`` is (n_rec, R, rows, d).  ``noises`` holds one
@@ -652,9 +608,8 @@ def run_ensemble(
     step = _step_fn(oracle, cfg, mixing, noises)
     dual = algo == "GEN_EXTRA_SGLD"  # the only chain that moves v
 
-    x = _initial_block(oracle, n_rows, init, noises)
+    x = np.zeros((len(seeds), n_rows, oracle.dim))
     v = np.zeros_like(x)
-    _guard(algo, 0, x)
 
     want = set(range(0, cfg.steps + 1, record_every))
     want.add(cfg.steps)
@@ -682,7 +637,6 @@ def run_chain(
     mixing=None,
     record_every: int = 1,
     noise: NoiseStream | None = None,
-    init="zeros",
 ) -> ChainResult:
     """Run one chain for cfg.steps transitions, recording every
     ``record_every`` iterates (k = 0 and the final iterate always).
@@ -692,7 +646,7 @@ def run_chain(
     counter-based stream keyed by cfg.seed.
     """
     res = run_ensemble(oracle, cfg, [cfg.seed], mixing=mixing,
-                       record_every=record_every, init=init,
+                       record_every=record_every,
                        noises=None if noise is None else [noise])
     return ChainResult(
         ks=res.ks,

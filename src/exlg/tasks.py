@@ -56,6 +56,13 @@ logger = logging.getLogger("exlg")
 # the coefficient-1 squared loss: 1/xi^2 = 2.
 LOSS_MATCHED_NOISE_STD = float(np.sqrt(0.5))
 
+# Feature variance of the synthetic logistic data
+_LOGREG_FEATURE_VAR = 20.0
+# LogRegTask.minimizer stops at ||grad|| <= _NEWTON_TOL (1 + ||beta||) and
+# gives up after _NEWTON_ITERS Newton steps
+_NEWTON_TOL = 1e-10
+_NEWTON_ITERS = 200
+
 
 @dataclasses.dataclass(frozen=True)
 class GaussianDist:
@@ -310,7 +317,7 @@ class LogRegTask(_ShardedTask):
             data = (self.shard_size / np.shape(idx)[-1]) * data
         return data + self._prior_grad(x)
 
-    def minimizer(self, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
+    def minimizer(self) -> np.ndarray:
         """argmin of sum_i f_i by damped Newton (backtracking line search)."""
         d = self.dim
         beta = np.zeros(d)
@@ -334,9 +341,9 @@ class LogRegTask(_ShardedTask):
                 hh += (s * (p * (1.0 - p))[:, None]).T @ s
             return hh
 
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_ITERS):
             g = grad(beta)
-            if np.linalg.norm(g) <= tol * (1.0 + np.linalg.norm(beta)):
+            if np.linalg.norm(g) <= _NEWTON_TOL * (1.0 + np.linalg.norm(beta)):
                 return beta
             step = np.linalg.solve(hess(beta), g)
             t, v0 = 1.0, value(beta)
@@ -346,8 +353,8 @@ class LogRegTask(_ShardedTask):
                 t *= 0.5
             beta = beta - t * step
         raise RuntimeError(
-            f"Newton failed to reach tol={tol} in {max_iter} iterations "
-            f"(||grad|| = {np.linalg.norm(grad(beta)):.3e})"
+            f"Newton failed to reach tol={_NEWTON_TOL} in {_NEWTON_ITERS} "
+            f"iterations (||grad|| = {np.linalg.norm(grad(beta)):.3e})"
         )
 
 
@@ -369,16 +376,15 @@ def gen_logreg_data(
     n_points: int,
     beta_true: np.ndarray,
     rng: np.random.Generator,
-    feature_var: float = 20.0,
 ):
-    """X rows i.i.d. N(0, feature_var * I_d); uniform-threshold labels.
+    """X rows i.i.d. N(0, 20 I_d); uniform-threshold labels.
 
     y_j = 1 when sigma(beta^T X_j) >= u_j with u_j ~ U(0, 1), so the label
     law is exactly Bernoulli(sigma(beta^T X_j)).
     """
     beta_true = np.atleast_1d(np.asarray(beta_true, dtype=float))
     d = beta_true.size
-    x = np.sqrt(feature_var) * rng.standard_normal((n_points, d))
+    x = np.sqrt(_LOGREG_FEATURE_VAR) * rng.standard_normal((n_points, d))
     u = rng.uniform(size=n_points)
     y = (expit(x @ beta_true) >= u).astype(float)
     return x, y

@@ -484,35 +484,28 @@ def bound_w2_agents(p: ProblemParams, tc: TheoryConstants, K: int) -> float:
 
 
 def _norm_b_for(ms: MixingSet, b_mode: str, eta: float,
-                b_scale: float = 0.0, b_custom=None) -> float:
+                b_scale: float = 0.0) -> float:
     if b_mode == "wtilde-over-eta":
         vals = sym_eig(SymMatrix(np.asarray(ms.w_tilde))).values
         return float(max(abs(vals[0]), abs(vals[-1]))) / eta
     if b_mode == "scaled-identity":
         return abs(float(b_scale))
-    if b_mode == "custom":
-        if b_custom is None:
-            raise ValueError("custom b_mode needs the matrix to measure")
-        a = np.asarray(b_custom, dtype=float)
-        return float(np.linalg.norm(a, 2))
     raise ValueError(f"unknown b_mode {b_mode!r}")
 
 
 def problem_params_from(task, ms: MixingSet, eta: float, *,
-                        sigma2: float = 0.0, init: str = "zeros",
+                        sigma2: float = 0.0,
                         b_mode: str = "wtilde-over-eta", b_scale: float = 0.0,
-                        b_custom=None, w2_init: Optional[float] = None,
+                        w2_init: Optional[float] = None,
                         xstar: Optional[np.ndarray] = None) -> ProblemParams:
     """Assemble a ProblemParams bundle from a task and a mixing set.
 
     Curvature bounds come from the task, the spectrum from the mixing
     set, and ||grad F(x*)||^2 from the task minimiser ``xstar``
-    (``task.minimizer()`` unless the caller has it already).  Initial
-    moments follow the configured initialiser: the default zero start reports
-    exact zeros, a minimiser start carries N*||x*||^2 in the first slot,
-    and a prior draw uses the analytic moments of N(0, lambda*I).  When
-    the task exposes a Gaussian target and ``w2_init`` is not given, the
-    point-mass-at-start distance to the target fills it in.
+    (``task.minimizer()`` unless the caller has it already).  The chains
+    start at zero, so the initial moments are exact zeros.  When the
+    task exposes a Gaussian target and ``w2_init`` is not given, the
+    distance from the point mass at zero to the target fills it in.
     """
     from .metrics import w2_gaussian
     from .tasks import GaussianDist, mu_L_bounds
@@ -527,26 +520,10 @@ def problem_params_from(task, ms: MixingSet, eta: float, *,
     r = float(np.linalg.norm(g)) ** 2
     N, d = ms.topology.n, task.dim
 
-    if init == "zeros":
-        moments = InitMoments()
-        start_mean = np.zeros(d)
-    elif init == "minimizer":
-        moments = InitMoments(x0_sq=float(N * xstar @ xstar))
-        start_mean = xstar
-    elif init == "prior":
-        lam = float(task.prior_var)
-        moments = InitMoments(x0_sq=N * d * lam,
-                              xtilde0_sq=(N - 1) * d * lam,
-                              ebar0_sq=d * lam / N)
-        start_mean = np.zeros(d)
-    else:
-        raise ValueError(f"unknown init {init!r}")
-
     if w2_init is None:
         target = task.target() if hasattr(task, "target") else None
         if target is not None:
-            point = GaussianDist(mean=start_mean,
-                                 cov=np.zeros((d, d)))
+            point = GaussianDist(mean=np.zeros(d), cov=np.zeros((d, d)))
             w2_init = float(w2_gaussian(point, target))
         else:
             w2_init = 0.0
@@ -554,9 +531,8 @@ def problem_params_from(task, ms: MixingSet, eta: float, *,
     return ProblemParams(
         mu=float(mu), L=float(L), sigma2=float(sigma2), d=d, N=N,
         eta=float(eta), h=float(ms.h),
-        norm_B=_norm_b_for(ms, b_mode, eta, b_scale, b_custom),
-        grad_at_min_sq=r, spectral=ms.spectral, init_moments=moments,
-        w2_init=float(w2_init))
+        norm_B=_norm_b_for(ms, b_mode, eta, b_scale),
+        grad_at_min_sq=r, spectral=ms.spectral, w2_init=float(w2_init))
 
 
 # shrink_to_admissible aims at these fractions of the h and eta limits and

@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from exlg.harness import run_replicas
 from exlg.metrics import accuracy, plateau, w2_gaussian, w2_series
 from exlg.network import (
     build_mixing_set,
@@ -26,6 +25,7 @@ from exlg.samplers import (
     SamplerConfig,
     derive_seed,
     run_chain,
+    run_ensemble,
 )
 from exlg.tasks import (
     GaussianDist,
@@ -83,7 +83,9 @@ def _ensemble(task, ms, algo, *, eta, steps, reps, master, record_every,
     seeds = [derive_seed(master, algo, r) for r in range(reps)]
     scfg = SamplerConfig(algorithm=algo, eta=eta, steps=steps, seed=0,
                          batch=batch, temperature=temperature)
-    return run_replicas(task, ms, scfg, seeds, record_every)
+    res = run_ensemble(task, scfg, seeds, mixing=ms,
+                       record_every=record_every)
+    return res.ks, res.xs
 
 
 def _linreg_task(master, n_points, n_agents, dim, per_agent=None,

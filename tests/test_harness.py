@@ -35,7 +35,6 @@ from exlg.harness import (
     cmd_sweep_h,
     cmd_theory,
     cmd_validate,
-    run_replicas,
     write_csv,
 )
 from exlg.metrics import (
@@ -44,8 +43,7 @@ from exlg.metrics import (
     estimate_moments,
     w2_gaussian,
 )
-from exlg.network import build_mixing_set, ring
-from exlg.samplers import ChainDivergenceError, SamplerConfig, derive_seed
+from exlg.samplers import ChainDivergenceError, derive_seed
 from exlg.tasks import gen_linreg_data
 from exlg.theory import (
     bound_w2_agents,
@@ -383,6 +381,20 @@ class TestSweep:
                                 for line in fh.read().splitlines()[1:]]
             assert rows == plateau_rows
 
+    def test_grid_sharing_a_directory_is_a_config_error(self, tmp_path,
+                                                        capsys):
+        # all three points print as h_0.1, so two runs would be lost
+        text = BASE + ("\n[sweep]\nh_min = 0.1\nh_max = 0.1000001\n"
+                       "points = 3\n")
+        path = make_cfg(tmp_path, out_name="sweep", text=text)
+        with pytest.raises(ConfigError, match=r"^sweep\.points: 3 points .* "
+                                              r"only 1 distinct run dir"):
+            cmd_sweep_h(load_config(path))
+        assert not (tmp_path / "sweep").exists()
+        assert main(["sweep-h", "--config", path]) == EXIT_CONFIG
+        assert "config error: sweep.points" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
 
 class TestTheoryCmd:
     def test_inadmissible_exit_names_binding_clause(self, tmp_path, capsys):
@@ -625,17 +637,26 @@ class SpikeOracle:
         return x - 1e16 * (np.arange(self.n_agents) == 3)[:, None]
 
 
-def test_run_replicas_names_replica_iteration_and_agent():
-    ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
-    cfg = SamplerConfig("DE_SGLD", eta=0.01, steps=5, seed=0)
+def test_divergence_names_replica_iteration_and_agent(tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.setattr(harness, "build_task", lambda cfg: harness.TaskBundle(
+        task=SpikeOracle(), beta_true=None, holdout=None))
+    path = make_cfg(tmp_path, **{"GEN_EXTRA_SGLD": "DE_SGLD",
+                                 "steps = 40": "steps = 5",
+                                 "record_every = 5": "record_every = 1"})
     with pytest.raises(ChainDivergenceError,
-                       match=r"^replica 0: DE_SGLD diverged at iteration 1, "
+                       match=r"^DE_SGLD diverged at iteration 1, "
                              r"agent 3: max \|x\| entry") as info:
-        run_replicas(SpikeOracle(), ms, cfg, seeds=[11, 12, 13],
-                     record_every=1)
+        cmd_run(load_config(path))
     e = info.value
     assert (e.algorithm, e.replica, e.k, e.agent) == ("DE_SGLD", 0, 1, 3)
     assert e.value == pytest.approx(0.01 * 1e16, rel=1e-9)
+    # the CLI prefixes the replica
+    assert main(["run", "--config", path]) == EXIT_DIVERGENCE
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == (
+        "divergence: replica 0: DE_SGLD diverged at iteration 1, agent 3: "
+        "max |x| entry = 1.000000e+14 (limit 1.0e+12)")
 
 
 def _series_per_record(cfg, task, ks, xs_all, holdout):
@@ -712,9 +733,9 @@ class TestSeriesArrays:
                "n_points = 120": "n_points = 240",
                "beta_true = 1.0 -0.5": "beta_true = 2.0 -1.0"})
         means, holdout = args[3].mean(axis=2), args[4]
-        assert np.array_equal(
-            harness._accuracies(means, *holdout, chunk_cells=1),
-            harness._accuracies(means, *holdout))
+        whole = harness._accuracies(means, *holdout)
+        monkeypatch.setattr(harness, "_ACC_CHUNK_CELLS", 1)
+        assert np.array_equal(harness._accuracies(means, *holdout), whole)
 
     def test_zero_temperature(self, tmp_path, monkeypatch):
         self._check(tmp_path, monkeypatch, ["consensus", "opt_error"],
@@ -762,17 +783,25 @@ class TestCliPlumbing:
         assert main(["run", "--config", path]) == EXIT_DIVERGENCE
         assert "replica 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edits", [
-        {"steps = 40": "steps = 40\nb_mode = custom"},
-        {"steps = 40": "steps = 40\nbatch = 21"},          # shard is 20
-        {"dim = 2": "dim = 2\nper_agent = 21"},            # 6 x 21 > 120
-        {"n_points = 120": "n_points = 5"},                # 6 agents
+    @pytest.mark.parametrize("edits, message", [
+        ({"steps = 40": "steps = 40\nb_mode = custom"},
+         "sampler.b_mode: 'custom' not one of ('wtilde-over-eta', "
+         "'scaled-identity')"),
+        ({"steps = 40": "steps = 40\nbatch = 21"},          # shard is 20
+         "sampler.batch: 21 exceeds the shard size 20"),
+        ({"dim = 2": "dim = 2\nper_agent = 21"},            # 6 x 21 > 120
+         "task.per_agent: 6 agents x 21 points"),
+        ({"n_points = 120": "n_points = 5"},                # 6 agents
+         "network.n: 6 agents x 1 points"),
     ], ids=["b-mode-custom", "batch-over-shard", "per-agent-over-data",
             "agents-over-data"])
-    def test_unsuppliable_inputs_exit_two(self, tmp_path, capsys, edits):
+    def test_unsuppliable_inputs_exit_two(self, tmp_path, capsys, edits,
+                                          message):
         path = make_cfg(tmp_path, **edits)
         assert main(["run", "--config", path]) == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert message in err
 
     def test_log_level_warning_silences_assumption_lines(self, tmp_path):
         # fresh interpreters, so logging is configured by main alone

@@ -141,17 +141,21 @@ class TestMixingSet:
 
     def test_connected_flags(self):
         assert build_mixing_set(ring(6), h=0.2, delta=0.2).connected
-        assert not build_mixing_set(disconnected(6), h=0.2).connected
+        top = disconnected(6)
+        assert not build_mixing_set(top, h=0.2,
+                                    delta=draw_delta(top, 0)).connected
 
     def test_fc20_passes_validation(self):
-        ms = build_mixing_set(fully_connected(20), h=0.5, seed=3)
+        top = fully_connected(20)
+        ms = build_mixing_set(top, h=0.5, delta=draw_delta(top, 3))
         report = validate_assumptions(ms)
         assert report.ok, [c.name for c in report.failed()]
 
 
 class TestValidateAssumptions:
     def test_disconnected_null_space_fails(self):
-        ms = build_mixing_set(disconnected(5), h=0.3)
+        top = disconnected(5)
+        ms = build_mixing_set(top, h=0.3, delta=draw_delta(top, 0))
         report = validate_assumptions(ms)
         assert not report.ok
         failed = {c.name: c for c in report.failed()}
@@ -181,7 +185,8 @@ class TestMixingInvariants:
     @pytest.mark.parametrize("h", [0.001, 0.13, 0.38, 0.5])
     def test_grid(self, builder, n, h):
         top = builder(n)
-        ms = build_mixing_set(top, h=h, seed=n * 1000 + int(h * 1000))
+        ms = build_mixing_set(
+            top, h=h, delta=draw_delta(top, n * 1000 + int(h * 1000)))
         report = validate_assumptions(ms)
         assert report.ok, [c.detail for c in report.failed()]
 

@@ -10,7 +10,6 @@ import re
 import numpy as np
 import pytest
 
-from exlg.harness import run_replicas
 from exlg.linalg import mix_apply
 from exlg.network import build_mixing_set, ring
 from exlg import samplers
@@ -143,8 +142,6 @@ class TestNoiseStream:
             assert np.array_equal(s.batch_rng(k, i).choice(40, 8,
                                                            replace=False),
                                   fresh(k, i, 2).choice(40, 8, replace=False))
-            assert np.array_equal(s.init_rng().standard_normal((5, 3)),
-                                  fresh(0, 0, 3).standard_normal((5, 3)))
             assert np.array_equal(s.batch_rng(k, i).integers(0, 1000, 9),
                                   fresh(k, i, 2).integers(0, 1000, 9))
             # a partly used generator, then a reset in the middle of it
@@ -391,27 +388,28 @@ def _toy_logreg(seed=0, n_agents=6, n_i=8, d=3, prior_var=10.0):
     )
 
 
-@pytest.mark.parametrize("init", ["zeros", "prior"])
+# stride 5 leaves the final iterate (k = 12) off the recording stride
+@pytest.mark.parametrize("record_every, ks", [(3, [0, 3, 6, 9, 12]),
+                                              (5, [0, 5, 10, 12])],
+                         ids=["stride3", "stride5"])
 @pytest.mark.parametrize("kind", ["linreg", "logreg"])
 @pytest.mark.parametrize("batch", [None, 2], ids=["full", "batch2"])
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_replica_values_do_not_depend_on_replica_count(algo, batch, kind,
-                                                       init):
+                                                       record_every, ks):
     task = _toy_task(seed=8, n_i=6) if kind == "linreg" else _toy_logreg(8)
     ms = build_mixing_set(ring(6), h=0.35, delta=0.2)
     mixing = None if algo in ("ULA", "REFERENCE_CHAIN") else ms
     cfg = SamplerConfig(algo, eta=0.02, steps=12, seed=0, batch=batch)
     seeds = [derive_seed(5, "replica", r) for r in range(4)]
-    ens = run_ensemble(task, cfg, seeds, mixing=mixing, record_every=3,
-                       init=init)
-    assert ens.xs.shape[:2] == (5, 4)
-    if init == "zeros":  # what the CLI runs
-        ks, xs_all = run_replicas(task, mixing, cfg, seeds, record_every=3)
-        assert np.array_equal(ks, ens.ks)
-        assert np.array_equal(xs_all, ens.xs)
+    ens = run_ensemble(task, cfg, seeds, mixing=mixing,
+                       record_every=record_every)
+    assert ens.ks.tolist() == ks
+    assert ens.xs.shape[:2] == (len(ks), 4)
+    assert not ens.xs[0].any()  # every chain starts at zero
     for r, seed in enumerate(seeds):
         one = run_chain(task, dataclasses.replace(cfg, seed=seed),
-                        mixing=mixing, record_every=3, init=init)
+                        mixing=mixing, record_every=record_every)
         assert np.array_equal(ens.ks, one.ks)
         assert np.array_equal(ens.xs[:, r], one.xs)
         assert np.array_equal(ens.final.x[r], one.final.x)
@@ -515,9 +513,6 @@ class TestPermutationEquivariance:
 
             def batch_rng(self, k, i):
                 return self.base.batch_rng(k, self.perm[i])
-
-            def init_rng(self):
-                return self.base.init_rng()
 
         cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=120, seed=31)
         base_noise = NoiseStream(cfg.seed, n, 2)
@@ -631,17 +626,6 @@ class TestRunChainMechanics:
         assert (info.value.replica, info.value.k) == (1, 4)
         assert info.value.value > 1e290
 
-    def test_init_prior_and_minimizer(self):
-        task = _toy_task()
-        ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
-        cfg = SamplerConfig("DE_SGLD", eta=0.01, steps=0, seed=6)
-        prior = run_chain(task, cfg, mixing=ms, init="prior")
-        assert not np.allclose(prior.xs[0], 0.0)
-        again = run_chain(task, cfg, mixing=ms, init="prior")
-        assert np.array_equal(prior.xs, again.xs)
-        at_min = run_chain(task, cfg, mixing=ms, init="minimizer")
-        assert np.allclose(at_min.xs[0], task.minimizer()[None, :])
-
     def test_reference_chain_noise_scale(self):
         # grad == 0: one step gives i.i.d. N(0, 2 eta / N) coordinates.
         n, d, eta = 5, 20000, 0.01
@@ -678,20 +662,6 @@ class TestSamplerConfigValidation:
             SamplerConfig("ULA", eta=0.1, steps=1, seed=0, temperature=0.5)
         with pytest.raises(ValueError):
             SamplerConfig("ULA", eta=0.1, steps=1, seed=0, b_mode="junk")
-
-    def test_custom_b_column_sums(self):
-        good = np.array([[0.6, 0.1], [0.4, 0.9]])
-        cfg = SamplerConfig(
-            "GEN_EXTRA_SGLD", eta=0.1, steps=1, seed=0,
-            b_mode="custom", b_custom=good,
-        )
-        assert cfg.b_custom is not None
-        bad = np.array([[1.0, 0.0], [0.0, 2.0]])
-        with pytest.raises(ValueError, match="column sums"):
-            SamplerConfig(
-                "GEN_EXTRA_SGLD", eta=0.1, steps=1, seed=0,
-                b_mode="custom", b_custom=bad,
-            )
 
     def test_missing_mixing_rejected(self):
         task = _toy_task()

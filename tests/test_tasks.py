@@ -136,7 +136,7 @@ class TestGenerators:
 
     def test_feature_variance(self):
         rng = np.random.default_rng(8)
-        x, _ = gen_logreg_data(100_000, np.zeros(2), rng, feature_var=20.0)
+        x, _ = gen_logreg_data(100_000, np.zeros(2), rng)
         assert abs(x.var() - 20.0) < 0.5
 
 

@@ -420,13 +420,6 @@ class TestProblemParamsFrom:
         expect = math.sqrt(float(tgt.mean @ tgt.mean) + float(np.trace(tgt.cov)))
         assert p.w2_init == pytest.approx(expect, rel=1e-10)
 
-    def test_minimizer_init_moment(self):
-        task, ms = self._setup()
-        p = problem_params_from(task, ms, eta=0.001, init="minimizer")
-        xstar = task.minimizer()
-        assert p.init_moments.x0_sq == pytest.approx(4 * float(xstar @ xstar))
-        assert p.init_moments.xtilde0_sq == 0.0
-
     def test_shrink_reaches_admissible_pair(self):
         task, ms = self._setup()
         p, ms2 = shrink_to_admissible(
