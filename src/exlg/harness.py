@@ -8,6 +8,7 @@ replicas advance together as one ensemble (``samplers.run_ensemble``).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import logging
@@ -245,12 +246,15 @@ def _accuracies(means, hx, hy):
 # ---------------------------------------------------------------------------
 # output files
 
-def _atomic_write(path: str, text: str):
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """A text file that replaces ``path`` when the block ends, and is
+    deleted instead if the block raises."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -258,27 +262,31 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def write_csv(path: str, header, rows) -> int:
-    """Write header + rows atomically; floats at 17 significant digits.
+def write_csv(path: str, header, chunks) -> int:
+    """Write header + (text, row count) ``chunks`` atomically; returns rows."""
+    count = 0
+    with _atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for text, rows in chunks:
+            fh.write(text)
+            count += rows
+    return count
 
-    Each row is filled into a ``%`` template made for its tuple of cell
-    types: ``%d`` for integers, ``%.17g`` for floats, ``%s`` otherwise,
-    with bools written as true/false.  Returns the data row count (header
-    excluded).
-    """
-    lines = [",".join(header)]
+
+def _row_lines(rows):
+    """A `write_csv` chunk per row tuple, filled into a ``%`` template made
+    for its tuple of cell types: ``%d`` for integers, ``%.17g`` for floats,
+    ``%s`` otherwise, with bools written as true/false."""
     templates: dict = {}
     for row in rows:
         kinds = tuple(map(type, row))
         tmpl = templates.get(kinds)
         if tmpl is None:
-            tmpl = templates[kinds] = ",".join(map(_cell_format, kinds))
+            tmpl = templates[kinds] = ",".join(map(_cell_format, kinds)) + "\n"
         if bool in kinds:
             row = tuple(("true" if c else "false") if type(c) is bool else c
                         for c in row)
-        lines.append(tmpl % tuple(row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-    return len(lines) - 1
+        yield tmpl % tuple(row), 1
 
 
 def _cell_format(kind: type) -> str:
@@ -289,13 +297,18 @@ def _cell_format(kind: type) -> str:
     return "%s"
 
 
-def trajectory_rows(ks, xs_all):
-    ks = np.asarray(ks).tolist()
+def _trajectory_chunks(ks, xs_all):
+    """`write_csv` chunks, one replica block each, filled into one ``%``
+    template: ``r,k,agent,`` as text, ``%.17g`` per coordinate."""
+    n_agents, dim = xs_all.shape[2:]
+    row = ",".join(["%.17g"] * dim) + "\n"
+    # the leading "" makes join put "r," before every line, and no row
+    # at all when there are no records
+    lines = [""] + [f"{k},{a},{row}" for k in np.asarray(ks).tolist()
+                    for a in range(n_agents)]
     for r in range(xs_all.shape[1]):
-        xs = xs_all[:, r].tolist()
-        for k, block in zip(ks, xs):
-            for a, x in enumerate(block):
-                yield (r, k, a, *x)
+        yield (f"{r},".join(lines) % tuple(xs_all[:, r].ravel().tolist()),
+               len(lines) - 1)
 
 
 def metric_rows(series_list):
@@ -324,16 +337,16 @@ class ManifestWriter:
         }
         self._t0 = time.monotonic()
 
-    def write_csv(self, name: str, header, rows):
-        n = write_csv(os.path.join(self.out, name), header, rows)
+    def write_csv(self, name: str, header, chunks):
+        n = write_csv(os.path.join(self.out, name), header, chunks)
         self.payload["files"][name] = {"rows": n}
 
     def finish(self, **extra):
         self.payload.update(extra)
         self.payload["wall_clock_s"] = round(time.monotonic() - self._t0, 3)
-        _atomic_write(os.path.join(self.out, "manifest.json"),
-                      json.dumps(self.payload, indent=2, sort_keys=True,
-                                 default=str) + "\n")
+        with _atomic_open(os.path.join(self.out, "manifest.json")) as fh:
+            fh.write(json.dumps(self.payload, indent=2, sort_keys=True,
+                                default=str) + "\n")
 
 
 def _b_scale(cfg: ExperimentConfig) -> float:
@@ -439,12 +452,12 @@ def _run(cfg: ExperimentConfig):
 
     coords = [f"coord_{j}" for j in range(xs_all.shape[-1])]
     manifest.write_csv("trajectory.csv", ["replica", "k", "agent", *coords],
-                       trajectory_rows(ks, xs_all))
+                       _trajectory_chunks(ks, xs_all))
     manifest.write_csv("metrics.csv", ["k", "label", "value"],
-                       metric_rows(series))
+                       _row_lines(metric_rows(series)))
     manifest.write_csv("plateau.csv", ["algorithm", "label", "plateau"],
-                       ((cfg.sampler.algorithm, s.label, plateau(s.values))
-                        for s in series))
+                       _row_lines((cfg.sampler.algorithm, s.label,
+                                    plateau(s.values)) for s in series))
     manifest.finish(replica_seeds=[int(s) for s in seeds])
     return series
 
@@ -491,9 +504,9 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
             plateau_rows.append((label, s.label, plateau(s.values)))
 
     manifest.write_csv("metrics.csv", ["k", "label", "value"],
-                       metric_rows(all_series))
+                       _row_lines(metric_rows(all_series)))
     manifest.write_csv("plateau.csv", ["algorithm", "label", "plateau"],
-                       plateau_rows)
+                       _row_lines(plateau_rows))
     manifest.finish(replica_seeds=seed_map)
     return EXIT_OK
 
@@ -539,8 +552,8 @@ def cmd_sweep_h(cfg: ExperimentConfig) -> int:
     best_h = min(objectives)[1] if objectives else None
     manifest.write_csv("sweep_summary.csv",
                        ["h", "label", "plateau", "is_argmin"],
-                       ((h, label, val, h == best_h)
-                        for h, label, val in rows))
+                       _row_lines((h, label, val, h == best_h)
+                                   for h, label, val in rows))
     manifest.finish(h_grid=[float(h) for h in grid], best_h=best_h)
     return EXIT_OK
 
@@ -594,15 +607,15 @@ def cmd_theory(cfg: ExperimentConfig, echo=print) -> int:
 
     tc = compute_constants(p)
     manifest.write_csv("theory_constants.csv", ["name", "value"],
-                       tc.as_rows())
+                       _row_lines(tc.as_rows()))
 
     ks = sorted(set(range(0, cfg.sampler.steps + 1, cfg.run.record_every))
                 | {cfg.sampler.steps})
-    rows = [(k, label, bound(p, tc, k))
-            for label, bound in (("bound_w2_mean", bound_w2_mean),
-                                 ("bound_w2_agents", bound_w2_agents))
-            for k in ks if k >= tc.K0]
-    manifest.write_csv("theory_bounds.csv", ["k", "label", "value"], rows)
+    bounds = (("bound_w2_mean", bound_w2_mean),
+              ("bound_w2_agents", bound_w2_agents))
+    lines = _row_lines((k, label, bound(p, tc, k))
+                       for label, bound in bounds for k in ks if k >= tc.K0)
+    manifest.write_csv("theory_bounds.csv", ["k", "label", "value"], lines)
     manifest.finish(h_used=p.h, eta_used=p.eta, sigma2=sigma2, K0=tc.K0)
     return EXIT_OK
 
@@ -620,7 +633,7 @@ def cmd_gen_data(cfg: ExperimentConfig) -> int:
     x, y, beta = _synthetic_data(
         t, np.random.default_rng(derive_seed(cfg.run.seed, "data")))
     header = [f"x_{j}" for j in range(t.dim)] + ["y"]
-    manifest.write_csv("dataset.csv", header,
-                       ((*row, yv) for row, yv in zip(x.tolist(), y.tolist())))
+    manifest.write_csv("dataset.csv", header, _row_lines(
+        (*row, yv) for row, yv in zip(x.tolist(), y.tolist())))
     manifest.finish(beta_true=[float(b) for b in beta])
     return EXIT_OK

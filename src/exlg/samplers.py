@@ -228,32 +228,31 @@ def philox4x64(ctr, key):
 
 
 def _floyd_rows(u32, n, b):
-    """``Generator.choice(n, b, replace=False)`` of numpy's Floyd branch,
-    one row per stream, from that stream's 32-bit draws ``u32`` (S, m).
-
-    The draws are Lemire's bounded integers on [0, j]: Floyd's sampler
-    for j = n-b .. n-1 (no draw at j = 0), then the final Fisher-Yates
-    shuffle for j = b-1 .. 1.  Returns the (S, b) rows and a mask of the
-    streams whose draws hit a Lemire rejection: numpy would have drawn
-    again there, so those rows are wrong.
-    """
+    """``Generator.choice(n, b, replace=False)`` of numpy's Floyd branch
+    for S streams, from their 32-bit draws ``u32`` (S, m): a (b, S) array
+    whose column s is stream s's indices, and a mask of the streams whose
+    draws hit a Lemire rejection (numpy draws again; those are wrong).
+    The draws, Lemire's bounded integers on [0, j], are one (draws, S)
+    array.  Floyd's sampler (j = n-b .. n-1, no draw at j = 0) marks value
+    v at s*n + v of a flat bitmap; the final shuffle (j = b-1 .. 1) swaps
+    flat output entries t*S + s and v*S + s."""
     bound = np.concatenate([np.arange(max(n - b, 1), n),
                             np.arange(b - 1, 0, -1)]).astype(np.uint64)
     span = bound + np.uint64(1)
-    m = u32[:, :bound.size] * span
-    rejected = ((m & _LO32) < (_LO32 - bound) % span).any(axis=1)
-    m >>= _32
-    draws = iter(m.T)
-    rows = np.arange(u32.shape[0])
-    out = np.empty((rows.size, b), dtype=np.int64)
-    taken = np.zeros((rows.size, n), dtype=bool)
+    m = u32[:, :bound.size].T * span[:, None]
+    rejected = ((m & _LO32) < ((_LO32 - bound) % span)[:, None]).any(axis=0)
+    draws = iter((m >> _32).astype(np.int64))
+    cols = np.arange(u32.shape[0])
+    out = np.empty((b, cols.size), dtype=np.int64)
+    flat, taken = out.reshape(-1), np.zeros(cols.size * n, dtype=bool)
+    at = cols * n
     for t, j in enumerate(range(n - b, n)):
-        val = next(draws) if j else np.zeros(rows.size, dtype=np.uint64)
-        out[:, t] = np.where(taken[rows, val], j, val)
-        taken[rows, out[:, t]] = True
+        val = next(draws) if j else 0
+        out[t] = np.where(taken[at + val], j, val)
+        taken[at + out[t]] = True
     for t in range(b - 1, 0, -1):
-        j = next(draws)
-        out[:, t], out[rows, j] = out[rows, j], out[:, t].copy()
+        pos = next(draws) * cols.size + cols
+        out[t], flat[pos] = flat[pos], out[t].copy()
     return out, rejected
 
 
@@ -263,11 +262,11 @@ def batch_table(noises, ks, n_agents, n, batch) -> np.ndarray:
     ``noises[r].batch_rng(ks[t], i).choice(n, batch, replace=False)``.
 
     Stream (r, k, i) is Philox keyed by ``noises[r].seed`` at counters
-    [1.., k, i, 2]; one `philox4x64` call serves every stream and
-    `_floyd_rows` turns the words into indices.  Two cases call the
-    scalar ``batch_rng(k, i).choice`` instead: a stream that hits a
-    Lemire rejection, and numpy's tail-shuffle branch (n > 10000 and
-    b > n // 50).
+    [1.., k, i, 2]; one `philox4x64` call serves every stream, and
+    `_floyd_rows` turns each block's words into (batch, streams) indices.
+    Two cases call the scalar ``batch_rng(k, i).choice`` instead: a
+    stream that hits a Lemire rejection, and numpy's tail-shuffle branch
+    (n > 10000 and b > n // 50).
     """
     if not 1 <= batch <= n:
         raise ValueError(f"batch size {batch} outside [1, {n}]")
@@ -291,11 +290,10 @@ def batch_table(noises, ks, n_agents, n, batch) -> np.ndarray:
         # each 64-bit word is two 32-bit draws, its low half first
         u32 = words.astype("<u8", copy=False).view("<u4")
         step = max(1, _TABLE_BYTES // n)  # Floyd bitmaps, n bytes a stream
-        rows, rejected = map(np.concatenate, zip(*(
-            _floyd_rows(u32[s:s + step], n, batch)
-            for s in range(0, len(u32), step))))
-        table = rows.reshape(shape + (batch,))
-        scalar = rejected.reshape(shape)
+        cols, rejected = zip(*(_floyd_rows(u32[s:s + step], n, batch)
+                               for s in range(0, len(u32), step)))
+        table = np.concatenate(cols, axis=1).T.reshape(shape + (batch,))
+        scalar = np.concatenate(rejected).reshape(shape)
     for t, r, i in zip(*np.nonzero(scalar)):
         table[t, r, i] = noises[r].batch_rng(int(ks[t]), int(i)).choice(
             n, batch, replace=False)

@@ -35,6 +35,8 @@ from exlg.harness import (
     cmd_sweep_h,
     cmd_theory,
     cmd_validate,
+    _row_lines,
+    _trajectory_chunks,
     write_csv,
 )
 from exlg.metrics import (
@@ -43,7 +45,7 @@ from exlg.metrics import (
     estimate_moments,
     w2_gaussian,
 )
-from exlg.samplers import ChainDivergenceError, derive_seed
+from exlg.samplers import ChainDivergenceError, derive_seed, run_ensemble
 from exlg.tasks import gen_linreg_data
 from exlg.theory import (
     bound_w2_agents,
@@ -768,11 +770,143 @@ def test_write_csv_matches_per_cell_formatter(tmp_path):
         (7, "k", 5.5, 0),
     ]
     path = str(tmp_path / "mixed.csv")
-    assert write_csv(path, ["w", "x", "y", "z"], iter(rows)) == len(rows)
+    assert write_csv(path, ["w", "x", "y", "z"],
+                     _row_lines(iter(rows))) == len(rows)
     want = "w,x,y,z\n" + "".join(
         ",".join(_fmt(c) for c in row) + "\n" for row in rows)
     with open(path, newline="") as fh:
         assert fh.read() == want
+
+
+def _reference_csv(header, rows):
+    """write_csv's text and row count before it streamed: each row filled
+    into the template of its cell types, every line kept in one list and
+    joined at the end."""
+    def cell(kind):
+        if issubclass(kind, (int, np.integer)) and kind is not bool:
+            return "%d"
+        return "%.17g" if issubclass(kind, (float, np.floating)) else "%s"
+
+    lines = [",".join(header)]
+    templates: dict = {}
+    for row in rows:
+        kinds = tuple(map(type, row))
+        tmpl = templates.get(kinds)
+        if tmpl is None:
+            tmpl = templates[kinds] = ",".join(map(cell, kinds))
+        if bool in kinds:
+            row = tuple(("true" if c else "false") if type(c) is bool else c
+                        for c in row)
+        lines.append(tmpl % tuple(row))
+    return "\n".join(lines) + "\n", len(lines) - 1
+
+
+def _reference_trajectory_rows(ks, xs_all):
+    """trajectory.csv's rows as tuples, (replica, k, agent) in order."""
+    ks = np.asarray(ks).tolist()
+    for r in range(xs_all.shape[1]):
+        xs = xs_all[:, r].tolist()
+        for k, block in zip(ks, xs):
+            for a, x in enumerate(block):
+                yield (r, k, a, *x)
+
+
+def _trajectory_header(dim):
+    return ["replica", "k", "agent", *(f"coord_{j}" for j in range(dim))]
+
+
+_ODD_CELLS = (float("nan"), float("inf"), float("-inf"), -0.0, 5e-324)
+
+
+class TestStreamingWriter:
+    """write_csv streams chunks into the temp file; the bytes and row
+    counts equal the writer that joined the whole file first."""
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 11])
+    def test_rows_equal_reference(self, tmp_path, n_rows):
+        rows = [(k, "label", v, k % 2 == 0) for k, v in
+                enumerate((0.1 + 0.2, *_ODD_CELLS, 1.0 / 3.0, -2.5e17,
+                           np.float64(-1e300), 7.0, 1e-300))][:n_rows]
+        path = tmp_path / "rows.csv"
+        header = ["k", "label", "value", "even"]
+        want, count = _reference_csv(header, rows)
+        assert write_csv(str(path), header, _row_lines(rows)) == count \
+            == n_rows
+        assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("shape", [
+        (0, 2, 3, 2),               # no records: the header alone
+        (1, 1, 1, 2),               # one row
+        (4, 2, 3, 1),               # d = 1
+        (4, 2, 3, 5),               # d = 5
+        (120, 3, 20, 2),            # blocks larger than the file buffer
+    ], ids=["header-only", "one-row", "d1", "d5", "blocks-over-buffer"])
+    def test_trajectory_equals_reference(self, tmp_path, shape):
+        xs = np.random.default_rng(3).standard_normal(shape)
+        every_third = np.arange(0, xs.size, 3)
+        xs.reshape(-1)[every_third] = np.resize(_ODD_CELLS, every_third.size)
+        ks = 3 * np.arange(shape[0])
+        ks[-1:] += 1                # a final record off the stride
+        header = _trajectory_header(shape[3])
+        want, count = _reference_csv(header,
+                                     _reference_trajectory_rows(ks, xs))
+        path = tmp_path / "trajectory.csv"
+        assert write_csv(str(path), header, _trajectory_chunks(ks, xs)) \
+            == count == np.prod(shape[:3])
+        assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("existing", [True, False],
+                             ids=["target-kept", "no-target"])
+    def test_failure_mid_stream_leaves_no_trace(self, tmp_path, existing):
+        path = tmp_path / "trajectory.csv"
+        if existing:
+            path.write_bytes(b"old,bytes\n")
+
+        def chunks():
+            yield "0,0,0,1\n", 1
+            raise RuntimeError("chain store lost")
+
+        with pytest.raises(RuntimeError, match="chain store lost"):
+            write_csv(str(path), _trajectory_header(1), chunks())
+        assert os.listdir(tmp_path) == (["trajectory.csv"] if existing
+                                        else [])
+        if existing:
+            assert path.read_bytes() == b"old,bytes\n"
+
+
+LOGREG_MINIBATCH = {"kind = linreg": "kind = logreg-synthetic\nholdout = 100",
+                    "steps = 40": "steps = 40\nbatch = 8",
+                    "record_every = 5": "record_every = 1"}
+
+
+def test_run_and_sweep_trajectories_equal_reference(tmp_path, monkeypatch):
+    """Every trajectory.csv of a minibatch `run` and a 3-point `sweep-h`
+    holds the reference writer's bytes for the ensemble that produced it,
+    and its manifest row count."""
+    ensembles = []
+
+    def recording(*args, **kwargs):
+        ensembles.append(run_ensemble(*args, **kwargs))
+        return ensembles[-1]
+
+    monkeypatch.setattr(harness, "run_ensemble", recording)
+    text = BASE + "\n[sweep]\nh_min = 0.1\nh_max = 0.3\npoints = 3\n"
+    cfg = make_cfg(tmp_path, text=text, **LOGREG_MINIBATCH)
+    assert main(["run", "--config", cfg, "--out",
+                 str(tmp_path / "run")]) == EXIT_OK
+    assert main(["sweep-h", "--config", cfg, "--out",
+                 str(tmp_path / "sweep")]) == EXIT_OK
+    outs = [tmp_path / "run"] + [tmp_path / "sweep" / f"h_{h:.6g}"
+                                 for h in (0.1, 0.2, 0.3)]
+    assert len(ensembles) == len(outs)
+    for out, res in zip(outs, ensembles):
+        assert res.xs.shape == (41, 3, 6, 2)
+        want, count = _reference_csv(
+            _trajectory_header(2), _reference_trajectory_rows(res.ks, res.xs))
+        assert (out / "trajectory.csv").read_bytes() == want.encode()
+        with open(out / "manifest.json") as fh:
+            assert json.load(fh)["files"]["trajectory.csv"] == {
+                "rows": count}
 
 
 class TestCliPlumbing:
@@ -855,7 +989,8 @@ class TestCliPlumbing:
     def test_fmt_round_trip(self, tmp_path):
         path = str(tmp_path / "t.csv")
         floats = (0.1 + 0.2, 1.0 / 3.0, 1e-300, -2.5e17)
-        write_csv(path, ["c"] * 8, [(True, False, 3, np.int64(4), *floats)])
+        write_csv(path, ["c"] * 8,
+                  _row_lines([(True, False, 3, np.int64(4), *floats)]))
         with open(path) as fh:
             cells = fh.read().splitlines()[1].split(",")
         assert cells[:4] == ["true", "false", "3", "4"]
@@ -863,7 +998,7 @@ class TestCliPlumbing:
 
     def test_write_csv_counts_rows(self, tmp_path):
         path = str(tmp_path / "t.csv")
-        n = write_csv(path, ["a", "b"], [(1, 2.5), (3, 4.0)])
+        n = write_csv(path, ["a", "b"], _row_lines([(1, 2.5), (3, 4.0)]))
         assert n == 2
         with open(path) as fh:
             assert fh.read() == "a,b\n1,2.5\n3,4\n"

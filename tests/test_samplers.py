@@ -764,6 +764,78 @@ class TestBatchTable:
             batch_table([nz], [0], 2, n, batch)
 
 
+_LO32 = np.uint64(0xFFFFFFFF)
+
+
+def _reference_floyd_rows(u32, n, b):
+    """The Floyd kernel as it was: one (S, b) row per stream, a (S, n)
+    bitmap indexed by (stream, value) pairs, and the Lemire products
+    formed as an (S, draws) array."""
+    bound = np.concatenate([np.arange(max(n - b, 1), n),
+                            np.arange(b - 1, 0, -1)]).astype(np.uint64)
+    span = bound + np.uint64(1)
+    m = u32[:, :bound.size] * span
+    rejected = ((m & _LO32) < (_LO32 - bound) % span).any(axis=1)
+    m >>= np.uint64(32)
+    draws = iter(m.T)
+    rows = np.arange(u32.shape[0])
+    out = np.empty((rows.size, b), dtype=np.int64)
+    taken = np.zeros((rows.size, n), dtype=bool)
+    for t, j in enumerate(range(n - b, n)):
+        val = next(draws) if j else np.zeros(rows.size, dtype=np.uint64)
+        out[:, t] = np.where(taken[rows, val], j, val)
+        taken[rows, out[:, t]] = True
+    for t in range(b - 1, 0, -1):
+        j = next(draws)
+        out[:, t], out[rows, j] = out[rows, j], out[:, t].copy()
+    return out, rejected
+
+
+# b = n: Floyd's j = 0 step takes no draw; b = 1: no shuffle; n = 1: no
+# draw at all
+_FLOYD_GRID = [(1, 1), (7, 1), (5, 5), (100, 32), (100, 100), (300, 17),
+               (9999, 200)]
+
+
+class TestFloydKernel:
+    """`_floyd_rows` on a flat bitmap and a (b, S) output equals the
+    row-per-stream kernel it replaced, rows and rejection masks alike."""
+
+    @pytest.mark.parametrize("n, b", _FLOYD_GRID)
+    def test_random_draws_equal_reference(self, n, b):
+        rng = np.random.default_rng(1000 * n + b)
+        n_streams, n_draws = 37, 2 * b - 1 - (n == b)
+        u32 = rng.integers(0, 2**32, (n_streams, n_draws + 5),
+                           dtype=np.uint32)
+        # 2^32 - 1 draws the bound itself: value j in Floyd's step, a
+        # self-swap (j = t) in the shuffle.  0 is rejected on every bound
+        # but 2^q - 1; every third stream gets one.
+        u32[rng.random(u32.shape) < 0.05] = 0xFFFFFFFF
+        hit = np.arange(0, n_streams, 3)
+        if n_draws:
+            u32[hit, rng.integers(0, n_draws, hit.size)] = 0
+        rows, rejected = _reference_floyd_rows(u32, n, b)
+        cols, mask = samplers._floyd_rows(u32, n, b)
+        assert cols.shape == (b, n_streams) and cols.dtype == np.int64
+        assert np.array_equal(cols.T, rows)
+        assert np.array_equal(mask, rejected)
+        if n_draws:
+            assert 0 < rejected.sum() < n_streams
+        n_floyd = n_draws - (b - 1)
+        if b > 1:
+            assert (u32[:, n_floyd:n_draws] == 0xFFFFFFFF).any()
+
+    @pytest.mark.parametrize("n, b", _FLOYD_GRID)
+    def test_table_in_blocks_that_do_not_divide_the_streams(
+            self, monkeypatch, n, b):
+        # 4 streams a bitmap block; 3 steps x 2 replicas x 3 agents = 18
+        monkeypatch.setattr(samplers, "_TABLE_BYTES", 4 * n)
+        noises = [NoiseStream(derive_seed(9, "replica", r), 3, 2)
+                  for r in range(2)]
+        assert np.array_equal(batch_table(noises, [0, 5, 11], 3, n, b),
+                              _scalar_table(noises, [0, 5, 11], 3, n, b))
+
+
 def _logreg_chain_vs_written_out(steps, batch_rng_calls=None):
     task = _toy_logreg(seed=5)
     ms = build_mixing_set(ring(6), h=0.35, delta=0.2)
