@@ -27,7 +27,7 @@ print("minimizer:", np.round(xstar, 6))
 def worst_agent_error(algo, eta, steps=10_000):
     cfg = SamplerConfig(algo, eta=eta, steps=steps, seed=1, temperature=0.0)
     res = run_chain(task, cfg, mixing=ms, record_every=steps)
-    return float(np.max(np.linalg.norm(res.final.x - xstar, axis=1)))
+    return float(np.max(np.linalg.norm(res.xs[-1] - xstar, axis=1)))
 
 
 print(f"\n{'eta':>8s} {'DGD error':>12s} {'EXTRA error':>12s}")

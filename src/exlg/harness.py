@@ -34,6 +34,7 @@ from .samplers import SamplerConfig, derive_seed, run_ensemble
 from .tasks import (
     LinRegTask,
     LogRegTask,
+    estimate_grad_noise,
     gen_linreg_data,
     gen_logreg_data,
     load_csv_dataset,
@@ -200,8 +201,10 @@ def series_for_run(cfg: ExperimentConfig, task, ks, xs_all,
     """
     ks = np.asarray(ks, dtype=int)
     out = []
-    centered = xs_all - xs_all.mean(axis=2, keepdims=True)
-    cons = np.sqrt(np.sum(centered * centered, axis=(2, 3))).mean(axis=1)
+    sq = xs_all - xs_all.mean(axis=2, keepdims=True)
+    sq *= sq  # squared in place: one ensemble-sized temporary, not two
+    cons = np.sqrt(np.sum(sq, axis=(2, 3))).mean(axis=1)
+    del sq  # freed before the by-agent copy below
     out.append(MetricSeries(ks=ks, values=cons, label="consensus"))
 
     if cfg.sampler.temperature == 0.0:
@@ -379,15 +382,33 @@ def _problem_params(cfg: ExperimentConfig, task, ms: MixingSet, **kw):
     return p
 
 
-def _sampler_config(cfg: ExperimentConfig, algorithm: Optional[str] = None,
-                    eta: Optional[float] = None) -> SamplerConfig:
+def _sampler_config(cfg: ExperimentConfig, algorithm: str) -> SamplerConfig:
     s = cfg.sampler
     return SamplerConfig(
-        algorithm=algorithm or s.algorithm,
-        eta=s.eta if eta is None else eta,
-        steps=s.steps, seed=0, batch=s.batch,
-        temperature=s.temperature, b_mode=s.b_mode,
+        algorithm=algorithm, eta=s.eta, steps=s.steps, seed=0,
+        batch=s.batch, temperature=s.temperature, b_mode=s.b_mode,
         b_scale=_b_scale(cfg))
+
+
+def _checked_mixing(cfg: ExperimentConfig, algorithms) -> Optional[MixingSet]:
+    """The checked mixing set, or None when every algorithm is centralized."""
+    if all(a in _CENTRALIZED for a in algorithms):
+        return None
+    ms = build_mixing(cfg)
+    check_assumptions(ms, cfg)
+    return ms
+
+
+def _chain_and_score(cfg: ExperimentConfig, bundle: TaskBundle,
+                     algorithm: str, seeds, ms: Optional[MixingSet]):
+    """One variant: run ``algorithm``'s replicas (one per seed, over ``ms``
+    unless it is centralized) on the bundle's task and score them.
+    Returns the `run_ensemble` result and its metric series."""
+    res = run_ensemble(bundle.task, _sampler_config(cfg, algorithm), seeds,
+                       mixing=None if algorithm in _CENTRALIZED else ms,
+                       record_every=cfg.run.record_every)
+    return res, series_for_run(cfg, bundle.task, res.ks, res.xs,
+                               bundle.holdout)
 
 
 # ---------------------------------------------------------------------------
@@ -433,26 +454,23 @@ def cmd_validate(cfg: ExperimentConfig, echo=print) -> int:
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     """Run R replicas, write trajectory/metric CSVs and the manifest."""
-    _run(cfg)
+    manifest = ManifestWriter(cfg, "run")
+    _run(cfg, build_task(cfg), manifest)
     return EXIT_OK
 
 
-def _run(cfg: ExperimentConfig):
-    """cmd_run's work; returns the metric series it wrote."""
-    manifest = ManifestWriter(cfg, "run")
-    bundle, ms = build_task(cfg), None
-    if cfg.sampler.algorithm not in _CENTRALIZED:
-        ms = build_mixing(cfg)
-        check_assumptions(ms, cfg)
+def _run(cfg: ExperimentConfig, bundle: TaskBundle,
+         manifest: ManifestWriter):
+    """A `run` of cfg over a built task, its files written through
+    ``manifest``; returns the metric series it wrote."""
+    ms = _checked_mixing(cfg, [cfg.sampler.algorithm])
     seeds = _replica_seeds(cfg.run.seed, cfg.run.replicas)
-    res = run_ensemble(bundle.task, _sampler_config(cfg), seeds, mixing=ms,
-                       record_every=cfg.run.record_every)
-    ks, xs_all = res.ks, res.xs
-    series = series_for_run(cfg, bundle.task, ks, xs_all, bundle.holdout)
+    res, series = _chain_and_score(cfg, bundle, cfg.sampler.algorithm, seeds,
+                                   ms)
 
-    coords = [f"coord_{j}" for j in range(xs_all.shape[-1])]
+    coords = [f"coord_{j}" for j in range(res.xs.shape[-1])]
     manifest.write_csv("trajectory.csv", ["replica", "k", "agent", *coords],
-                       _trajectory_chunks(ks, xs_all))
+                       _trajectory_chunks(res.ks, res.xs))
     manifest.write_csv("metrics.csv", ["k", "label", "value"],
                        _row_lines(metric_rows(series)))
     manifest.write_csv("plateau.csv", ["algorithm", "label", "plateau"],
@@ -482,23 +500,15 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         raise ConfigError("compare.algorithms: need at least 2 entries")
     manifest = ManifestWriter(cfg, "compare")
     bundle = build_task(cfg)
-    ms = None
-    if any(a not in _CENTRALIZED for a in algos):
-        ms = build_mixing(cfg)
-        check_assumptions(ms, cfg)
+    ms = _checked_mixing(cfg, algos)
 
-    labels = _compare_labels(algos)
     all_series = []
     plateau_rows = []
     seed_map = {}
-    for algo, label in zip(algos, labels):
+    for algo, label in zip(algos, _compare_labels(algos)):
         seeds = _replica_seeds(cfg.run.seed, cfg.run.replicas, tag=algo)
         seed_map[label] = [int(s) for s in seeds]
-        res = run_ensemble(bundle.task, _sampler_config(cfg, algorithm=algo),
-                           seeds, mixing=None if algo in _CENTRALIZED else ms,
-                           record_every=cfg.run.record_every)
-        for s in series_for_run(cfg, bundle.task, res.ks, res.xs,
-                                bundle.holdout):
+        for s in _chain_and_score(cfg, bundle, algo, seeds, ms)[1]:
             all_series.append(
                 dataclasses.replace(s, label=f"{label}:{s.label}"))
             plateau_rows.append((label, s.label, plateau(s.values)))
@@ -515,10 +525,12 @@ _SWEEP_OBJECTIVE = ("w2_mean", "accuracy", "opt_error", "consensus")
 
 
 def cmd_sweep_h(cfg: ExperimentConfig) -> int:
-    """cmd_run once per h on the grid; summarize plateaus and mark the best.
+    """A `run` per h on the grid; summarize plateaus and mark the best.
 
-    Point h runs in the subdirectory h_<h to 6 significant digits>; a grid
-    whose points share one is a config error, raised before any output.
+    The task is built once and shared by every point; each point builds
+    and checks only its own mixing set.  Point h runs in the subdirectory
+    h_<h to 6 significant digits>; a grid whose points share one is a
+    config error, raised before any output.
     The objective is the plateau of the first available label in
     {w2_mean, accuracy, opt_error, consensus}; accuracy plateaus are
     negated so "argmin" uniformly means "best".
@@ -532,6 +544,7 @@ def cmd_sweep_h(cfg: ExperimentConfig) -> int:
             f"give only {len(set(names))} distinct run directories (h to 6 "
             "significant digits); use fewer points or a wider range")
     manifest = ManifestWriter(cfg, "sweep-h")
+    bundle = build_task(cfg)
 
     rows = []
     objectives = []
@@ -541,7 +554,8 @@ def cmd_sweep_h(cfg: ExperimentConfig) -> int:
             cfg,
             network=dataclasses.replace(cfg.network, h=float(h)),
             run=dataclasses.replace(cfg.run, out=sub_out))
-        here = {s.label: plateau(s.values) for s in _run(sub)}
+        series = _run(sub, bundle, ManifestWriter(sub, "run"))
+        here = {s.label: plateau(s.values) for s in series}
         rows.extend((float(h), label, val) for label, val in here.items())
         for label in _SWEEP_OBJECTIVE:
             if label in here:
@@ -575,8 +589,6 @@ def cmd_theory(cfg: ExperimentConfig, echo=print) -> int:
     if sigma2 is None:
         sigma2 = 0.0
         if cfg.sampler.batch is not None:
-            from .tasks import estimate_grad_noise
-
             rng = np.random.default_rng(
                 derive_seed(cfg.run.seed, "noise-est"))
             sigma2 = estimate_grad_noise(bundle.task, xstar,

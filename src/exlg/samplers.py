@@ -72,7 +72,6 @@ __all__ = [
     "B_MODES",
     "ChainDivergenceError",
     "SamplerConfig",
-    "EnsembleState",
     "ChainResult",
     "NoiseStream",
     "RawMixing",
@@ -334,24 +333,18 @@ class SamplerConfig:
 
 
 @dataclasses.dataclass(frozen=True)
-class EnsembleState:
-    k: int
-    x: np.ndarray
-    v: np.ndarray
-
-
-@dataclasses.dataclass(frozen=True)
 class ChainResult:
     """Recorded trajectory: ks ascending, xs[j] the block at iterate ks[j].
 
     From `run_chain` a block is (rows, d); from `run_ensemble` it is
-    (R, rows, d), and ``final`` holds the (R, rows, d) end state.
+    (R, rows, d).  The final iterate is always recorded, so ``xs[-1]`` is
+    the end state.  ``vs`` holds the dual blocks of the generalized chain
+    and is None for the others, whose v stays zero.
     """
 
     ks: np.ndarray
     xs: np.ndarray
     vs: np.ndarray | None
-    final: EnsembleState
 
     @property
     def means(self) -> np.ndarray:
@@ -606,27 +599,25 @@ def run_ensemble(
     step = _step_fn(oracle, cfg, mixing, noises)
     dual = algo == "GEN_EXTRA_SGLD"  # the only chain that moves v
 
-    x = np.zeros((len(seeds), n_rows, oracle.dim))
+    ks = list(range(0, cfg.steps + 1, record_every))
+    if ks[-1] != cfg.steps:
+        ks.append(cfg.steps)
+    # record 0 is the zero start
+    xs = np.zeros((len(ks), len(seeds), n_rows, oracle.dim))
+    vs = np.zeros_like(xs) if dual else None
+    x = np.zeros_like(xs[0])
     v = np.zeros_like(x)
-
-    want = set(range(0, cfg.steps + 1, record_every))
-    want.add(cfg.steps)
-    rec_ks, rec_xs, rec_vs = [0], [x.copy()], [v.copy()] if dual else []
+    j = 1  # the next record
     for k in range(cfg.steps):
         x, v = step(k, x, v)
         _guard(algo, k + 1, x, v if dual else None)
-        if k + 1 in want:
-            rec_ks.append(k + 1)
-            rec_xs.append(x.copy())
+        if k + 1 == ks[j]:
+            xs[j] = x
             if dual:
-                rec_vs.append(v.copy())
+                vs[j] = v
+            j += 1
 
-    return ChainResult(
-        ks=np.array(rec_ks, dtype=int),
-        xs=np.stack(rec_xs),
-        vs=np.stack(rec_vs) if dual else None,
-        final=EnsembleState(k=cfg.steps, x=x.copy(), v=v.copy()),
-    )
+    return ChainResult(ks=np.array(ks, dtype=int), xs=xs, vs=vs)
 
 
 def run_chain(
@@ -646,10 +637,5 @@ def run_chain(
     res = run_ensemble(oracle, cfg, [cfg.seed], mixing=mixing,
                        record_every=record_every,
                        noises=None if noise is None else [noise])
-    return ChainResult(
-        ks=res.ks,
-        xs=res.xs[:, 0],
-        vs=None if res.vs is None else res.vs[:, 0],
-        final=EnsembleState(k=res.final.k, x=res.final.x[0],
-                            v=res.final.v[0]),
-    )
+    return ChainResult(ks=res.ks, xs=res.xs[:, 0],
+                       vs=None if res.vs is None else res.vs[:, 0])

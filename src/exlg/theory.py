@@ -20,7 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .linalg import SymMatrix, sym_eig
-from .network import MixingSet, SpectralSummary
+from .metrics import w2_gaussian
+from .network import MixingSet, SpectralSummary, build_mixing_set
+from .tasks import GaussianDist, mu_L_bounds
 
 __all__ = [
     "InadmissibleSpectrumError",
@@ -507,9 +509,6 @@ def problem_params_from(task, ms: MixingSet, eta: float, *,
     task exposes a Gaussian target and ``w2_init`` is not given, the
     distance from the point mass at zero to the target fills it in.
     """
-    from .metrics import w2_gaussian
-    from .tasks import GaussianDist, mu_L_bounds
-
     mu, L = mu_L_bounds(task)
     if xstar is None:
         xstar = task.minimizer()
@@ -559,8 +558,6 @@ def shrink_to_admissible(p: ProblemParams, ms: MixingSet, *, b_mode: str):
     ``(params, mixing_set)`` pair; the loop settles in a handful of
     iterations because the limits move slowly in h.
     """
-    from .network import build_mixing_set
-
     def at(ms_: MixingSet, eta: float) -> ProblemParams:
         norm_B = (_norm_b_for(ms_, b_mode, eta)
                   if b_mode == "wtilde-over-eta" else p.norm_B)

@@ -163,7 +163,7 @@ def test_03_bias_elimination_zero_temperature():
         cfg = SamplerConfig(algo, eta=eta, steps=10_000, seed=1,
                             temperature=0.0)
         res = run_chain(task, cfg, mixing=ms, record_every=10_000)
-        return float(np.max(np.linalg.norm(res.final.x - xstar, axis=1)))
+        return float(np.max(np.linalg.norm(res.xs[-1] - xstar, axis=1)))
 
     assert terminal_error("GEN_EXTRA_SGLD", 0.01) <= 1e-8
     dgd = terminal_error("DE_SGLD", 0.01)

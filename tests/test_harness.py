@@ -383,6 +383,55 @@ class TestSweep:
                                 for line in fh.read().splitlines()[1:]]
             assert rows == plateau_rows
 
+    def test_task_is_built_once_per_sweep(self, tmp_path, monkeypatch,
+                                          caplog):
+        # 6 agents x 10 points of 120 rows: the partition drops 60
+        built = []
+
+        def spy(cfg):
+            built.append(cfg)
+            return build_task(cfg)
+
+        monkeypatch.setattr(harness, "build_task", spy)
+        text = BASE + "\n[sweep]\nh_min = 0.1\nh_max = 0.3\npoints = 3\n"
+        cfg = load_config(make_cfg(tmp_path, out_name="sweep", text=text,
+                                   **{"dim = 2": "dim = 2\nper_agent = 10",
+                                      "steps = 40": "steps = 10"}))
+        with caplog.at_level(logging.WARNING, logger="exlg"):
+            assert cmd_sweep_h(cfg) == EXIT_OK
+        assert len(built) == 1
+        drops = [r for r in caplog.records
+                 if r.getMessage().startswith("partition drops 60 of 120")]
+        assert len(drops) == 1
+        for h in ("0.1", "0.2", "0.3"):
+            assert (tmp_path / "sweep" / f"h_{h}" / "manifest.json").exists()
+
+    def test_divergence_partway_keeps_finished_points(self, tmp_path,
+                                                      monkeypatch, capsys):
+        calls = []
+
+        def diverge_second(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ChainDivergenceError(
+                    "GEN_EXTRA_SGLD diverged at iteration 3, agent 0",
+                    algorithm="GEN_EXTRA_SGLD", replica=0, k=3, agent=0,
+                    value=1e13)
+            return run_ensemble(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_ensemble", diverge_second)
+        text = BASE + "\n[sweep]\nh_min = 0.1\nh_max = 0.3\npoints = 3\n"
+        path = make_cfg(tmp_path, out_name="sweep", text=text,
+                        **{"steps = 40": "steps = 10"})
+        assert main(["sweep-h", "--config", path]) == EXIT_DIVERGENCE
+        assert "divergence: replica 0:" in capsys.readouterr().err
+        assert len(calls) == 2
+        sweep = tmp_path / "sweep"
+        assert sorted(os.listdir(sweep / "h_0.1")) == [
+            "manifest.json", "metrics.csv", "plateau.csv", "trajectory.csv"]
+        assert os.listdir(sweep / "h_0.2") == []
+        assert sorted(os.listdir(sweep)) == ["h_0.1", "h_0.2"]
+
     def test_grid_sharing_a_directory_is_a_config_error(self, tmp_path,
                                                         capsys):
         # all three points print as h_0.1, so two runs would be lost
@@ -497,8 +546,8 @@ class TestTheoryCmd:
         monkeypatch.setattr(theory, "problem_params_from", params)
         monkeypatch.setattr(harness, "problem_params_from", params)
         mu_l = count("mu_L_bounds", tasks.mu_L_bounds)
-        monkeypatch.setattr(tasks, "mu_L_bounds", mu_l)
-        monkeypatch.setattr(harness, "mu_L_bounds", mu_l)
+        for module in (tasks, theory, harness):
+            monkeypatch.setattr(module, "mu_L_bounds", mu_l)
         for cls in (tasks.LinRegTask, tasks.LogRegTask):
             monkeypatch.setattr(cls, "minimizer",
                                 count("minimizer", cls.minimizer))

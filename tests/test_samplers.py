@@ -305,8 +305,8 @@ class TestReductions:
 def _written_out_chain(task, cfg, ms):
     """The five recursions spelled out from the public step functions.
 
-    Returns (xs, vs, final_x, final_v) for a zero start, recording every
-    iterate; vs is None except for the generalized chain.
+    Returns (xs, vs) for a zero start, recording every iterate; vs is
+    None except for the generalized chain.
     """
     algo, eta, temp = cfg.algorithm, cfg.eta, cfg.temperature
     n, d = task.n_agents, task.dim
@@ -354,7 +354,7 @@ def _written_out_chain(task, cfg, ms):
         xs.append(x)
         vs.append(v)
     gen = algo == "GEN_EXTRA_SGLD"
-    return np.stack(xs), np.stack(vs) if gen else None, x, v
+    return np.stack(xs), np.stack(vs) if gen else None
 
 
 @pytest.mark.parametrize("batch", [None, 2], ids=["full", "batch2"])
@@ -365,16 +365,13 @@ def test_run_chain_matches_step_functions(algo, batch):
     cfg = SamplerConfig(algo, eta=0.02, steps=25, seed=33, batch=batch)
     res = run_chain(task, cfg,
                     mixing=None if algo in ("ULA", "REFERENCE_CHAIN") else ms)
-    xs, vs, final_x, final_v = _written_out_chain(task, cfg, ms)
+    xs, vs = _written_out_chain(task, cfg, ms)
     assert np.array_equal(res.ks, np.arange(cfg.steps + 1))
     assert np.array_equal(res.xs, xs)
     if vs is None:
         assert res.vs is None
     else:
         assert np.array_equal(res.vs, vs)
-    assert res.final.k == cfg.steps
-    assert np.array_equal(res.final.x, final_x)
-    assert np.array_equal(res.final.v, final_v)
 
 
 def _toy_logreg(seed=0, n_agents=6, n_i=8, d=3, prior_var=10.0):
@@ -412,8 +409,6 @@ def test_replica_values_do_not_depend_on_replica_count(algo, batch, kind,
                         mixing=mixing, record_every=record_every)
         assert np.array_equal(ens.ks, one.ks)
         assert np.array_equal(ens.xs[:, r], one.xs)
-        assert np.array_equal(ens.final.x[r], one.final.x)
-        assert np.array_equal(ens.final.v[r], one.final.v)
         if one.vs is not None:
             assert np.array_equal(ens.vs[:, r], one.vs)
 
@@ -463,7 +458,7 @@ class TestZeroTemperature:
             record_every=8000,
         )
         gen_err = np.max(
-            np.linalg.norm(gen.final.x - star[None, :], axis=1)
+            np.linalg.norm(gen.xs[-1] - star[None, :], axis=1)
         )
         assert gen_err <= 1e-8
 
@@ -477,7 +472,7 @@ class TestZeroTemperature:
                 record_every=20000,
             )
             return np.max(
-                np.linalg.norm(res.final.x - star[None, :], axis=1)
+                np.linalg.norm(res.xs[-1] - star[None, :], axis=1)
             )
 
         e1 = dgd_err(0.01)
@@ -633,7 +628,7 @@ class TestRunChainMechanics:
             ZeroOracle(n, d),
             SamplerConfig("REFERENCE_CHAIN", eta=eta, steps=1, seed=8),
         )
-        var = res.final.x.var()
+        var = res.xs[-1].var()
         expect = 2.0 * eta / n
         assert abs(var - expect) <= 5.0 * expect * np.sqrt(2.0 / d)
 
@@ -844,11 +839,9 @@ def _logreg_chain_vs_written_out(steps, batch_rng_calls=None):
     res = run_chain(task, cfg, mixing=ms)
     if batch_rng_calls is not None:
         assert batch_rng_calls == []
-    xs, vs, final_x, final_v = _written_out_chain(task, cfg, ms)
+    xs, vs = _written_out_chain(task, cfg, ms)
     assert np.array_equal(res.xs, xs)
     assert np.array_equal(res.vs, vs)
-    assert np.array_equal(res.final.x, final_x)
-    assert np.array_equal(res.final.v, final_v)
 
 
 @pytest.mark.parametrize("steps", ["0", "1", "chunk-1", "chunk+1"])
