@@ -6,7 +6,7 @@ Library layout:
 - ``network``: topologies, mixing matrices, assumption checks
 - ``tasks``: Bayesian linear/logistic regression targets and gradients
 - ``samplers``: ULA, DE-SGLD, EXTRA-type chains, reference chain
-- ``metrics``: moment fits, Gaussian W2, consensus error, accuracy
+- ``metrics``: Gaussian W2 of replica fits, metric series, plateaus
 - ``theory``: non-asymptotic W2 bound constants and curves
 - ``harness``: experiment configs, runners, CSV/manifest output
 - ``cli``: the ``exlg`` command

@@ -196,8 +196,9 @@ def series_for_run(cfg: ExperimentConfig, task, ks, xs_all,
     worst-agent optimization error instead of distributional metrics.
     Consensus error is always included.  Each series is one array
     expression over the (n_rec, R, A, d) ensemble, averaged over
-    replicas; every value equals the per-record function
-    (``consensus_error``, ``w2_gaussian``, ``accuracy``) on that record.
+    replicas; every value equals its per-record definition on that
+    record (``w2_gaussian`` of the fit; consensus error and accuracy as
+    the oracles in ``tests/oracles.py`` write them).
     """
     ks = np.asarray(ks, dtype=int)
     out = []
@@ -233,9 +234,10 @@ _ACC_CHUNK_CELLS = 1 << 16
 
 
 def _accuracies(means, hx, hy):
-    """``accuracy`` of each (n_rec, R, d) agent average, as (n_rec, R).
+    """Holdout accuracy of each (n_rec, R, d) agent average, as (n_rec, R):
+    the share of points whose label is 1{beta^T x >= 0}.
 
-    One matrix-vector product per (record, replica), as in ``accuracy``;
+    One matrix-vector product per (record, replica);
     records go in chunks of about _ACC_CHUNK_CELLS (record, replica,
     point) cells, so the temporaries stay small.
     """

@@ -1,4 +1,4 @@
-"""Moment fits, Gaussian 2-Wasserstein distance, consensus, accuracy.
+"""Gaussian 2-Wasserstein distance of replica fits, and metric series.
 
 W2 between Gaussians uses the closed form
 
@@ -26,28 +26,12 @@ from .linalg import psd_sqrt
 from .tasks import GaussianDist, checked_cov
 
 __all__ = [
-    "MomentEstimate",
     "MetricSeries",
-    "estimate_moments",
     "w2_gaussian",
     "w2_batch",
     "w2_series",
-    "consensus_error",
-    "accuracy",
     "plateau",
 ]
-
-
-@dataclasses.dataclass(frozen=True)
-class MomentEstimate:
-    """Sample mean and covariance (ddof=1) of an (n, d) batch."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-    n_samples: int
-
-    def as_gaussian(self) -> GaussianDist:
-        return GaussianDist(self.mean, self.cov)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,18 +45,6 @@ class MetricSeries:
     def __post_init__(self):
         if len(self.ks) != len(self.values):
             raise ValueError("ks and values lengths differ")
-
-
-def estimate_moments(samples: np.ndarray) -> MomentEstimate:
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    n = samples.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 samples for a covariance, got {n}")
-    mean = samples.mean(axis=0)
-    centered = samples - mean
-    cov = centered.T @ centered / (n - 1)
-    cov = (cov + cov.T) / 2.0
-    return MomentEstimate(mean=mean, cov=cov, n_samples=n)
 
 
 def w2_gaussian(a: GaussianDist, b: GaussianDist) -> float:
@@ -97,9 +69,9 @@ def w2_batch(xs: np.ndarray, target: GaussianDist) -> np.ndarray:
     """Gaussian-fit W2 to ``target`` of every (R, d) block of ``xs``.
 
     ``xs`` has shape (..., R, d): R replica draws per block; the result
-    has shape (...).  Needs R >= 2.  Each value equals
-    ``w2_gaussian(estimate_moments(block).as_gaussian(), target)`` bit for
-    bit: the blocks are made C-contiguous, and every matmul, ``eigh`` and
+    has shape (...).  Needs R >= 2.  Each value equals ``w2_gaussian`` of
+    the block's fit (sample mean, symmetrized ddof=1 covariance) and
+    ``target``, bit for bit: the blocks are made C-contiguous, and every matmul, ``eigh`` and
     reduction runs per block as the single-record call runs it.  Non-finite
     fits raise ``ValueError``, as does a fitted covariance outside
     GaussianDist's PSD window; an inner product outside psd_sqrt's clip
@@ -143,25 +115,6 @@ def w2_series(
         )
     return MetricSeries(ks=np.asarray(ks, dtype=int),
                         values=w2_batch(xs_by_k, target), label=label)
-
-
-def consensus_error(x_block: np.ndarray) -> float:
-    """sqrt(sum_i ||x_i - x-bar||^2) of one (N, d) ensemble block."""
-    x_block = np.atleast_2d(np.asarray(x_block, dtype=float))
-    centered = x_block - x_block.mean(axis=0)
-    return float(np.sqrt(np.sum(centered * centered)))
-
-
-def accuracy(beta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """Fraction of points with 1{sigma(beta^T X) >= 1/2} == y.
-
-    The decision rule is beta^T X >= 0, so a tie predicts label 1.
-    """
-    beta = np.asarray(beta, dtype=float)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    pred = (x @ beta >= 0.0).astype(float)
-    return float(np.mean(pred == y))
 
 
 def plateau(values) -> float:

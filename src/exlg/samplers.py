@@ -26,11 +26,13 @@ the optimization skeleton (DGD, EXTRA).
 (R, rows, d) array, where rows is the agent count (1 for ULA and the
 reference chain), and every chain starts at x = v = 0.  Each transition
 is ``x, v = step(k, x, v)``, followed by one divergence guard and one
-recording block.  ``step`` comes from a per-algorithm table built on the
-public ``step_*`` functions, which act on the whole array: mixing is one
-BLAS product per replica slice, and
-``grad_block``, the one gradient method of a `GradientOracle`, returns
-every (replica, agent) gradient in one call.
+recording block.  ``step`` comes from a per-algorithm table whose
+entries compute the public ``step_*`` expressions term for term on the
+whole array, with the noise scales formed once and, in the generalized
+chain, W~ x formed once for both halves.  Mixing is one BLAS product per
+replica slice, ``grad_block``, the one gradient method of a
+`GradientOracle`, returns every (replica, agent) gradient in one call,
+and a step's Gaussian blocks fill one fresh (R, rows, d) array.
 EXTRA's bootstrap is exactly one DE-SGLD step, and its closure keeps the
 previous iterate, gradient and Gaussian block; the centralized chains sum
 every agent's gradient at the one shared row.  Only the generalized chain
@@ -54,8 +56,8 @@ that another numpy version cannot shift the streams unnoticed.
 
 The dual average v-bar stays at exactly zero up to accumulated roundoff
 because U's column sums vanish; the guard checks it at every step of the
-generalized chain.  `run_ensemble` never materializes the integrated
-dual q.
+generalized chain, replica by replica only when a check over the whole
+array fails.  `run_ensemble` never materializes the integrated dual q.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ __all__ = [
     "SamplerConfig",
     "ChainResult",
     "NoiseStream",
-    "RawMixing",
     "derive_seed",
     "philox4x64",
     "batch_table",
@@ -353,20 +354,6 @@ class ChainResult:
         return self.xs.mean(axis=-2)
 
 
-@dataclasses.dataclass(frozen=True)
-class RawMixing:
-    """Bare mixing triple for driving samplers outside the Topology path
-    (single-agent reductions, hand-built matrices in tests)."""
-
-    w: np.ndarray
-    w_tilde: np.ndarray
-    u: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return np.asarray(self.w).shape[0]
-
-
 def step_ula(x, grad_sum, eta, noise, temperature=1.0):
     return x - eta * grad_sum + temperature * np.sqrt(2.0 * eta) * noise
 
@@ -423,13 +410,24 @@ def step_reference_chain(x, grad_sum, n_agents, eta, noise_mean,
     )
 
 
+def _inside(a):
+    """Whether every entry of ``a`` is in the guard ball (NaN is not)."""
+    return a.max() <= _DIVERGENCE_LIMIT and a.min() >= -_DIVERGENCE_LIMIT
+
+
 def _guard(algo, k, x, v=None):
     """Raise ChainDivergenceError if some replica's x (or v, when given)
     left the ball, or its dual average left zero.
 
     x and v are (R, rows, d).  The lowest such replica is named; for it x
-    is checked before v, and v before the dual average.
+    is checked before v, and v before the dual average.  One global check
+    passes a step first: every entry in the ball and every replica's dual
+    drift within _DUAL_TOL, the least of the per-replica limits.  Only a
+    step that fails it is searched replica by replica.
     """
+    if _inside(x) and (v is None or _inside(v) and np.max(
+            np.abs(v.sum(axis=1))) / v.shape[1] <= _DUAL_TOL):
+        return  # no replica near a limit: nothing to search
     blocks = [("x", x)] if v is None else [("x", x), ("v", v)]
     peaks = [np.max(np.abs(blk), axis=(1, 2)) for _name, blk in blocks]
     bad = np.zeros(x.shape[0], dtype=bool)
@@ -492,20 +490,24 @@ def _grads_fn(oracle, cfg: SamplerConfig, noises):
     return grads
 
 
-def _b_apply(cfg: SamplerConfig, mixing, x: np.ndarray) -> np.ndarray:
-    if cfg.b_mode == "wtilde-over-eta":
-        return mix_apply(mixing.w_tilde, x) / cfg.eta
-    return cfg.b_scale * x
-
-
 def _step_fn(oracle, cfg: SamplerConfig, mixing, noises):
     """The transition (k, x^k, v^k) -> (x^{k+1}, v^{k+1}) of cfg.algorithm,
-    over (R, rows, d) arrays with replica r drawing from noises[r]."""
-    eta, temp = cfg.eta, cfg.temperature
+    over (R, rows, d) arrays with replica r drawing from noises[r]; each
+    entry computes its ``step_*`` expression term for term."""
+    eta, eta_n = cfg.eta, cfg.eta / oracle.n_agents
+    scale_x = cfg.temperature * np.sqrt(2.0 * eta)
+    scale_v = cfg.temperature * np.sqrt(2.0 / eta)
+    if mixing is not None:
+        w, w_tilde, u = (np.asarray(m, dtype=float)
+                         for m in (mixing.w, mixing.w_tilde, mixing.u))
     grads = _grads_fn(oracle, cfg, noises)
+    shape = (len(noises), noises[0].n_agents, noises[0].dim)
 
     def gaussians(k):
-        return np.stack([nz.gaussian_block(k) for nz in noises])
+        out = np.empty(shape)  # fresh at every step: EXTRA keeps w^k
+        for r, nz in enumerate(noises):
+            out[r] = nz.gaussian_block(k)
+        return out
 
     def grad_sum(x, k):
         # every agent's gradient at the one shared row, summed in agent
@@ -515,21 +517,21 @@ def _step_fn(oracle, cfg: SamplerConfig, mixing, noises):
 
     def ula(k, x, v):
         wblk = gaussians(k + 1)[:, :1]
-        return step_ula(x, grad_sum(x, k), eta, wblk, temp), v
+        return x - eta * grad_sum(x, k) + scale_x * wblk, v
 
     def reference(k, x, v):
         wbar = gaussians(k + 1).mean(axis=1, keepdims=True)
-        return step_reference_chain(x, grad_sum(x, k), oracle.n_agents, eta,
-                                    wbar, temp), v
+        return x - eta_n * grad_sum(x, k) + scale_x * wbar, v
 
     def de_sgld(k, x, v):
-        return step_de_sgld(x, grads(x, k), mixing.w, eta, gaussians(k + 1),
-                            temp), v
+        return mix_apply(w, x) - eta * grads(x, k) \
+            + scale_x * gaussians(k + 1), v
 
     def gen_extra(k, x, v):
-        return step_gen_extra(x, v, grads(x, k), _b_apply(cfg, mixing, x),
-                              mixing.w_tilde, mixing.u, eta, gaussians(k + 1),
-                              temp)
+        g, wx, wblk = grads(x, k), mix_apply(w_tilde, x), gaussians(k + 1)
+        bx = wx / eta if cfg.b_mode == "wtilde-over-eta" else cfg.b_scale * x
+        return (wx - eta * (g + v) + scale_x * wblk,
+                v - mix_apply(u, v + g - bx) + scale_v * mix_apply(u, wblk))
 
     prev = None  # EXTRA's (x^{k-1}, g^{k-1}, w^k)
 
@@ -537,11 +539,11 @@ def _step_fn(oracle, cfg: SamplerConfig, mixing, noises):
         nonlocal prev
         g, wblk = grads(x, k), gaussians(k + 1)
         if k == 0:  # the W-based bootstrap is one DE-SGLD transition
-            x_next = step_de_sgld(x, g, mixing.w, eta, wblk, temp)
+            x_next = mix_apply(w, x) - eta * g + scale_x * wblk
         else:
             x_prev, g_prev, w_prev = prev
-            x_next = step_extra_two(x, x_prev, g, g_prev, mixing.w,
-                                    mixing.w_tilde, eta, wblk - w_prev, temp)
+            x_next = x + mix_apply(w, x) - mix_apply(w_tilde, x_prev) \
+                - eta * (g - g_prev) + scale_x * (wblk - w_prev)
         prev = (x, g, wblk)
         return x_next, v
 

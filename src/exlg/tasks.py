@@ -17,10 +17,12 @@ Gradient conventions (the per-agent f_i everything samples from):
 
 Each task's ``grad_block`` evaluates these for a whole (replicas, agents,
 dim) block in one call, with or without minibatch indices; it is the only
-gradient entry point.  A row's bits do not depend on how many rows share
-the call: products over the feature axis run as a fixed-order loop of
-elementwise operations, and sums over data rows run along a contiguous
-last axis.
+gradient entry point.  Blocks are feature-major: a minibatch is one
+``np.take`` of (features, replicas, agents, batch) from a flat
+(features, N*n) copy of the shards, made once.  A row's bits do not depend
+on how many rows share the call: products over the feature axis run as a
+fixed-order loop of elementwise operations, and sums over data rows run
+along a contiguous last axis.
 """
 
 from __future__ import annotations
@@ -149,30 +151,31 @@ def _as_stacks(xs, ys):
 
 
 def _matvec(m, v):
-    """sum_j m[..., j] * v[..., j] (broadcast), as a fixed-order loop over j.
+    """sum_j m[j] * v[j] over the leading (feature) axis, broadcast, as a
+    fixed-order loop over j.
 
     Elementwise products and sums give every output entry the same bits
-    whatever the leading shapes, unlike a BLAS call over the whole stack.
+    whatever the other shapes, unlike a BLAS call over the whole stack.
     """
-    out = m[..., 0] * v[..., 0]
-    for j in range(1, m.shape[-1]):
-        out = out + m[..., j] * v[..., j]
+    out = m[0] * v[0]
+    for j in range(1, len(m)):
+        out += m[j] * v[j]
     return out
 
 
 def _rmatvec(a, r):
-    """Per block, a^T r: a is (..., n, d), r is (..., n); returns (..., d).
+    """Per block, a^T r with ``a`` feature-major: a is (d, R, n, b) (or
+    broadcasts to it), r is (R, n, b); returns (R, n, d).
 
-    Each column is one sum over a contiguous last axis, so its bits
-    depend on n alone.
+    One product and one sum over the contiguous last axis, so an entry's
+    bits depend on b alone.
     """
-    return np.stack([np.sum(a[..., c] * r, axis=-1)
-                     for c in range(a.shape[-1])], axis=-1)
+    return np.sum(a * r, axis=-1).transpose(1, 2, 0)
 
 
 class _ShardedTask:
     """What both tasks share: the shard stacks, the block gradient's
-    argument handling, and the prior term.
+    argument handling and minibatch gather, and the prior term.
 
     Subclasses are frozen dataclasses with fields xs, ys and prior_var.
     They accept a sequence of equal shards and hold them as one (N, n, d)
@@ -185,6 +188,14 @@ class _ShardedTask:
             raise ValueError("prior_var must be positive")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
+
+    def _init_flat(self, stack):
+        """Keep the (N, n, c) ``stack`` as the feature-major (c, N*n)
+        copy that `_gather` reads: agent a's shard is columns a*n on."""
+        n_agents, n, c = stack.shape
+        object.__setattr__(self, "_flat", np.ascontiguousarray(
+            stack.reshape(-1, c).T))
+        object.__setattr__(self, "_row0", np.arange(n_agents) * n)
 
     @property
     def n_agents(self) -> int:
@@ -203,26 +214,37 @@ class _ShardedTask:
         return beta / (self.prior_var * self.n_agents)
 
     def _block_args(self, x, agents, idx):
-        """x as an (R, n, d) float array and the agent of each row."""
+        """x as an (R, n, d) float array, agents as None (all N in order)
+        or a 1-d int array, and idx as None or (R, n, b) shard rows in
+        [0, shard_size).  Indices obey numpy's rules for indexing one
+        shard: integers only, and negative ones count from the end."""
         x = np.asarray(x, dtype=float)
-        agents = (np.arange(self.n_agents) if agents is None
-                  else np.atleast_1d(np.asarray(agents, dtype=int)))
-        if x.ndim != 3 or x.shape[1:] != (agents.size, self.dim):
+        if agents is not None:
+            agents = np.asarray(agents, dtype=int).reshape(-1)
+        rows = self.n_agents if agents is None else agents.size
+        if x.ndim != 3 or x.shape[1:] != (rows, self.dim):
             raise ValueError(
-                f"block shape {x.shape} is not (R, {agents.size}, "
-                f"{self.dim})")
-        if idx is not None and np.shape(idx)[:2] != x.shape[:2]:
+                f"block shape {x.shape} is not (R, {rows}, {self.dim})")
+        if idx is None:
+            return x, agents, None
+        idx = np.asarray(idx)
+        if idx.ndim != 3 or idx.shape[:2] != x.shape[:2]:
             raise ValueError(
-                f"index shape {np.shape(idx)} does not match {x.shape[:2]}")
-        return x, agents
+                f"index shape {idx.shape} is not {x.shape[:2]} + (b,)")
+        if idx.dtype.kind not in "iu":
+            raise IndexError(
+                f"minibatch indices must be integers, not {idx.dtype}")
+        idx, n = idx.astype(np.intp, copy=False), self.shard_size
+        lo = idx.min(initial=0)
+        if lo < -n or idx.max(initial=0) >= n:
+            raise IndexError(f"minibatch index outside [-{n}, {n})")
+        return x, agents, idx % n if lo < 0 else idx
 
-
-def _gather(stack, agents, idx):
-    """The shard rows a block gradient reads from a stack: (n, shard
-    rows, ...) at full batch, (R, n, b, ...) with ``idx`` (R, n, b)."""
-    if idx is None:
-        return stack[agents]
-    return stack[agents[:, None], idx]
+    def _gather(self, agents, idx):
+        """The ``_flat`` columns of shard rows ``idx`` (R, n, b), agent
+        ``agents[j]`` at row j: one feature-major (c, R, n, b) take."""
+        row0 = self._row0 if agents is None else self._row0[agents]
+        return np.take(self._flat, row0[:, None] + idx, axis=1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -244,6 +266,7 @@ class LinRegTask(_ShardedTask):
                            np.stack([2.0 * (x.T @ x) for x in self.xs]))
         object.__setattr__(self, "_xty", np.stack(
             [2.0 * (x.T @ y) for x, y in zip(self.xs, self.ys)]))
+        self._init_flat(np.concatenate([self.xs, self.ys[..., None]], -1))
 
     def grad_block(self, x, idx=None, agents=None):
         """Gradients at every row of an (R, n, d) block.
@@ -253,16 +276,19 @@ class LinRegTask(_ShardedTask):
         data part is the minibatch estimate over those shard rows, scaled
         by n / b.  A row's bits do not depend on R or n.
         """
-        x, agents = self._block_args(x, agents, idx)
+        x, agents, idx = self._block_args(x, agents, idx)
+        xt = x.transpose(2, 0, 1)[..., None]
         if idx is None:
-            data = _matvec(self._gram[agents], x[..., None, :]) \
-                - self._xty[agents]
+            # gram[j][a, c] = G_a[c, j]
+            gram, xty = self._gram.transpose(2, 0, 1), self._xty
+            if agents is not None:
+                gram, xty = gram[:, agents], xty[agents]
+            data = _matvec(gram, xt) - xty
         else:
-            xb = _gather(self.xs, agents, idx)
-            yb = _gather(self.ys, agents, idx)
-            resid = _matvec(xb, x[..., None, :]) - yb
-            data = (self.shard_size / np.shape(idx)[-1]) \
-                * (2.0 * _rmatvec(xb, resid))
+            blk = self._gather(agents, idx)  # the d features, then y
+            resid = _matvec(blk[:-1], xt) - blk[-1]
+            data = (self.shard_size / idx.shape[-1]) \
+                * (2.0 * _rmatvec(blk[:-1], resid))
         return data + self._prior_grad(x)
 
     def stacked_design(self):
@@ -297,6 +323,7 @@ class LogRegTask(_ShardedTask):
             raise ValueError("logistic labels must be 0 or 1")
         object.__setattr__(self, "_signed",
                            self.xs * (2.0 * self.ys - 1.0)[..., None])
+        self._init_flat(self._signed)
 
     def signed(self, i):
         """Features folded with the label sign: s_j X_j, s_j = 2 y_j - 1."""
@@ -310,11 +337,17 @@ class LogRegTask(_ShardedTask):
         data part is the minibatch estimate over those shard rows, scaled
         by n / b.  A row's bits do not depend on R or n.
         """
-        x, agents = self._block_args(x, agents, idx)
-        s = _gather(self._signed, agents, idx)
-        data = -_rmatvec(s, expit(-_matvec(s, x[..., None, :])))
+        x, agents, idx = self._block_args(x, agents, idx)
+        if idx is None:
+            s = self._flat.reshape(self.dim, 1, self.n_agents, -1)
+            if agents is not None:
+                s = s[:, :, agents]
+        else:
+            s = self._gather(agents, idx)
+        z = _matvec(s, x.transpose(2, 0, 1)[..., None])
+        data = -_rmatvec(s, expit(-z))
         if idx is not None:
-            data = (self.shard_size / np.shape(idx)[-1]) * data
+            data = (self.shard_size / idx.shape[-1]) * data
         return data + self._prior_grad(x)
 
     def minimizer(self) -> np.ndarray:

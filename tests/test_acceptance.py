@@ -14,14 +14,13 @@ import time
 import numpy as np
 import pytest
 
-from exlg.metrics import accuracy, plateau, w2_gaussian, w2_series
+from exlg.metrics import plateau, w2_gaussian, w2_series
 from exlg.network import (
     build_mixing_set,
     make_topology,
     validate_assumptions,
 )
 from exlg.samplers import (
-    RawMixing,
     SamplerConfig,
     derive_seed,
     run_chain,
@@ -43,6 +42,8 @@ from exlg.theory import (
     shrink_to_admissible,
     validate_stepsize,
 )
+
+from oracles import RawMixing, accuracy
 
 # Master seeds, fixed once: the desk-scale ratio checks (3, 4, 9, 10)
 # assert inequalities between seeded runs, so the seeds are part of the

@@ -39,12 +39,7 @@ from exlg.harness import (
     _trajectory_chunks,
     write_csv,
 )
-from exlg.metrics import (
-    accuracy,
-    consensus_error,
-    estimate_moments,
-    w2_gaussian,
-)
+from exlg.metrics import w2_gaussian
 from exlg.samplers import ChainDivergenceError, derive_seed, run_ensemble
 from exlg.tasks import gen_linreg_data
 from exlg.theory import (
@@ -54,6 +49,8 @@ from exlg.theory import (
     problem_params_from,
     shrink_to_admissible,
 )
+
+from oracles import accuracy, consensus_error, estimate_moments
 
 BASE = """
 [task]

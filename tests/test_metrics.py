@@ -10,15 +10,13 @@ import pytest
 from exlg.linalg import NotPSDError
 from exlg.metrics import (
     MetricSeries,
-    accuracy,
-    consensus_error,
-    estimate_moments,
     plateau,
     w2_batch,
     w2_gaussian,
     w2_series,
 )
 from exlg.tasks import GaussianDist
+from oracles import accuracy, consensus_error, estimate_moments
 
 
 def _rand_gaussian(rng, d, scale=1.0):

@@ -17,7 +17,6 @@ from exlg.samplers import (
     ALGORITHMS,
     ChainDivergenceError,
     NoiseStream,
-    RawMixing,
     SamplerConfig,
     batch_table,
     derive_seed,
@@ -37,6 +36,8 @@ from exlg.tasks import (
     gen_logreg_data,
     partition_data,
 )
+
+from oracles import RawMixing
 
 
 @dataclasses.dataclass(frozen=True)
@@ -428,6 +429,108 @@ def test_u_with_nonzero_column_sums_trips_the_dual_check():
     assert e.value > 1e-8
     # the same matrices with a zero-column-sum U run clean
     run_chain(task, cfg, mixing=RawMixing(ms.w, ms.w_tilde, ms.u))
+
+
+def _guard_reference(algo, k, x, v=None):
+    """The divergence guard before its global fast path: every step
+    searched replica by replica.  The oracle of `samplers._guard`."""
+    limit, tol = samplers._DIVERGENCE_LIMIT, samplers._DUAL_TOL
+    blocks = [("x", x)] if v is None else [("x", x), ("v", v)]
+    peaks = [np.max(np.abs(blk), axis=(1, 2)) for _name, blk in blocks]
+    bad = np.zeros(x.shape[0], dtype=bool)
+    for peak in peaks:
+        bad |= ~(peak <= limit)  # NaN counts as bad
+    if v is not None:
+        drift = np.max(np.abs(v.sum(axis=1)), axis=1) / v.shape[1]
+        dual_limit = tol * np.maximum(1.0, peaks[1])
+        bad |= drift > dual_limit
+    if not bad.any():
+        return
+    r = int(np.argmax(bad))
+    for (name, blk), peak in zip(blocks, peaks):
+        m = float(peak[r])
+        if not m <= limit:
+            agent = int(np.argmax(np.abs(blk[r])) // blk.shape[2])
+            raise ChainDivergenceError(
+                f"{algo} diverged at iteration {k}, agent {agent}: "
+                f"max |{name}| entry = {m:.6e} "
+                f"(limit {limit:.1e})",
+                algorithm=algo, replica=r, k=k, agent=agent, value=m)
+    value = float(drift[r])
+    raise ChainDivergenceError(
+        f"{algo} dual average left zero at iteration {k}: "
+        f"max |sum_i v_i|/N = {value:.6e} "
+        f"(limit {float(dual_limit[r]):.1e})",
+        algorithm=algo, replica=r, k=k, agent=None, value=value)
+
+
+def _guard_outcome(guard, x, v):
+    try:
+        guard("GEN_EXTRA_SGLD", 7, x, v)
+    except ChainDivergenceError as e:
+        return (str(e), e.algorithm, e.replica, e.k, e.agent, repr(e.value))
+    return None
+
+
+def _guard_cases():
+    """(x, v) blocks of 4 replicas x 5 agents x 2 and what the guard must
+    say: None, or the replica it names and a message prefix."""
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((4, 5, 2))
+    # integer duals with exactly zero agent sums; peak |v| about 4e3
+    v = rng.integers(-1000, 1000, size=(4, 5, 2)).astype(float)
+    v[:, -1] = -v[:, :-1].sum(axis=1)
+    cases = [("clean", x, v, None), ("clean-no-v", x, None, None)]
+    for bad in (np.nan, np.inf, -np.inf):
+        for name in ("x", "v", "x-no-v"):
+            xb, vb = x.copy(), (None if name == "x-no-v" else v.copy())
+            (vb if name == "v" else xb)[2, 3, 1] = bad
+            cases.append((f"{bad}-in-{name}", xb, vb,
+                          (2, f"diverged at iteration 7, agent 3: "
+                              f"max |{name[0]}|")))
+    edge = x.copy()
+    edge[1, 4, 0] = -1e12
+    cases.append(("at-the-limit", edge, v, None))
+    edge = x.copy()
+    edge[1, 4, 0] = np.nextafter(-1e12, -np.inf)
+    cases.append(("past-the-limit", edge, v, (1, "diverged")))
+    # replicas 1 and 3 go bad at the same step, each its own way
+    for name, xr, vr in [("x", 3, None), ("v", None, 3), ("dual", None, None)]:
+        xb, vb = x.copy(), v.copy()
+        xb[1, 0, 1] = np.inf
+        if xr is not None:
+            xb[xr, 2, 0] = np.nan
+        if vr is not None:
+            vb[vr, 2, 0] = 2e12
+        if name == "dual":
+            vb[3, :, 1] += 1.0
+        cases.append((f"replicas-1-and-3-{name}", xb, vb,
+                      (1, "diverged at iteration 7, agent 0: max |x|")))
+    xb, vb = x.copy(), v.copy()
+    vb[1, :, 1] += 1.0
+    xb[3, 2, 0] = np.nan
+    cases.append(("dual-at-1-x-at-3", xb, vb, (1, "dual average left zero")))
+    # a dual drift above _DUAL_TOL but within _DUAL_TOL * max|v| passes;
+    # one above that limit names the dual average
+    for drift, want in [(5e-9, None), (1e-6, None),
+                        (1e-3, (2, "dual average left zero"))]:
+        vb = v.copy()
+        vb[2, :, 0] += drift
+        cases.append((f"drift-{drift:g}", x, vb, want))
+    return cases
+
+
+@pytest.mark.parametrize("name, x, v, want", _guard_cases(),
+                         ids=[c[0] for c in _guard_cases()])
+def test_guard_matches_replica_search(name, x, v, want):
+    got = _guard_outcome(samplers._guard, x, v)
+    assert got == _guard_outcome(_guard_reference, x, v)
+    if want is None:
+        assert got is None
+    else:
+        replica, message = want
+        assert got[2] == replica
+        assert got[0].startswith(f"GEN_EXTRA_SGLD {message}")
 
 
 class TestDualAverage:

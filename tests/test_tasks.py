@@ -5,6 +5,7 @@ minibatch estimator against exhaustive subset enumeration and Monte Carlo
 means.  No expected value here is copied from the implementation.
 """
 
+import dataclasses
 import itertools
 import logging
 
@@ -540,3 +541,153 @@ class TestPartition:
         rng = np.random.default_rng(75)
         with pytest.raises(ValueError):
             partition_data(np.zeros((3, 1)), np.zeros(3), 5, rng)
+
+
+# The per-column gradient code that feature-major gathering replaced,
+# kept as the oracle of grad_block: every block it accepted must give the
+# same bits, and every index it refused must still raise.
+
+def _oracle_gather(stack, agents, idx):
+    if idx is None:
+        return stack[agents]
+    return stack[agents[:, None], idx]
+
+
+def _oracle_matvec(m, v):
+    out = m[..., 0] * v[..., 0]
+    for j in range(1, m.shape[-1]):
+        out = out + m[..., j] * v[..., j]
+    return out
+
+
+def _oracle_rmatvec(a, r):
+    return np.stack([np.sum(a[..., c] * r, axis=-1)
+                     for c in range(a.shape[-1])], axis=-1)
+
+
+def _oracle_grad_block(task, x, idx=None, agents=None):
+    x = np.asarray(x, dtype=float)
+    agents = (np.arange(task.n_agents) if agents is None
+              else np.atleast_1d(np.asarray(agents, dtype=int)))
+    assert x.ndim == 3 and x.shape[1:] == (agents.size, task.dim)
+    assert idx is None or np.shape(idx)[:2] == x.shape[:2]
+    if isinstance(task, LinRegTask):
+        if idx is None:
+            data = _oracle_matvec(task._gram[agents], x[..., None, :]) \
+                - task._xty[agents]
+        else:
+            xb = _oracle_gather(task.xs, agents, idx)
+            yb = _oracle_gather(task.ys, agents, idx)
+            resid = _oracle_matvec(xb, x[..., None, :]) - yb
+            data = (task.shard_size / np.shape(idx)[-1]) \
+                * (2.0 * _oracle_rmatvec(xb, resid))
+        return data + task._prior_grad(x)
+    s = _oracle_gather(task._signed, agents, idx)
+    data = -_oracle_rmatvec(s, expit(-_oracle_matvec(s, x[..., None, :])))
+    if idx is not None:
+        data = (task.shard_size / np.shape(idx)[-1]) * data
+    return data + task._prior_grad(x)
+
+
+@dataclasses.dataclass(frozen=True)
+class _OracleGradients:
+    """A task whose grad_block is the per-column oracle."""
+
+    task: object
+
+    n_agents = property(lambda self: self.task.n_agents)
+    dim = property(lambda self: self.task.dim)
+    shard_size = property(lambda self: self.task.shard_size)
+
+    def grad_block(self, x, idx=None, agents=None):
+        return _oracle_grad_block(self.task, x, idx, agents)
+
+
+def _oracle_case_task(kind, d, n_agents=4, n=310, seed=90):
+    rng = np.random.default_rng(seed + d)
+    beta = rng.standard_normal(d) / np.sqrt(d)
+    gen = (gen_linreg_data(n_agents * n, beta, 1.0, rng) if kind == "linreg"
+           else gen_logreg_data(n_agents * n, beta, rng))
+    shards = partition_data(*gen, n_agents, rng)
+    cls = LinRegTask if kind == "linreg" else LogRegTask
+    return cls(xs=tuple(s[0] for s in shards),
+               ys=tuple(s[1] for s in shards), prior_var=3.0)
+
+
+# batch sizes around numpy's pairwise-sum blocks (8 unrolled, 128 a leaf)
+_ORACLE_BATCHES = (None, 1, 7, 8, 9, 32, 127, 128, 129, 300)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("kind", ["linreg", "logreg"])
+def test_grad_block_matches_per_column_oracle(kind, d):
+    task = _oracle_case_task(kind, d)
+    rng = np.random.default_rng(d)
+    for reps in (1, 5):
+        for agents in (None, np.array([3, 0, 2])):
+            rows = task.n_agents if agents is None else agents.size
+            x = 0.3 * rng.standard_normal((reps, rows, d))
+            for b in _ORACLE_BATCHES:
+                idx = None if b is None else np.array([
+                    [rng.choice(task.shard_size, b, replace=False)
+                     for _ in range(rows)] for _ in range(reps)])
+                got = task.grad_block(x, idx, agents)
+                assert got.flags.c_contiguous
+                assert np.array_equal(
+                    got, _oracle_grad_block(task, x, idx, agents)), (reps, b)
+
+
+@pytest.mark.parametrize("kind", ["linreg", "logreg"])
+def test_grad_noise_matches_per_column_oracle(kind):
+    task = _oracle_case_task(kind, 3, n=40)
+    beta = np.array([0.3, -0.2, 0.1])
+    for batch in (1, 8, 33):
+        got = estimate_grad_noise(task, beta, batch, 15,
+                                  np.random.default_rng(batch))
+        want = estimate_grad_noise(_OracleGradients(task), beta, batch, 15,
+                                   np.random.default_rng(batch))
+        assert got == want
+
+
+@pytest.mark.parametrize("kind", ["linreg", "logreg"])
+class TestMinibatchIndices:
+    """Rows are addressed within one agent's shard, as numpy indexes it."""
+
+    def test_outside_a_shard_raises(self, kind):
+        task = _oracle_case_task(kind, 2, n_agents=3, n=6)
+        x = np.zeros((1, 3, 2))
+        # 6 and -7 are outside agent 1's shard; read flat, 6 would be
+        # agent 2's first row and -7 agent 0's last
+        for bad in (6, -7, 2**40):
+            idx = np.zeros((1, 3, 2), dtype=int)
+            idx[0, 1, 1] = bad
+            for grad in (task.grad_block,
+                         _OracleGradients(task).grad_block):
+                with pytest.raises(IndexError):
+                    grad(x, idx)
+        for idx in (np.zeros((1, 3, 2)), np.zeros((1, 3, 2), dtype=bool)):
+            for grad in (task.grad_block,
+                         _OracleGradients(task).grad_block):
+                with pytest.raises(IndexError):
+                    grad(x, idx)
+        with pytest.raises(IndexError):
+            task.grad_block(x[:, :1], np.zeros((1, 1, 2), dtype=int),
+                            agents=[3])
+
+    def test_negative_indices_read_the_same_rows(self, kind):
+        task = _oracle_case_task(kind, 2, n_agents=3, n=6)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((2, 3, 2))
+        idx = rng.integers(-6, 6, size=(2, 3, 4))
+        idx[0, 0] = [-6, -1, 5, 0]
+        got = task.grad_block(x, idx)
+        assert np.array_equal(got, _oracle_grad_block(task, x, idx))
+        assert np.array_equal(got, task.grad_block(x, idx % 6))
+        # numpy reads an unsigned 2**64 - 1 as -1, the last row
+        top = np.full((2, 3, 4), 2**64 - 1, dtype=np.uint64)
+        assert np.array_equal(task.grad_block(x, top),
+                              _oracle_grad_block(task, x, top))
+        agents = np.array([-1, 0])
+        assert np.array_equal(
+            task.grad_block(x[:, :2], idx[:, :2], agents),
+            _oracle_grad_block(task, x[:, :2], idx[:, :2], agents))
