@@ -27,12 +27,14 @@ the optimization skeleton (DGD, EXTRA).
 reference chain), and every chain starts at x = v = 0.  Each transition
 is ``x, v = step(k, x, v)``, followed by one divergence guard and one
 recording block.  ``step`` comes from a per-algorithm table whose
-entries compute the public ``step_*`` expressions term for term on the
-whole array, with the noise scales formed once and, in the generalized
-chain, W~ x formed once for both halves.  Mixing is one BLAS product per
-replica slice, ``grad_block``, the one gradient method of a
-`GradientOracle`, returns every (replica, agent) gradient in one call,
-and a step's Gaussian blocks fill one fresh (R, rows, d) array.
+entries compute the update rules above term for term on the whole array,
+with the noise scales formed once and, in the generalized chain, W~ x
+formed once for both halves; the tests hold them bit-identical to
+per-chain reference steps.  Mixing is one BLAS product per replica
+slice, ``grad_block``, the one gradient method of a `GradientOracle`,
+returns every (replica, agent) gradient in one call, and each replica's
+Gaussian block is drawn straight into its slice of one fresh
+(R, rows, d) array.
 EXTRA's bootstrap is exactly one DE-SGLD step, and its closure keeps the
 previous iterate, gradient and Gaussian block; the centralized chains sum
 every agent's gradient at the one shared row.  Only the generalized chain
@@ -79,11 +81,6 @@ __all__ = [
     "derive_seed",
     "philox4x64",
     "batch_table",
-    "step_ula",
-    "step_de_sgld",
-    "step_gen_extra",
-    "step_extra_two",
-    "step_reference_chain",
     "run_chain",
     "run_ensemble",
 ]
@@ -168,17 +165,22 @@ class NoiseStream:
         self._bits = np.random.Philox(key=self.seed)
         self._rng = np.random.Generator(self._bits)
         self._fresh = self._bits.state  # key set, buffer empty
+        # the setter copies the counter, so it is rewritten in place
+        self._ctr = self._fresh["state"]["counter"]
 
     def _gen(self, k: int, i: int, tag: int) -> np.random.Generator:
-        self._fresh["state"]["counter"] = np.array([0, k, i, tag],
-                                                   dtype=np.uint64)
+        ctr = self._ctr
+        ctr[1] = k
+        ctr[2] = i
+        ctr[3] = tag
         self._bits.state = self._fresh
         return self._rng
 
-    def gaussian_block(self, k: int) -> np.ndarray:
+    def gaussian_block(self, k: int, out=None) -> np.ndarray:
+        """The (N, d) block for iterate k, written into ``out`` (a float64
+        (N, d) array) when given."""
         return self._gen(k, 0, _TAG_NOISE).standard_normal(
-            (self.n_agents, self.dim)
-        )
+            (self.n_agents, self.dim), out=out)
 
     def gaussian(self, k: int, i: int) -> np.ndarray:
         if not 0 <= i < self.n_agents:
@@ -354,62 +356,6 @@ class ChainResult:
         return self.xs.mean(axis=-2)
 
 
-def step_ula(x, grad_sum, eta, noise, temperature=1.0):
-    return x - eta * grad_sum + temperature * np.sqrt(2.0 * eta) * noise
-
-
-def step_de_sgld(x, grads, w, eta, noise, temperature=1.0):
-    return (
-        mix_apply(w, x) - eta * grads + temperature * np.sqrt(2.0 * eta) * noise
-    )
-
-
-def step_gen_extra(x, v, grads, bx, w_tilde, u, eta, noise, temperature=1.0):
-    """One generalized-EXTRA transition; returns (x+, v+).
-
-    ``grads``, ``bx``, and ``noise`` are the shared per-iterate blocks;
-    both halves consume the same arrays.
-    """
-    x_next = (
-        mix_apply(w_tilde, x)
-        - eta * (grads + v)
-        + temperature * np.sqrt(2.0 * eta) * noise
-    )
-    v_next = (
-        v
-        - mix_apply(u, v + grads - bx)
-        + temperature * np.sqrt(2.0 / eta) * mix_apply(u, noise)
-    )
-    return x_next, v_next
-
-
-def step_extra_two(
-    x_curr, x_prev, grads_curr, grads_prev, w, w_tilde, eta, noise_diff,
-    temperature=1.0,
-):
-    """The k >= 1 transition of the two-step form.
-
-    ``noise_diff`` is w^{k+1} - w^k (drawn by the caller so the same blocks
-    can be shared with other chains).
-    """
-    return (
-        x_curr
-        + mix_apply(w, x_curr)
-        - mix_apply(w_tilde, x_prev)
-        - eta * (grads_curr - grads_prev)
-        + temperature * np.sqrt(2.0 * eta) * noise_diff
-    )
-
-
-def step_reference_chain(x, grad_sum, n_agents, eta, noise_mean,
-                         temperature=1.0):
-    return (
-        x
-        - (eta / n_agents) * grad_sum
-        + temperature * np.sqrt(2.0 * eta) * noise_mean
-    )
-
-
 def _inside(a):
     """Whether every entry of ``a`` is in the guard ball (NaN is not)."""
     return a.max() <= _DIVERGENCE_LIMIT and a.min() >= -_DIVERGENCE_LIMIT
@@ -493,7 +439,7 @@ def _grads_fn(oracle, cfg: SamplerConfig, noises):
 def _step_fn(oracle, cfg: SamplerConfig, mixing, noises):
     """The transition (k, x^k, v^k) -> (x^{k+1}, v^{k+1}) of cfg.algorithm,
     over (R, rows, d) arrays with replica r drawing from noises[r]; each
-    entry computes its ``step_*`` expression term for term."""
+    entry computes its update rule term for term."""
     eta, eta_n = cfg.eta, cfg.eta / oracle.n_agents
     scale_x = cfg.temperature * np.sqrt(2.0 * eta)
     scale_v = cfg.temperature * np.sqrt(2.0 / eta)
@@ -506,7 +452,7 @@ def _step_fn(oracle, cfg: SamplerConfig, mixing, noises):
     def gaussians(k):
         out = np.empty(shape)  # fresh at every step: EXTRA keeps w^k
         for r, nz in enumerate(noises):
-            out[r] = nz.gaussian_block(k)
+            nz.gaussian_block(k, out[r])
         return out
 
     def grad_sum(x, k):
@@ -572,8 +518,9 @@ def run_ensemble(
     always); ``xs`` is (n_rec, R, rows, d).  ``noises`` holds one
     `NoiseStream` (or subclass) per seed, in place of the default
     ``NoiseStream(seeds[r], ...)``; minibatch indices are keyed by their
-    ``seed``.  Row r equals
-    `run_chain` at seed ``seeds[r]`` bit for bit, whatever R is.  A
+    ``seed``, and ``gaussian_block(k, out)`` must write block k into
+    ``out``.  Row r equals `run_chain` at seed ``seeds[r]`` bit for bit,
+    whatever R is.  A
     divergence names the earliest iteration at which any replica left
     the ball, and the lowest replica index at that iteration.
     """

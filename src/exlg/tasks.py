@@ -23,6 +23,11 @@ gradient entry point.  Blocks are feature-major: a minibatch is one
 on how many rows share the call: products over the feature axis run as a
 fixed-order loop of elementwise operations, and sums over data rows run
 along a contiguous last axis.
+
+Only the logistic task needs scipy (``scipy.special.expit``), and only it
+imports it: each ``LogRegTask`` binds ``expit`` once at construction, and
+``gen_logreg_data`` imports it when called.  Linear-regression and
+``theory`` commands never load scipy.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ import logging
 from typing import Protocol, runtime_checkable
 
 import numpy as np
-from scipy.special import expit
 
 from .linalg import SymMatrix, sym_eig
 
@@ -318,6 +322,9 @@ class LogRegTask(_ShardedTask):
     prior_var: float
 
     def __post_init__(self):
+        from scipy.special import expit
+
+        object.__setattr__(self, "_expit", expit)
         self._init_shards()
         if not np.all((self.ys == 0.0) | (self.ys == 1.0)):
             raise ValueError("logistic labels must be 0 or 1")
@@ -345,7 +352,7 @@ class LogRegTask(_ShardedTask):
         else:
             s = self._gather(agents, idx)
         z = _matvec(s, x.transpose(2, 0, 1)[..., None])
-        data = -_rmatvec(s, expit(-z))
+        data = -_rmatvec(s, self._expit(-z))
         if idx is not None:
             data = (self.shard_size / idx.shape[-1]) * data
         return data + self._prior_grad(x)
@@ -370,7 +377,7 @@ class LogRegTask(_ShardedTask):
         def hess(b):
             hh = np.eye(d) / self.prior_var
             for s in self._signed:
-                p = expit(s @ b)
+                p = self._expit(s @ b)
                 hh += (s * (p * (1.0 - p))[:, None]).T @ s
             return hh
 
@@ -415,6 +422,8 @@ def gen_logreg_data(
     y_j = 1 when sigma(beta^T X_j) >= u_j with u_j ~ U(0, 1), so the label
     law is exactly Bernoulli(sigma(beta^T X_j)).
     """
+    from scipy.special import expit
+
     beta_true = np.atleast_1d(np.asarray(beta_true, dtype=float))
     d = beta_true.size
     x = np.sqrt(_LOGREG_FEATURE_VAR) * rng.standard_normal((n_points, d))

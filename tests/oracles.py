@@ -3,13 +3,16 @@ expressions, kept here as the oracles tests compare it against.
 
 ``series_for_run`` scores a whole (records, replicas, agents, dim)
 ensemble at once; each of its values must equal these functions on one
-record.  ``RawMixing`` drives a sampler with hand-built matrices.
+record.  ``run_ensemble`` advances every replica with one step-table
+entry; each transition must equal the ``step_*`` function of its chain on
+one replica.  ``RawMixing`` drives a sampler with hand-built matrices.
 """
 
 import dataclasses
 
 import numpy as np
 
+from exlg.linalg import mix_apply
 from exlg.tasks import GaussianDist
 
 
@@ -68,3 +71,59 @@ class RawMixing:
     @property
     def n(self) -> int:
         return np.asarray(self.w).shape[0]
+
+
+def step_ula(x, grad_sum, eta, noise, temperature=1.0):
+    return x - eta * grad_sum + temperature * np.sqrt(2.0 * eta) * noise
+
+
+def step_de_sgld(x, grads, w, eta, noise, temperature=1.0):
+    return (
+        mix_apply(w, x) - eta * grads + temperature * np.sqrt(2.0 * eta) * noise
+    )
+
+
+def step_gen_extra(x, v, grads, bx, w_tilde, u, eta, noise, temperature=1.0):
+    """One generalized-EXTRA transition; returns (x+, v+).
+
+    ``grads``, ``bx``, and ``noise`` are the shared per-iterate blocks;
+    both halves consume the same arrays.
+    """
+    x_next = (
+        mix_apply(w_tilde, x)
+        - eta * (grads + v)
+        + temperature * np.sqrt(2.0 * eta) * noise
+    )
+    v_next = (
+        v
+        - mix_apply(u, v + grads - bx)
+        + temperature * np.sqrt(2.0 / eta) * mix_apply(u, noise)
+    )
+    return x_next, v_next
+
+
+def step_extra_two(
+    x_curr, x_prev, grads_curr, grads_prev, w, w_tilde, eta, noise_diff,
+    temperature=1.0,
+):
+    """The k >= 1 transition of the two-step form.
+
+    ``noise_diff`` is w^{k+1} - w^k (drawn by the caller so the same blocks
+    can be shared with other chains).
+    """
+    return (
+        x_curr
+        + mix_apply(w, x_curr)
+        - mix_apply(w_tilde, x_prev)
+        - eta * (grads_curr - grads_prev)
+        + temperature * np.sqrt(2.0 * eta) * noise_diff
+    )
+
+
+def step_reference_chain(x, grad_sum, n_agents, eta, noise_mean,
+                         temperature=1.0):
+    return (
+        x
+        - (eta / n_agents) * grad_sum
+        + temperature * np.sqrt(2.0 * eta) * noise_mean
+    )

@@ -23,11 +23,6 @@ from exlg.samplers import (
     philox4x64,
     run_chain,
     run_ensemble,
-    step_de_sgld,
-    step_extra_two,
-    step_gen_extra,
-    step_reference_chain,
-    step_ula,
 )
 from exlg.tasks import (
     LinRegTask,
@@ -37,7 +32,14 @@ from exlg.tasks import (
     partition_data,
 )
 
-from oracles import RawMixing
+from oracles import (
+    RawMixing,
+    step_de_sgld,
+    step_extra_two,
+    step_gen_extra,
+    step_reference_chain,
+    step_ula,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -152,6 +154,37 @@ class TestNoiseStream:
                                   fresh(k, 0, 1).standard_normal((5, 3))[1])
             ref = fresh(k, i, 2)
             assert np.array_equal(head, ref.integers(0, 2**40, 3))
+
+    def test_mixed_calls_equal_a_fresh_philox(self):
+        # gaussian_block, with and without ``out``, interleaved with
+        # batch_rng streams left partly used: every draw must equal a
+        # generator built fresh at its counter, whatever came before.
+        seed = derive_seed(3, "replica", 0)
+
+        def fresh(k, i, tag):
+            return np.random.Generator(np.random.Philox(
+                key=seed, counter=np.array([0, k, i, tag], dtype=np.uint64)))
+
+        s = NoiseStream(seed, 4, 2)
+        order = np.random.default_rng(0)
+        buf = np.empty((3, 4, 2))
+        for _ in range(60):
+            k = (0, 1, 2, 5, 2**40, 2**64 - 1)[order.integers(0, 6)]
+            i = int(order.integers(0, 4))
+            kind = order.integers(0, 3)
+            if kind == 0:
+                got = s.gaussian_block(k)
+            elif kind == 1:
+                got = s.gaussian_block(k, buf[i % 3])
+                assert np.shares_memory(got, buf[i % 3])
+                got = buf[i % 3].copy()
+            else:
+                rng = s.batch_rng(k, i)
+                got = rng.integers(0, 2**63, int(order.integers(1, 12)))
+                assert np.array_equal(got, fresh(k, i, 2).integers(
+                    0, 2**63, got.size))
+                continue
+            assert np.array_equal(got, fresh(k, 0, 1).standard_normal((4, 2)))
 
 
 class TestStepFunctions:
@@ -304,7 +337,7 @@ class TestReductions:
 
 
 def _written_out_chain(task, cfg, ms):
-    """The five recursions spelled out from the public step functions.
+    """The five recursions spelled out from the reference step functions.
 
     Returns (xs, vs) for a zero start, recording every iterate; vs is
     None except for the generalized chain.
@@ -603,8 +636,11 @@ class TestPermutationEquivariance:
                 self.base, self.perm = base, perm
                 self.n_agents, self.dim = base.n_agents, base.dim
 
-            def gaussian_block(self, k):
-                return self.base.gaussian_block(k)[self.perm]
+            def gaussian_block(self, k, out=None):
+                blk = self.base.gaussian_block(k)[self.perm]
+                if out is not None:
+                    out[...] = blk
+                return blk
 
             def gaussian(self, k, i):
                 return self.base.gaussian(k, self.perm[i])
@@ -709,9 +745,11 @@ class TestRunChainMechanics:
                 super().__init__(seed, 6, 3)
                 self.at = at
 
-            def gaussian_block(self, k):
-                blk = super().gaussian_block(k)
-                return blk * 1e300 if k == self.at else blk
+            def gaussian_block(self, k, out=None):
+                blk = super().gaussian_block(k, out)
+                if k == self.at:
+                    blk *= 1e300
+                return blk
 
         task = _toy_task()
         ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
