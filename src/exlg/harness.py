@@ -32,6 +32,7 @@ from .network import (
 )
 from .samplers import SamplerConfig, derive_seed, run_ensemble
 from .tasks import (
+    LabelError,
     LinRegTask,
     LogRegTask,
     estimate_grad_noise,
@@ -92,6 +93,27 @@ def _synthetic_data(t, rng: np.random.Generator):
     return x, y, beta_true
 
 
+def _csv_data(t):
+    """(x, y) of a logreg-csv task's file.  The file is config input: what
+    the loader rejects is a ConfigError naming ``task.csv_path``, or
+    ``task.label_col`` when the labels are at fault."""
+    label = t.label_col
+    if label is not None and label.lstrip("+-").isdigit():
+        label = int(label)
+    try:
+        x, y, _names = load_csv_dataset(t.csv_path, label_column=label)
+    except LabelError as e:
+        raise ConfigError(f"task.label_col: {e}") from None
+    except (ValueError, OSError) as e:
+        raise ConfigError(f"task.csv_path: {e}") from None
+    bad = y[(y != 0.0) & (y != 1.0)]
+    if bad.size:
+        raise ConfigError(
+            f"task.label_col: {t.csv_path}: logistic labels must be 0 or "
+            f"1, got {bad[0]:g}")
+    return x, y
+
+
 def build_task(cfg: ExperimentConfig) -> TaskBundle:
     """Generate or load the dataset and shard it across agents.
 
@@ -104,10 +126,7 @@ def build_task(cfg: ExperimentConfig) -> TaskBundle:
     rng = np.random.default_rng(derive_seed(cfg.run.seed, "data"))
 
     if t.kind == "logreg-csv":
-        label = t.label_col
-        if label is not None and label.lstrip("+-").isdigit():
-            label = int(label)
-        x, y, _names = load_csv_dataset(t.csv_path, label_column=label)
+        x, y = _csv_data(t)
         n_hold = min(t.holdout, x.shape[0] // 5)
         perm = rng.permutation(x.shape[0])
         hold_idx, train_idx = perm[:n_hold], perm[n_hold:]
@@ -579,7 +598,8 @@ def cmd_theory(cfg: ExperimentConfig, echo=print) -> int:
 
     At the configured (h, eta) the clauses must pass, or the command exits
     3 naming the binding clause; with [theory] shrink = true the pair is
-    shrunk to admissibility first and both pairs are reported.
+    shrunk to admissibility first and both pairs are reported, and the
+    mixing set at the shrunk h is checked like the configured one.
     """
     manifest = ManifestWriter(cfg, "theory")
     bundle = build_task(cfg)
@@ -611,9 +631,10 @@ def cmd_theory(cfg: ExperimentConfig, echo=print) -> int:
         echo(f"shrinking to admissible from (h={ms.h:.6g}, "
              f"eta={cfg.sampler.eta:.6g})")
         try:
-            p, _ = shrink_to_admissible(p, ms, b_mode=cfg.sampler.b_mode)
+            p, ms = shrink_to_admissible(p, ms, b_mode=cfg.sampler.b_mode)
         except RuntimeError as e:
             raise AssumptionError(str(e)) from None
+        check_assumptions(ms, cfg)
         echo(f"admissible pair: h={p.h:.9g}, eta={p.eta:.9g}")
         cert = validate_stepsize(p)
         for line in cert.lines():

@@ -3,7 +3,8 @@
 A mixing matrix is built from a graph Laplacian as W = I - delta * L, then
 smoothed to W~ = h*I + (1-h)*W with h in (0, 1/2].  U = W~ - W = h(I - W)
 carries the dual update in the generalized sampler; the spectral summary of
-W and W~ feeds the theory module.
+W and W~ feeds the theory module.  `with_h` moves a built set to another h:
+it rebuilds W~, U and W~'s half of the summary, and keeps the rest.
 
 Assumption checks mirror the standing assumptions on the mixing pair: W
 doubly stochastic with positive diagonal, spectra inside (-1, 1] and (0, 1],
@@ -38,6 +39,7 @@ __all__ = [
     "build_w",
     "build_w_tilde",
     "build_mixing_set",
+    "with_h",
     "validate_assumptions",
 ]
 
@@ -49,8 +51,7 @@ TOPOLOGY_KINDS = (
     "custom",
 )
 
-# Null-space dimension counts eigenvalues of U below this times
-# max(1, ||U||_2); connectivity uses the same floor on the Laplacian gap.
+# Null-space dimension counts eigenvalues of U below this times ||U||_2.
 _NULL_TOL = 1e-10
 
 
@@ -207,7 +208,8 @@ class SpectralSummary:
     ``lam2_*`` is the second-largest eigenvalue, ``lamN_*`` the smallest.
     gammabar_w = max(|lam2_w|, |lamN_w|), gammabar_wt likewise for W~, and
     gammabar_iw = max(1 - |lam2_w|, 1 - |lamN_w|) (the literal printed
-    form, not the edge eigenvalues of I - W).
+    form, not the edge eigenvalues of I - W).  ``norm_wt`` is ||W~||_2,
+    the larger of |lambda_min(W~)| and |lambda_max(W~)|.
     """
 
     lam2_w: float
@@ -217,6 +219,7 @@ class SpectralSummary:
     gammabar_w: float
     gammabar_iw: float
     gammabar_wt: float
+    norm_wt: float
 
 
 @dataclasses.dataclass(frozen=True)
@@ -230,17 +233,15 @@ class MixingSet:
     h: float
     delta: float
     spectral: SpectralSummary
-    connected: bool
 
     @property
     def n(self) -> int:
         return self.topology.n
 
 
-def _spectral_summary(w: np.ndarray, w_tilde: np.ndarray) -> SpectralSummary:
-    wv = sym_eig(w).values
-    wtv = sym_eig(w_tilde).values
-    lam2_w, lamN_w = float(wv[-2]), float(wv[0])
+def _spectral_summary(lam2_w: float, lamN_w: float,
+                      wtv: np.ndarray) -> SpectralSummary:
+    """The summary from W's edge eigenvalues and all of W~'s, ascending."""
     lam2_wt, lamN_wt = float(wtv[-2]), float(wtv[0])
     return SpectralSummary(
         lam2_w=lam2_w,
@@ -250,6 +251,7 @@ def _spectral_summary(w: np.ndarray, w_tilde: np.ndarray) -> SpectralSummary:
         gammabar_w=max(abs(lam2_w), abs(lamN_w)),
         gammabar_iw=max(1.0 - abs(lam2_w), 1.0 - abs(lamN_w)),
         gammabar_wt=max(abs(lam2_wt), abs(lamN_wt)),
+        norm_wt=float(max(abs(wtv[0]), abs(wtv[-1]))),
     )
 
 
@@ -258,24 +260,28 @@ def build_mixing_set(top: Topology, h: float, delta: float) -> MixingSet:
     with their spectral summary.  ``delta`` is explicit: `draw_delta`
     draws one from a seed."""
     w = build_w(top, delta=delta)
-    w_tilde = build_w_tilde(w, h)
+    wv = sym_eig(w).values
+    # the set at h = 0, where W~ = W and U = 0, needs W's solve alone
+    bare = MixingSet(top, w, w, np.zeros_like(w), 0.0, delta,
+                     _spectral_summary(float(wv[-2]), float(wv[0]), wv))
+    return with_h(bare, h)
+
+
+def with_h(ms: MixingSet, h: float) -> MixingSet:
+    """``ms`` at smoothing ``h``: W~, U and W~'s eigenvalues are rebuilt,
+    while W, delta and W's half of the summary carry over unchanged."""
+    w_tilde = build_w_tilde(ms.w, h)
     # U = W~ - W = h*(I - W); the scaled form avoids the cancellation the
     # literal difference suffers once h is small (entries h*O(1) computed
     # from O(1) inputs), which otherwise leaves U with eps-level negative
     # eigenvalues.
-    u = h * (np.eye(top.n) - w)
+    u = h * (np.eye(ms.n) - ms.w)
     u = (u + u.T) / 2.0
-    lap_gap = float(sym_eig(laplacian(top)).values[1])
-    return MixingSet(
-        topology=top,
-        w=w,
-        w_tilde=w_tilde,
-        u=u,
-        h=h,
-        delta=delta,
-        spectral=_spectral_summary(w, w_tilde),
-        connected=lap_gap > _NULL_TOL,
-    )
+    sp = ms.spectral
+    return dataclasses.replace(
+        ms, w_tilde=w_tilde, u=u, h=h,
+        spectral=_spectral_summary(sp.lam2_w, sp.lamN_w,
+                                   sym_eig(w_tilde).values))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -51,6 +51,7 @@ __all__ = [
     "gen_logreg_data",
     "linreg_posterior",
     "mu_L_bounds",
+    "LabelError",
     "load_csv_dataset",
     "partition_data",
     "estimate_grad_noise",
@@ -474,26 +475,35 @@ def mu_L_bounds(task) -> tuple[float, float]:
             float(vals[:, 1].max()) + prior_curv)
 
 
-def load_csv_dataset(
-    path,
-    label_column=None,
-    standardize: bool = True,
-    variance_floor: float = 1e-12,
-):
-    """Load a regression/classification table from CSV.
+class LabelError(ValueError):
+    """The label column of a data file is missing or unusable."""
+
+
+# load_csv_dataset scales each feature by sqrt(max(variance, this floor)),
+# so a constant column comes out centered instead of divided by ~0
+_VARIANCE_FLOOR = 1e-12
+
+
+def load_csv_dataset(path, label_column=None):
+    """Load a regression/classification table from CSV, standardized.
 
     The first row is treated as a header when any of its fields fails to
     parse as a number.  ``label_column`` picks the target by header name or
-    integer position (default: last column).  With ``standardize`` the
-    features are centered and scaled per column, with a variance floor so
-    constant columns pass through centered rather than dividing by ~0.
+    by integer position in [-ncol, ncol) (default: the last column).  Every
+    number must be finite.  The features are centered and scaled per
+    column (see ``_VARIANCE_FLOOR``).
 
-    Returns (X, y, feature_names).
+    Returns (X, y, feature_names).  A file that cannot be opened raises
+    ``OSError``; one that cannot be parsed raises ``ValueError``, and
+    ``LabelError`` when the fault is in the label column.
     """
     import csv as _csv
 
-    with open(path, newline="") as fh:
-        rows = [row for row in _csv.reader(fh) if row]
+    try:
+        with open(path, newline="") as fh:
+            rows = [row for row in _csv.reader(fh) if row]
+    except (UnicodeDecodeError, _csv.Error) as exc:
+        raise ValueError(f"{path}: not a CSV text file ({exc})") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
 
@@ -522,12 +532,17 @@ def load_csv_dataset(
     if label_column is None:
         label_idx = ncol - 1
     elif isinstance(label_column, int):
+        if not -ncol <= label_column < ncol:
+            raise LabelError(
+                f"{path}: label column {label_column} is outside "
+                f"[{-ncol}, {ncol}) for {ncol} columns"
+            )
         label_idx = label_column % ncol
     else:
         try:
             label_idx = header.index(label_column)
         except ValueError:
-            raise ValueError(
+            raise LabelError(
                 f"{path}: no column named {label_column!r}; "
                 f"header is {header}"
             ) from None
@@ -535,10 +550,13 @@ def load_csv_dataset(
     raw_labels = [row[label_idx] for row in body]
     if all(numeric(tok) for tok in raw_labels):
         y = np.array([float(tok) for tok in raw_labels])
+        if not np.all(np.isfinite(y)):
+            raise LabelError(f"{path}: label column {header[label_idx]!r} "
+                             "holds a non-finite value")
     else:
         classes = sorted(set(raw_labels))
         if len(classes) != 2:
-            raise ValueError(
+            raise LabelError(
                 f"{path}: non-numeric label column has {len(classes)} "
                 f"distinct values {classes[:5]}, expected 2"
             )
@@ -556,11 +574,17 @@ def load_csv_dataset(
     except ValueError as exc:
         raise ValueError(f"{path}: non-numeric feature value ({exc})") from None
     names = [header[j] for j in feat_idx]
+    if not np.all(np.isfinite(x)):
+        r, j = np.argwhere(~np.isfinite(x))[0]
+        raise ValueError(
+            f"{path}: row {r + 1}, column {names[j]!r} has the non-finite "
+            f"value {body[r][feat_idx[j]]!r}"
+        )
 
-    if standardize and x.size:
+    if x.size:
         mean = x.mean(axis=0)
         var = x.var(axis=0)
-        scale = np.sqrt(np.maximum(var, variance_floor))
+        scale = np.sqrt(np.maximum(var, _VARIANCE_FLOOR))
         x = (x - mean) / scale
     return x, y, names
 

@@ -8,7 +8,8 @@ terms R_h / R_h', the burn-in index K0, and the two bound evaluators
 
 Everything here is pure arithmetic on a frozen parameter bundle; nothing
 draws randomness or touches chain state, so repeated calls are bit
-identical.
+identical.  Nor does anything here eigensolve: the mixing spectrum,
+||Wtilde||_2 included, is read from the mixing set's summary.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import SymMatrix, sym_eig
 from .metrics import w2_gaussian
-from .network import MixingSet, SpectralSummary, build_mixing_set
+from .network import MixingSet, SpectralSummary, with_h
 from .tasks import GaussianDist, mu_L_bounds
 
 __all__ = [
@@ -485,16 +485,6 @@ def bound_w2_agents(p: ProblemParams, tc: TheoryConstants, K: int) -> float:
     return head + term1 + term2 + tail
 
 
-def _norm_b_for(ms: MixingSet, b_mode: str, eta: float,
-                b_scale: float = 0.0) -> float:
-    if b_mode == "wtilde-over-eta":
-        vals = sym_eig(SymMatrix(np.asarray(ms.w_tilde))).values
-        return float(max(abs(vals[0]), abs(vals[-1]))) / eta
-    if b_mode == "scaled-identity":
-        return abs(float(b_scale))
-    raise ValueError(f"unknown b_mode {b_mode!r}")
-
-
 def problem_params_from(task, ms: MixingSet, eta: float, *,
                         sigma2: float = 0.0,
                         b_mode: str = "wtilde-over-eta", b_scale: float = 0.0,
@@ -527,15 +517,20 @@ def problem_params_from(task, ms: MixingSet, eta: float, *,
         else:
             w2_init = 0.0
 
+    if b_mode == "wtilde-over-eta":
+        norm_B = ms.spectral.norm_wt / eta
+    elif b_mode == "scaled-identity":
+        norm_B = abs(float(b_scale))
+    else:
+        raise ValueError(f"unknown b_mode {b_mode!r}")
     return ProblemParams(
         mu=float(mu), L=float(L), sigma2=float(sigma2), d=d, N=N,
-        eta=float(eta), h=float(ms.h),
-        norm_B=_norm_b_for(ms, b_mode, eta, b_scale),
+        eta=float(eta), h=float(ms.h), norm_B=norm_B,
         grad_at_min_sq=r, spectral=ms.spectral, w2_init=float(w2_init))
 
 
 # shrink_to_admissible aims at these fractions of the h and eta limits and
-# gives up after this many rebuilds of the mixing set
+# gives up after this many moves of the mixing set
 _SHRINK_H_FRAC = 0.5
 _SHRINK_ETA_FRAC = 0.5
 _SHRINK_ITERS = 32
@@ -545,21 +540,19 @@ def shrink_to_admissible(p: ProblemParams, ms: MixingSet, *, b_mode: str):
     """Shrink (h, eta) of ``p`` until every stepsize clause passes.
 
     ``p`` must be the bundle at ``ms`` (as :func:`problem_params_from`
-    builds it) and ``b_mode`` the B mode it was built with.
-    Changing h changes Wtilde = h*I + (1-h)*W and with it the whole
-    spectral summary, and in "wtilde-over-eta" mode ||B|| = ||Wtilde||/eta
-    moves with both, so each iteration rebuilds the mixing set at the
-    candidate h, re-derives the clause limits there, and targets fixed
-    fractions of them.  In the other modes ||B|| does not depend on
-    (h, eta) and stays ``p.norm_B``.  Only h, eta, the spectrum, ||B|| and
-    delta^2 move: the
-    task-side inputs (mu, L, sigma^2, ||grad F(x*)||^2, the initial
-    moments and w2_init) stay as ``p`` has them.  Returns the admissible
+    builds it) and ``b_mode`` the B mode it was built with.  Each
+    iteration moves the mixing set to the candidate h with
+    :func:`~exlg.network.with_h` (Wtilde and U rebuilt, Wtilde alone
+    eigensolved), re-derives the clause limits there, and targets fixed
+    fractions of them.  ||B|| is ||Wtilde||/eta in "wtilde-over-eta" mode
+    and stays ``p.norm_B`` in the others.  W, delta and the task-side
+    inputs (mu, L, sigma^2, ||grad F(x*)||^2, the initial moments and
+    w2_init) stay as ``ms`` and ``p`` have them.  Returns the admissible
     ``(params, mixing_set)`` pair; the loop settles in a handful of
     iterations because the limits move slowly in h.
     """
     def at(ms_: MixingSet, eta: float) -> ProblemParams:
-        norm_B = (_norm_b_for(ms_, b_mode, eta)
+        norm_B = (ms_.spectral.norm_wt / eta
                   if b_mode == "wtilde-over-eta" else p.norm_B)
         return replace(p, h=float(ms_.h), eta=eta, spectral=ms_.spectral,
                        norm_B=norm_B, delta2=None)
@@ -577,8 +570,7 @@ def shrink_to_admissible(p: ProblemParams, ms: MixingSet, *, b_mode: str):
         close_eta = abs(cur_eta - want_eta) <= 1e-9 * max(want_eta, 1e-30)
         if rep.ok and close_h and close_eta:
             return q, cur_ms
-        cur_ms = build_mixing_set(cur_ms.topology, delta=cur_ms.delta,
-                                  h=want_h)
+        cur_ms = with_h(cur_ms, want_h)
         cur_eta = want_eta
     else:
         q = at(cur_ms, cur_eta)

@@ -590,6 +590,64 @@ class TestTheoryCmd:
             assert json.load(fh)["sigma2"] == 0.25
 
 
+    def test_shrunk_mixing_set_is_checked(self, tmp_path, monkeypatch,
+                                          capsys):
+        # the set shrink returns is validated like the configured one, and
+        # a failing check there is an assumption violation (exit 3)
+        seen = []
+        real = harness.validate_assumptions
+
+        def spy(ms):
+            seen.append(ms.h)
+            return real(ms)
+
+        monkeypatch.setattr(harness, "validate_assumptions", spy)
+        text = BASE + "\n[theory]\nshrink = true\n"
+        path = make_cfg(tmp_path, text=text, **{"n = 6": "n = 4"})
+        assert main(["theory", "--config", path]) == EXIT_OK
+        with open(tmp_path / "out" / "manifest.json") as fh:
+            h_used = json.load(fh)["h_used"]
+        assert seen == [0.3, h_used] and h_used < 0.3
+
+        def fail_second(ms):
+            seen.append(ms.h)
+            report = real(ms)
+            if len(seen) == 1:
+                return report
+            bad = dataclasses.replace(report.checks[0], passed=False)
+            return dataclasses.replace(report,
+                                       checks=(bad,) + report.checks[1:])
+
+        seen.clear()
+        capsys.readouterr()
+        monkeypatch.setattr(harness, "validate_assumptions", fail_second)
+        assert main(["theory", "--config", path]) == EXIT_ASSUMPTION
+        assert seen == [0.3, h_used]
+        err = capsys.readouterr().err
+        assert "assumption violation" in err and "doubly-stochastic" in err
+
+    def test_shrink_solves_each_matrix_once(self, tmp_path, monkeypatch):
+        # a 50-agent ring: W, W~ and the Laplacian once for the configured
+        # set, W~ once per shrink move, and the checks of two sets
+        n = 50
+        counted = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kw):
+            counted.append(np.shape(a)[-1] == n)
+            return eigh(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        text = BASE + "\n[theory]\nshrink = true\n"
+        cfg = load_config(make_cfg(
+            tmp_path, text=text,
+            **{"n = 6": f"n = {n}", "n_points = 120": "n_points = 500",
+               "delta = 0.2": "delta = 0.125", "eta = 0.01": "eta = 0.009"}))
+        assert cmd_theory(cfg, echo=lambda line: None) == EXIT_OK
+        with open(tmp_path / "out" / "manifest.json") as fh:
+            assert json.load(fh)["h_used"] < 0.3  # the loop did run
+        assert sum(counted) <= 16
+
     def test_scaled_identity_bound_uses_b_scale(self, tmp_path, capsys):
         # ||B|| = |b_scale| enters gamma2; the chain runs with
         # B = b_scale * I, so the bound must be computed with it too
@@ -672,6 +730,71 @@ class TestGenData:
                f"kind = logreg-csv\ncsv_path = {csv}\nlabel_col = y"}))
         with pytest.raises(ConfigError, match="synthetic"):
             cmd_gen_data(cfg)
+
+
+def _csv_body(rows=40):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((rows, 2))
+    return "".join(f"{a:.17g},{b:.17g},{int(a + b > 0)}\n" for a, b in x)
+
+
+# Each data file a logreg-csv config can name, with the key its error names
+_BAD_CSV = {
+    "header-only": ("a,b,y\n", "y", "task.csv_path"),
+    "short-row": ("a,b,y\n" + _csv_body() + "1,2\n", "y", "task.csv_path"),
+    "non-numeric-feature": ("a,b,y\n" + _csv_body() + "1,x,0\n", "y",
+                            "task.csv_path"),
+    "label-3": ("a,b,y\n" + _csv_body() + "1,2,3\n", "y", "task.label_col"),
+    "label-0.5": ("a,b,y\n" + _csv_body() + "1,2,0.5\n", "y",
+                  "task.label_col"),
+    "label--1": ("a,b,y\n" + _csv_body() + "1,2,-1\n", "y",
+                 "task.label_col"),
+    "no-such-column": ("a,b,y\n" + _csv_body(), "z", "task.label_col"),
+    "label-position-7": ("a,b,y\n" + _csv_body(), "7", "task.label_col"),
+    "binary": (bytes(range(256)) * 4, "y", "task.csv_path"),
+    "directory": (None, "y", "task.csv_path"),
+    "nan-cell": ("a,b,y\n" + _csv_body() + "nan,2,0\n", "y",
+                 "task.csv_path"),
+    "inf-cell": ("a,b,y\n" + _csv_body() + "1,inf,1\n", "y",
+                 "task.csv_path"),
+    "1e400-cell": ("a,b,y\n" + _csv_body() + "1e400,2,0\n", "y",
+                   "task.csv_path"),
+}
+
+
+def _csv_cfg(tmp_path, content, label):
+    path = tmp_path / "data.csv"
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return make_cfg(tmp_path, **{
+        "kind = linreg": f"kind = logreg-csv\ncsv_path = {path}\n"
+                         f"label_col = {label}\nholdout = 5",
+        "n = 6": "n = 4"})
+
+
+class TestCsvDataErrors:
+    """A data file is config input: every fault in it exits 2 and names
+    the key to fix, under each command that reads it."""
+
+    @pytest.mark.parametrize("command", ["run", "validate", "theory"])
+    @pytest.mark.parametrize("case", sorted(_BAD_CSV))
+    def test_bad_file_exits_2_naming_the_key(self, tmp_path, capsys,
+                                             command, case):
+        content, label, key = _BAD_CSV[case]
+        path = _csv_cfg(tmp_path, content, label)
+        assert main([command, "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {key}: " in err
+        assert "Traceback" not in err
+
+    def test_good_file_passes(self, tmp_path, capsys):
+        path = _csv_cfg(tmp_path, "a,b,y\n" + _csv_body(), "y")
+        assert main(["validate", "--config", path]) == EXIT_OK
+        assert capsys.readouterr().out.rstrip().endswith("OK")
 
 
 @dataclasses.dataclass(frozen=True)

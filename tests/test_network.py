@@ -19,6 +19,7 @@ from exlg.network import (
     star,
     topology_from_file,
     validate_assumptions,
+    with_h,
 )
 
 
@@ -139,11 +140,28 @@ class TestMixingSet:
         ms = build_mixing_set(ring(6), h=0.38, delta=0.2)
         assert np.allclose(ms.u, 0.38 * (np.eye(6) - ms.w), atol=1e-14)
 
-    def test_connected_flags(self):
-        assert build_mixing_set(ring(6), h=0.2, delta=0.2).connected
-        top = disconnected(6)
-        assert not build_mixing_set(top, h=0.2,
-                                    delta=draw_delta(top, 0)).connected
+    @pytest.mark.parametrize("builder", [ring, star, fully_connected])
+    @pytest.mark.parametrize("h0, h1", [(0.38, 0.013), (0.05, 0.5)])
+    def test_with_h_equals_a_fresh_build(self, builder, h0, h1):
+        top = builder(7)
+        delta = draw_delta(top, 11)
+        moved = with_h(build_mixing_set(top, h=h0, delta=delta), h1)
+        fresh = build_mixing_set(top, h=h1, delta=delta)
+        for field in ("w", "w_tilde", "u"):
+            assert np.array_equal(getattr(moved, field),
+                                  getattr(fresh, field)), field
+        assert moved.topology is fresh.topology
+        assert (moved.h, moved.delta) == (fresh.h, fresh.delta)
+        assert moved.spectral == fresh.spectral
+
+    def test_with_h_solves_only_w_tilde(self, monkeypatch):
+        ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
+        seen = []
+        monkeypatch.setattr("exlg.network.sym_eig",
+                            lambda a: seen.append(a) or sym_eig(a))
+        moved = with_h(ms, 0.1)
+        assert len(seen) == 1 and np.array_equal(seen[0], moved.w_tilde)
+        assert moved.w is ms.w
 
     def test_fc20_passes_validation(self):
         top = fully_connected(20)

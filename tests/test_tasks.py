@@ -19,6 +19,7 @@ from exlg.tasks import (
     LOSS_MATCHED_NOISE_STD,
     GaussianDist,
     GradientOracle,
+    LabelError,
     LinRegTask,
     LogRegTask,
     checked_cov,
@@ -448,12 +449,47 @@ class TestCsvLoader:
         assert np.allclose(x.mean(axis=0), 0.0, atol=1e-12)
         assert np.allclose(x.std(axis=0), 1.0, atol=1e-12)
 
+    @staticmethod
+    def _standardized(raw):
+        raw = np.asarray(raw, dtype=float)
+        return (raw - raw.mean(axis=0)) / np.sqrt(
+            np.maximum(raw.var(axis=0), 1e-12))
+
     def test_headerless_label_by_index(self, tmp_path):
         p = self._write(tmp_path, "1,0\n2,1\n3,1\n")
-        x, y, names = load_csv_dataset(p, label_column=1, standardize=False)
+        x, y, names = load_csv_dataset(p, label_column=1)
         assert names == ["col0"]
-        assert np.array_equal(x.ravel(), [1.0, 2.0, 3.0])
+        assert np.array_equal(x, self._standardized([[1.0], [2.0], [3.0]]))
         assert np.array_equal(y, [0.0, 1.0, 1.0])
+        x_neg, y_neg, _ = load_csv_dataset(p, label_column=-1)
+        assert np.array_equal(x_neg, x) and np.array_equal(y_neg, y)
+
+    @pytest.mark.parametrize("label", [2, 7, -3])
+    def test_label_position_out_of_range(self, tmp_path, label):
+        p = self._write(tmp_path, "1,0\n2,1\n3,1\n")
+        with pytest.raises(LabelError, match="outside"):
+            load_csv_dataset(p, label_column=label)
+
+    def test_missing_label_name(self, tmp_path):
+        p = self._write(tmp_path, "a,b\n1,0\n2,1\n")
+        with pytest.raises(LabelError, match="no column named"):
+            load_csv_dataset(p, label_column="c")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_cell(self, tmp_path, cell):
+        p = self._write(tmp_path, f"a,b,y\n1,{cell},0\n2,3,1\n")
+        with pytest.raises(ValueError, match="non-finite") as err:
+            load_csv_dataset(p)
+        assert not isinstance(err.value, LabelError)
+        p = self._write(tmp_path, f"a,b,y\n1,2,0\n2,3,{cell}\n")
+        with pytest.raises(LabelError, match="non-finite"):
+            load_csv_dataset(p)
+
+    def test_binary_file(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_bytes(bytes(range(256)) * 4)
+        with pytest.raises(ValueError, match="not a CSV text file"):
+            load_csv_dataset(p)
 
     def test_string_labels_mapped(self, tmp_path):
         p = self._write(tmp_path, "f,cls\n1,B\n2,M\n3,B\n")
@@ -486,10 +522,8 @@ class TestCsvLoader:
                 ",".join(f"{v:.17g}" for v in row) + f",{int(lab)}"
             )
         p = self._write(tmp_path, "\n".join(lines) + "\n")
-        x2, y2, names = load_csv_dataset(
-            p, label_column="label", standardize=False
-        )
-        assert np.array_equal(x2, x)
+        x2, y2, names = load_csv_dataset(p, label_column="label")
+        assert np.array_equal(x2, self._standardized(x))
         assert np.array_equal(y2, y)
         assert names == ["f0", "f1", "f2", "f3"]
 

@@ -25,6 +25,7 @@ def _spectral(lam2_w, lamN_w, lam2_wt, lamN_wt):
         gammabar_w=max(abs(lam2_w), abs(lamN_w)),
         gammabar_iw=max(1 - abs(lam2_w), 1 - abs(lamN_w)),
         gammabar_wt=max(abs(lam2_wt), abs(lamN_wt)),
+        norm_wt=1.0,  # lambda_max(W~) = 1 on the ones vector
     )
 
 
@@ -368,7 +369,7 @@ class TestBounds:
         gwt = math.sqrt(b)
         sp = SpectralSummary(lam2_w=0.5, lamN_w=-0.2, lam2_wt=0.65,
                              lamN_wt=0.1, gammabar_w=0.5, gammabar_iw=0.8,
-                             gammabar_wt=gwt)
+                             gammabar_wt=gwt, norm_wt=1.0)
         p = ProblemParams(mu=mu, L=L, sigma2=0.0, d=3, N=4, eta=eta,
                           h=5e-6, norm_B=0.9, grad_at_min_sq=10.0 ** 4,
                           spectral=sp,
