@@ -17,9 +17,9 @@ import os
 
 import numpy as np
 
-from exlg.metrics import w2_series
+from exlg.metrics import w2_batch
 from exlg.network import build_mixing_set, make_topology
-from exlg.samplers import SamplerConfig, derive_seed, run_chain
+from exlg.samplers import SamplerConfig, derive_seed, run_ensemble
 from exlg.tasks import LinRegTask, gen_linreg_data, partition_data
 
 MASTER = 20240
@@ -47,18 +47,14 @@ ks = list(range(0, STEPS + 1, EVERY))
 
 def ensemble(algo):
     """(mean-iterate W2 series, per-agent W2 series) for one algorithm."""
-    blocks = []
-    for r in range(REPLICAS):
-        cfg = SamplerConfig(algo, eta=ETA, steps=STEPS,
-                            seed=derive_seed(MASTER, algo, r))
-        blocks.append(run_chain(task, cfg, mixing=ms, record_every=EVERY).xs)
-    xs = np.stack(blocks, axis=1)  # (n_rec, R, n_rows, d)
-    mean_w2 = w2_series(xs.mean(axis=2), ks, target, algo).values
-    agent_w2 = np.mean([
-        w2_series(xs[:, :, a, :], ks, target, algo).values
-        for a in range(xs.shape[2])
-    ], axis=0)
-    return np.asarray(mean_w2), agent_w2
+    seeds = [derive_seed(MASTER, algo, r) for r in range(REPLICAS)]
+    cfg = SamplerConfig(algo, eta=ETA, steps=STEPS)
+    xs = run_ensemble(task, cfg, seeds, mixing=ms,
+                      record_every=EVERY).xs  # (n_rec, R, n_rows, d)
+    mean_w2 = w2_batch(xs.mean(axis=2), target)
+    agent_w2 = np.mean([w2_batch(xs[:, :, a, :], target)
+                        for a in range(xs.shape[2])], axis=0)
+    return mean_w2, agent_w2
 
 
 algos = ("ULA", "DE_SGLD", "EXTRA_SGLD", "GEN_EXTRA_SGLD")

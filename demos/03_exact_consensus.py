@@ -10,7 +10,7 @@ minimizer itself.  The table below makes both effects visible.
 import numpy as np
 
 from exlg.network import build_mixing_set, make_topology
-from exlg.samplers import SamplerConfig, derive_seed, run_chain
+from exlg.samplers import SamplerConfig, derive_seed, run_ensemble
 from exlg.tasks import LinRegTask, gen_linreg_data, partition_data
 
 rng = np.random.default_rng(derive_seed(99, "data"))
@@ -25,9 +25,9 @@ print("minimizer:", np.round(xstar, 6))
 
 
 def worst_agent_error(algo, eta, steps=10_000):
-    cfg = SamplerConfig(algo, eta=eta, steps=steps, seed=1, temperature=0.0)
-    res = run_chain(task, cfg, mixing=ms, record_every=steps)
-    return float(np.max(np.linalg.norm(res.xs[-1] - xstar, axis=1)))
+    cfg = SamplerConfig(algo, eta=eta, steps=steps, temperature=0.0)
+    res = run_ensemble(task, cfg, [1], mixing=ms, record_every=steps)
+    return float(np.max(np.linalg.norm(res.xs[-1, 0] - xstar, axis=1)))
 
 
 print(f"\n{'eta':>8s} {'DGD error':>12s} {'EXTRA error':>12s}")

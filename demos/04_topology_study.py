@@ -8,14 +8,14 @@ through a hub, and the disconnected graph shows what the corrective
 matrices cannot fix, since the correction only exists on a connected
 component.
 
-Takes about half a minute, all NumPy.
+Takes a few seconds, all NumPy.
 """
 
 import numpy as np
 
-from exlg.metrics import plateau, w2_series
+from exlg.metrics import plateau, w2_batch
 from exlg.network import build_mixing_set, laplacian, make_topology
-from exlg.samplers import SamplerConfig, derive_seed, run_chain
+from exlg.samplers import SamplerConfig, derive_seed, run_ensemble
 from exlg.linalg import sym_eig
 from exlg.tasks import LinRegTask, gen_linreg_data, partition_data
 
@@ -38,16 +38,12 @@ target = task.target()
 
 
 def per_agent_w2(algo, ms):
-    xs = []
-    for r in range(REPLICAS):
-        cfg = SamplerConfig(algo, eta=0.009, steps=STEPS,
-                            seed=derive_seed(MASTER, algo, r))
-        xs.append(run_chain(task, cfg, mixing=ms, record_every=10).xs)
-    block = np.stack(xs, axis=1)  # (n_rec, R, N, d)
-    ks = list(range(0, STEPS + 1, 10))
-    series = [w2_series(block[:, :, a, :], ks, target, f"agent{a}").values
-              for a in range(N)]
-    return np.mean(series, axis=0)
+    seeds = [derive_seed(MASTER, algo, r) for r in range(REPLICAS)]
+    cfg = SamplerConfig(algo, eta=0.009, steps=STEPS)
+    block = run_ensemble(task, cfg, seeds, mixing=ms,
+                         record_every=10).xs  # (n_rec, R, N, d)
+    return np.mean([w2_batch(block[:, :, a, :], target) for a in range(N)],
+                   axis=0)
 
 
 print(f"{'topology':>16s} {'h':>5s} {'DE_SGLD':>10s} {'GEN_EXTRA':>10s}"

@@ -10,9 +10,9 @@ ensemble at the admissible pair.
 
 import numpy as np
 
-from exlg.metrics import w2_series
+from exlg.metrics import w2_batch
 from exlg.network import build_mixing_set, make_topology
-from exlg.samplers import SamplerConfig, derive_seed, run_chain
+from exlg.samplers import SamplerConfig, derive_seed, run_ensemble
 from exlg.tasks import LinRegTask, gen_linreg_data, partition_data
 from exlg.theory import (
     bound_w2_mean,
@@ -51,14 +51,10 @@ for name, value in tc.as_rows():
 
 steps, every, reps = 200, 20, 60
 seeds = [derive_seed(MASTER, "GEN_EXTRA_SGLD", r) for r in range(reps)]
-finals = []
-for seed in seeds:
-    cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=p.eta, steps=steps, seed=seed)
-    finals.append(run_chain(task, cfg, mixing=ms_adm,
-                            record_every=every).means)
-block = np.stack(finals, axis=1)
-ks = list(range(0, steps + 1, every))
-emp = w2_series(block, ks, task.target(), "mean").values
+cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=p.eta, steps=steps)
+res = run_ensemble(task, cfg, seeds, mixing=ms_adm, record_every=every)
+ks = res.ks.tolist()
+emp = w2_batch(res.xs.mean(axis=2), task.target())  # W2 of x-bar
 
 print(f"\n{'k':>5s} {'bound':>12s} {'measured W2':>12s}")
 for k, e in zip(ks, emp):

@@ -18,7 +18,6 @@ from exlg.samplers import (
     SamplerConfig,
     batch_table,
     derive_seed,
-    run_chain,
     run_ensemble,
 )
 from exlg.tasks import LinRegTask, gen_linreg_data, partition_data
@@ -60,10 +59,10 @@ shards = partition_data(x, y, 4, rng)
 task = LinRegTask(xs=tuple(s[0] for s in shards),
                   ys=tuple(s[1] for s in shards), prior_var=1.0)
 ms = build_mixing_set(make_topology("ring", 4), h=0.3, delta=0.2)
-cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=500, seed=2024)
+cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=500)
 
-a = run_chain(task, cfg, mixing=ms).xs
-b = run_chain(task, cfg, mixing=ms).xs
+a = run_ensemble(task, cfg, [2024], mixing=ms).xs
+b = run_ensemble(task, cfg, [2024], mixing=ms).xs
 print("\ntwo runs of the same chain are bit-identical:",
       np.array_equal(a, b))
 

@@ -65,7 +65,7 @@ class SamplerSection:
     batch: Optional[int] = None
     temperature: float = 1.0
     b_mode: str = "wtilde-over-eta"
-    b_scale: Optional[float] = None
+    b_scale: float = 1.0
 
 
 @dataclasses.dataclass(frozen=True)

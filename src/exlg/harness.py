@@ -71,7 +71,6 @@ class AssumptionError(RuntimeError):
 @dataclasses.dataclass(frozen=True)
 class TaskBundle:
     task: object
-    beta_true: Optional[np.ndarray]
     holdout: Optional[tuple]  # (X, y) for classification accuracy
 
 
@@ -132,7 +131,6 @@ def build_task(cfg: ExperimentConfig) -> TaskBundle:
         hold_idx, train_idx = perm[:n_hold], perm[n_hold:]
         holdout = (x[hold_idx], y[hold_idx]) if n_hold else None
         x, y = x[train_idx], y[train_idx]
-        beta_true = None
     else:
         x, y, beta_true = _synthetic_data(t, rng)
         holdout = None
@@ -159,7 +157,7 @@ def build_task(cfg: ExperimentConfig) -> TaskBundle:
         task = LinRegTask(xs=xs, ys=ys, prior_var=t.prior_var)
     else:
         task = LogRegTask(xs=xs, ys=ys, prior_var=t.prior_var)
-    return TaskBundle(task=task, beta_true=beta_true, holdout=holdout)
+    return TaskBundle(task=task, holdout=holdout)
 
 
 def build_mixing(cfg: ExperimentConfig) -> MixingSet:
@@ -188,8 +186,10 @@ def build_mixing(cfg: ExperimentConfig) -> MixingSet:
 
 
 def check_assumptions(ms: MixingSet, cfg: ExperimentConfig):
-    """Run the mixing checks; raise AssumptionError unless overridden."""
+    """Run the mixing checks; raise AssumptionError unless overridden.
+    The report is logged under a header naming the set's h."""
     report = validate_assumptions(ms)
+    logger.info("assumption checks of the mixing set at h=%.6g:", ms.h)
     for line in report.lines():
         logger.info("%s", line)
     if not report.ok and not cfg.run.allow_assumption_violations:
@@ -373,18 +373,13 @@ class ManifestWriter:
                                 default=str) + "\n")
 
 
-def _b_scale(cfg: ExperimentConfig) -> float:
-    """The scale of B = b_scale * I in scaled-identity mode (default 1)."""
-    return 1.0 if cfg.sampler.b_scale is None else cfg.sampler.b_scale
-
-
 def _problem_params(cfg: ExperimentConfig, task, ms: MixingSet, **kw):
     """`problem_params_from` at the configured eta and B.  In-domain values
     that leave the bounds undefined are config errors naming the key."""
     try:
         p = problem_params_from(task, ms, cfg.sampler.eta,
                                 b_mode=cfg.sampler.b_mode,
-                                b_scale=_b_scale(cfg), **kw)
+                                b_scale=cfg.sampler.b_scale, **kw)
     except ValueError:
         mu, L = mu_L_bounds(task)
         if mu < L:
@@ -406,9 +401,8 @@ def _problem_params(cfg: ExperimentConfig, task, ms: MixingSet, **kw):
 def _sampler_config(cfg: ExperimentConfig, algorithm: str) -> SamplerConfig:
     s = cfg.sampler
     return SamplerConfig(
-        algorithm=algorithm, eta=s.eta, steps=s.steps, seed=0,
-        batch=s.batch, temperature=s.temperature, b_mode=s.b_mode,
-        b_scale=_b_scale(cfg))
+        algorithm=algorithm, eta=s.eta, steps=s.steps, batch=s.batch,
+        temperature=s.temperature, b_mode=s.b_mode, b_scale=s.b_scale)
 
 
 def _checked_mixing(cfg: ExperimentConfig, algorithms) -> Optional[MixingSet]:

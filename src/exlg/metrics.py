@@ -13,7 +13,9 @@ target posterior.
 of replica blocks at once (one stacked ``eigh`` for every inner root),
 with the bits and the checks of the single-record path: finite fits,
 GaussianDist's PSD window, psd_sqrt's clip window, and exactly 0 for a
-fit equal to the target.
+fit equal to the target.  A W2 series over recorded iterates is
+``w2_batch`` of an (n_rec, R, d) stack: an ensemble's agent averages, or
+one agent's slice of its (n_rec, R, N, d) iterates.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "MetricSeries",
     "w2_gaussian",
     "w2_batch",
-    "w2_series",
     "plateau",
 ]
 
@@ -97,24 +98,6 @@ def w2_batch(xs: np.ndarray, target: GaussianDist) -> np.ndarray:
     same = np.all(mean == target.mean, axis=-1) & np.all(
         cov == target.cov, axis=(-2, -1))
     return np.where(same, 0.0, np.sqrt(np.maximum(w2sq, 0.0)))
-
-
-def w2_series(
-    xs_by_k: np.ndarray, ks, target: GaussianDist, label: str
-) -> MetricSeries:
-    """Gaussian-fit W2 to ``target`` at each recorded iterate.
-
-    ``xs_by_k`` has shape (n_rec, R, d): R replica draws of one series
-    (an agent's iterate, or the agent average) per recorded k; the values
-    are ``w2_batch`` of it.
-    """
-    xs_by_k = np.asarray(xs_by_k, dtype=float)
-    if xs_by_k.ndim != 3:
-        raise ValueError(
-            f"expected (n_rec, R, d), got shape {xs_by_k.shape}"
-        )
-    return MetricSeries(ks=np.asarray(ks, dtype=int),
-                        values=w2_batch(xs_by_k, target), label=label)
 
 
 def plateau(values) -> float:

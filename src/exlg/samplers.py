@@ -38,7 +38,8 @@ Gaussian block is drawn straight into its slice of one fresh
 EXTRA's bootstrap is exactly one DE-SGLD step, and its closure keeps the
 previous iterate, gradient and Gaussian block; the centralized chains sum
 every agent's gradient at the one shared row.  Only the generalized chain
-moves v, so only it guards and records v.  `run_chain` is the R = 1 case.
+moves v, so only it guards and records v.  `run_ensemble` is the one way
+to run chains: a single chain is a one-seed ensemble.
 
 Replica r draws from its own stream, keyed by its seed, and each draw
 depends on (seed, k, i) alone.  With row bits that do not depend on how
@@ -81,7 +82,6 @@ __all__ = [
     "derive_seed",
     "philox4x64",
     "batch_table",
-    "run_chain",
     "run_ensemble",
 ]
 
@@ -307,7 +307,6 @@ class SamplerConfig:
     algorithm: str
     eta: float
     steps: int
-    seed: int
     batch: int | None = None
     temperature: float = 1.0
     b_mode: str = "wtilde-over-eta"
@@ -337,23 +336,16 @@ class SamplerConfig:
 
 @dataclasses.dataclass(frozen=True)
 class ChainResult:
-    """Recorded trajectory: ks ascending, xs[j] the block at iterate ks[j].
-
-    From `run_chain` a block is (rows, d); from `run_ensemble` it is
-    (R, rows, d).  The final iterate is always recorded, so ``xs[-1]`` is
-    the end state.  ``vs`` holds the dual blocks of the generalized chain
-    and is None for the others, whose v stays zero.
+    """Recorded trajectory: ks ascending, xs[j] the (R, rows, d) block at
+    iterate ks[j], so ``xs`` is (n_rec, R, rows, d).  The final iterate is
+    always recorded, so ``xs[-1]`` is the end state.  ``vs`` holds the
+    dual blocks of the generalized chain and is None for the others,
+    whose v stays zero.
     """
 
     ks: np.ndarray
     xs: np.ndarray
     vs: np.ndarray | None
-
-    @property
-    def means(self) -> np.ndarray:
-        """Agent-averaged iterate x-bar at each recorded k: (n_rec, d),
-        or (n_rec, R, d) for an ensemble."""
-        return self.xs.mean(axis=-2)
 
 
 def _inside(a):
@@ -511,18 +503,18 @@ def run_ensemble(
     noises=None,
 ) -> ChainResult:
     """Run one chain per seed, all advancing together as one
-    (R, rows, d) array from x = v = 0, for cfg.steps transitions;
-    cfg.seed is unused.
+    (R, rows, d) array from x = v = 0, for cfg.steps transitions.
 
     Records every ``record_every`` iterates (k = 0 and the final iterate
     always); ``xs`` is (n_rec, R, rows, d).  ``noises`` holds one
     `NoiseStream` (or subclass) per seed, in place of the default
     ``NoiseStream(seeds[r], ...)``; minibatch indices are keyed by their
     ``seed``, and ``gaussian_block(k, out)`` must write block k into
-    ``out``.  Row r equals `run_chain` at seed ``seeds[r]`` bit for bit,
-    whatever R is.  A
-    divergence names the earliest iteration at which any replica left
-    the ball, and the lowest replica index at that iteration.
+    ``out``.  Row r equals the one-seed ensemble at ``seeds[r]`` bit for
+    bit, whatever R is, and reruns with identical arguments are
+    bit-identical.  A divergence names the earliest iteration at which
+    any replica left the ball, and the lowest replica index at that
+    iteration.
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
@@ -567,24 +559,3 @@ def run_ensemble(
             j += 1
 
     return ChainResult(ks=np.array(ks, dtype=int), xs=xs, vs=vs)
-
-
-def run_chain(
-    oracle,
-    cfg: SamplerConfig,
-    mixing=None,
-    record_every: int = 1,
-    noise: NoiseStream | None = None,
-) -> ChainResult:
-    """Run one chain for cfg.steps transitions, recording every
-    ``record_every`` iterates (k = 0 and the final iterate always).
-
-    The one-replica case of `run_ensemble`.  Reruns with identical
-    arguments are bit-identical: all randomness flows through the
-    counter-based stream keyed by cfg.seed.
-    """
-    res = run_ensemble(oracle, cfg, [cfg.seed], mixing=mixing,
-                       record_every=record_every,
-                       noises=None if noise is None else [noise])
-    return ChainResult(ks=res.ks, xs=res.xs[:, 0],
-                       vs=None if res.vs is None else res.vs[:, 0])

@@ -487,7 +487,7 @@ def bound_w2_agents(p: ProblemParams, tc: TheoryConstants, K: int) -> float:
 
 def problem_params_from(task, ms: MixingSet, eta: float, *,
                         sigma2: float = 0.0,
-                        b_mode: str = "wtilde-over-eta", b_scale: float = 0.0,
+                        b_mode: str = "wtilde-over-eta", b_scale: float = 1.0,
                         w2_init: Optional[float] = None,
                         xstar: Optional[np.ndarray] = None) -> ProblemParams:
     """Assemble a ProblemParams bundle from a task and a mixing set.

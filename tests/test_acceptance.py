@@ -14,18 +14,13 @@ import time
 import numpy as np
 import pytest
 
-from exlg.metrics import plateau, w2_gaussian, w2_series
+from exlg.metrics import plateau, w2_batch, w2_gaussian
 from exlg.network import (
     build_mixing_set,
     make_topology,
     validate_assumptions,
 )
-from exlg.samplers import (
-    SamplerConfig,
-    derive_seed,
-    run_chain,
-    run_ensemble,
-)
+from exlg.samplers import SamplerConfig, derive_seed, run_ensemble
 from exlg.tasks import (
     GaussianDist,
     LinRegTask,
@@ -82,8 +77,8 @@ def _pinned_mixing(kind, n, h):
 def _ensemble(task, ms, algo, *, eta, steps, reps, master, record_every,
               batch=None, temperature=1.0):
     seeds = [derive_seed(master, algo, r) for r in range(reps)]
-    scfg = SamplerConfig(algorithm=algo, eta=eta, steps=steps, seed=0,
-                         batch=batch, temperature=temperature)
+    scfg = SamplerConfig(algorithm=algo, eta=eta, steps=steps, batch=batch,
+                         temperature=temperature)
     res = run_ensemble(task, scfg, seeds, mixing=ms,
                        record_every=record_every)
     return res.ks, res.xs
@@ -118,8 +113,8 @@ def test_01_reduction_equivalences():
     no_coupling = RawMixing(w=ms.w, w_tilde=ms.w, u=np.zeros_like(ms.w))
 
     def chain(algo, mixing, seed, **kw):
-        cfg = SamplerConfig(algo, eta=0.01, steps=200, seed=seed, **kw)
-        return run_chain(task, cfg, mixing=mixing).xs
+        cfg = SamplerConfig(algo, eta=0.01, steps=200, **kw)
+        return run_ensemble(task, cfg, [seed], mixing=mixing).xs
 
     # (a) generalized chain with U = 0 is plain decentralized SGLD
     dev_a = np.max(np.abs(chain("GEN_EXTRA_SGLD", no_coupling, 7)
@@ -144,9 +139,9 @@ def test_02_dual_average_stays_zero():
     for seed in range(20):
         b_mode = "scaled-identity" if seed % 2 else "wtilde-over-eta"
         cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=1000,
-                            seed=seed, b_mode=b_mode, b_scale=1.0)
-        res = run_chain(task, cfg, mixing=ms)
-        vbar = res.vs.mean(axis=1)
+                            b_mode=b_mode, b_scale=1.0)
+        res = run_ensemble(task, cfg, [seed], mixing=ms)
+        vbar = res.vs[:, 0].mean(axis=1)
         assert np.max(np.abs(vbar)) <= 1e-10, f"seed {seed}"
     _under(t0, 5.0, "dual average")
 
@@ -161,10 +156,9 @@ def test_03_bias_elimination_zero_temperature():
     xstar = task.minimizer()
 
     def terminal_error(algo, eta):
-        cfg = SamplerConfig(algo, eta=eta, steps=10_000, seed=1,
-                            temperature=0.0)
-        res = run_chain(task, cfg, mixing=ms, record_every=10_000)
-        return float(np.max(np.linalg.norm(res.xs[-1] - xstar, axis=1)))
+        cfg = SamplerConfig(algo, eta=eta, steps=10_000, temperature=0.0)
+        res = run_ensemble(task, cfg, [1], mixing=ms, record_every=10_000)
+        return float(np.max(np.linalg.norm(res.xs[-1, 0] - xstar, axis=1)))
 
     assert terminal_error("GEN_EXTRA_SGLD", 0.01) <= 1e-8
     dgd = terminal_error("DE_SGLD", 0.01)
@@ -184,13 +178,12 @@ def test_04_linreg_desk_scale_topology_comparison(desk_linreg):
             ks, xs_all = _ensemble(desk_linreg, ms, algo, eta=0.009,
                                    steps=200, reps=200, master=SEED_DESK,
                                    record_every=10)
-            mean_vals = w2_series(xs_all.mean(axis=2), ks, target,
-                                  "w2_mean").values
+            mean_vals = w2_batch(xs_all.mean(axis=2), target)
             per_agent = np.stack([
-                w2_series(xs_all[:, :, a, :], ks, target, "a").values
+                w2_batch(xs_all[:, :, a, :], target)
                 for a in range(xs_all.shape[2])
             ]).mean(axis=0)
-            for label, vals in (("w2_mean", np.asarray(mean_vals)),
+            for label, vals in (("w2_mean", mean_vals),
                                 ("w2_agents", per_agent)):
                 p = plateau(vals)
                 assert np.isfinite(p) and p > 0, (kind, algo, label)
@@ -368,8 +361,7 @@ def test_09_w2_bound_dominates_empirical(desk_linreg):
     ks, xs_all = _ensemble(desk_linreg, ms_adm, "GEN_EXTRA_SGLD", eta=p.eta,
                            steps=200, reps=100, master=SEED_DESK,
                            record_every=10)
-    emp = np.asarray(w2_series(xs_all.mean(axis=2), ks,
-                               desk_linreg.target(), "w2_mean").values)
+    emp = w2_batch(xs_all.mean(axis=2), desk_linreg.target())
     bounds = np.array([bound_w2_mean(p, tc, int(k)) for k in ks])
     assert np.all(np.isfinite(bounds))
     assert np.all(np.diff(bounds) <= 1e-12 * bounds[0])  # non-increasing

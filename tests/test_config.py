@@ -1,9 +1,12 @@
 """Config parsing: schema enforcement, typed diagnostics, overrides."""
 
+import importlib
+import pkgutil
 import textwrap
 
 import pytest
 
+import exlg
 from exlg.config import _SCHEMA, ConfigError, load_config
 
 MINIMAL = """
@@ -252,11 +255,22 @@ class TestEcho:
                              "compare", "sweep", "theory"}
 
 
-class TestModule:
-    def test_all_names_exist(self):
-        import exlg.config as config
+# every exlg module that declares __all__
+EXPORTING = [name for name in (f"exlg.{m.name}" for m in
+                               pkgutil.iter_modules(exlg.__path__))
+             if hasattr(importlib.import_module(name), "__all__")]
 
-        missing = [n for n in config.__all__ if not hasattr(config, n)]
+
+class TestModule:
+    def test_exporting_modules_found(self):
+        assert {"exlg.config", "exlg.linalg", "exlg.metrics",
+                "exlg.network", "exlg.samplers", "exlg.tasks",
+                "exlg.theory"} <= set(EXPORTING)
+
+    @pytest.mark.parametrize("module", EXPORTING)
+    def test_all_names_exist(self, module):
+        mod = importlib.import_module(module)
+        missing = [n for n in mod.__all__ if not hasattr(mod, n)]
         assert missing == []
 
 

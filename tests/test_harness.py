@@ -680,6 +680,38 @@ class TestTheoryCmd:
             bundle.task, ms, p.eta, b_mode="scaled-identity", b_scale=50.0))
         assert fifty == direct.gamma2
 
+    def test_b_scale_defaults_to_one(self, tmp_path):
+        # the chain runs with B = I when b_scale is unset, so the bound
+        # must certify ||B|| = 1 too, from the config and from the library
+        cfg = load_config(make_cfg(
+            tmp_path, **{"steps = 40": "steps = 40\nb_mode = scaled-identity"}))
+        assert cfg.sampler.b_scale == 1.0
+        bundle = build_task(cfg)
+        ms = build_mixing(cfg)
+        p = problem_params_from(bundle.task, ms, cfg.sampler.eta,
+                                b_mode="scaled-identity")
+        assert p.norm_B == 1.0
+
+    def test_shrink_labels_both_assumption_reports(self, tmp_path, capsys,
+                                                   caplog):
+        text = BASE + "\n[theory]\nshrink = true\n"
+        cfg = load_config(make_cfg(tmp_path, text=text,
+                                   **{"n = 6": "n = 4"}))
+        with caplog.at_level(logging.INFO, logger="exlg"):
+            assert cmd_theory(cfg) == EXIT_OK
+        head = "assumption checks of the mixing set at h="
+        messages = [r.getMessage() for r in caplog.records]
+        hs = [float(m[len(head):-1]) for m in messages if m.startswith(head)]
+        with open(tmp_path / "out" / "manifest.json") as fh:
+            h_used = json.load(fh)["h_used"]
+        assert hs == [0.3, pytest.approx(h_used, rel=1e-5)]
+        assert h_used < 0.3
+        # each header comes right before its report
+        for i, m in enumerate(messages):
+            if m.startswith(head):
+                assert messages[i + 1].startswith("[pass] ")
+        assert head not in capsys.readouterr().out
+
 
 class TestGenData:
     def test_dataset_round_trip(self, tmp_path):
@@ -811,7 +843,7 @@ class SpikeOracle:
 def test_divergence_names_replica_iteration_and_agent(tmp_path, monkeypatch,
                                                      capsys):
     monkeypatch.setattr(harness, "build_task", lambda cfg: harness.TaskBundle(
-        task=SpikeOracle(), beta_true=None, holdout=None))
+        task=SpikeOracle(), holdout=None))
     path = make_cfg(tmp_path, **{"GEN_EXTRA_SGLD": "DE_SGLD",
                                  "steps = 40": "steps = 5",
                                  "record_every = 5": "record_every = 1"})

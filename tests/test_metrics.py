@@ -13,7 +13,6 @@ from exlg.metrics import (
     plateau,
     w2_batch,
     w2_gaussian,
-    w2_series,
 )
 from exlg.tasks import GaussianDist
 from oracles import accuracy, consensus_error, estimate_moments
@@ -118,12 +117,14 @@ class TestW2Gaussian:
 
 
 class TestW2Series:
+    """A W2 series over recorded iterates: ``w2_batch`` of an
+    (n_rec, R, d) stack."""
+
     def test_self_fit_is_zero(self):
         rng = np.random.default_rng(6)
         samples = rng.standard_normal((200, 2))
         est = estimate_moments(samples).as_gaussian()
-        series = w2_series(samples[None, :, :], [0], est, "self")
-        assert series.values[0] <= 1e-10
+        assert w2_batch(samples[None, :, :], est)[0] <= 1e-10
 
     def test_iid_from_target_floor(self):
         # 200 i.i.d. draws from the target: the fitted W2 is sampling
@@ -132,22 +133,12 @@ class TestW2Series:
         d, reps = 2, 200
         target = GaussianDist(np.zeros(d), np.eye(d))
         draws = rng.standard_normal((5, reps, d))
-        series = w2_series(draws, np.arange(5), target, "iid")
-        assert np.all(series.values <= 3.0 * np.sqrt(d / reps))
+        assert np.all(w2_batch(draws, target) <= 3.0 * np.sqrt(d / reps))
 
     def test_needs_replicas(self):
         target = GaussianDist(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError):
-            w2_series(np.zeros((3, 1, 2)), np.arange(3), target, "x")
-
-    def test_series_label_and_ks(self):
-        target = GaussianDist(np.zeros(1), np.eye(1))
-        rng = np.random.default_rng(8)
-        s = w2_series(
-            rng.standard_normal((4, 50, 1)), [0, 5, 10, 15], target, "agent-0"
-        )
-        assert s.label == "agent-0"
-        assert list(s.ks) == [0, 5, 10, 15]
+            w2_batch(np.zeros((3, 1, 2)), target)
 
     def test_equals_per_record_w2_gaussian_exactly(self):
         rng = np.random.default_rng(9)
@@ -155,10 +146,9 @@ class TestW2Series:
         target = GaussianDist(rng.standard_normal(3), a @ a.T + np.eye(3))
         draws = rng.standard_normal((6, 40, 3))
         draws[2] = draws[2][:1]  # identical rows: a zero covariance fit
-        s = w2_series(draws, np.arange(6), target, "x")
         each = [w2_gaussian(estimate_moments(b).as_gaussian(), target)
                 for b in draws]
-        assert np.array_equal(s.values, each)
+        assert np.array_equal(w2_batch(draws, target), each)
 
 
 def _per_record(xs, target):

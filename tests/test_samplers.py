@@ -21,7 +21,6 @@ from exlg.samplers import (
     batch_table,
     derive_seed,
     philox4x64,
-    run_chain,
     run_ensemble,
 )
 from exlg.tasks import (
@@ -229,11 +228,9 @@ class TestUlaStationary:
         # f(x) = x^2/2: stationary variance of the discretized chain is
         # 1/(1 - eta/2); 1e5 steps must land within [0.9, 1.1] of it.
         eta = 0.1
-        cfg = SamplerConfig(
-            algorithm="ULA", eta=eta, steps=100_000, seed=404
-        )
-        res = run_chain(QuadOracle(1, 1), cfg, record_every=10)
-        samples = res.xs[res.ks > 1000, 0, 0]
+        cfg = SamplerConfig(algorithm="ULA", eta=eta, steps=100_000)
+        res = run_ensemble(QuadOracle(1, 1), cfg, [404], record_every=10)
+        samples = res.xs[res.ks > 1000, 0, 0, 0]
         target = 1.0 / (1.0 - eta / 2.0)
         assert 0.9 * target < samples.var() < 1.1 * target
 
@@ -247,15 +244,13 @@ class TestReductions:
         ms = self._mixing()
         raw = RawMixing(w=ms.w, w_tilde=ms.w, u=np.zeros_like(ms.w))
         seed = 11
-        de = run_chain(
-            task,
-            SamplerConfig("DE_SGLD", eta=0.01, steps=200, seed=seed),
+        de = run_ensemble(
+            task, SamplerConfig("DE_SGLD", eta=0.01, steps=200), [seed],
             mixing=ms,
         )
-        gen = run_chain(
-            task,
-            SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=200, seed=seed),
-            mixing=raw,
+        gen = run_ensemble(
+            task, SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=200),
+            [seed], mixing=raw,
         )
         assert np.max(np.abs(de.xs - gen.xs)) <= 1e-8
 
@@ -263,20 +258,19 @@ class TestReductions:
         task = _toy_task()
         ms = self._mixing()
         seed = 12
-        extra = run_chain(
-            task,
-            SamplerConfig("EXTRA_SGLD", eta=0.01, steps=200, seed=seed),
+        extra = run_ensemble(
+            task, SamplerConfig("EXTRA_SGLD", eta=0.01, steps=200), [seed],
             mixing=ms,
         )
-        gen = run_chain(
+        gen = run_ensemble(
             task,
             SamplerConfig(
                 "GEN_EXTRA_SGLD",
                 eta=0.01,
                 steps=200,
-                seed=seed,
                 b_mode="wtilde-over-eta",
             ),
+            [seed],
             mixing=ms,
         )
         assert np.max(np.abs(extra.xs - gen.xs)) <= 1e-8
@@ -286,14 +280,12 @@ class TestReductions:
         ms = self._mixing()
         raw = RawMixing(w=ms.w, w_tilde=ms.w, u=np.zeros_like(ms.w))
         seed = 13
-        de = run_chain(
-            task,
-            SamplerConfig("DE_SGLD", eta=0.01, steps=200, seed=seed),
+        de = run_ensemble(
+            task, SamplerConfig("DE_SGLD", eta=0.01, steps=200), [seed],
             mixing=ms,
         )
-        extra = run_chain(
-            task,
-            SamplerConfig("EXTRA_SGLD", eta=0.01, steps=200, seed=seed),
+        extra = run_ensemble(
+            task, SamplerConfig("EXTRA_SGLD", eta=0.01, steps=200), [seed],
             mixing=raw,
         )
         assert np.max(np.abs(de.xs - extra.xs)) <= 1e-8
@@ -304,13 +296,12 @@ class TestReductions:
             w=np.ones((1, 1)), w_tilde=np.ones((1, 1)), u=np.zeros((1, 1))
         )
         seed = 14
-        ula = run_chain(
-            task, SamplerConfig("ULA", eta=0.01, steps=150, seed=seed)
+        ula = run_ensemble(
+            task, SamplerConfig("ULA", eta=0.01, steps=150), [seed]
         )
         for algo in ("DE_SGLD", "EXTRA_SGLD", "GEN_EXTRA_SGLD"):
-            other = run_chain(
-                task,
-                SamplerConfig(algo, eta=0.01, steps=150, seed=seed),
+            other = run_ensemble(
+                task, SamplerConfig(algo, eta=0.01, steps=150), [seed],
                 mixing=raw,
             )
             assert np.max(np.abs(ula.xs - other.xs)) <= 1e-8, algo
@@ -319,25 +310,21 @@ class TestReductions:
         task = _toy_task(n_i=6)
         ms = self._mixing()
         seed = 15
-        extra = run_chain(
-            task,
-            SamplerConfig(
-                "EXTRA_SGLD", eta=0.01, steps=100, seed=seed, batch=2
-            ),
-            mixing=ms,
+        extra = run_ensemble(
+            task, SamplerConfig("EXTRA_SGLD", eta=0.01, steps=100, batch=2),
+            [seed], mixing=ms,
         )
-        gen = run_chain(
+        gen = run_ensemble(
             task,
-            SamplerConfig(
-                "GEN_EXTRA_SGLD", eta=0.01, steps=100, seed=seed, batch=2
-            ),
-            mixing=ms,
+            SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=100, batch=2),
+            [seed], mixing=ms,
         )
         assert np.max(np.abs(extra.xs - gen.xs)) <= 1e-8
 
 
-def _written_out_chain(task, cfg, ms):
-    """The five recursions spelled out from the reference step functions.
+def _written_out_chain(task, cfg, seed, ms):
+    """The five recursions spelled out from the reference step functions,
+    one chain driven by the stream of ``seed``.
 
     Returns (xs, vs) for a zero start, recording every iterate; vs is
     None except for the generalized chain.
@@ -345,7 +332,7 @@ def _written_out_chain(task, cfg, ms):
     algo, eta, temp = cfg.algorithm, cfg.eta, cfg.temperature
     n, d = task.n_agents, task.dim
     rows = 1 if algo in ("ULA", "REFERENCE_CHAIN") else n
-    noise = NoiseStream(cfg.seed, 1 if algo == "ULA" else n, d)
+    noise = NoiseStream(seed, 1 if algo == "ULA" else n, d)
 
     def grad(i, xi, k):
         idx = None if cfg.batch is None else noise.batch_rng(k, i).choice(
@@ -393,19 +380,20 @@ def _written_out_chain(task, cfg, ms):
 
 @pytest.mark.parametrize("batch", [None, 2], ids=["full", "batch2"])
 @pytest.mark.parametrize("algo", ALGORITHMS)
-def test_run_chain_matches_step_functions(algo, batch):
+def test_chain_matches_step_functions(algo, batch):
     task = _toy_task(seed=21, n_i=6)
     ms = build_mixing_set(ring(6), h=0.35, delta=0.2)
-    cfg = SamplerConfig(algo, eta=0.02, steps=25, seed=33, batch=batch)
-    res = run_chain(task, cfg,
-                    mixing=None if algo in ("ULA", "REFERENCE_CHAIN") else ms)
-    xs, vs = _written_out_chain(task, cfg, ms)
+    cfg = SamplerConfig(algo, eta=0.02, steps=25, batch=batch)
+    res = run_ensemble(
+        task, cfg, [33],
+        mixing=None if algo in ("ULA", "REFERENCE_CHAIN") else ms)
+    xs, vs = _written_out_chain(task, cfg, 33, ms)
     assert np.array_equal(res.ks, np.arange(cfg.steps + 1))
-    assert np.array_equal(res.xs, xs)
+    assert np.array_equal(res.xs[:, 0], xs)
     if vs is None:
         assert res.vs is None
     else:
-        assert np.array_equal(res.vs, vs)
+        assert np.array_equal(res.vs[:, 0], vs)
 
 
 def _toy_logreg(seed=0, n_agents=6, n_i=8, d=3, prior_var=10.0):
@@ -431,7 +419,7 @@ def test_replica_values_do_not_depend_on_replica_count(algo, batch, kind,
     task = _toy_task(seed=8, n_i=6) if kind == "linreg" else _toy_logreg(8)
     ms = build_mixing_set(ring(6), h=0.35, delta=0.2)
     mixing = None if algo in ("ULA", "REFERENCE_CHAIN") else ms
-    cfg = SamplerConfig(algo, eta=0.02, steps=12, seed=0, batch=batch)
+    cfg = SamplerConfig(algo, eta=0.02, steps=12, batch=batch)
     seeds = [derive_seed(5, "replica", r) for r in range(4)]
     ens = run_ensemble(task, cfg, seeds, mixing=mixing,
                        record_every=record_every)
@@ -439,29 +427,29 @@ def test_replica_values_do_not_depend_on_replica_count(algo, batch, kind,
     assert ens.xs.shape[:2] == (len(ks), 4)
     assert not ens.xs[0].any()  # every chain starts at zero
     for r, seed in enumerate(seeds):
-        one = run_chain(task, dataclasses.replace(cfg, seed=seed),
-                        mixing=mixing, record_every=record_every)
+        one = run_ensemble(task, cfg, [seed], mixing=mixing,
+                           record_every=record_every)
         assert np.array_equal(ens.ks, one.ks)
-        assert np.array_equal(ens.xs[:, r], one.xs)
+        assert np.array_equal(ens.xs[:, r], one.xs[:, 0])
         if one.vs is not None:
-            assert np.array_equal(ens.vs[:, r], one.vs)
+            assert np.array_equal(ens.vs[:, r], one.vs[:, 0])
 
 
 def test_u_with_nonzero_column_sums_trips_the_dual_check():
     task = _toy_task()
     ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
     raw = RawMixing(w=ms.w, w_tilde=ms.w_tilde, u=0.1 * np.eye(6))
-    cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=5, seed=77)
+    cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=5)
     with pytest.raises(ChainDivergenceError,
                        match=r"^GEN_EXTRA_SGLD dual average left zero "
                              r"at iteration 1:") as info:
-        run_chain(task, cfg, mixing=raw)
+        run_ensemble(task, cfg, [77], mixing=raw)
     e = info.value
     assert (e.algorithm, e.replica, e.k, e.agent) == (
         "GEN_EXTRA_SGLD", 0, 1, None)
     assert e.value > 1e-8
     # the same matrices with a zero-column-sum U run clean
-    run_chain(task, cfg, mixing=RawMixing(ms.w, ms.w_tilde, ms.u))
+    run_ensemble(task, cfg, [77], mixing=RawMixing(ms.w, ms.w_tilde, ms.u))
 
 
 def _guard_reference(algo, k, x, v=None):
@@ -570,12 +558,11 @@ class TestDualAverage:
     def test_vbar_exactly_zero_within_tolerance(self):
         task = _toy_task()
         ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
-        res = run_chain(
-            task,
-            SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=300, seed=77),
-            mixing=ms,
+        res = run_ensemble(
+            task, SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=300),
+            [77], mixing=ms,
         )
-        vbar = res.vs.mean(axis=1)
+        vbar = res.vs[:, 0].mean(axis=1)
         assert np.max(np.abs(vbar)) <= 1e-10
 
 
@@ -584,31 +571,32 @@ class TestZeroTemperature:
         task = _toy_task(seed=5, n_agents=4, n_i=5, d=2)
         ms = build_mixing_set(ring(4), h=0.4, delta=0.2)
         star = task.minimizer()
-        gen = run_chain(
+        gen = run_ensemble(
             task,
             SamplerConfig(
-                "GEN_EXTRA_SGLD", eta=0.01, steps=8000, seed=1,
-                temperature=0.0,
+                "GEN_EXTRA_SGLD", eta=0.01, steps=8000, temperature=0.0,
             ),
+            [1],
             mixing=ms,
             record_every=8000,
         )
         gen_err = np.max(
-            np.linalg.norm(gen.xs[-1] - star[None, :], axis=1)
+            np.linalg.norm(gen.xs[-1, 0] - star[None, :], axis=1)
         )
         assert gen_err <= 1e-8
 
         def dgd_err(eta):
-            res = run_chain(
+            res = run_ensemble(
                 task,
                 SamplerConfig(
-                    "DE_SGLD", eta=eta, steps=20000, seed=1, temperature=0.0
+                    "DE_SGLD", eta=eta, steps=20000, temperature=0.0
                 ),
+                [1],
                 mixing=ms,
                 record_every=20000,
             )
             return np.max(
-                np.linalg.norm(res.xs[-1] - star[None, :], axis=1)
+                np.linalg.norm(res.xs[-1, 0] - star[None, :], axis=1)
             )
 
         e1 = dgd_err(0.01)
@@ -648,33 +636,32 @@ class TestPermutationEquivariance:
             def batch_rng(self, k, i):
                 return self.base.batch_rng(k, self.perm[i])
 
-        cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=120, seed=31)
-        base_noise = NoiseStream(cfg.seed, n, 2)
-        res = run_chain(task, cfg, mixing=ms, noise=base_noise)
-        res_p = run_chain(
-            task_p, cfg, mixing=ms, noise=PermNoise(base_noise, perm)
+        cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=120)
+        base_noise = NoiseStream(31, n, 2)
+        res = run_ensemble(task, cfg, [31], mixing=ms, noises=[base_noise])
+        res_p = run_ensemble(
+            task_p, cfg, [31], mixing=ms,
+            noises=[PermNoise(base_noise, perm)],
         )
-        assert np.max(np.abs(res_p.xs - res.xs[:, perm, :])) <= 1e-12
+        assert np.max(np.abs(res_p.xs - res.xs[:, :, perm, :])) <= 1e-12
 
 
-class TestRunChainMechanics:
+class TestChainMechanics:
     def test_k_zero_records_initial_only(self):
         task = _toy_task()
         ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
-        res = run_chain(
-            task,
-            SamplerConfig("DE_SGLD", eta=0.01, steps=0, seed=1),
+        res = run_ensemble(
+            task, SamplerConfig("DE_SGLD", eta=0.01, steps=0), [1],
             mixing=ms,
         )
         assert list(res.ks) == [0]
-        assert np.array_equal(res.xs[0], np.zeros((6, 3)))
+        assert np.array_equal(res.xs[0], np.zeros((1, 6, 3)))
 
     def test_record_every_includes_final(self):
         task = _toy_task()
         ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
-        res = run_chain(
-            task,
-            SamplerConfig("DE_SGLD", eta=0.01, steps=20, seed=1),
+        res = run_ensemble(
+            task, SamplerConfig("DE_SGLD", eta=0.01, steps=20), [1],
             mixing=ms,
             record_every=7,
         )
@@ -683,29 +670,26 @@ class TestRunChainMechanics:
     def test_bit_identical_rerun(self):
         task = _toy_task()
         ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
-        cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=60, seed=3)
-        a = run_chain(task, cfg, mixing=ms)
-        b = run_chain(task, cfg, mixing=ms)
+        cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=60)
+        a = run_ensemble(task, cfg, [3], mixing=ms)
+        b = run_ensemble(task, cfg, [3], mixing=ms)
         assert np.array_equal(a.xs, b.xs)
         assert np.array_equal(a.vs, b.vs)
 
     def test_batch_changes_draws_but_stays_deterministic(self):
         task = _toy_task(n_i=5)
         ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
-        full = run_chain(
-            task,
-            SamplerConfig("DE_SGLD", eta=0.01, steps=30, seed=4),
+        full = run_ensemble(
+            task, SamplerConfig("DE_SGLD", eta=0.01, steps=30), [4],
             mixing=ms,
         )
-        b1 = run_chain(
-            task,
-            SamplerConfig("DE_SGLD", eta=0.01, steps=30, seed=4, batch=2),
-            mixing=ms,
+        b1 = run_ensemble(
+            task, SamplerConfig("DE_SGLD", eta=0.01, steps=30, batch=2),
+            [4], mixing=ms,
         )
-        b2 = run_chain(
-            task,
-            SamplerConfig("DE_SGLD", eta=0.01, steps=30, seed=4, batch=2),
-            mixing=ms,
+        b2 = run_ensemble(
+            task, SamplerConfig("DE_SGLD", eta=0.01, steps=30, batch=2),
+            [4], mixing=ms,
         )
         assert np.array_equal(b1.xs, b2.xs)
         assert not np.array_equal(full.xs, b1.xs)
@@ -716,9 +700,8 @@ class TestRunChainMechanics:
         with pytest.raises(ChainDivergenceError,
                            match=r"^DE_SGLD diverged at iteration \d+, "
                                  r"agent [0-5]: max \|x\| entry"):
-            run_chain(
-                task,
-                SamplerConfig("DE_SGLD", eta=50.0, steps=500, seed=5),
+            run_ensemble(
+                task, SamplerConfig("DE_SGLD", eta=50.0, steps=500), [5],
                 mixing=ms,
             )
 
@@ -733,9 +716,9 @@ class TestRunChainMechanics:
             with pytest.raises(ChainDivergenceError,
                                match=f"^{algo} diverged at iteration 1, "
                                      "agent 3:"):
-                run_chain(SpikeOracle(6, 2),
-                          SamplerConfig(algo, eta=0.01, steps=5, seed=5),
-                          mixing=ms)
+                run_ensemble(SpikeOracle(6, 2),
+                             SamplerConfig(algo, eta=0.01, steps=5), [5],
+                             mixing=ms)
 
     def test_earliest_iteration_wins_over_lower_replica(self):
         class Burst(NoiseStream):
@@ -753,7 +736,7 @@ class TestRunChainMechanics:
 
         task = _toy_task()
         ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
-        cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=20, seed=0)
+        cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=20)
         noises = [Burst(1, 9), Burst(2, 4), Burst(3, 4)]
         with pytest.raises(ChainDivergenceError,
                            match=r"^GEN_EXTRA_SGLD diverged at iteration 4, "
@@ -765,45 +748,33 @@ class TestRunChainMechanics:
     def test_reference_chain_noise_scale(self):
         # grad == 0: one step gives i.i.d. N(0, 2 eta / N) coordinates.
         n, d, eta = 5, 20000, 0.01
-        res = run_chain(
+        res = run_ensemble(
             ZeroOracle(n, d),
-            SamplerConfig("REFERENCE_CHAIN", eta=eta, steps=1, seed=8),
+            SamplerConfig("REFERENCE_CHAIN", eta=eta, steps=1), [8],
         )
         var = res.xs[-1].var()
         expect = 2.0 * eta / n
         assert abs(var - expect) <= 5.0 * expect * np.sqrt(2.0 / d)
 
-    def test_mean_series_shape(self):
-        task = _toy_task()
-        ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
-        res = run_chain(
-            task,
-            SamplerConfig("DE_SGLD", eta=0.01, steps=10, seed=9),
-            mixing=ms,
-            record_every=5,
-        )
-        assert res.means.shape == (3, 3)
-        assert np.allclose(res.means[1], res.xs[1].mean(axis=0))
-
 
 class TestSamplerConfigValidation:
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
-            SamplerConfig("NOPE", eta=0.1, steps=1, seed=0)
+            SamplerConfig("NOPE", eta=0.1, steps=1)
         with pytest.raises(ValueError):
-            SamplerConfig("ULA", eta=0.0, steps=1, seed=0)
+            SamplerConfig("ULA", eta=0.0, steps=1)
         with pytest.raises(ValueError):
-            SamplerConfig("ULA", eta=0.1, steps=-1, seed=0)
+            SamplerConfig("ULA", eta=0.1, steps=-1)
         with pytest.raises(ValueError):
-            SamplerConfig("ULA", eta=0.1, steps=1, seed=0, temperature=0.5)
+            SamplerConfig("ULA", eta=0.1, steps=1, temperature=0.5)
         with pytest.raises(ValueError):
-            SamplerConfig("ULA", eta=0.1, steps=1, seed=0, b_mode="junk")
+            SamplerConfig("ULA", eta=0.1, steps=1, b_mode="junk")
 
     def test_missing_mixing_rejected(self):
         task = _toy_task()
         with pytest.raises(ValueError, match="mixing"):
-            run_chain(
-                task, SamplerConfig("DE_SGLD", eta=0.01, steps=1, seed=0)
+            run_ensemble(
+                task, SamplerConfig("DE_SGLD", eta=0.01, steps=1), [0]
             )
 
 
@@ -975,14 +946,13 @@ class TestFloydKernel:
 def _logreg_chain_vs_written_out(steps, batch_rng_calls=None):
     task = _toy_logreg(seed=5)
     ms = build_mixing_set(ring(6), h=0.35, delta=0.2)
-    cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.02, steps=steps, seed=41,
-                        batch=3)
-    res = run_chain(task, cfg, mixing=ms)
+    cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.02, steps=steps, batch=3)
+    res = run_ensemble(task, cfg, [41], mixing=ms)
     if batch_rng_calls is not None:
         assert batch_rng_calls == []
-    xs, vs = _written_out_chain(task, cfg, ms)
-    assert np.array_equal(res.xs, xs)
-    assert np.array_equal(res.vs, vs)
+    xs, vs = _written_out_chain(task, cfg, 41, ms)
+    assert np.array_equal(res.xs[:, 0], xs)
+    assert np.array_equal(res.vs[:, 0], vs)
 
 
 @pytest.mark.parametrize("steps", ["0", "1", "chunk-1", "chunk+1"])
