@@ -8,6 +8,8 @@ and then overlays the certified bound on the measured W2 of an actual
 ensemble at the admissible pair.
 """
 
+import dataclasses
+
 import numpy as np
 
 from exlg.metrics import w2_batch
@@ -31,16 +33,19 @@ task = LinRegTask(xs=tuple(s[0] for s in shards),
                   ys=tuple(s[1] for s in shards), prior_var=1.0)
 
 ms = build_mixing_set(make_topology("ring", 12), h=0.38, delta=0.125)
-eta = 0.009
+steps, every, reps = 200, 20, 60
+# B = W~/eta, the default; the bound constants read ||B|| from the same
+# settings the chain runs with
+sampler = SamplerConfig("GEN_EXTRA_SGLD", eta=0.009, steps=steps)
 
 print("clause report at the practical pair (h=0.38, eta=0.009):")
-p0 = problem_params_from(task, ms, eta)
+p0 = problem_params_from(task, ms, sampler)
 cert = validate_stepsize(p0)
 for line in cert.lines():
     print(" ", line)
 
 print("\nshrinking to the admissible region...")
-p, ms_adm = shrink_to_admissible(p0, ms, b_mode="wtilde-over-eta")
+p, ms_adm = shrink_to_admissible(p0, ms, sampler)
 print(f"admissible pair: h = {p.h:.3e}, eta = {p.eta:.3e}")
 assert validate_stepsize(p).ok
 
@@ -49,10 +54,9 @@ print("\nconstant stack:")
 for name, value in tc.as_rows():
     print(f"  {name:12s} {value:.6g}")
 
-steps, every, reps = 200, 20, 60
 seeds = [derive_seed(MASTER, "GEN_EXTRA_SGLD", r) for r in range(reps)]
-cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=p.eta, steps=steps)
-res = run_ensemble(task, cfg, seeds, mixing=ms_adm, record_every=every)
+res = run_ensemble(task, dataclasses.replace(sampler, eta=p.eta), seeds,
+                   mixing=ms_adm, record_every=every)
 ks = res.ks.tolist()
 emp = w2_batch(res.xs.mean(axis=2), task.target())  # W2 of x-bar
 

@@ -1,9 +1,10 @@
 """Flat key = value experiment configs with sections.
 
 The schema is deliberately boring: configparser sections, no nesting, no
-interpolation, every key typed and checked here so the commands can trust
-what they receive.  Unknown sections or keys are hard errors naming the
-offender; so are missing referenced files.
+interpolation, every key typed here and checked so the commands can trust
+what they receive; the ``[sampler]`` section is a `SamplerConfig`, which
+checks its own fields.  Unknown sections or keys are hard errors naming
+the offender; so are missing referenced files.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ import math
 import os
 from typing import Optional
 
+from .samplers import ALGORITHMS, SamplerConfig
+
 __all__ = [
     "ConfigError",
     "TaskConfig",
     "NetworkConfig",
-    "SamplerSection",
     "RunConfig",
     "CompareConfig",
     "SweepConfig",
@@ -58,17 +60,6 @@ class NetworkConfig:
 
 
 @dataclasses.dataclass(frozen=True)
-class SamplerSection:
-    algorithm: str
-    eta: float
-    steps: int
-    batch: Optional[int] = None
-    temperature: float = 1.0
-    b_mode: str = "wtilde-over-eta"
-    b_scale: float = 1.0
-
-
-@dataclasses.dataclass(frozen=True)
 class RunConfig:
     seed: int
     out: str
@@ -101,7 +92,7 @@ class TheoryConfig:
 class ExperimentConfig:
     task: TaskConfig
     network: NetworkConfig
-    sampler: SamplerSection
+    sampler: SamplerConfig
     run: RunConfig
     compare: CompareConfig = CompareConfig()
     sweep: SweepConfig = SweepConfig()
@@ -151,7 +142,7 @@ _SCHEMA = {
 }
 
 _SECTION_TYPES = {
-    "task": TaskConfig, "network": NetworkConfig, "sampler": SamplerSection,
+    "task": TaskConfig, "network": NetworkConfig, "sampler": SamplerConfig,
     "run": RunConfig, "compare": CompareConfig, "sweep": SweepConfig,
     "theory": TheoryConfig,
 }
@@ -188,7 +179,8 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ExperimentConfig
 
     ``overrides`` maps "section.key" to already-typed values (the CLI
     flags).  All problems found are reported together, each prefixed with
-    its section.key.
+    its section.key: unparseable values, unknown names, missing keys, and
+    the domain problems of each section that has its required keys.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
@@ -225,108 +217,88 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ExperimentConfig
         section, key = skey.split(".", 1)
         values.setdefault(section, {})[key] = val
 
-    for section, keys in _SCHEMA.items():
-        present = values.get(section, {})
-        for key, (_, required) in keys.items():
-            if required and key not in present:
-                problems.append(f"{section}.{key}: required key missing")
-
-    if problems:
-        raise ConfigError("invalid config:\n  " + "\n  ".join(problems))
-
     built = {}
     for section, cls in _SECTION_TYPES.items():
-        built[section] = cls(**values.get(section, {}))
-    cfg = ExperimentConfig(**built)
-    _validate_semantics(cfg, problems)
+        present = values.get(section, {})
+        missing = [f"{section}.{key}: required key missing"
+                   for key, (_, required) in _SCHEMA[section].items()
+                   if required and key not in present]
+        problems += missing
+        if missing:
+            continue
+        try:
+            built[section] = cls(**present)
+        except ValueError as e:  # a SamplerConfig checks its own fields
+            problems += [f"{section}.{line}" for line in str(e).splitlines()]
+            continue
+        if cls is not SamplerConfig:
+            problems += _section_problems(section, built[section])
     if problems:
         raise ConfigError("invalid config:\n  " + "\n  ".join(problems))
-    return cfg
+    return ExperimentConfig(**built)
 
 
-def _validate_semantics(cfg: ExperimentConfig, problems: list):
-    t, net, s, r = cfg.task, cfg.network, cfg.sampler, cfg.run
-    for section, keys in _SCHEMA.items():
-        for key, (kind, _) in keys.items():
-            value = getattr(getattr(cfg, section), key)
-            values = value if kind == "floats" else [value]
-            if kind in ("float", "floats") and value is not None \
-                    and not all(map(math.isfinite, values)):
-                problems.append(f"{section}.{key}: must be finite")
-    if t.kind not in TASK_KINDS:
-        problems.append(f"task.kind: {t.kind!r} not one of {TASK_KINDS}")
-    if t.kind == "logreg-csv":
-        if not t.csv_path:
-            problems.append("task.csv_path: required for logreg-csv")
-        elif not os.path.exists(t.csv_path):
-            problems.append(f"task.csv_path: file not found: {t.csv_path}")
-    if t.n_points < 1:
-        problems.append(f"task.n_points: must be >= 1, got {t.n_points}")
-    if t.dim < 1:
-        problems.append(f"task.dim: must be >= 1, got {t.dim}")
-    if t.prior_var <= 0:
-        problems.append("task.prior_var: must be > 0")
-    if t.noise_std < 0:
-        problems.append(f"task.noise_std: must be >= 0, got {t.noise_std}")
-    if t.holdout < 1:
-        problems.append(f"task.holdout: must be >= 1, got {t.holdout}")
-    if t.per_agent is not None and t.per_agent < 1:
-        problems.append("task.per_agent: must be >= 1 when set")
-    if t.beta_true is not None and len(t.beta_true) != t.dim:
-        problems.append(
-            f"task.beta_true: {len(t.beta_true)} values for dim {t.dim}")
-
-    if net.n < 2:
-        problems.append(f"network.n: must be >= 2, got {net.n}")
-    if net.topology == "custom":
-        if not net.adjacency:
-            problems.append("network.adjacency: required for custom topology")
-        elif not os.path.exists(net.adjacency):
-            problems.append(
-                f"network.adjacency: file not found: {net.adjacency}")
-    if not (0.0 < net.h <= 0.5):
-        problems.append(f"network.h: must lie in (0, 1/2], got {net.h}")
-
-    from .samplers import ALGORITHMS, B_MODES
-
-    if s.algorithm not in ALGORITHMS:
-        problems.append(
-            f"sampler.algorithm: {s.algorithm!r} not one of {ALGORITHMS}")
-    if s.eta <= 0:
-        problems.append(f"sampler.eta: must be > 0, got {s.eta}")
-    if s.steps < 0:
-        problems.append(f"sampler.steps: must be >= 0, got {s.steps}")
-    if s.batch is not None and s.batch < 1:
-        problems.append("sampler.batch: must be >= 1 when set")
-    if s.temperature not in (0.0, 1.0):
-        problems.append(
-            f"sampler.temperature: must be 0 or 1, got {s.temperature}")
-    if s.b_mode not in B_MODES:
-        problems.append(f"sampler.b_mode: {s.b_mode!r} not one of {B_MODES}")
-
-    if r.replicas < 1:
-        problems.append(f"run.replicas: must be >= 1, got {r.replicas}")
-    if r.record_every < 1:
-        problems.append(
-            f"run.record_every: must be >= 1, got {r.record_every}")
-    if r.threads is not None and r.threads < 1:
-        problems.append("run.threads: must be >= 1 when set")
-    if r.seed < 0:
-        problems.append("run.seed: must be >= 0")
-
-    for algo in cfg.compare.algorithms:
-        if algo not in ALGORITHMS:
-            problems.append(
-                f"compare.algorithms: {algo!r} not one of {ALGORITHMS}")
-
-    sw = cfg.sweep
-    if not (0.0 < sw.h_min <= sw.h_max <= 0.5):
-        problems.append(
-            f"sweep: need 0 < h_min <= h_max <= 0.5, got "
-            f"[{sw.h_min}, {sw.h_max}]")
-    if sw.points < 1:
-        problems.append(f"sweep.points: must be >= 1, got {sw.points}")
-    if cfg.theory.sigma2 is not None and cfg.theory.sigma2 < 0:
-        problems.append("theory.sigma2: must be >= 0 when set")
-    if cfg.theory.w2_init is not None and cfg.theory.w2_init < 0:
-        problems.append("theory.w2_init: must be >= 0 when set")
+def _section_problems(section: str, s):
+    """The problems of a built section other than the sampler."""
+    for key, (kind, _) in _SCHEMA[section].items():
+        value = getattr(s, key)
+        values = value if kind == "floats" else [value]
+        if kind in ("float", "floats") and value is not None \
+                and not all(map(math.isfinite, values)):
+            yield f"{section}.{key}: must be finite"
+    if section == "task":
+        if s.kind not in TASK_KINDS:
+            yield f"task.kind: {s.kind!r} not one of {TASK_KINDS}"
+        if s.kind == "logreg-csv":
+            if not s.csv_path:
+                yield "task.csv_path: required for logreg-csv"
+            elif not os.path.exists(s.csv_path):
+                yield f"task.csv_path: file not found: {s.csv_path}"
+        if s.n_points < 1:
+            yield f"task.n_points: must be >= 1, got {s.n_points}"
+        if s.dim < 1:
+            yield f"task.dim: must be >= 1, got {s.dim}"
+        if s.prior_var <= 0:
+            yield "task.prior_var: must be > 0"
+        if s.noise_std < 0:
+            yield f"task.noise_std: must be >= 0, got {s.noise_std}"
+        if s.holdout < 1:
+            yield f"task.holdout: must be >= 1, got {s.holdout}"
+        if s.per_agent is not None and s.per_agent < 1:
+            yield "task.per_agent: must be >= 1 when set"
+        if s.beta_true is not None and len(s.beta_true) != s.dim:
+            yield f"task.beta_true: {len(s.beta_true)} values for dim {s.dim}"
+    elif section == "network":
+        if s.n < 2:
+            yield f"network.n: must be >= 2, got {s.n}"
+        if s.topology == "custom":
+            if not s.adjacency:
+                yield "network.adjacency: required for custom topology"
+            elif not os.path.exists(s.adjacency):
+                yield f"network.adjacency: file not found: {s.adjacency}"
+        if not (0.0 < s.h <= 0.5):
+            yield f"network.h: must lie in (0, 1/2], got {s.h}"
+    elif section == "run":
+        if s.replicas < 1:
+            yield f"run.replicas: must be >= 1, got {s.replicas}"
+        if s.record_every < 1:
+            yield f"run.record_every: must be >= 1, got {s.record_every}"
+        if s.threads is not None and s.threads < 1:
+            yield "run.threads: must be >= 1 when set"
+        if s.seed < 0:
+            yield "run.seed: must be >= 0"
+    elif section == "compare":
+        for algo in s.algorithms:
+            if algo not in ALGORITHMS:
+                yield f"compare.algorithms: {algo!r} not one of {ALGORITHMS}"
+    elif section == "sweep":
+        if not (0.0 < s.h_min <= s.h_max <= 0.5):
+            yield (f"sweep: need 0 < h_min <= h_max <= 0.5, got "
+                   f"[{s.h_min}, {s.h_max}]")
+        if s.points < 1:
+            yield f"sweep.points: must be >= 1, got {s.points}"
+    elif section == "theory":
+        if s.sigma2 is not None and s.sigma2 < 0:
+            yield "theory.sigma2: must be >= 0 when set"
+        if s.w2_init is not None and s.w2_init < 0:
+            yield "theory.w2_init: must be >= 0 when set"

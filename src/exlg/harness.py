@@ -30,7 +30,7 @@ from .network import (
     topology_from_file,
     validate_assumptions,
 )
-from .samplers import SamplerConfig, derive_seed, run_ensemble
+from .samplers import CENTRALIZED, derive_seed, record_ks, run_ensemble
 from .tasks import (
     LabelError,
     LinRegTask,
@@ -57,8 +57,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ASSUMPTION = 3
 EXIT_DIVERGENCE = 4
-
-_CENTRALIZED = ("ULA", "REFERENCE_CHAIN")
 
 
 class AssumptionError(RuntimeError):
@@ -374,12 +372,10 @@ class ManifestWriter:
 
 
 def _problem_params(cfg: ExperimentConfig, task, ms: MixingSet, **kw):
-    """`problem_params_from` at the configured eta and B.  In-domain values
+    """`problem_params_from` at the configured sampler.  In-domain values
     that leave the bounds undefined are config errors naming the key."""
     try:
-        p = problem_params_from(task, ms, cfg.sampler.eta,
-                                b_mode=cfg.sampler.b_mode,
-                                b_scale=cfg.sampler.b_scale, **kw)
+        p = problem_params_from(task, ms, cfg.sampler, **kw)
     except ValueError:
         mu, L = mu_L_bounds(task)
         if mu < L:
@@ -398,16 +394,9 @@ def _problem_params(cfg: ExperimentConfig, task, ms: MixingSet, **kw):
     return p
 
 
-def _sampler_config(cfg: ExperimentConfig, algorithm: str) -> SamplerConfig:
-    s = cfg.sampler
-    return SamplerConfig(
-        algorithm=algorithm, eta=s.eta, steps=s.steps, batch=s.batch,
-        temperature=s.temperature, b_mode=s.b_mode, b_scale=s.b_scale)
-
-
 def _checked_mixing(cfg: ExperimentConfig, algorithms) -> Optional[MixingSet]:
     """The checked mixing set, or None when every algorithm is centralized."""
-    if all(a in _CENTRALIZED for a in algorithms):
+    if all(a in CENTRALIZED for a in algorithms):
         return None
     ms = build_mixing(cfg)
     check_assumptions(ms, cfg)
@@ -419,8 +408,9 @@ def _chain_and_score(cfg: ExperimentConfig, bundle: TaskBundle,
     """One variant: run ``algorithm``'s replicas (one per seed, over ``ms``
     unless it is centralized) on the bundle's task and score them.
     Returns the `run_ensemble` result and its metric series."""
-    res = run_ensemble(bundle.task, _sampler_config(cfg, algorithm), seeds,
-                       mixing=None if algorithm in _CENTRALIZED else ms,
+    res = run_ensemble(bundle.task,
+                       dataclasses.replace(cfg.sampler, algorithm=algorithm),
+                       seeds, mixing=None if algorithm in CENTRALIZED else ms,
                        record_every=cfg.run.record_every)
     return res, series_for_run(cfg, bundle.task, res.ks, res.xs,
                                bundle.holdout)
@@ -625,7 +615,7 @@ def cmd_theory(cfg: ExperimentConfig, echo=print) -> int:
         echo(f"shrinking to admissible from (h={ms.h:.6g}, "
              f"eta={cfg.sampler.eta:.6g})")
         try:
-            p, ms = shrink_to_admissible(p, ms, b_mode=cfg.sampler.b_mode)
+            p, ms = shrink_to_admissible(p, ms, cfg.sampler)
         except RuntimeError as e:
             raise AssumptionError(str(e)) from None
         check_assumptions(ms, cfg)
@@ -638,8 +628,7 @@ def cmd_theory(cfg: ExperimentConfig, echo=print) -> int:
     manifest.write_csv("theory_constants.csv", ["name", "value"],
                        _row_lines(tc.as_rows()))
 
-    ks = sorted(set(range(0, cfg.sampler.steps + 1, cfg.run.record_every))
-                | {cfg.sampler.steps})
+    ks = record_ks(cfg.sampler.steps, cfg.run.record_every)
     bounds = (("bound_w2_mean", bound_w2_mean),
               ("bound_w2_agents", bound_w2_agents))
     lines = _row_lines((k, label, bound(p, tc, k))

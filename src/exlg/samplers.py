@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 
@@ -75,6 +76,7 @@ from .linalg import mix_apply
 __all__ = [
     "ALGORITHMS",
     "B_MODES",
+    "CENTRALIZED",
     "ChainDivergenceError",
     "SamplerConfig",
     "ChainResult",
@@ -82,6 +84,7 @@ __all__ = [
     "derive_seed",
     "philox4x64",
     "batch_table",
+    "record_ks",
     "run_ensemble",
 ]
 
@@ -92,6 +95,9 @@ ALGORITHMS = (
     "GEN_EXTRA_SGLD",
     "REFERENCE_CHAIN",
 )
+
+# the chains that run one shared row and need no mixing set
+CENTRALIZED = ("ULA", "REFERENCE_CHAIN")
 
 B_MODES = ("wtilde-over-eta", "scaled-identity")
 
@@ -304,6 +310,14 @@ def batch_table(noises, ks, n_agents, n, batch) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class SamplerConfig:
+    """One chain family's settings: the ``[sampler]`` config section.
+
+    B, the free matrix of the generalized chain's dual update, is W~ / eta
+    ("wtilde-over-eta") or ``b_scale`` * I ("scaled-identity"); `bx`
+    applies it and `norm_b` is the ||B||_2 the bound constants read.  Bad
+    fields raise one ValueError with a ``<key>: <problem>`` line each.
+    """
+
     algorithm: str
     eta: float
     steps: int
@@ -313,25 +327,43 @@ class SamplerConfig:
     b_scale: float = 1.0
 
     def __post_init__(self):
+        bad = {}
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; "
-                f"choose from {ALGORITHMS}"
-            )
-        if not self.eta > 0.0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+            bad["algorithm"] = f"{self.algorithm!r} not one of {ALGORITHMS}"
+        if not self.eta > 0:
+            bad["eta"] = f"must be > 0, got {self.eta}"
         if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+            bad["steps"] = f"must be >= 0, got {self.steps}"
         if self.batch is not None and self.batch < 1:
-            raise ValueError("batch must be >= 1 (or None for full)")
+            bad["batch"] = "must be >= 1 when set"
         if self.temperature not in (0.0, 1.0):
-            raise ValueError(
-                f"temperature is a 0/1 flag, got {self.temperature}"
-            )
+            bad["temperature"] = f"must be 0 or 1, got {self.temperature}"
         if self.b_mode not in B_MODES:
-            raise ValueError(
-                f"unknown b_mode {self.b_mode!r}; choose from {B_MODES}"
-            )
+            bad["b_mode"] = f"{self.b_mode!r} not one of {B_MODES}"
+        for key in ("eta", "temperature", "b_scale"):
+            if not math.isfinite(getattr(self, key)):
+                bad[key] = "must be finite"
+        if bad:
+            raise ValueError("\n".join(f"{k}: {v}" for k, v in bad.items()))
+
+    def bx(self, x, wx):
+        """B x, given x and W~ x."""
+        if self.b_mode == "wtilde-over-eta":
+            return wx / self.eta
+        return self.b_scale * x
+
+    def norm_b(self, norm_wt: float) -> float:
+        """||B||_2, given ||W~||_2."""
+        if self.b_mode == "wtilde-over-eta":
+            return norm_wt / self.eta
+        return abs(float(self.b_scale))
+
+
+def record_ks(steps: int, record_every: int) -> list:
+    """The iterates a run records: every ``record_every``-th, and the last."""
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    return sorted({*range(0, steps + 1, record_every), steps})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -467,9 +499,9 @@ def _step_fn(oracle, cfg: SamplerConfig, mixing, noises):
 
     def gen_extra(k, x, v):
         g, wx, wblk = grads(x, k), mix_apply(w_tilde, x), gaussians(k + 1)
-        bx = wx / eta if cfg.b_mode == "wtilde-over-eta" else cfg.b_scale * x
         return (wx - eta * (g + v) + scale_x * wblk,
-                v - mix_apply(u, v + g - bx) + scale_v * mix_apply(u, wblk))
+                v - mix_apply(u, v + g - cfg.bx(x, wx))
+                + scale_v * mix_apply(u, wblk))
 
     prev = None  # EXTRA's (x^{k-1}, g^{k-1}, w^k)
 
@@ -516,10 +548,9 @@ def run_ensemble(
     any replica left the ball, and the lowest replica index at that
     iteration.
     """
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    ks = record_ks(cfg.steps, record_every)
     algo = cfg.algorithm
-    centralized = algo in ("ULA", "REFERENCE_CHAIN")
+    centralized = algo in CENTRALIZED
     if not centralized and mixing is None:
         raise ValueError(f"{algo} needs a mixing set")
     n_rows = 1 if centralized else mixing.n
@@ -540,9 +571,6 @@ def run_ensemble(
     step = _step_fn(oracle, cfg, mixing, noises)
     dual = algo == "GEN_EXTRA_SGLD"  # the only chain that moves v
 
-    ks = list(range(0, cfg.steps + 1, record_every))
-    if ks[-1] != cfg.steps:
-        ks.append(cfg.steps)
     # record 0 is the zero start
     xs = np.zeros((len(ks), len(seeds), n_rows, oracle.dim))
     vs = np.zeros_like(xs) if dual else None

@@ -22,6 +22,7 @@ import numpy as np
 
 from .metrics import w2_gaussian
 from .network import MixingSet, SpectralSummary, with_h
+from .samplers import SamplerConfig
 from .tasks import GaussianDist, mu_L_bounds
 
 __all__ = [
@@ -86,15 +87,15 @@ def _delta2_complement(eta: float, mu: float, L: float, h: float,
 class ProblemParams:
     """Frozen bundle of everything the constant stack reads.
 
-    ``spectral`` carries the mixing eigenvalue summary; ``norm_B`` is the
-    spectral norm of the free matrix actually run (for the default
-    B = Wtilde/eta this is ||Wtilde||_2 / eta).  ``grad_at_min_sq`` is
-    ||grad F(x*)||^2 of the stacked gradient at the minimiser.
-    ``delta2`` defaults to the lower endpoint of its admissible interval,
-    which keeps the C2..C4 denominator strictly positive.  ``w2_init`` is
-    the W2 distance from the initial law of the average iterate to the
-    target; it multiplies the geometric term of the mean bound and is
-    caller-supplied because the initial law is not ours to pick.
+    ``spectral`` carries the mixing eigenvalue summary; ``norm_B`` is
+    ||B||_2 of the free matrix actually run (`SamplerConfig.norm_b`).
+    ``grad_at_min_sq`` is ||grad F(x*)||^2 of the stacked gradient at the
+    minimiser.  ``delta2`` defaults to the lower endpoint of its
+    admissible interval, which keeps the C2..C4 denominator strictly
+    positive.  ``w2_init`` is the W2 distance from the initial law of the
+    average iterate to the target; it multiplies the geometric term of
+    the mean bound and is caller-supplied because the initial law is not
+    ours to pick.
     """
 
     mu: float
@@ -485,19 +486,19 @@ def bound_w2_agents(p: ProblemParams, tc: TheoryConstants, K: int) -> float:
     return head + term1 + term2 + tail
 
 
-def problem_params_from(task, ms: MixingSet, eta: float, *,
+def problem_params_from(task, ms: MixingSet, sampler: SamplerConfig, *,
                         sigma2: float = 0.0,
-                        b_mode: str = "wtilde-over-eta", b_scale: float = 1.0,
                         w2_init: Optional[float] = None,
                         xstar: Optional[np.ndarray] = None) -> ProblemParams:
-    """Assemble a ProblemParams bundle from a task and a mixing set.
+    """Assemble a ProblemParams bundle from a task, a mixing set and a sampler.
 
     Curvature bounds come from the task, the spectrum from the mixing
-    set, and ||grad F(x*)||^2 from the task minimiser ``xstar``
-    (``task.minimizer()`` unless the caller has it already).  The chains
-    start at zero, so the initial moments are exact zeros.  When the
-    task exposes a Gaussian target and ``w2_init`` is not given, the
-    distance from the point mass at zero to the target fills it in.
+    set, eta and ||B|| (`SamplerConfig.norm_b` at the set's ||Wtilde||)
+    from ``sampler``, and ||grad F(x*)||^2 from the task minimiser
+    ``xstar`` (``task.minimizer()`` unless the caller has it already).
+    The chains start at zero, so the initial moments are exact zeros.
+    When the task exposes a Gaussian target and ``w2_init`` is not given,
+    the distance from the point mass at zero to the target fills it in.
     """
     mu, L = mu_L_bounds(task)
     if xstar is None:
@@ -517,15 +518,10 @@ def problem_params_from(task, ms: MixingSet, eta: float, *,
         else:
             w2_init = 0.0
 
-    if b_mode == "wtilde-over-eta":
-        norm_B = ms.spectral.norm_wt / eta
-    elif b_mode == "scaled-identity":
-        norm_B = abs(float(b_scale))
-    else:
-        raise ValueError(f"unknown b_mode {b_mode!r}")
     return ProblemParams(
         mu=float(mu), L=float(L), sigma2=float(sigma2), d=d, N=N,
-        eta=float(eta), h=float(ms.h), norm_B=norm_B,
+        eta=float(sampler.eta), h=float(ms.h),
+        norm_B=sampler.norm_b(ms.spectral.norm_wt),
         grad_at_min_sq=r, spectral=ms.spectral, w2_init=float(w2_init))
 
 
@@ -536,24 +532,23 @@ _SHRINK_ETA_FRAC = 0.5
 _SHRINK_ITERS = 32
 
 
-def shrink_to_admissible(p: ProblemParams, ms: MixingSet, *, b_mode: str):
+def shrink_to_admissible(p: ProblemParams, ms: MixingSet,
+                         sampler: SamplerConfig):
     """Shrink (h, eta) of ``p`` until every stepsize clause passes.
 
     ``p`` must be the bundle at ``ms`` (as :func:`problem_params_from`
-    builds it) and ``b_mode`` the B mode it was built with.  Each
-    iteration moves the mixing set to the candidate h with
-    :func:`~exlg.network.with_h` (Wtilde and U rebuilt, Wtilde alone
+    builds it).  Each iteration moves the mixing set to the candidate h
+    with :func:`~exlg.network.with_h` (Wtilde and U rebuilt, Wtilde alone
     eigensolved), re-derives the clause limits there, and targets fixed
-    fractions of them.  ||B|| is ||Wtilde||/eta in "wtilde-over-eta" mode
-    and stays ``p.norm_B`` in the others.  W, delta and the task-side
-    inputs (mu, L, sigma^2, ||grad F(x*)||^2, the initial moments and
-    w2_init) stay as ``ms`` and ``p`` have them.  Returns the admissible
-    ``(params, mixing_set)`` pair; the loop settles in a handful of
-    iterations because the limits move slowly in h.
+    fractions of them.  ||B|| is ``sampler``'s `SamplerConfig.norm_b` at
+    the candidate eta and the candidate's ||Wtilde||.  W, delta
+    and the task-side inputs (mu, L, sigma^2, ||grad F(x*)||^2, the
+    initial moments and w2_init) stay as ``ms`` and ``p`` have them.
+    Returns the admissible ``(params, mixing_set)`` pair; the loop settles
+    in a handful of iterations because the limits move slowly in h.
     """
     def at(ms_: MixingSet, eta: float) -> ProblemParams:
-        norm_B = (ms_.spectral.norm_wt / eta
-                  if b_mode == "wtilde-over-eta" else p.norm_B)
+        norm_B = replace(sampler, eta=eta).norm_b(ms_.spectral.norm_wt)
         return replace(p, h=float(ms_.h), eta=eta, spectral=ms_.spectral,
                        norm_B=norm_B, delta2=None)
 

@@ -351,9 +351,9 @@ def test_09_w2_bound_dominates_empirical(desk_linreg):
     # the tuned (h, eta) sit far outside the conservative admissible set,
     # so both are shrunk until every stepsize clause passes and the bound
     # is evaluated where it is actually stated
+    sampler = SamplerConfig("GEN_EXTRA_SGLD", eta=0.009, steps=200)
     p, ms_adm = shrink_to_admissible(
-        problem_params_from(desk_linreg, ms, 0.009), ms,
-        b_mode="wtilde-over-eta")
+        problem_params_from(desk_linreg, ms, sampler), ms, sampler)
     assert validate_stepsize(p).ok
     tc = compute_constants(p)
     assert tc.K0 == 0.0  # zero-init transients vanish

@@ -82,8 +82,13 @@ class TestLoading:
             load_config(write_cfg(tmp_path, text))
 
     def test_all_problems_reported_together(self, tmp_path):
-        text = (MINIMAL.replace("eta = 0.01\n", "")
+        # a missing key, an unparseable value, an unknown section and
+        # domain problems of the sections that could be built
+        text = (MINIMAL.replace("seed = 7\n", "")
+                .replace("eta = 0.01", "eta = 0")
+                .replace("steps = 40", "steps = 40\nb_mode = fancy")
                 .replace("n = 6", "n = six")
+                .replace("kind = linreg", "kind = linreg\ndim = 0")
                 + "\n[plotting]\nx = 1\n")
         with pytest.raises(ConfigError) as err:
             load_config(write_cfg(tmp_path, text))
@@ -91,6 +96,19 @@ class TestLoading:
         assert "sampler.eta" in msg
         assert "network.n" in msg
         assert "plotting" in msg
+        assert "run.seed: required key missing" in msg
+        assert "sampler.eta: must be > 0, got 0.0" in msg
+        assert "sampler.b_mode: 'fancy' not one of" in msg
+        assert "task.dim: must be >= 1, got 0" in msg
+
+    def test_two_bad_sampler_fields_both_named(self, tmp_path):
+        text = MINIMAL.replace("steps = 40",
+                               "steps = -1\ntemperature = 0.5")
+        with pytest.raises(ConfigError) as err:
+            load_config(write_cfg(tmp_path, text))
+        assert str(err.value).splitlines()[1:] == [
+            "  sampler.steps: must be >= 0, got -1",
+            "  sampler.temperature: must be 0 or 1, got 0.5"]
 
     def test_empty_value_means_unset(self, tmp_path):
         # a blank delta must fall back to the default, not parse as 0

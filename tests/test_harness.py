@@ -40,7 +40,12 @@ from exlg.harness import (
     write_csv,
 )
 from exlg.metrics import w2_gaussian
-from exlg.samplers import ChainDivergenceError, derive_seed, run_ensemble
+from exlg.samplers import (
+    ChainDivergenceError,
+    SamplerConfig,
+    derive_seed,
+    run_ensemble,
+)
 from exlg.tasks import gen_linreg_data
 from exlg.theory import (
     bound_w2_agents,
@@ -477,8 +482,8 @@ class TestTheoryCmd:
         bundle = build_task(cfg)
         ms = build_mixing(cfg)
         p, _ = shrink_to_admissible(
-            problem_params_from(bundle.task, ms, cfg.sampler.eta), ms,
-            b_mode="wtilde-over-eta")
+            problem_params_from(bundle.task, ms, cfg.sampler), ms,
+            cfg.sampler)
         tc = compute_constants(p)
 
         got = {}
@@ -516,8 +521,8 @@ class TestTheoryCmd:
         cfg = load_config(path)
         ms = build_mixing(cfg)
         p, _ = shrink_to_admissible(
-            problem_params_from(build_task(cfg).task, ms, cfg.sampler.eta,
-                                w2_init=5.0), ms, b_mode="wtilde-over-eta")
+            problem_params_from(build_task(cfg).task, ms, cfg.sampler,
+                                w2_init=5.0), ms, cfg.sampler)
         assert p.w2_init == 5.0
         tc = compute_constants(p)
         by_label = {"bound_w2_mean": bound_w2_mean,
@@ -671,13 +676,13 @@ class TestTheoryCmd:
         assert fifty != one
         bundle = build_task(cfg)
         ms = build_mixing(cfg)
+        assert cfg.sampler.b_scale == 50.0
         p, ms = shrink_to_admissible(
-            problem_params_from(bundle.task, ms, cfg.sampler.eta,
-                                b_mode="scaled-identity", b_scale=50.0),
-            ms, b_mode="scaled-identity")
+            problem_params_from(bundle.task, ms, cfg.sampler), ms,
+            cfg.sampler)
         assert p.norm_B == 50.0  # ||B|| = |b_scale| whatever (h, eta)
         direct = compute_constants(problem_params_from(
-            bundle.task, ms, p.eta, b_mode="scaled-identity", b_scale=50.0))
+            bundle.task, ms, dataclasses.replace(cfg.sampler, eta=p.eta)))
         assert fifty == direct.gamma2
 
     def test_b_scale_defaults_to_one(self, tmp_path):
@@ -688,8 +693,9 @@ class TestTheoryCmd:
         assert cfg.sampler.b_scale == 1.0
         bundle = build_task(cfg)
         ms = build_mixing(cfg)
-        p = problem_params_from(bundle.task, ms, cfg.sampler.eta,
-                                b_mode="scaled-identity")
+        p = problem_params_from(bundle.task, ms, SamplerConfig(
+            "GEN_EXTRA_SGLD", eta=cfg.sampler.eta, steps=40,
+            b_mode="scaled-identity"))
         assert p.norm_B == 1.0
 
     def test_shrink_labels_both_assumption_reports(self, tmp_path, capsys,

@@ -5,6 +5,7 @@ vs its special cases) under shared noise, and the exact-zero dual average.
 """
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -15,6 +16,7 @@ from exlg.network import build_mixing_set, ring
 from exlg import samplers
 from exlg.samplers import (
     ALGORITHMS,
+    B_MODES,
     ChainDivergenceError,
     NoiseStream,
     SamplerConfig,
@@ -769,6 +771,19 @@ class TestSamplerConfigValidation:
             SamplerConfig("ULA", eta=0.1, steps=1, temperature=0.5)
         with pytest.raises(ValueError):
             SamplerConfig("ULA", eta=0.1, steps=1, b_mode="junk")
+        with pytest.raises(ValueError, match="^eta: must be finite$"):
+            SamplerConfig("ULA", eta=math.inf, steps=1)
+        with pytest.raises(ValueError, match="^b_scale: must be finite$"):
+            SamplerConfig("ULA", eta=0.1, steps=1, b_scale=math.nan)
+        with pytest.raises(ValueError, match="^temperature: must be finite$"):
+            SamplerConfig("ULA", eta=0.1, steps=1, temperature=math.inf)
+        with pytest.raises(ValueError) as err:  # one line per bad field
+            SamplerConfig("NOPE", eta=0.1, steps=-1, b_mode="junk")
+        assert str(err.value).splitlines() == [
+            f"algorithm: 'NOPE' not one of {ALGORITHMS}",
+            "steps: must be >= 0, got -1",
+            f"b_mode: 'junk' not one of {B_MODES}",
+        ]
 
     def test_missing_mixing_rejected(self):
         task = _toy_task()

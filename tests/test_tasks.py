@@ -31,6 +31,7 @@ from exlg.tasks import (
     mu_L_bounds,
     partition_data,
 )
+from exlg.samplers import SamplerConfig
 from exlg.theory import problem_params_from
 
 
@@ -378,7 +379,8 @@ class TestBlockCallersMatchOneRowLoops:
         ms = build_mixing_set(ring(3), h=0.3, delta=0.2)
         m = task.minimizer()
         g = np.concatenate([_grad(task, i, m) for i in range(3)])
-        p = problem_params_from(task, ms, eta=0.001)
+        p = problem_params_from(
+            task, ms, SamplerConfig("GEN_EXTRA_SGLD", eta=0.001, steps=0))
         assert p.grad_at_min_sq == float(np.linalg.norm(g)) ** 2
 
     @pytest.mark.parametrize("kind", ["linreg", "logreg"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from exlg.network import SpectralSummary, make_topology, build_mixing_set
+from exlg.samplers import SamplerConfig
 from exlg.tasks import LinRegTask, gen_linreg_data, mu_L_bounds, partition_data
 from exlg.theory import (
     InadmissibleSpectrumError,
@@ -388,6 +389,10 @@ class TestBounds:
         assert bound_w2_agents(p, tc, 77) == bound_w2_agents(p, tc, 77)
 
 
+def _gen_extra(eta):
+    return SamplerConfig("GEN_EXTRA_SGLD", eta=eta, steps=0)
+
+
 class TestProblemParamsFrom:
     def _setup(self):
         rng = np.random.default_rng(7)
@@ -400,7 +405,7 @@ class TestProblemParamsFrom:
 
     def test_fields_assembled_from_task_and_mixing(self):
         task, ms = self._setup()
-        p = problem_params_from(task, ms, eta=0.001)
+        p = problem_params_from(task, ms, _gen_extra(0.001))
         assert (p.mu, p.L) == mu_L_bounds(task)
         assert p.N == 4 and p.d == 2
         assert p.h == 0.3
@@ -415,7 +420,7 @@ class TestProblemParamsFrom:
 
     def test_zero_init_moments_and_w2_init(self):
         task, ms = self._setup()
-        p = problem_params_from(task, ms, eta=0.001)
+        p = problem_params_from(task, ms, _gen_extra(0.001))
         assert p.init_moments == InitMoments()
         tgt = task.target()
         expect = math.sqrt(float(tgt.mean @ tgt.mean) + float(np.trace(tgt.cov)))
@@ -423,9 +428,9 @@ class TestProblemParamsFrom:
 
     def test_shrink_reaches_admissible_pair(self):
         task, ms = self._setup()
+        sampler = _gen_extra(0.009)
         p, ms2 = shrink_to_admissible(
-            problem_params_from(task, ms, eta=0.009), ms,
-            b_mode="wtilde-over-eta")
+            problem_params_from(task, ms, sampler), ms, sampler)
         rep = validate_stepsize(p)
         assert rep.ok
         assert p.h == ms2.h
