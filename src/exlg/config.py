@@ -1,18 +1,20 @@
 """Flat key = value experiment configs with sections.
 
 The schema is deliberately boring: configparser sections, no nesting, no
-interpolation, every key typed here and checked so the commands can trust
-what they receive; the ``[sampler]`` section is a `SamplerConfig`, which
-checks its own fields.  Unknown sections or keys are hard errors naming
-the offender; so are missing referenced files.
+interpolation.  Each section is a dataclass field of `ExperimentConfig`:
+its keys are the section dataclass's fields, parsed by their annotations,
+and a field without a default is a required key.  Every value is checked
+so the commands can trust what they receive; the ``[sampler]`` section is
+a `SamplerConfig`, which checks its own fields.  Unknown sections or
+keys are hard errors naming the offender; so are missing referenced
+files.
 """
-
-from __future__ import annotations
 
 import configparser
 import dataclasses
 import math
 import os
+import typing
 from typing import Optional
 
 from .samplers import ALGORITHMS, SamplerConfig
@@ -44,7 +46,8 @@ class TaskConfig:
     dim: int = 2
     noise_std: float = 1.0
     prior_var: float = 1.0
-    beta_true: Optional[tuple] = None  # None: drawn from the data stream
+    # None: drawn from the data stream
+    beta_true: Optional[tuple[float, ...]] = None
     csv_path: Optional[str] = None
     label_col: Optional[str] = None
     holdout: int = 1000
@@ -71,7 +74,7 @@ class RunConfig:
 
 @dataclasses.dataclass(frozen=True)
 class CompareConfig:
-    algorithms: tuple = ()
+    algorithms: tuple[str, ...] = ()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,78 +103,30 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         """Resolved config as plain nested dicts (manifest payload)."""
-        out = {}
-        for name in ("task", "network", "sampler", "run", "compare",
-                     "sweep", "theory"):
-            section = dataclasses.asdict(getattr(self, name))
-            out[name] = {k: (list(v) if isinstance(v, tuple) else v)
-                         for k, v in section.items()}
-        return out
+        return {f.name: {k: (list(v) if isinstance(v, tuple) else v)
+                         for k, v in dataclasses.asdict(
+                             getattr(self, f.name)).items()}
+                for f in dataclasses.fields(self)}
 
-
-# section -> key -> (converter name, required)
-_SCHEMA = {
-    "task": {
-        "kind": ("str", True), "n_points": ("int", False),
-        "per_agent": ("int", False), "dim": ("int", False),
-        "noise_std": ("float", False), "prior_var": ("float", False),
-        "beta_true": ("floats", False), "csv_path": ("str", False),
-        "label_col": ("str", False), "holdout": ("int", False),
-    },
-    "network": {
-        "topology": ("str", True), "n": ("int", True), "h": ("float", True),
-        "delta": ("float", False), "adjacency": ("str", False),
-    },
-    "sampler": {
-        "algorithm": ("str", True), "eta": ("float", True),
-        "steps": ("int", True), "batch": ("int", False),
-        "temperature": ("float", False), "b_mode": ("str", False),
-        "b_scale": ("float", False),
-    },
-    "run": {
-        "seed": ("int", True), "out": ("str", True),
-        "replicas": ("int", False), "record_every": ("int", False),
-        "threads": ("int", False),
-        "allow_assumption_violations": ("bool", False),
-    },
-    "compare": {"algorithms": ("strs", False)},
-    "sweep": {"h_min": ("float", False), "h_max": ("float", False),
-              "points": ("int", False)},
-    "theory": {"shrink": ("bool", False), "sigma2": ("float", False),
-               "w2_init": ("float", False)},
-}
-
-_SECTION_TYPES = {
-    "task": TaskConfig, "network": NetworkConfig, "sampler": SamplerConfig,
-    "run": RunConfig, "compare": CompareConfig, "sweep": SweepConfig,
-    "theory": TheoryConfig,
-}
 
 _BOOL = {"true": True, "yes": True, "1": True,
          "false": False, "no": False, "0": False}
 
 
-def _convert(kind: str, raw: str, where: str):
-    raw = raw.strip()
-    try:
-        if kind == "str":
-            return raw
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            try:
-                return _BOOL[raw.lower()]
-            except KeyError:
-                raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "floats":
-            return tuple(float(p) for p in raw.replace(",", " ").split())
-        if kind == "strs":
-            return tuple(p for p in raw.replace(",", " ").split() if p)
-    except ValueError as e:
-        raise ConfigError(f"{where}: {e}") from None
-    raise AssertionError(kind)
+def _parse(tp, raw: str):
+    """``raw`` as a value of type ``tp``: Optional[X] parses as X, and a
+    tuple[X, ...] as whitespace- or comma-separated items."""
+    args = typing.get_args(tp)
+    if type(None) in args:
+        (tp,) = set(args) - {type(None)}
+        args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        return tuple(map(args[0], raw.replace(",", " ").split()))
+    if tp is bool:
+        if raw.lower() not in _BOOL:
+            raise ValueError(f"not a boolean: {raw!r}")
+        return _BOOL[raw.lower()]
+    return tp(raw)
 
 
 def load_config(path: str, overrides: Optional[dict] = None) -> ExperimentConfig:
@@ -192,24 +147,31 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ExperimentConfig
     except configparser.Error as e:
         raise ConfigError(f"config parse error: {e}") from None
 
+    # section -> its dataclass; a section's keys are the fields, typed by
+    # their annotations, and a field without a default is a required key
+    sections = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    fields = {name: {f.name: f for f in dataclasses.fields(cls)}
+              for name, cls in sections.items()}
     problems = []
+    unparsed = set()  # present but unparseable: not also "missing"
     values: dict = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in fields:
             problems.append(f"{section}: unknown section")
             continue
         values[section] = {}
         for key, raw in parser[section].items():
-            if key not in _SCHEMA[section]:
+            if key not in fields[section]:
                 problems.append(f"{section}.{key}: unknown key")
                 continue
-            if raw.strip() == "":
+            raw = raw.strip()
+            if raw == "":
                 continue  # empty value = unset
-            kind, _ = _SCHEMA[section][key]
             try:
-                values[section][key] = _convert(kind, raw, f"{section}.{key}")
-            except ConfigError as e:
-                problems.append(str(e))
+                values[section][key] = _parse(fields[section][key].type, raw)
+            except ValueError as e:
+                problems.append(f"{section}.{key}: {e}")
+                unparsed.add((section, key))
 
     for skey, val in (overrides or {}).items():
         if val is None:
@@ -218,12 +180,12 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ExperimentConfig
         values.setdefault(section, {})[key] = val
 
     built = {}
-    for section, cls in _SECTION_TYPES.items():
+    for section, cls in sections.items():
         present = values.get(section, {})
-        missing = [f"{section}.{key}: required key missing"
-                   for key, (_, required) in _SCHEMA[section].items()
-                   if required and key not in present]
-        problems += missing
+        missing = [key for key, f in fields[section].items()
+                   if f.default is dataclasses.MISSING and key not in present]
+        problems += [f"{section}.{key}: required key missing"
+                     for key in missing if (section, key) not in unparsed]
         if missing:
             continue
         try:
@@ -231,7 +193,7 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ExperimentConfig
         except ValueError as e:  # a SamplerConfig checks its own fields
             problems += [f"{section}.{line}" for line in str(e).splitlines()]
             continue
-        if cls is not SamplerConfig:
+        if section != "sampler":
             problems += _section_problems(section, built[section])
     if problems:
         raise ConfigError("invalid config:\n  " + "\n  ".join(problems))
@@ -240,11 +202,9 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ExperimentConfig
 
 def _section_problems(section: str, s):
     """The problems of a built section other than the sampler."""
-    for key, (kind, _) in _SCHEMA[section].items():
-        value = getattr(s, key)
-        values = value if kind == "floats" else [value]
-        if kind in ("float", "floats") and value is not None \
-                and not all(map(math.isfinite, values)):
+    for key, value in vars(s).items():
+        items = value if isinstance(value, tuple) else (value,)
+        if not all(math.isfinite(v) for v in items if isinstance(v, float)):
             yield f"{section}.{key}: must be finite"
     if section == "task":
         if s.kind not in TASK_KINDS:

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import logging
 import os
+import re
 import tempfile
 import time
 from typing import Optional
@@ -95,8 +96,8 @@ def _csv_data(t):
     the loader rejects is a ConfigError naming ``task.csv_path``, or
     ``task.label_col`` when the labels are at fault."""
     label = t.label_col
-    if label is not None and label.lstrip("+-").isdigit():
-        label = int(label)
+    if label is not None and re.fullmatch(r"[+-]?[0-9]+", label):
+        label = int(label)  # a position; anything else is a column name
     try:
         x, y, _names = load_csv_dataset(t.csv_path, label_column=label)
     except LabelError as e:
@@ -161,17 +162,21 @@ def build_task(cfg: ExperimentConfig) -> TaskBundle:
 def build_mixing(cfg: ExperimentConfig) -> MixingSet:
     """Topology + W + W~ from the [network] section.
 
-    Static domain violations (bad h, bad delta, malformed adjacency file)
-    surface as ConfigError; they are knowable before anything runs.
+    Static domain violations (bad h, bad delta, an adjacency file that
+    cannot be read or parsed) surface as ConfigError; they are knowable
+    before anything runs.
     """
     net = cfg.network
-    try:
-        if net.topology == "custom":
+    if net.topology == "custom":
+        try:
             top = topology_from_file(net.adjacency)
-            if top.n != net.n:
-                raise ValueError(
-                    f"adjacency file has {top.n} nodes, config says {net.n}")
-        else:
+        except (ValueError, OSError) as e:
+            raise ConfigError(f"network.adjacency: {e}") from None
+        if top.n != net.n:
+            raise ConfigError(f"network.adjacency: {net.adjacency} has "
+                              f"{top.n} nodes, network.n is {net.n}")
+    try:
+        if net.topology != "custom":
             top = make_topology(net.topology, net.n)
         delta = net.delta
         if delta is None:

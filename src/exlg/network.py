@@ -151,16 +151,15 @@ def topology_from_file(path) -> Topology:
             f"adjacency file {path}: expected {n} rows after the count, "
             f"got {len(lines) - 1}"
         )
-    rows = []
-    for ln in lines[1:]:
-        rows.append([float(tok) for tok in ln.replace(",", " ").split()])
-    a = np.asarray(rows)
-    if a.shape != (n, n):
-        raise ValueError(
-            f"adjacency file {path}: row lengths {a.shape} do not form "
-            f"an {n}x{n} matrix"
-        )
-    return custom(a)
+    rows = [[float(tok) for tok in ln.replace(",", " ").split()]
+            for ln in lines[1:]]
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(
+                f"adjacency file {path}: row {i + 1} of {n} has "
+                f"{len(row)} entries"
+            )
+    return custom(np.asarray(rows).reshape(n, n))
 
 
 def laplacian(top: Topology) -> np.ndarray:

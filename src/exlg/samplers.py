@@ -63,8 +63,6 @@ generalized chain, replica by replica only when a check over the whole
 array fails.  `run_ensemble` never materializes the integrated dual q.
 """
 
-from __future__ import annotations
-
 import dataclasses
 import hashlib
 import math

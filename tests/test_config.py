@@ -1,13 +1,17 @@
 """Config parsing: schema enforcement, typed diagnostics, overrides."""
 
+import dataclasses
 import importlib
 import pkgutil
+import re
 import textwrap
+from pathlib import Path
+from typing import Optional
 
 import pytest
 
 import exlg
-from exlg.config import _SCHEMA, ConfigError, load_config
+from exlg.config import ConfigError, ExperimentConfig, load_config
 
 MINIMAL = """
 [task]
@@ -75,6 +79,17 @@ class TestLoading:
         text = MINIMAL.replace("n = 6", "n = six")
         with pytest.raises(ConfigError, match="network.n"):
             load_config(write_cfg(tmp_path, text))
+
+    def test_unparseable_required_key_reported_once(self, tmp_path):
+        # the key is present: one parse error, no "required key missing",
+        # and the section is not built, so h = 0.7 draws no domain line
+        text = MINIMAL.replace("n = 6", "n = six").replace("h = 0.3",
+                                                           "h = 0.7")
+        with pytest.raises(ConfigError) as err:
+            load_config(write_cfg(tmp_path, text))
+        assert str(err.value).splitlines() == [
+            "invalid config:",
+            "  network.n: invalid literal for int() with base 10: 'six'"]
 
     def test_bad_bool_diagnostic(self, tmp_path):
         text = MINIMAL + "\n[theory]\nshrink = maybe\n"
@@ -273,6 +288,21 @@ class TestEcho:
                              "compare", "sweep", "theory"}
 
 
+def test_readme_ini_block_names_the_loader_keys():
+    """The README's example config lists every key, section by section."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    documented = {}
+    for line in block.splitlines():
+        if line.startswith("["):
+            section = documented.setdefault(line.strip("[]"), [])
+        elif line.split(";")[0].strip():
+            section.append(line.split("=")[0].strip())
+    assert documented == {
+        name: [f.name for f in dataclasses.fields(cls)]
+        for name, cls in SECTIONS.items()}
+
+
 # every exlg module that declares __all__
 EXPORTING = [name for name in (f"exlg.{m.name}" for m in
                                pkgutil.iter_modules(exlg.__path__))
@@ -302,9 +332,17 @@ PROBE = {
     "sweep": {"points": "2"},
     "theory": {"shrink": "true"},
 }
-FLOAT_KEYS = [f"{section}.{key}" for section, keys in _SCHEMA.items()
-              for key, (kind, _) in keys.items()
-              if kind in ("float", "floats")]
+# section -> its dataclass, as the loader reads them
+SECTIONS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+
+
+def _keys_of(*types):
+    """Every "section.key" whose field is annotated with one of ``types``."""
+    return [f"{section}.{f.name}" for section, cls in SECTIONS.items()
+            for f in dataclasses.fields(cls) if f.type in types]
+
+
+FLOAT_KEYS = _keys_of(float, Optional[float], Optional[tuple[float, ...]])
 NON_FINITE = ("nan", "inf", "-inf")
 
 
@@ -335,8 +373,7 @@ LOGREG_PROBE = {**PROBE,
              "task": {"kind": "logreg-synthetic", "n_points": "120",
                       "dim": "2", "beta_true": "1.0 -0.5", "holdout": "40"},
              "sampler": {**PROBE["sampler"], "batch": "4"}}
-INT_KEYS = [f"{section}.{key}" for section, keys in _SCHEMA.items()
-            for key, (kind, _) in keys.items() if kind == "int"]
+INT_KEYS = _keys_of(int, Optional[int])
 
 
 def _probe_cfg(tmp_path, base, overrides):

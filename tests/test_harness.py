@@ -789,6 +789,11 @@ _BAD_CSV = {
                  "task.label_col"),
     "no-such-column": ("a,b,y\n" + _csv_body(), "z", "task.label_col"),
     "label-position-7": ("a,b,y\n" + _csv_body(), "7", "task.label_col"),
+    # not a signed ASCII integer, so a column name that is not there
+    "label-name--1": ("a,b,y\n" + _csv_body(), "--1", "task.label_col"),
+    "label-name-+-1": ("a,b,y\n" + _csv_body(), "+-1", "task.label_col"),
+    "label-name-superscript-2": ("a,b,y\n" + _csv_body(), "\u00b2",
+                                 "task.label_col"),
     "binary": (bytes(range(256)) * 4, "y", "task.csv_path"),
     "directory": (None, "y", "task.csv_path"),
     "nan-cell": ("a,b,y\n" + _csv_body() + "nan,2,0\n", "y",
@@ -800,14 +805,19 @@ _BAD_CSV = {
 }
 
 
-def _csv_cfg(tmp_path, content, label):
-    path = tmp_path / "data.csv"
+def _write_input(path, content):
+    """A directory for None, else the bytes or text ``content``."""
     if content is None:
         path.mkdir()
     elif isinstance(content, bytes):
         path.write_bytes(content)
     else:
         path.write_text(content)
+
+
+def _csv_cfg(tmp_path, content, label):
+    path = tmp_path / "data.csv"
+    _write_input(path, content)
     return make_cfg(tmp_path, **{
         "kind = linreg": f"kind = logreg-csv\ncsv_path = {path}\n"
                          f"label_col = {label}\nholdout = 5",
@@ -833,6 +843,35 @@ class TestCsvDataErrors:
         path = _csv_cfg(tmp_path, "a,b,y\n" + _csv_body(), "y")
         assert main(["validate", "--config", path]) == EXIT_OK
         assert capsys.readouterr().out.rstrip().endswith("OK")
+
+
+# Each adjacency file a custom topology of n = 4 can name, with the text
+# its error carries
+_BAD_ADJACENCY = {
+    "directory": (None, "Is a directory"),
+    "binary": (bytes(range(256)) * 4, "codec can't decode"),
+    "ragged": ("4\n0 1 0 1\n1 0 1\n0 1 0 1\n1 0 1 0\n",
+               "row 2 of 4 has 3 entries"),
+    "bad-count": ("3\n0 1 0 1\n1 0 1 0\n0 1 0 1\n1 0 1 0\n",
+                  "expected 3 rows after the count, got 4"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "theory"])
+@pytest.mark.parametrize("case", sorted(_BAD_ADJACENCY))
+def test_bad_adjacency_file_exits_2_naming_the_key(tmp_path, capsys,
+                                                   command, case):
+    content, fragment = _BAD_ADJACENCY[case]
+    adjacency = tmp_path / "adj.txt"
+    _write_input(adjacency, content)
+    path = make_cfg(tmp_path, **{
+        "topology = ring": f"topology = custom\nadjacency = {adjacency}",
+        "n = 6": "n = 4"})
+    assert main([command, "--config", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: network.adjacency: " in err
+    assert fragment in err
+    assert "Traceback" not in err
 
 
 @dataclasses.dataclass(frozen=True)
