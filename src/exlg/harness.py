@@ -26,10 +26,10 @@ from .metrics import MetricSeries, plateau, w2_batch
 from .network import (
     MixingSet,
     build_mixing_set,
-    draw_delta,
     make_topology,
     topology_from_file,
     validate_assumptions,
+    with_h,
 )
 from .samplers import CENTRALIZED, derive_seed, record_ks, run_ensemble
 from .tasks import (
@@ -178,12 +178,9 @@ def build_mixing(cfg: ExperimentConfig) -> MixingSet:
     try:
         if net.topology != "custom":
             top = make_topology(net.topology, net.n)
-        delta = net.delta
-        if delta is None:
-            # seeded so the drawn delta is part of the reproducible config
-            delta = draw_delta(top, int(derive_seed(cfg.run.seed, "delta")
-                                        % (2 ** 31)))
-        return build_mixing_set(top, h=net.h, delta=delta)
+        # seeded so a drawn delta is part of the reproducible config
+        return build_mixing_set(top, h=net.h, delta=net.delta, seed=int(
+            derive_seed(cfg.run.seed, "delta") % (2 ** 31)))
     except ValueError as e:
         raise ConfigError(f"network: {e}") from None
 
@@ -376,34 +373,32 @@ class ManifestWriter:
                                 default=str) + "\n")
 
 
-def _problem_params(cfg: ExperimentConfig, task, ms: MixingSet, **kw):
-    """`problem_params_from` at the configured sampler.  In-domain values
-    that leave the bounds undefined are config errors naming the key."""
-    try:
-        p = problem_params_from(task, ms, cfg.sampler, **kw)
-    except ValueError:
-        mu, L = mu_L_bounds(task)
-        if mu < L:
-            raise
-        # the prior curvature 1 / (prior_var N) swamps the data's
+def _mu_L(cfg: ExperimentConfig, task, ms: MixingSet):
+    """The task's (mu, L), once in-domain values that leave the bound
+    constants undefined are ruled out as config errors naming the key."""
+    mu, L = mu_L_bounds(task)
+    if not mu < L:
+        # the prior curvature 1 / (prior_var N) swamps the data's or overflows
         raise ConfigError(
             f"task.prior_var: {cfg.task.prior_var:g} leaves the prior "
-            f"curvature alone, mu = L = {L:.6g}; the bounds need mu < L"
-        ) from None
-    if not np.isfinite(p.norm_B * p.norm_B):  # a vanishing eta, or huge B
+            f"curvature alone, mu = L = {L:.6g}; the bounds need mu < L")
+    norm_b = cfg.sampler.norm_b(ms.spectral.norm_wt)
+    if not np.isfinite(norm_b * norm_b):  # a vanishing eta, or huge B
         key = ("sampler.b_scale" if cfg.sampler.b_mode == "scaled-identity"
                else "sampler.eta")
         raise ConfigError(
-            f"{key}: ||B|| = {p.norm_B:.3g} is too large for the bound "
+            f"{key}: ||B|| = {norm_b:.3g} is too large for the bound "
             "constants (its square overflows)")
-    return p
+    return mu, L
 
 
-def _checked_mixing(cfg: ExperimentConfig, algorithms) -> Optional[MixingSet]:
-    """The checked mixing set, or None when every algorithm is centralized."""
+def _checked_mixing(cfg: ExperimentConfig, algorithms,
+                    ms: Optional[MixingSet] = None) -> Optional[MixingSet]:
+    """The checked mixing set, or None when every algorithm is centralized.
+    A given set ``ms`` is moved to the configured h, not built again."""
     if all(a in CENTRALIZED for a in algorithms):
         return None
-    ms = build_mixing(cfg)
+    ms = build_mixing(cfg) if ms is None else with_h(ms, cfg.network.h)
     check_assumptions(ms, cfg)
     return ms
 
@@ -438,16 +433,16 @@ def cmd_validate(cfg: ExperimentConfig, echo=print) -> int:
     for line in report.lines():
         echo(line)
     bundle = build_task(cfg)
+    mu_L = _mu_L(cfg, bundle.task, ms)
     try:
-        cert = validate_stepsize(_problem_params(cfg, bundle.task, ms))
+        cert = validate_stepsize(problem_params_from(
+            bundle.task, ms, cfg.sampler, mu_L=mu_L))
         echo("stepsize clauses (informational):")
         for line in cert.lines():
             echo("  " + line)
-    except ConfigError:
-        raise
     except ValueError as e:
         echo(f"stepsize report unavailable: {e}")
-    margin = cfg.sampler.eta * mu_L_bounds(bundle.task)[1] / 2.0
+    margin = cfg.sampler.eta * mu_L[1] / 2.0
     if margin >= 1.0:
         echo(f"warning: eta*L/2 = {margin:.3g} >= 1; "
              "the discretization is unstable at this stepsize")
@@ -465,15 +460,16 @@ def cmd_validate(cfg: ExperimentConfig, echo=print) -> int:
 def cmd_run(cfg: ExperimentConfig) -> int:
     """Run R replicas, write trajectory/metric CSVs and the manifest."""
     manifest = ManifestWriter(cfg, "run")
-    _run(cfg, build_task(cfg), manifest)
+    _run(cfg, build_task(cfg), manifest,
+         _checked_mixing(cfg, [cfg.sampler.algorithm]))
     return EXIT_OK
 
 
 def _run(cfg: ExperimentConfig, bundle: TaskBundle,
-         manifest: ManifestWriter):
-    """A `run` of cfg over a built task, its files written through
-    ``manifest``; returns the metric series it wrote."""
-    ms = _checked_mixing(cfg, [cfg.sampler.algorithm])
+         manifest: ManifestWriter, ms: Optional[MixingSet]):
+    """A `run` of cfg over a built task and its checked mixing set (None
+    for a centralized algorithm), its files written through ``manifest``;
+    returns the metric series it wrote."""
     seeds = _replica_seeds(cfg.run.seed, cfg.run.replicas)
     res, series = _chain_and_score(cfg, bundle, cfg.sampler.algorithm, seeds,
                                    ms)
@@ -537,10 +533,11 @@ _SWEEP_OBJECTIVE = ("w2_mean", "accuracy", "opt_error", "consensus")
 def cmd_sweep_h(cfg: ExperimentConfig) -> int:
     """A `run` per h on the grid; summarize plateaus and mark the best.
 
-    The task is built once and shared by every point; each point builds
-    and checks only its own mixing set.  Point h runs in the subdirectory
-    h_<h to 6 significant digits>; a grid whose points share one is a
-    config error, raised before any output.
+    The task is built once and shared by every point.  W is built once,
+    at the first point, and the set is moved to each later h with
+    `network.with_h`; each point's set is checked.  Point h runs in the
+    subdirectory h_<h to 6 significant digits>; a grid whose points share
+    one is a config error, raised before any output.
     The objective is the plateau of the first available label in
     {w2_mean, accuracy, opt_error, consensus}; accuracy plateaus are
     negated so "argmin" uniformly means "best".
@@ -558,13 +555,16 @@ def cmd_sweep_h(cfg: ExperimentConfig) -> int:
 
     rows = []
     objectives = []
+    ms = None
     for h, name in zip(grid, names):
         sub_out = os.path.join(manifest.out, name)
         sub = dataclasses.replace(
             cfg,
             network=dataclasses.replace(cfg.network, h=float(h)),
             run=dataclasses.replace(cfg.run, out=sub_out))
-        series = _run(sub, bundle, ManifestWriter(sub, "run"))
+        point = ManifestWriter(sub, "run")
+        ms = _checked_mixing(sub, [cfg.sampler.algorithm], ms)
+        series = _run(sub, bundle, point, ms)
         here = {s.label: plateau(s.values) for s in series}
         rows.extend((float(h), label, val) for label, val in here.items())
         for label in _SWEEP_OBJECTIVE:
@@ -595,6 +595,7 @@ def cmd_theory(cfg: ExperimentConfig, echo=print) -> int:
     ms = build_mixing(cfg)
     check_assumptions(ms, cfg)
 
+    mu_L = _mu_L(cfg, bundle.task, ms)
     xstar = bundle.task.minimizer()
     sigma2 = cfg.theory.sigma2
     if sigma2 is None:
@@ -606,8 +607,9 @@ def cmd_theory(cfg: ExperimentConfig, echo=print) -> int:
                                          cfg.sampler.batch, 200, rng)
             echo(f"estimated gradient noise sigma^2 = {sigma2:.6g}")
 
-    p = _problem_params(cfg, bundle.task, ms, sigma2=sigma2,
-                        w2_init=cfg.theory.w2_init, xstar=xstar)
+    p = problem_params_from(bundle.task, ms, cfg.sampler, sigma2=sigma2,
+                            w2_init=cfg.theory.w2_init, xstar=xstar,
+                            mu_L=mu_L)
     cert = validate_stepsize(p)
     for line in cert.lines():
         echo(line)

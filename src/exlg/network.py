@@ -3,8 +3,9 @@
 A mixing matrix is built from a graph Laplacian as W = I - delta * L, then
 smoothed to W~ = h*I + (1-h)*W with h in (0, 1/2].  U = W~ - W = h(I - W)
 carries the dual update in the generalized sampler; the spectral summary of
-W and W~ feeds the theory module.  `with_h` moves a built set to another h:
-it rebuilds W~, U and W~'s half of the summary, and keeps the rest.
+W and W~ feeds the theory module.  Each matrix is solved once, where it is
+built, and a set keeps the eigenvalues of W and W~.  `with_h` moves a built
+set to another h: it rebuilds W~, U and W~'s eigenvalues, and keeps the rest.
 
 Assumption checks mirror the standing assumptions on the mixing pair: W
 doubly stochastic with positive diagonal, spectra inside (-1, 1] and (0, 1],
@@ -15,6 +16,7 @@ the graph is connected and h > 0.
 from __future__ import annotations
 
 import dataclasses
+from typing import Optional
 
 import numpy as np
 
@@ -135,8 +137,12 @@ def make_topology(kind: str, n: int) -> Topology:
 
 def topology_from_file(path) -> Topology:
     """Read a custom adjacency: first line N, then N rows of N 0/1 entries."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as e:
+        raise ValueError(f"adjacency file {path}: not a text file ({e})") \
+            from None
     if not lines:
         raise ValueError(f"adjacency file {path} is empty")
     try:
@@ -151,14 +157,18 @@ def topology_from_file(path) -> Topology:
             f"adjacency file {path}: expected {n} rows after the count, "
             f"got {len(lines) - 1}"
         )
-    rows = [[float(tok) for tok in ln.replace(",", " ").split()]
-            for ln in lines[1:]]
+    rows = [ln.replace(",", " ").split() for ln in lines[1:]]
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(
                 f"adjacency file {path}: row {i + 1} of {n} has "
                 f"{len(row)} entries"
             )
+        try:
+            rows[i] = [float(tok) for tok in row]
+        except ValueError as e:
+            raise ValueError(f"adjacency file {path}: row {i + 1}: {e}") \
+                from None
     return custom(np.asarray(rows).reshape(n, n))
 
 
@@ -167,21 +177,15 @@ def laplacian(top: Topology) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
-def draw_delta(top: Topology, seed: int) -> float:
-    """Default step into the Laplacian: uniform on (0.05, 0.95)/lambda_max."""
+def build_w(top: Topology, delta: Optional[float], seed: int = 0):
+    """(W, delta) with W = I - delta * L, from one solve of L.  A given
+    ``delta`` must lie in (0, 2/lambda_max(L)); None draws it from ``seed``,
+    uniform on (0.05, 0.95)/lambda_max, or 1 on an edgeless graph (W = I)."""
     lap = laplacian(top)
     lam_max = float(sym_eig(lap).values[-1])
-    if lam_max <= 0.0:
-        # Edgeless graph: L = 0 and W = I for any delta.
-        return 1.0
-    rng = np.random.default_rng(seed)
-    return float(rng.uniform(0.05, 0.95)) / lam_max
-
-
-def build_w(top: Topology, delta: float) -> np.ndarray:
-    """W = I - delta * L.  ``delta`` must lie in (0, 2/lambda_max(L))."""
-    lap = laplacian(top)
-    lam_max = float(sym_eig(lap).values[-1])
+    if delta is None:
+        delta = 1.0 if lam_max <= 0.0 else float(
+            np.random.default_rng(seed).uniform(0.05, 0.95)) / lam_max
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     if lam_max > 0.0 and delta >= 2.0 / lam_max:
@@ -189,7 +193,12 @@ def build_w(top: Topology, delta: float) -> np.ndarray:
             f"delta={delta} outside (0, {2.0 / lam_max:.6g}) for this graph "
             f"(lambda_max(L)={lam_max:.6g}); W would leave the unit ball"
         )
-    return np.eye(top.n) - delta * lap
+    return np.eye(top.n) - delta * lap, delta
+
+
+def draw_delta(top: Topology, seed: int) -> float:
+    """Default step into the Laplacian: uniform on (0.05, 0.95)/lambda_max."""
+    return build_w(top, None, seed)[1]
 
 
 def build_w_tilde(w: np.ndarray, h: float) -> np.ndarray:
@@ -223,7 +232,8 @@ class SpectralSummary:
 
 @dataclasses.dataclass(frozen=True)
 class MixingSet:
-    """The full mixing bundle one sampler run needs."""
+    """The full mixing bundle one sampler run needs; ``w_eigs`` and
+    ``wt_eigs`` are the ascending eigenvalues of W and W~."""
 
     topology: Topology
     w: np.ndarray
@@ -231,6 +241,8 @@ class MixingSet:
     u: np.ndarray
     h: float
     delta: float
+    w_eigs: np.ndarray
+    wt_eigs: np.ndarray
     spectral: SpectralSummary
 
     @property
@@ -238,9 +250,9 @@ class MixingSet:
         return self.topology.n
 
 
-def _spectral_summary(lam2_w: float, lamN_w: float,
-                      wtv: np.ndarray) -> SpectralSummary:
-    """The summary from W's edge eigenvalues and all of W~'s, ascending."""
+def _spectral_summary(wv: np.ndarray, wtv: np.ndarray) -> SpectralSummary:
+    """The summary from all of W's and W~'s eigenvalues, ascending."""
+    lam2_w, lamN_w = float(wv[-2]), float(wv[0])
     lam2_wt, lamN_wt = float(wtv[-2]), float(wtv[0])
     return SpectralSummary(
         lam2_w=lam2_w,
@@ -254,21 +266,22 @@ def _spectral_summary(lam2_w: float, lamN_w: float,
     )
 
 
-def build_mixing_set(top: Topology, h: float, delta: float) -> MixingSet:
+def build_mixing_set(top: Topology, h: float, delta: Optional[float],
+                     seed: int = 0) -> MixingSet:
     """W = I - delta * L, W~ = h*I + (1-h)*W and U = h(I - W) on ``top``,
-    with their spectral summary.  ``delta`` is explicit: `draw_delta`
-    draws one from a seed."""
-    w = build_w(top, delta=delta)
+    with their spectra.  ``delta`` None draws one from ``seed``, as
+    `draw_delta` does, from the same solve of L that builds W."""
+    w, delta = build_w(top, delta, seed)
     wv = sym_eig(w).values
     # the set at h = 0, where W~ = W and U = 0, needs W's solve alone
-    bare = MixingSet(top, w, w, np.zeros_like(w), 0.0, delta,
-                     _spectral_summary(float(wv[-2]), float(wv[0]), wv))
+    bare = MixingSet(top, w, w, np.zeros_like(w), 0.0, delta, wv, wv,
+                     _spectral_summary(wv, wv))
     return with_h(bare, h)
 
 
 def with_h(ms: MixingSet, h: float) -> MixingSet:
     """``ms`` at smoothing ``h``: W~, U and W~'s eigenvalues are rebuilt,
-    while W, delta and W's half of the summary carry over unchanged."""
+    while W, delta and W's eigenvalues carry over unchanged."""
     w_tilde = build_w_tilde(ms.w, h)
     # U = W~ - W = h*(I - W); the scaled form avoids the cancellation the
     # literal difference suffers once h is small (entries h*O(1) computed
@@ -276,11 +289,9 @@ def with_h(ms: MixingSet, h: float) -> MixingSet:
     # eigenvalues.
     u = h * (np.eye(ms.n) - ms.w)
     u = (u + u.T) / 2.0
-    sp = ms.spectral
-    return dataclasses.replace(
-        ms, w_tilde=w_tilde, u=u, h=h,
-        spectral=_spectral_summary(sp.lam2_w, sp.lamN_w,
-                                   sym_eig(w_tilde).values))
+    wtv = sym_eig(w_tilde).values
+    return dataclasses.replace(ms, w_tilde=w_tilde, u=u, h=h, wt_eigs=wtv,
+                               spectral=_spectral_summary(ms.w_eigs, wtv))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -311,7 +322,10 @@ class ValidationReport:
 
 
 def validate_assumptions(ms: MixingSet) -> ValidationReport:
-    """Check the standing mixing-matrix assumptions, one result per clause."""
+    """Check the standing mixing-matrix assumptions, one result per clause.
+
+    The spectrum clauses of W and W~ read the eigenvalues ``ms`` was built
+    with; only (I+W)/2 - W~ and U are solved here."""
     n = ms.n
     checks: list[CheckResult] = []
 
@@ -352,8 +366,7 @@ def validate_assumptions(ms: MixingSet) -> ValidationReport:
         f"min W_ij (i != j) = {off_min:.6g}",
     )
 
-    wv = sym_eig(ms.w).values
-    lo, hi = float(wv[0]), float(wv[-1])
+    lo, hi = float(ms.w_eigs[0]), float(ms.w_eigs[-1])
     add(
         "w-spectrum",
         lo > -1.0 + 1e-12 and hi <= 1.0 + 1e-12,
@@ -361,8 +374,7 @@ def validate_assumptions(ms: MixingSet) -> ValidationReport:
         f"eig(W) in [{lo:.6g}, {hi:.6g}], required within (-1, 1]",
     )
 
-    wtv = sym_eig(ms.w_tilde).values
-    wt_lo = float(wtv[0])
+    wt_lo = float(ms.wt_eigs[0])
     add(
         "wt-positive-definite",
         wt_lo > 0.0,

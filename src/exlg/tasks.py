@@ -466,13 +466,13 @@ def mu_L_bounds(task) -> tuple[float, float]:
             L  = max_i (1/4) lam_max(X_i^T X_i) + 1/(N lambda)
     """
     prior_curv = 1.0 / (task.prior_var * task.n_agents)
-    # one eigensolve per shard keeps the temporaries at O(d^2)
+    # one stacked eigensolve over the (N, d, d) per-shard Gram matrices
     if isinstance(task, LogRegTask):
-        lmax = max(float(sym_eig(x.T @ x).values[-1]) for x in task.xs)
-        return prior_curv, 0.25 * lmax + prior_curv
-    vals = np.array([sym_eig(g).values[[0, -1]] for g in task._gram])
+        vals = sym_eig(task.xs.swapaxes(1, 2) @ task.xs).values
+        return prior_curv, 0.25 * float(vals[:, -1].max()) + prior_curv
+    vals = sym_eig(task._gram).values
     return (float(vals[:, 0].min()) + prior_curv,
-            float(vals[:, 1].max()) + prior_curv)
+            float(vals[:, -1].max()) + prior_curv)
 
 
 class LabelError(ValueError):

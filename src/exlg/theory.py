@@ -489,18 +489,20 @@ def bound_w2_agents(p: ProblemParams, tc: TheoryConstants, K: int) -> float:
 def problem_params_from(task, ms: MixingSet, sampler: SamplerConfig, *,
                         sigma2: float = 0.0,
                         w2_init: Optional[float] = None,
-                        xstar: Optional[np.ndarray] = None) -> ProblemParams:
+                        xstar: Optional[np.ndarray] = None,
+                        mu_L: Optional[tuple] = None) -> ProblemParams:
     """Assemble a ProblemParams bundle from a task, a mixing set and a sampler.
 
-    Curvature bounds come from the task, the spectrum from the mixing
-    set, eta and ||B|| (`SamplerConfig.norm_b` at the set's ||Wtilde||)
-    from ``sampler``, and ||grad F(x*)||^2 from the task minimiser
-    ``xstar`` (``task.minimizer()`` unless the caller has it already).
+    Curvature bounds come from the task (``mu_L`` when the caller has
+    ``mu_L_bounds(task)`` already), the spectrum from the mixing set, eta
+    and ||B|| (`SamplerConfig.norm_b` at the set's ||Wtilde||) from
+    ``sampler``, and ||grad F(x*)||^2 from the task minimiser ``xstar``
+    (``task.minimizer()`` unless the caller has it already).
     The chains start at zero, so the initial moments are exact zeros.
     When the task exposes a Gaussian target and ``w2_init`` is not given,
     the distance from the point mass at zero to the target fills it in.
     """
-    mu, L = mu_L_bounds(task)
+    mu, L = mu_L_bounds(task) if mu_L is None else mu_L
     if xstar is None:
         xstar = task.minimizer()
     # stacked per-agent gradients at x*: they sum to zero but need not

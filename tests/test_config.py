@@ -410,14 +410,24 @@ def test_int_key_probe_exits_cleanly(tmp_path, capsys, skey, value):
     # ||B|| = ||W~|| / eta squares past the float range
     (PROBE, {"sampler.eta": "1e-300"}, ("validate", "theory"), 2,
      "sampler.eta: ||B|| = 1e+300 is too large"),
+    # ... or is itself inf, at a subnormal eta
+    (PROBE, {"sampler.eta": "1e-320"}, ("validate", "theory"), 2,
+     "sampler.eta: ||B|| = inf is too large"),
+    (PROBE, {"sampler.b_mode": "scaled-identity", "sampler.b_scale": "1e300"},
+     ("validate", "theory"), 2,
+     "sampler.b_scale: ||B|| = 1e+300 is too large"),
     # the prior curvature 1 / (prior_var N) swamps the data: mu = L
     (PROBE, {"task.prior_var": "1e-300"}, ("validate", "theory"), 2,
      "task.prior_var: 1e-300 leaves the prior curvature alone"),
+    # ... or overflows, before a logistic task's Newton solve can fail
+    (LOGREG_PROBE, {"task.prior_var": "1e-320"}, ("validate", "theory"), 2,
+     "leaves the prior curvature alone, mu = L = inf"),
     # mu = 1 / (prior_var N) underflows every clause limit: no (h, eta)
     # to shrink to
     (LOGREG_PROBE, {"task.prior_var": "1e300"}, ("theory",), 3,
      "could not reach an admissible (h, eta)"),
-], ids=["eta-tiny", "prior_var-tiny", "prior_var-huge"])
+], ids=["eta-tiny", "eta-subnormal", "b_scale-huge", "prior_var-tiny",
+        "prior_var-subnormal", "prior_var-huge"])
 def test_degenerate_theory_inputs_exit_cleanly(tmp_path, capsys, base,
                                                overrides, commands, code,
                                                message):

@@ -93,6 +93,34 @@ def make_cfg(tmp_path, out_name="out", text=BASE, **edits):
     return str(path)
 
 
+@pytest.fixture
+def nxn_solves(monkeypatch):
+    """Counts `np.linalg.eigh` calls by matrix size: the fixture is a
+    function of n giving the number of n x n solves made so far."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kw):
+        sizes.append(np.shape(a)[-1])
+        return eigh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return sizes.count
+
+
+@pytest.mark.parametrize("delta", ["delta = 0.2", ""], ids=["given", "drawn"])
+@pytest.mark.parametrize("command", ["run", "compare", "validate"])
+def test_each_mixing_matrix_is_solved_once(tmp_path, nxn_solves, command,
+                                           delta):
+    # L, W and W~ where the set is built (a drawn delta reads the same
+    # solve of L), then (I+W)/2 - W~ and U in the assumption checks
+    text = BASE + "\n[compare]\nalgorithms = DE_SGLD GEN_EXTRA_SGLD\n"
+    path = make_cfg(tmp_path, text=text, **{
+        "n = 6": "n = 12", "delta = 0.2": delta, "steps = 40": "steps = 10"})
+    assert main([command, "--config", path]) == EXIT_OK
+    assert nxn_solves(12) == 5
+
+
 def read_metrics(path):
     series = {}
     with open(path) as fh:
@@ -408,6 +436,35 @@ class TestSweep:
         for h in ("0.1", "0.2", "0.3"):
             assert (tmp_path / "sweep" / f"h_{h}" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("delta", ["delta = 0.2", ""],
+                             ids=["given", "drawn"])
+    def test_points_move_one_built_set(self, tmp_path, monkeypatch,
+                                       nxn_solves, delta):
+        # L and W once, then W~, (I+W)/2 - W~ and U at each of 9 points;
+        # each point's set has the bits of a set built at its h
+        checked = []
+        real = harness.check_assumptions
+
+        def spy(ms, cfg):
+            checked.append(ms)
+            return real(ms, cfg)
+
+        monkeypatch.setattr(harness, "check_assumptions", spy)
+        text = BASE + "\n[sweep]\nh_min = 0.05\nh_max = 0.45\npoints = 9\n"
+        cfg = load_config(make_cfg(tmp_path, out_name="sweep", text=text, **{
+            "n = 6": "n = 12", "delta = 0.2": delta,
+            "steps = 40": "steps = 10"}))
+        assert cmd_sweep_h(cfg) == EXIT_OK
+        assert nxn_solves(12) == 2 + 3 * 9
+        assert [ms.h for ms in checked] == list(np.linspace(0.05, 0.45, 9))
+        for ms in checked:
+            fresh = build_mixing(dataclasses.replace(
+                cfg, network=dataclasses.replace(cfg.network, h=ms.h)))
+            for field in ("w", "w_tilde", "u", "w_eigs", "wt_eigs"):
+                assert np.array_equal(getattr(ms, field),
+                                      getattr(fresh, field)), field
+            assert (ms.delta, ms.spectral) == (fresh.delta, fresh.spectral)
+
     def test_divergence_partway_keeps_finished_points(self, tmp_path,
                                                       monkeypatch, capsys):
         calls = []
@@ -631,18 +688,11 @@ class TestTheoryCmd:
         err = capsys.readouterr().err
         assert "assumption violation" in err and "doubly-stochastic" in err
 
-    def test_shrink_solves_each_matrix_once(self, tmp_path, monkeypatch):
+    def test_shrink_solves_each_matrix_once(self, tmp_path, nxn_solves):
         # a 50-agent ring: W, W~ and the Laplacian once for the configured
-        # set, W~ once per shrink move, and the checks of two sets
+        # set, W~ once per shrink move, and (I+W)/2 - W~ and U in the
+        # checks of each of the two sets
         n = 50
-        counted = []
-        eigh = np.linalg.eigh
-
-        def counting(a, *args, **kw):
-            counted.append(np.shape(a)[-1] == n)
-            return eigh(a, *args, **kw)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
         text = BASE + "\n[theory]\nshrink = true\n"
         cfg = load_config(make_cfg(
             tmp_path, text=text,
@@ -651,7 +701,7 @@ class TestTheoryCmd:
         assert cmd_theory(cfg, echo=lambda line: None) == EXIT_OK
         with open(tmp_path / "out" / "manifest.json") as fh:
             assert json.load(fh)["h_used"] < 0.3  # the loop did run
-        assert sum(counted) <= 16
+        assert nxn_solves(n) <= 12
 
     def test_scaled_identity_bound_uses_b_scale(self, tmp_path, capsys):
         # ||B|| = |b_scale| enters gamma2; the chain runs with
@@ -849,11 +899,13 @@ class TestCsvDataErrors:
 # its error carries
 _BAD_ADJACENCY = {
     "directory": (None, "Is a directory"),
-    "binary": (bytes(range(256)) * 4, "codec can't decode"),
+    "binary": (bytes(range(256)) * 4, "adj.txt: not a text file"),
     "ragged": ("4\n0 1 0 1\n1 0 1\n0 1 0 1\n1 0 1 0\n",
                "row 2 of 4 has 3 entries"),
     "bad-count": ("3\n0 1 0 1\n1 0 1 0\n0 1 0 1\n1 0 1 0\n",
                   "expected 3 rows after the count, got 4"),
+    "non-numeric": ("4\n0 1 0 1\n1 0 x 0\n0 1 0 1\n1 0 1 0\n",
+                    "adj.txt: row 2: could not convert string to float: 'x'"),
 }
 
 

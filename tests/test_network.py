@@ -87,14 +87,14 @@ class TestLaplacian:
 
 class TestBuildW:
     def test_star_example(self):
-        w = build_w(star(3), delta=0.25)
+        w = build_w(star(3), delta=0.25)[0]
         expect = np.array(
             [[0.5, 0.25, 0.25], [0.25, 0.75, 0.0], [0.25, 0.0, 0.75]]
         )
         assert np.allclose(w, expect, atol=1e-15)
 
     def test_disconnected_identity(self):
-        assert np.allclose(build_w(disconnected(5), delta=0.3), np.eye(5))
+        assert np.allclose(build_w(disconnected(5), delta=0.3)[0], np.eye(5))
 
     def test_delta_out_of_range(self):
         t = ring(4)
@@ -115,7 +115,7 @@ class TestBuildW:
 
 class TestBuildWTilde:
     def test_half_is_lazy_average(self):
-        w = build_w(ring(5), delta=0.2)
+        w = build_w(ring(5), delta=0.2)[0]
         wt = build_w_tilde(w, 0.5)
         assert np.allclose(wt, (np.eye(5) + w) / 2.0, atol=1e-15)
 
@@ -124,12 +124,12 @@ class TestBuildWTilde:
         assert np.allclose(wt, np.eye(4), atol=1e-15)
 
     def test_ring_formula(self):
-        w = build_w(ring(6), delta=0.15)
+        w = build_w(ring(6), delta=0.15)[0]
         wt = build_w_tilde(w, 0.38)
         assert np.allclose(wt, 0.38 * np.eye(6) + 0.62 * w, atol=1e-15)
 
     def test_h_range_enforced(self):
-        w = build_w(ring(4), delta=0.2)
+        w = build_w(ring(4), delta=0.2)[0]
         for h in (0.0, -0.1, 0.51, 1.0):
             with pytest.raises(ValueError):
                 build_w_tilde(w, h)

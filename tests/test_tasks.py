@@ -334,6 +334,29 @@ def test_mu_L_matches_per_shard_loop(kind, sizes):
 
 
 @pytest.mark.parametrize("kind", ["linreg", "logreg"])
+def test_stacked_gram_solve_gives_each_shard_its_own_bits(kind):
+    # mu_L_bounds solves the (N, d, d) stack of per-shard Gram matrices in
+    # one call; each slice keeps the bits of the call on that shard alone
+    rng = np.random.default_rng(62)
+    beta = rng.standard_normal(5)
+    shards = [gen_linreg_data(30, beta, 1.0, rng) if kind == "linreg"
+              else gen_logreg_data(30, beta, rng) for _ in range(7)]
+    cls = LinRegTask if kind == "linreg" else LogRegTask
+    task = cls(xs=tuple(s[0] for s in shards),
+               ys=tuple(s[1] for s in shards), prior_var=3.0)
+    scale = 2.0 if kind == "linreg" else 1.0
+    grams = [scale * (x.T @ x) for x in task.xs]
+    stack = (task._gram if kind == "linreg"
+             else task.xs.swapaxes(1, 2) @ task.xs)
+    assert np.array_equal(stack, np.stack(grams))
+    whole = sym_eig(stack)
+    for i, g in enumerate(grams):
+        one = sym_eig(g)
+        assert np.array_equal(whole.values[i], one.values)
+        assert np.array_equal(whole.vectors[i], one.vectors)
+
+
+@pytest.mark.parametrize("kind", ["linreg", "logreg"])
 class TestShardStacks:
     """Tasks hold their equal shards as one (N, n, d) stack."""
 
