@@ -32,9 +32,8 @@ EVERY = 25
 rng = np.random.default_rng(derive_seed(MASTER, "data"))
 beta_true = np.array([1.5, -0.8])
 x, y = gen_linreg_data(60, beta_true, 1.0, rng)
-shards = partition_data(x, y, N_AGENTS, rng)
-task = LinRegTask(xs=tuple(s[0] for s in shards),
-                  ys=tuple(s[1] for s in shards), prior_var=1.0)
+xs, ys = partition_data(x, y, N_AGENTS, rng)
+task = LinRegTask(xs=xs, ys=ys, prior_var=1.0)
 
 target = task.target()
 print("true coefficients:   ", beta_true)

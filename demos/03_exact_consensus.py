@@ -16,9 +16,8 @@ from exlg.tasks import LinRegTask, gen_linreg_data, partition_data
 rng = np.random.default_rng(derive_seed(99, "data"))
 beta = rng.standard_normal(2)
 x, y = gen_linreg_data(18, beta, 1.0, rng)
-shards = partition_data(x, y, 6, rng)
-task = LinRegTask(xs=tuple(s[0] for s in shards),
-                  ys=tuple(s[1] for s in shards), prior_var=1.0)
+xs, ys = partition_data(x, y, 6, rng)
+task = LinRegTask(xs=xs, ys=ys, prior_var=1.0)
 ms = build_mixing_set(make_topology("ring", 6), h=0.38, delta=0.25)
 xstar = task.minimizer()
 print("minimizer:", np.round(xstar, 6))

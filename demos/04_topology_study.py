@@ -31,9 +31,8 @@ H = {"fully-connected": 0.50, "ring": 0.38, "star": 0.13,
 rng = np.random.default_rng(derive_seed(MASTER, "data"))
 beta = rng.standard_normal(2)
 x, y = gen_linreg_data(2500, beta, 1.0, rng)
-shards = partition_data(x, y, N, rng, per_agent=50)
-task = LinRegTask(xs=tuple(s[0] for s in shards),
-                  ys=tuple(s[1] for s in shards), prior_var=1.0)
+xs, ys = partition_data(x, y, N, rng, per_agent=50)
+task = LinRegTask(xs=xs, ys=ys, prior_var=1.0)
 target = task.target()
 
 

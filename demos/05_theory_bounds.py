@@ -28,9 +28,8 @@ MASTER = 5150
 rng = np.random.default_rng(derive_seed(MASTER, "data"))
 beta = rng.standard_normal(2)
 x, y = gen_linreg_data(600, beta, 1.0, rng)
-shards = partition_data(x, y, 12, rng, per_agent=50)
-task = LinRegTask(xs=tuple(s[0] for s in shards),
-                  ys=tuple(s[1] for s in shards), prior_var=1.0)
+xs, ys = partition_data(x, y, 12, rng, per_agent=50)
+task = LinRegTask(xs=xs, ys=ys, prior_var=1.0)
 
 ms = build_mixing_set(make_topology("ring", 12), h=0.38, delta=0.125)
 steps, every, reps = 200, 20, 60

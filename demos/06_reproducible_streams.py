@@ -55,9 +55,8 @@ assert np.array_equal(table[0, 0, 2], scalar)
 rng = np.random.default_rng(derive_seed(master, "data"))
 beta = rng.standard_normal(2)
 x, y = gen_linreg_data(60, beta, 1.0, rng)
-shards = partition_data(x, y, 4, rng)
-task = LinRegTask(xs=tuple(s[0] for s in shards),
-                  ys=tuple(s[1] for s in shards), prior_var=1.0)
+xs, ys = partition_data(x, y, 4, rng)
+task = LinRegTask(xs=xs, ys=ys, prior_var=1.0)
 ms = build_mixing_set(make_topology("ring", 4), h=0.3, delta=0.2)
 cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=500)
 

@@ -120,7 +120,6 @@ def build_task(cfg: ExperimentConfig) -> TaskBundle:
     stream and never perturbs the training data.
     """
     t = cfg.task
-    n_agents = cfg.network.n
     rng = np.random.default_rng(derive_seed(cfg.run.seed, "data"))
 
     if t.kind == "logreg-csv":
@@ -138,25 +137,19 @@ def build_task(cfg: ExperimentConfig) -> TaskBundle:
                 derive_seed(cfg.run.seed, "holdout"))
             holdout = gen_logreg_data(t.holdout, beta_true, hold_rng)
 
-    n_rows = x.shape[0]
-    size = max(n_rows // n_agents if t.per_agent is None else t.per_agent, 1)
-    if size * n_agents > n_rows:
+    try:
+        xs, ys = partition_data(x, y, cfg.network.n, rng,
+                                per_agent=t.per_agent)
+    except ValueError as e:
         key = "network.n" if t.per_agent is None else "task.per_agent"
-        raise ConfigError(
-            f"{key}: {n_agents} agents x {size} points need "
-            f"{size * n_agents} rows, the data has {n_rows}")
-    batch = cfg.sampler.batch
+        raise ConfigError(f"{key}: {e}") from None
+    batch, size = cfg.sampler.batch, xs.shape[1]
     if batch is not None and batch > size:
         raise ConfigError(
             f"sampler.batch: {batch} exceeds the shard size {size}")
-    shards = partition_data(x, y, n_agents, rng, per_agent=t.per_agent)
-    xs = tuple(s[0] for s in shards)
-    ys = tuple(s[1] for s in shards)
-    if t.kind == "linreg":
-        task = LinRegTask(xs=xs, ys=ys, prior_var=t.prior_var)
-    else:
-        task = LogRegTask(xs=xs, ys=ys, prior_var=t.prior_var)
-    return TaskBundle(task=task, holdout=holdout)
+    cls = LinRegTask if t.kind == "linreg" else LogRegTask
+    return TaskBundle(task=cls(xs=xs, ys=ys, prior_var=t.prior_var),
+                      holdout=holdout)
 
 
 def build_mixing(cfg: ExperimentConfig) -> MixingSet:
@@ -377,11 +370,14 @@ def _mu_L(cfg: ExperimentConfig, task, ms: MixingSet):
     """The task's (mu, L), once in-domain values that leave the bound
     constants undefined are ruled out as config errors naming the key."""
     mu, L = mu_L_bounds(task)
-    if not mu < L:
-        # the prior curvature 1 / (prior_var N) swamps the data's or overflows
-        raise ConfigError(
-            f"task.prior_var: {cfg.task.prior_var:g} leaves the prior "
-            f"curvature alone, mu = L = {L:.6g}; the bounds need mu < L")
+    if not 0.0 < mu < L:
+        # the prior curvature 1 / (prior_var N) swamps the data's or
+        # overflows (mu = L), or is too small to lift a direction that the
+        # shard data leave flat above the eigensolve's rounding (mu <= 0)
+        why = (f"leaves the prior curvature alone, mu = L = {L:.6g}"
+               if mu == L else f"leaves a flat direction, mu = {mu:.3g}")
+        raise ConfigError(f"task.prior_var: {cfg.task.prior_var:g} {why}; "
+                          "the bounds need 0 < mu < L")
     norm_b = cfg.sampler.norm_b(ms.spectral.norm_wt)
     if not np.isfinite(norm_b * norm_b):  # a vanishing eta, or huge B
         key = ("sampler.b_scale" if cfg.sampler.b_mode == "scaled-identity"
@@ -434,14 +430,11 @@ def cmd_validate(cfg: ExperimentConfig, echo=print) -> int:
         echo(line)
     bundle = build_task(cfg)
     mu_L = _mu_L(cfg, bundle.task, ms)
-    try:
-        cert = validate_stepsize(problem_params_from(
-            bundle.task, ms, cfg.sampler, mu_L=mu_L))
-        echo("stepsize clauses (informational):")
-        for line in cert.lines():
-            echo("  " + line)
-    except ValueError as e:
-        echo(f"stepsize report unavailable: {e}")
+    cert = validate_stepsize(problem_params_from(
+        bundle.task, ms, cfg.sampler, mu_L=mu_L))
+    echo("stepsize clauses (informational):")
+    for line in cert.lines():
+        echo("  " + line)
     margin = cfg.sampler.eta * mu_L[1] / 2.0
     if margin >= 1.0:
         echo(f"warning: eta*L/2 = {margin:.3g} >= 1; "

@@ -15,10 +15,12 @@ Gradient conventions (the per-agent f_i everything samples from):
     linreg:  grad f_i = sum_j 2 (beta^T X_j - y_j) X_j + beta / (lambda N)
     logreg:  grad f_i = sum_j -s_j X_j sigma(-beta^T s_j X_j) + beta/(N lambda)
 
-Each task's ``grad_block`` evaluates these for a whole (replicas, agents,
-dim) block in one call, with or without minibatch indices; it is the only
-gradient entry point.  Blocks are feature-major: a minibatch is one
-``np.take`` of (features, replicas, agents, batch) from a flat
+``partition_data`` cuts a dataset into the shards a task holds: one
+(N, n, d) feature stack and one (N, n) target stack, n rows per agent.
+Each task's ``grad_block(x, idx=None)`` evaluates these at every row of
+an (R, N, d) block in one call, with or without minibatch indices; it is
+the only gradient entry point.  Blocks are feature-major: a minibatch is
+one ``np.take`` of (features, replicas, agents, batch) from a flat
 (features, N*n) copy of the shards, made once.  A row's bits do not depend
 on how many rows share the call: products over the feature axis run as a
 fixed-order loop of elementwise operations, and sums over data rows run
@@ -115,11 +117,11 @@ def checked_cov(c) -> np.ndarray:
 class GradientOracle(Protocol):
     """What a sampler needs from a task: the stacked gradient.
 
-    ``grad_block(x, idx, agents)`` takes an (R, n, d) block and returns
-    grad f_a(x[r, j]) at every row, a = agents[j] (default: all N agents
-    in order).  With ``idx`` (R, n, b) the data part is the minibatch
-    estimate over those shard rows; a minibatch sampler then also reads
-    the oracle's ``shard_size``, the rows every agent holds.
+    ``grad_block(x, idx)`` takes an (R, N, d) block and returns
+    grad f_i(x[r, i]) at every row.  With ``idx`` (R, N, b) the data part
+    is the minibatch estimate over those shard rows; a minibatch sampler
+    then also reads the oracle's ``shard_size``, the rows every agent
+    holds.
     """
 
     @property
@@ -128,31 +130,8 @@ class GradientOracle(Protocol):
     @property
     def n_agents(self) -> int: ...
 
-    def grad_block(self, x: np.ndarray, idx=None, agents=None) -> np.ndarray:
+    def grad_block(self, x: np.ndarray, idx=None) -> np.ndarray:
         ...
-
-
-def _as_stacks(xs, ys):
-    """Equal, nonempty per-agent shards as one (N, n, d) feature stack and
-    one (N, n) target stack."""
-    xs = [np.atleast_2d(np.asarray(x, dtype=float)) for x in xs]
-    ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
-    if len(xs) != len(ys) or not xs:
-        raise ValueError("need matching, nonempty per-agent shard lists")
-    for x, y in zip(xs, ys):
-        if x.shape[0] != y.shape[0]:
-            raise ValueError(
-                f"shard has {x.shape[0]} rows but {y.shape[0]} targets"
-            )
-        if x.shape[1:] != xs[0].shape[1:]:
-            raise ValueError("shards disagree on the feature dimension")
-    sizes = sorted({x.shape[0] for x in xs})
-    if len(sizes) != 1 or sizes[0] == 0:
-        raise ValueError(
-            f"shards must be equal and nonempty; got sizes {sizes}")
-    if xs[0].shape[1] == 0:
-        raise ValueError("shards have no feature columns")
-    return np.stack(xs), np.stack(ys)
 
 
 def _matvec(m, v):
@@ -182,13 +161,26 @@ class _ShardedTask:
     """What both tasks share: the shard stacks, the block gradient's
     argument handling and minibatch gather, and the prior term.
 
-    Subclasses are frozen dataclasses with fields xs, ys and prior_var.
-    They accept a sequence of equal shards and hold them as one (N, n, d)
-    stack ``xs`` and one (N, n) stack ``ys``.
+    Subclasses are frozen dataclasses with fields xs, ys and prior_var:
+    the (N, n, d) feature stack and (N, n) target stack that
+    ``partition_data`` cuts (or a sequence of equal shards, stacked).
     """
 
     def _init_shards(self):
-        xs, ys = _as_stacks(self.xs, self.ys)
+        """Keep copies of xs and ys as float stacks, checked: N >= 1 equal
+        shards of n >= 1 rows and d >= 1 features."""
+        try:
+            xs = np.array(self.xs, dtype=float)
+            ys = np.array(self.ys, dtype=float)
+        except ValueError:  # a ragged sequence of shards
+            raise ValueError(
+                "shards must be equal and nonempty; got a ragged sequence"
+            ) from None
+        if xs.ndim != 3 or ys.shape != xs.shape[:2] or 0 in xs.shape:
+            raise ValueError(
+                "shards must be equal and nonempty: need an (N, n, d) "
+                f"feature stack and an (N, n) target stack, got {xs.shape} "
+                f"and {ys.shape}")
         if self.prior_var <= 0.0:
             raise ValueError("prior_var must be positive")
         object.__setattr__(self, "xs", xs)
@@ -218,20 +210,17 @@ class _ShardedTask:
     def _prior_grad(self, beta):
         return beta / (self.prior_var * self.n_agents)
 
-    def _block_args(self, x, agents, idx):
-        """x as an (R, n, d) float array, agents as None (all N in order)
-        or a 1-d int array, and idx as None or (R, n, b) shard rows in
-        [0, shard_size).  Indices obey numpy's rules for indexing one
-        shard: integers only, and negative ones count from the end."""
+    def _block_args(self, x, idx):
+        """x as an (R, N, d) float array, and idx as None or (R, N, b)
+        shard rows in [0, shard_size).  Indices obey numpy's rules for
+        indexing one shard: integers only, and negative ones count from
+        the end."""
         x = np.asarray(x, dtype=float)
-        if agents is not None:
-            agents = np.asarray(agents, dtype=int).reshape(-1)
-        rows = self.n_agents if agents is None else agents.size
-        if x.ndim != 3 or x.shape[1:] != (rows, self.dim):
-            raise ValueError(
-                f"block shape {x.shape} is not (R, {rows}, {self.dim})")
+        if x.ndim != 3 or x.shape[1:] != (self.n_agents, self.dim):
+            raise ValueError(f"block shape {x.shape} is not "
+                             f"(R, {self.n_agents}, {self.dim})")
         if idx is None:
-            return x, agents, None
+            return x, None
         idx = np.asarray(idx)
         if idx.ndim != 3 or idx.shape[:2] != x.shape[:2]:
             raise ValueError(
@@ -243,13 +232,12 @@ class _ShardedTask:
         lo = idx.min(initial=0)
         if lo < -n or idx.max(initial=0) >= n:
             raise IndexError(f"minibatch index outside [-{n}, {n})")
-        return x, agents, idx % n if lo < 0 else idx
+        return x, idx % n if lo < 0 else idx
 
-    def _gather(self, agents, idx):
-        """The ``_flat`` columns of shard rows ``idx`` (R, n, b), agent
-        ``agents[j]`` at row j: one feature-major (c, R, n, b) take."""
-        row0 = self._row0 if agents is None else self._row0[agents]
-        return np.take(self._flat, row0[:, None] + idx, axis=1)
+    def _gather(self, idx):
+        """The ``_flat`` columns of shard rows ``idx`` (R, N, b), agent i
+        at row i: one feature-major (c, R, N, b) take."""
+        return np.take(self._flat, self._row0[:, None] + idx, axis=1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -273,24 +261,21 @@ class LinRegTask(_ShardedTask):
             [2.0 * (x.T @ y) for x, y in zip(self.xs, self.ys)]))
         self._init_flat(np.concatenate([self.xs, self.ys[..., None]], -1))
 
-    def grad_block(self, x, idx=None, agents=None):
-        """Gradients at every row of an (R, n, d) block.
+    def grad_block(self, x, idx=None):
+        """Gradients at every row of an (R, N, d) block.
 
-        Row j of replica r gets grad f_a(x[r, j]) for a = agents[j]
-        (default: all N agents in order).  With ``idx`` (R, n, b), the
-        data part is the minibatch estimate over those shard rows, scaled
-        by n / b.  A row's bits do not depend on R or n.
+        Row i of replica r gets grad f_i(x[r, i]).  With ``idx``
+        (R, N, b), the data part is the minibatch estimate over those
+        shard rows, scaled by n / b.  A row's bits do not depend on R or
+        on the other rows.
         """
-        x, agents, idx = self._block_args(x, agents, idx)
+        x, idx = self._block_args(x, idx)
         xt = x.transpose(2, 0, 1)[..., None]
         if idx is None:
             # gram[j][a, c] = G_a[c, j]
-            gram, xty = self._gram.transpose(2, 0, 1), self._xty
-            if agents is not None:
-                gram, xty = gram[:, agents], xty[agents]
-            data = _matvec(gram, xt) - xty
+            data = _matvec(self._gram.transpose(2, 0, 1), xt) - self._xty
         else:
-            blk = self._gather(agents, idx)  # the d features, then y
+            blk = self._gather(idx)  # the d features, then y
             resid = _matvec(blk[:-1], xt) - blk[-1]
             data = (self.shard_size / idx.shape[-1]) \
                 * (2.0 * _rmatvec(blk[:-1], resid))
@@ -337,21 +322,17 @@ class LogRegTask(_ShardedTask):
         """Features folded with the label sign: s_j X_j, s_j = 2 y_j - 1."""
         return self._signed[i]
 
-    def grad_block(self, x, idx=None, agents=None):
-        """Gradients at every row of an (R, n, d) block.
+    def grad_block(self, x, idx=None):
+        """Gradients at every row of an (R, N, d) block.
 
-        Row j of replica r gets grad f_a(x[r, j]) for a = agents[j]
-        (default: all N agents in order).  With ``idx`` (R, n, b), the
-        data part is the minibatch estimate over those shard rows, scaled
-        by n / b.  A row's bits do not depend on R or n.
+        Row i of replica r gets grad f_i(x[r, i]).  With ``idx``
+        (R, N, b), the data part is the minibatch estimate over those
+        shard rows, scaled by n / b.  A row's bits do not depend on R or
+        on the other rows.
         """
-        x, agents, idx = self._block_args(x, agents, idx)
-        if idx is None:
-            s = self._flat.reshape(self.dim, 1, self.n_agents, -1)
-            if agents is not None:
-                s = s[:, :, agents]
-        else:
-            s = self._gather(agents, idx)
+        x, idx = self._block_args(x, idx)
+        s = (self._flat.reshape(self.dim, 1, self.n_agents, -1)
+             if idx is None else self._gather(idx))
         z = _matvec(s, x.transpose(2, 0, 1)[..., None])
         data = -_rmatvec(s, self._expit(-z))
         if idx is not None:
@@ -596,28 +577,25 @@ def partition_data(
     rng: np.random.Generator,
     per_agent: int | None = None,
 ):
-    """Shuffle and split into equal disjoint per-agent shards.
+    """Shuffle and cut equal disjoint per-agent shards, as the (N, n, d)
+    feature stack and (N, n) target stack a task holds.
 
-    Default shard size is len(x) // n_agents; any remainder is dropped with
-    a logged warning.  ``per_agent`` forces a smaller shard size (a seeded
-    subsample), with the unused rows dropped the same way.
+    The shard size n is len(x) // n_agents, or ``per_agent`` when set (a
+    seeded subsample), and at least 1.  Agent i gets rows
+    ``perm[i*n:(i+1)*n]`` of one ``rng.permutation``; unused rows are
+    dropped with a logged warning.  Data with fewer than N * n rows is a
+    ``ValueError``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.shape[0]
     if y.shape[0] != n:
         raise ValueError("feature/target row counts differ")
-    size = n // n_agents if per_agent is None else int(per_agent)
-    if size < 1:
-        raise ValueError(
-            f"cannot give each of {n_agents} agents at least one of "
-            f"{n} points"
-        )
+    size = max(n // n_agents if per_agent is None else int(per_agent), 1)
     used = size * n_agents
     if used > n:
-        raise ValueError(
-            f"per_agent={size} needs {used} rows but only {n} available"
-        )
+        raise ValueError(f"{n_agents} agents x {size} points need {used} "
+                         f"rows, the data has {n}")
     perm = rng.permutation(n)
     if used < n:
         logger.warning(
@@ -627,11 +605,8 @@ def partition_data(
             n_agents,
             size,
         )
-    shards = []
-    for i in range(n_agents):
-        idx = perm[i * size : (i + 1) * size]
-        shards.append((x[idx], y[idx]))
-    return shards
+    idx = perm[:used].reshape(n_agents, size)
+    return x[idx], y[idx]
 
 
 def estimate_grad_noise(

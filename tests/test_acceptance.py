@@ -89,9 +89,8 @@ def _linreg_task(master, n_points, n_agents, dim, per_agent=None,
     rng = np.random.default_rng(derive_seed(master, "data"))
     beta = rng.standard_normal(dim)
     x, y = gen_linreg_data(n_points, beta, 1.0, rng)
-    shards = partition_data(x, y, n_agents, rng, per_agent=per_agent)
-    return LinRegTask(xs=tuple(s[0] for s in shards),
-                      ys=tuple(s[1] for s in shards), prior_var=prior_var)
+    xs, ys = partition_data(x, y, n_agents, rng, per_agent=per_agent)
+    return LinRegTask(xs=xs, ys=ys, prior_var=prior_var)
 
 
 @pytest.fixture(scope="module")
@@ -262,13 +261,9 @@ def test_06_gradient_fidelity():
     rng = np.random.default_rng(66)
     beta0 = rng.standard_normal(3)
     x, y = gen_linreg_data(24, beta0, 1.0, rng)
-    sh = partition_data(x, y, 4, rng)
-    lin = LinRegTask(xs=tuple(s[0] for s in sh), ys=tuple(s[1] for s in sh),
-                     prior_var=2.0)
+    lin = LinRegTask(*partition_data(x, y, 4, rng), prior_var=2.0)
     x, y = gen_logreg_data(24, beta0, rng)
-    sh = partition_data(x, y, 4, rng)
-    log = LogRegTask(xs=tuple(s[0] for s in sh), ys=tuple(s[1] for s in sh),
-                     prior_var=2.0)
+    log = LogRegTask(*partition_data(x, y, 4, rng), prior_var=2.0)
 
     def lin_f(i, b):
         resid = lin.ys[i] - lin.xs[i] @ b
@@ -284,7 +279,8 @@ def test_06_gradient_fidelity():
         for _ in range(20):
             i = int(rng.integers(task.n_agents))
             b = rng.standard_normal(3)
-            analytic = task.grad_block(b[None, None], agents=i)[0, 0]
+            analytic = task.grad_block(
+                np.broadcast_to(b, (1, task.n_agents, 3)))[0, i]
             fd = _fd_grad(lambda bb: f(i, bb), b)
             rel = np.linalg.norm(analytic - fd) / (
                 np.linalg.norm(analytic) + 1e-12)
@@ -305,21 +301,20 @@ def test_07_minibatch_unbiasedness():
         sub = np.array(idx)
         g = 2.0 * (x[sub].T @ (x[sub] @ beta - y[sub])) * (4 / 2)
         acc += g + task._prior_grad(beta)
-    full = task.grad_block(beta[None, None], agents=0)[0, 0]
+    full = task.grad_block(beta[None, None])[0, 0]
     assert np.max(np.abs(acc / len(subsets) - full)) <= 1e-12
 
     beta0 = rng.standard_normal(3)
     xl, yl = gen_logreg_data(36, beta0, rng)
-    sh = partition_data(xl, yl, 3, rng)
-    big = LogRegTask(xs=tuple(s[0] for s in sh), ys=tuple(s[1] for s in sh),
-                     prior_var=2.0)
+    big = LogRegTask(*partition_data(xl, yl, 3, rng), prior_var=2.0)
     beta = 0.3 * rng.standard_normal(3)
-    full = big.grad_block(beta[None, None], agents=0)[0, 0]
+    block = np.broadcast_to(beta, (1, 3, 3))
+    full = big.grad_block(block)[0, 0]
     n_i = big.xs[0].shape[0]
+    # agent 0's batch, given to every agent; row 0 reads agent 0's
     draws = np.array([
-        big.grad_block(beta[None, None],
-                       rng.choice(n_i, 4, replace=False)[None, None],
-                       agents=0)[0, 0]
+        big.grad_block(block, np.broadcast_to(
+            rng.choice(n_i, 4, replace=False), (1, 3, 4)))[0, 0]
         for _ in range(10_000)])
     se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - full) <= 3.0 * se + 1e-12)
@@ -375,9 +370,8 @@ def _logistic_setup(master):
     x, y = gen_logreg_data(600, beta, rng)
     hold_rng = np.random.default_rng(derive_seed(master, "holdout"))
     hx, hy = gen_logreg_data(1000, beta, hold_rng)
-    sh = partition_data(x, y, 6, rng)
-    task = LogRegTask(xs=tuple(s[0] for s in sh),
-                      ys=tuple(s[1] for s in sh), prior_var=1.0)
+    xs, ys = partition_data(x, y, 6, rng)
+    task = LogRegTask(xs=xs, ys=ys, prior_var=1.0)
     return task, hx, hy
 
 
@@ -417,9 +411,8 @@ def test_10_real_data_repeat():
     n_hold = x.shape[0] // 5
     hx, hy = x[perm[:n_hold]], y[perm[:n_hold]]
     xt, yt = x[perm[n_hold:]], y[perm[n_hold:]]
-    sh = partition_data(xt, yt, 6, rng)
-    task = LogRegTask(xs=tuple(s[0] for s in sh),
-                      ys=tuple(s[1] for s in sh), prior_var=1.0)
+    xs, ys = partition_data(xt, yt, 6, rng)
+    task = LogRegTask(xs=xs, ys=ys, prior_var=1.0)
     ms = _pinned_mixing("ring", 6, 0.056)
     gen = _terminal_accuracy(task, ms, "GEN_EXTRA_SGLD",
                              SEED_LOGISTIC, hx, hy)

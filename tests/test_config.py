@@ -11,7 +11,9 @@ from typing import Optional
 import pytest
 
 import exlg
-from exlg.config import ConfigError, ExperimentConfig, load_config
+from exlg.config import TASK_KINDS, ConfigError, ExperimentConfig, load_config
+from exlg.network import TOPOLOGY_KINDS
+from exlg.samplers import ALGORITHMS, B_MODES
 
 MINIMAL = """
 [task]
@@ -426,8 +428,13 @@ def test_int_key_probe_exits_cleanly(tmp_path, capsys, skey, value):
     # to shrink to
     (LOGREG_PROBE, {"task.prior_var": "1e300"}, ("theory",), 3,
      "could not reach an admissible (h, eta)"),
+    # 2 points per agent in 5 dimensions leave a flat direction, and a
+    # prior curvature of 1 / (6e300) cannot lift it: mu rounds below 0
+    (PROBE, {"task.dim": "5", "task.beta_true": "", "task.per_agent": "2",
+             "task.prior_var": "1e300"}, ("validate", "theory"), 2,
+     "task.prior_var: 1e+300 leaves a flat direction, mu = -"),
 ], ids=["eta-tiny", "eta-subnormal", "b_scale-huge", "prior_var-tiny",
-        "prior_var-subnormal", "prior_var-huge"])
+        "prior_var-subnormal", "prior_var-huge", "prior_var-flat"])
 def test_degenerate_theory_inputs_exit_cleanly(tmp_path, capsys, base,
                                                overrides, commands, code,
                                                message):
@@ -439,6 +446,46 @@ def test_degenerate_theory_inputs_exit_cleanly(tmp_path, capsys, base,
                      str(tmp_path / command)]) == code, command
         captured = capsys.readouterr()
         assert message in captured.out + captured.err, command
+
+
+# the values every key is swept over, and the enum values of the keys
+# that have them; int keys do not parse 1e300, so nothing allocates
+EDGE_VALUES = ("", "0", "-1", "1e-320", "1e300", "nan", "abc")
+ENUM_VALUES = {"task.kind": TASK_KINDS, "network.topology": TOPOLOGY_KINDS,
+               "sampler.algorithm": ALGORITHMS, "sampler.b_mode": B_MODES,
+               "compare.algorithms": ALGORITHMS,
+               **{skey: ("true", "false") for skey in _keys_of(bool)}}
+SWEEP_PROBE = {**PROBE, "run": {**PROBE["run"], "out": "out"}}
+SWEEP_RUN = {**SWEEP_PROBE, "sampler": {**PROBE["sampler"], "steps": "20"},
+             "run": {**SWEEP_PROBE["run"], "replicas": "1"}}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1e300 overflows
+@pytest.mark.parametrize("skey", [f"{section}.{f.name}"
+                                  for section, cls in SECTIONS.items()
+                                  for f in dataclasses.fields(cls)])
+def test_config_domain_sweep_exits_cleanly(tmp_path, monkeypatch, capsys,
+                                           skey):
+    """Every key at each edge value, a missing path and each of its enum
+    values: `validate` and `theory` on the probe config and `run` on a
+    1-replica, 20-step one exit 0, 2, 3 or 4, never with a traceback."""
+    from exlg.cli import main
+
+    monkeypatch.chdir(tmp_path)  # a relative run.out lands here
+    missing = str(tmp_path / "missing" / "file")
+    for value in EDGE_VALUES + (missing,) + ENUM_VALUES.get(skey, ()):
+        if skey == "task.beta_true" and value:
+            value += " 0.5"  # dim is 2
+        for base, commands in ((SWEEP_PROBE, ("validate", "theory")),
+                               (SWEEP_RUN, ("run",))):
+            path = _probe_cfg(tmp_path, base, {skey: value})
+            for command in commands:
+                try:
+                    code = main([command, "--config", path])
+                except Exception as e:  # the CLI would exit 1
+                    code = f"1, {type(e).__name__}: {e}"
+                assert code in (0, 2, 3, 4), (command, value, code)
+                assert "Traceback" not in capsys.readouterr().err
 
 
 def test_de_sgld_mode_is_an_unknown_key(tmp_path, capsys):

@@ -5,12 +5,16 @@ an empty working directory.  Demo 03 (a few seconds: its chains differ
 in eta, so they cannot share one ensemble) is left to manual runs, so
 every demo's ``from exlg.<mod> import X`` names are also checked against
 the package without running it: a demo that imports a name the package
-no longer has fails here either way.
+no longer has fails here either way.  The README's ``python`` blocks
+run too, in order, in one namespace.
 """
 
 import ast
+import contextlib
 import importlib
+import io
 import os
+import re
 import subprocess
 import sys
 
@@ -53,3 +57,14 @@ def test_demo_imports_exist(name):
     missing = [f"{mod}.{attr}" for mod, attr in imported
                if not hasattr(importlib.import_module(mod), attr)]
     assert not missing, f"{name} imports names exlg lacks: {missing}"
+
+
+def test_readme_python_blocks_run_in_order():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(),
+                            re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 2, blocks
+    namespace: dict = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)

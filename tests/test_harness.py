@@ -933,7 +933,7 @@ class SpikeOracle:
     n_agents: int = 6
     dim: int = 2
 
-    def grad_block(self, x, idx=None, agents=None):
+    def grad_block(self, x, idx=None):
         return x - 1e16 * (np.arange(self.n_agents) == 3)[:, None]
 
 

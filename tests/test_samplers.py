@@ -50,7 +50,7 @@ class QuadOracle:
     n_agents: int
     dim: int
 
-    def grad_block(self, x, idx=None, agents=None):
+    def grad_block(self, x, idx=None):
         return x / self.n_agents
 
     def minimizer(self):
@@ -62,7 +62,7 @@ class ZeroOracle:
     n_agents: int
     dim: int
 
-    def grad_block(self, x, idx=None, agents=None):
+    def grad_block(self, x, idx=None):
         return np.zeros(np.shape(x))
 
 
@@ -70,10 +70,9 @@ def _toy_task(seed=0, n_agents=6, n_i=5, d=3, prior_var=10.0):
     rng = np.random.default_rng(seed)
     beta = rng.standard_normal(d)
     x, y = gen_linreg_data(n_agents * n_i, beta, 1.0, rng)
-    shards = partition_data(x, y, n_agents, rng)
+    xs, ys = partition_data(x, y, n_agents, rng)
     return LinRegTask(
-        xs=tuple(s[0] for s in shards),
-        ys=tuple(s[1] for s in shards),
+        xs=xs, ys=ys,
         prior_var=prior_var,
     )
 
@@ -337,9 +336,12 @@ def _written_out_chain(task, cfg, seed, ms):
     noise = NoiseStream(seed, 1 if algo == "ULA" else n, d)
 
     def grad(i, xi, k):
-        idx = None if cfg.batch is None else noise.batch_rng(k, i).choice(
-            task.xs[i].shape[0], cfg.batch, replace=False)[None, None]
-        return task.grad_block(xi[None, None], idx, agents=i)[0, 0]
+        """Row i of a block with xi at every row (and agent i's batch
+        as every agent's)."""
+        idx = None if cfg.batch is None else np.broadcast_to(
+            noise.batch_rng(k, i).choice(task.xs[i].shape[0], cfg.batch,
+                                         replace=False), (1, n, cfg.batch))
+        return task.grad_block(np.broadcast_to(xi, (1, n, d)), idx)[0, i]
 
     def grads(x, k):
         return np.stack([grad(i, x[i], k) for i in range(n)])
@@ -401,10 +403,9 @@ def test_chain_matches_step_functions(algo, batch):
 def _toy_logreg(seed=0, n_agents=6, n_i=8, d=3, prior_var=10.0):
     rng = np.random.default_rng(seed)
     x, y = gen_logreg_data(n_agents * n_i, rng.standard_normal(d), rng)
-    shards = partition_data(x, y, n_agents, rng)
+    xs, ys = partition_data(x, y, n_agents, rng)
     return LogRegTask(
-        xs=tuple(s[0] for s in shards),
-        ys=tuple(s[1] for s in shards),
+        xs=xs, ys=ys,
         prior_var=prior_var,
     )
 
@@ -711,7 +712,7 @@ class TestChainMechanics:
         class SpikeOracle(QuadOracle):
             """Agent 3's gradient alone leaves the guard ball at once."""
 
-            def grad_block(self, x, idx=None, agents=None):
+            def grad_block(self, x, idx=None):
                 return x - 1e16 * (np.arange(self.n_agents) == 3)[:, None]
 
         for algo in ("DE_SGLD", "EXTRA_SGLD", "GEN_EXTRA_SGLD"):

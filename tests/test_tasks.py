@@ -45,12 +45,14 @@ def _fd_grad(f, x, eps=1e-5):
 
 
 def _grad(task, i, beta, idx=None):
-    """Agent i's gradient at beta from a one-row block; with ``idx``, the
-    minibatch estimate over those rows of its shard."""
-    beta = np.asarray(beta, dtype=float)
-    return task.grad_block(beta[None, None],
-                           None if idx is None else idx[None, None],
-                           agents=i)[0, 0]
+    """Agent i's gradient at beta: row i of a block with beta at every row;
+    with ``idx``, the minibatch estimate over those rows of its shard (the
+    block gives every agent the same rows)."""
+    x = np.broadcast_to(np.asarray(beta, dtype=float),
+                        (1, task.n_agents, task.dim))
+    if idx is not None:
+        idx = np.broadcast_to(idx, (1, task.n_agents, len(idx)))
+    return task.grad_block(x, idx)[0, i]
 
 
 def _linreg_f(task, i, beta):
@@ -71,10 +73,9 @@ def _toy_linreg(seed=0, n_agents=4, n_i=6, d=3, prior_var=10.0):
     rng = np.random.default_rng(seed)
     beta = rng.standard_normal(d)
     x, y = gen_linreg_data(n_agents * n_i, beta, 1.0, rng)
-    shards = partition_data(x, y, n_agents, rng)
+    xs, ys = partition_data(x, y, n_agents, rng)
     return LinRegTask(
-        xs=tuple(s[0] for s in shards),
-        ys=tuple(s[1] for s in shards),
+        xs=xs, ys=ys,
         prior_var=prior_var,
     )
 
@@ -83,10 +84,9 @@ def _toy_logreg(seed=0, n_agents=3, n_i=8, d=3, prior_var=10.0):
     rng = np.random.default_rng(seed)
     beta = rng.standard_normal(d)
     x, y = gen_logreg_data(n_agents * n_i, beta, rng)
-    shards = partition_data(x, y, n_agents, rng)
+    xs, ys = partition_data(x, y, n_agents, rng)
     return LogRegTask(
-        xs=tuple(s[0] for s in shards),
-        ys=tuple(s[1] for s in shards),
+        xs=xs, ys=ys,
         prior_var=prior_var,
     )
 
@@ -306,8 +306,8 @@ def _sharded(kind, sizes, seed=60):
     shards = [gen_linreg_data(n, beta, 1.0, rng) if kind == "linreg"
               else gen_logreg_data(n, beta, rng) for n in sizes]
     cls = LinRegTask if kind == "linreg" else LogRegTask
-    return cls(xs=tuple(s[0] for s in shards),
-               ys=tuple(s[1] for s in shards), prior_var=3.0)
+    xs, ys = zip(*shards)
+    return cls(xs=xs, ys=ys, prior_var=3.0)
 
 
 def _mu_L_per_shard(task):
@@ -342,8 +342,8 @@ def test_stacked_gram_solve_gives_each_shard_its_own_bits(kind):
     shards = [gen_linreg_data(30, beta, 1.0, rng) if kind == "linreg"
               else gen_logreg_data(30, beta, rng) for _ in range(7)]
     cls = LinRegTask if kind == "linreg" else LogRegTask
-    task = cls(xs=tuple(s[0] for s in shards),
-               ys=tuple(s[1] for s in shards), prior_var=3.0)
+    xs, ys = zip(*shards)
+    task = cls(xs=xs, ys=ys, prior_var=3.0)
     scale = 2.0 if kind == "linreg" else 1.0
     grams = [scale * (x.T @ x) for x in task.xs]
     stack = (task._gram if kind == "linreg"
@@ -380,10 +380,10 @@ class TestShardStacks:
             _sharded(kind, sizes)
 
     @pytest.mark.parametrize("xs, ys, message", [
-        ((np.ones((3, 2)),), (np.ones(4),), "3 rows but 4 targets"),
+        ((np.ones((3, 2)),), (np.ones(4),), r"got \(1, 3, 2\) and \(1, 4\)"),
         ((np.ones((3, 2)), np.ones((3, 1))), (np.ones(3),) * 2,
-         "disagree on the feature dimension"),
-        ((), (), "nonempty per-agent shard lists"),
+         "got a ragged sequence"),
+        ((), (), r"got \(0,\) and \(0,\)"),
     ], ids=["rows-vs-targets", "feature-dims", "no-shards"])
     def test_malformed_shards_rejected(self, kind, xs, ys, message):
         cls = LinRegTask if kind == "linreg" else LogRegTask
@@ -392,9 +392,9 @@ class TestShardStacks:
 
 
 @pytest.mark.parametrize("sizes", [(6, 6, 6)], ids=["equal"])
-class TestBlockCallersMatchOneRowLoops:
+class TestBlockCallersMatchAgentLoops:
     """The callers that evaluate every agent in one block call give the
-    bits of a loop of one-row calls, agent by agent."""
+    bits of a loop over the agents, each reading its own row."""
 
     @pytest.mark.parametrize("kind", ["linreg", "logreg"])
     def test_grad_at_min(self, kind, sizes):
@@ -427,14 +427,12 @@ class TestBlockCallersMatchOneRowLoops:
     def test_logreg_minimizer(self, sizes, monkeypatch):
         task = _sharded("logreg", sizes)
         got = task.minimizer()
-        block = LogRegTask.grad_block
 
-        def one_row_calls(self, x, idx=None, agents=None):
-            assert idx is None and agents is None
-            return np.array([[block(self, row[None, None], agents=i)[0, 0]
-                              for i, row in enumerate(xr)] for xr in x])
+        def per_column(self, x, idx=None):
+            assert idx is None
+            return _oracle_grad_block(self, x)
 
-        monkeypatch.setattr(LogRegTask, "grad_block", one_row_calls)
+        monkeypatch.setattr(LogRegTask, "grad_block", per_column)
         assert np.array_equal(got, task.minimizer())
 
 
@@ -558,16 +556,15 @@ class TestPartition:
         rng = np.random.default_rng(70)
         x = rng.standard_normal((5000, 2))
         y = rng.standard_normal(5000)
-        shards = partition_data(x, y, 20, rng)
-        assert len(shards) == 20
-        assert all(s[0].shape == (250, 2) for s in shards)
+        xs, ys = partition_data(x, y, 20, rng)
+        assert xs.shape == (20, 250, 2) and ys.shape == (20, 250)
 
     def test_union_is_input_multiset(self):
         rng = np.random.default_rng(71)
         x = rng.standard_normal((40, 3))
         y = rng.standard_normal(40)
-        shards = partition_data(x, y, 4, rng)
-        together = np.vstack([s[0] for s in shards])
+        xs, ys = partition_data(x, y, 4, rng)
+        together = xs.reshape(-1, 3)
         key = np.lexsort(x.T)
         key2 = np.lexsort(together.T)
         assert np.allclose(x[key], together[key2])
@@ -577,39 +574,59 @@ class TestPartition:
         x = rng.standard_normal((10, 2))
         y = rng.standard_normal(10)
         with caplog.at_level(logging.WARNING, logger="exlg"):
-            shards = partition_data(x, y, 3, rng)
-        assert sum(s[0].shape[0] for s in shards) == 9
+            xs, ys = partition_data(x, y, 3, rng)
+        assert xs.shape[0] * xs.shape[1] == 9 and ys.shape == xs.shape[:2]
         assert any("drops" in rec.message for rec in caplog.records)
 
     def test_per_agent_subsample(self):
         rng = np.random.default_rng(73)
         x = rng.standard_normal((100, 2))
         y = rng.standard_normal(100)
-        shards = partition_data(x, y, 4, rng, per_agent=10)
-        assert all(s[0].shape == (10, 2) for s in shards)
+        xs, ys = partition_data(x, y, 4, rng, per_agent=10)
+        assert xs.shape == (4, 10, 2) and ys.shape == (4, 10)
 
     def test_disjointness(self):
         rng = np.random.default_rng(74)
         x = np.arange(30.0)[:, None]
         y = np.zeros(30)
-        shards = partition_data(x, y, 3, rng)
-        seen = np.concatenate([s[0].ravel() for s in shards])
-        assert len(set(seen.tolist())) == 30
+        xs, ys = partition_data(x, y, 3, rng)
+        assert len(set(xs.ravel().tolist())) == 30
 
     def test_too_few_points(self):
         rng = np.random.default_rng(75)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^5 agents x 1 points need 5 "
+                                             "rows, the data has 3$"):
             partition_data(np.zeros((3, 1)), np.zeros(3), 5, rng)
+        with pytest.raises(ValueError, match="^2 agents x 4 points need 8 "
+                                             "rows, the data has 7$"):
+            partition_data(np.zeros((7, 1)), np.zeros(7), 2, rng,
+                           per_agent=4)
+
+    @pytest.mark.parametrize("rows, per_agent", [(40, 6), (40, None),
+                                                 (43, None)],
+                             ids=["per-agent", "exact", "rows-dropped"])
+    def test_cut_is_the_seeded_permutation(self, rows, per_agent):
+        """Agent i holds rows perm[i*n:(i+1)*n] of one seeded permutation,
+        in that order."""
+        data = np.random.default_rng(76)
+        x, y = data.standard_normal((rows, 3)), data.standard_normal(rows)
+        xs, ys = partition_data(x, y, 4, np.random.default_rng(77),
+                                per_agent=per_agent)
+        perm = np.random.default_rng(77).permutation(rows)
+        n = rows // 4 if per_agent is None else per_agent
+        cuts = [perm[i * n:(i + 1) * n] for i in range(4)]
+        assert np.array_equal(xs, np.stack([x[c] for c in cuts]))
+        assert np.array_equal(ys, np.stack([y[c] for c in cuts]))
 
 
 # The per-column gradient code that feature-major gathering replaced,
 # kept as the oracle of grad_block: every block it accepted must give the
 # same bits, and every index it refused must still raise.
 
-def _oracle_gather(stack, agents, idx):
+def _oracle_gather(stack, idx):
     if idx is None:
-        return stack[agents]
-    return stack[agents[:, None], idx]
+        return stack
+    return stack[np.arange(len(stack))[:, None], idx]
 
 
 def _oracle_matvec(m, v):
@@ -624,24 +641,21 @@ def _oracle_rmatvec(a, r):
                      for c in range(a.shape[-1])], axis=-1)
 
 
-def _oracle_grad_block(task, x, idx=None, agents=None):
+def _oracle_grad_block(task, x, idx=None):
     x = np.asarray(x, dtype=float)
-    agents = (np.arange(task.n_agents) if agents is None
-              else np.atleast_1d(np.asarray(agents, dtype=int)))
-    assert x.ndim == 3 and x.shape[1:] == (agents.size, task.dim)
+    assert x.ndim == 3 and x.shape[1:] == (task.n_agents, task.dim)
     assert idx is None or np.shape(idx)[:2] == x.shape[:2]
     if isinstance(task, LinRegTask):
         if idx is None:
-            data = _oracle_matvec(task._gram[agents], x[..., None, :]) \
-                - task._xty[agents]
+            data = _oracle_matvec(task._gram, x[..., None, :]) - task._xty
         else:
-            xb = _oracle_gather(task.xs, agents, idx)
-            yb = _oracle_gather(task.ys, agents, idx)
+            xb = _oracle_gather(task.xs, idx)
+            yb = _oracle_gather(task.ys, idx)
             resid = _oracle_matvec(xb, x[..., None, :]) - yb
             data = (task.shard_size / np.shape(idx)[-1]) \
                 * (2.0 * _oracle_rmatvec(xb, resid))
         return data + task._prior_grad(x)
-    s = _oracle_gather(task._signed, agents, idx)
+    s = _oracle_gather(task._signed, idx)
     data = -_oracle_rmatvec(s, expit(-_oracle_matvec(s, x[..., None, :])))
     if idx is not None:
         data = (task.shard_size / np.shape(idx)[-1]) * data
@@ -658,8 +672,8 @@ class _OracleGradients:
     dim = property(lambda self: self.task.dim)
     shard_size = property(lambda self: self.task.shard_size)
 
-    def grad_block(self, x, idx=None, agents=None):
-        return _oracle_grad_block(self.task, x, idx, agents)
+    def grad_block(self, x, idx=None):
+        return _oracle_grad_block(self.task, x, idx)
 
 
 def _oracle_case_task(kind, d, n_agents=4, n=310, seed=90):
@@ -667,10 +681,9 @@ def _oracle_case_task(kind, d, n_agents=4, n=310, seed=90):
     beta = rng.standard_normal(d) / np.sqrt(d)
     gen = (gen_linreg_data(n_agents * n, beta, 1.0, rng) if kind == "linreg"
            else gen_logreg_data(n_agents * n, beta, rng))
-    shards = partition_data(*gen, n_agents, rng)
+    xs, ys = partition_data(*gen, n_agents, rng)
     cls = LinRegTask if kind == "linreg" else LogRegTask
-    return cls(xs=tuple(s[0] for s in shards),
-               ys=tuple(s[1] for s in shards), prior_var=3.0)
+    return cls(xs=xs, ys=ys, prior_var=3.0)
 
 
 # batch sizes around numpy's pairwise-sum blocks (8 unrolled, 128 a leaf)
@@ -683,17 +696,15 @@ def test_grad_block_matches_per_column_oracle(kind, d):
     task = _oracle_case_task(kind, d)
     rng = np.random.default_rng(d)
     for reps in (1, 5):
-        for agents in (None, np.array([3, 0, 2])):
-            rows = task.n_agents if agents is None else agents.size
-            x = 0.3 * rng.standard_normal((reps, rows, d))
-            for b in _ORACLE_BATCHES:
-                idx = None if b is None else np.array([
-                    [rng.choice(task.shard_size, b, replace=False)
-                     for _ in range(rows)] for _ in range(reps)])
-                got = task.grad_block(x, idx, agents)
-                assert got.flags.c_contiguous
-                assert np.array_equal(
-                    got, _oracle_grad_block(task, x, idx, agents)), (reps, b)
+        x = 0.3 * rng.standard_normal((reps, task.n_agents, d))
+        for b in _ORACLE_BATCHES:
+            idx = None if b is None else np.array([
+                [rng.choice(task.shard_size, b, replace=False)
+                 for _ in range(task.n_agents)] for _ in range(reps)])
+            got = task.grad_block(x, idx)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, _oracle_grad_block(task, x, idx)), \
+                (reps, b)
 
 
 @pytest.mark.parametrize("kind", ["linreg", "logreg"])
@@ -729,9 +740,6 @@ class TestMinibatchIndices:
                          _OracleGradients(task).grad_block):
                 with pytest.raises(IndexError):
                     grad(x, idx)
-        with pytest.raises(IndexError):
-            task.grad_block(x[:, :1], np.zeros((1, 1, 2), dtype=int),
-                            agents=[3])
 
     def test_negative_indices_read_the_same_rows(self, kind):
         task = _oracle_case_task(kind, 2, n_agents=3, n=6)
@@ -746,7 +754,3 @@ class TestMinibatchIndices:
         top = np.full((2, 3, 4), 2**64 - 1, dtype=np.uint64)
         assert np.array_equal(task.grad_block(x, top),
                               _oracle_grad_block(task, x, top))
-        agents = np.array([-1, 0])
-        assert np.array_equal(
-            task.grad_block(x[:, :2], idx[:, :2], agents),
-            _oracle_grad_block(task, x[:, :2], idx[:, :2], agents))

@@ -397,9 +397,8 @@ class TestProblemParamsFrom:
     def _setup(self):
         rng = np.random.default_rng(7)
         x, y = gen_linreg_data(80, np.array([1.0, -0.5]), 1.0, rng)
-        shards = partition_data(x, y, 4, rng)
-        task = LinRegTask(xs=tuple(s[0] for s in shards),
-                          ys=tuple(s[1] for s in shards), prior_var=1.0)
+        xs, ys = partition_data(x, y, 4, rng)
+        task = LinRegTask(xs=xs, ys=ys, prior_var=1.0)
         ms = build_mixing_set(make_topology("ring", 4), h=0.3, delta=0.2)
         return task, ms
 
@@ -410,9 +409,9 @@ class TestProblemParamsFrom:
         assert p.N == 4 and p.d == 2
         assert p.h == 0.3
         m = task.minimizer()
+        block = np.broadcast_to(m, (1, task.n_agents, task.dim))
         stacked = np.concatenate(
-            [task.grad_block(m[None, None], agents=i)[0, 0]
-             for i in range(task.n_agents)])
+            [task.grad_block(block)[0, i] for i in range(task.n_agents)])
         assert p.grad_at_min_sq == pytest.approx(np.linalg.norm(stacked) ** 2)
         # ||B|| for B = W~/eta, against a direct spectral norm.
         direct = float(np.linalg.norm(np.asarray(ms.w_tilde), 2)) / 0.001
