@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig
-from .metrics import MetricSeries, plateau, w2_batch
+from .metrics import plateau, w2_batch
 from .network import (
     MixingSet,
     build_mixing_set,
@@ -40,7 +40,6 @@ from .tasks import (
     gen_linreg_data,
     gen_logreg_data,
     load_csv_dataset,
-    mu_L_bounds,
     partition_data,
 )
 from .theory import (
@@ -78,8 +77,10 @@ def _synthetic_data(t, rng: np.random.Generator):
 
     beta_true is drawn first unless the config fixes it; ``build_task``
     and ``cmd_gen_data`` both call this, so dataset.csv is exactly the
-    data a run shards.
+    data a run shards.  A file-backed task has no such data: ConfigError.
     """
+    if t.kind == "logreg-csv":
+        raise ConfigError("gen-data only applies to synthetic tasks")
     if t.beta_true is not None:
         beta_true = np.asarray(t.beta_true, dtype=float)
     else:
@@ -198,46 +199,39 @@ def _replica_seeds(master: int, replicas: int, tag: str = "replica"):
     return [derive_seed(master, tag, r) for r in range(replicas)]
 
 
-def series_for_run(cfg: ExperimentConfig, task, ks, xs_all,
-                   holdout: Optional[tuple]):
-    """The metric series a run emits, by task type and temperature.
+def series_for_run(task, ks, xs_all, holdout: Optional[tuple],
+                   temperature: float) -> dict:
+    """The metric series a run emits, as {label: values over ``ks``}.
 
-    W2 series need a Gaussian target and an ensemble: linreg with
-    replicas >= 2 at unit temperature.  Logistic runs report held-out
-    accuracy of the agent average.  Zero-temperature runs report the
-    worst-agent optimization error instead of distributional metrics.
-    Consensus error is always included.  Each series is one array
-    expression over the (n_rec, R, A, d) ensemble, averaged over
-    replicas; every value equals its per-record definition on that
-    record (``w2_gaussian`` of the fit; consensus error and accuracy as
-    the oracles in ``tests/oracles.py`` write them).
+    Consensus error is always included.  Zero-temperature runs then
+    report the worst-agent optimization error instead of distributional
+    metrics.  Otherwise W2 series need a Gaussian ``task.target()`` and
+    an ensemble (replicas >= 2), and a holdout gives the accuracy of the
+    agent average.  Each series is one array expression over the
+    (n_rec, R, A, d) ensemble, averaged over replicas; every value equals
+    its per-record definition on that record (``w2_gaussian`` of the fit;
+    consensus error and accuracy as the oracles in ``tests/oracles.py``
+    write them).
     """
-    ks = np.asarray(ks, dtype=int)
-    out = []
     sq = xs_all - xs_all.mean(axis=2, keepdims=True)
     sq *= sq  # squared in place: one ensemble-sized temporary, not two
-    cons = np.sqrt(np.sum(sq, axis=(2, 3))).mean(axis=1)
+    out = {"consensus": np.sqrt(np.sum(sq, axis=(2, 3))).mean(axis=1)}
     del sq  # freed before the by-agent copy below
-    out.append(MetricSeries(ks=ks, values=cons, label="consensus"))
 
-    if cfg.sampler.temperature == 0.0:
+    if temperature == 0.0:
         dist = np.linalg.norm(xs_all - task.minimizer(), axis=3)
-        out.append(MetricSeries(ks=ks, values=dist.max(axis=2).mean(axis=1),
-                                label="opt_error"))
+        out["opt_error"] = dist.max(axis=2).mean(axis=1)
         return out
 
     means = xs_all.mean(axis=2)
-    if cfg.task.kind == "linreg" and xs_all.shape[1] >= 2:
-        target = task.target()
-        out.append(MetricSeries(ks=ks, values=w2_batch(means, target),
-                                label="w2_mean"))
+    target = task.target() if xs_all.shape[1] >= 2 else None
+    if target is not None:
+        out["w2_mean"] = w2_batch(means, target)
         by_agent = np.ascontiguousarray(np.moveaxis(xs_all, 2, 0))
-        per_agent = w2_batch(by_agent, target).mean(axis=0)
-        out.append(MetricSeries(ks=ks, values=per_agent, label="w2_agents"))
+        out["w2_agents"] = w2_batch(by_agent, target).mean(axis=0)
 
     if holdout is not None:
-        acc = _accuracies(means, *holdout).mean(axis=1)
-        out.append(MetricSeries(ks=ks, values=acc, label="accuracy"))
+        out["accuracy"] = _accuracies(means, *holdout).mean(axis=1)
     return out
 
 
@@ -328,11 +322,12 @@ def _trajectory_chunks(ks, xs_all):
                len(lines) - 1)
 
 
-def metric_rows(series_list):
-    for s in series_list:
-        for k, v in zip(np.asarray(s.ks).tolist(),
-                        np.asarray(s.values).tolist()):
-            yield (k, s.label, v)
+def metric_rows(ks, series: dict):
+    """(k, label, value) rows of {label: values over ``ks``}, by label."""
+    ks = np.asarray(ks).tolist()
+    for label, values in series.items():
+        for k, v in zip(ks, np.asarray(values).tolist()):
+            yield (k, label, v)
 
 
 class ManifestWriter:
@@ -369,7 +364,7 @@ class ManifestWriter:
 def _mu_L(cfg: ExperimentConfig, task, ms: MixingSet):
     """The task's (mu, L), once in-domain values that leave the bound
     constants undefined are ruled out as config errors naming the key."""
-    mu, L = mu_L_bounds(task)
+    mu, L = task.mu_L()
     if not 0.0 < mu < L:
         # the prior curvature 1 / (prior_var N) swamps the data's or
         # overflows (mu = L), or is too small to lift a direction that the
@@ -408,8 +403,8 @@ def _chain_and_score(cfg: ExperimentConfig, bundle: TaskBundle,
                        dataclasses.replace(cfg.sampler, algorithm=algorithm),
                        seeds, mixing=None if algorithm in CENTRALIZED else ms,
                        record_every=cfg.run.record_every)
-    return res, series_for_run(cfg, bundle.task, res.ks, res.xs,
-                               bundle.holdout)
+    return res, series_for_run(bundle.task, res.ks, res.xs, bundle.holdout,
+                               cfg.sampler.temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +466,10 @@ def _run(cfg: ExperimentConfig, bundle: TaskBundle,
     manifest.write_csv("trajectory.csv", ["replica", "k", "agent", *coords],
                        _trajectory_chunks(res.ks, res.xs))
     manifest.write_csv("metrics.csv", ["k", "label", "value"],
-                       _row_lines(metric_rows(series)))
+                       _row_lines(metric_rows(res.ks, series)))
     manifest.write_csv("plateau.csv", ["algorithm", "label", "plateau"],
-                       _row_lines((cfg.sampler.algorithm, s.label,
-                                    plateau(s.values)) for s in series))
+                       _row_lines((cfg.sampler.algorithm, label, plateau(v))
+                                  for label, v in series.items()))
     manifest.finish(replica_seeds=[int(s) for s in seeds])
     return series
 
@@ -501,19 +496,20 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     bundle = build_task(cfg)
     ms = _checked_mixing(cfg, algos)
 
-    all_series = []
+    all_series = {}
     plateau_rows = []
     seed_map = {}
     for algo, label in zip(algos, _compare_labels(algos)):
         seeds = _replica_seeds(cfg.run.seed, cfg.run.replicas, tag=algo)
         seed_map[label] = [int(s) for s in seeds]
-        for s in _chain_and_score(cfg, bundle, algo, seeds, ms)[1]:
-            all_series.append(
-                dataclasses.replace(s, label=f"{label}:{s.label}"))
-            plateau_rows.append((label, s.label, plateau(s.values)))
+        for name, v in _chain_and_score(cfg, bundle, algo, seeds,
+                                        ms)[1].items():
+            all_series[f"{label}:{name}"] = v
+            plateau_rows.append((label, name, plateau(v)))
 
+    ks = record_ks(cfg.sampler.steps, cfg.run.record_every)
     manifest.write_csv("metrics.csv", ["k", "label", "value"],
-                       _row_lines(metric_rows(all_series)))
+                       _row_lines(metric_rows(ks, all_series)))
     manifest.write_csv("plateau.csv", ["algorithm", "label", "plateau"],
                        _row_lines(plateau_rows))
     manifest.finish(replica_seeds=seed_map)
@@ -557,8 +553,8 @@ def cmd_sweep_h(cfg: ExperimentConfig) -> int:
             run=dataclasses.replace(cfg.run, out=sub_out))
         point = ManifestWriter(sub, "run")
         ms = _checked_mixing(sub, [cfg.sampler.algorithm], ms)
-        series = _run(sub, bundle, point, ms)
-        here = {s.label: plateau(s.values) for s in series}
+        here = {label: plateau(v)
+                for label, v in _run(sub, bundle, point, ms).items()}
         rows.extend((float(h), label, val) for label, val in here.items())
         for label in _SWEEP_OBJECTIVE:
             if label in here:
@@ -645,8 +641,6 @@ def cmd_gen_data(cfg: ExperimentConfig) -> int:
     matches the data the chains consume before sharding.
     """
     t = cfg.task
-    if t.kind == "logreg-csv":
-        raise ConfigError("gen-data only applies to synthetic tasks")
     manifest = ManifestWriter(cfg, "gen-data")
     x, y, beta = _synthetic_data(
         t, np.random.default_rng(derive_seed(cfg.run.seed, "data")))

@@ -1,4 +1,4 @@
-"""Gaussian 2-Wasserstein distance of replica fits, and metric series.
+"""Gaussian 2-Wasserstein distance of replica fits, and the plateau statistic.
 
 W2 between Gaussians uses the closed form
 
@@ -15,12 +15,12 @@ with the bits and the checks of the single-record path: finite fits,
 GaussianDist's PSD window, psd_sqrt's clip window, and exactly 0 for a
 fit equal to the target.  A W2 series over recorded iterates is
 ``w2_batch`` of an (n_rec, R, d) stack: an ensemble's agent averages, or
-one agent's slice of its (n_rec, R, N, d) iterates.
+one agent's slice of its (n_rec, R, N, d) iterates.  A run keeps its
+series as a plain {label: values} map over its recorded ks
+(``harness.series_for_run``).
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -28,24 +28,10 @@ from .linalg import psd_sqrt
 from .tasks import GaussianDist, checked_cov
 
 __all__ = [
-    "MetricSeries",
     "w2_gaussian",
     "w2_batch",
     "plateau",
 ]
-
-
-@dataclasses.dataclass(frozen=True)
-class MetricSeries:
-    """A named scalar series over recorded iterates."""
-
-    ks: np.ndarray
-    values: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        if len(self.ks) != len(self.values):
-            raise ValueError("ks and values lengths differ")
 
 
 def w2_gaussian(a: GaussianDist, b: GaussianDist) -> float:

@@ -26,6 +26,11 @@ on how many rows share the call: products over the feature axis run as a
 fixed-order loop of elementwise operations, and sums over data rows run
 along a contiguous last axis.
 
+A task answers for its model, so scoring and the bound ask it and never
+branch on its class: ``minimizer()`` is x*, ``mu_L()`` the (mu, L)
+curvature bounds of the f_i family, and ``target()`` the Gaussian law
+exp(-sum_i f_i), or None where it has no closed form (logistic).
+
 Only the logistic task needs scipy (``scipy.special.expit``), and only it
 imports it: each ``LogRegTask`` binds ``expit`` once at construction, and
 ``gen_logreg_data`` imports it when called.  Linear-regression and
@@ -52,7 +57,6 @@ __all__ = [
     "gen_linreg_data",
     "gen_logreg_data",
     "linreg_posterior",
-    "mu_L_bounds",
     "LabelError",
     "load_csv_dataset",
     "partition_data",
@@ -209,7 +213,6 @@ class _ShardedTask:
 
     def _prior_grad(self, beta):
         return beta / (self.prior_var * self.n_agents)
-
     def _block_args(self, x, idx):
         """x as an (R, N, d) float array, and idx as None or (R, N, b)
         shard rows in [0, shard_size).  Indices obey numpy's rules for
@@ -291,6 +294,16 @@ class LinRegTask(_ShardedTask):
         a = 2.0 * (x.T @ x) + np.eye(d) / self.prior_var
         return np.linalg.solve(a, 2.0 * (x.T @ y))
 
+    def mu_L(self) -> tuple[float, float]:
+        """Strong-convexity and smoothness constants of the f_i family:
+        mu = min_i lam_min(2 X_i^T X_i) + 1/(lambda N),
+        L  = max_i lam_max(2 X_i^T X_i) + 1/(lambda N),
+        from one stacked eigensolve of the (N, d, d) Gram stack."""
+        prior_curv = 1.0 / (self.prior_var * self.n_agents)
+        vals = sym_eig(self._gram).values
+        return (float(vals[:, 0].min()) + prior_curv,
+                float(vals[:, -1].max()) + prior_curv)
+
     def target(self) -> GaussianDist:
         """The stationary law exp(-sum_i f_i): the loss-matched posterior."""
         x, y = self.stacked_design()
@@ -317,6 +330,19 @@ class LogRegTask(_ShardedTask):
         object.__setattr__(self, "_signed",
                            self.xs * (2.0 * self.ys - 1.0)[..., None])
         self._init_flat(self._signed)
+
+    def mu_L(self) -> tuple[float, float]:
+        """Strong-convexity and smoothness constants of the f_i family:
+        mu = 1/(N lambda),
+        L  = max_i (1/4) lam_max(X_i^T X_i) + 1/(N lambda),
+        from one stacked eigensolve of the (N, d, d) X_i^T X_i stack."""
+        prior_curv = 1.0 / (self.prior_var * self.n_agents)
+        vals = sym_eig(self.xs.swapaxes(1, 2) @ self.xs).values
+        return prior_curv, 0.25 * float(vals[:, -1].max()) + prior_curv
+
+    def target(self) -> None:
+        """None: the logistic posterior has no closed form."""
+        return None
 
     def signed(self, i):
         """Features folded with the label sign: s_j X_j, s_j = 2 y_j - 1."""
@@ -436,24 +462,6 @@ def linreg_posterior(
     v = (v + v.T) / 2.0
     m = v @ (x.T @ y / noise_std**2)
     return GaussianDist(m, v)
-
-
-def mu_L_bounds(task) -> tuple[float, float]:
-    """Strong-convexity and smoothness constants of the f_i family.
-
-    linreg: mu = min_i lam_min(2 X_i^T X_i) + 1/(lambda N),
-            L  = max_i lam_max(2 X_i^T X_i) + 1/(lambda N)
-    logreg: mu = 1/(N lambda),
-            L  = max_i (1/4) lam_max(X_i^T X_i) + 1/(N lambda)
-    """
-    prior_curv = 1.0 / (task.prior_var * task.n_agents)
-    # one stacked eigensolve over the (N, d, d) per-shard Gram matrices
-    if isinstance(task, LogRegTask):
-        vals = sym_eig(task.xs.swapaxes(1, 2) @ task.xs).values
-        return prior_curv, 0.25 * float(vals[:, -1].max()) + prior_curv
-    vals = sym_eig(task._gram).values
-    return (float(vals[:, 0].min()) + prior_curv,
-            float(vals[:, -1].max()) + prior_curv)
 
 
 class LabelError(ValueError):

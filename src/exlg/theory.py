@@ -9,7 +9,9 @@ terms R_h / R_h', the burn-in index K0, and the two bound evaluators
 Everything here is pure arithmetic on a frozen parameter bundle; nothing
 draws randomness or touches chain state, so repeated calls are bit
 identical.  Nor does anything here eigensolve: the mixing spectrum,
-||Wtilde||_2 included, is read from the mixing set's summary.
+||Wtilde||_2 included, is read from the mixing set's summary, and the
+model facts (mu, L, x* and the Gaussian target) from the task's own
+methods, so no branch here depends on the kind of task.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .metrics import w2_gaussian
 from .network import MixingSet, SpectralSummary, with_h
 from .samplers import SamplerConfig
-from .tasks import GaussianDist, mu_L_bounds
 
 __all__ = [
     "InadmissibleSpectrumError",
@@ -493,16 +493,17 @@ def problem_params_from(task, ms: MixingSet, sampler: SamplerConfig, *,
                         mu_L: Optional[tuple] = None) -> ProblemParams:
     """Assemble a ProblemParams bundle from a task, a mixing set and a sampler.
 
-    Curvature bounds come from the task (``mu_L`` when the caller has
-    ``mu_L_bounds(task)`` already), the spectrum from the mixing set, eta
-    and ||B|| (`SamplerConfig.norm_b` at the set's ||Wtilde||) from
-    ``sampler``, and ||grad F(x*)||^2 from the task minimiser ``xstar``
+    Curvature bounds come from ``task.mu_L()`` (``mu_L`` when the caller
+    has them already), the spectrum from the mixing set, eta and ||B||
+    (`SamplerConfig.norm_b` at the set's ||Wtilde||) from ``sampler``,
+    and ||grad F(x*)||^2 from the task minimiser ``xstar``
     (``task.minimizer()`` unless the caller has it already).
     The chains start at zero, so the initial moments are exact zeros.
-    When the task exposes a Gaussian target and ``w2_init`` is not given,
-    the distance from the point mass at zero to the target fills it in.
+    When ``w2_init`` is not given, it is the W2 distance from the point
+    mass at zero to ``task.target()``, sqrt(m.m + tr S), or 0 when the
+    task has no Gaussian target.
     """
-    mu, L = mu_L_bounds(task) if mu_L is None else mu_L
+    mu, L = task.mu_L() if mu_L is None else mu_L
     if xstar is None:
         xstar = task.minimizer()
     # stacked per-agent gradients at x*: they sum to zero but need not
@@ -510,18 +511,15 @@ def problem_params_from(task, ms: MixingSet, sampler: SamplerConfig, *,
     g = task.grad_block(
         np.broadcast_to(xstar, (1, task.n_agents, task.dim)))[0].ravel()
     r = float(np.linalg.norm(g)) ** 2
-    N, d = ms.topology.n, task.dim
 
     if w2_init is None:
-        target = task.target() if hasattr(task, "target") else None
-        if target is not None:
-            point = GaussianDist(mean=np.zeros(d), cov=np.zeros((d, d)))
-            w2_init = float(w2_gaussian(point, target))
-        else:
-            w2_init = 0.0
+        target = task.target()
+        w2_init = 0.0 if target is None else math.sqrt(
+            float(target.mean @ target.mean) + float(np.trace(target.cov)))
 
     return ProblemParams(
-        mu=float(mu), L=float(L), sigma2=float(sigma2), d=d, N=N,
+        mu=float(mu), L=float(L), sigma2=float(sigma2), d=task.dim,
+        N=ms.topology.n,
         eta=float(sampler.eta), h=float(ms.h),
         norm_B=sampler.norm_b(ms.spectral.norm_wt),
         grad_at_min_sq=r, spectral=ms.spectral, w2_init=float(w2_init))

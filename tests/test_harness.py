@@ -604,12 +604,10 @@ class TestTheoryCmd:
         params = count("problem_params_from", theory.problem_params_from)
         monkeypatch.setattr(theory, "problem_params_from", params)
         monkeypatch.setattr(harness, "problem_params_from", params)
-        mu_l = count("mu_L_bounds", tasks.mu_L_bounds)
-        for module in (tasks, theory, harness):
-            monkeypatch.setattr(module, "mu_L_bounds", mu_l)
         for cls in (tasks.LinRegTask, tasks.LogRegTask):
-            monkeypatch.setattr(cls, "minimizer",
-                                count("minimizer", cls.minimizer))
+            for name in ("mu_L", "minimizer"):
+                monkeypatch.setattr(cls, name,
+                                    count(name, getattr(cls, name)))
         text = BASE + "\n[theory]\nshrink = true\n"
         full_batch = {"n = 6": "n = 4"}
         logreg_minibatch = {
@@ -619,7 +617,7 @@ class TestTheoryCmd:
         for name, edits in (("full", full_batch),
                             ("minibatch", logreg_minibatch)):
             calls.update(dict.fromkeys(
-                ("problem_params_from", "mu_L_bounds", "minimizer"), 0))
+                ("problem_params_from", "mu_L", "minimizer"), 0))
             cfg = load_config(make_cfg(tmp_path, out_name=name, text=text,
                                        **edits))
             assert cmd_theory(cfg) == EXIT_OK
@@ -627,7 +625,7 @@ class TestTheoryCmd:
                 man = json.load(fh)
             assert man["h_used"] < 0.3  # the loop did run
             assert (man["sigma2"] > 0) == (name == "minibatch")
-            assert calls == {"problem_params_from": 1, "mu_L_bounds": 1,
+            assert calls == {"problem_params_from": 1, "mu_L": 1,
                              "minimizer": 1}, name
 
     def test_sigma2_estimated_when_batch_set(self, tmp_path, capsys):
@@ -959,7 +957,7 @@ def test_divergence_names_replica_iteration_and_agent(tmp_path, monkeypatch,
         "max |x| entry = 1.000000e+14 (limit 1.0e+12)")
 
 
-def _series_per_record(cfg, task, ks, xs_all, holdout):
+def _series_per_record(task, ks, xs_all, holdout, temperature):
     """The per-record metric loops that series_for_run replaced: the
     oracle of its array expressions, as (label, values) pairs."""
     n_rec, n_reps = xs_all.shape[0], xs_all.shape[1]
@@ -967,7 +965,7 @@ def _series_per_record(cfg, task, ks, xs_all, holdout):
         float(np.mean([consensus_error(xs_all[j, r])
                        for r in range(n_reps)]))
         for j in range(n_rec)])]
-    if cfg.sampler.temperature == 0.0:
+    if temperature == 0.0:
         xstar = task.minimizer()
         out.append(("opt_error", [
             float(np.mean([
@@ -976,7 +974,7 @@ def _series_per_record(cfg, task, ks, xs_all, holdout):
             for j in range(n_rec)]))
         return out
     means = xs_all.mean(axis=2)
-    if cfg.task.kind == "linreg" and n_reps >= 2:
+    if isinstance(task, tasks.LinRegTask) and n_reps >= 2:
         target = task.target()
 
         def w2(blocks):
@@ -1015,10 +1013,10 @@ class TestSeriesArrays:
         assert cmd_run(load_config(make_cfg(tmp_path, **edits))) == EXIT_OK
         (args, got), = calls
         want = _series_per_record(*args)
-        assert [s.label for s in got] == labels == [lb for lb, _ in want]
-        for s, (_, values) in zip(got, want):
-            assert np.array_equal(s.ks, args[2])
-            assert np.array_equal(s.values, values), s.label
+        assert list(got) == labels == [lb for lb, _ in want]
+        for (label, values), (_, expect) in zip(got.items(), want):
+            assert len(values) == len(args[1])
+            assert np.array_equal(values, expect), label
         assert all(xs.flags.c_contiguous for xs in w2_inputs)
         return args
 
@@ -1032,7 +1030,7 @@ class TestSeriesArrays:
             **{"kind = linreg": "kind = logreg-synthetic\nholdout = 200",
                "n_points = 120": "n_points = 240",
                "beta_true = 1.0 -0.5": "beta_true = 2.0 -1.0"})
-        means, holdout = args[3].mean(axis=2), args[4]
+        means, holdout = args[2].mean(axis=2), args[3]
         whole = harness._accuracies(means, *holdout)
         monkeypatch.setattr(harness, "_ACC_CHUNK_CELLS", 1)
         assert np.array_equal(harness._accuracies(means, *holdout), whole)

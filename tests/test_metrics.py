@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from exlg.linalg import NotPSDError
-from exlg.metrics import (
-    MetricSeries,
-    plateau,
-    w2_batch,
-    w2_gaussian,
-)
+from exlg.metrics import plateau, w2_batch, w2_gaussian
 from exlg.tasks import GaussianDist
 from oracles import accuracy, consensus_error, estimate_moments
 
@@ -254,7 +249,5 @@ class TestPlateau:
         assert plateau([3.0, 7.0]) == 7.0
 
     def test_series_type_checks(self):
-        with pytest.raises(ValueError):
-            MetricSeries(ks=np.arange(3), values=np.arange(2.0), label="x")
         with pytest.raises(ValueError):
             plateau([])

@@ -28,7 +28,6 @@ from exlg.tasks import (
     gen_logreg_data,
     linreg_posterior,
     load_csv_dataset,
-    mu_L_bounds,
     partition_data,
 )
 from exlg.samplers import SamplerConfig
@@ -272,13 +271,13 @@ class TestMuL:
             ys=(np.zeros(2),),
             prior_var=10.0,
         )
-        mu, L = mu_L_bounds(task)
+        mu, L = task.mu_L()
         assert L == pytest.approx(10.0 + 0.1, rel=1e-12)
         assert mu == pytest.approx(10.0 + 0.1, rel=1e-12)
 
     def test_logreg_formulas(self):
         task = _toy_logreg(seed=40)
-        mu, L = mu_L_bounds(task)
+        mu, L = task.mu_L()
         prior_curv = 1.0 / (task.n_agents * task.prior_var)
         assert mu == pytest.approx(prior_curv, rel=1e-12)
         lmax = max(
@@ -289,7 +288,7 @@ class TestMuL:
     def test_hessian_bracket(self):
         # mu and L really bracket every per-agent Hessian eigenvalue.
         task = _toy_linreg(seed=41)
-        mu, L = mu_L_bounds(task)
+        mu, L = task.mu_L()
         for i in range(task.n_agents):
             h = 2.0 * task.xs[i].T @ task.xs[i] + np.eye(task.dim) / (
                 task.prior_var * task.n_agents
@@ -311,7 +310,7 @@ def _sharded(kind, sizes, seed=60):
 
 
 def _mu_L_per_shard(task):
-    """mu_L_bounds written out as a loop of one eigensolve per shard."""
+    """task.mu_L() written out as a loop of one eigensolve per shard."""
     prior_curv = 1.0 / (task.prior_var * task.n_agents)
     if isinstance(task, LogRegTask):
         lmax = 0.0
@@ -330,12 +329,12 @@ def _mu_L_per_shard(task):
 @pytest.mark.parametrize("sizes", [(6, 6, 6)], ids=["equal"])
 def test_mu_L_matches_per_shard_loop(kind, sizes):
     task = _sharded(kind, sizes)
-    assert mu_L_bounds(task) == _mu_L_per_shard(task)
+    assert task.mu_L() == _mu_L_per_shard(task)
 
 
 @pytest.mark.parametrize("kind", ["linreg", "logreg"])
 def test_stacked_gram_solve_gives_each_shard_its_own_bits(kind):
-    # mu_L_bounds solves the (N, d, d) stack of per-shard Gram matrices in
+    # task.mu_L() solves the (N, d, d) stack of per-shard Gram matrices in
     # one call; each slice keeps the bits of the call on that shard alone
     rng = np.random.default_rng(62)
     beta = rng.standard_normal(5)

@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from exlg.harness import series_for_run
+from exlg.metrics import w2_gaussian
 from exlg.network import SpectralSummary, make_topology, build_mixing_set
 from exlg.samplers import SamplerConfig
-from exlg.tasks import LinRegTask, gen_linreg_data, mu_L_bounds, partition_data
+from exlg.tasks import (
+    GaussianDist,
+    LinRegTask,
+    LogRegTask,
+    gen_linreg_data,
+    gen_logreg_data,
+    partition_data,
+)
 from exlg.theory import (
     InadmissibleSpectrumError,
     InitMoments,
@@ -405,7 +414,7 @@ class TestProblemParamsFrom:
     def test_fields_assembled_from_task_and_mixing(self):
         task, ms = self._setup()
         p = problem_params_from(task, ms, _gen_extra(0.001))
-        assert (p.mu, p.L) == mu_L_bounds(task)
+        assert (p.mu, p.L) == task.mu_L()
         assert p.N == 4 and p.d == 2
         assert p.h == 0.3
         m = task.minimizer()
@@ -421,9 +430,22 @@ class TestProblemParamsFrom:
         task, ms = self._setup()
         p = problem_params_from(task, ms, _gen_extra(0.001))
         assert p.init_moments == InitMoments()
-        tgt = task.target()
-        expect = math.sqrt(float(tgt.mean @ tgt.mean) + float(np.trace(tgt.cov)))
-        assert p.w2_init == pytest.approx(expect, rel=1e-10)
+        # the closed form sqrt(m.m + tr S) has the bits of the general W2
+        point = GaussianDist(mean=np.zeros(task.dim),
+                             cov=np.zeros((task.dim, task.dim)))
+        assert p.w2_init == w2_gaussian(point, task.target())
+
+    def test_logistic_task_has_no_w2_init_or_w2_series(self):
+        rng = np.random.default_rng(8)
+        x, y = gen_logreg_data(80, np.array([1.0, -0.5]), rng)
+        xs, ys = partition_data(x, y, 4, rng)
+        task = LogRegTask(xs=xs, ys=ys, prior_var=1.0)
+        ms = build_mixing_set(make_topology("ring", 4), h=0.3, delta=0.2)
+        assert task.target() is None
+        assert problem_params_from(task, ms, _gen_extra(0.001)).w2_init == 0.0
+        ens = rng.standard_normal((3, 5, 4, 2))
+        series = series_for_run(task, [0, 1, 2], ens, None, 1.0)
+        assert list(series) == ["consensus"]
 
     def test_shrink_reaches_admissible_pair(self):
         task, ms = self._setup()
