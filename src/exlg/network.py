@@ -37,7 +37,6 @@ __all__ = [
     "make_topology",
     "topology_from_file",
     "laplacian",
-    "draw_delta",
     "build_w",
     "build_w_tilde",
     "build_mixing_set",
@@ -196,11 +195,6 @@ def build_w(top: Topology, delta: Optional[float], seed: int = 0):
     return np.eye(top.n) - delta * lap, delta
 
 
-def draw_delta(top: Topology, seed: int) -> float:
-    """Default step into the Laplacian: uniform on (0.05, 0.95)/lambda_max."""
-    return build_w(top, None, seed)[1]
-
-
 def build_w_tilde(w: np.ndarray, h: float) -> np.ndarray:
     """W~ = h*I + (1-h)*W with h in (0, 1/2]."""
     w = np.asarray(w, dtype=float)
@@ -270,7 +264,7 @@ def build_mixing_set(top: Topology, h: float, delta: Optional[float],
                      seed: int = 0) -> MixingSet:
     """W = I - delta * L, W~ = h*I + (1-h)*W and U = h(I - W) on ``top``,
     with their spectra.  ``delta`` None draws one from ``seed``, as
-    `draw_delta` does, from the same solve of L that builds W."""
+    `build_w` does, from the same solve of L that builds W."""
     w, delta = build_w(top, delta, seed)
     wv = sym_eig(w).values
     # the set at h = 0, where W~ = W and U = 0, needs W's solve alone

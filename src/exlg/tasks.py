@@ -72,9 +72,11 @@ LOSS_MATCHED_NOISE_STD = float(np.sqrt(0.5))
 # Feature variance of the synthetic logistic data
 _LOGREG_FEATURE_VAR = 20.0
 # LogRegTask.minimizer stops at ||grad|| <= _NEWTON_TOL (1 + ||beta||) and
-# gives up after _NEWTON_ITERS Newton steps
+# gives up after _NEWTON_ITERS Newton steps; it skips the line search when
+# the predicted decrease g.step is at most _NEWTON_FLAT |value|
 _NEWTON_TOL = 1e-10
 _NEWTON_ITERS = 200
+_NEWTON_FLAT = 4.0 * np.finfo(float).eps
 
 
 @dataclasses.dataclass(frozen=True)
@@ -394,10 +396,11 @@ class LogRegTask(_ShardedTask):
             if np.linalg.norm(g) <= _NEWTON_TOL * (1.0 + np.linalg.norm(beta)):
                 return beta
             step = np.linalg.solve(hess(beta), g)
-            t, v0 = 1.0, value(beta)
-            while t > 1e-12 and value(beta - t * step) > v0 - 1e-4 * t * float(
-                g @ step
-            ):
+            t, v0, slope = 1.0, value(beta), float(g @ step)
+            # a decrease below the rounding of value cannot be tested:
+            # there the full Newton step is taken, not a search on noise
+            while (slope > _NEWTON_FLAT * abs(v0) and t > 1e-12
+                   and value(beta - t * step) > v0 - 1e-4 * t * slope):
                 t *= 0.5
             beta = beta - t * step
         raise RuntimeError(

@@ -90,7 +90,7 @@ class ProblemParams:
     ``spectral`` carries the mixing eigenvalue summary; ``norm_B`` is
     ||B||_2 of the free matrix actually run (`SamplerConfig.norm_b`).
     ``grad_at_min_sq`` is ||grad F(x*)||^2 of the stacked gradient at the
-    minimiser.  ``delta2`` defaults to the lower endpoint of its
+    minimiser.  ``delta2`` is derived: the lower endpoint of its
     admissible interval, which keeps the C2..C4 denominator strictly
     positive.  ``w2_init`` is the W2 distance from the initial law of the
     average iterate to the target; it multiplies the geometric term of
@@ -109,8 +109,8 @@ class ProblemParams:
     grad_at_min_sq: float
     spectral: SpectralSummary
     init_moments: InitMoments = field(default_factory=InitMoments)
-    delta2: Optional[float] = None
     w2_init: float = 0.0
+    delta2: float = field(init=False, default=0.0)
     # 1 - delta2 kept in un-cancelled form; the K0 and C2..C4 denominators
     # need it after delta2 itself has rounded to 1.
     delta2_complement: float = field(init=False, default=0.0)
@@ -135,16 +135,8 @@ class ProblemParams:
         comp = _delta2_complement(self.eta, self.mu, self.L, self.h,
                                   self.spectral.gammabar_w,
                                   self.spectral.gammabar_iw)
-        lo = 1.0 - comp
-        if self.delta2 is None:
-            object.__setattr__(self, "delta2", lo)
-            object.__setattr__(self, "delta2_complement", comp)
-        elif not (lo - 1e-12 <= self.delta2 < 1.0):
-            raise ValueError(
-                f"delta2={self.delta2} outside the admissible interval "
-                f"[{lo}, 1)")
-        else:
-            object.__setattr__(self, "delta2_complement", 1.0 - self.delta2)
+        object.__setattr__(self, "delta2", 1.0 - comp)
+        object.__setattr__(self, "delta2_complement", comp)
 
 
 @dataclass(frozen=True)
@@ -550,7 +542,7 @@ def shrink_to_admissible(p: ProblemParams, ms: MixingSet,
     def at(ms_: MixingSet, eta: float) -> ProblemParams:
         norm_B = replace(sampler, eta=eta).norm_b(ms_.spectral.norm_wt)
         return replace(p, h=float(ms_.h), eta=eta, spectral=ms_.spectral,
-                       norm_B=norm_B, delta2=None)
+                       norm_B=norm_B)
 
     cur_ms, cur_eta = ms, p.eta
     for _ in range(_SHRINK_ITERS):

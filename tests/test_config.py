@@ -433,8 +433,13 @@ def test_int_key_probe_exits_cleanly(tmp_path, capsys, skey, value):
     (PROBE, {"task.dim": "5", "task.beta_true": "", "task.per_agent": "2",
              "task.prior_var": "1e300"}, ("validate", "theory"), 2,
      "task.prior_var: 1e+300 leaves a flat direction, mu = -"),
+    # the logistic Newton solve nears x* with a predicted decrease below
+    # the rounding of its objective; a line search on that noise stalled
+    (LOGREG_PROBE, {"task.beta_true": "-1 0.5"}, ("validate", "theory"), 0,
+     "binding eta clause"),
 ], ids=["eta-tiny", "eta-subnormal", "b_scale-huge", "prior_var-tiny",
-        "prior_var-subnormal", "prior_var-huge", "prior_var-flat"])
+        "prior_var-subnormal", "prior_var-huge", "prior_var-flat",
+        "newton-flat"])
 def test_degenerate_theory_inputs_exit_cleanly(tmp_path, capsys, base,
                                                overrides, commands, code,
                                                message):

@@ -11,7 +11,6 @@ from exlg.network import (
     build_w_tilde,
     custom,
     disconnected,
-    draw_delta,
     fully_connected,
     laplacian,
     make_topology,
@@ -104,11 +103,11 @@ class TestBuildW:
         with pytest.raises(ValueError, match="delta"):
             build_w(t, delta=-0.1)
 
-    def test_draw_delta_deterministic_and_in_range(self):
+    def test_drawn_delta_deterministic_and_in_range(self):
         t = ring(6)
         lam_max = sym_eig(laplacian(t)).values[-1]
-        d1 = draw_delta(t, seed=42)
-        d2 = draw_delta(t, seed=42)
+        d1 = build_w(t, None, seed=42)[1]
+        d2 = build_mixing_set(t, h=0.3, delta=None, seed=42).delta
         assert d1 == d2
         assert 0.05 / lam_max < d1 < 0.95 / lam_max
 
@@ -144,7 +143,7 @@ class TestMixingSet:
     @pytest.mark.parametrize("h0, h1", [(0.38, 0.013), (0.05, 0.5)])
     def test_with_h_equals_a_fresh_build(self, builder, h0, h1):
         top = builder(7)
-        delta = draw_delta(top, 11)
+        delta = build_w(top, None, 11)[1]
         moved = with_h(build_mixing_set(top, h=h0, delta=delta), h1)
         fresh = build_mixing_set(top, h=h1, delta=delta)
         for field in ("w", "w_tilde", "u"):
@@ -165,7 +164,7 @@ class TestMixingSet:
 
     def test_fc20_passes_validation(self):
         top = fully_connected(20)
-        ms = build_mixing_set(top, h=0.5, delta=draw_delta(top, 3))
+        ms = build_mixing_set(top, h=0.5, delta=build_w(top, None, 3)[1])
         report = validate_assumptions(ms)
         assert report.ok, [c.name for c in report.failed()]
 
@@ -173,7 +172,7 @@ class TestMixingSet:
 class TestValidateAssumptions:
     def test_disconnected_null_space_fails(self):
         top = disconnected(5)
-        ms = build_mixing_set(top, h=0.3, delta=draw_delta(top, 0))
+        ms = build_mixing_set(top, h=0.3, delta=build_w(top, None, 0)[1])
         report = validate_assumptions(ms)
         assert not report.ok
         failed = {c.name: c for c in report.failed()}
@@ -204,7 +203,7 @@ class TestMixingInvariants:
     def test_grid(self, builder, n, h):
         top = builder(n)
         ms = build_mixing_set(
-            top, h=h, delta=draw_delta(top, n * 1000 + int(h * 1000)))
+            top, h=h, delta=build_w(top, None, n * 1000 + int(h * 1000))[1])
         report = validate_assumptions(ms)
         assert report.ok, [c.detail for c in report.failed()]
 

@@ -248,20 +248,6 @@ class TestProblemParams:
         assert p.delta2 == lo
         assert hi == 1.0
 
-    def test_explicit_delta2_outside_interval_rejected(self):
-        sp = _spectral(0.5, -0.2, 0.65, 0.1)
-        with pytest.raises(ValueError, match="delta2"):
-            ProblemParams(mu=0.8, L=2.5, sigma2=0.0, d=3, N=4, eta=0.01,
-                          h=5e-6, norm_B=0.9, grad_at_min_sq=0.0,
-                          spectral=sp, delta2=0.5)
-
-    def test_explicit_delta2_inside_interval_kept(self):
-        sp = _spectral(0.5, -0.2, 0.65, 0.1)
-        p = ProblemParams(mu=0.8, L=2.5, sigma2=0.0, d=3, N=4, eta=0.01,
-                          h=5e-6, norm_B=0.9, grad_at_min_sq=0.0,
-                          spectral=sp, delta2=0.9999999)
-        assert p.delta2 == 0.9999999
-
 
 class TestValidateStepsize:
     def test_toy_max_eta_is_min_of_five_clauses(self):
