@@ -215,6 +215,7 @@ class _ShardedTask:
 
     def _prior_grad(self, beta):
         return beta / (self.prior_var * self.n_agents)
+
     def _block_args(self, x, idx):
         """x as an (R, N, d) float array, and idx as None or (R, N, b)
         shard rows in [0, shard_size).  Indices obey numpy's rules for

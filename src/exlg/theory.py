@@ -511,8 +511,7 @@ def problem_params_from(task, ms: MixingSet, sampler: SamplerConfig, *,
 
     return ProblemParams(
         mu=float(mu), L=float(L), sigma2=float(sigma2), d=task.dim,
-        N=ms.topology.n,
-        eta=float(sampler.eta), h=float(ms.h),
+        N=ms.topology.n, eta=float(sampler.eta), h=float(ms.h),
         norm_B=sampler.norm_b(ms.spectral.norm_wt),
         grad_at_min_sq=r, spectral=ms.spectral, w2_init=float(w2_init))
 
