@@ -187,6 +187,25 @@ class TestValidateAssumptions:
         assert null["null-space"].passed
         assert null["null-space"].magnitude == 1.0
 
+    def test_failing_report_text(self):
+        # an edgeless graph: W = W~ = I and U = 0, so every figure is exact
+        top = disconnected(5)
+        ms = build_mixing_set(top, h=0.3, delta=build_w(top, None, 0)[1])
+        assert validate_assumptions(ms).lines() == [
+            "[pass] doubly-stochastic: max row/col sum deviation 0.000e+00 "
+            "(tol 1e-12)",
+            "[pass] diagonal-positive: min W_ii = 1",
+            "[pass] offdiagonal-nonnegative: min W_ij (i != j) = 0",
+            "[pass] w-spectrum: eig(W) in [1, 1], required within (-1, 1]",
+            "[pass] wt-positive-definite: min eig(W~) = 1, required > 0",
+            "[pass] psd-order-upper: min eig((I+W)/2 - W~) = 0.000e+00 "
+            "(>= -1e-10)",
+            "[pass] psd-order-lower: min eig(W~ - W) = 0.000e+00 (>= -1e-10)",
+            "[FAIL] null-space: dim null(U) = 5, required exactly 1 "
+            "(span of ones)",
+            "[pass] ones-in-null: max |U 1|/sqrt(n) = 0.000e+00 (<= 1e-10)",
+        ]
+
     def test_report_lines_name_each_clause(self):
         ms = build_mixing_set(ring(4), h=0.25, delta=0.2)
         lines = validate_assumptions(ms).lines()

@@ -315,6 +315,97 @@ class TestValidateStepsize:
         assert "admissible delta^2" in text
 
 
+_H_LINES_A = [
+    "[pass] h-network: 5e-06 <= 0.1953125",
+    "[pass] h-half: 5e-06 <= 0.5",
+    "[pass] h-coupling: 5e-06 <= 1.31761922e-05",
+]
+_BINDING_A = [
+    "binding h clause: h-coupling (max h = 1.31761922e-05)",
+    "binding eta clause: eta-gain-vs-A (max eta = 0.00606846249)",
+]
+
+
+class TestStepsizeReportText:
+    """The full text of `validate_stepsize(...).lines()`, on bundles of
+    pure arithmetic (no eigensolve), so every digit is reproducible."""
+
+    def test_passing_report(self):
+        rep = validate_stepsize(_params_from_set(dict(SET_A, eta=0.005)))
+        assert rep.ok
+        assert rep.lines() == _H_LINES_A + [
+            "[pass] eta-unit: 0.005 < 1",
+            "[pass] eta-strong-convexity: 0.005 < 0.303030303",
+            "[pass] eta-coupling: 0.005 < 2.63523845",
+            "[pass] eta-gain-vs-A: 0.005 < 0.00606846249",
+            "[pass] eta-gain: 0.005 < 0.0213383838",
+        ] + _BINDING_A + ["admissible delta^2: [0.999999875, 1)"]
+
+    def test_one_failing_clause(self):
+        rep = validate_stepsize(_params_from_set(SET_A))
+        assert not rep.ok
+        assert rep.lines() == _H_LINES_A + [
+            "[pass] eta-unit: 0.01 < 1",
+            "[pass] eta-strong-convexity: 0.01 < 0.303030303",
+            "[pass] eta-coupling: 0.01 < 2.63523845",
+            "[FAIL] eta-gain-vs-A: 0.01 < 0.00606846249",
+            "[pass] eta-gain: 0.01 < 0.0213383838",
+        ] + _BINDING_A + ["admissible delta^2: [0.999999875, 1)"]
+
+    def test_delta2_rounded_to_one_prints_its_complement(self):
+        rep = validate_stepsize(_params_from_set(dict(SET_A, h=1e-20)))
+        assert rep.lines() == [
+            "[pass] h-network: 1e-20 <= 0.1953125",
+            "[pass] h-half: 1e-20 <= 0.5",
+            "[pass] h-coupling: 1e-20 <= 1.31761922e-05",
+            "[pass] eta-unit: 0.01 < 1",
+            "[pass] eta-strong-convexity: 0.01 < 0.303030303",
+            "[pass] eta-coupling: 0.01 < 1.31761922e+15",
+            "[FAIL] eta-gain-vs-A: 0.01 < 0.00606846249",
+            "[pass] eta-gain: 0.01 < 0.0213383838",
+        ] + _BINDING_A + ["admissible delta^2: [1 - 2.5e-22, 1)"]
+
+    def test_many_failing_clauses(self):
+        p = ProblemParams(mu=1.0, L=2.0, sigma2=0.0, d=2, N=3, eta=0.5,
+                          h=0.4, norm_B=1.0, grad_at_min_sq=0.0,
+                          spectral=_spectral(0.5, -0.2, 0.65, 0.1))
+        rep = validate_stepsize(p)
+        assert [c.name for c in rep.failed()] == [
+            "h-network", "h-coupling", "eta-strong-convexity",
+            "eta-coupling", "eta-gain-vs-A", "eta-gain"]
+        assert rep.lines() == [
+            "[FAIL] h-network: 0.4 <= 0.1953125",
+            "[pass] h-half: 0.4 <= 0.5",
+            "[FAIL] h-coupling: 0.4 <= 2.61880165e-05",
+            "[pass] eta-unit: 0.5 < 1",
+            "[FAIL] eta-strong-convexity: 0.5 < 0.333333333",
+            "[FAIL] eta-coupling: 0.5 < 6.54700413e-05",
+            "[FAIL] eta-gain-vs-A: 0.5 < 0.0148798654",
+            "[FAIL] eta-gain: 0.5 < 0.0234722222",
+            "binding h clause: h-coupling (max h = 2.61880165e-05)",
+            "binding eta clause: eta-coupling (max eta = 6.54700413e-05)",
+            "admissible delta^2: [0.99, 1)",
+        ]
+
+    def test_inadmissible_spectrum_note(self):
+        p = ProblemParams(mu=0.8, L=2.5, sigma2=0.0, d=3, N=4, eta=1e-4,
+                          h=1e-6, norm_B=0.9, grad_at_min_sq=0.0,
+                          spectral=_spectral(0.5, -0.2, 1.0, 0.1))
+        rep = validate_stepsize(p)
+        assert not rep.ok and not rep.failed()  # failing by its note alone
+        assert rep.lines() == [
+            "[pass] h-network: 1e-06 <= 0.1953125",
+            "[pass] h-half: 1e-06 <= 0.5",
+            "[pass] eta-unit: 0.0001 < 1",
+            "[pass] eta-strong-convexity: 0.0001 < 0.303030303",
+            "binding h clause: h-network (max h = 0.1953125)",
+            "binding eta clause: eta-strong-convexity "
+            "(max eta = 0.303030303)",
+            "admissible delta^2: [0.999999975, 1)",
+            "note: |lambda_2(Wtilde)|^2 = 1.0 has no spectral gap",
+        ]
+
+
 def _zero_init_params(**over):
     s = dict(SET_A, x0=0.0, xt0=0.0, eb0=0.0, vt0=0.0)
     s.update(over)
