@@ -10,7 +10,9 @@ set to another h: it rebuilds W~, U and W~'s eigenvalues, and keeps the rest.
 Assumption checks mirror the standing assumptions on the mixing pair: W
 doubly stochastic with positive diagonal, spectra inside (-1, 1] and (0, 1],
 (I + W)/2 >= W~ >= W in the PSD order, and null(U) = span(1) exactly when
-the graph is connected and h > 0.
+the graph is connected and h > 0.  They come back as a `Report` of named
+`Check`s, the one report type exlg prints; the theory module's stepsize
+certificate extends it.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ __all__ = [
     "Topology",
     "MixingSet",
     "SpectralSummary",
-    "CheckResult",
-    "ValidationReport",
+    "Check",
+    "Report",
     "fully_connected",
     "ring",
     "star",
@@ -289,15 +291,20 @@ def with_h(ms: MixingSet, h: float) -> MixingSet:
 
 
 @dataclasses.dataclass(frozen=True)
-class CheckResult:
+class Check:
+    """One named hypothesis, whether it holds, and the figures that
+    decided it."""
+
     name: str
     passed: bool
-    magnitude: float
     detail: str
 
 
 @dataclasses.dataclass(frozen=True)
-class ValidationReport:
+class Report:
+    """A tuple of checks, printed one ``[pass]/[FAIL] name: detail`` line
+    each."""
+
     checks: tuple
 
     @property
@@ -308,109 +315,62 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.passed)
 
     def lines(self) -> list[str]:
-        out = []
-        for c in self.checks:
-            tag = "pass" if c.passed else "FAIL"
-            out.append(f"[{tag}] {c.name}: {c.detail}")
-        return out
+        return [f"[{'pass' if c.passed else 'FAIL'}] {c.name}: {c.detail}"
+                for c in self.checks]
 
 
-def validate_assumptions(ms: MixingSet) -> ValidationReport:
+def validate_assumptions(ms: MixingSet) -> Report:
     """Check the standing mixing-matrix assumptions, one result per clause.
 
     The spectrum clauses of W and W~ read the eigenvalues ``ms`` was built
     with; only (I+W)/2 - W~ and U are solved here."""
     n = ms.n
-    checks: list[CheckResult] = []
+    checks: list[Check] = []
 
-    def add(name, passed, magnitude, detail):
-        checks.append(
-            CheckResult(
-                name=name,
-                passed=bool(passed),
-                magnitude=float(magnitude),
-                detail=detail,
-            )
-        )
+    def add(name, passed, detail):
+        checks.append(Check(name, bool(passed), detail))
 
     row_dev = float(np.max(np.abs(ms.w.sum(axis=1) - 1.0)))
     col_dev = float(np.max(np.abs(ms.w.sum(axis=0) - 1.0)))
     dev = max(row_dev, col_dev)
-    add(
-        "doubly-stochastic",
-        dev <= 1e-12,
-        dev,
-        f"max row/col sum deviation {dev:.3e} (tol 1e-12)",
-    )
+    add("doubly-stochastic", dev <= 1e-12,
+        f"max row/col sum deviation {dev:.3e} (tol 1e-12)")
 
     diag_min = float(np.min(np.diag(ms.w)))
-    add(
-        "diagonal-positive",
-        diag_min > 0.0,
-        diag_min,
-        f"min W_ii = {diag_min:.6g}",
-    )
+    add("diagonal-positive", diag_min > 0.0, f"min W_ii = {diag_min:.6g}")
 
     off = ms.w[~np.eye(n, dtype=bool)]
     off_min = float(off.min()) if off.size else 0.0
-    add(
-        "offdiagonal-nonnegative",
-        off_min >= -1e-12,
-        off_min,
-        f"min W_ij (i != j) = {off_min:.6g}",
-    )
+    add("offdiagonal-nonnegative", off_min >= -1e-12,
+        f"min W_ij (i != j) = {off_min:.6g}")
 
     lo, hi = float(ms.w_eigs[0]), float(ms.w_eigs[-1])
-    add(
-        "w-spectrum",
-        lo > -1.0 + 1e-12 and hi <= 1.0 + 1e-12,
-        max(-1.0 - lo, hi - 1.0),
-        f"eig(W) in [{lo:.6g}, {hi:.6g}], required within (-1, 1]",
-    )
+    add("w-spectrum", lo > -1.0 + 1e-12 and hi <= 1.0 + 1e-12,
+        f"eig(W) in [{lo:.6g}, {hi:.6g}], required within (-1, 1]")
 
     wt_lo = float(ms.wt_eigs[0])
-    add(
-        "wt-positive-definite",
-        wt_lo > 0.0,
-        wt_lo,
-        f"min eig(W~) = {wt_lo:.6g}, required > 0",
-    )
+    add("wt-positive-definite", wt_lo > 0.0,
+        f"min eig(W~) = {wt_lo:.6g}, required > 0")
 
     upper = (np.eye(n) + ms.w) / 2.0 - ms.w_tilde
     upper_min = float(sym_eig(upper).values[0])
-    add(
-        "psd-order-upper",
-        upper_min >= -1e-10,
-        upper_min,
-        f"min eig((I+W)/2 - W~) = {upper_min:.3e} (>= -1e-10)",
-    )
+    add("psd-order-upper", upper_min >= -1e-10,
+        f"min eig((I+W)/2 - W~) = {upper_min:.3e} (>= -1e-10)")
 
     uv = sym_eig(ms.u).values
     lower_min = float(uv[0])
-    add(
-        "psd-order-lower",
-        lower_min >= -1e-10,
-        lower_min,
-        f"min eig(W~ - W) = {lower_min:.3e} (>= -1e-10)",
-    )
+    add("psd-order-lower", lower_min >= -1e-10,
+        f"min eig(W~ - W) = {lower_min:.3e} (>= -1e-10)")
 
     # relative to U's own scale, which is h times that of I - W; U = 0
     # (no edges) has every direction null
     null_dim = int(np.sum(uv <= _NULL_TOL * float(np.max(np.abs(uv)))))
-    add(
-        "null-space",
-        null_dim == 1,
-        null_dim,
-        f"dim null(U) = {null_dim}, required exactly 1 (span of ones)",
-    )
+    add("null-space", null_dim == 1,
+        f"dim null(U) = {null_dim}, required exactly 1 (span of ones)")
 
     ones = np.ones(n) / np.sqrt(n)
     resid = float(np.max(np.abs(mix_apply(ms.u, ones[:, None]))))
-    add(
-        "ones-in-null",
-        resid <= 1e-10,
-        resid,
-        f"max |U 1|/sqrt(n) = {resid:.3e} (<= 1e-10)",
-    )
+    add("ones-in-null", resid <= 1e-10,
+        f"max |U 1|/sqrt(n) = {resid:.3e} (<= 1e-10)")
 
-    return ValidationReport(checks=tuple(checks))
+    return Report(tuple(checks))

@@ -4,7 +4,8 @@ Implements the constant stack behind the convergence theorem: the spectral
 gain gamma_wtilde, the coupling constants gamma1/gamma2, the weights
 w1/w2/E1..E4, the transient constants C0..C4 and D0..D2, the remainder
 terms R_h / R_h', the burn-in index K0, and the two bound evaluators
-(network-average chain and per-agent chains).
+(network-average chain and per-agent chains).  The stepsize certificate
+is a `network.Report` with one check per admissibility clause on (h, eta).
 
 Everything here is pure arithmetic on a frozen parameter bundle; nothing
 draws randomness or touches chain state, so repeated calls are bit
@@ -22,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .network import MixingSet, SpectralSummary, with_h
+from .network import Check, MixingSet, Report, SpectralSummary, with_h
 from .samplers import SamplerConfig
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "InitMoments",
     "ProblemParams",
     "TheoryConstants",
-    "ClauseResult",
     "CertReport",
     "gamma_wtilde",
     "compute_constants",
@@ -318,58 +318,41 @@ def compute_constants(p: ProblemParams) -> TheoryConstants:
 
 
 @dataclass(frozen=True)
-class ClauseResult:
-    name: str
-    bound: float        # the upper limit this clause imposes
-    value: float        # the parameter being checked against it
-    passed: bool
-    strict: bool        # True when the comparison is value < bound
-
-
-@dataclass(frozen=True)
-class CertReport:
+class CertReport(Report):
     """Outcome of checking (h, eta) against every stepsize clause.
 
-    Reporting only: an inadmissible pair comes back with ``ok=False`` and
-    the failing clauses named, never as an exception.  ``max_h`` and
-    ``max_eta`` are the binding limits, ``binding_h`` / ``binding_eta``
-    name the clause that attains each, and ``delta2_interval`` is the
-    admissible range for the contraction parameter at this (h, eta).
+    Reporting only: an inadmissible pair comes back with ``ok`` false and
+    the failing clauses named, never as an exception.  The checks are the
+    clauses, each with the parameter against its limit as its detail.
+    ``max_h`` and ``max_eta`` are the binding limits, ``binding_h`` /
+    ``binding_eta`` name the clause that attains each, and the admissible
+    delta^2 range is [1 - ``delta2_complement``, 1).  A spectrum the
+    theory does not cover leaves a note, and a report with notes is not
+    ``ok``.
     """
 
-    h_clauses: tuple
-    eta_clauses: tuple
-    ok: bool
     max_h: float
     max_eta: float
     binding_h: str
     binding_eta: str
-    delta2_interval: tuple
-    delta2_complement: float = 0.0
+    delta2_complement: float
     notes: tuple = ()
 
-    def failed(self):
-        return tuple(c for c in self.h_clauses + self.eta_clauses
-                     if not c.passed)
+    @property
+    def ok(self) -> bool:
+        return super().ok and not self.notes
 
-    def lines(self):
-        out = []
-        for c in self.h_clauses + self.eta_clauses:
-            rel = "<" if c.strict else "<="
-            status = "pass" if c.passed else "FAIL"
-            out.append(f"[{status}] {c.name}: {c.value:.9g} {rel} {c.bound:.9g}")
-        out.append(f"binding h clause: {self.binding_h} (max h = {self.max_h:.9g})")
-        out.append(f"binding eta clause: {self.binding_eta} "
-                   f"(max eta = {self.max_eta:.9g})")
-        lo, hi = self.delta2_interval
-        if lo == 1.0 and self.delta2_complement > 0.0:
-            out.append(
-                f"admissible delta^2: [1 - {self.delta2_complement:.3g}, 1)")
-        else:
-            out.append(f"admissible delta^2: [{lo:.9g}, {hi:.9g})")
-        for n in self.notes:
-            out.append(f"note: {n}")
-        return out
+    def lines(self) -> list[str]:
+        comp = self.delta2_complement
+        # the lower endpoint can round to 1; its complement still shows
+        d2 = (f"[1 - {comp:.3g}, 1)" if 1.0 - comp == 1.0 and comp > 0.0
+              else f"[{1.0 - comp:.9g}, 1)")
+        return super().lines() + [
+            f"binding h clause: {self.binding_h} (max h = {self.max_h:.9g})",
+            f"binding eta clause: {self.binding_eta} "
+            f"(max eta = {self.max_eta:.9g})",
+            f"admissible delta^2: {d2}",
+        ] + [f"note: {n}" for n in self.notes]
 
 
 def validate_stepsize(p: ProblemParams) -> CertReport:
@@ -397,33 +380,22 @@ def validate_stepsize(p: ProblemParams) -> CertReport:
                 ("h-half", 0.5)]
     if gamma1 is not None:
         h_limits.append(("h-coupling", 1.0 / (gamma1 * gamma2)))
-    h_clauses = []
-    for name, lim in h_limits:
-        h_clauses.append(ClauseResult(name=name, bound=lim, value=h,
-                                      passed=(0.0 < h <= lim), strict=False))
-    max_h = min(lim for _, lim in h_limits)
-    binding_h = min(h_limits, key=lambda nl: nl[1])[0]
-
     eta_limits = [("eta-unit", 1.0),
                   ("eta-strong-convexity", 1.0 / (L + mu))]
     if g is not None:
         eta_limits.append(("eta-coupling", 1.0 / (h * gamma1 * gamma2)))
         eta_limits.append(("eta-gain-vs-A", g / max(6.0 * (L + mu), 2.0 * A)))
         eta_limits.append(("eta-gain", g / (6.0 * (L + mu))))
-    eta_clauses = []
-    for name, lim in eta_limits:
-        eta_clauses.append(ClauseResult(name=name, bound=lim, value=eta,
-                                        passed=(0.0 < eta < lim), strict=True))
-    max_eta = min(lim for _, lim in eta_limits)
-    binding_eta = min(eta_limits, key=lambda nl: nl[1])[0]
-
-    ok = all(c.passed for c in h_clauses + eta_clauses) and not notes
-    comp = _delta2_complement(eta, mu, L, h, gw, giw)
-    return CertReport(h_clauses=tuple(h_clauses), eta_clauses=tuple(eta_clauses),
-                      ok=ok, max_h=max_h, max_eta=max_eta,
+    checks = [Check(name, 0.0 < h <= lim, f"{h:.9g} <= {lim:.9g}")
+              for name, lim in h_limits] \
+        + [Check(name, 0.0 < eta < lim, f"{eta:.9g} < {lim:.9g}")
+           for name, lim in eta_limits]
+    binding_h, max_h = min(h_limits, key=lambda nl: nl[1])
+    binding_eta, max_eta = min(eta_limits, key=lambda nl: nl[1])
+    return CertReport(tuple(checks), max_h=max_h, max_eta=max_eta,
                       binding_h=binding_h, binding_eta=binding_eta,
-                      delta2_interval=(1.0 - comp, 1.0),
-                      delta2_complement=comp, notes=tuple(notes))
+                      delta2_complement=p.delta2_complement,
+                      notes=tuple(notes))
 
 
 def _geom_ratio(a: float, b: float, K: int) -> float:

@@ -244,9 +244,13 @@ class TestProblemParams:
 
     def test_delta2_defaults_to_lower_endpoint(self):
         p = _params_from_set(SET_A)
-        lo, hi = validate_stepsize(p).delta2_interval
-        assert p.delta2 == lo
-        assert hi == 1.0
+        comp = validate_stepsize(p).delta2_complement
+        assert p.delta2 == 1.0 - comp
+        # max(1 - (eta mu/2)(1 - eta L/2), 1 - h(1 - gw)(1 - giw)/4)
+        sp = p.spectral
+        lo = max(1 - (p.eta * p.mu / 2) * (1 - p.eta * p.L / 2),
+                 1 - p.h * (1 - sp.gammabar_w) * (1 - sp.gammabar_iw) / 4)
+        assert p.delta2 == pytest.approx(lo, rel=1e-15)
 
 
 class TestValidateStepsize:
