@@ -7,7 +7,7 @@ run checks before it starts.  Run as a script; prints everything.
 
 import numpy as np
 
-from exlg.linalg import psd_sqrt, sym_eig, SymMatrix
+from exlg.linalg import psd_sqrt, sym_eig
 from exlg.network import build_mixing_set, laplacian, make_topology, validate_assumptions
 
 np.set_printoptions(precision=4, suppress=True)
@@ -43,7 +43,7 @@ for kind in ("fully-connected", "ring", "star", "disconnected"):
 # on connected graphs; its square root drives the two-matrix samplers.
 print("\n=== U and its PSD square root (ring) ===")
 ms = build_mixing_set(make_topology("ring", 5), h=0.4, delta=0.2)
-root = psd_sqrt(SymMatrix(ms.u))
+root = psd_sqrt(ms.u)
 print("U =\n", ms.u)
 print("max |sqrt(U)^2 - U| =", np.max(np.abs(root @ root - ms.u)))
 ones = np.ones(5)

@@ -3,11 +3,11 @@
 Everything downstream (mixing matrices, Wasserstein distances, theory
 constants) funnels through the three operations here, so they are kept
 deliberately small: a validated symmetric eigensolve (one LAPACK ``eigh``
-call behind the symmetric-input checks of ``SymMatrix``), an
-eigendecomposition-based PSD root with a fixed relative clip window, and a
-block-apply that contracts only over the agent axis.  Each takes one
-matrix or block, or a stack of them along leading axes; a stacked call
-gives every slice the bits of the call on that slice alone.
+call on the read-only (a + a^T)/2 that `symmetrized` makes of a square,
+finite input), an eigendecomposition-based PSD root with a fixed relative
+clip window, and a block-apply that contracts only over the agent axis.
+Each takes one matrix or block, or a stack of them along leading axes; a
+stacked call gives every slice the bits of the call on that slice alone.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 
 __all__ = [
-    "SymMatrix",
+    "symmetrized",
     "Spectrum",
     "NotPSDError",
     "sym_eig",
@@ -34,35 +34,20 @@ class NotPSDError(ValueError):
     """Matrix handed to psd_sqrt has an eigenvalue below the clip window."""
 
 
-@dataclasses.dataclass(frozen=True)
-class SymMatrix:
-    """A validated square symmetric matrix, or a stack (..., n, n) of them.
+def symmetrized(a) -> np.ndarray:
+    """(a + a^T)/2 over the last two axes of a square matrix or a
+    (..., n, n) stack, so exactly symmetric, and read-only.
 
-    The constructor symmetrizes via (a + a^T)/2 over the last two axes, so
-    ``entries`` is exactly symmetric; non-square or non-finite input is
-    rejected.
+    Raises ``ValueError`` on non-square or non-finite input.
     """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        a = (a + a.swapaxes(-1, -2)) / 2.0
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[-1]
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return np.asarray(self.entries, dtype=dtype)
-        return self.entries
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    a = (a + a.swapaxes(-1, -2)) / 2.0
+    a.setflags(write=False)
+    return a
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,20 +62,14 @@ class Spectrum:
     vectors: np.ndarray
 
 
-def _as_sym(a) -> np.ndarray:
-    if isinstance(a, SymMatrix):
-        return a.entries
-    return SymMatrix(np.asarray(a, dtype=float)).entries
-
-
 def sym_eig(a) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
     Parameters
     ----------
-    a : array_like or SymMatrix
+    a : array_like
         Square symmetric matrix, or a (..., n, n) stack of them
-        (symmetrized on entry if handed raw).
+        (symmetrized on entry by `symmetrized`).
 
     Returns
     -------
@@ -104,7 +83,7 @@ def sym_eig(a) -> Spectrum:
         If the input is not square or not finite, or if LAPACK fails to
         converge (``np.linalg.LinAlgError`` is a ``ValueError``).
     """
-    values, vectors = np.linalg.eigh(_as_sym(a))
+    values, vectors = np.linalg.eigh(symmetrized(a))
     return Spectrum(values=values, vectors=vectors)
 
 

@@ -45,7 +45,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .linalg import SymMatrix, sym_eig
+from .linalg import sym_eig, symmetrized
 
 __all__ = [
     "GaussianDist",
@@ -110,7 +110,7 @@ def checked_cov(c) -> np.ndarray:
     eigenvalue is below -1e-10 * max(1, max|c|) of that matrix.  The
     result is read-only.
     """
-    c = SymMatrix(c).entries
+    c = symmetrized(c)
     lo = np.linalg.eigvalsh(c)[..., 0]
     bad = lo < -1e-10 * np.maximum(1.0, np.max(np.abs(c), axis=(-2, -1)))
     if np.any(bad):

@@ -1,6 +1,6 @@
 """Eigensolve, PSD root, and block-mixing contracts.
 
-sym_eig is LAPACK eigh behind SymMatrix validation, so the randomized
+sym_eig is LAPACK eigh behind the checks of symmetrized, so the randomized
 checks test the contracts callers rely on (ascending values, accurate
 reconstruction, orthonormal vectors) rather than the solver itself.
 """
@@ -10,10 +10,10 @@ import pytest
 
 from exlg.linalg import (
     NotPSDError,
-    SymMatrix,
     mix_apply,
     psd_sqrt,
     sym_eig,
+    symmetrized,
 )
 
 
@@ -26,19 +26,20 @@ def _ring_w(n, delta):
     return np.eye(n) - delta * lap
 
 
-class TestSymMatrix:
+class TestSymmetrized:
     def test_symmetrizes(self):
-        m = SymMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
-        assert np.array_equal(m.entries, m.entries.T)
-        assert m.entries[0, 1] == 1.0
+        m = symmetrized(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        assert np.array_equal(m, m.T)
+        assert m[0, 1] == 1.0
+        assert not m.flags.writeable
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
-            SymMatrix(np.zeros((2, 3)))
+            symmetrized(np.zeros((2, 3)))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            SymMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            symmetrized(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestSymEig:
