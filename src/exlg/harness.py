@@ -333,13 +333,17 @@ def metric_rows(ks, series: dict):
 class ManifestWriter:
     """Collects run facts and writes the manifest atomically at the end.
 
-    Creates ``run.out``; ``write_csv`` writes a CSV there and records its
-    row count.
+    Creates ``run.out``, or raises a ``ConfigError`` naming the key when
+    it cannot; ``write_csv`` writes a CSV there and records its row count.
     """
 
     def __init__(self, cfg: ExperimentConfig, command: str):
         self.out = cfg.run.out
-        os.makedirs(self.out, exist_ok=True)
+        try:
+            os.makedirs(self.out, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"run.out: cannot make directory {self.out!r}: "
+                              f"{e.strerror}") from None
         self.payload = {
             "command": command,
             "version": __version__,

@@ -471,14 +471,18 @@ SWEEP_RUN = {**SWEEP_PROBE, "sampler": {**PROBE["sampler"], "steps": "20"},
                                   for f in dataclasses.fields(cls)])
 def test_config_domain_sweep_exits_cleanly(tmp_path, monkeypatch, capsys,
                                            skey):
-    """Every key at each edge value, a missing path and each of its enum
-    values: `validate` and `theory` on the probe config and `run` on a
-    1-replica, 20-step one exit 0, 2, 3 or 4, never with a traceback."""
+    """Every key at each edge value, a missing path, an existing file and
+    each of its enum values: `validate` and `theory` on the probe config
+    and `run` on a 1-replica, 20-step one exit 0, 2, 3 or 4, never with a
+    traceback."""
     from exlg.cli import main
 
     monkeypatch.chdir(tmp_path)  # a relative run.out lands here
     missing = str(tmp_path / "missing" / "file")
-    for value in EDGE_VALUES + (missing,) + ENUM_VALUES.get(skey, ()):
+    existing = tmp_path / "existing"
+    existing.write_text("x\n")
+    for value in (EDGE_VALUES + (missing, str(existing))
+                  + ENUM_VALUES.get(skey, ())):
         if skey == "task.beta_true" and value:
             value += " 0.5"  # dim is 2
         for base, commands in ((SWEEP_PROBE, ("validate", "theory")),
@@ -491,6 +495,20 @@ def test_config_domain_sweep_exits_cleanly(tmp_path, monkeypatch, capsys,
                     code = f"1, {type(e).__name__}: {e}"
                 assert code in (0, 2, 3, 4), (command, value, code)
                 assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["file", "file/sub", ""])
+def test_unusable_out_is_a_config_error(tmp_path, capsys, bad):
+    """An out that names a file, goes through one, or is empty: every
+    command that writes exits 2 naming run.out."""
+    from exlg.cli import main
+
+    (tmp_path / "file").write_text("x\n")
+    out = str(tmp_path / bad) if bad else bad
+    path = _probe_cfg(tmp_path, PROBE, {})
+    for command in ("run", "compare", "sweep-h", "theory", "gen-data"):
+        assert main([command, "--config", path, "--out", out]) == 2, command
+        assert "config error: run.out: " in capsys.readouterr().err, command
 
 
 def test_de_sgld_mode_is_an_unknown_key(tmp_path, capsys):
