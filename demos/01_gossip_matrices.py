@@ -17,15 +17,15 @@ H = 0.3
 
 for kind in ("fully-connected", "ring", "star", "disconnected"):
     top = make_topology(kind, N)
-    lam = sym_eig(laplacian(top)).values
+    lam, _ = sym_eig(laplacian(top))
     print(f"\n=== {kind} (N={N}) ===")
     print("Laplacian spectrum:", np.round(lam, 4))
 
     # delta = 0.5 / lambda_max keeps W's spectrum in [0.5, 1]
     delta = 0.5 / lam[-1] if lam[-1] > 0 else 1.0
     ms = build_mixing_set(top, h=H, delta=delta)
-    wv = sym_eig(ms.w).values
-    wtv = sym_eig(ms.w_tilde).values
+    wv, _ = sym_eig(ms.w)
+    wtv, _ = sym_eig(ms.w_tilde)
     print(f"delta = {delta:.4f}")
     print(f"eig(W)  in [{wv[0]:.4f}, {wv[-1]:.4f}]   "
           f"gap to 1: {1 - wv[-2]:.4f}")

@@ -49,7 +49,8 @@ print(f"{'topology':>16s} {'h':>5s} {'DE_SGLD':>10s} {'GEN_EXTRA':>10s}"
       f" {'improvement':>12s}")
 for kind, h in H.items():
     top = make_topology(kind, N)
-    lam_max = sym_eig(laplacian(top)).values[-1]
+    lam, _ = sym_eig(laplacian(top))
+    lam_max = lam[-1]
     delta = 0.5 / lam_max if lam_max > 0 else 1.0
     ms = build_mixing_set(top, h=h, delta=delta)
     de = plateau(per_agent_w2("DE_SGLD", ms))

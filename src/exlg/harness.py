@@ -66,12 +66,6 @@ class AssumptionError(RuntimeError):
 # ---------------------------------------------------------------------------
 # construction helpers
 
-@dataclasses.dataclass(frozen=True)
-class TaskBundle:
-    task: object
-    holdout: Optional[tuple]  # (X, y) for classification accuracy
-
-
 def _synthetic_data(t, rng: np.random.Generator):
     """(x, y, beta_true) of a synthetic task, drawn from ``rng``.
 
@@ -113,8 +107,10 @@ def _csv_data(t):
     return x, y
 
 
-def build_task(cfg: ExperimentConfig) -> TaskBundle:
-    """Generate or load the dataset and shard it across agents.
+def build_task(cfg: ExperimentConfig):
+    """Generate or load the dataset and shard it across agents: returns
+    ``(task, holdout)``, the holdout an ``(X, y)`` pair for classification
+    accuracy, or None.
 
     All draws come from the stream seeded by hash(master, "data"), so the
     dataset is a pure function of the config; the holdout set uses its own
@@ -149,8 +145,7 @@ def build_task(cfg: ExperimentConfig) -> TaskBundle:
         raise ConfigError(
             f"sampler.batch: {batch} exceeds the shard size {size}")
     cls = LinRegTask if t.kind == "linreg" else LogRegTask
-    return TaskBundle(task=cls(xs=xs, ys=ys, prior_var=t.prior_var),
-                      holdout=holdout)
+    return cls(xs=xs, ys=ys, prior_var=t.prior_var), holdout
 
 
 def build_mixing(cfg: ExperimentConfig) -> MixingSet:
@@ -398,16 +393,15 @@ def _checked_mixing(cfg: ExperimentConfig, algorithms,
     return ms
 
 
-def _chain_and_score(cfg: ExperimentConfig, bundle: TaskBundle,
+def _chain_and_score(cfg: ExperimentConfig, task, holdout,
                      algorithm: str, seeds, ms: Optional[MixingSet]):
-    """One variant: run ``algorithm``'s replicas (one per seed, over ``ms``
-    unless it is centralized) on the bundle's task and score them.
+    """One variant: run ``algorithm``'s replicas (one per seed, over ``ms``,
+    which a centralized chain ignores) on ``task`` and score them.
     Returns the `run_ensemble` result and its metric series."""
-    res = run_ensemble(bundle.task,
+    res = run_ensemble(task,
                        dataclasses.replace(cfg.sampler, algorithm=algorithm),
-                       seeds, mixing=None if algorithm in CENTRALIZED else ms,
-                       record_every=cfg.run.record_every)
-    return res, series_for_run(bundle.task, res.ks, res.xs, bundle.holdout,
+                       seeds, mixing=ms, record_every=cfg.run.record_every)
+    return res, series_for_run(task, res.ks, res.xs, holdout,
                                cfg.sampler.temperature)
 
 
@@ -427,10 +421,10 @@ def cmd_validate(cfg: ExperimentConfig, echo=print) -> int:
     report = validate_assumptions(ms)
     for line in report.lines():
         echo(line)
-    bundle = build_task(cfg)
-    mu_L = _mu_L(cfg, bundle.task, ms)
+    task, _ = build_task(cfg)
+    mu_L = _mu_L(cfg, task, ms)
     cert = validate_stepsize(problem_params_from(
-        bundle.task, ms, cfg.sampler, mu_L=mu_L))
+        task, ms, cfg.sampler, mu_L=mu_L))
     echo("stepsize clauses (informational):")
     for line in cert.lines():
         echo("  " + line)
@@ -452,19 +446,19 @@ def cmd_validate(cfg: ExperimentConfig, echo=print) -> int:
 def cmd_run(cfg: ExperimentConfig) -> int:
     """Run R replicas, write trajectory/metric CSVs and the manifest."""
     manifest = ManifestWriter(cfg, "run")
-    _run(cfg, build_task(cfg), manifest,
+    _run(cfg, *build_task(cfg), manifest,
          _checked_mixing(cfg, [cfg.sampler.algorithm]))
     return EXIT_OK
 
 
-def _run(cfg: ExperimentConfig, bundle: TaskBundle,
-         manifest: ManifestWriter, ms: Optional[MixingSet]):
-    """A `run` of cfg over a built task and its checked mixing set (None
-    for a centralized algorithm), its files written through ``manifest``;
-    returns the metric series it wrote."""
+def _run(cfg: ExperimentConfig, task, holdout, manifest: ManifestWriter,
+         ms: Optional[MixingSet]):
+    """A `run` of cfg over a built task (and its holdout) and its checked
+    mixing set (None for a centralized algorithm), its files written
+    through ``manifest``; returns the metric series it wrote."""
     seeds = _replica_seeds(cfg.run.seed, cfg.run.replicas)
-    res, series = _chain_and_score(cfg, bundle, cfg.sampler.algorithm, seeds,
-                                   ms)
+    res, series = _chain_and_score(cfg, task, holdout, cfg.sampler.algorithm,
+                                   seeds, ms)
 
     coords = [f"coord_{j}" for j in range(res.xs.shape[-1])]
     manifest.write_csv("trajectory.csv", ["replica", "k", "agent", *coords],
@@ -497,7 +491,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     if len(algos) < 2:
         raise ConfigError("compare.algorithms: need at least 2 entries")
     manifest = ManifestWriter(cfg, "compare")
-    bundle = build_task(cfg)
+    task, holdout = build_task(cfg)
     ms = _checked_mixing(cfg, algos)
 
     all_series = {}
@@ -506,7 +500,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     for algo, label in zip(algos, _compare_labels(algos)):
         seeds = _replica_seeds(cfg.run.seed, cfg.run.replicas, tag=algo)
         seed_map[label] = [int(s) for s in seeds]
-        for name, v in _chain_and_score(cfg, bundle, algo, seeds,
+        for name, v in _chain_and_score(cfg, task, holdout, algo, seeds,
                                         ms)[1].items():
             all_series[f"{label}:{name}"] = v
             plateau_rows.append((label, name, plateau(v)))
@@ -544,7 +538,7 @@ def cmd_sweep_h(cfg: ExperimentConfig) -> int:
             f"give only {len(set(names))} distinct run directories (h to 6 "
             "significant digits); use fewer points or a wider range")
     manifest = ManifestWriter(cfg, "sweep-h")
-    bundle = build_task(cfg)
+    task, holdout = build_task(cfg)
 
     rows = []
     objectives = []
@@ -558,7 +552,7 @@ def cmd_sweep_h(cfg: ExperimentConfig) -> int:
         point = ManifestWriter(sub, "run")
         ms = _checked_mixing(sub, [cfg.sampler.algorithm], ms)
         here = {label: plateau(v)
-                for label, v in _run(sub, bundle, point, ms).items()}
+                for label, v in _run(sub, task, holdout, point, ms).items()}
         rows.extend((float(h), label, val) for label, val in here.items())
         for label in _SWEEP_OBJECTIVE:
             if label in here:
@@ -584,23 +578,23 @@ def cmd_theory(cfg: ExperimentConfig, echo=print) -> int:
     mixing set at the shrunk h is checked like the configured one.
     """
     manifest = ManifestWriter(cfg, "theory")
-    bundle = build_task(cfg)
+    task, _ = build_task(cfg)
     ms = build_mixing(cfg)
     check_assumptions(ms, cfg)
 
-    mu_L = _mu_L(cfg, bundle.task, ms)
-    xstar = bundle.task.minimizer()
+    mu_L = _mu_L(cfg, task, ms)
+    xstar = task.minimizer()
     sigma2 = cfg.theory.sigma2
     if sigma2 is None:
         sigma2 = 0.0
         if cfg.sampler.batch is not None:
             rng = np.random.default_rng(
                 derive_seed(cfg.run.seed, "noise-est"))
-            sigma2 = estimate_grad_noise(bundle.task, xstar,
+            sigma2 = estimate_grad_noise(task, xstar,
                                          cfg.sampler.batch, 200, rng)
             echo(f"estimated gradient noise sigma^2 = {sigma2:.6g}")
 
-    p = problem_params_from(bundle.task, ms, cfg.sampler, sigma2=sigma2,
+    p = problem_params_from(task, ms, cfg.sampler, sigma2=sigma2,
                             w2_init=cfg.theory.w2_init, xstar=xstar,
                             mu_L=mu_L)
     cert = validate_stepsize(p)

@@ -1,24 +1,22 @@
 """Dense symmetric eigensolves, PSD square roots, and block mixing.
 
 Everything downstream (mixing matrices, Wasserstein distances, theory
-constants) funnels through the three operations here, so they are kept
-deliberately small: a validated symmetric eigensolve (one LAPACK ``eigh``
-call on the read-only (a + a^T)/2 that `symmetrized` makes of a square,
-finite input), an eigendecomposition-based PSD root with a fixed relative
-clip window, and a block-apply that contracts only over the agent axis.
-Each takes one matrix or block, or a stack of them along leading axes; a
-stacked call gives every slice the bits of the call on that slice alone.
+constants) funnels through three operations here, kept deliberately small:
+`sym_eig`, one LAPACK ``eigh`` call on the read-only (a + a^T)/2 that
+`symmetrized` makes of a square, finite input, returning ``eigh``'s
+``(values, vectors)`` pair; `psd_sqrt`, an eigendecomposition-based root
+with a fixed relative clip window; and `mix_apply`, a block-apply that
+contracts only over the agent axis.  Each takes one matrix or block, or a
+stack of them along leading axes; a stacked call gives every slice the bits
+of the call on that slice alone.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
 __all__ = [
     "symmetrized",
-    "Spectrum",
     "NotPSDError",
     "sym_eig",
     "psd_sqrt",
@@ -50,19 +48,7 @@ def symmetrized(a) -> np.ndarray:
     return a
 
 
-@dataclasses.dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues (ascending) and matching orthonormal eigenvectors.
-
-    ``vectors[..., :, j]`` belongs to ``values[..., j]``; reconstruction and
-    orthonormality hold to 1e-10 relative (see tests).
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def sym_eig(a) -> Spectrum:
+def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
     Parameters
@@ -73,9 +59,10 @@ def sym_eig(a) -> Spectrum:
 
     Returns
     -------
-    Spectrum
-        Eigenvalues sorted ascending with matching orthonormal eigenvector
-        columns, per matrix of the stack.
+    (values, vectors)
+        ``eigh``'s pair per matrix of the stack: eigenvalues ascending and
+        orthonormal eigenvector columns, ``vectors[..., :, j]`` belonging
+        to ``values[..., j]``.
 
     Raises
     ------
@@ -83,8 +70,7 @@ def sym_eig(a) -> Spectrum:
         If the input is not square or not finite, or if LAPACK fails to
         converge (``np.linalg.LinAlgError`` is a ``ValueError``).
     """
-    values, vectors = np.linalg.eigh(symmetrized(a))
-    return Spectrum(values=values, vectors=vectors)
+    return np.linalg.eigh(symmetrized(a))
 
 
 def psd_sqrt(a) -> np.ndarray:
@@ -95,8 +81,7 @@ def psd_sqrt(a) -> np.ndarray:
     below zero are clamped to zero; anything below it raises
     ``NotPSDError`` reporting the offending eigenvalue.
     """
-    spec = sym_eig(a)
-    vals = spec.values
+    vals, vecs = sym_eig(a)
     window = _PSD_CLIP * np.max(np.abs(vals), axis=-1)
     lo = vals[..., 0]
     bad = lo < -window
@@ -105,7 +90,6 @@ def psd_sqrt(a) -> np.ndarray:
             f"matrix is not PSD within the clip window: eigenvalue "
             f"{lo[bad][0]:.6e} < -{window[bad][0]:.6e}"
         )
-    vecs = spec.vectors
     root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) \
         @ vecs.swapaxes(-1, -2)
     return (root + root.swapaxes(-1, -2)) / 2.0

@@ -1,11 +1,12 @@
 """Gossip topologies, mixing matrices, and assumption validation.
 
-A mixing matrix is built from a graph Laplacian as W = I - delta * L, then
-smoothed to W~ = h*I + (1-h)*W with h in (0, 1/2].  U = W~ - W = h(I - W)
-carries the dual update in the generalized sampler; the spectral summary of
-W and W~ feeds the theory module.  Each matrix is solved once, where it is
-built, and a set keeps the eigenvalues of W and W~.  `with_h` moves a built
-set to another h: it rebuilds W~, U and W~'s eigenvalues, and keeps the rest.
+A topology is its checked adjacency alone.  W = I - delta * L is built from
+its Laplacian and smoothed to W~ = h*I + (1-h)*W with h in (0, 1/2];
+U = W~ - W = h(I - W) carries the generalized sampler's dual update.  Each
+matrix is solved once, where it is built: a set keeps the eigenvalues of W
+and W~, and its `spectral` summary for the theory module is computed from
+them.  `with_h` moves a built set to another h, rebuilding W~, U and W~'s
+eigenvalues.
 
 Assumption checks mirror the standing assumptions on the mixing pair: W
 doubly stochastic with positive diagonal, spectra inside (-1, 1] and (0, 1],
@@ -35,7 +36,6 @@ __all__ = [
     "ring",
     "star",
     "disconnected",
-    "custom",
     "make_topology",
     "topology_from_file",
     "laplacian",
@@ -46,6 +46,7 @@ __all__ = [
     "validate_assumptions",
 ]
 
+# the values of network.topology; `make_topology` builds all but custom
 TOPOLOGY_KINDS = (
     "fully-connected",
     "ring",
@@ -62,24 +63,18 @@ _NULL_TOL = 1e-10
 class Topology:
     """An undirected graph over n >= 2 agents.
 
-    ``adjacency`` is a 0/1 symmetric matrix with zero diagonal; for the
-    star, agent 0 is the hub.
+    ``adjacency`` is a square 0/1 symmetric matrix with zero diagonal, kept
+    read-only as floats; for the star, agent 0 is the hub.
     """
 
-    kind: str
-    n: int
     adjacency: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in TOPOLOGY_KINDS:
-            raise ValueError(f"unknown topology kind {self.kind!r}")
-        if self.n < 2:
-            raise ValueError(f"need at least 2 agents, got {self.n}")
         a = np.asarray(self.adjacency)
-        if a.shape != (self.n, self.n):
-            raise ValueError(
-                f"adjacency shape {a.shape} does not match n={self.n}"
-            )
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"adjacency must be square, got shape {a.shape}")
+        if a.shape[0] < 2:
+            raise ValueError(f"need at least 2 agents, got {a.shape[0]}")
         if not np.array_equal(a, a.T):
             raise ValueError("adjacency must be symmetric")
         if not np.all((a == 0) | (a == 1)):
@@ -90,10 +85,13 @@ class Topology:
         a.setflags(write=False)
         object.__setattr__(self, "adjacency", a)
 
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
+
 
 def fully_connected(n: int) -> Topology:
-    a = np.ones((n, n)) - np.eye(n)
-    return Topology(kind="fully-connected", n=n, adjacency=a)
+    return Topology(np.ones((n, n)) - np.eye(n))
 
 
 def ring(n: int) -> Topology:
@@ -101,7 +99,7 @@ def ring(n: int) -> Topology:
     for i in range(n):
         a[i, (i + 1) % n] = 1.0
         a[(i + 1) % n, i] = 1.0
-    return Topology(kind="ring", n=n, adjacency=a)
+    return Topology(a)
 
 
 def star(n: int) -> Topology:
@@ -109,16 +107,11 @@ def star(n: int) -> Topology:
     a = np.zeros((n, n))
     a[0, 1:] = 1.0
     a[1:, 0] = 1.0
-    return Topology(kind="star", n=n, adjacency=a)
+    return Topology(a)
 
 
 def disconnected(n: int) -> Topology:
-    return Topology(kind="disconnected", n=n, adjacency=np.zeros((n, n)))
-
-
-def custom(adjacency) -> Topology:
-    a = np.asarray(adjacency, dtype=float)
-    return Topology(kind="custom", n=a.shape[0], adjacency=a)
+    return Topology(np.zeros((n, n)))
 
 
 def make_topology(kind: str, n: int) -> Topology:
@@ -170,7 +163,7 @@ def topology_from_file(path) -> Topology:
         except ValueError as e:
             raise ValueError(f"adjacency file {path}: row {i + 1}: {e}") \
                 from None
-    return custom(np.asarray(rows).reshape(n, n))
+    return Topology(np.asarray(rows).reshape(n, n))
 
 
 def laplacian(top: Topology) -> np.ndarray:
@@ -183,7 +176,7 @@ def build_w(top: Topology, delta: Optional[float], seed: int = 0):
     ``delta`` must lie in (0, 2/lambda_max(L)); None draws it from ``seed``,
     uniform on (0.05, 0.95)/lambda_max, or 1 on an edgeless graph (W = I)."""
     lap = laplacian(top)
-    lam_max = float(sym_eig(lap).values[-1])
+    lam_max = float(sym_eig(lap)[0][-1])
     if delta is None:
         delta = 1.0 if lam_max <= 0.0 else float(
             np.random.default_rng(seed).uniform(0.05, 0.95)) / lam_max
@@ -207,19 +200,16 @@ def build_w_tilde(w: np.ndarray, h: float) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class SpectralSummary:
-    """Edge eigenvalues and contraction factors of the mixing pair.
+    """The five spectral numbers of the mixing pair the bound reads.
 
-    ``lam2_*`` is the second-largest eigenvalue, ``lamN_*`` the smallest.
-    gammabar_w = max(|lam2_w|, |lamN_w|), gammabar_wt likewise for W~, and
-    gammabar_iw = max(1 - |lam2_w|, 1 - |lamN_w|) (the literal printed
-    form, not the edge eigenvalues of I - W).  ``norm_wt`` is ||W~||_2,
-    the larger of |lambda_min(W~)| and |lambda_max(W~)|.
+    With lam2 the second-largest eigenvalue and lamN the smallest,
+    ``lam2_wt`` is lam2(W~), gammabar_w = max(|lam2(W)|, |lamN(W)|),
+    gammabar_wt likewise for W~, gammabar_iw = max(1 - |lam2(W)|,
+    1 - |lamN(W)|) (the literal printed form, not the edge eigenvalues of
+    I - W), and ``norm_wt`` = ||W~||_2 = max(|lamN(W~)|, |lam1(W~)|).
     """
 
-    lam2_w: float
-    lamN_w: float
     lam2_wt: float
-    lamN_wt: float
     gammabar_w: float
     gammabar_iw: float
     gammabar_wt: float
@@ -239,27 +229,24 @@ class MixingSet:
     delta: float
     w_eigs: np.ndarray
     wt_eigs: np.ndarray
-    spectral: SpectralSummary
 
     @property
     def n(self) -> int:
         return self.topology.n
 
-
-def _spectral_summary(wv: np.ndarray, wtv: np.ndarray) -> SpectralSummary:
-    """The summary from all of W's and W~'s eigenvalues, ascending."""
-    lam2_w, lamN_w = float(wv[-2]), float(wv[0])
-    lam2_wt, lamN_wt = float(wtv[-2]), float(wtv[0])
-    return SpectralSummary(
-        lam2_w=lam2_w,
-        lamN_w=lamN_w,
-        lam2_wt=lam2_wt,
-        lamN_wt=lamN_wt,
-        gammabar_w=max(abs(lam2_w), abs(lamN_w)),
-        gammabar_iw=max(1.0 - abs(lam2_w), 1.0 - abs(lamN_w)),
-        gammabar_wt=max(abs(lam2_wt), abs(lamN_wt)),
-        norm_wt=float(max(abs(wtv[0]), abs(wtv[-1]))),
-    )
+    @property
+    def spectral(self) -> SpectralSummary:
+        """The summary, from the eigenvalues the set was built with."""
+        wv, wtv = self.w_eigs, self.wt_eigs
+        edge_w = (abs(float(wv[-2])), abs(float(wv[0])))  # |lam2|, |lamN|
+        lam2_wt = float(wtv[-2])
+        return SpectralSummary(
+            lam2_wt=lam2_wt,
+            gammabar_w=max(edge_w),
+            gammabar_iw=max(1.0 - edge_w[0], 1.0 - edge_w[1]),
+            gammabar_wt=max(abs(lam2_wt), abs(float(wtv[0]))),
+            norm_wt=float(max(abs(wtv[0]), abs(wtv[-1]))),
+        )
 
 
 def build_mixing_set(top: Topology, h: float, delta: Optional[float],
@@ -268,11 +255,10 @@ def build_mixing_set(top: Topology, h: float, delta: Optional[float],
     with their spectra.  ``delta`` None draws one from ``seed``, as
     `build_w` does, from the same solve of L that builds W."""
     w, delta = build_w(top, delta, seed)
-    wv = sym_eig(w).values
+    wv, _ = sym_eig(w)
     # the set at h = 0, where W~ = W and U = 0, needs W's solve alone
-    bare = MixingSet(top, w, w, np.zeros_like(w), 0.0, delta, wv, wv,
-                     _spectral_summary(wv, wv))
-    return with_h(bare, h)
+    return with_h(MixingSet(top, w, w, np.zeros_like(w), 0.0, delta, wv, wv),
+                  h)
 
 
 def with_h(ms: MixingSet, h: float) -> MixingSet:
@@ -285,9 +271,8 @@ def with_h(ms: MixingSet, h: float) -> MixingSet:
     # eigenvalues.
     u = h * (np.eye(ms.n) - ms.w)
     u = (u + u.T) / 2.0
-    wtv = sym_eig(w_tilde).values
-    return dataclasses.replace(ms, w_tilde=w_tilde, u=u, h=h, wt_eigs=wtv,
-                               spectral=_spectral_summary(ms.w_eigs, wtv))
+    wtv, _ = sym_eig(w_tilde)
+    return dataclasses.replace(ms, w_tilde=w_tilde, u=u, h=h, wt_eigs=wtv)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -353,11 +338,11 @@ def validate_assumptions(ms: MixingSet) -> Report:
         f"min eig(W~) = {wt_lo:.6g}, required > 0")
 
     upper = (np.eye(n) + ms.w) / 2.0 - ms.w_tilde
-    upper_min = float(sym_eig(upper).values[0])
+    upper_min = float(sym_eig(upper)[0][0])
     add("psd-order-upper", upper_min >= -1e-10,
         f"min eig((I+W)/2 - W~) = {upper_min:.3e} (>= -1e-10)")
 
-    uv = sym_eig(ms.u).values
+    uv, _ = sym_eig(ms.u)
     lower_min = float(uv[0])
     add("psd-order-lower", lower_min >= -1e-10,
         f"min eig(W~ - W) = {lower_min:.3e} (>= -1e-10)")

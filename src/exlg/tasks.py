@@ -303,7 +303,7 @@ class LinRegTask(_ShardedTask):
         L  = max_i lam_max(2 X_i^T X_i) + 1/(lambda N),
         from one stacked eigensolve of the (N, d, d) Gram stack."""
         prior_curv = 1.0 / (self.prior_var * self.n_agents)
-        vals = sym_eig(self._gram).values
+        vals, _ = sym_eig(self._gram)
         return (float(vals[:, 0].min()) + prior_curv,
                 float(vals[:, -1].max()) + prior_curv)
 
@@ -340,16 +340,12 @@ class LogRegTask(_ShardedTask):
         L  = max_i (1/4) lam_max(X_i^T X_i) + 1/(N lambda),
         from one stacked eigensolve of the (N, d, d) X_i^T X_i stack."""
         prior_curv = 1.0 / (self.prior_var * self.n_agents)
-        vals = sym_eig(self.xs.swapaxes(1, 2) @ self.xs).values
+        vals, _ = sym_eig(self.xs.swapaxes(1, 2) @ self.xs)
         return prior_curv, 0.25 * float(vals[:, -1].max()) + prior_curv
 
     def target(self) -> None:
         """None: the logistic posterior has no closed form."""
         return None
-
-    def signed(self, i):
-        """Features folded with the label sign: s_j X_j, s_j = 2 y_j - 1."""
-        return self._signed[i]
 
     def grad_block(self, x, idx=None):
         """Gradients at every row of an (R, N, d) block.

@@ -18,7 +18,7 @@ methods, so no branch here depends on the kind of task.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -63,10 +63,11 @@ class InitMoments:
     vtilde0_sq: float = 0.0
 
     def __post_init__(self):
-        for name in ("x0_sq", "xtilde0_sq", "ebar0_sq", "vtilde0_sq"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not math.isfinite(v) or v < 0:
-                raise ValueError(f"init moment {name} must be finite and >= 0, got {v}")
+                raise ValueError(
+                    f"init moment {f.name} must be finite and >= 0, got {v}")
 
 
 def _delta2_complement(eta: float, mu: float, L: float, h: float,
@@ -166,10 +167,7 @@ class TheoryConstants:
 
     def as_rows(self):
         """(name, value) pairs in declaration order, for the CSV dump."""
-        names = ("gamma_wt", "A", "gamma1", "gamma2", "w1", "w2",
-                 "E1", "E2", "E3", "E4", "C0", "C1", "C2", "C3", "C4",
-                 "D0", "D1", "D2", "R_h", "R_h_prime", "K0", "script_E1")
-        return [(n, getattr(self, n)) for n in names]
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
 
 def gamma_wtilde(t: float) -> float:
@@ -326,7 +324,8 @@ class CertReport(Report):
     clauses, each with the parameter against its limit as its detail.
     ``max_h`` and ``max_eta`` are the binding limits, ``binding_h`` /
     ``binding_eta`` name the clause that attains each, and the admissible
-    delta^2 range is [1 - ``delta2_complement``, 1).  A spectrum the
+    delta^2 range is [1 - ``delta2_complement``, 1), empty when the
+    complement is not positive.  A spectrum the
     theory does not cover leaves a note, and a report with notes is not
     ``ok``.
     """
@@ -344,9 +343,13 @@ class CertReport(Report):
 
     def lines(self) -> list[str]:
         comp = self.delta2_complement
-        # the lower endpoint can round to 1; its complement still shows
-        d2 = (f"[1 - {comp:.3g}, 1)" if 1.0 - comp == 1.0 and comp > 0.0
-              else f"[{1.0 - comp:.9g}, 1)")
+        if comp <= 0.0:
+            d2 = f"empty, [1 - c, 1) with c = {comp:.9g} <= 0"
+        elif 1.0 - comp == 1.0:
+            # the lower endpoint rounds to 1; its complement still shows
+            d2 = f"[1 - {comp:.3g}, 1)"
+        else:
+            d2 = f"[{1.0 - comp:.9g}, 1)"
         return super().lines() + [
             f"binding h clause: {self.binding_h} (max h = {self.max_h:.9g})",
             f"binding eta clause: {self.binding_eta} "
@@ -481,11 +484,12 @@ def problem_params_from(task, ms: MixingSet, sampler: SamplerConfig, *,
         w2_init = 0.0 if target is None else math.sqrt(
             float(target.mean @ target.mean) + float(np.trace(target.cov)))
 
+    sp = ms.spectral
     return ProblemParams(
         mu=float(mu), L=float(L), sigma2=float(sigma2), d=task.dim,
         N=ms.topology.n, eta=float(sampler.eta), h=float(ms.h),
-        norm_B=sampler.norm_b(ms.spectral.norm_wt),
-        grad_at_min_sq=r, spectral=ms.spectral, w2_init=float(w2_init))
+        norm_B=sampler.norm_b(sp.norm_wt),
+        grad_at_min_sq=r, spectral=sp, w2_init=float(w2_init))
 
 
 # shrink_to_admissible aims at these fractions of the h and eta limits and
@@ -511,9 +515,9 @@ def shrink_to_admissible(p: ProblemParams, ms: MixingSet,
     in a handful of iterations because the limits move slowly in h.
     """
     def at(ms_: MixingSet, eta: float) -> ProblemParams:
-        norm_B = replace(sampler, eta=eta).norm_b(ms_.spectral.norm_wt)
-        return replace(p, h=float(ms_.h), eta=eta, spectral=ms_.spectral,
-                       norm_B=norm_B)
+        sp = ms_.spectral
+        return replace(p, h=float(ms_.h), eta=eta, spectral=sp,
+                       norm_B=replace(sampler, eta=eta).norm_b(sp.norm_wt))
 
     cur_ms, cur_eta = ms, p.eta
     for _ in range(_SHRINK_ITERS):

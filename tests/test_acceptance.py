@@ -271,7 +271,7 @@ def test_06_gradient_fidelity():
             2.0 * lin.prior_var * lin.n_agents)
 
     def log_f(i, b):
-        s = log.signed(i)
+        s = log.xs[i] * (2.0 * log.ys[i] - 1.0)[:, None]
         return float(np.sum(np.logaddexp(0.0, -(s @ b)))) + float(b @ b) / (
             2.0 * log.prior_var * log.n_agents)
 

@@ -536,10 +536,10 @@ class TestTheoryCmd:
         cfg = load_config(make_cfg(tmp_path, text=text,
                                    **{"n = 6": "n = 4"}))
         cmd_theory(cfg)
-        bundle = build_task(cfg)
+        task, _ = build_task(cfg)
         ms = build_mixing(cfg)
         p, _ = shrink_to_admissible(
-            problem_params_from(bundle.task, ms, cfg.sampler), ms,
+            problem_params_from(task, ms, cfg.sampler), ms,
             cfg.sampler)
         tc = compute_constants(p)
 
@@ -578,7 +578,7 @@ class TestTheoryCmd:
         cfg = load_config(path)
         ms = build_mixing(cfg)
         p, _ = shrink_to_admissible(
-            problem_params_from(build_task(cfg).task, ms, cfg.sampler,
+            problem_params_from(build_task(cfg)[0], ms, cfg.sampler,
                                 w2_init=5.0), ms, cfg.sampler)
         assert p.w2_init == 5.0
         tc = compute_constants(p)
@@ -722,15 +722,15 @@ class TestTheoryCmd:
         _, one = gamma2(1)
         cfg, fifty = gamma2(50)
         assert fifty != one
-        bundle = build_task(cfg)
+        task, _ = build_task(cfg)
         ms = build_mixing(cfg)
         assert cfg.sampler.b_scale == 50.0
         p, ms = shrink_to_admissible(
-            problem_params_from(bundle.task, ms, cfg.sampler), ms,
+            problem_params_from(task, ms, cfg.sampler), ms,
             cfg.sampler)
         assert p.norm_B == 50.0  # ||B|| = |b_scale| whatever (h, eta)
         direct = compute_constants(problem_params_from(
-            bundle.task, ms, dataclasses.replace(cfg.sampler, eta=p.eta)))
+            task, ms, dataclasses.replace(cfg.sampler, eta=p.eta)))
         assert fifty == direct.gamma2
 
     def test_b_scale_defaults_to_one(self, tmp_path):
@@ -739,9 +739,9 @@ class TestTheoryCmd:
         cfg = load_config(make_cfg(
             tmp_path, **{"steps = 40": "steps = 40\nb_mode = scaled-identity"}))
         assert cfg.sampler.b_scale == 1.0
-        bundle = build_task(cfg)
+        task, _ = build_task(cfg)
         ms = build_mixing(cfg)
-        p = problem_params_from(bundle.task, ms, SamplerConfig(
+        p = problem_params_from(task, ms, SamplerConfig(
             "GEN_EXTRA_SGLD", eta=cfg.sampler.eta, steps=40,
             b_mode="scaled-identity"))
         assert p.norm_B == 1.0
@@ -798,7 +798,7 @@ class TestGenData:
         assert main(["gen-data", "--config", path]) == EXIT_OK
         data = np.genfromtxt(tmp_path / "out" / "dataset.csv",
                              delimiter=",", skip_header=1)
-        task = build_task(load_config(path)).task
+        task, _ = build_task(load_config(path))
         shards = np.vstack([np.column_stack([x, y])
                             for x, y in zip(task.xs, task.ys)])
 
@@ -937,8 +937,8 @@ class SpikeOracle:
 
 def test_divergence_names_replica_iteration_and_agent(tmp_path, monkeypatch,
                                                      capsys):
-    monkeypatch.setattr(harness, "build_task", lambda cfg: harness.TaskBundle(
-        task=SpikeOracle(), holdout=None))
+    monkeypatch.setattr(harness, "build_task",
+                        lambda cfg: (SpikeOracle(), None))
     path = make_cfg(tmp_path, **{"GEN_EXTRA_SGLD": "DE_SGLD",
                                  "steps = 40": "steps = 5",
                                  "record_every = 5": "record_every = 1"})

@@ -44,25 +44,25 @@ class TestSymmetrized:
 
 class TestSymEig:
     def test_identity(self):
-        spec = sym_eig(np.eye(3))
-        assert np.allclose(spec.values, [1.0, 1.0, 1.0], atol=1e-12)
+        vals, _ = sym_eig(np.eye(3))
+        assert np.allclose(vals, [1.0, 1.0, 1.0], atol=1e-12)
 
     def test_swap(self):
-        spec = sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(spec.values, [-1.0, 1.0], atol=1e-12)
+        vals, _ = sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.allclose(vals, [-1.0, 1.0], atol=1e-12)
 
     def test_star_laplacian(self):
         lap = np.array(
             [[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]]
         )
-        spec = sym_eig(lap)
-        assert np.allclose(spec.values, [0.0, 1.0, 3.0], atol=1e-10)
+        vals, _ = sym_eig(lap)
+        assert np.allclose(vals, [0.0, 1.0, 3.0], atol=1e-10)
 
     def test_values_ascending(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((8, 8))
-        spec = sym_eig(a + a.T)
-        assert np.all(np.diff(spec.values) >= 0.0)
+        vals, _ = sym_eig(a + a.T)
+        assert np.all(np.diff(vals) >= 0.0)
 
     def test_nonconvergence_names_matrix(self):
         bad = np.full((3, 3), np.inf)
@@ -77,15 +77,26 @@ class TestSymEig:
             scale = 10.0 ** rng.uniform(-3, 3)
             a = rng.standard_normal((n, n)) * scale
             a = (a + a.T) / 2.0
-            spec = sym_eig(a)
+            vals, vecs = sym_eig(a)
             amax = max(1.0, np.max(np.abs(a)))
-            recon = (spec.vectors * spec.values) @ spec.vectors.T
+            recon = (vecs * vals) @ vecs.T
             assert np.max(np.abs(recon - a)) <= 1e-10 * amax
-            gram = spec.vectors.T @ spec.vectors
+            gram = vecs.T @ vecs
             assert np.max(np.abs(gram - np.eye(n))) <= 1e-10
             # the values-only LAPACK routine gives the same spectrum
             oracle = np.linalg.eigvalsh(a)
-            assert np.allclose(spec.values, oracle, atol=1e-9 * amax)
+            assert np.allclose(vals, oracle, atol=1e-9 * amax)
+
+    def test_unpacks_as_eigh_pair(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((4, 5, 5))
+        stack = (a + a.swapaxes(1, 2)) / 2.0
+        for m in (stack[0], stack):
+            vals, vecs = sym_eig(m)
+            want_vals, want_vecs = np.linalg.eigh(m)
+            assert vals.shape == m.shape[:-1] and vecs.shape == m.shape
+            assert np.array_equal(vals, want_vals)
+            assert np.array_equal(vecs, want_vecs)
 
 
 class TestPsdSqrt:

@@ -9,7 +9,6 @@ from exlg.network import (
     build_mixing_set,
     build_w,
     build_w_tilde,
-    custom,
     disconnected,
     fully_connected,
     laplacian,
@@ -32,22 +31,38 @@ class TestTopology:
         with pytest.raises(ValueError):
             disconnected(1)
 
+    def test_n_is_the_adjacency_size(self):
+        t = Topology([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+        assert t.n == 3
+        assert t.adjacency.dtype == float
+        assert not t.adjacency.flags.writeable
+        assert ring(7).n == 7
+
+    @pytest.mark.parametrize("a,match", [
+        (np.zeros((2, 3)), r"square, got shape \(2, 3\)"),
+        (np.zeros(4), r"square, got shape \(4,\)"),
+        (np.zeros((1, 1)), "need at least 2 agents, got 1"),
+    ], ids=["2x3", "vector", "1x1"])
+    def test_rejects_bad_shape(self, a, match):
+        with pytest.raises(ValueError, match=match):
+            Topology(a)
+
     def test_custom_rejects_asymmetric(self):
         a = np.zeros((3, 3))
         a[0, 1] = 1.0
         with pytest.raises(ValueError, match="symmetric"):
-            custom(a)
+            Topology(a)
 
     def test_custom_rejects_self_loop(self):
         a = np.eye(3)
         with pytest.raises(ValueError, match="diagonal"):
-            custom(a)
+            Topology(a)
 
     def test_custom_rejects_weights(self):
         a = np.zeros((2, 2))
         a[0, 1] = a[1, 0] = 0.5
         with pytest.raises(ValueError, match="0 or 1"):
-            custom(a)
+            Topology(a)
 
     def test_from_file_round_trip(self, tmp_path):
         t = ring(5)
@@ -63,6 +78,25 @@ class TestTopology:
         path = tmp_path / "adj.txt"
         path.write_text("3\n0 1\n1 0\n")
         with pytest.raises(ValueError):
+            topology_from_file(path)
+
+    @pytest.mark.parametrize("body,message", [
+        ("3\n0 1 0\n1 0\n0 1 0\n", "row 2 of 3 has 2 entries"),
+        ("3\n0 1 0\n1 0 1\n0 y 0\n",
+         "row 3: could not convert string to float: 'y'"),
+    ], ids=["ragged", "non-numeric"])
+    def test_from_file_row_errors_name_the_file(self, tmp_path, body,
+                                                message):
+        path = tmp_path / "adj.txt"
+        path.write_text(body)
+        with pytest.raises(ValueError) as info:
+            topology_from_file(path)
+        assert str(info.value) == f"adjacency file {path}: {message}"
+
+    def test_from_file_is_checked_like_any_adjacency(self, tmp_path):
+        path = tmp_path / "adj.txt"
+        path.write_text("3\n0 1 0\n0 0 1\n0 1 0\n")
+        with pytest.raises(ValueError, match="adjacency must be symmetric"):
             topology_from_file(path)
 
 
@@ -97,7 +131,7 @@ class TestBuildW:
 
     def test_delta_out_of_range(self):
         t = ring(4)
-        lam_max = sym_eig(laplacian(t)).values[-1]
+        lam_max = sym_eig(laplacian(t))[0][-1]
         with pytest.raises(ValueError, match="delta"):
             build_w(t, delta=2.0 / lam_max)
         with pytest.raises(ValueError, match="delta"):
@@ -105,7 +139,7 @@ class TestBuildW:
 
     def test_drawn_delta_deterministic_and_in_range(self):
         t = ring(6)
-        lam_max = sym_eig(laplacian(t)).values[-1]
+        lam_max = sym_eig(laplacian(t))[0][-1]
         d1 = build_w(t, None, seed=42)[1]
         d2 = build_mixing_set(t, h=0.3, delta=None, seed=42).delta
         assert d1 == d2
@@ -227,8 +261,8 @@ class TestMixingInvariants:
         assert report.ok, [c.detail for c in report.failed()]
 
         # Eigenvalue transport: lam_i(W~) = h + (1-h) lam_i(W).
-        wv = sym_eig(ms.w).values
-        wtv = sym_eig(ms.w_tilde).values
+        wv, _ = sym_eig(ms.w)
+        wtv, _ = sym_eig(ms.w_tilde)
         assert np.max(np.abs(wtv - (h + (1.0 - h) * wv))) <= 1e-10
 
         sp = ms.spectral
@@ -237,6 +271,5 @@ class TestMixingInvariants:
         assert 0.0 < sp.gammabar_wt <= 1.0
 
     def test_make_topology_dispatch(self):
-        assert make_topology("ring", 5).kind == "ring"
         with pytest.raises(ValueError):
             make_topology("custom", 5)

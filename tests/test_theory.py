@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from exlg.harness import series_for_run
+from exlg.config import load_config
+from exlg.harness import cmd_validate, series_for_run
 from exlg.metrics import w2_gaussian
 from exlg.network import SpectralSummary, make_topology, build_mixing_set
 from exlg.samplers import SamplerConfig
@@ -31,7 +32,7 @@ from exlg.theory import (
 
 def _spectral(lam2_w, lamN_w, lam2_wt, lamN_wt):
     return SpectralSummary(
-        lam2_w=lam2_w, lamN_w=lamN_w, lam2_wt=lam2_wt, lamN_wt=lamN_wt,
+        lam2_wt=lam2_wt,
         gammabar_w=max(abs(lam2_w), abs(lamN_w)),
         gammabar_iw=max(1 - abs(lam2_w), 1 - abs(lamN_w)),
         gammabar_wt=max(abs(lam2_wt), abs(lamN_wt)),
@@ -409,6 +410,45 @@ class TestStepsizeReportText:
             "note: |lambda_2(Wtilde)|^2 = 1.0 has no spectral gap",
         ]
 
+    # eta*L/2 > 1 makes the complement negative; on a graph without edges
+    # gammabar_W = 1 makes it 0.  Either way no delta^2 is admissible.
+    @pytest.mark.parametrize("edit,line", [
+        (("eta = 0.01", "eta = 0.5"),
+         "admissible delta^2: empty, [1 - c, 1) with c = -91.4478236 <= 0"),
+        (("topology = ring", "topology = disconnected"),
+         "admissible delta^2: empty, [1 - c, 1) with c = 0 <= 0"),
+    ], ids=["eta-0.5-ring6", "disconnected"])
+    def test_empty_delta2_interval(self, tmp_path, edit, line):
+        path = tmp_path / "exp.cfg"
+        path.write_text(_VALIDATE_CFG.replace(*edit))
+        out = []
+        cmd_validate(load_config(str(path)), echo=out.append)
+        assert [ln.strip() for ln in out if "delta^2" in ln] == [line]
+
+
+_VALIDATE_CFG = """
+[task]
+kind = linreg
+n_points = 120
+dim = 2
+beta_true = 1.0 -0.5
+
+[network]
+topology = ring
+n = 6
+h = 0.3
+delta = 0.2
+
+[sampler]
+algorithm = GEN_EXTRA_SGLD
+eta = 0.01
+steps = 40
+
+[run]
+seed = 7
+out = unused
+"""
+
 
 def _zero_init_params(**over):
     s = dict(SET_A, x0=0.0, xt0=0.0, eb0=0.0, vt0=0.0)
@@ -458,8 +498,7 @@ class TestBounds:
         mu, L, eta = 0.8, 2.5, 0.01
         b = 1 - eta * mu * (1 - eta * L / 2)
         gwt = math.sqrt(b)
-        sp = SpectralSummary(lam2_w=0.5, lamN_w=-0.2, lam2_wt=0.65,
-                             lamN_wt=0.1, gammabar_w=0.5, gammabar_iw=0.8,
+        sp = SpectralSummary(lam2_wt=0.65, gammabar_w=0.5, gammabar_iw=0.8,
                              gammabar_wt=gwt, norm_wt=1.0)
         p = ProblemParams(mu=mu, L=L, sigma2=0.0, d=3, N=4, eta=eta,
                           h=5e-6, norm_B=0.9, grad_at_min_sq=10.0 ** 4,
