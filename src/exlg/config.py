@@ -87,7 +87,7 @@ class SweepConfig:
 @dataclasses.dataclass(frozen=True)
 class TheoryConfig:
     shrink: bool = False
-    sigma2: Optional[float] = None  # None: 0 at full batch, estimated else
+    sigma2: Optional[float] = None  # None: 0 at full batch, exact else
     w2_init: Optional[float] = None
 
 

@@ -36,7 +36,6 @@ from .tasks import (
     LabelError,
     LinRegTask,
     LogRegTask,
-    estimate_grad_noise,
     gen_linreg_data,
     gen_logreg_data,
     load_csv_dataset,
@@ -360,9 +359,11 @@ class ManifestWriter:
                                 default=str) + "\n")
 
 
-def _mu_L(cfg: ExperimentConfig, task, ms: MixingSet):
-    """The task's (mu, L), once in-domain values that leave the bound
-    constants undefined are ruled out as config errors naming the key."""
+def _problem_params(cfg: ExperimentConfig, task, ms: MixingSet):
+    """The bound's inputs at the configured pair (`problem_params_from`
+    with the [theory] sigma2 and w2_init), once in-domain values that
+    leave the bound constants undefined are ruled out as config errors
+    naming the key."""
     mu, L = task.mu_L()
     if not 0.0 < mu < L:
         # the prior curvature 1 / (prior_var N) swamps the data's or
@@ -379,7 +380,9 @@ def _mu_L(cfg: ExperimentConfig, task, ms: MixingSet):
         raise ConfigError(
             f"{key}: ||B|| = {norm_b:.3g} is too large for the bound "
             "constants (its square overflows)")
-    return mu, L
+    return problem_params_from(task, ms, cfg.sampler,
+                               sigma2=cfg.theory.sigma2,
+                               w2_init=cfg.theory.w2_init, mu_L=(mu, L))
 
 
 def _checked_mixing(cfg: ExperimentConfig, algorithms,
@@ -422,13 +425,12 @@ def cmd_validate(cfg: ExperimentConfig, echo=print) -> int:
     for line in report.lines():
         echo(line)
     task, _ = build_task(cfg)
-    mu_L = _mu_L(cfg, task, ms)
-    cert = validate_stepsize(problem_params_from(
-        task, ms, cfg.sampler, mu_L=mu_L))
+    p = _problem_params(cfg, task, ms)
+    cert = validate_stepsize(p)
     echo("stepsize clauses (informational):")
     for line in cert.lines():
         echo("  " + line)
-    margin = cfg.sampler.eta * mu_L[1] / 2.0
+    margin = cfg.sampler.eta * p.L / 2.0
     if margin >= 1.0:
         echo(f"warning: eta*L/2 = {margin:.3g} >= 1; "
              "the discretization is unstable at this stepsize")
@@ -582,21 +584,9 @@ def cmd_theory(cfg: ExperimentConfig, echo=print) -> int:
     ms = build_mixing(cfg)
     check_assumptions(ms, cfg)
 
-    mu_L = _mu_L(cfg, task, ms)
-    xstar = task.minimizer()
-    sigma2 = cfg.theory.sigma2
-    if sigma2 is None:
-        sigma2 = 0.0
-        if cfg.sampler.batch is not None:
-            rng = np.random.default_rng(
-                derive_seed(cfg.run.seed, "noise-est"))
-            sigma2 = estimate_grad_noise(task, xstar,
-                                         cfg.sampler.batch, 200, rng)
-            echo(f"estimated gradient noise sigma^2 = {sigma2:.6g}")
-
-    p = problem_params_from(task, ms, cfg.sampler, sigma2=sigma2,
-                            w2_init=cfg.theory.w2_init, xstar=xstar,
-                            mu_L=mu_L)
+    p = _problem_params(cfg, task, ms)
+    if cfg.sampler.batch is not None and cfg.theory.sigma2 is None:
+        echo(f"minibatch gradient noise sigma^2 at x* = {p.sigma2:.6g}")
     cert = validate_stepsize(p)
     for line in cert.lines():
         echo(line)
@@ -628,7 +618,7 @@ def cmd_theory(cfg: ExperimentConfig, echo=print) -> int:
     lines = _row_lines((k, label, bound(p, tc, k))
                        for label, bound in bounds for k in ks if k >= tc.K0)
     manifest.write_csv("theory_bounds.csv", ["k", "label", "value"], lines)
-    manifest.finish(h_used=p.h, eta_used=p.eta, sigma2=sigma2, K0=tc.K0)
+    manifest.finish(h_used=p.h, eta_used=p.eta, sigma2=p.sigma2, K0=tc.K0)
     return EXIT_OK
 
 

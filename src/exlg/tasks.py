@@ -60,7 +60,6 @@ __all__ = [
     "LabelError",
     "load_csv_dataset",
     "partition_data",
-    "estimate_grad_noise",
 ]
 
 logger = logging.getLogger("exlg")
@@ -616,30 +615,3 @@ def partition_data(
     idx = perm[:used].reshape(n_agents, size)
     return x[idx], y[idx]
 
-
-def estimate_grad_noise(
-    task,
-    beta: np.ndarray,
-    batch: int,
-    n_draws: int,
-    rng: np.random.Generator,
-) -> float:
-    """Monte Carlo estimate of E ||xi||^2, the stacked gradient-noise power.
-
-    xi stacks the per-agent minibatch deviations (stoch - full) at ``beta``;
-    feeds the sigma^2 slot of the theory constants.  Each draw takes
-    ``rng.choice(n, batch, replace=False)`` for agents i = 0..N-1 in
-    turn and evaluates all N minibatch gradients in one block call.
-    """
-    x = np.broadcast_to(np.asarray(beta, dtype=float),
-                        (1, task.n_agents, task.dim))
-    full = task.grad_block(x)[0]
-    total = 0.0
-    for _ in range(n_draws):
-        idx = [rng.choice(task.shard_size, batch, replace=False)
-               for _ in range(task.n_agents)]
-        acc = 0.0
-        for diff in task.grad_block(x, np.array(idx)[None])[0] - full:
-            acc += float(diff @ diff)
-        total += acc
-    return total / n_draws

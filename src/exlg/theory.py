@@ -12,7 +12,8 @@ draws randomness or touches chain state, so repeated calls are bit
 identical.  Nor does anything here eigensolve: the mixing spectrum,
 ||Wtilde||_2 included, is read from the mixing set's summary, and the
 model facts (mu, L, x* and the Gaussian target) from the task's own
-methods, so no branch here depends on the kind of task.
+methods, and the minibatch gradient-noise power from one ``grad_block``
+call at x*, so no branch here depends on the kind of task.
 """
 
 from __future__ import annotations
@@ -453,31 +454,52 @@ def bound_w2_agents(p: ProblemParams, tc: TheoryConstants, K: int) -> float:
     return head + term1 + term2 + tail
 
 
+def _grad_noise(task, x: np.ndarray, batch: Optional[int]) -> float:
+    """E||xi||^2 at ``x`` of the stacked minibatch gradient noise, exactly.
+
+    Drawing ``batch`` = b of an agent's n shard rows without replacement
+    and scaling by n / b gives E||xi_i||^2 = n^2 (1/b - 1/n) tr S_i, with
+    S_i the (n-1)-normalized covariance of agent i's per-row gradients
+    (Cochran, *Sampling Techniques*).  One block call at ``x`` broadcast
+    to (n, N, d), row j reading shard row j of every agent, gives n times
+    those gradients plus the prior term, which the covariance drops.  A
+    full batch (``batch`` None or n, so also n = 1) has no noise.
+    """
+    n = task.shard_size
+    if batch is None or batch == n:
+        return 0.0
+    rows = task.grad_block(
+        np.broadcast_to(x, (n, task.n_agents, task.dim)),
+        np.broadcast_to(np.arange(n)[:, None, None], (n, task.n_agents, 1)))
+    return (1.0 / batch - 1.0 / n) * float(np.var(rows, axis=0, ddof=1).sum())
+
+
 def problem_params_from(task, ms: MixingSet, sampler: SamplerConfig, *,
-                        sigma2: float = 0.0,
+                        sigma2: Optional[float] = None,
                         w2_init: Optional[float] = None,
-                        xstar: Optional[np.ndarray] = None,
                         mu_L: Optional[tuple] = None) -> ProblemParams:
     """Assemble a ProblemParams bundle from a task, a mixing set and a sampler.
 
     Curvature bounds come from ``task.mu_L()`` (``mu_L`` when the caller
     has them already), the spectrum from the mixing set, eta and ||B||
     (`SamplerConfig.norm_b` at the set's ||Wtilde||) from ``sampler``,
-    and ||grad F(x*)||^2 from the task minimiser ``xstar``
-    (``task.minimizer()`` unless the caller has it already).
+    and ||grad F(x*)||^2 from the task minimiser x* = ``task.minimizer()``.
+    When ``sigma2`` is not given, it is the minibatch gradient-noise power
+    at x* of ``sampler.batch`` rows, in closed form: 0 at full batch.
     The chains start at zero, so the initial moments are exact zeros.
     When ``w2_init`` is not given, it is the W2 distance from the point
     mass at zero to ``task.target()``, sqrt(m.m + tr S), or 0 when the
     task has no Gaussian target.
     """
     mu, L = task.mu_L() if mu_L is None else mu_L
-    if xstar is None:
-        xstar = task.minimizer()
+    xstar = task.minimizer()
     # stacked per-agent gradients at x*: they sum to zero but need not
     # vanish agentwise
     g = task.grad_block(
         np.broadcast_to(xstar, (1, task.n_agents, task.dim)))[0].ravel()
     r = float(np.linalg.norm(g)) ** 2
+    if sigma2 is None:
+        sigma2 = _grad_noise(task, xstar, sampler.batch)
 
     if w2_init is None:
         target = task.target()
@@ -513,6 +535,9 @@ def shrink_to_admissible(p: ProblemParams, ms: MixingSet,
     initial moments and w2_init) stay as ``ms`` and ``p`` have them.
     Returns the admissible ``(params, mixing_set)`` pair; the loop settles
     in a handful of iterations because the limits move slowly in h.
+    Raises ``RuntimeError`` naming the failing clauses and notes when no
+    pair passes, or naming the binding h clause when its target h leaves
+    Wtilde without a positive least eigenvalue.
     """
     def at(ms_: MixingSet, eta: float) -> ProblemParams:
         sp = ms_.spectral
@@ -530,15 +555,25 @@ def shrink_to_admissible(p: ProblemParams, ms: MixingSet,
             break
         close_h = abs(cur_ms.h - want_h) <= 1e-9 * max(want_h, 1e-30)
         close_eta = abs(cur_eta - want_eta) <= 1e-9 * max(want_eta, 1e-30)
-        if rep.ok and close_h and close_eta:
-            return q, cur_ms
+        if close_h and close_eta:  # at the target: moving on changes nothing
+            if rep.ok:
+                return q, cur_ms
+            break
         cur_ms = with_h(cur_ms, want_h)
         cur_eta = want_eta
+        wt_lo = float(cur_ms.wt_eigs[0])
+        if wt_lo <= 0.0:
+            raise RuntimeError(
+                "could not reach an admissible (h, eta): the binding h "
+                f"clause {rep.binding_h} (max h = {rep.max_h:.9g}) sets "
+                f"h = {want_h:.9g}, where min eig(W~) = {wt_lo:.6g} is not "
+                "> 0")
     else:
         q = at(cur_ms, cur_eta)
         rep = validate_stepsize(q)
     if not rep.ok:
+        failed = "; ".join(c.name for c in rep.failed()) or "none"
         raise RuntimeError(
-            "could not reach an admissible (h, eta); failing clauses: "
-            + "; ".join(c.name for c in rep.failed()))
+            f"could not reach an admissible (h, eta); failing clauses: "
+            f"{failed}" + "".join(f"; note: {n}" for n in rep.notes))
     return q, cur_ms

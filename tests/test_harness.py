@@ -591,7 +591,7 @@ class TestTheoryCmd:
     def test_shrink_reads_task_inputs_once(self, tmp_path, monkeypatch):
         # mu, L, x* and the bundle do not depend on (h, eta), so a
         # theory command derives each once however many shrink
-        # iterations it runs; with a minibatch the sigma^2 estimate
+        # iterations it runs; with a minibatch the closed-form sigma^2
         # reads the same x* (a Newton solve on logreg)
         calls = {}
 
@@ -628,26 +628,98 @@ class TestTheoryCmd:
             assert calls == {"problem_params_from": 1, "mu_L": 1,
                              "minimizer": 1}, name
 
-    def test_sigma2_estimated_when_batch_set(self, tmp_path, capsys):
+    def test_sigma2_in_closed_form_when_batch_set(self, tmp_path, capsys):
         text = BASE + "\n[theory]\nshrink = true\n"
         cfg = load_config(make_cfg(
             tmp_path, text=text,
             **{"n = 6": "n = 4", "steps = 40": "steps = 40\nbatch = 4"}))
         assert cmd_theory(cfg) == EXIT_OK
-        assert "estimated gradient noise" in capsys.readouterr().out
+        task, _ = build_task(cfg)
+        sigma2 = problem_params_from(task, build_mixing(cfg),
+                                     cfg.sampler).sigma2
+        assert sigma2 > 0
+        assert (f"minibatch gradient noise sigma^2 at x* = {sigma2:.6g}\n"
+                in capsys.readouterr().out)
         with open(tmp_path / "out" / "manifest.json") as fh:
-            man = json.load(fh)
-        assert man["sigma2"] > 0
+            assert json.load(fh)["sigma2"] == sigma2
 
     def test_explicit_sigma2_skips_estimation(self, tmp_path, capsys):
         text = BASE + "\n[theory]\nshrink = true\nsigma2 = 0.25\n"
         cfg = load_config(make_cfg(
             tmp_path, text=text,
             **{"n = 6": "n = 4", "steps = 40": "steps = 40\nbatch = 4"}))
-        cmd_theory(cfg)
-        assert "estimated" not in capsys.readouterr().out
+        assert cmd_theory(cfg) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "admissible pair" in out
+        assert "sigma^2" not in out
         with open(tmp_path / "out" / "manifest.json") as fh:
             assert json.load(fh)["sigma2"] == 0.25
+
+    def test_draws_only_data_holdout_and_delta_streams(self, tmp_path,
+                                                       monkeypatch):
+        # sigma^2 is exact, so a minibatch theory run seeds no stream of
+        # its own
+        tags = []
+        real = harness.derive_seed
+
+        def spy(master, *parts):
+            tags.append(parts[0])
+            return real(master, *parts)
+
+        monkeypatch.setattr(harness, "derive_seed", spy)
+        cfg = load_config(make_cfg(
+            tmp_path, text=BASE + "\n[theory]\nshrink = true\n",
+            **{"kind = linreg": "kind = logreg-synthetic\nholdout = 100",
+               "n_points = 120": "n_points = 600", "delta = 0.2\n": "",
+               "steps = 40": "steps = 40\nbatch = 32"}))
+        assert cmd_theory(cfg) == EXIT_OK
+        assert sorted(set(tags)) == ["data", "delta", "holdout"]
+
+    @pytest.mark.parametrize("topology, delta", [
+        ("ring", "0.25"), ("star", "0.16666666666666666"),
+        ("fully-connected", "0.16666666666666666")],
+        ids=["ring", "star", "fully-connected"])
+    def test_shrink_failure_names_the_notes(self, tmp_path, capsys,
+                                            topology, delta):
+        # delta = 1/lambda_max(L) puts 0 in W's spectrum, so
+        # (1 - gammabar_w)(1 - gammabar_iw^2) = 0 at every h: no clause
+        # fails, and the note is the whole cause
+        path = make_cfg(tmp_path, text=BASE + "\n[theory]\nshrink = true\n",
+                        **{"topology = ring": f"topology = {topology}",
+                           "delta = 0.2": f"delta = {delta}"})
+        assert main(["theory", "--config", path]) == EXIT_ASSUMPTION
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "assumption violation: could not reach an admissible (h, eta); "
+            "failing clauses: none; note: (1 - gammabar_w)"
+            "(1 - gammabar_iw^2) = 0.0 must be > 0")
+
+    def test_shrink_stops_before_wt_leaves_positive_definite(
+            self, tmp_path, capsys, monkeypatch):
+        # delta = 1/lambda_max(L) on this graph: lambda_min(W) rounds
+        # below 0, so W~ at the h-coupling target h ~ 1e-28 has a
+        # negative least eigenvalue; h = 0.3 passes every check
+        adj = tmp_path / "adj.txt"
+        adj.write_text("6\n0 0 1 1 1 0\n0 0 0 1 1 1\n1 0 0 1 0 0\n"
+                       "1 1 1 0 0 0\n1 1 0 0 0 1\n0 1 0 0 1 0\n")
+        moves = []
+        real = theory.with_h
+        monkeypatch.setattr(theory, "with_h",
+                            lambda ms, h: moves.append(h) or real(ms, h))
+        path = make_cfg(tmp_path, text=BASE + "\n[theory]\nshrink = true\n",
+                        **{"topology = ring":
+                           f"topology = custom\nadjacency = {adj}"})
+        cfg = load_config(path)
+        ms = build_mixing(cfg)
+        assert harness.validate_assumptions(ms).ok
+        assert ms.w_eigs[0] < 0.0
+        assert main(["theory", "--config", path]) == EXIT_ASSUMPTION
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith(
+            "assumption violation: could not reach an admissible (h, eta): "
+            "the binding h clause h-coupling (max h = ")
+        assert f"sets h = {moves[-1]:.9g}, where min eig(W~) = -" in err
+        assert err.endswith(" is not > 0")
+        assert len(moves) == 1  # it stops at the first such set
 
 
     def test_shrunk_mixing_set_is_checked(self, tmp_path, monkeypatch,

@@ -23,7 +23,6 @@ from exlg.tasks import (
     LinRegTask,
     LogRegTask,
     checked_cov,
-    estimate_grad_noise,
     gen_linreg_data,
     gen_logreg_data,
     linreg_posterior,
@@ -31,7 +30,7 @@ from exlg.tasks import (
     partition_data,
 )
 from exlg.samplers import SamplerConfig
-from exlg.theory import problem_params_from
+from exlg.theory import _grad_noise, problem_params_from
 
 
 def _fd_grad(f, x, eps=1e-5):
@@ -254,14 +253,13 @@ class TestMinibatch:
         se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - full) <= 3.0 * se + 1e-12)
 
-    def test_noise_power_estimate_positive(self):
+    def test_noise_power_positive_below_full_batch(self):
         task = _toy_linreg(seed=30)
-        rng = np.random.default_rng(31)
-        s2 = estimate_grad_noise(task, task.minimizer(), 2, 200, rng)
-        assert s2 > 0.0
-        full_b = task.xs[0].shape[0]
-        s2_full = estimate_grad_noise(task, task.minimizer(), full_b, 5, rng)
-        assert s2_full <= 1e-20
+        n = task.shard_size
+        for batch in range(1, n):
+            assert _grad_noise(task, task.minimizer(), batch) > 0.0
+        assert _grad_noise(task, task.minimizer(), n) == 0.0
+        assert _grad_noise(task, task.minimizer(), None) == 0.0
 
 
 class TestMuL:
@@ -409,19 +407,14 @@ class TestBlockCallersMatchAgentLoops:
     def test_grad_noise(self, kind, sizes):
         task = _sharded(kind, sizes)
         beta = np.array([0.3, -0.2])
-        got = estimate_grad_noise(task, beta, 3, 20,
-                                  np.random.default_rng(61))
-        rng = np.random.default_rng(61)
-        full = [_grad(task, i, beta) for i in range(3)]
-        total = 0.0
-        for _ in range(20):
-            acc = 0.0
-            for i, n_i in enumerate(sizes):
-                idx = rng.choice(n_i, 3, replace=False)
-                diff = _grad(task, i, beta, idx) - full[i]
-                acc += float(diff @ diff)
-            total += acc
-        assert got == total / 20
+        # agent i's single-row estimates, n times its row-j gradient (plus
+        # the prior term), one call per (agent, row)
+        rows = np.stack([[_grad(task, i, beta, [j]) for j in range(n_i)]
+                         for i, n_i in enumerate(sizes)], axis=1)
+        want = float(np.var(rows, axis=0, ddof=1).sum())
+        for batch in (1, 3, 5):
+            assert _grad_noise(task, beta, batch) == \
+                (1.0 / batch - 1.0 / sizes[0]) * want
 
     def test_logreg_minimizer(self, sizes, monkeypatch):
         task = _sharded("logreg", sizes)
@@ -710,12 +703,10 @@ def test_grad_block_matches_per_column_oracle(kind, d):
 def test_grad_noise_matches_per_column_oracle(kind):
     task = _oracle_case_task(kind, 3, n=40)
     beta = np.array([0.3, -0.2, 0.1])
-    for batch in (1, 8, 33):
-        got = estimate_grad_noise(task, beta, batch, 15,
-                                  np.random.default_rng(batch))
-        want = estimate_grad_noise(_OracleGradients(task), beta, batch, 15,
-                                   np.random.default_rng(batch))
-        assert got == want
+    for batch in (1, 8, 33, 40):
+        got = _grad_noise(task, beta, batch)
+        assert got == _grad_noise(_OracleGradients(task), beta, batch)
+        assert (got > 0.0) == (batch < 40)
 
 
 @pytest.mark.parametrize("kind", ["linreg", "logreg"])

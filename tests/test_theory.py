@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -566,6 +567,42 @@ class TestProblemParamsFrom:
         ens = rng.standard_normal((3, 5, 4, 2))
         series = series_for_run(task, [0, 1, 2], ens, None, 1.0)
         assert list(series) == ["consensus"]
+
+    def test_sigma2_zero_at_full_batch_and_given_value_wins(self):
+        task, ms = self._setup()
+        assert problem_params_from(task, ms, _gen_extra(0.001)).sigma2 == 0.0
+        full = SamplerConfig("GEN_EXTRA_SGLD", eta=0.001, steps=0,
+                             batch=task.shard_size)
+        assert problem_params_from(task, ms, full).sigma2 == 0.0
+        mini = dataclasses.replace(full, batch=3)
+        assert problem_params_from(task, ms, mini).sigma2 > 0.0
+        assert problem_params_from(task, ms, mini, sigma2=0.25).sigma2 == 0.25
+
+    @pytest.mark.parametrize("kind", ["linreg", "logreg"])
+    def test_sigma2_matches_long_monte_carlo(self, kind):
+        # E||xi||^2 at x* against 4,000 draws of b = 6 of every agent's 20
+        # rows without replacement, within 3 standard errors; the
+        # with-replacement factor 1/b in place of 1/b - 1/n is n/(n-b) =
+        # 1.43 times larger and must fall outside
+        rng = np.random.default_rng(11)
+        beta = np.array([1.0, -0.5])
+        data = (gen_linreg_data(80, beta, 1.0, rng) if kind == "linreg"
+                else gen_logreg_data(80, beta, rng))
+        cls = LinRegTask if kind == "linreg" else LogRegTask
+        task = cls(*partition_data(*data, 4, rng), prior_var=1.0)
+        n, b, draws = task.shard_size, 6, 4000
+        ms = build_mixing_set(make_topology("ring", 4), h=0.3, delta=0.2)
+        sampler = SamplerConfig("GEN_EXTRA_SGLD", eta=0.001, steps=0,
+                                batch=b)
+        sigma2 = problem_params_from(task, ms, sampler).sigma2
+
+        x = np.broadcast_to(task.minimizer(), (draws, 4, 2))
+        idx = np.argsort(rng.random((draws, 4, n)), axis=-1)[..., :b]
+        xi = task.grad_block(x, idx) - task.grad_block(x[:1])
+        power = np.sum(xi * xi, axis=(1, 2))
+        mc, se = power.mean(), power.std(ddof=1) / np.sqrt(draws)
+        assert abs(sigma2 - mc) <= 3.0 * se
+        assert abs(sigma2 * n / (n - b) - mc) > 3.0 * se
 
     def test_shrink_reaches_admissible_pair(self):
         task, ms = self._setup()
