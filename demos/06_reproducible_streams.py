@@ -32,9 +32,9 @@ print("derive_seed(master, 'replica', 1)  =",
 
 # --- random access into a stream ------------------------------------------
 stream = NoiseStream(seed=7, n_agents=4, dim=3)
-late = stream.gaussian(k=500, i=2)
-early = stream.gaussian(k=3, i=0)
-again = stream.gaussian(k=500, i=2)
+late = stream.gaussian_block(500)[2]
+early = stream.gaussian_block(3)[0]
+again = stream.gaussian_block(500)[2]
 print("\ndraw at (k=500, agent=2) twice, with another draw in between:")
 print(" first :", late)
 print(" second:", again)

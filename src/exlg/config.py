@@ -17,6 +17,7 @@ import os
 import typing
 from typing import Optional
 
+from .network import TOPOLOGY_KINDS
 from .samplers import ALGORITHMS, SamplerConfig
 
 __all__ = [
@@ -229,8 +230,13 @@ def _section_problems(section: str, s):
         if s.beta_true is not None and len(s.beta_true) != s.dim:
             yield f"task.beta_true: {len(s.beta_true)} values for dim {s.dim}"
     elif section == "network":
+        if s.topology not in TOPOLOGY_KINDS:
+            yield (f"network.topology: {s.topology!r} not one of "
+                   f"{TOPOLOGY_KINDS}")
         if s.n < 2:
             yield f"network.n: must be >= 2, got {s.n}"
+        if s.delta is not None and s.delta <= 0:
+            yield "network.delta: must be > 0 when set"
         if s.topology == "custom":
             if not s.adjacency:
                 yield "network.adjacency: required for custom topology"

@@ -183,7 +183,6 @@ def check_assumptions(ms: MixingSet, cfg: ExperimentConfig):
     if not report.ok and not cfg.run.allow_assumption_violations:
         names = ", ".join(c.name for c in report.failed())
         raise AssumptionError(f"assumption checks failed: {names}")
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +192,9 @@ def _replica_seeds(master: int, replicas: int, tag: str = "replica"):
     return [derive_seed(master, tag, r) for r in range(replicas)]
 
 
-def series_for_run(task, ks, xs_all, holdout: Optional[tuple],
+def series_for_run(task, xs_all, holdout: Optional[tuple],
                    temperature: float) -> dict:
-    """The metric series a run emits, as {label: values over ``ks``}.
+    """The metric series a run emits, as {label: values per record}.
 
     Consensus error is always included.  Zero-temperature runs then
     report the worst-agent optimization error instead of distributional
@@ -404,14 +403,14 @@ def _chain_and_score(cfg: ExperimentConfig, task, holdout,
     res = run_ensemble(task,
                        dataclasses.replace(cfg.sampler, algorithm=algorithm),
                        seeds, mixing=ms, record_every=cfg.run.record_every)
-    return res, series_for_run(task, res.ks, res.xs, holdout,
+    return res, series_for_run(task, res.xs, holdout,
                                cfg.sampler.temperature)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_validate(cfg: ExperimentConfig, echo=print) -> int:
+def cmd_validate(cfg: ExperimentConfig) -> int:
     """Build the mixing set, print the assumption and stepsize reports.
 
     Exit 3 on hard assumption violations (unless overridden).  The
@@ -423,25 +422,25 @@ def cmd_validate(cfg: ExperimentConfig, echo=print) -> int:
     ms = build_mixing(cfg)
     report = validate_assumptions(ms)
     for line in report.lines():
-        echo(line)
+        print(line)
     task, _ = build_task(cfg)
     p = _problem_params(cfg, task, ms)
     cert = validate_stepsize(p)
-    echo("stepsize clauses (informational):")
+    print("stepsize clauses (informational):")
     for line in cert.lines():
-        echo("  " + line)
+        print("  " + line)
     margin = cfg.sampler.eta * p.L / 2.0
     if margin >= 1.0:
-        echo(f"warning: eta*L/2 = {margin:.3g} >= 1; "
-             "the discretization is unstable at this stepsize")
+        print(f"warning: eta*L/2 = {margin:.3g} >= 1; "
+              "the discretization is unstable at this stepsize")
     if not report.ok:
         if cfg.run.allow_assumption_violations:
-            echo("assumption violations overridden by config flag")
+            print("assumption violations overridden by config flag")
             return EXIT_OK
         names = ", ".join(c.name for c in report.failed())
-        echo(f"FAILED: {names}")
+        print(f"FAILED: {names}")
         return EXIT_ASSUMPTION
-    echo("OK")
+    print("OK")
     return EXIT_OK
 
 
@@ -571,7 +570,7 @@ def cmd_sweep_h(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_theory(cfg: ExperimentConfig, echo=print) -> int:
+def cmd_theory(cfg: ExperimentConfig) -> int:
     """Constants dump, admissibility report, and bound curves.
 
     At the configured (h, eta) the clauses must pass, or the command exits
@@ -586,27 +585,27 @@ def cmd_theory(cfg: ExperimentConfig, echo=print) -> int:
 
     p = _problem_params(cfg, task, ms)
     if cfg.sampler.batch is not None and cfg.theory.sigma2 is None:
-        echo(f"minibatch gradient noise sigma^2 at x* = {p.sigma2:.6g}")
+        print(f"minibatch gradient noise sigma^2 at x* = {p.sigma2:.6g}")
     cert = validate_stepsize(p)
     for line in cert.lines():
-        echo(line)
+        print(line)
     if not cert.ok:
         if not cfg.theory.shrink:
             bad = [c.name for c in cert.failed()]
-            echo(f"inadmissible (h, eta); failing clauses: {', '.join(bad)}; "
-                 f"binding eta clause: {cert.binding_eta}")
+            print(f"inadmissible (h, eta); failing clauses: {', '.join(bad)}; "
+                  f"binding eta clause: {cert.binding_eta}")
             return EXIT_ASSUMPTION
-        echo(f"shrinking to admissible from (h={ms.h:.6g}, "
-             f"eta={cfg.sampler.eta:.6g})")
+        print(f"shrinking to admissible from (h={ms.h:.6g}, "
+              f"eta={cfg.sampler.eta:.6g})")
         try:
             p, ms = shrink_to_admissible(p, ms, cfg.sampler)
         except RuntimeError as e:
             raise AssumptionError(str(e)) from None
         check_assumptions(ms, cfg)
-        echo(f"admissible pair: h={p.h:.9g}, eta={p.eta:.9g}")
+        print(f"admissible pair: h={p.h:.9g}, eta={p.eta:.9g}")
         cert = validate_stepsize(p)
         for line in cert.lines():
-            echo(line)
+            print(line)
 
     tc = compute_constants(p)
     manifest.write_csv("theory_constants.csv", ["name", "value"],

@@ -143,8 +143,8 @@ def derive_seed(master: int, *parts) -> int:
 class NoiseStream:
     """Counter-based Gaussian supply, deterministic in (seed, k, i).
 
-    ``gaussian_block(k)`` returns the (N, d) block for iterate k; row i is
-    ``gaussian(k, i)``.  ``batch_rng(k, i)`` hands out an independent
+    ``gaussian_block(k)`` returns the (N, d) block for iterate k, row i
+    agent i's draw.  ``batch_rng(k, i)`` hands out an independent
     Generator for agent i's minibatch indices at iterate k.  Streams are
     separated in the high Philox counter words, so no amount of drawing
     from one can reach another.
@@ -185,11 +185,6 @@ class NoiseStream:
         (N, d) array) when given."""
         return self._gen(k, 0, _TAG_NOISE).standard_normal(
             (self.n_agents, self.dim), out=out)
-
-    def gaussian(self, k: int, i: int) -> np.ndarray:
-        if not 0 <= i < self.n_agents:
-            raise IndexError(f"agent {i} outside [0, {self.n_agents})")
-        return self.gaussian_block(k)[i]
 
     def batch_rng(self, k: int, i: int) -> np.random.Generator:
         return self._gen(k, i, _TAG_BATCH)
@@ -443,7 +438,7 @@ def _grads_fn(oracle, cfg: SamplerConfig, noises):
     """
     batch = cfg.batch
     if batch is None:
-        return lambda x, k: oracle.grad_block(x)
+        return lambda x, _k: oracle.grad_block(x)
     n_agents, n = oracle.n_agents, oracle.shard_size
     chunk = _table_steps(len(noises) * n_agents, n, batch)
     k0, table = 0, ()

@@ -3,10 +3,10 @@
 Two decentralized tasks, both over N agents holding disjoint shards:
 
 - Linear regression with squared loss written with coefficient 1 (no
-  1/(2 xi^2)), prior term ||beta||^2 / (2 lambda N) per agent.  With that
-  convention exp(-sum_i f_i) is the Gaussian posterior evaluated at noise
-  scale xi = 1/sqrt(2), which is what ``LinRegTask.target`` returns; the
-  ``linreg_posterior`` op itself takes whatever xi the caller wants.
+  1/(2 xi^2)), prior term ||beta||^2 / (2 lambda N) per agent.  Then
+  sum_i f_i is a quadratic with Hessian A = 2 X^T X + I / lambda over the
+  stacked shards, x* solves A x = 2 X^T y, and ``LinRegTask.target`` is
+  exp(-sum_i f_i) = N(x*, A^-1).
 - Logistic regression with labels folded into signed features
   s_j = 2 y_j - 1, prior ||beta||^2 / (2 N lambda) per agent.
 
@@ -53,20 +53,14 @@ __all__ = [
     "GradientOracle",
     "LinRegTask",
     "LogRegTask",
-    "LOSS_MATCHED_NOISE_STD",
     "gen_linreg_data",
     "gen_logreg_data",
-    "linreg_posterior",
     "LabelError",
     "load_csv_dataset",
     "partition_data",
 ]
 
 logger = logging.getLogger("exlg")
-
-# Noise scale at which the displayed posterior equals exp(-sum_i f_i) for
-# the coefficient-1 squared loss: 1/xi^2 = 2.
-LOSS_MATCHED_NOISE_STD = float(np.sqrt(0.5))
 
 # Feature variance of the synthetic logistic data
 _LOGREG_FEATURE_VAR = 20.0
@@ -193,7 +187,8 @@ class _ShardedTask:
 
     def _init_flat(self, stack):
         """Keep the (N, n, c) ``stack`` as the feature-major (c, N*n)
-        copy that `_gather` reads: agent a's shard is columns a*n on."""
+        copy ``_flat`` that `_gather` reads: agent a's shard is columns
+        a*n on."""
         n_agents, n, c = stack.shape
         object.__setattr__(self, "_flat", np.ascontiguousarray(
             stack.reshape(-1, c).T))
@@ -286,15 +281,16 @@ class LinRegTask(_ShardedTask):
                 * (2.0 * _rmatvec(blk[:-1], resid))
         return data + self._prior_grad(x)
 
-    def stacked_design(self):
-        return self.xs.reshape(-1, self.dim), self.ys.ravel()
+    def _normal_equations(self):
+        """(A, b) = (2 X^T X + I / lambda, 2 X^T y) over the stacked
+        shards: A is the Hessian of sum_i f_i, and x* solves A x = b."""
+        x, y = self.xs.reshape(-1, self.dim), self.ys.ravel()
+        return (2.0 * (x.T @ x) + np.eye(self.dim) / self.prior_var,
+                2.0 * (x.T @ y))
 
     def minimizer(self) -> np.ndarray:
         """argmin of sum_i f_i, in closed form."""
-        x, y = self.stacked_design()
-        d = self.dim
-        a = 2.0 * (x.T @ x) + np.eye(d) / self.prior_var
-        return np.linalg.solve(a, 2.0 * (x.T @ y))
+        return np.linalg.solve(*self._normal_equations())
 
     def mu_L(self) -> tuple[float, float]:
         """Strong-convexity and smoothness constants of the f_i family:
@@ -307,11 +303,9 @@ class LinRegTask(_ShardedTask):
                 float(vals[:, -1].max()) + prior_curv)
 
     def target(self) -> GaussianDist:
-        """The stationary law exp(-sum_i f_i): the loss-matched posterior."""
-        x, y = self.stacked_design()
-        return linreg_posterior(
-            x, y, self.prior_var, noise_std=LOSS_MATCHED_NOISE_STD
-        )
+        """The stationary law exp(-sum_i f_i) = N(x*, A^-1)."""
+        a, b = self._normal_equations()
+        return GaussianDist(np.linalg.solve(a, b), np.linalg.inv(a))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -329,9 +323,7 @@ class LogRegTask(_ShardedTask):
         self._init_shards()
         if not np.all((self.ys == 0.0) | (self.ys == 1.0)):
             raise ValueError("logistic labels must be 0 or 1")
-        object.__setattr__(self, "_signed",
-                           self.xs * (2.0 * self.ys - 1.0)[..., None])
-        self._init_flat(self._signed)
+        self._init_flat(self.xs * (2.0 * self.ys - 1.0)[..., None])
 
     def mu_L(self) -> tuple[float, float]:
         """Strong-convexity and smoothness constants of the f_i family:
@@ -365,15 +357,13 @@ class LogRegTask(_ShardedTask):
 
     def minimizer(self) -> np.ndarray:
         """argmin of sum_i f_i by damped Newton (backtracking line search)."""
-        d = self.dim
+        d, s = self.dim, self._flat  # s: the (d, N*n) signed features
         beta = np.zeros(d)
 
         def value(b):
-            v = 0.5 * float(b @ b) / self.prior_var
-            for s in self._signed:
-                # -log sigma(z) = log(1 + exp(-z)), computed stably
-                v += float(np.sum(np.logaddexp(0.0, -(s @ b))))
-            return v
+            # -log sigma(z) = log(1 + exp(-z)), computed stably
+            return (0.5 * float(b @ b) / self.prior_var
+                    + float(np.sum(np.logaddexp(0.0, -(b @ s)))))
 
         def grad(b):
             # the agents' gradients at b, summed in agent order
@@ -381,11 +371,8 @@ class LogRegTask(_ShardedTask):
                 np.broadcast_to(b, (1, self.n_agents, d)))[0])
 
         def hess(b):
-            hh = np.eye(d) / self.prior_var
-            for s in self._signed:
-                p = self._expit(s @ b)
-                hh += (s * (p * (1.0 - p))[:, None]).T @ s
-            return hh
+            p = self._expit(b @ s)
+            return np.eye(d) / self.prior_var + (s * (p * (1.0 - p))) @ s.T
 
         for _ in range(_NEWTON_ITERS):
             g = grad(beta)
@@ -437,30 +424,6 @@ def gen_logreg_data(
     u = rng.uniform(size=n_points)
     y = (expit(x @ beta_true) >= u).astype(float)
     return x, y
-
-
-def linreg_posterior(
-    x: np.ndarray, y: np.ndarray, prior_var: float, noise_std: float
-) -> GaussianDist:
-    """Conjugate posterior for beta under prior N(0, lambda I).
-
-    m = (Sigma^-1 + X^T X / xi^2)^-1 (X^T y / xi^2),
-    V = (X^T X / xi^2 + Sigma^-1)^-1, with Sigma = lambda I.
-    Empty data returns the prior (m = 0, V = lambda I).
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.size == 0:
-        d = x.shape[1] if x.ndim == 2 and x.shape[1] else y.size
-        if d == 0:
-            raise ValueError("cannot infer dimension from empty data")
-        return GaussianDist(np.zeros(d), prior_var * np.eye(d))
-    d = x.shape[1]
-    prec = x.T @ x / noise_std**2 + np.eye(d) / prior_var
-    v = np.linalg.inv(prec)
-    v = (v + v.T) / 2.0
-    m = v @ (x.T @ y / noise_std**2)
-    return GaussianDist(m, v)
 
 
 class LabelError(ValueError):

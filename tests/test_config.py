@@ -511,6 +511,27 @@ def test_unusable_out_is_a_config_error(tmp_path, capsys, bad):
         assert "config error: run.out: " in capsys.readouterr().err, command
 
 
+@pytest.mark.parametrize("skey, value, message", [
+    ("network.topology", "moebius",
+     f"network.topology: 'moebius' not one of {TOPOLOGY_KINDS}"),
+    ("network.delta", "-1", "network.delta: must be > 0 when set"),
+    ("network.delta", "0", "network.delta: must be > 0 when set"),
+], ids=["topology-moebius", "delta-negative", "delta-zero"])
+def test_static_network_values_are_config_errors(tmp_path, capsys, skey,
+                                                 value, message):
+    """An unknown topology or a delta <= 0 exits 2 naming the key under
+    every command, also on a centralized (ULA) config, where `run` and
+    `gen-data` build no mixing set that could reject it."""
+    from exlg.cli import _COMMANDS, main
+
+    ula = {**PROBE, "sampler": {**PROBE["sampler"], "algorithm": "ULA"}}
+    path = _probe_cfg(tmp_path, ula, {skey: value})
+    for command in _COMMANDS:
+        assert main([command, "--config", path, "--out",
+                     str(tmp_path / command)]) == 2, command
+        assert message in capsys.readouterr().err, command
+
+
 def test_de_sgld_mode_is_an_unknown_key(tmp_path, capsys):
     """DE-SGLD is ``sampler.algorithm = DE_SGLD``; the old network knob
     that set W~ = W is a config error under every command."""

@@ -758,7 +758,8 @@ class TestTheoryCmd:
         err = capsys.readouterr().err
         assert "assumption violation" in err and "doubly-stochastic" in err
 
-    def test_shrink_solves_each_matrix_once(self, tmp_path, nxn_solves):
+    def test_shrink_solves_each_matrix_once(self, tmp_path, capsys,
+                                            nxn_solves):
         # a 50-agent ring: W, W~ and the Laplacian once for the configured
         # set, W~ once per shrink move, and (I+W)/2 - W~ and U in the
         # checks of each of the two sets
@@ -768,7 +769,8 @@ class TestTheoryCmd:
             tmp_path, text=text,
             **{"n = 6": f"n = {n}", "n_points = 120": "n_points = 500",
                "delta = 0.2": "delta = 0.125", "eta = 0.01": "eta = 0.009"}))
-        assert cmd_theory(cfg, echo=lambda line: None) == EXIT_OK
+        assert cmd_theory(cfg) == EXIT_OK
+        assert "admissible pair: h=" in capsys.readouterr().out
         with open(tmp_path / "out" / "manifest.json") as fh:
             assert json.load(fh)["h_used"] < 0.3  # the loop did run
         assert nxn_solves(n) <= 12
@@ -1029,7 +1031,7 @@ def test_divergence_names_replica_iteration_and_agent(tmp_path, monkeypatch,
         "max |x| entry = 1.000000e+14 (limit 1.0e+12)")
 
 
-def _series_per_record(task, ks, xs_all, holdout, temperature):
+def _series_per_record(task, xs_all, holdout, temperature):
     """The per-record metric loops that series_for_run replaced: the
     oracle of its array expressions, as (label, values) pairs."""
     n_rec, n_reps = xs_all.shape[0], xs_all.shape[1]
@@ -1087,7 +1089,7 @@ class TestSeriesArrays:
         want = _series_per_record(*args)
         assert list(got) == labels == [lb for lb, _ in want]
         for (label, values), (_, expect) in zip(got.items(), want):
-            assert len(values) == len(args[1])
+            assert len(values) == len(args[1])  # one per record
             assert np.array_equal(values, expect), label
         assert all(xs.flags.c_contiguous for xs in w2_inputs)
         return args
@@ -1102,7 +1104,7 @@ class TestSeriesArrays:
             **{"kind = linreg": "kind = logreg-synthetic\nholdout = 200",
                "n_points = 120": "n_points = 240",
                "beta_true = 1.0 -0.5": "beta_true = 2.0 -1.0"})
-        means, holdout = args[2].mean(axis=2), args[3]
+        means, holdout = args[1].mean(axis=2), args[2]
         whole = harness._accuracies(means, *holdout)
         monkeypatch.setattr(harness, "_ACC_CHUNK_CELLS", 1)
         assert np.array_equal(harness._accuracies(means, *holdout), whole)

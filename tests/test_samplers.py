@@ -94,14 +94,8 @@ class TestNoiseStream:
     def test_deterministic_in_seed_k_i(self):
         a = NoiseStream(99, 4, 3)
         b = NoiseStream(99, 4, 3)
-        assert np.array_equal(a.gaussian(5, 2), b.gaussian(5, 2))
+        assert np.array_equal(a.gaussian_block(5)[2], b.gaussian_block(5)[2])
         assert np.array_equal(a.gaussian_block(17), b.gaussian_block(17))
-
-    def test_row_matches_block(self):
-        s = NoiseStream(1, 6, 2)
-        blk = s.gaussian_block(3)
-        for i in range(6):
-            assert np.array_equal(s.gaussian(3, i), blk[i])
 
     def test_streams_independent_of_draw_order(self):
         s = NoiseStream(2, 3, 2)
@@ -122,11 +116,6 @@ class TestNoiseStream:
         s.gaussian_block(0)
         draws2 = s.batch_rng(0, 1).integers(0, 100, size=5)
         assert np.array_equal(draws1, draws2)
-
-    def test_agent_bounds(self):
-        s = NoiseStream(6, 2, 2)
-        with pytest.raises(IndexError):
-            s.gaussian(0, 2)
 
     def test_draws_equal_a_fresh_philox(self):
         # The stream resets one Philox; every draw must equal a generator
@@ -150,7 +139,7 @@ class TestNoiseStream:
             # a partly used generator, then a reset in the middle of it
             rng = s.batch_rng(k, i)
             head = rng.integers(0, 2**40, 3)
-            assert np.array_equal(s.gaussian(k, 1),
+            assert np.array_equal(s.gaussian_block(k)[1],
                                   fresh(k, 0, 1).standard_normal((5, 3))[1])
             ref = fresh(k, i, 2)
             assert np.array_equal(head, ref.integers(0, 2**40, 3))
@@ -623,6 +612,7 @@ class TestPermutationEquivariance:
         )
 
         class PermNoise:
+            # a full-batch chain reads only the Gaussian blocks
             def __init__(self, base, perm):
                 self.base, self.perm = base, perm
                 self.n_agents, self.dim = base.n_agents, base.dim
@@ -632,12 +622,6 @@ class TestPermutationEquivariance:
                 if out is not None:
                     out[...] = blk
                 return blk
-
-            def gaussian(self, k, i):
-                return self.base.gaussian(k, self.perm[i])
-
-            def batch_rng(self, k, i):
-                return self.base.batch_rng(k, self.perm[i])
 
         cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=120)
         base_noise = NoiseStream(31, n, 2)

@@ -16,7 +16,6 @@ from scipy.special import expit
 from exlg.linalg import sym_eig
 from exlg.network import build_mixing_set, ring
 from exlg.tasks import (
-    LOSS_MATCHED_NOISE_STD,
     GaussianDist,
     GradientOracle,
     LabelError,
@@ -25,7 +24,6 @@ from exlg.tasks import (
     checked_cov,
     gen_linreg_data,
     gen_logreg_data,
-    linreg_posterior,
     load_csv_dataset,
     partition_data,
 )
@@ -141,29 +139,51 @@ class TestGenerators:
         assert abs(x.var() - 20.0) < 0.5
 
 
-class TestLinregPosterior:
-    def test_empty_is_prior(self):
-        post = linreg_posterior(np.zeros((0, 2)), np.zeros(0), 7.0, 1.0)
-        assert np.array_equal(post.mean, np.zeros(2))
-        assert np.allclose(post.cov, 7.0 * np.eye(2))
+class TestLinregTarget:
+    """target() is exp(-sum_i f_i) = N(A^-1 b, A^-1), A = 2 X^T X + I/lambda
+    and b = 2 X^T y over the stacked shards."""
+
+    def test_mean_is_minimizer_bit_for_bit(self):
+        for seed in range(5):
+            task = _toy_linreg(seed=seed)
+            assert np.array_equal(task.target().mean, task.minimizer())
+
+    def test_matches_textbook_gaussian(self):
+        task = _toy_linreg(seed=13)
+        lam = task.prior_var
+        prec = np.eye(task.dim) / lam
+        rhs = np.zeros(task.dim)
+        for x, y in zip(task.xs, task.ys):  # agent by agent
+            prec += 2.0 * x.T @ x
+            rhs += 2.0 * x.T @ y
+        cov = np.linalg.solve(prec, np.eye(task.dim))
+        got = task.target()
+        for a, b in ((got.mean, cov @ rhs), (got.cov, cov)):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_log_density_is_minus_the_summed_losses(self):
+        # log N(beta; m, V) + sum_i f_i(beta) is the same at every beta
+        task = _toy_linreg(seed=14)
+        t = task.target()
+        prec = np.linalg.inv(t.cov)
+
+        def gap(beta):
+            r = beta - t.mean
+            return -0.5 * float(r @ prec @ r) + sum(
+                _linreg_f(task, i, beta) for i in range(task.n_agents))
+
+        rng = np.random.default_rng(15)
+        ref = gap(t.mean)
+        for _ in range(10):
+            assert abs(gap(t.mean + rng.standard_normal(task.dim)) - ref) \
+                <= 1e-9 * (1.0 + abs(ref))
 
     def test_single_point_flat_prior(self):
-        post = linreg_posterior(
-            np.array([[1.0]]), np.array([2.0]), 1e8, 1.0
-        )
-        assert abs(post.mean[0] - 2.0) < 1e-6
-        assert abs(post.cov[0, 0] - 1.0) < 1e-6
-
-    def test_matches_direct_solve(self):
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal((3, 2))
-        y = rng.standard_normal(3)
-        xi, lam = 0.8, 3.0
-        post = linreg_posterior(x, y, lam, xi)
-        prec = x.T @ x / xi**2 + np.eye(2) / lam
-        m = np.linalg.solve(prec, x.T @ y / xi**2)
-        assert np.allclose(post.mean, m, atol=1e-12)
-        assert np.allclose(post.cov @ prec, np.eye(2), atol=1e-12)
+        # A = 2 + 1e-8, b = 4: mean 2 and variance 1/2 within 1e-8
+        task = LinRegTask(xs=([[1.0]],), ys=([2.0],), prior_var=1e8)
+        t = task.target()
+        assert abs(t.mean[0] - 2.0) < 1e-7
+        assert abs(t.cov[0, 0] - 0.5) < 1e-8
 
 
 class TestGradients:
@@ -200,15 +220,6 @@ class TestGradients:
         m = task.target().mean
         total = sum(_grad(task, i, m) for i in range(task.n_agents))
         assert np.linalg.norm(total) <= 1e-6 * (1.0 + np.linalg.norm(m))
-
-    def test_target_is_loss_matched_posterior(self):
-        task = _toy_linreg(seed=13)
-        x, y = task.stacked_design()
-        post = linreg_posterior(
-            x, y, task.prior_var, noise_std=LOSS_MATCHED_NOISE_STD
-        )
-        assert np.allclose(task.target().mean, post.mean, atol=1e-12)
-        assert np.allclose(task.minimizer(), post.mean, atol=1e-10)
 
 
 class TestMinibatch:
@@ -647,7 +658,7 @@ def _oracle_grad_block(task, x, idx=None):
             data = (task.shard_size / np.shape(idx)[-1]) \
                 * (2.0 * _oracle_rmatvec(xb, resid))
         return data + task._prior_grad(x)
-    s = _oracle_gather(task._signed, idx)
+    s = _oracle_gather(task.xs * (2.0 * task.ys - 1.0)[..., None], idx)
     data = -_oracle_rmatvec(s, expit(-_oracle_matvec(s, x[..., None, :])))
     if idx is not None:
         data = (task.shard_size / np.shape(idx)[-1]) * data

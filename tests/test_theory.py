@@ -419,11 +419,11 @@ class TestStepsizeReportText:
         (("topology = ring", "topology = disconnected"),
          "admissible delta^2: empty, [1 - c, 1) with c = 0 <= 0"),
     ], ids=["eta-0.5-ring6", "disconnected"])
-    def test_empty_delta2_interval(self, tmp_path, edit, line):
+    def test_empty_delta2_interval(self, tmp_path, capsys, edit, line):
         path = tmp_path / "exp.cfg"
         path.write_text(_VALIDATE_CFG.replace(*edit))
-        out = []
-        cmd_validate(load_config(str(path)), echo=out.append)
+        cmd_validate(load_config(str(path)))
+        out = capsys.readouterr().out.splitlines()
         assert [ln.strip() for ln in out if "delta^2" in ln] == [line]
 
 
@@ -565,7 +565,7 @@ class TestProblemParamsFrom:
         assert task.target() is None
         assert problem_params_from(task, ms, _gen_extra(0.001)).w2_init == 0.0
         ens = rng.standard_normal((3, 5, 4, 2))
-        series = series_for_run(task, [0, 1, 2], ens, None, 1.0)
+        series = series_for_run(task, ens, None, 1.0)
         assert list(series) == ["consensus"]
 
     def test_sigma2_zero_at_full_batch_and_given_value_wins(self):
