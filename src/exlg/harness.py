@@ -219,6 +219,9 @@ def series_for_run(task, xs_all, holdout: Optional[tuple],
     means = xs_all.mean(axis=2)
     target = task.target() if xs_all.shape[1] >= 2 else None
     if target is not None:
+        if xs_all.shape[1] <= xs_all.shape[3]:
+            logger.warning("W2 of a rank-deficient Gaussian fit: %d "
+                           "replicas in %d dimensions", *xs_all.shape[1::2])
         out["w2_mean"] = w2_batch(means, target)
         by_agent = np.ascontiguousarray(np.moveaxis(xs_all, 2, 0))
         out["w2_agents"] = w2_batch(by_agent, target).mean(axis=0)
@@ -607,6 +610,11 @@ def cmd_theory(cfg: ExperimentConfig) -> int:
         for line in cert.lines():
             print(line)
 
+    steps = cfg.sampler.steps
+    tau = 1.0 / (p.mu * p.eta * (1.0 - p.eta * p.L / 2))
+    note = (f"; note: sampler.steps = {steps} covers {steps / tau:.2%} of it"
+            if steps < tau else "")
+    print(f"relaxation time 1/(mu*eta*(1 - eta*L/2)) = {tau:.6g} steps{note}")
     tc = compute_constants(p)
     manifest.write_csv("theory_constants.csv", ["name", "value"],
                        _row_lines(tc.as_rows()))

@@ -45,8 +45,9 @@ Replica r draws from its own stream, keyed by its seed, and each draw
 depends on (seed, k, i) alone.  With row bits that do not depend on how
 many rows share a call, a replica's values do not depend on how many
 replicas run beside it.  A `NoiseStream` keeps one Philox generator and
-resets its counter for every block, which gives the same draws as a
-fresh generator at that counter.
+resets its counter for every block, from a state held in plain ints
+(which numpy's setter reads faster than arrays); that gives the same
+draws as a fresh generator at that counter.
 
 Minibatch indices never depend on the chain state, so they are drawn
 ahead of it: `batch_table` fills the (steps, R, N, b) indices of a chunk
@@ -153,7 +154,8 @@ class NoiseStream:
     for every draw, which yields exactly the draws of a fresh
     ``Philox(key=seed, counter=[0, k, i, tag])``.  So a Generator
     returned by ``batch_rng`` is valid only until the next draw from the
-    same stream: use it at once.
+    same stream: use it at once.  The reset state is kept in plain ints,
+    which numpy's setter reads faster than it unboxes numpy arrays.
 
     Agent i's minibatch at iterate k is ``batch_rng(k, i).choice(n, b,
     replace=False)``.  Chains read it from `batch_table` instead, which
@@ -168,9 +170,13 @@ class NoiseStream:
         self.dim = int(dim)
         self._bits = np.random.Philox(key=self.seed)
         self._rng = np.random.Generator(self._bits)
+        self._normal = self._rng.standard_normal
+        self._shape = (self.n_agents, self.dim)
         self._fresh = self._bits.state  # key set, buffer empty
+        st = self._fresh["state"]
+        st["key"], self._fresh["buffer"] = [int(w) for w in st["key"]], [0] * 4
         # the setter copies the counter, so it is rewritten in place
-        self._ctr = self._fresh["state"]["counter"]
+        self._ctr = st["counter"] = [0, 0, 0, 0]
 
     def _gen(self, k: int, i: int, tag: int) -> np.random.Generator:
         ctr = self._ctr
@@ -183,8 +189,8 @@ class NoiseStream:
     def gaussian_block(self, k: int, out=None) -> np.ndarray:
         """The (N, d) block for iterate k, written into ``out`` (a float64
         (N, d) array) when given."""
-        return self._gen(k, 0, _TAG_NOISE).standard_normal(
-            (self.n_agents, self.dim), out=out)
+        self._gen(k, 0, _TAG_NOISE)
+        return self._normal(self._shape, out=out)
 
     def batch_rng(self, k: int, i: int) -> np.random.Generator:
         return self._gen(k, i, _TAG_BATCH)
@@ -201,21 +207,23 @@ _TABLE_BYTES = 1 << 20
 
 
 def _mulhilo(a, m):
-    """High and low 64-bit words of the 128-bit products a * m."""
+    """High and low 64-bit words of the 128-bit products a * m; the high
+    one from 32-bit halves as Hacker's Delight's mulhu forms it."""
     a0, a1 = a & _LO32, a >> _32
     m0, m1 = m & _LO32, m >> _32
-    p01, p10 = a0 * m1, a1 * m0
-    mid = (a0 * m0 >> _32) + (p01 & _LO32) + (p10 & _LO32)
-    return a1 * m1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32), a * m
+    t = a1 * m0 + (a0 * m0 >> _32)
+    w1 = a0 * m1 + (t & _LO32)
+    return a1 * m1 + (t >> _32) + (w1 >> _32), a * m
 
 
 def philox4x64(ctr, key):
     """The Philox4x64-10 block of each counter under its key.
 
-    ``ctr`` is four uint64 arrays (word 0 first) and ``key`` two; all
-    broadcast against word 0, which must have the full shape.  Returns
-    the four output words: what numpy's ``Philox(key=...)`` yields, in
-    that order, once its counter has been stepped to ``ctr``.
+    ``ctr`` is four uint64 arrays (word 0 first) and ``key`` two; the
+    words broadcast together, and the early rounds run at the smaller
+    shapes that their inputs broadcast to.  Returns the four output words:
+    what numpy's ``Philox(key=...)`` yields, in that order, once its
+    counter has been stepped to ``ctr``.
     """
     c0, c1, c2, c3 = ctr
     k0, k1 = key
@@ -281,10 +289,9 @@ def batch_table(noises, ks, n_agents, n, batch) -> np.ndarray:
                         for nz in noises], dtype=np.uint64)[:, None, None]
         n_draws = 2 * batch - 1 - (n == batch)
         n_blocks = max(1, -(-n_draws // 8))  # 8 32-bit draws a block
-        c0 = np.broadcast_to(np.arange(1, n_blocks + 1, dtype=np.uint64),
-                             shape + (n_blocks,))
         words = np.stack(philox4x64(
-            (c0, ks[:, None, None, None],
+            (np.arange(1, n_blocks + 1, dtype=np.uint64),
+             ks[:, None, None, None],
              np.arange(n_agents, dtype=np.uint64)[:, None],
              np.uint64(_TAG_BATCH)),
             (key[..., 0], key[..., 1])), axis=-1).reshape(-1, 4 * n_blocks)

@@ -531,6 +531,26 @@ class TestTheoryCmd:
         assert 0 < man["eta_used"] <= 0.01
         assert man["K0"] == 0  # zero-init transients
 
+    @pytest.mark.parametrize("steps", [40, 10**9], ids=["short", "long"])
+    def test_prints_relaxation_time(self, tmp_path, capsys, steps):
+        # 1/(mu*eta*(1 - eta*L/2)) at the shrunk pair, after its report;
+        # a run shorter than that gets a note
+        text = BASE + "\n[theory]\nshrink = true\n"
+        cfg = load_config(make_cfg(tmp_path, text=text, **{
+            "n = 6": "n = 4", "steps = 40": f"steps = {steps}",
+            "record_every = 5": f"record_every = {steps}"}))
+        assert cmd_theory(cfg) == EXIT_OK
+        p, _ = shrink_to_admissible(problem_params_from(
+            build_task(cfg)[0], build_mixing(cfg), cfg.sampler),
+            build_mixing(cfg), cfg.sampler)
+        tau = 1.0 / (p.mu * p.eta * (1.0 - p.eta * p.L / 2))
+        assert 40 < tau < 10**9
+        note = (f"; note: sampler.steps = 40 covers {40 / tau:.2%} of it"
+                if steps == 40 else "")
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == (f"relaxation time 1/(mu*eta*(1 - eta*L/2)) = "
+                        f"{tau:.6g} steps{note}")
+
     def test_bounds_match_direct_evaluation(self, tmp_path):
         text = BASE + "\n[theory]\nshrink = true\n"
         cfg = load_config(make_cfg(tmp_path, text=text,
@@ -1112,6 +1132,26 @@ class TestSeriesArrays:
     def test_zero_temperature(self, tmp_path, monkeypatch):
         self._check(tmp_path, monkeypatch, ["consensus", "opt_error"],
                     **{"steps = 40": "steps = 40\ntemperature = 0"})
+
+
+@pytest.mark.parametrize("dim, replicas", [(2, 2), (3, 3), (2, 3)],
+                         ids=["2-in-2", "3-in-3", "3-in-2"])
+def test_w2_from_too_few_replicas_warns_once(tmp_path, caplog, dim,
+                                             replicas):
+    # a Gaussian fit to R <= d replicas is rank-deficient; the series are
+    # written all the same
+    cfg = load_config(make_cfg(tmp_path, **{
+        "dim = 2": f"dim = {dim}", "replicas = 3": f"replicas = {replicas}",
+        "beta_true = 1.0 -0.5": "beta_true = " + " ".join(["0.5"] * dim)}))
+    with caplog.at_level(logging.WARNING, logger="exlg"):
+        assert cmd_run(cfg) == EXIT_OK
+    warned = [r.getMessage() for r in caplog.records
+              if r.levelno == logging.WARNING and "rank-deficient" in
+              r.getMessage()]
+    assert warned == ([] if replicas > dim else [
+        f"W2 of a rank-deficient Gaussian fit: {replicas} replicas in "
+        f"{dim} dimensions"])
+    assert "w2_mean" in (tmp_path / "out" / "metrics.csv").read_text()
 
 
 def _fmt(v) -> str:

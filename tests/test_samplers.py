@@ -10,6 +10,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exlg.linalg import mix_apply
 from exlg.network import build_mixing_set, ring
@@ -174,6 +175,68 @@ class TestNoiseStream:
                     0, 2**63, got.size))
                 continue
             assert np.array_equal(got, fresh(k, 0, 1).standard_normal((4, 2)))
+
+    def test_top_counter_and_key_equal_a_fresh_philox(self):
+        # the reset state is held in Python ints: the largest counter word
+        # and both key words at 2^64 - 1 must reach Philox unchanged
+        seed, k = 2**128 - 1, 2**64 - 1
+        got = NoiseStream(seed, 3, 2).gaussian_block(k)
+        ref = np.random.Generator(np.random.Philox(
+            key=seed, counter=np.array([0, k, 0, 1], dtype=np.uint64)))
+        assert np.array_equal(got, ref.standard_normal((3, 2)))
+
+
+_U64_EDGES = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+
+
+class TestPhiloxWords:
+    """`_mulhilo` and `philox4x64` against Python's exact integers and
+    numpy's own Philox."""
+
+    @staticmethod
+    def _check_mulhilo(values, m):
+        hi, lo = samplers._mulhilo(np.array(values, dtype=np.uint64), m)
+        for a, h, lo_word in zip(values, hi.tolist(), lo.tolist()):
+            assert (h, lo_word) == ((a * int(m)) >> 64, (a * int(m)) % 2**64)
+
+    @pytest.mark.parametrize("m", samplers._PHILOX_M, ids=["m0", "m1"])
+    def test_mulhilo_edges(self, m):
+        # every pair of edge halves, for both round multipliers
+        self._check_mulhilo([a ^ b for a in _U64_EDGES for b in _U64_EDGES]
+                            + list(_U64_EDGES), m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.integers(0, 2**64 - 1), min_size=1,
+                           max_size=40),
+           which=st.sampled_from((0, 1)))
+    def test_mulhilo_sweep(self, values, which):
+        self._check_mulhilo(values, samplers._PHILOX_M[which])
+
+    def test_broadcast_words_equal_full_shape_and_numpy(self):
+        # word 0 as batch_table passes it: the (n_blocks,) block counter
+        rng = np.random.default_rng(2)
+        n_blocks, shape = 3, (2, 2, 4, 3)
+        ks = np.array([int(rng.integers(0, 2**63)), 2**64 - 1],
+                      dtype=np.uint64)
+        seeds = [2**128 - 1, int(rng.integers(0, 2**63)) << 64 | 12345]
+        key = np.array([[s % 2**64, s >> 64] for s in seeds],
+                       dtype=np.uint64)[:, None, None]
+        ctr = (np.arange(1, n_blocks + 1, dtype=np.uint64),
+               ks[:, None, None, None],
+               np.arange(shape[2], dtype=np.uint64)[:, None], np.uint64(2))
+        small = philox4x64(ctr, (key[..., 0], key[..., 1]))
+        full = philox4x64(
+            tuple(np.broadcast_to(c, shape) for c in ctr),
+            tuple(np.broadcast_to(kw, shape)
+                  for kw in (key[..., 0], key[..., 1])))
+        for got, want in zip(small, full):
+            assert got.shape == shape and np.array_equal(got, want)
+        words = np.stack(small, axis=-1)
+        for t, r, i in np.ndindex(shape[:3]):
+            # numpy steps word 0 of its counter before each block
+            ref = np.random.Philox(key=seeds[r], counter=np.array(
+                [0, ks[t], i, 2], dtype=np.uint64)).random_raw(4 * n_blocks)
+            assert np.array_equal(words[t, r, i].reshape(-1), ref)
 
 
 class TestStepFunctions:
