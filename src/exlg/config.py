@@ -258,9 +258,11 @@ def _section_problems(section: str, s):
             if algo not in ALGORITHMS:
                 yield f"compare.algorithms: {algo!r} not one of {ALGORITHMS}"
     elif section == "sweep":
-        if not (0.0 < s.h_min <= s.h_max <= 0.5):
-            yield (f"sweep: need 0 < h_min <= h_max <= 0.5, got "
-                   f"[{s.h_min}, {s.h_max}]")
+        if s.h_min <= 0.0:
+            yield f"sweep.h_min: must be > 0, got {s.h_min}"
+        if not s.h_min <= s.h_max <= 0.5:
+            yield (f"sweep.h_max: must lie in [h_min, 1/2] = "
+                   f"[{s.h_min}, 0.5], got {s.h_max}")
         if s.points < 1:
             yield f"sweep.points: must be >= 1, got {s.points}"
     elif section == "theory":

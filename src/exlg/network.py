@@ -221,7 +221,6 @@ class MixingSet:
     """The full mixing bundle one sampler run needs; ``w_eigs`` and
     ``wt_eigs`` are the ascending eigenvalues of W and W~."""
 
-    topology: Topology
     w: np.ndarray
     w_tilde: np.ndarray
     u: np.ndarray
@@ -232,7 +231,7 @@ class MixingSet:
 
     @property
     def n(self) -> int:
-        return self.topology.n
+        return self.w.shape[0]
 
     @property
     def spectral(self) -> SpectralSummary:
@@ -257,8 +256,7 @@ def build_mixing_set(top: Topology, h: float, delta: Optional[float],
     w, delta = build_w(top, delta, seed)
     wv, _ = sym_eig(w)
     # the set at h = 0, where W~ = W and U = 0, needs W's solve alone
-    return with_h(MixingSet(top, w, w, np.zeros_like(w), 0.0, delta, wv, wv),
-                  h)
+    return with_h(MixingSet(w, w, np.zeros_like(w), 0.0, delta, wv, wv), h)
 
 
 def with_h(ms: MixingSet, h: float) -> MixingSet:

@@ -31,10 +31,10 @@ entries compute the update rules above term for term on the whole array,
 with the noise scales formed once and, in the generalized chain, W~ x
 formed once for both halves; the tests hold them bit-identical to
 per-chain reference steps.  Mixing is one BLAS product per replica
-slice, ``grad_block``, the one gradient method of a `GradientOracle`,
-returns every (replica, agent) gradient in one call, and each replica's
-Gaussian block is drawn straight into its slice of one fresh
-(R, rows, d) array.
+slice, ``grad_block``, the one gradient method of the oracle (see
+`run_ensemble`), returns every (replica, agent) gradient in one call,
+and each replica's Gaussian block is drawn straight into its slice of
+one fresh (R, rows, d) array.
 EXTRA's bootstrap is exactly one DE-SGLD step, and its closure keeps the
 previous iterate, gradient and Gaussian block; the centralized chains sum
 every agent's gradient at the one shared row.  Only the generalized chain
@@ -536,6 +536,12 @@ def run_ensemble(
 ) -> ChainResult:
     """Run one chain per seed, all advancing together as one
     (R, rows, d) array from x = v = 0, for cfg.steps transitions.
+
+    ``oracle`` is a task; a chain reads only its ``dim``, ``n_agents``,
+    ``shard_size`` (the rows every agent holds, read when ``cfg.batch``
+    is set) and ``grad_block(x, idx=None)``, which maps an (R, N, d)
+    block to grad f_i(x[r, i]) at every row, or with ``idx`` (R, N, b)
+    to the minibatch estimate over those shard rows.
 
     Records every ``record_every`` iterates (k = 0 and the final iterate
     always); ``xs`` is (n_rec, R, rows, d).  ``noises`` holds one

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -50,7 +49,6 @@ from .linalg import sym_eig, symmetrized
 __all__ = [
     "GaussianDist",
     "checked_cov",
-    "GradientOracle",
     "LinRegTask",
     "LogRegTask",
     "gen_linreg_data",
@@ -112,27 +110,6 @@ def checked_cov(c) -> np.ndarray:
     return c
 
 
-@runtime_checkable
-class GradientOracle(Protocol):
-    """What a sampler needs from a task: the stacked gradient.
-
-    ``grad_block(x, idx)`` takes an (R, N, d) block and returns
-    grad f_i(x[r, i]) at every row.  With ``idx`` (R, N, b) the data part
-    is the minibatch estimate over those shard rows; a minibatch sampler
-    then also reads the oracle's ``shard_size``, the rows every agent
-    holds.
-    """
-
-    @property
-    def dim(self) -> int: ...
-
-    @property
-    def n_agents(self) -> int: ...
-
-    def grad_block(self, x: np.ndarray, idx=None) -> np.ndarray:
-        ...
-
-
 def _matvec(m, v):
     """sum_j m[j] * v[j] over the leading (feature) axis, broadcast, as a
     fixed-order loop over j.
@@ -160,17 +137,20 @@ class _ShardedTask:
     """What both tasks share: the shard stacks, the block gradient's
     argument handling and minibatch gather, and the prior term.
 
-    Subclasses are frozen dataclasses with fields xs, ys and prior_var:
-    the (N, n, d) feature stack and (N, n) target stack that
-    ``partition_data`` cuts (or a sequence of equal shards, stacked).
+    ``xs`` and ``ys`` are the (N, n, d) feature stack and (N, n) target
+    stack that ``partition_data`` cuts (or a sequence of equal shards,
+    stacked); ``prior_var`` is lambda.  Each subclass keeps its model
+    state and ``_flat``, the feature-major (c, N*n) copy of an (N, n, c)
+    stack of per-row data that `_gather` reads.
     """
 
-    def _init_shards(self):
+    def __init__(self, xs, ys, prior_var):
         """Keep copies of xs and ys as float stacks, checked: N >= 1 equal
-        shards of n >= 1 rows and d >= 1 features."""
+        shards of n >= 1 rows and d >= 1 features, every entry finite,
+        and a positive finite prior_var."""
         try:
-            xs = np.array(self.xs, dtype=float)
-            ys = np.array(self.ys, dtype=float)
+            xs = np.array(xs, dtype=float)
+            ys = np.array(ys, dtype=float)
         except ValueError:  # a ragged sequence of shards
             raise ValueError(
                 "shards must be equal and nonempty; got a ragged sequence"
@@ -180,19 +160,14 @@ class _ShardedTask:
                 "shards must be equal and nonempty: need an (N, n, d) "
                 f"feature stack and an (N, n) target stack, got {xs.shape} "
                 f"and {ys.shape}")
-        if self.prior_var <= 0.0:
-            raise ValueError("prior_var must be positive")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-
-    def _init_flat(self, stack):
-        """Keep the (N, n, c) ``stack`` as the feature-major (c, N*n)
-        copy ``_flat`` that `_gather` reads: agent a's shard is columns
-        a*n on."""
-        n_agents, n, c = stack.shape
-        object.__setattr__(self, "_flat", np.ascontiguousarray(
-            stack.reshape(-1, c).T))
-        object.__setattr__(self, "_row0", np.arange(n_agents) * n)
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError("shards must hold finite numbers only")
+        if not 0.0 < prior_var < np.inf:
+            raise ValueError(
+                f"prior_var must be positive and finite, got {prior_var}")
+        self.xs, self.ys, self.prior_var = xs, ys, prior_var
+        # agent a's shard is columns a*n on of the (c, N*n) ``_flat``
+        self._row0 = np.arange(xs.shape[0]) * xs.shape[1]
 
     @property
     def n_agents(self) -> int:
@@ -240,7 +215,6 @@ class _ShardedTask:
         return np.take(self._flat, self._row0[:, None] + idx, axis=1)
 
 
-@dataclasses.dataclass(frozen=True)
 class LinRegTask(_ShardedTask):
     """Decentralized Bayesian linear regression.
 
@@ -249,17 +223,13 @@ class LinRegTask(_ShardedTask):
     grad f_i(x) = G_i x - b_i + x / (lambda N) whatever the shard size.
     """
 
-    xs: np.ndarray
-    ys: np.ndarray
-    prior_var: float
-
-    def __post_init__(self):
-        self._init_shards()
-        object.__setattr__(self, "_gram",
-                           np.stack([2.0 * (x.T @ x) for x in self.xs]))
-        object.__setattr__(self, "_xty", np.stack(
-            [2.0 * (x.T @ y) for x, y in zip(self.xs, self.ys)]))
-        self._init_flat(np.concatenate([self.xs, self.ys[..., None]], -1))
+    def __init__(self, xs, ys, prior_var):
+        super().__init__(xs, ys, prior_var)
+        self._gram = np.stack([2.0 * (x.T @ x) for x in self.xs])
+        self._xty = np.stack(
+            [2.0 * (x.T @ y) for x, y in zip(self.xs, self.ys)])
+        xy = np.concatenate([self.xs, self.ys[..., None]], -1)
+        self._flat = np.ascontiguousarray(xy.reshape(-1, self.dim + 1).T)
 
     def grad_block(self, x, idx=None):
         """Gradients at every row of an (R, N, d) block.
@@ -308,22 +278,18 @@ class LinRegTask(_ShardedTask):
         return GaussianDist(np.linalg.solve(a, b), np.linalg.inv(a))
 
 
-@dataclasses.dataclass(frozen=True)
 class LogRegTask(_ShardedTask):
     """Decentralized Bayesian logistic regression, labels in {0, 1}."""
 
-    xs: np.ndarray
-    ys: np.ndarray
-    prior_var: float
-
-    def __post_init__(self):
+    def __init__(self, xs, ys, prior_var):
         from scipy.special import expit
 
-        object.__setattr__(self, "_expit", expit)
-        self._init_shards()
+        super().__init__(xs, ys, prior_var)
         if not np.all((self.ys == 0.0) | (self.ys == 1.0)):
             raise ValueError("logistic labels must be 0 or 1")
-        self._init_flat(self.xs * (2.0 * self.ys - 1.0)[..., None])
+        self._expit = expit
+        s = self.xs * (2.0 * self.ys - 1.0)[..., None]
+        self._flat = np.ascontiguousarray(s.reshape(-1, self.dim).T)
 
     def mu_L(self) -> tuple[float, float]:
         """Strong-convexity and smoothness constants of the f_i family:

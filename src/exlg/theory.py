@@ -509,7 +509,7 @@ def problem_params_from(task, ms: MixingSet, sampler: SamplerConfig, *,
     sp = ms.spectral
     return ProblemParams(
         mu=float(mu), L=float(L), sigma2=float(sigma2), d=task.dim,
-        N=ms.topology.n, eta=float(sampler.eta), h=float(ms.h),
+        N=ms.n, eta=float(sampler.eta), h=float(ms.h),
         norm_B=sampler.norm_b(sp.norm_wt),
         grad_at_min_sq=r, spectral=sp, w2_init=float(w2_init))
 

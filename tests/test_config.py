@@ -249,10 +249,21 @@ class TestSemantics:
         self.check(tmp_path, text, "compare.algorithms")
 
     def test_sweep_bounds(self, tmp_path):
-        text = MINIMAL + "\n[sweep]\nh_min = 0.4\nh_max = 0.2\n"
-        self.check(tmp_path, text, "sweep")
-        text = MINIMAL + "\n[sweep]\nh_max = 0.9\n"
-        self.check(tmp_path, text, "sweep")
+        # each problem names the key at fault, and only that one
+        for keys, line in [
+            ("h_min = 0.4\nh_max = 0.2",
+             "sweep.h_max: must lie in [h_min, 1/2] = [0.4, 0.5], got 0.2"),
+            ("h_max = 0.9",
+             "sweep.h_max: must lie in [h_min, 1/2] = [0.001, 0.5], "
+             "got 0.9"),
+            ("h_min = 0", "sweep.h_min: must be > 0, got 0.0"),
+            ("h_min = -0.1\nh_max = 0.2",
+             "sweep.h_min: must be > 0, got -0.1"),
+        ]:
+            with pytest.raises(ConfigError) as err:
+                load_config(write_cfg(tmp_path,
+                                      f"{MINIMAL}\n[sweep]\n{keys}\n"))
+            assert str(err.value).splitlines()[1:] == [f"  {line}"], keys
 
     def test_negative_sigma2(self, tmp_path):
         text = MINIMAL + "\n[theory]\nsigma2 = -1.0\n"

@@ -183,7 +183,6 @@ class TestMixingSet:
         for field in ("w", "w_tilde", "u"):
             assert np.array_equal(getattr(moved, field),
                                   getattr(fresh, field)), field
-        assert moved.topology is fresh.topology
         assert (moved.h, moved.delta) == (fresh.h, fresh.delta)
         assert moved.spectral == fresh.spectral
 

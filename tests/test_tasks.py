@@ -17,7 +17,6 @@ from exlg.linalg import sym_eig
 from exlg.network import build_mixing_set, ring
 from exlg.tasks import (
     GaussianDist,
-    GradientOracle,
     LabelError,
     LinRegTask,
     LogRegTask,
@@ -106,10 +105,6 @@ class TestGaussianDist:
                                   np.diag([1.0, -1e-9])]))
         with pytest.raises(ValueError, match="finite"):
             checked_cov(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
-
-    def test_oracle_protocol(self):
-        assert isinstance(_toy_linreg(), GradientOracle)
-        assert isinstance(_toy_logreg(), GradientOracle)
 
 
 class TestGenerators:
@@ -375,11 +370,29 @@ class TestShardStacks:
 
     def test_stack_input_gives_the_same_task(self, kind):
         task = _sharded(kind, (6, 6, 6))
-        again = type(task)(xs=task.xs, ys=task.ys, prior_var=3.0)
-        assert np.array_equal(again.xs, task.xs)
-        assert np.array_equal(again.ys, task.ys)
         x = np.random.default_rng(1).standard_normal((2, 3, 2))
-        assert np.array_equal(again.grad_block(x), task.grad_block(x))
+        for again in (type(task)(xs=task.xs, ys=task.ys, prior_var=3.0),
+                      type(task)(task.xs, task.ys, 3.0)):
+            assert np.array_equal(again.xs, task.xs)
+            assert np.array_equal(again.ys, task.ys)
+            assert again.prior_var == task.prior_var
+            assert np.array_equal(again.grad_block(x), task.grad_block(x))
+
+    @pytest.mark.parametrize("where", ["xs", "ys"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shard_entries_rejected(self, kind, where, bad):
+        task = _sharded(kind, (6, 6, 6))
+        stacks = {"xs": task.xs.copy(), "ys": task.ys.copy()}
+        stacks[where][1, 2, ...] = bad
+        with pytest.raises(ValueError, match="finite numbers only"):
+            type(task)(prior_var=3.0, **stacks)
+
+    @pytest.mark.parametrize("prior_var", [np.nan, np.inf, 0.0, -1.0])
+    def test_prior_var_must_be_positive_and_finite(self, kind, prior_var):
+        task = _sharded(kind, (6, 6, 6))
+        with pytest.raises(ValueError,
+                           match="prior_var must be positive and finite"):
+            type(task)(task.xs, task.ys, prior_var)
 
     @pytest.mark.parametrize("sizes", [(4, 7, 5), (5, 0, 7), (0, 0, 0)],
                              ids=["ragged", "one-empty", "all-empty"])

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from exlg.config import load_config
-from exlg.harness import cmd_validate, series_for_run
+from exlg.harness import (build_mixing, build_task, cmd_validate,
+                          series_for_run)
 from exlg.metrics import w2_gaussian
 from exlg.network import SpectralSummary, make_topology, build_mixing_set
 from exlg.samplers import SamplerConfig
@@ -616,3 +617,61 @@ class TestProblemParamsFrom:
         assert p.eta == pytest.approx(0.5 * rep.max_eta, rel=1e-6)
         tc = compute_constants(p)  # full stack must be evaluable there
         assert math.isfinite(tc.script_E1)
+
+
+# a 50-agent ring at (h, eta) = (0.38, 0.009), far outside the clauses
+RING50 = """[task]
+kind = linreg
+n_points = 5000
+per_agent = 50
+dim = 2
+beta_true = 1.0222531862935225 1.8378468836432988
+[network]
+topology = ring
+n = 50
+h = 0.38
+delta = 0.125
+[sampler]
+algorithm = GEN_EXTRA_SGLD
+eta = 0.009
+steps = 200
+[run]
+seed = 42
+out = {out}
+[theory]
+shrink = true
+"""
+
+
+class TestShrinkIterationLimit:
+    """On the ring of 50, the shrink settles only after several moves of
+    the mixing set; an iteration limit below that either ends on an
+    admissible pair or names the clauses still failing."""
+
+    @pytest.fixture
+    def start(self, tmp_path):
+        path = tmp_path / "ring50.ini"
+        path.write_text(RING50.format(out=tmp_path / "out"))
+        cfg = load_config(str(path))
+        task, ms = build_task(cfg)[0], build_mixing(cfg)
+        return problem_params_from(task, ms, cfg.sampler), ms, cfg.sampler
+
+    def test_default_limit_settles(self, start):
+        p, _ = shrink_to_admissible(*start)
+        assert (p.h, p.eta) == pytest.approx(
+            (3.36402907e-23, 7.53819697e-07), rel=1e-8)
+
+    def test_exhausted_limit_names_failing_clauses(self, start,
+                                                   monkeypatch):
+        monkeypatch.setattr("exlg.theory._SHRINK_ITERS", 1)
+        with pytest.raises(RuntimeError, match="failing clauses: "
+                           "h-coupling; eta-coupling$"):
+            shrink_to_admissible(*start)
+
+    def test_exhausted_limit_returns_an_admissible_pair(self, start,
+                                                        monkeypatch):
+        monkeypatch.setattr("exlg.theory._SHRINK_ITERS", 3)
+        p, ms = shrink_to_admissible(*start)
+        assert validate_stepsize(p).ok and p.h == ms.h
+        assert (p.h, p.eta) == pytest.approx((8.6149e-59, 2.4271e-20),
+                                             rel=1e-4)
