@@ -381,8 +381,24 @@ class ChainResult:
 
 
 def _inside(a):
-    """Whether every entry of ``a`` is in the guard ball (NaN is not)."""
-    return a.max() <= _DIVERGENCE_LIMIT and a.min() >= -_DIVERGENCE_LIMIT
+    """Whether every entry of ``a`` is in the guard ball (NaN is not).
+
+    A sum of squares within a quarter of the limit's square bounds every
+    entry with room to spare for its rounding, in one pass; ``np.vdot``,
+    unlike ``@``, stays silent when that sum overflows.  Anything else gets
+    the exact test.
+    """
+    return (np.vdot(a, a) <= (0.5 * _DIVERGENCE_LIMIT) ** 2
+            or a.max() <= _DIVERGENCE_LIMIT and a.min() >= -_DIVERGENCE_LIMIT)
+
+
+def _dual_inside(v):
+    """Whether every replica's dual drift max |sum_i v_i| / N of the
+    (R, N, d) ``v`` is within _DUAL_TOL; a sum of squares first, as in
+    `_inside`."""
+    s, n = v.sum(axis=1), v.shape[1]
+    return (np.vdot(s, s) <= (0.5 * _DUAL_TOL * n) ** 2
+            or np.max(np.abs(s)) / n <= _DUAL_TOL)
 
 
 def _guard(algo, k, x, v=None):
@@ -395,8 +411,7 @@ def _guard(algo, k, x, v=None):
     drift within _DUAL_TOL, the least of the per-replica limits.  Only a
     step that fails it is searched replica by replica.
     """
-    if _inside(x) and (v is None or _inside(v) and np.max(
-            np.abs(v.sum(axis=1))) / v.shape[1] <= _DUAL_TOL):
+    if _inside(x) and (v is None or _inside(v) and _dual_inside(v)):
         return  # no replica near a limit: nothing to search
     blocks = [("x", x)] if v is None else [("x", x), ("v", v)]
     peaks = [np.max(np.abs(blk), axis=(1, 2)) for _name, blk in blocks]

@@ -31,16 +31,15 @@ branch on its class: ``minimizer()`` is x*, ``mu_L()`` the (mu, L)
 curvature bounds of the f_i family, and ``target()`` the Gaussian law
 exp(-sum_i f_i), or None where it has no closed form (logistic).
 
-Only the logistic task needs scipy (``scipy.special.expit``), and only it
-imports it: each ``LogRegTask`` binds ``expit`` once at construction, and
-``gen_logreg_data`` imports it when called.  Linear-regression and
-``theory`` commands never load scipy.
+The logistic sigmoid is ``_sigmoid_neg``: numpy only, with the bits of
+``scipy.special.expit``, so no command loads scipy.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 
 import numpy as np
 
@@ -68,6 +67,9 @@ _LOGREG_FEATURE_VAR = 20.0
 _NEWTON_TOL = 1e-10
 _NEWTON_ITERS = 200
 _NEWTON_FLAT = 4.0 * np.finfo(float).eps
+# glibc's cexp scales its result once the real part passes
+# (DBL_MAX_EXP - 1) ln 2, truncated, so its bits there may differ from exp's
+_CEXP_EXACT = 709.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,6 +110,33 @@ def checked_cov(c) -> np.ndarray:
         raise ValueError(
             f"covariance not PSD: min eigenvalue {lo[bad][0]:.3e}")
     return c
+
+
+def _exp_libm(v):
+    """The C library's exp(v) for one float, inf where it overflows."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _sigmoid_neg(t):
+    """1 / (1 + exp(t)) per entry of a float array: sigma(-t), bit for bit
+    ``scipy.special.expit(-t)``.
+
+    expit calls the C library's exp, whose last bits numpy's own float exp
+    does not always match.  The real part of a complex exp with zero
+    imaginary part is C99 cexp's, which is that exp up to _CEXP_EXACT.
+    Entries above it, and NaN, take ``math.exp`` (the C library's too), so
+    the complex exp never overflows and never warns.
+    """
+    if t.max(initial=-np.inf) <= _CEXP_EXACT:
+        e = np.exp(t.astype(complex)).real
+    else:
+        slow = ~(t <= _CEXP_EXACT)
+        e = np.exp(np.where(slow, 0.0, t).astype(complex)).real
+        e[slow] = [_exp_libm(v) for v in t[slow].tolist()]
+    return 1.0 / (1.0 + e)
 
 
 def _matvec(m, v):
@@ -282,12 +311,9 @@ class LogRegTask(_ShardedTask):
     """Decentralized Bayesian logistic regression, labels in {0, 1}."""
 
     def __init__(self, xs, ys, prior_var):
-        from scipy.special import expit
-
         super().__init__(xs, ys, prior_var)
         if not np.all((self.ys == 0.0) | (self.ys == 1.0)):
             raise ValueError("logistic labels must be 0 or 1")
-        self._expit = expit
         s = self.xs * (2.0 * self.ys - 1.0)[..., None]
         self._flat = np.ascontiguousarray(s.reshape(-1, self.dim).T)
 
@@ -316,7 +342,7 @@ class LogRegTask(_ShardedTask):
         s = (self._flat.reshape(self.dim, 1, self.n_agents, -1)
              if idx is None else self._gather(idx))
         z = _matvec(s, x.transpose(2, 0, 1)[..., None])
-        data = -_rmatvec(s, self._expit(-z))
+        data = -_rmatvec(s, _sigmoid_neg(z))
         if idx is not None:
             data = (self.shard_size / idx.shape[-1]) * data
         return data + self._prior_grad(x)
@@ -337,7 +363,7 @@ class LogRegTask(_ShardedTask):
                 np.broadcast_to(b, (1, self.n_agents, d)))[0])
 
         def hess(b):
-            p = self._expit(b @ s)
+            p = _sigmoid_neg(-(b @ s))
             return np.eye(d) / self.prior_var + (s * (p * (1.0 - p))) @ s.T
 
         for _ in range(_NEWTON_ITERS):
@@ -382,13 +408,11 @@ def gen_logreg_data(
     y_j = 1 when sigma(beta^T X_j) >= u_j with u_j ~ U(0, 1), so the label
     law is exactly Bernoulli(sigma(beta^T X_j)).
     """
-    from scipy.special import expit
-
     beta_true = np.atleast_1d(np.asarray(beta_true, dtype=float))
     d = beta_true.size
     x = np.sqrt(_LOGREG_FEATURE_VAR) * rng.standard_normal((n_points, d))
     u = rng.uniform(size=n_points)
-    y = (expit(x @ beta_true) >= u).astype(float)
+    y = (_sigmoid_neg(-(x @ beta_true)) >= u).astype(float)
     return x, y
 
 

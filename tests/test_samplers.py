@@ -7,6 +7,7 @@ vs its special cases) under shared noise, and the exact-zero dual average.
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -570,6 +571,36 @@ def _guard_cases():
     edge = x.copy()
     edge[1, 4, 0] = np.nextafter(-1e12, -np.inf)
     cases.append(("past-the-limit", edge, v, (1, "diverged")))
+    # entries whose squares sum past the quick test's bound (0.5e12)^2 but
+    # stay within the limit pass; the next float above it names its agent
+    for peak in (6e11, 1e12):
+        edge = x.copy()
+        edge[1, 4, 0] = edge[2, 1, 1] = peak
+        cases.append((f"within-{peak:g}", edge, v, None))
+        vb = v.copy()
+        vb[3, :2, 0] = peak, -peak
+        vb[3, -1, 0] = -vb[3, :-1, 0].sum()  # exact: integers below 2^53
+        cases.append((f"v-within-{peak:g}", x, vb, None))
+    edge = x.copy()
+    edge[1, 4, 0] = np.nextafter(1e12, np.inf)
+    cases.append(("past-the-limit-above", edge, v,
+                  (1, "diverged at iteration 7, agent 4: max |x| entry = "
+                      "1.000000e+12")))
+    # squares that overflow to inf: the verdict without a warning
+    for name in ("x", "v"):
+        xb, vb = x.copy(), v.copy()
+        (vb if name == "v" else xb)[2] = 1e155
+        cases.append((f"1e155-in-{name}", xb, vb,
+                      (2, f"diverged at iteration 7, agent 0: max |{name}| "
+                          f"entry = 1.000000e+155")))
+    # agent sums whose drift sum / N rounds to exactly _DUAL_TOL pass (with
+    # max |v| < 1 it is the limit); the first whose drift is above it fails
+    for total, want in [(5e-8, None), (np.nextafter(5e-8, 1.0), None),
+                        (5.000000000000001e-08,
+                         (2, "dual average left zero"))]:
+        vb = np.zeros_like(v)
+        vb[2, 0, 0] = total
+        cases.append((f"drift-at-tol-{float(total)!r}", x, vb, want))
     # replicas 1 and 3 go bad at the same step, each its own way
     for name, xr, vr in [("x", 3, None), ("v", None, 3), ("dual", None, None)]:
         xb, vb = x.copy(), v.copy()
@@ -599,7 +630,9 @@ def _guard_cases():
 @pytest.mark.parametrize("name, x, v, want", _guard_cases(),
                          ids=[c[0] for c in _guard_cases()])
 def test_guard_matches_replica_search(name, x, v, want):
-    got = _guard_outcome(samplers._guard, x, v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _guard_outcome(samplers._guard, x, v)
     assert got == _guard_outcome(_guard_reference, x, v)
     if want is None:
         assert got is None

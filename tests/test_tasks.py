@@ -8,6 +8,7 @@ means.  No expected value here is copied from the implementation.
 import dataclasses
 import itertools
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from exlg.tasks import (
     gen_logreg_data,
     load_csv_dataset,
     partition_data,
+    _sigmoid_neg,
 )
 from exlg.samplers import SamplerConfig
 from exlg.theory import _grad_noise, problem_params_from
@@ -132,6 +134,26 @@ class TestGenerators:
         rng = np.random.default_rng(8)
         x, _ = gen_logreg_data(100_000, np.zeros(2), rng)
         assert abs(x.var() - 20.0) < 0.5
+
+
+def test_sigmoid_has_the_bits_of_expit():
+    """sigma(-t) is scipy's expit(-t) bit for bit, and silent: draws at
+    several scales, a dense sweep across glibc cexp's scaling threshold
+    near t = 709, overflow and underflow of exp, and the special values."""
+    rng = np.random.default_rng(30)
+    tiny = np.finfo(float).tiny
+    t = np.concatenate([
+        *(scale * rng.standard_normal(250_000) for scale in (1.0, 8.0, 100.0)),
+        rng.uniform(-800.0, 800.0, 250_000),
+        np.linspace(708.9, 709.8, 100_001),
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, tiny, -tiny,
+         745.0, -745.0, 746.0, -746.0],
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sigmoid_neg(t)
+        want = expit(-t)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestLinregTarget:
