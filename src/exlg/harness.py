@@ -3,7 +3,8 @@
 Each ``cmd_*`` function implements one CLI subcommand and returns a
 process exit code (0 success, 2 config error, 3 assumption violation,
 4 divergence; the CLI maps raised errors to the same codes).  A run's
-replicas advance together as one ensemble (``samplers.run_ensemble``).
+replicas advance together as one ensemble (``samplers.run_ensemble``),
+and ``series_for_run`` scores that ensemble one chunk of records at a time.
 """
 
 from __future__ import annotations
@@ -200,54 +201,52 @@ def series_for_run(task, xs_all, holdout: Optional[tuple],
     report the worst-agent optimization error instead of distributional
     metrics.  Otherwise W2 series need a Gaussian ``task.target()`` and
     an ensemble (replicas >= 2), and a holdout gives the accuracy of the
-    agent average.  Each series is one array expression over the
-    (n_rec, R, A, d) ensemble, averaged over replicas; every value equals
-    its per-record definition on that record (``w2_gaussian`` of the fit;
-    consensus error and accuracy as the oracles in ``tests/oracles.py``
-    write them).
+    agent average.  No series reduces over records, so `_score` scores the
+    (n_rec, R, A, d) ensemble in record chunks, each value the bits of its
+    per-record definition (``w2_gaussian`` of the fit; ``tests/oracles.py``).
     """
-    sq = xs_all - xs_all.mean(axis=2, keepdims=True)
-    sq *= sq  # squared in place: one ensemble-sized temporary, not two
-    out = {"consensus": np.sqrt(np.sum(sq, axis=(2, 3))).mean(axis=1)}
-    del sq  # freed before the by-agent copy below
-
-    if temperature == 0.0:
-        dist = np.linalg.norm(xs_all - task.minimizer(), axis=3)
-        out["opt_error"] = dist.max(axis=2).mean(axis=1)
-        return out
-
-    means = xs_all.mean(axis=2)
-    target = task.target() if xs_all.shape[1] >= 2 else None
-    if target is not None:
-        if xs_all.shape[1] <= xs_all.shape[3]:
-            logger.warning("W2 of a rank-deficient Gaussian fit: %d "
-                           "replicas in %d dimensions", *xs_all.shape[1::2])
-        out["w2_mean"] = w2_batch(means, target)
-        by_agent = np.ascontiguousarray(np.moveaxis(xs_all, 2, 0))
-        out["w2_agents"] = w2_batch(by_agent, target).mean(axis=0)
-
-    if holdout is not None:
-        out["accuracy"] = _accuracies(means, *holdout).mean(axis=1)
+    n_rec, reps, agents, dim = xs_all.shape
+    xstar = task.minimizer() if temperature == 0.0 else None
+    target = task.target() if xstar is None and reps >= 2 else None
+    if target is not None and reps <= dim:
+        logger.warning("W2 of a rank-deficient Gaussian fit: %d "
+                       "replicas in %d dimensions", reps, dim)
+    # cells per record: the chunk and its copies, w2_batch's covariances
+    cells = agents * dim * max(reps, dim if target is not None else 1)
+    if holdout is not None and xstar is None:  # a sign per holdout point
+        cells = max(cells, reps * len(holdout[1]))
+    step = max(1, _CHUNK_CELLS // cells)
+    chunks = [_score(xs_all[j:j + step], xstar, target, holdout)
+              for j in range(0, n_rec, step)]
+    out = {label: np.concatenate([c[label] for c in chunks], axis=-1)
+           for label in chunks[0]}
+    if target is not None:  # agents summed in the layout of the whole run
+        out["w2_agents"] = out["w2_agents"].mean(axis=0)
     return out
 
 
-# (record, replica, point) cells per chunk of _accuracies
-_ACC_CHUNK_CELLS = 1 << 16
+_CHUNK_CELLS = 1 << 16  # float cells in a _score chunk's largest temporary
 
 
-def _accuracies(means, hx, hy):
-    """Holdout accuracy of each (n_rec, R, d) agent average, as (n_rec, R):
-    the share of points whose label is 1{beta^T x >= 0}.
-
-    One matrix-vector product per (record, replica);
-    records go in chunks of about _ACC_CHUNK_CELLS (record, replica,
-    point) cells, so the temporaries stay small.
-    """
-    step = max(1, _ACC_CHUNK_CELLS // max(1, means.shape[1] * len(hy)))
-    return np.concatenate([
-        np.mean(((hx @ means[j:j + step, ..., None])[..., 0] >= 0.0)
-                .astype(float) == hy, axis=-1)
-        for j in range(0, len(means), step)])
+def _score(xs_chunk, xstar, target, holdout) -> dict:
+    """Every series of one (c, R, A, d) record chunk, as {label: (c,)}, but
+    ``w2_agents`` per agent, (A, c), since numpy sums an (A, 1) stack
+    pairwise and an (A, c) one in order.  ``xstar`` replaces W2, accuracy."""
+    dev = xs_chunk - xs_chunk.mean(axis=2, keepdims=True)
+    out = {"consensus": np.sqrt(np.sum(dev * dev, axis=(2, 3))).mean(axis=1)}
+    if xstar is not None:
+        dist = np.linalg.norm(xs_chunk - xstar, axis=3)
+        out["opt_error"] = dist.max(axis=2).mean(axis=1)
+        return out
+    means = xs_chunk.mean(axis=2)
+    if target is not None:
+        out["w2_mean"] = w2_batch(means, target)
+        by_agent = np.ascontiguousarray(np.moveaxis(xs_chunk, 2, 0))
+        out["w2_agents"] = w2_batch(by_agent, target)
+    if holdout is not None:
+        pred = (holdout[0] @ means[..., None])[..., 0] >= 0.0  # b^T x >= 0
+        out["accuracy"] = (pred == holdout[1]).mean(axis=-1).mean(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -128,8 +128,8 @@ class ProblemParams:
             raise ValueError(f"eta must be > 0, got {self.eta}")
         if self.h <= 0:
             raise ValueError(f"h must be > 0, got {self.h}")
-        if self.norm_B < 0 or not math.isfinite(self.norm_B):
-            raise ValueError(f"norm_B must be finite and >= 0, got {self.norm_B}")
+        if self.norm_B < 0 or not math.isfinite(self.norm_B * self.norm_B):
+            raise ValueError(f"norm_B must be >= 0 with a finite square, got {self.norm_B}")
         if self.grad_at_min_sq < 0:
             raise ValueError("grad_at_min_sq must be >= 0")
         if self.w2_init < 0:

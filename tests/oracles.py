@@ -1,9 +1,9 @@
 """Per-record reference definitions that the library computes as array
 expressions, kept here as the oracles tests compare it against.
 
-``series_for_run`` scores a whole (records, replicas, agents, dim)
-ensemble at once into a {label: values} map; each of its values must
-equal these functions on one record.  ``run_ensemble`` advances every replica with one step-table
+``series_for_run`` scores a (records, replicas, agents, dim) ensemble
+one chunk of records at a time into a {label: values} map; each of its
+values must equal these functions on one record.  ``run_ensemble`` advances every replica with one step-table
 entry; each transition must equal the ``step_*`` function of its chain on
 one replica.  ``RawMixing`` drives a sampler with hand-built matrices.
 """

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1088,7 +1089,8 @@ def _series_per_record(task, xs_all, holdout, temperature):
 
 
 class TestSeriesArrays:
-    """series_for_run's array expressions equal the per-record loops."""
+    """series_for_run's array expressions equal the per-record loops, and
+    scoring one record per chunk gives the bits of the default chunks."""
 
     def _check(self, tmp_path, monkeypatch, labels, **edits):
         calls, w2_inputs = [], []
@@ -1111,27 +1113,53 @@ class TestSeriesArrays:
         for (label, values), (_, expect) in zip(got.items(), want):
             assert len(values) == len(args[1])  # one per record
             assert np.array_equal(values, expect), label
+        assert len(args[1]) > 1
+        monkeypatch.setattr(harness, "_CHUNK_CELLS", 1)  # a record a chunk
+        chunked = real_series(*args)
+        assert list(chunked) == labels
+        for label, values in chunked.items():
+            assert np.array_equal(values, got[label]), label
         assert all(xs.flags.c_contiguous for xs in w2_inputs)
-        return args
 
     def test_linreg(self, tmp_path, monkeypatch):
         self._check(tmp_path, monkeypatch,
                     ["consensus", "w2_mean", "w2_agents"])
 
+    def test_linreg_many_agents(self, tmp_path, monkeypatch):
+        # past 8 agents numpy would sum a one-record (A, 1) stack pairwise
+        self._check(tmp_path, monkeypatch,
+                    ["consensus", "w2_mean", "w2_agents"],
+                    **{"n = 6": "n = 20"})
+
     def test_logreg(self, tmp_path, monkeypatch):
-        args = self._check(
+        self._check(
             tmp_path, monkeypatch, ["consensus", "accuracy"],
             **{"kind = linreg": "kind = logreg-synthetic\nholdout = 200",
                "n_points = 120": "n_points = 240",
                "beta_true = 1.0 -0.5": "beta_true = 2.0 -1.0"})
-        means, holdout = args[1].mean(axis=2), args[2]
-        whole = harness._accuracies(means, *holdout)
-        monkeypatch.setattr(harness, "_ACC_CHUNK_CELLS", 1)
-        assert np.array_equal(harness._accuracies(means, *holdout), whole)
 
     def test_zero_temperature(self, tmp_path, monkeypatch):
         self._check(tmp_path, monkeypatch, ["consensus", "opt_error"],
                     **{"steps = 40": "steps = 40\ntemperature = 0"})
+
+
+def test_scoring_memory_is_bounded_by_its_chunks():
+    # the desk run's shape: 201 records of 200 replicas on 20 agents in 2-D,
+    # a 12.9 MB ensemble; scoring it whole took 26 MB of temporaries
+    rng = np.random.default_rng(5)
+    x, y = gen_linreg_data(200, np.array([1.0, -0.5]), 0.5, rng)
+    task = tasks.LinRegTask(*tasks.partition_data(x, y, 20, rng),
+                            prior_var=1.0)
+    xs_all = rng.standard_normal((201, 200, 20, 2))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        series = harness.series_for_run(task, xs_all, None, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(series) == ["consensus", "w2_mean", "w2_agents"]
+    assert peak < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("dim, replicas", [(2, 2), (3, 3), (2, 3)],

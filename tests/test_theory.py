@@ -245,6 +245,15 @@ class TestProblemParams:
         with pytest.raises(ValueError, match="eta"):
             _params_from_set(dict(SET_A, eta=0.0))
 
+    @pytest.mark.parametrize("nb", [-1.0, math.inf, math.nan, 1e155])
+    def test_norm_b_without_a_finite_square_rejected(self, nb):
+        # 1e155 ** 2 overflows: validate_stepsize would raise OverflowError
+        # where it promises a failing report
+        with pytest.raises(ValueError, match="norm_B"):
+            _params_from_set(dict(SET_A, nb=nb))
+        assert not validate_stepsize(_params_from_set(
+            dict(SET_A, nb=1e150))).ok
+
     def test_delta2_defaults_to_lower_endpoint(self):
         p = _params_from_set(SET_A)
         comp = validate_stepsize(p).delta2_complement
