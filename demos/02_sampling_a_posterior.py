@@ -17,7 +17,7 @@ import os
 
 import numpy as np
 
-from exlg.metrics import w2_batch
+from exlg.harness import series_for_run
 from exlg.network import build_mixing_set, make_topology
 from exlg.samplers import SamplerConfig, derive_seed, run_ensemble
 from exlg.tasks import LinRegTask, gen_linreg_data, partition_data
@@ -48,12 +48,9 @@ def ensemble(algo):
     """(mean-iterate W2 series, per-agent W2 series) for one algorithm."""
     seeds = [derive_seed(MASTER, algo, r) for r in range(REPLICAS)]
     cfg = SamplerConfig(algo, eta=ETA, steps=STEPS)
-    xs = run_ensemble(task, cfg, seeds, mixing=ms,
-                      record_every=EVERY).xs  # (n_rec, R, n_rows, d)
-    mean_w2 = w2_batch(xs.mean(axis=2), target)
-    agent_w2 = np.mean([w2_batch(xs[:, :, a, :], target)
-                        for a in range(xs.shape[2])], axis=0)
-    return mean_w2, agent_w2
+    xs = run_ensemble(task, cfg, seeds, mixing=ms, record_every=EVERY).xs
+    series = series_for_run(task, xs, None, 1.0)
+    return series["w2_mean"], series["w2_agents"]
 
 
 algos = ("ULA", "DE_SGLD", "EXTRA_SGLD", "GEN_EXTRA_SGLD")

@@ -13,7 +13,8 @@ Takes a few seconds, all NumPy.
 
 import numpy as np
 
-from exlg.metrics import plateau, w2_batch
+from exlg.harness import series_for_run
+from exlg.metrics import plateau
 from exlg.network import build_mixing_set, laplacian, make_topology
 from exlg.samplers import SamplerConfig, derive_seed, run_ensemble
 from exlg.linalg import sym_eig
@@ -33,16 +34,13 @@ beta = rng.standard_normal(2)
 x, y = gen_linreg_data(2500, beta, 1.0, rng)
 xs, ys = partition_data(x, y, N, rng, per_agent=50)
 task = LinRegTask(xs=xs, ys=ys, prior_var=1.0)
-target = task.target()
 
 
 def per_agent_w2(algo, ms):
     seeds = [derive_seed(MASTER, algo, r) for r in range(REPLICAS)]
     cfg = SamplerConfig(algo, eta=0.009, steps=STEPS)
-    block = run_ensemble(task, cfg, seeds, mixing=ms,
-                         record_every=10).xs  # (n_rec, R, N, d)
-    return np.mean([w2_batch(block[:, :, a, :], target) for a in range(N)],
-                   axis=0)
+    block = run_ensemble(task, cfg, seeds, mixing=ms, record_every=10).xs
+    return series_for_run(task, block, None, 1.0)["w2_agents"]
 
 
 print(f"{'topology':>16s} {'h':>5s} {'DE_SGLD':>10s} {'GEN_EXTRA':>10s}"

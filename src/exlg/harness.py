@@ -203,7 +203,8 @@ def series_for_run(task, xs_all, holdout: Optional[tuple],
     an ensemble (replicas >= 2), and a holdout gives the accuracy of the
     agent average.  No series reduces over records, so `_score` scores the
     (n_rec, R, A, d) ensemble in record chunks, each value the bits of its
-    per-record definition (``w2_gaussian`` of the fit; ``tests/oracles.py``).
+    per-record definition (``w2_gaussian`` of the fit, and ``w2_agents``
+    summed in agent order; ``tests/oracles.py``).
     """
     n_rec, reps, agents, dim = xs_all.shape
     xstar = task.minimizer() if temperature == 0.0 else None
@@ -218,31 +219,29 @@ def series_for_run(task, xs_all, holdout: Optional[tuple],
     step = max(1, _CHUNK_CELLS // cells)
     chunks = [_score(xs_all[j:j + step], xstar, target, holdout)
               for j in range(0, n_rec, step)]
-    out = {label: np.concatenate([c[label] for c in chunks], axis=-1)
-           for label in chunks[0]}
-    if target is not None:  # agents summed in the layout of the whole run
-        out["w2_agents"] = out["w2_agents"].mean(axis=0)
-    return out
+    return {label: np.concatenate([c[label] for c in chunks])
+            for label in chunks[0]}
 
 
 _CHUNK_CELLS = 1 << 16  # float cells in a _score chunk's largest temporary
 
 
 def _score(xs_chunk, xstar, target, holdout) -> dict:
-    """Every series of one (c, R, A, d) record chunk, as {label: (c,)}, but
-    ``w2_agents`` per agent, (A, c), since numpy sums an (A, 1) stack
-    pairwise and an (A, c) one in order.  ``xstar`` replaces W2, accuracy."""
-    dev = xs_chunk - xs_chunk.mean(axis=2, keepdims=True)
+    """Every series of one (c, R, A, d) record chunk, as {label: (c,)}.
+    ``xstar`` replaces W2 and accuracy."""
+    means = xs_chunk.mean(axis=2)
+    dev = xs_chunk - means[:, :, None]
     out = {"consensus": np.sqrt(np.sum(dev * dev, axis=(2, 3))).mean(axis=1)}
     if xstar is not None:
         dist = np.linalg.norm(xs_chunk - xstar, axis=3)
         out["opt_error"] = dist.max(axis=2).mean(axis=1)
         return out
-    means = xs_chunk.mean(axis=2)
     if target is not None:
         out["w2_mean"] = w2_batch(means, target)
-        by_agent = np.ascontiguousarray(np.moveaxis(xs_chunk, 2, 0))
-        out["w2_agents"] = w2_batch(by_agent, target)
+        w2 = w2_batch(np.ascontiguousarray(np.moveaxis(xs_chunk, 2, 0)),
+                      target)  # (A, c)
+        # each record's agents summed in agent order, whatever the chunk
+        out["w2_agents"] = np.add.accumulate(w2, axis=0)[-1] / len(w2)
     if holdout is not None:
         pred = (holdout[0] @ means[..., None])[..., 0] >= 0.0  # b^T x >= 0
         out["accuracy"] = (pred == holdout[1]).mean(axis=-1).mean(axis=1)

@@ -409,37 +409,31 @@ def _guard(algo, k, x, v=None):
     is checked before v, and v before the dual average.  One global check
     passes a step first: every entry in the ball and every replica's dual
     drift within _DUAL_TOL, the least of the per-replica limits.  Only a
-    step that fails it is searched replica by replica.
+    step that fails it is searched replica by replica, and a replica's
+    dual drift is summed only from a v inside the ball.
     """
     if _inside(x) and (v is None or _inside(v) and _dual_inside(v)):
         return  # no replica near a limit: nothing to search
-    blocks = [("x", x)] if v is None else [("x", x), ("v", v)]
-    peaks = [np.max(np.abs(blk), axis=(1, 2)) for _name, blk in blocks]
-    bad = np.zeros(x.shape[0], dtype=bool)
-    for peak in peaks:
-        bad |= ~(peak <= _DIVERGENCE_LIMIT)  # NaN counts as bad
-    if v is not None:
-        drift = np.max(np.abs(v.sum(axis=1)), axis=1) / v.shape[1]
-        dual_limit = _DUAL_TOL * np.maximum(1.0, peaks[1])
-        bad |= drift > dual_limit
-    if not bad.any():
-        return
-    r = int(np.argmax(bad))
-    for (name, blk), peak in zip(blocks, peaks):
-        m = float(peak[r])
-        if not m <= _DIVERGENCE_LIMIT:
-            agent = int(np.argmax(np.abs(blk[r])) // blk.shape[2])
+    for r in range(x.shape[0]):
+        blocks = [("x", x[r])] if v is None else [("x", x[r]), ("v", v[r])]
+        for name, blk in blocks:
+            m = float(np.max(np.abs(blk)))
+            if not m <= _DIVERGENCE_LIMIT:  # NaN counts as out
+                agent = int(np.argmax(np.abs(blk)) // blk.shape[1])
+                raise ChainDivergenceError(
+                    f"{algo} diverged at iteration {k}, agent {agent}: "
+                    f"max |{name}| entry = {m:.6e} "
+                    f"(limit {_DIVERGENCE_LIMIT:.1e})",
+                    algorithm=algo, replica=r, k=k, agent=agent, value=m)
+        if v is None:
+            continue
+        drift = float(np.max(np.abs(v[r].sum(axis=0)))) / v.shape[1]
+        limit = _DUAL_TOL * max(1.0, m)  # m is v[r]'s peak
+        if drift > limit:
             raise ChainDivergenceError(
-                f"{algo} diverged at iteration {k}, agent {agent}: "
-                f"max |{name}| entry = {m:.6e} "
-                f"(limit {_DIVERGENCE_LIMIT:.1e})",
-                algorithm=algo, replica=r, k=k, agent=agent, value=m)
-    value = float(drift[r])
-    raise ChainDivergenceError(
-        f"{algo} dual average left zero at iteration {k}: "
-        f"max |sum_i v_i|/N = {value:.6e} "
-        f"(limit {float(dual_limit[r]):.1e})",
-        algorithm=algo, replica=r, k=k, agent=None, value=value)
+                f"{algo} dual average left zero at iteration {k}: "
+                f"max |sum_i v_i|/N = {drift:.6e} (limit {limit:.1e})",
+                algorithm=algo, replica=r, k=k, agent=None, value=drift)
 
 
 def _table_steps(n_streams, n, batch):
@@ -480,8 +474,9 @@ def _step_fn(oracle, cfg: SamplerConfig, mixing, noises):
     over (R, rows, d) arrays with replica r drawing from noises[r]; each
     entry computes its update rule term for term."""
     eta, eta_n = cfg.eta, cfg.eta / oracle.n_agents
-    scale_x = cfg.temperature * np.sqrt(2.0 * eta)
-    scale_v = cfg.temperature * np.sqrt(2.0 / eta)
+    scale_x = scale_v = 0.0  # temperature 0: no noise, even where 2/eta = inf
+    if cfg.temperature:
+        scale_x, scale_v = np.sqrt(2.0 * eta), np.sqrt(2.0 / eta)
     if mixing is not None:
         w, w_tilde, u = (np.asarray(m, dtype=float)
                          for m in (mixing.w, mixing.w_tilde, mixing.u))

@@ -71,20 +71,6 @@ class InitMoments:
                     f"init moment {f.name} must be finite and >= 0, got {v}")
 
 
-def _delta2_complement(eta: float, mu: float, L: float, h: float,
-                       gammabar_w: float, gammabar_iw: float) -> float:
-    """1 - (lower endpoint of the delta^2 interval), un-cancelled.
-
-    The endpoint itself is max(1 - (eta*mu/2)(1 - eta*L/2),
-    1 - h(1-gw)(1-giw)/4); at small h or eta the direct form rounds to
-    exactly 1.0 and everything downstream that divides by 1 - delta^2
-    blows up, so the complement is the primary quantity.
-    """
-    a = (eta * mu / 2.0) * (1.0 - eta * L / 2.0)
-    b = h * (1.0 - gammabar_w) * (1.0 - gammabar_iw) / 4.0
-    return min(a, b)
-
-
 @dataclass(frozen=True)
 class ProblemParams:
     """Frozen bundle of everything the constant stack reads.
@@ -112,10 +98,6 @@ class ProblemParams:
     spectral: SpectralSummary
     init_moments: InitMoments = field(default_factory=InitMoments)
     w2_init: float = 0.0
-    delta2: float = field(init=False, default=0.0)
-    # 1 - delta2 kept in un-cancelled form; the K0 and C2..C4 denominators
-    # need it after delta2 itself has rounded to 1.
-    delta2_complement: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         if not (0.0 < self.mu < self.L):
@@ -134,11 +116,24 @@ class ProblemParams:
             raise ValueError("grad_at_min_sq must be >= 0")
         if self.w2_init < 0:
             raise ValueError("w2_init must be >= 0")
-        comp = _delta2_complement(self.eta, self.mu, self.L, self.h,
-                                  self.spectral.gammabar_w,
-                                  self.spectral.gammabar_iw)
-        object.__setattr__(self, "delta2", 1.0 - comp)
-        object.__setattr__(self, "delta2_complement", comp)
+
+    @property
+    def delta2_complement(self) -> float:
+        """1 - delta2, un-cancelled.
+
+        delta2 is max(1 - (eta*mu/2)(1 - eta*L/2), 1 - h(1-gw)(1-giw)/4);
+        at small h or eta that rounds to exactly 1.0, and the K0 and
+        C2..C4 denominators, which divide by 1 - delta^2, need the
+        complement itself.
+        """
+        sp = self.spectral
+        a = (self.eta * self.mu / 2.0) * (1.0 - self.eta * self.L / 2.0)
+        b = self.h * (1.0 - sp.gammabar_w) * (1.0 - sp.gammabar_iw) / 4.0
+        return min(a, b)
+
+    @property
+    def delta2(self) -> float:
+        return 1.0 - self.delta2_complement
 
 
 @dataclass(frozen=True)
@@ -533,8 +528,10 @@ def shrink_to_admissible(p: ProblemParams, ms: MixingSet,
     the candidate eta and the candidate's ||Wtilde||.  W, delta
     and the task-side inputs (mu, L, sigma^2, ||grad F(x*)||^2, the
     initial moments and w2_init) stay as ``ms`` and ``p`` have them.
-    Returns the admissible ``(params, mixing_set)`` pair; the loop settles
-    in a handful of iterations because the limits move slowly in h.
+    Returns the admissible ``(params, mixing_set)`` pair.  The limits can
+    move by tens of orders of magnitude from one move to the next (on a
+    ring of 50, h goes 2.9e-15, 3.6e-39, 8.6e-59, 3.5e-50, 3.4e-23), so
+    the loop stops at the target or after ``_SHRINK_ITERS`` moves.
     Raises ``RuntimeError`` naming the failing clauses and notes when no
     pair passes, or naming the binding h clause when its target h leaves
     Wtilde without a positive least eigenvalue.
@@ -545,19 +542,17 @@ def shrink_to_admissible(p: ProblemParams, ms: MixingSet,
                        norm_B=replace(sampler, eta=eta).norm_b(sp.norm_wt))
 
     cur_ms, cur_eta = ms, p.eta
-    for _ in range(_SHRINK_ITERS):
+    for i in range(_SHRINK_ITERS + 1):
         q = at(cur_ms, cur_eta)
         rep = validate_stepsize(q)
         want_h = _SHRINK_H_FRAC * rep.max_h  # max_h <= 1/2 (h-half)
         want_eta = _SHRINK_ETA_FRAC * rep.max_eta if rep.max_eta > 0 \
             else cur_eta
-        if want_h <= 0.0:  # the h limit underflowed: nothing to shrink to
-            break
-        close_h = abs(cur_ms.h - want_h) <= 1e-9 * max(want_h, 1e-30)
-        close_eta = abs(cur_eta - want_eta) <= 1e-9 * max(want_eta, 1e-30)
-        if close_h and close_eta:  # at the target: moving on changes nothing
-            if rep.ok:
-                return q, cur_ms
+        at_target = (abs(cur_ms.h - want_h) <= 1e-9 * max(want_h, 1e-30)
+                     and abs(cur_eta - want_eta) <= 1e-9 * max(want_eta, 1e-30))
+        # stop after the last move, when the h limit underflowed (nothing
+        # to shrink to), or at the target, where moving on changes nothing
+        if i == _SHRINK_ITERS or want_h <= 0.0 or at_target:
             break
         cur_ms = with_h(cur_ms, want_h)
         cur_eta = want_eta
@@ -568,9 +563,6 @@ def shrink_to_admissible(p: ProblemParams, ms: MixingSet,
                 f"clause {rep.binding_h} (max h = {rep.max_h:.9g}) sets "
                 f"h = {want_h:.9g}, where min eig(W~) = {wt_lo:.6g} is not "
                 "> 0")
-    else:
-        q = at(cur_ms, cur_eta)
-        rep = validate_stepsize(q)
     if not rep.ok:
         failed = "; ".join(c.name for c in rep.failed()) or "none"
         raise RuntimeError(

@@ -62,6 +62,16 @@ class TestLoading:
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config(str(tmp_path / "nope.cfg"))
 
+    def test_line_without_equals_exits_2(self, tmp_path, capsys):
+        from exlg.cli import main
+
+        path = write_cfg(tmp_path, MINIMAL.replace("n = 6", "n = 6\nsix"))
+        assert main(["validate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config parse error: ")
+        assert "]: 'six\\n'" in err
+        assert "Traceback" not in err
+
     def test_unknown_section(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL + "\n[plotting]\nstyle = ggplot\n")
         with pytest.raises(ConfigError, match="plotting: unknown section"):

@@ -7,8 +7,10 @@ values: that is the actual contract.
 """
 
 import dataclasses
+import functools
 import json
 import logging
+import operator
 import os
 import subprocess
 import sys
@@ -17,6 +19,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import exlg
 from exlg import __version__, harness, tasks, theory
@@ -999,6 +1002,12 @@ _BAD_ADJACENCY = {
                   "expected 3 rows after the count, got 4"),
     "non-numeric": ("4\n0 1 0 1\n1 0 x 0\n0 1 0 1\n1 0 1 0\n",
                     "adj.txt: row 2: could not convert string to float: 'x'"),
+    "empty": ("\n\n", "adj.txt is empty"),
+    "count-not-int": ("four\n0 1 0 1\n1 0 1 0\n0 1 0 1\n1 0 1 0\n",
+                      "adj.txt: first line must be the agent count, got "
+                      "'four'"),
+    "node-count": ("3\n0 1 1\n1 0 1\n1 1 0\n",
+                   "adj.txt has 3 nodes, network.n is 4"),
 }
 
 
@@ -1016,6 +1025,19 @@ def test_bad_adjacency_file_exits_2_naming_the_key(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "config error: network.adjacency: " in err
     assert fragment in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "theory"])
+def test_missing_adjacency_file_exits_2_naming_the_key(tmp_path, capsys,
+                                                       command):
+    path = make_cfg(tmp_path, **{
+        "topology = ring": f"topology = custom\nadjacency = "
+                           f"{tmp_path / 'absent.txt'}",
+        "n = 6": "n = 4"})
+    assert main([command, "--config", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"network.adjacency: file not found: {tmp_path}" in err
     assert "Traceback" not in err
 
 
@@ -1077,9 +1099,10 @@ def _series_per_record(task, xs_all, holdout, temperature):
                     for b in blocks]
 
         out.append(("w2_mean", w2(means)))
-        out.append(("w2_agents", list(np.stack([
-            w2(xs_all[:, :, a, :]) for a in range(xs_all.shape[2])
-        ]).mean(axis=0))))
+        by_agent = [w2(xs_all[:, :, a, :]) for a in range(xs_all.shape[2])]
+        out.append(("w2_agents", [  # each record's agents, in agent order
+            functools.reduce(operator.add, col) / len(col)
+            for col in zip(*by_agent)]))
     if holdout is not None:
         out.append(("accuracy", [
             float(np.mean([accuracy(means[j, r], *holdout)
@@ -1141,6 +1164,42 @@ class TestSeriesArrays:
     def test_zero_temperature(self, tmp_path, monkeypatch):
         self._check(tmp_path, monkeypatch, ["consensus", "opt_error"],
                     **{"steps = 40": "steps = 40\ntemperature = 0"})
+
+
+@functools.lru_cache(maxsize=None)
+def _linreg_task(agents):
+    """A 2-D linear-regression task on ``agents`` shards of 4 points."""
+    rng = np.random.default_rng(agents)
+    x, y = gen_linreg_data(4 * agents, np.array([1.0, -0.5]), 0.5, rng)
+    return tasks.LinRegTask(*tasks.partition_data(x, y, agents, rng),
+                            prior_var=1.0)
+
+
+def test_one_record_matches_the_per_record_loops():
+    # numpy would sum a one-record (A, 1) column of 20 agents pairwise
+    task = _linreg_task(20)
+    xs_all = np.random.default_rng(8).standard_normal((1, 6, 20, 2))
+    got = harness.series_for_run(task, xs_all, None, 1.0)
+    want = _series_per_record(task, xs_all, None, 1.0)
+    assert list(got) == [label for label, _ in want]
+    for label, expect in want:
+        assert np.array_equal(got[label], expect), label
+
+
+@settings(max_examples=150, deadline=None)
+@given(agents=st.integers(1, 24), records=st.integers(2, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_a_runs_first_records_score_as_a_shorter_run(agents, records, seed):
+    # a record's values do not depend on how many records its run has
+    task = _linreg_task(agents)
+    xs_all = np.random.default_rng(seed).standard_normal(
+        (records, 5, agents, 2))
+    whole = harness.series_for_run(task, xs_all, None, 1.0)
+    for j in range(1, records):
+        part = harness.series_for_run(task, xs_all[:j], None, 1.0)
+        assert list(part) == list(whole)
+        for label, values in part.items():
+            assert np.array_equal(values, whole[label][:j]), (label, j)
 
 
 def test_scoring_memory_is_bounded_by_its_chunks():

@@ -158,6 +158,8 @@ class TestMixApply:
             mix_apply(np.eye(3), np.zeros((4, 2)))
         with pytest.raises(ValueError):
             mix_apply(np.eye(3), np.zeros((5, 4, 2)))
+        with pytest.raises(ValueError, match=r"square, got shape \(3, 4\)"):
+            mix_apply(np.ones((3, 4)), np.zeros((4, 2)))
 
     def test_stack_equals_each_slice_exactly(self):
         rng = np.random.default_rng(4)

@@ -205,6 +205,9 @@ class TestW2Batch:
             w2_batch(np.zeros((3, 1, 2)), target)
         with pytest.raises(ValueError, match="dimension mismatch"):
             w2_batch(np.zeros((3, 4, 3)), target)
+        with pytest.raises(ValueError, match=r"expected \(\.\.\., R, d\), "
+                                             r"got shape \(3,\)"):
+            w2_batch(np.zeros(3), target)
 
 
 class TestConsensusError:

@@ -25,6 +25,7 @@ from exlg.samplers import (
     batch_table,
     derive_seed,
     philox4x64,
+    record_ks,
     run_ensemble,
 )
 from exlg.tasks import (
@@ -613,6 +614,13 @@ def _guard_cases():
             vb[3, :, 1] += 1.0
         cases.append((f"replicas-1-and-3-{name}", xb, vb,
                       (1, "diverged at iteration 7, agent 0: max |x|")))
+    # +inf and -inf in one replica's v: named by its |v| entry, and its
+    # dual drift (which would sum them to NaN) is never taken
+    vb = v.copy()
+    vb[2, 1, 1], vb[2, 3, 1] = np.inf, -np.inf
+    cases.append(("both-infs-in-v", x, vb,
+                  (2, "diverged at iteration 7, agent 1: max |v| entry = "
+                      "inf")))
     xb, vb = x.copy(), v.copy()
     vb[1, :, 1] += 1.0
     xb[3, 2, 0] = np.nan
@@ -633,7 +641,8 @@ def test_guard_matches_replica_search(name, x, v, want):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _guard_outcome(samplers._guard, x, v)
-    assert got == _guard_outcome(_guard_reference, x, v)
+    with np.errstate(invalid="ignore"):  # the reference sums every v
+        assert got == _guard_outcome(_guard_reference, x, v)
     if want is None:
         assert got is None
     else:
@@ -691,6 +700,32 @@ class TestZeroTemperature:
         e2 = dgd_err(0.005)
         assert e1 > 1e-3
         assert 0.8 * 0.5 <= e2 / e1 <= 1.2 * 0.5
+
+
+    @pytest.mark.parametrize("algo", ["ULA", "REFERENCE_CHAIN", "DE_SGLD",
+                                      "EXTRA_SGLD"])
+    def test_no_noise_where_two_over_eta_overflows(self, algo):
+        # sqrt(2 / eta) = inf at eta = 5e-324; temperature 0 still means
+        # exactly no noise, so every seed runs the same finite chain
+        task = _toy_task(seed=5, n_agents=4, n_i=5, d=2)
+        ms = build_mixing_set(ring(4), h=0.4, delta=0.2)
+        cfg = SamplerConfig(algo, eta=5e-324, steps=3, temperature=0.0)
+        xs = run_ensemble(task, cfg, [1, 2], mixing=ms).xs
+        assert np.all(np.isfinite(xs))
+        assert np.array_equal(xs[:, 0], xs[:, 1])
+
+
+def test_overflowed_dual_noise_is_named_by_its_v_entry():
+    # at eta = 5e-324 the dual noise scale sqrt(2 / eta) is inf: the first
+    # step leaves +-inf in v, and the guard names |v| without summing it
+    task = _toy_task(seed=5, n_agents=4, n_i=5, d=2)
+    ms = build_mixing_set(ring(4), h=0.4, delta=0.2)
+    cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=5e-324, steps=3)
+    with pytest.raises(ChainDivergenceError,
+                       match=r"^GEN_EXTRA_SGLD diverged at iteration 1, "
+                             r"agent \d: max \|v\| entry = inf ") as info:
+        run_ensemble(task, cfg, [1, 2, 3], mixing=ms)
+    assert (info.value.replica, info.value.k) == (0, 1)
 
 
 class TestPermutationEquivariance:
@@ -872,6 +907,25 @@ class TestSamplerConfigValidation:
             run_ensemble(
                 task, SamplerConfig("DE_SGLD", eta=0.01, steps=1), [0]
             )
+
+    def test_bad_ensemble_arguments_rejected(self):
+        task = _toy_task()  # 6 agents
+        cfg = SamplerConfig("DE_SGLD", eta=0.01, steps=1)
+        with pytest.raises(ValueError, match="^oracle has 6 agents but "
+                                             "mixing has 4$"):
+            run_ensemble(task, cfg, [0], mixing=build_mixing_set(
+                ring(4), h=0.3, delta=0.2))
+        ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
+        with pytest.raises(ValueError,
+                           match="^run_ensemble needs at least one seed$"):
+            run_ensemble(task, cfg, [], mixing=ms)
+        with pytest.raises(ValueError, match="^need one noise stream per "
+                                             "seed, got 1 streams for 2 "
+                                             "seeds$"):
+            run_ensemble(task, cfg, [0, 1], mixing=ms,
+                         noises=[NoiseStream(0, 6, task.dim)])
+        with pytest.raises(ValueError, match="^record_every must be >= 1$"):
+            record_ks(5, 0)
 
 
 def _scalar_table(noises, ks, n_agents, n, batch):

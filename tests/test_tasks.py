@@ -434,6 +434,26 @@ class TestShardStacks:
             cls(xs=xs, ys=ys, prior_var=3.0)
 
 
+    @pytest.mark.parametrize("x, idx, message", [
+        (np.zeros((3, 2)), None, r"block shape \(3, 2\) is not \(R, 3, 2\)"),
+        (np.zeros((1, 2, 2)), None,
+         r"block shape \(1, 2, 2\) is not \(R, 3, 2\)"),
+        (np.zeros((2, 3, 2)), np.zeros((2, 3), dtype=int),
+         r"index shape \(2, 3\) is not \(2, 3\) \+ \(b,\)"),
+        (np.zeros((2, 3, 2)), np.zeros((1, 3, 1), dtype=int),
+         r"index shape \(1, 3, 1\) is not \(2, 3\) \+ \(b,\)"),
+    ], ids=["2-d", "agents", "index-2-d", "index-replicas"])
+    def test_grad_block_shapes_checked(self, kind, x, idx, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _sharded(kind, (4, 4, 4)).grad_block(x, idx)
+
+
+def test_logistic_labels_must_be_0_or_1():
+    with pytest.raises(ValueError, match="^logistic labels must be 0 or 1$"):
+        LogRegTask(xs=np.ones((2, 3, 2)), ys=[[0, 1, 2], [1, 0, 1]],
+                   prior_var=1.0)
+
+
 @pytest.mark.parametrize("sizes", [(6, 6, 6)], ids=["equal"])
 class TestBlockCallersMatchAgentLoops:
     """The callers that evaluate every agent in one block call give the
@@ -480,6 +500,23 @@ class TestNewtonMinimizer:
         m = task.minimizer()
         g = sum(_grad(task, i, m) for i in range(task.n_agents))
         assert np.linalg.norm(g) <= 1e-8 * (1.0 + np.linalg.norm(m))
+
+    def test_overshooting_newton_step_is_backtracked(self):
+        # two far-out features: from the second iterate on, a full Newton
+        # step overshoots and the line search halves it
+        xs = [[[-1.48, 1.56], [-760.3, -0.73], [-1.28, -1.01]],
+              [[437.6, 24.8], [1.16, 0.29], [0.8, 1.31]]]
+        ys = [[0.0, 1.0, 1.0], [0.0, 0.0, 0.0]]
+        task = LogRegTask(xs=xs, ys=ys, prior_var=1000.0)
+        m = task.minimizer()
+        g = sum(_grad(task, i, m) for i in range(task.n_agents))
+        assert np.linalg.norm(g) <= 1e-8 * (1.0 + np.linalg.norm(m))
+
+    def test_iteration_limit_raises(self, monkeypatch):
+        monkeypatch.setattr("exlg.tasks._NEWTON_ITERS", 0)
+        with pytest.raises(RuntimeError, match=r"^Newton failed to reach "
+                           r"tol=1e-10 in 0 iterations \(\|\|grad\|\| = "):
+            _toy_logreg(seed=50).minimizer()
 
     def test_linreg_grad_at_min_norm(self):
         task = _toy_linreg(seed=51)
@@ -545,6 +582,11 @@ class TestCsvLoader:
         p = self._write(tmp_path, f"a,b,y\n1,2,0\n2,3,{cell}\n")
         with pytest.raises(LabelError, match="non-finite"):
             load_csv_dataset(p)
+
+    def test_empty_file(self, tmp_path):
+        path = self._write(tmp_path, "")
+        with pytest.raises(ValueError, match=f"^{path}: empty file$"):
+            load_csv_dataset(path)
 
     def test_binary_file(self, tmp_path):
         p = tmp_path / "data.csv"
@@ -629,6 +671,12 @@ class TestPartition:
         y = np.zeros(30)
         xs, ys = partition_data(x, y, 3, rng)
         assert len(set(xs.ravel().tolist())) == 30
+
+    def test_row_counts_must_agree(self):
+        rng = np.random.default_rng(76)
+        with pytest.raises(ValueError, match="^feature/target row counts "
+                                             "differ$"):
+            partition_data(np.zeros((6, 1)), np.zeros(5), 2, rng)
 
     def test_too_few_points(self):
         rng = np.random.default_rng(75)

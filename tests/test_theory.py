@@ -213,6 +213,25 @@ class TestConstantsGuards:
         with pytest.raises(ValueError, match="gamma1"):
             compute_constants(_params_from_set(s))
 
+    def test_eta_at_two_over_L_refused(self):
+        with pytest.raises(ValueError, match=r"eta=1.0 is too large"):
+            compute_constants(_params_from_set(dict(SET_A, eta=1.0)))
+
+    def test_unit_circle_is_inadmissible(self):
+        p = _params_from_set(SET_A)
+        p = dataclasses.replace(p, spectral=dataclasses.replace(
+            p.spectral, gammabar_wt=1.0))
+        with pytest.raises(InadmissibleSpectrumError, match="unit circle"):
+            compute_constants(p)
+
+    def test_underflowed_eta_mu_leaves_no_delta2(self):
+        # eta*mu = 0.3 * 5e-324 rounds to 0, and so does delta^2's
+        # complement: the C2..C4 denominator is exactly 0
+        s = dict(SET_A, mu=0.3, eta=5e-324, h=1e-7)
+        with pytest.raises(ValueError, match=r"\(1 - eta\*L/2\) - 1 = 0.0 "
+                                             "must be > 0"):
+            compute_constants(_params_from_set(s))
+
     def test_zero_init_kills_transients(self):
         s = dict(SET_A, x0=0.0, xt0=0.0, eb0=0.0, vt0=0.0)
         tc = compute_constants(_params_from_set(s))
@@ -253,6 +272,20 @@ class TestProblemParams:
             _params_from_set(dict(SET_A, nb=nb))
         assert not validate_stepsize(_params_from_set(
             dict(SET_A, nb=1e150))).ok
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"sig2": -1.0}, "sigma2 must be >= 0, got -1.0"),
+        ({"d": 0}, "need d >= 1 and N >= 1, got d=0, N=4"),
+        ({"N": 0}, "need d >= 1 and N >= 1, got d=3, N=0"),
+        ({"h": 0.0}, "h must be > 0, got 0.0"),
+        ({"r": -1.0}, "grad_at_min_sq must be >= 0"),
+        ({"w2i": -1.0}, "w2_init must be >= 0"),
+        ({"x0": -1.0}, "init moment x0_sq must be finite and >= 0"),
+        ({"vt0": math.nan}, "init moment vtilde0_sq must be finite"),
+    ], ids=["sigma2", "d", "N", "h", "grad", "w2_init", "x0", "vt0-nan"])
+    def test_input_checks(self, edit, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            _params_from_set(dict(SET_A, **edit))
 
     def test_delta2_defaults_to_lower_endpoint(self):
         p = _params_from_set(SET_A)
