@@ -593,13 +593,14 @@ def run_ensemble(
     x = np.zeros_like(xs[0])
     v = np.zeros_like(x)
     j = 1  # the next record
-    for k in range(cfg.steps):
-        x, v = step(k, x, v)
-        _guard(algo, k + 1, x, v if dual else None)
-        if k + 1 == ks[j]:
-            xs[j] = x
-            if dual:
-                vs[j] = v
-            j += 1
+    with np.errstate(over="ignore", invalid="ignore"):  # _guard: inf, NaN
+        for k in range(cfg.steps):
+            x, v = step(k, x, v)
+            _guard(algo, k + 1, x, v if dual else None)
+            if k + 1 == ks[j]:
+                xs[j] = x
+                if dual:
+                    vs[j] = v
+                j += 1
 
     return ChainResult(ks=np.array(ks, dtype=int), xs=xs, vs=vs)

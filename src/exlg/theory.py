@@ -509,10 +509,9 @@ def problem_params_from(task, ms: MixingSet, sampler: SamplerConfig, *,
         grad_at_min_sq=r, spectral=sp, w2_init=float(w2_init))
 
 
-# shrink_to_admissible aims at these fractions of the h and eta limits and
-# gives up after this many moves of the mixing set
-_SHRINK_H_FRAC = 0.5
-_SHRINK_ETA_FRAC = 0.5
+# shrink_to_admissible aims at this fraction of the h and eta limits and
+# gives up after this many passes
+_SHRINK_FRAC = 0.5
 _SHRINK_ITERS = 32
 
 
@@ -521,48 +520,48 @@ def shrink_to_admissible(p: ProblemParams, ms: MixingSet,
     """Shrink (h, eta) of ``p`` until every stepsize clause passes.
 
     ``p`` must be the bundle at ``ms`` (as :func:`problem_params_from`
-    builds it).  Each iteration moves the mixing set to the candidate h
-    with :func:`~exlg.network.with_h` (Wtilde and U rebuilt, Wtilde alone
-    eigensolved), re-derives the clause limits there, and targets fixed
-    fractions of them.  ||B|| is ``sampler``'s `SamplerConfig.norm_b` at
-    the candidate eta and the candidate's ||Wtilde||.  W, delta
-    and the task-side inputs (mu, L, sigma^2, ||grad F(x*)||^2, the
-    initial moments and w2_init) stay as ``ms`` and ``p`` have them.
-    Returns the admissible ``(params, mixing_set)`` pair.  The limits can
-    move by tens of orders of magnitude from one move to the next (on a
-    ring of 50, h goes 2.9e-15, 3.6e-39, 8.6e-59, 3.5e-50, 3.4e-23), so
-    the loop stops at the target or after ``_SHRINK_ITERS`` moves.
-    Raises ``RuntimeError`` naming the failing clauses and notes when no
-    pair passes, or naming the binding h clause when its target h leaves
-    Wtilde without a positive least eigenvalue.
+    builds it).  Each pass takes eta at a fixed fraction of the eta limit
+    at the current pair, then h at that fraction of the h limit at that
+    eta, and moves the mixing set to h with :func:`~exlg.network.with_h`
+    (Wtilde and U rebuilt, Wtilde alone eigensolved); ||B|| is
+    ``sampler``'s `SamplerConfig.norm_b` at that eta.  W, delta and the
+    task-side inputs (mu, L, sigma^2, ||grad F(x*)||^2, the initial
+    moments and w2_init) stay as ``ms`` and ``p`` have them.  The loop
+    stops where a pass lands on the current pair (to 1e-9 relative),
+    where a limit underflows or ||B||^2 overflows, or after
+    ``_SHRINK_ITERS`` passes.  Returns the admissible ``(params,
+    mixing_set)`` pair.  Raises ``RuntimeError`` naming the failing
+    clauses and notes when no pair passes, or naming the binding h clause
+    when its target h leaves Wtilde without a positive least eigenvalue.
     """
-    def at(ms_: MixingSet, eta: float) -> ProblemParams:
+    def at(ms_: MixingSet, eta: float) -> Optional[ProblemParams]:
+        # None where eta underflowed or ||B||^2 overflows: no pair there
         sp = ms_.spectral
-        return replace(p, h=float(ms_.h), eta=eta, spectral=sp,
-                       norm_B=replace(sampler, eta=eta).norm_b(sp.norm_wt))
+        nb = replace(sampler, eta=eta).norm_b(sp.norm_wt) if eta > 0.0 \
+            else math.inf
+        if not math.isfinite(nb * nb):
+            return None
+        return replace(p, h=float(ms_.h), eta=eta, spectral=sp, norm_B=nb)
 
-    cur_ms, cur_eta = ms, p.eta
-    for i in range(_SHRINK_ITERS + 1):
-        q = at(cur_ms, cur_eta)
-        rep = validate_stepsize(q)
-        want_h = _SHRINK_H_FRAC * rep.max_h  # max_h <= 1/2 (h-half)
-        want_eta = _SHRINK_ETA_FRAC * rep.max_eta if rep.max_eta > 0 \
-            else cur_eta
-        at_target = (abs(cur_ms.h - want_h) <= 1e-9 * max(want_h, 1e-30)
-                     and abs(cur_eta - want_eta) <= 1e-9 * max(want_eta, 1e-30))
-        # stop after the last move, when the h limit underflowed (nothing
-        # to shrink to), or at the target, where moving on changes nothing
-        if i == _SHRINK_ITERS or want_h <= 0.0 or at_target:
+    cur_ms, q = ms, p
+    for _ in range(_SHRINK_ITERS):
+        q_eta = at(cur_ms, _SHRINK_FRAC * validate_stepsize(q).max_eta)
+        if q_eta is None:
             break
-        cur_ms = with_h(cur_ms, want_h)
-        cur_eta = want_eta
+        rep_h = validate_stepsize(q_eta)
+        h = _SHRINK_FRAC * rep_h.max_h  # max_h <= 1/2 (h-half)
+        if h <= 0.0 or (math.isclose(h, q.h, rel_tol=1e-9)
+                        and math.isclose(q_eta.eta, q.eta, rel_tol=1e-9)):
+            break
+        cur_ms = with_h(cur_ms, h)
         wt_lo = float(cur_ms.wt_eigs[0])
         if wt_lo <= 0.0:
             raise RuntimeError(
                 "could not reach an admissible (h, eta): the binding h "
-                f"clause {rep.binding_h} (max h = {rep.max_h:.9g}) sets "
-                f"h = {want_h:.9g}, where min eig(W~) = {wt_lo:.6g} is not "
-                "> 0")
+                f"clause {rep_h.binding_h} (max h = {rep_h.max_h:.9g}) sets "
+                f"h = {h:.9g}, where min eig(W~) = {wt_lo:.6g} is not > 0")
+        q = at(cur_ms, q_eta.eta)
+    rep = validate_stepsize(q)
     if not rep.ok:
         failed = "; ".join(c.name for c in rep.failed()) or "none"
         raise RuntimeError(

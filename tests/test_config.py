@@ -449,6 +449,10 @@ def test_int_key_probe_exits_cleanly(tmp_path, capsys, skey, value):
     # to shrink to
     (LOGREG_PROBE, {"task.prior_var": "1e300"}, ("theory",), 3,
      "could not reach an admissible (h, eta)"),
+    # ... or sets an eta limit so small that ||B|| = ||W~|| / eta at its
+    # target squares past the float range
+    (LOGREG_PROBE, {"task.prior_var": "1e60"}, ("theory",), 3,
+     "could not reach an admissible (h, eta)"),
     # 2 points per agent in 5 dimensions leave a flat direction, and a
     # prior curvature of 1 / (6e300) cannot lift it: mu rounds below 0
     (PROBE, {"task.dim": "5", "task.beta_true": "", "task.per_agent": "2",
@@ -459,8 +463,8 @@ def test_int_key_probe_exits_cleanly(tmp_path, capsys, skey, value):
     (LOGREG_PROBE, {"task.beta_true": "-1 0.5"}, ("validate", "theory"), 0,
      "binding eta clause"),
 ], ids=["eta-tiny", "eta-subnormal", "b_scale-huge", "prior_var-tiny",
-        "prior_var-subnormal", "prior_var-huge", "prior_var-flat",
-        "newton-flat"])
+        "prior_var-subnormal", "prior_var-huge", "prior_var-eta-overflow",
+        "prior_var-flat", "newton-flat"])
 def test_degenerate_theory_inputs_exit_cleanly(tmp_path, capsys, base,
                                                overrides, commands, code,
                                                message):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from exlg import theory
 from exlg.config import load_config
 from exlg.harness import (build_mixing, build_task, cmd_validate,
                           series_for_run)
@@ -567,11 +568,13 @@ def _gen_extra(eta):
 
 
 class TestProblemParamsFrom:
-    def _setup(self):
+    def _setup(self, kind="linreg", n_points=80):
         rng = np.random.default_rng(7)
-        x, y = gen_linreg_data(80, np.array([1.0, -0.5]), 1.0, rng)
-        xs, ys = partition_data(x, y, 4, rng)
-        task = LinRegTask(xs=xs, ys=ys, prior_var=1.0)
+        beta = np.array([1.0, -0.5])
+        data = (gen_linreg_data(n_points, beta, 1.0, rng) if kind == "linreg"
+                else gen_logreg_data(n_points, beta, rng))
+        cls = LinRegTask if kind == "linreg" else LogRegTask
+        task = cls(*partition_data(*data, 4, rng), prior_var=1.0)
         ms = build_mixing_set(make_topology("ring", 4), h=0.3, delta=0.2)
         return task, ms
 
@@ -647,16 +650,20 @@ class TestProblemParamsFrom:
         assert abs(sigma2 - mc) <= 3.0 * se
         assert abs(sigma2 * n / (n - b) - mc) > 3.0 * se
 
-    def test_shrink_reaches_admissible_pair(self):
-        task, ms = self._setup()
+    # with B = W~/eta, the logistic task's h limit moves far with eta
+    @pytest.mark.parametrize("kind, n_points", [("linreg", 80),
+                                                ("logreg", 400)])
+    def test_shrink_reaches_admissible_pair(self, kind, n_points):
+        task, ms = self._setup(kind, n_points)
         sampler = _gen_extra(0.009)
         p, ms2 = shrink_to_admissible(
             problem_params_from(task, ms, sampler), ms, sampler)
         rep = validate_stepsize(p)
         assert rep.ok
         assert p.h == ms2.h
-        assert p.h == pytest.approx(0.5 * rep.max_h, rel=1e-6)
-        assert p.eta == pytest.approx(0.5 * rep.max_eta, rel=1e-6)
+        # abs=0: pytest's default absolute tolerance would pass any h
+        assert p.h == pytest.approx(0.5 * rep.max_h, rel=1e-6, abs=0)
+        assert p.eta == pytest.approx(0.5 * rep.max_eta, rel=1e-6, abs=0)
         tc = compute_constants(p)  # full stack must be evaluable there
         assert math.isfinite(tc.script_E1)
 
@@ -685,10 +692,66 @@ shrink = true
 """
 
 
+# a 6-agent logistic ring with delta drawn from the seed
+LOGRING6 = """[task]
+kind = logreg-synthetic
+n_points = 5000
+per_agent = 50
+dim = 3
+beta_true = -0.22 1.0 -0.14
+prior_var = {prior_var}
+[network]
+topology = ring
+n = 6
+h = {h}
+[sampler]
+algorithm = GEN_EXTRA_SGLD
+eta = {eta}
+steps = 200
+[run]
+seed = 42
+out = {out}
+[theory]
+shrink = true
+"""
+
+
+class TestShrinkFixedPoint:
+    """Each pass takes eta at the current set, then h at that eta, so the
+    shrunk pair does not depend on the configured one."""
+
+    @staticmethod
+    def _config(tmp_path, h=0.2, eta=0.5, prior_var=1.0):
+        path = tmp_path / f"logring6-{h}-{eta}-{prior_var}.ini"
+        path.write_text(LOGRING6.format(h=h, eta=eta, prior_var=prior_var,
+                                        out=tmp_path / "out"))
+        return str(path)
+
+    def test_pair_does_not_depend_on_the_start(self, tmp_path):
+        pairs = set()
+        for h, eta in ((0.2, 0.5), (0.05, 0.01), (0.5, 1e-6)):
+            cfg = load_config(self._config(tmp_path, h, eta))
+            task, ms = build_task(cfg)[0], build_mixing(cfg)
+            p, _ = shrink_to_admissible(
+                problem_params_from(task, ms, cfg.sampler), ms, cfg.sampler)
+            assert validate_stepsize(p).ok
+            pairs.add((p.h, p.eta))
+        assert len(pairs) == 1
+
+    def test_flat_prior_reaches_a_pair(self, tmp_path, capsys):
+        # prior_var = 100 flattens mu; the pair exists, and the shrink
+        # reaches it
+        from exlg.cli import main
+
+        path = self._config(tmp_path, prior_var=100.0)
+        assert main(["theory", "--config", path]) == 0
+        assert "admissible pair: h=" in capsys.readouterr().out
+
+
 class TestShrinkIterationLimit:
-    """On the ring of 50, the shrink settles only after several moves of
-    the mixing set; an iteration limit below that either ends on an
-    admissible pair or names the clauses still failing."""
+    """On the ring of 50, the shrink settles after two moves of the mixing
+    set; an iteration limit below that either ends on an admissible pair
+    or names the clauses still failing."""
 
     @pytest.fixture
     def start(self, tmp_path):
@@ -698,22 +761,28 @@ class TestShrinkIterationLimit:
         task, ms = build_task(cfg)[0], build_mixing(cfg)
         return problem_params_from(task, ms, cfg.sampler), ms, cfg.sampler
 
-    def test_default_limit_settles(self, start):
+    def test_default_limit_settles(self, start, monkeypatch):
+        moves = []
+        real = theory.with_h
+        monkeypatch.setattr(theory, "with_h",
+                            lambda ms, h: moves.append(h) or real(ms, h))
         p, _ = shrink_to_admissible(*start)
         assert (p.h, p.eta) == pytest.approx(
-            (3.36402907e-23, 7.53819697e-07), rel=1e-8)
+            (3.36402907e-23, 7.53819697e-07), rel=1e-8, abs=0)
+        assert len(moves) == 2
 
     def test_exhausted_limit_names_failing_clauses(self, start,
                                                    monkeypatch):
-        monkeypatch.setattr("exlg.theory._SHRINK_ITERS", 1)
+        monkeypatch.setattr(theory, "_SHRINK_ITERS", 0)
         with pytest.raises(RuntimeError, match="failing clauses: "
-                           "h-coupling; eta-coupling$"):
+                           "h-network; h-coupling; eta-strong-convexity; "
+                           "eta-coupling; eta-gain-vs-A; eta-gain$"):
             shrink_to_admissible(*start)
 
     def test_exhausted_limit_returns_an_admissible_pair(self, start,
                                                         monkeypatch):
-        monkeypatch.setattr("exlg.theory._SHRINK_ITERS", 3)
+        monkeypatch.setattr(theory, "_SHRINK_ITERS", 1)
         p, ms = shrink_to_admissible(*start)
         assert validate_stepsize(p).ok and p.h == ms.h
-        assert (p.h, p.eta) == pytest.approx((8.6149e-59, 2.4271e-20),
-                                             rel=1e-4)
+        assert (p.h, p.eta) == pytest.approx(
+            (2.2065351895e-39, 7.743218301e-15), rel=1e-9, abs=0)
