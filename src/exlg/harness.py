@@ -233,7 +233,14 @@ def _score(xs_chunk, xstar, target, holdout) -> dict:
     dev = xs_chunk - means[:, :, None]
     out = {"consensus": np.sqrt(np.sum(dev * dev, axis=(2, 3))).mean(axis=1)}
     if xstar is not None:
-        dist = np.linalg.norm(xs_chunk - xstar, axis=3)
+        err = xs_chunk - xstar
+        with np.errstate(over="ignore"):
+            dist = np.linalg.norm(err, axis=3)
+        if not np.isfinite(dist).all():  # a square overflowed: as w2_batch
+            bad = ~np.isfinite(dist)
+            e = np.frexp(np.abs(err[bad]).max())[1]
+            dist[bad] = np.ldexp(
+                np.linalg.norm(np.ldexp(err[bad], -e), axis=-1), e)
         out["opt_error"] = dist.max(axis=2).mean(axis=1)
         return out
     if target is not None:
@@ -470,7 +477,8 @@ def _run(cfg: ExperimentConfig, task, holdout, manifest: ManifestWriter,
     manifest.write_csv("plateau.csv", ["algorithm", "label", "plateau"],
                        _row_lines((cfg.sampler.algorithm, label, plateau(v))
                                   for label, v in series.items()))
-    manifest.finish(replica_seeds=[int(s) for s in seeds])
+    manifest.finish(replica_seeds=[int(s) for s in seeds],
+                    delta=None if ms is None else ms.delta)
     return series
 
 
@@ -512,7 +520,8 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
                        _row_lines(metric_rows(ks, all_series)))
     manifest.write_csv("plateau.csv", ["algorithm", "label", "plateau"],
                        _row_lines(plateau_rows))
-    manifest.finish(replica_seeds=seed_map)
+    manifest.finish(replica_seeds=seed_map,
+                    delta=None if ms is None else ms.delta)
     return EXIT_OK
 
 
@@ -623,7 +632,8 @@ def cmd_theory(cfg: ExperimentConfig) -> int:
     lines = _row_lines((k, label, bound(p, tc, k))
                        for label, bound in bounds for k in ks if k >= tc.K0)
     manifest.write_csv("theory_bounds.csv", ["k", "label", "value"], lines)
-    manifest.finish(h_used=p.h, eta_used=p.eta, sigma2=p.sigma2, K0=tc.K0)
+    manifest.finish(h_used=p.h, eta_used=p.eta, sigma2=p.sigma2, K0=tc.K0,
+                    delta=ms.delta)
     return EXIT_OK
 
 

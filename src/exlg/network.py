@@ -46,15 +46,6 @@ __all__ = [
     "validate_assumptions",
 ]
 
-# the values of network.topology; `make_topology` builds all but custom
-TOPOLOGY_KINDS = (
-    "fully-connected",
-    "ring",
-    "star",
-    "disconnected",
-    "custom",
-)
-
 # Null-space dimension counts eigenvalues of U below this times ||U||_2.
 _NULL_TOL = 1e-10
 
@@ -114,19 +105,24 @@ def disconnected(n: int) -> Topology:
     return Topology(np.zeros((n, n)))
 
 
+# the built-in topologies by name; with "custom", an adjacency file, they
+# are the values of network.topology
+_BUILDERS = {
+    "fully-connected": fully_connected,
+    "ring": ring,
+    "star": star,
+    "disconnected": disconnected,
+}
+TOPOLOGY_KINDS = (*_BUILDERS, "custom")
+
+
 def make_topology(kind: str, n: int) -> Topology:
-    builders = {
-        "fully-connected": fully_connected,
-        "ring": ring,
-        "star": star,
-        "disconnected": disconnected,
-    }
-    if kind not in builders:
+    if kind not in _BUILDERS:
         raise ValueError(
             f"topology kind {kind!r} needs an adjacency file "
-            f"(or is unknown); built-ins: {sorted(builders)}"
+            f"(or is unknown); built-ins: {sorted(_BUILDERS)}"
         )
-    return builders[kind](n)
+    return _BUILDERS[kind](n)
 
 
 def topology_from_file(path) -> Topology:

@@ -35,9 +35,13 @@ slice, ``grad_block``, the one gradient method of the oracle (see
 `run_ensemble`), returns every (replica, agent) gradient in one call,
 and each replica's Gaussian block is drawn straight into its slice of
 one fresh (R, rows, d) array.
-EXTRA's bootstrap is exactly one DE-SGLD step, and its closure keeps the
-previous iterate, gradient and Gaussian block; the centralized chains sum
-every agent's gradient at the one shared row.  Only the generalized chain
+The five algorithms take four step functions.  ULA and the reference
+chain share the centralized one, x+ = x - s sum_i g_i(x) + sqrt(2 eta)
+w-bar, which sums every agent's gradient at the one shared row: s is eta
+for ULA and eta/N for the reference chain, and w-bar is the mean of the
+stream's rows (ULA's stream has one row, so w-bar is that row exactly).
+EXTRA's bootstrap calls the DE-SGLD rule, and its closure keeps the
+previous iterate, gradient and Gaussian block.  Only the generalized chain
 moves v, so only it guards and records v.  `run_ensemble` is the one way
 to run chains: a single chain is a one-seed ensemble.
 
@@ -473,7 +477,7 @@ def _step_fn(oracle, cfg: SamplerConfig, mixing, noises):
     """The transition (k, x^k, v^k) -> (x^{k+1}, v^{k+1}) of cfg.algorithm,
     over (R, rows, d) arrays with replica r drawing from noises[r]; each
     entry computes its update rule term for term."""
-    eta, eta_n = cfg.eta, cfg.eta / oracle.n_agents
+    eta = cfg.eta
     scale_x = scale_v = 0.0  # temperature 0: no noise, even where 2/eta = inf
     if cfg.temperature:
         scale_x, scale_v = np.sqrt(2.0 * eta), np.sqrt(2.0 / eta)
@@ -495,17 +499,15 @@ def _step_fn(oracle, cfg: SamplerConfig, mixing, noises):
         shared = np.broadcast_to(x, (x.shape[0], oracle.n_agents, x.shape[2]))
         return np.add.accumulate(grads(shared, k), axis=1)[:, -1:]
 
-    def ula(k, x, v):
-        wblk = gaussians(k + 1)[:, :1]
-        return x - eta * grad_sum(x, k) + scale_x * wblk, v
+    # the centralized step size: eta for ULA, eta/N for the reference chain
+    s = eta / oracle.n_agents if cfg.algorithm == "REFERENCE_CHAIN" else eta
 
-    def reference(k, x, v):
+    def centralized(k, x, v):
         wbar = gaussians(k + 1).mean(axis=1, keepdims=True)
-        return x - eta_n * grad_sum(x, k) + scale_x * wbar, v
+        return x - s * grad_sum(x, k) + scale_x * wbar, v
 
-    def de_sgld(k, x, v):
-        return mix_apply(w, x) - eta * grads(x, k) \
-            + scale_x * gaussians(k + 1), v
+    def de_sgld_x(x, g, wblk):
+        return mix_apply(w, x) - eta * g + scale_x * wblk
 
     def gen_extra(k, x, v):
         g, wx, wblk = grads(x, k), mix_apply(w_tilde, x), gaussians(k + 1)
@@ -519,7 +521,7 @@ def _step_fn(oracle, cfg: SamplerConfig, mixing, noises):
         nonlocal prev
         g, wblk = grads(x, k), gaussians(k + 1)
         if k == 0:  # the W-based bootstrap is one DE-SGLD transition
-            x_next = mix_apply(w, x) - eta * g + scale_x * wblk
+            x_next = de_sgld_x(x, g, wblk)
         else:
             x_prev, g_prev, w_prev = prev
             x_next = x + mix_apply(w, x) - mix_apply(w_tilde, x_prev) \
@@ -527,12 +529,13 @@ def _step_fn(oracle, cfg: SamplerConfig, mixing, noises):
         prev = (x, g, wblk)
         return x_next, v
 
+    if cfg.algorithm in CENTRALIZED:
+        return centralized
     return {
-        "ULA": ula,
-        "DE_SGLD": de_sgld,
+        "DE_SGLD": lambda k, x, v: (
+            de_sgld_x(x, grads(x, k), gaussians(k + 1)), v),
         "EXTRA_SGLD": extra,
         "GEN_EXTRA_SGLD": gen_extra,
-        "REFERENCE_CHAIN": reference,
     }[cfg.algorithm]
 
 

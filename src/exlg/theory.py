@@ -535,13 +535,14 @@ def shrink_to_admissible(p: ProblemParams, ms: MixingSet,
     when its target h leaves Wtilde without a positive least eigenvalue.
     """
     def at(ms_: MixingSet, eta: float) -> Optional[ProblemParams]:
-        # None where eta underflowed or ||B||^2 overflows: no pair there
+        # None where eta underflowed or ||B||^2 overflows: SamplerConfig and
+        # ProblemParams refuse both, and there is no pair there
         sp = ms_.spectral
-        nb = replace(sampler, eta=eta).norm_b(sp.norm_wt) if eta > 0.0 \
-            else math.inf
-        if not math.isfinite(nb * nb):
+        try:
+            return replace(p, h=float(ms_.h), eta=eta, spectral=sp, norm_B=(
+                replace(sampler, eta=eta).norm_b(sp.norm_wt)))
+        except ValueError:
             return None
-        return replace(p, h=float(ms_.h), eta=eta, spectral=sp, norm_B=nb)
 
     cur_ms, q = ms, p
     for _ in range(_SHRINK_ITERS):

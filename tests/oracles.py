@@ -3,16 +3,18 @@ expressions, kept here as the oracles tests compare it against.
 
 ``series_for_run`` scores a (records, replicas, agents, dim) ensemble
 one chunk of records at a time into a {label: values} map; each of its
-values must equal these functions on one record.  ``run_ensemble`` advances every replica with one step-table
-entry; each transition must equal the ``step_*`` function of its chain on
-one replica.  ``RawMixing`` drives a sampler with hand-built matrices.
+values must equal these functions on one record, and every value of
+``metrics.w2_batch`` must equal ``w2_gaussian`` of its block's fit.
+``run_ensemble`` advances every replica with one step-table entry; each
+transition must equal the ``step_*`` function of its chain on one
+replica.  ``RawMixing`` drives a sampler with hand-built matrices.
 """
 
 import dataclasses
 
 import numpy as np
 
-from exlg.linalg import mix_apply
+from exlg.linalg import mix_apply, psd_sqrt
 from exlg.tasks import GaussianDist
 
 
@@ -38,6 +40,26 @@ def estimate_moments(samples: np.ndarray) -> MomentEstimate:
     cov = centered.T @ centered / (n - 1)
     cov = (cov + cov.T) / 2.0
     return MomentEstimate(mean=mean, cov=cov, n_samples=n)
+
+
+def w2_gaussian(a: GaussianDist, b: GaussianDist) -> float:
+    """W2 between two Gaussians, by the closed form of ``exlg.metrics``
+    with the inner product re-symmetrized, one pair at a time."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov):
+        # Equal distributions have distance exactly 0; the trace formula
+        # below would return a sqrt-of-roundoff floor (~1e-7) instead.
+        return 0.0
+    diff = a.mean - b.mean
+    root_b = psd_sqrt(b.cov)
+    inner = root_b @ a.cov @ root_b
+    inner = (inner + inner.T) / 2.0
+    cross = float(np.trace(psd_sqrt(inner)))
+    w2sq = float(diff @ diff) + float(
+        np.trace(a.cov) + np.trace(b.cov)
+    ) - 2.0 * cross
+    return float(np.sqrt(max(w2sq, 0.0)))
 
 
 def consensus_error(x_block: np.ndarray) -> float:

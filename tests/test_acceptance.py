@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from exlg.metrics import plateau, w2_batch, w2_gaussian
+from exlg.metrics import plateau, w2_batch
 from exlg.network import (
     build_mixing_set,
     make_topology,
@@ -38,7 +38,7 @@ from exlg.theory import (
     validate_stepsize,
 )
 
-from oracles import RawMixing, accuracy
+from oracles import RawMixing, accuracy, w2_gaussian
 
 # Master seeds, fixed once: the desk-scale ratio checks (3, 4, 9, 10)
 # assert inequalities between seeded runs, so the seeds are part of the

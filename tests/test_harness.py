@@ -10,6 +10,7 @@ import dataclasses
 import functools
 import json
 import logging
+import math
 import operator
 import os
 import subprocess
@@ -43,7 +44,6 @@ from exlg.harness import (
     _trajectory_chunks,
     write_csv,
 )
-from exlg.metrics import w2_gaussian
 from exlg.samplers import (
     ALGORITHMS,
     ChainDivergenceError,
@@ -60,7 +60,7 @@ from exlg.theory import (
     shrink_to_admissible,
 )
 
-from oracles import accuracy, consensus_error, estimate_moments
+from oracles import accuracy, consensus_error, estimate_moments, w2_gaussian
 
 BASE = """
 [task]
@@ -124,6 +124,30 @@ def test_each_mixing_matrix_is_solved_once(tmp_path, nxn_solves, command,
         "n = 6": "n = 12", "delta = 0.2": delta, "steps = 40": "steps = 10"})
     assert main([command, "--config", path]) == EXIT_OK
     assert nxn_solves(12) == 5
+
+
+@pytest.mark.parametrize("command, outs", [
+    ("run", [""]), ("compare", [""]), ("theory", [""]),
+    ("sweep-h", ["h_0.1", "h_0.3"])])
+def test_manifest_records_a_drawn_delta(tmp_path, command, outs):
+    text = BASE + ("\n[compare]\nalgorithms = DE_SGLD ULA\n"
+                   "[sweep]\nh_min = 0.1\nh_max = 0.3\npoints = 2\n"
+                   "[theory]\nshrink = true\n")
+    path = make_cfg(tmp_path, text=text, **{"delta = 0.2": "",
+                                            "steps = 40": "steps = 5"})
+    assert main([command, "--config", path]) == EXIT_OK
+    delta = build_mixing(load_config(path)).delta
+    assert delta != 0.2
+    for sub in outs:
+        with open(tmp_path / "out" / sub / "manifest.json") as fh:
+            assert json.load(fh)["delta"] == delta
+
+
+def test_manifest_delta_is_null_without_a_mixing_set(tmp_path):
+    path = make_cfg(tmp_path, **{"GEN_EXTRA_SGLD": "ULA"})
+    assert main(["run", "--config", path]) == EXIT_OK
+    with open(tmp_path / "out" / "manifest.json") as fh:
+        assert json.load(fh)["delta"] is None
 
 
 def read_metrics(path):
@@ -1428,6 +1452,31 @@ class TestCliPlumbing:
         err = capsys.readouterr().err
         assert "diverged at iteration 1" in err
         assert "RuntimeWarning" not in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("temperature", ["1", "0"])
+    def test_a_distance_whose_square_overflows_is_finite(
+            self, tmp_path, capsys, temperature):
+        # noise_std = 1e200 puts x* near 1e199, so |x - x*|^2 overflows at
+        # the zero start: the run writes the distance, and numpy warns of
+        # nothing
+        path = make_cfg(tmp_path, **{
+            "dim = 2": "dim = 2\nnoise_std = 1e200",
+            "steps = 40": f"steps = 0\ntemperature = {temperature}"})
+        assert main(["run", "--config", path]) == EXIT_OK
+        assert "RuntimeWarning" not in capsys.readouterr().err
+        task, _ = build_task(load_config(path))
+        if temperature == "0":  # the worst agent's distance to x*
+            want = {"opt_error": math.hypot(*task.minimizer())}
+        else:  # a zero fit: W2^2 = |m|^2 + tr S of the target
+            t = task.target()
+            w2 = math.hypot(*t.mean, math.sqrt(np.trace(t.cov)))
+            want = {"w2_mean": w2, "w2_agents": w2}
+        series = read_metrics(tmp_path / "out" / "metrics.csv")
+        for label, value in want.items():
+            assert value > 1e154  # its square is past the float range
+            (k, got), = series[label]
+            assert float(got) == pytest.approx(value, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("edits, message", [
         ({"steps = 40": "steps = 40\nb_mode = custom"},

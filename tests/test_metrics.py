@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from exlg.linalg import NotPSDError
-from exlg.metrics import plateau, w2_batch, w2_gaussian
+from exlg.metrics import plateau, w2_batch
 from exlg.tasks import GaussianDist
-from oracles import accuracy, consensus_error, estimate_moments
+from oracles import accuracy, consensus_error, estimate_moments, w2_gaussian
 
 
 def _rand_gaussian(rng, d, scale=1.0):
@@ -198,6 +198,23 @@ class TestW2Batch:
             w2_gaussian(estimate_moments(draws).as_gaussian(), target)
         with pytest.raises(NotPSDError, match="eigenvalue -"):
             w2_batch(np.stack([np.ones((5, 2)), draws]), target)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_value_whose_square_overflows_is_rescaled(self):
+        # block 1 sits 2^700 from the target (its draws round to exactly
+        # 2^700): its W2 is finite though its square is not, and the other
+        # blocks keep their bits
+        rng = np.random.default_rng(26)
+        target = GaussianDist([1.0, -2.0], [[2.0, 0.3], [0.3, 1.0]])
+        xs = rng.standard_normal((3, 8, 2))
+        xs[1] += 2.0 ** 700
+        got = w2_batch(xs, target)
+        assert np.array_equal(got[[0, 2]], w2_batch(xs[[0, 2]], target))
+        s = 2.0 ** -700  # the distance of the scaled inputs, scaled back
+        scaled = w2_gaussian(estimate_moments(xs[1] * s).as_gaussian(),
+                             GaussianDist(target.mean * s,
+                                          target.cov * s * s))
+        assert got[1] == pytest.approx(scaled / s, rel=1e-12, abs=0)
 
     def test_needs_replicas_and_matching_dim(self):
         target = GaussianDist(np.zeros(2), np.eye(2))

@@ -8,7 +8,6 @@ from exlg import theory
 from exlg.config import load_config
 from exlg.harness import (build_mixing, build_task, cmd_validate,
                           series_for_run)
-from exlg.metrics import w2_gaussian
 from exlg.network import SpectralSummary, make_topology, build_mixing_set
 from exlg.samplers import SamplerConfig
 from exlg.tasks import (
@@ -31,6 +30,8 @@ from exlg.theory import (
     shrink_to_admissible,
     validate_stepsize,
 )
+
+from oracles import w2_gaussian
 
 
 def _spectral(lam2_w, lamN_w, lam2_wt, lamN_wt):

@@ -1,5 +1,6 @@
-"""No function in exlg takes a parameter that its body never reads, and
-no private module-level name goes unread.
+"""No function in exlg takes a parameter that its body never reads, no
+private module-level name goes unread, and no public function or class
+goes unread by the package and its demos.
 
 Such a parameter is a hook that does nothing: callers pass it for no
 effect, and a reader looks for an effect it does not have.  ``self`` and
@@ -8,6 +9,9 @@ only state a signature, and a name with a leading underscore: the mark of
 a parameter that a fixed call signature requires and the body does not
 need.  A private function, class or constant that nothing in the package
 loads outside its own definition is dead code left behind by a refactor.
+So is a public function or class that neither the package nor a demo
+loads: a definition that only the tests use belongs with the tests
+(``tests/oracles.py``).
 """
 
 import ast
@@ -17,6 +21,7 @@ import textwrap
 import exlg
 
 SRC = pathlib.Path(exlg.__file__).parent
+DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _FUNCS = _DEFS + (ast.Lambda,)
 
@@ -94,26 +99,45 @@ def _loads(stmt):
             and isinstance(n.ctx, ast.Load)}
 
 
-def _unread_privates(modules):
-    """(module, name) for every private module-level name of ``modules``
-    ({name: source}) that no other module-level statement of any of them
+def _public_defs(stmt):
+    """The public function or class a module-level statement defines."""
+    if isinstance(stmt, _DEFS + (ast.ClassDef,)) \
+            and not stmt.name.startswith("_"):
+        return [stmt.name]
+    return []
+
+
+def _unread(modules, defs, readers=()):
+    """(module, name) for every name that ``defs`` finds defined by a
+    module-level statement of ``modules`` ({name: source}) and that no
+    other module-level statement of them, or of the ``readers`` sources,
     loads."""
     stmts = [(mod, stmt) for mod, src in modules.items()
              for stmt in ast.parse(src).body]
-    loads = [_loads(stmt) for _, stmt in stmts]
+    loads = [_loads(stmt) for _, stmt in stmts] + [
+        _loads(stmt) for src in readers for stmt in ast.parse(src).body]
     return [(mod, name) for i, (mod, stmt) in enumerate(stmts)
-            for name in _private_defs(stmt)
+            for name in defs(stmt)
             if not any(name in read for j, read in enumerate(loads)
                        if j != i)]
 
 
+def _package():
+    return {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
 def test_every_private_name_is_read():
-    assert not _unread_privates({path.name: path.read_text()
-                                 for path in sorted(SRC.glob("*.py"))})
+    assert not _unread(_package(), _private_defs)
+
+
+def test_every_public_function_and_class_is_read():
+    demos = [path.read_text() for path in sorted(DEMOS.glob("*.py"))]
+    assert demos, f"no demos under {DEMOS}"
+    assert not _unread(_package(), _public_defs, demos)
 
 
 def test_scan_flags_unread_privates():
-    found = _unread_privates({"a.py": textwrap.dedent('''
+    found = _unread({"a.py": textwrap.dedent('''
         import numpy as np
         _USED = 1
         _STRAY: int = 2
@@ -128,8 +152,28 @@ def test_scan_flags_unread_privates():
         from . import a
         def f():
             return a._helper(), a._Spec
-    ''')})
+    ''')}, _private_defs)
     assert found == [("a.py", "_STRAY"), ("a.py", "_recursive")]
+
+
+def test_scan_flags_unread_publics():
+    found = _unread({"a.py": textwrap.dedent('''
+        __all__ = ["used", "Spec", "test_only", "recursive"]
+        def used():
+            return 1
+        class Spec:
+            pass
+        def test_only():
+            return used()
+        def recursive(n):
+            return recursive(n - 1) if n else 0
+        def _private():
+            pass
+    ''')}, _public_defs, [textwrap.dedent('''
+        from exlg import a
+        print(a.Spec())
+    ''')])
+    assert found == [("a.py", "test_only"), ("a.py", "recursive")]
 
 
 def test_scan_flags_unread_and_skips_protocol_stubs():
