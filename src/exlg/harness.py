@@ -370,7 +370,7 @@ def _problem_params(cfg: ExperimentConfig, task, ms: MixingSet):
     """The bound's inputs at the configured pair (`problem_params_from`
     with the [theory] sigma2 and w2_init), once in-domain values that
     leave the bound constants undefined are ruled out as config errors
-    naming the key."""
+    naming the key, or the quantity that overflows."""
     mu, L = task.mu_L()
     if not 0.0 < mu < L:
         # the prior curvature 1 / (prior_var N) swamps the data's or
@@ -387,9 +387,14 @@ def _problem_params(cfg: ExperimentConfig, task, ms: MixingSet):
         raise ConfigError(
             f"{key}: ||B|| = {norm_b:.3g} is too large for the bound "
             "constants (its square overflows)")
-    return problem_params_from(task, ms, cfg.sampler,
-                               sigma2=cfg.theory.sigma2,
-                               w2_init=cfg.theory.w2_init, mu_L=(mu, L))
+    p = problem_params_from(task, ms, cfg.sampler, sigma2=cfg.theory.sigma2,
+                            w2_init=cfg.theory.w2_init, mu_L=(mu, L))
+    for name, value in (("||grad F(x*)||^2", p.grad_at_min_sq),
+                        ("w2_init", p.w2_init)):
+        if not np.isfinite(value):
+            raise ConfigError(f"task: {name} = {value:g} overflows at this "
+                              "data scale; the bounds need it finite")
+    return p
 
 
 def _checked_mixing(cfg: ExperimentConfig, algorithms,

@@ -6,9 +6,9 @@ constants) funnels through three operations here, kept deliberately small:
 `symmetrized` makes of a square, finite input, returning ``eigh``'s
 ``(values, vectors)`` pair; `psd_sqrt`, an eigendecomposition-based root
 with a fixed relative clip window; and `mix_apply`, a block-apply that
-contracts only over the agent axis.  Each takes one matrix or block, or a
-stack of them along leading axes; a stacked call gives every slice the bits
-of the call on that slice alone.
+contracts only over the agent axis (`mixing_matrix` checks it).  Each
+takes one matrix or block, or a stack of them along leading axes; a
+stacked call gives every slice the bits of the call on that slice alone.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ __all__ = [
     "NotPSDError",
     "sym_eig",
     "psd_sqrt",
+    "mixing_matrix",
     "mix_apply",
 ]
 
@@ -95,6 +96,18 @@ def psd_sqrt(a) -> np.ndarray:
     return (root + root.swapaxes(-1, -2)) / 2.0
 
 
+def mixing_matrix(m, shape) -> np.ndarray:
+    """``m`` as the float (N, N) matrix that `mix_apply` applies to a
+    block of ``shape`` (..., N, d); ``ValueError`` when it does not fit."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"mixing matrix must be square, got shape {m.shape}")
+    if len(shape) < 2 or shape[-2] != m.shape[0]:
+        raise ValueError(f"state block shape {tuple(shape)} incompatible "
+                         f"with {m.shape[0]} agents")
+    return m
+
+
 def mix_apply(m, x: np.ndarray) -> np.ndarray:
     """Apply an (N, N) mixing matrix across the agent axis of an (..., N, d)
     block.
@@ -104,13 +117,5 @@ def mix_apply(m, x: np.ndarray) -> np.ndarray:
     Kronecker product.  A stacked block is one ``np.matmul``: one BLAS
     call per (N, d) slice, identical to the call on that slice alone.
     """
-    m = np.asarray(m, dtype=float)
     x = np.asarray(x, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"mixing matrix must be square, got shape {m.shape}")
-    if x.ndim < 2 or x.shape[-2] != m.shape[0]:
-        raise ValueError(
-            f"state block shape {x.shape} incompatible with "
-            f"{m.shape[0]} agents"
-        )
-    return np.matmul(m, x)
+    return np.matmul(mixing_matrix(m, x.shape), x)

@@ -26,24 +26,27 @@ the optimization skeleton (DGD, EXTRA).
 (R, rows, d) array, where rows is the agent count (1 for ULA and the
 reference chain), and every chain starts at x = v = 0.  Each transition
 is ``x, v = step(k, x, v)``, followed by one divergence guard and one
-recording block.  ``step`` comes from a per-algorithm table whose
-entries compute the update rules above term for term on the whole array,
-with the noise scales formed once and, in the generalized chain, W~ x
-formed once for both halves; the tests hold them bit-identical to
-per-chain reference steps.  Mixing is one BLAS product per replica
-slice, ``grad_block``, the one gradient method of the oracle (see
-`run_ensemble`), returns every (replica, agent) gradient in one call,
-and each replica's Gaussian block is drawn straight into its slice of
-one fresh (R, rows, d) array.
+recording block.  ``step`` is the algorithm's step function, which
+computes the update rule above term for term on the whole array,
+with the run's constants resolved once and, in the generalized chain,
+W~ x and g + v formed once for both halves; the tests hold them
+bit-identical to per-chain reference steps.  Mixing is one BLAS product
+per replica slice, and ``grad_block``, the one gradient method of the
+oracle (see `run_ensemble`), returns every (replica, agent) gradient in
+one call.  The noise is drawn ahead of the state: one ``gaussian_blocks``
+call per replica fills a chunk of steps, and each step function forms
+its noise terms from the whole chunk in one expression (elementwise, or
+one matmul per slice), so a step does only the work that depends on x.
 The five algorithms take four step functions.  ULA and the reference
 chain share the centralized one, x+ = x - s sum_i g_i(x) + sqrt(2 eta)
 w-bar, which sums every agent's gradient at the one shared row: s is eta
 for ULA and eta/N for the reference chain, and w-bar is the mean of the
 stream's rows (ULA's stream has one row, so w-bar is that row exactly).
-EXTRA's bootstrap calls the DE-SGLD rule, and its closure keeps the
-previous iterate, gradient and Gaussian block.  Only the generalized chain
-moves v, so only it guards and records v.  `run_ensemble` is the one way
-to run chains: a single chain is a one-seed ensemble.
+EXTRA's bootstrap calls the DE-SGLD rule with w^0 = 0, its closure keeps
+the previous iterate and gradient, and its noise carries the last block
+of a chunk into the next.  Only the generalized chain moves v, so only it
+guards and records v.  `run_ensemble` is the one way to run chains: a
+single chain is a one-seed ensemble.
 
 Replica r draws from its own stream, keyed by its seed, and each draw
 depends on (seed, k, i) alone.  With row bits that do not depend on how
@@ -74,7 +77,7 @@ import math
 
 import numpy as np
 
-from .linalg import mix_apply
+from .linalg import mixing_matrix
 
 __all__ = [
     "ALGORITHMS",
@@ -149,7 +152,8 @@ class NoiseStream:
     """Counter-based Gaussian supply, deterministic in (seed, k, i).
 
     ``gaussian_block(k)`` returns the (N, d) block for iterate k, row i
-    agent i's draw.  ``batch_rng(k, i)`` hands out an independent
+    agent i's draw, and ``gaussian_blocks(k0, out)`` those of a run of
+    iterates, in one call.  ``batch_rng(k, i)`` hands out an independent
     Generator for agent i's minibatch indices at iterate k.  Streams are
     separated in the high Philox counter words, so no amount of drawing
     from one can reach another.
@@ -182,22 +186,28 @@ class NoiseStream:
         # the setter copies the counter, so it is rewritten in place
         self._ctr = st["counter"] = [0, 0, 0, 0]
 
-    def _gen(self, k: int, i: int, tag: int) -> np.random.Generator:
-        ctr = self._ctr
-        ctr[1] = k
-        ctr[2] = i
-        ctr[3] = tag
-        self._bits.state = self._fresh
-        return self._rng
+    def gaussian_blocks(self, k0: int, out) -> np.ndarray:
+        """Block k0 + j into ``out[j]`` of a (C, N, d) float64 array or view
+        whose (N, d) slices are contiguous."""
+        ctr, bits, fresh, normal, shape = (self._ctr, self._bits, self._fresh,
+                                           self._normal, self._shape)
+        ctr[2:] = 0, _TAG_NOISE
+        for j, blk in enumerate(out):
+            ctr[1] = k0 + j
+            bits.state = fresh
+            normal(shape, out=blk)
+        return out
 
     def gaussian_block(self, k: int, out=None) -> np.ndarray:
         """The (N, d) block for iterate k, written into ``out`` (a float64
         (N, d) array) when given."""
-        self._gen(k, 0, _TAG_NOISE)
-        return self._normal(self._shape, out=out)
+        out = np.empty(self._shape) if out is None else out
+        return self.gaussian_blocks(k, out[None])[0]
 
     def batch_rng(self, k: int, i: int) -> np.random.Generator:
-        return self._gen(k, i, _TAG_BATCH)
+        self._ctr[1:] = k, i, _TAG_BATCH
+        self._bits.state = self._fresh
+        return self._rng
 
 
 # Philox4x64-10 (Salmon et al., SC'11) as numpy's Philox runs it: round
@@ -208,6 +218,8 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _32 = np.uint64(32)
 # bytes a chunk of the minibatch index table may take, with its temporaries
 _TABLE_BYTES = 1 << 20
+# bytes of the Gaussian blocks a chain draws ahead at once
+_NOISE_BYTES = 1 << 17
 
 
 def _mulhilo(a, m):
@@ -317,9 +329,10 @@ class SamplerConfig:
     """One chain family's settings: the ``[sampler]`` config section.
 
     B, the free matrix of the generalized chain's dual update, is W~ / eta
-    ("wtilde-over-eta") or ``b_scale`` * I ("scaled-identity"); `bx`
-    applies it and `norm_b` is the ||B||_2 the bound constants read.  Bad
-    fields raise one ValueError with a ``<key>: <problem>`` line each.
+    ("wtilde-over-eta") or ``b_scale`` * I ("scaled-identity"); `b_apply`
+    gives the map that applies it and `norm_b` is the ||B||_2 the bound
+    constants read.  Bad fields raise one ValueError with a ``<key>:
+    <problem>`` line each.
     """
 
     algorithm: str
@@ -350,11 +363,12 @@ class SamplerConfig:
         if bad:
             raise ValueError("\n".join(f"{k}: {v}" for k, v in bad.items()))
 
-    def bx(self, x, wx):
-        """B x, given x and W~ x."""
+    def b_apply(self):
+        """The map (x, W~ x) -> B x."""
+        eta, b_scale = self.eta, self.b_scale
         if self.b_mode == "wtilde-over-eta":
-            return wx / self.eta
-        return self.b_scale * x
+            return lambda _x, wx: wx / eta
+        return lambda x, _wx: b_scale * x
 
     def norm_b(self, norm_wt: float) -> float:
         """||B||_2, given ||W~||_2."""
@@ -448,6 +462,19 @@ def _table_steps(n_streams, n, batch):
     return max(1, _TABLE_BYTES // (n_streams * (50 * batch + n)))
 
 
+def _ahead(steps, chunk, draw):
+    """``at(k)``: entry k - k0 of ``draw(k0, c)``, the state-free values of
+    steps k0 .. k0 + c - 1 for c <= ``chunk``, none past ``steps``."""
+    k0, table = 0, ()
+
+    def at(k):
+        nonlocal k0, table
+        if not k0 <= k < k0 + len(table):
+            k0, table = k, draw(k, min(chunk, steps - k))
+        return table[k - k0]
+    return at
+
+
 def _grads_fn(oracle, cfg: SamplerConfig, noises):
     """``grads(x, k)``: agent i's gradient at x[r, i] for every replica r
     and row i of an (R, N, d) block, from one ``oracle.grad_block`` call.
@@ -456,42 +483,36 @@ def _grads_fn(oracle, cfg: SamplerConfig, noises):
     read from a `batch_table` over ``oracle.shard_size`` rows that is
     drawn once per chunk of steps.
     """
-    batch = cfg.batch
+    batch, grad_block = cfg.batch, oracle.grad_block
     if batch is None:
-        return lambda x, _k: oracle.grad_block(x)
+        return lambda x, _k: grad_block(x)
     n_agents, n = oracle.n_agents, oracle.shard_size
-    chunk = _table_steps(len(noises) * n_agents, n, batch)
-    k0, table = 0, ()
-
-    def grads(x, k):
-        nonlocal k0, table
-        if not k0 <= k < k0 + len(table):
-            k0, table = k, batch_table(
-                noises, range(k, min(k + chunk, cfg.steps)), n_agents, n,
-                batch)
-        return oracle.grad_block(x, table[k - k0])
-    return grads
+    idx = _ahead(cfg.steps, _table_steps(len(noises) * n_agents, n, batch),
+                 lambda k, c: batch_table(noises, range(k, k + c), n_agents,
+                                          n, batch))
+    return lambda x, k: grad_block(x, idx(k))
 
 
 def _step_fn(oracle, cfg: SamplerConfig, mixing, noises):
     """The transition (k, x^k, v^k) -> (x^{k+1}, v^{k+1}) of cfg.algorithm,
     over (R, rows, d) arrays with replica r drawing from noises[r]; each
-    entry computes its update rule term for term."""
-    eta = cfg.eta
+    entry computes its update rule term for term, with its noise terms
+    formed from (C, R, rows, d) chunks of blocks (about _NOISE_BYTES)."""
+    eta, algo = cfg.eta, cfg.algorithm
     scale_x = scale_v = 0.0  # temperature 0: no noise, even where 2/eta = inf
     if cfg.temperature:
         scale_x, scale_v = np.sqrt(2.0 * eta), np.sqrt(2.0 / eta)
-    if mixing is not None:
-        w, w_tilde, u = (np.asarray(m, dtype=float)
-                         for m in (mixing.w, mixing.w_tilde, mixing.u))
     grads = _grads_fn(oracle, cfg, noises)
     shape = (len(noises), noises[0].n_agents, noises[0].dim)
+    chunk = max(1, _NOISE_BYTES // (8 * math.prod(shape)))
 
-    def gaussians(k):
-        out = np.empty(shape)  # fresh at every step: EXTRA keeps w^k
-        for r, nz in enumerate(noises):
-            nz.gaussian_block(k, out[r])
-        return out
+    def noise_fn(form):
+        def draw(k, c):
+            blocks = np.empty((c,) + shape)
+            for r, nz in enumerate(noises):
+                nz.gaussian_blocks(k + 1, blocks[:, r])
+            return form(blocks)
+        return _ahead(cfg.steps, chunk, draw)
 
     def grad_sum(x, k):
         # every agent's gradient at the one shared row, summed in agent
@@ -499,44 +520,57 @@ def _step_fn(oracle, cfg: SamplerConfig, mixing, noises):
         shared = np.broadcast_to(x, (x.shape[0], oracle.n_agents, x.shape[2]))
         return np.add.accumulate(grads(shared, k), axis=1)[:, -1:]
 
-    # the centralized step size: eta for ULA, eta/N for the reference chain
-    s = eta / oracle.n_agents if cfg.algorithm == "REFERENCE_CHAIN" else eta
+    if algo in CENTRALIZED:
+        # eta for ULA, eta/N for the reference chain
+        s = eta / oracle.n_agents if algo == "REFERENCE_CHAIN" else eta
+        noise = noise_fn(lambda b: scale_x * b.mean(axis=2, keepdims=True))
+        return lambda k, x, v: (x - s * grad_sum(x, k) + noise(k), v)
 
-    def centralized(k, x, v):
-        wbar = gaussians(k + 1).mean(axis=1, keepdims=True)
-        return x - s * grad_sum(x, k) + scale_x * wbar, v
+    # mix_apply's checks, once; then each product is its one np.matmul
+    w, w_tilde, u = (mixing_matrix(m, shape)
+                     for m in (mixing.w, mixing.w_tilde, mixing.u))
 
-    def de_sgld_x(x, g, wblk):
-        return mix_apply(w, x) - eta * g + scale_x * wblk
+    def de_sgld_x(x, g, nk):
+        return np.matmul(w, x) - eta * g + nk
 
-    def gen_extra(k, x, v):
-        g, wx, wblk = grads(x, k), mix_apply(w_tilde, x), gaussians(k + 1)
-        return (wx - eta * (g + v) + scale_x * wblk,
-                v - mix_apply(u, v + g - cfg.bx(x, wx))
-                + scale_v * mix_apply(u, wblk))
+    if algo == "DE_SGLD":
+        noise = noise_fn(lambda b: scale_x * b)
+        return lambda k, x, v: (de_sgld_x(x, grads(x, k), noise(k)), v)
 
-    prev = None  # EXTRA's (x^{k-1}, g^{k-1}, w^k)
+    if algo == "GEN_EXTRA_SGLD":
+        bx = cfg.b_apply()
+        noise = noise_fn(lambda b: np.stack(
+            (scale_x * b, scale_v * np.matmul(u, b)), axis=1))
+
+        def gen_extra(k, x, v):
+            g, wx, nk = grads(x, k), np.matmul(w_tilde, x), noise(k)
+            gv = g + v
+            return (wx - eta * gv + nk[0],
+                    v - np.matmul(u, gv - bx(x, wx)) + nk[1])
+        return gen_extra
+
+    last = np.zeros(shape)  # w^0 = 0: the bootstrap's term is sqrt(2 eta) w^1
+
+    def extra_noise(b):
+        nonlocal last
+        diff = np.diff(b, axis=0, prepend=last[None])
+        last = b[-1].copy()
+        return scale_x * diff
+    noise = noise_fn(extra_noise)
+    prev = None  # EXTRA's (x^{k-1}, g^{k-1})
 
     def extra(k, x, v):
         nonlocal prev
-        g, wblk = grads(x, k), gaussians(k + 1)
+        g, nk = grads(x, k), noise(k)
         if k == 0:  # the W-based bootstrap is one DE-SGLD transition
-            x_next = de_sgld_x(x, g, wblk)
+            x_next = de_sgld_x(x, g, nk)
         else:
-            x_prev, g_prev, w_prev = prev
-            x_next = x + mix_apply(w, x) - mix_apply(w_tilde, x_prev) \
-                - eta * (g - g_prev) + scale_x * (wblk - w_prev)
-        prev = (x, g, wblk)
+            x_prev, g_prev = prev
+            x_next = x + np.matmul(w, x) - np.matmul(w_tilde, x_prev) \
+                - eta * (g - g_prev) + nk
+        prev = (x, g)
         return x_next, v
-
-    if cfg.algorithm in CENTRALIZED:
-        return centralized
-    return {
-        "DE_SGLD": lambda k, x, v: (
-            de_sgld_x(x, grads(x, k), gaussians(k + 1)), v),
-        "EXTRA_SGLD": extra,
-        "GEN_EXTRA_SGLD": gen_extra,
-    }[cfg.algorithm]
+    return extra
 
 
 def run_ensemble(
@@ -560,10 +594,11 @@ def run_ensemble(
     always); ``xs`` is (n_rec, R, rows, d).  ``noises`` holds one
     `NoiseStream` (or subclass) per seed, in place of the default
     ``NoiseStream(seeds[r], ...)``; minibatch indices are keyed by their
-    ``seed``, and ``gaussian_block(k, out)`` must write block k into
-    ``out``.  Row r equals the one-seed ensemble at ``seeds[r]`` bit for
-    bit, whatever R is, and reruns with identical arguments are
-    bit-identical.  A divergence names the earliest iteration at which
+    ``seed``, and ``gaussian_blocks(k0, out)`` must write block k0 + j
+    into ``out[j]`` for every j of the (C, rows, d) view ``out``.  Row r
+    equals the one-seed ensemble at ``seeds[r]`` bit for bit, whatever R
+    is, and reruns with identical arguments are bit-identical.  A
+    divergence names the earliest iteration at which
     any replica left the ball, and the lowest replica index at that
     iteration.
     """

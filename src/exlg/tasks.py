@@ -197,6 +197,9 @@ class _ShardedTask:
         self.xs, self.ys, self.prior_var = xs, ys, prior_var
         # agent a's shard is columns a*n on of the (c, N*n) ``_flat``
         self._row0 = np.arange(xs.shape[0]) * xs.shape[1]
+        # per-call constants: a block's (N, d), and lambda N of the prior
+        self._rows = (xs.shape[0], xs.shape[2])
+        self._lam_n = prior_var * xs.shape[0]
 
     @property
     def n_agents(self) -> int:
@@ -212,7 +215,7 @@ class _ShardedTask:
         return self.xs.shape[1]
 
     def _prior_grad(self, beta):
-        return beta / (self.prior_var * self.n_agents)
+        return beta / self._lam_n
 
     def _block_args(self, x, idx):
         """x as an (R, N, d) float array, and idx as None or (R, N, b)
@@ -220,7 +223,7 @@ class _ShardedTask:
         indexing one shard: integers only, and negative ones count from
         the end."""
         x = np.asarray(x, dtype=float)
-        if x.ndim != 3 or x.shape[1:] != (self.n_agents, self.dim):
+        if x.ndim != 3 or x.shape[1:] != self._rows:
             raise ValueError(f"block shape {x.shape} is not "
                              f"(R, {self.n_agents}, {self.dim})")
         if idx is None:
@@ -255,6 +258,7 @@ class LinRegTask(_ShardedTask):
     def __init__(self, xs, ys, prior_var):
         super().__init__(xs, ys, prior_var)
         self._gram = np.stack([2.0 * (x.T @ x) for x in self.xs])
+        self._gram_t = self._gram.transpose(2, 0, 1)  # [j][a, c] = G_a[c, j]
         self._xty = np.stack(
             [2.0 * (x.T @ y) for x, y in zip(self.xs, self.ys)])
         xy = np.concatenate([self.xs, self.ys[..., None]], -1)
@@ -271,8 +275,7 @@ class LinRegTask(_ShardedTask):
         x, idx = self._block_args(x, idx)
         xt = x.transpose(2, 0, 1)[..., None]
         if idx is None:
-            # gram[j][a, c] = G_a[c, j]
-            data = _matvec(self._gram.transpose(2, 0, 1), xt) - self._xty
+            data = _matvec(self._gram_t, xt) - self._xty
         else:
             blk = self._gather(idx)  # the d features, then y
             resid = _matvec(blk[:-1], xt) - blk[-1]
@@ -296,7 +299,7 @@ class LinRegTask(_ShardedTask):
         mu = min_i lam_min(2 X_i^T X_i) + 1/(lambda N),
         L  = max_i lam_max(2 X_i^T X_i) + 1/(lambda N),
         from one stacked eigensolve of the (N, d, d) Gram stack."""
-        prior_curv = 1.0 / (self.prior_var * self.n_agents)
+        prior_curv = 1.0 / self._lam_n
         vals, _ = sym_eig(self._gram)
         return (float(vals[:, 0].min()) + prior_curv,
                 float(vals[:, -1].max()) + prior_curv)
@@ -322,7 +325,7 @@ class LogRegTask(_ShardedTask):
         mu = 1/(N lambda),
         L  = max_i (1/4) lam_max(X_i^T X_i) + 1/(N lambda),
         from one stacked eigensolve of the (N, d, d) X_i^T X_i stack."""
-        prior_curv = 1.0 / (self.prior_var * self.n_agents)
+        prior_curv = 1.0 / self._lam_n
         vals, _ = sym_eig(self.xs.swapaxes(1, 2) @ self.xs)
         return prior_curv, 0.25 * float(vals[:, -1].max()) + prior_curv
 

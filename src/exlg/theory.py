@@ -492,14 +492,16 @@ def problem_params_from(task, ms: MixingSet, sampler: SamplerConfig, *,
     # vanish agentwise
     g = task.grad_block(
         np.broadcast_to(xstar, (1, task.n_agents, task.dim)))[0].ravel()
-    r = float(np.linalg.norm(g)) ** 2
+    with np.errstate(over="ignore"):  # this and w2_init overflow to inf
+        r = float(np.linalg.norm(g)) ** 2
     if sigma2 is None:
         sigma2 = _grad_noise(task, xstar, sampler.batch)
 
     if w2_init is None:
         target = task.target()
-        w2_init = 0.0 if target is None else math.sqrt(
-            float(target.mean @ target.mean) + float(np.trace(target.cov)))
+        with np.errstate(over="ignore"):
+            w2_init = 0.0 if target is None else math.sqrt(
+                float(target.mean @ target.mean) + float(target.cov.trace()))
 
     sp = ms.spectral
     return ProblemParams(

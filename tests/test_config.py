@@ -397,6 +397,15 @@ LOGREG_PROBE = {**PROBE,
                       "dim": "2", "beta_true": "1.0 -0.5", "holdout": "40"},
              "sampler": {**PROBE["sampler"], "batch": "4"}}
 INT_KEYS = _keys_of(int, Optional[int])
+# the ring50-theory-shrink benchmark workload's config
+RING50 = {**PROBE,
+          "task": {"kind": "linreg", "n_points": "5000", "per_agent": "50",
+                   "dim": "2",
+                   "beta_true": "1.0222531862935225 1.8378468836432988"},
+          "network": {"topology": "ring", "n": "50", "h": "0.38",
+                      "delta": "0.125"},
+          "sampler": {"algorithm": "GEN_EXTRA_SGLD", "eta": "0.009",
+                      "steps": "200"}}
 
 
 def _probe_cfg(tmp_path, base, overrides):
@@ -462,9 +471,19 @@ def test_int_key_probe_exits_cleanly(tmp_path, capsys, skey, value):
     # the rounding of its objective; a line search on that noise stalled
     (LOGREG_PROBE, {"task.beta_true": "-1 0.5"}, ("validate", "theory"), 0,
      "binding eta clause"),
+    # x* near 1e199: the agents' gradients there square past the float
+    # range
+    (RING50, {"task.noise_std": "1e200"}, ("validate", "theory"), 2,
+     "task: ||grad F(x*)||^2 = inf overflows"),
+    # x* near 1e160 fits the data almost exactly, so the gradients at x*
+    # stay small while x*.x* overflows
+    (PROBE, {"task.beta_true": "1e160 1e160", "task.noise_std": "0",
+             "task.prior_var": "1e10"}, ("validate", "theory"), 2,
+     "task: w2_init = inf overflows"),
 ], ids=["eta-tiny", "eta-subnormal", "b_scale-huge", "prior_var-tiny",
         "prior_var-subnormal", "prior_var-huge", "prior_var-eta-overflow",
-        "prior_var-flat", "newton-flat"])
+        "prior_var-flat", "newton-flat", "ring50-noise_std-overflow",
+        "w2_init-overflow"])
 def test_degenerate_theory_inputs_exit_cleanly(tmp_path, capsys, base,
                                                overrides, commands, code,
                                                message):
@@ -490,7 +509,6 @@ SWEEP_RUN = {**SWEEP_PROBE, "sampler": {**PROBE["sampler"], "steps": "20"},
              "run": {**SWEEP_PROBE["run"], "replicas": "1"}}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1e300 overflows
 @pytest.mark.parametrize("skey", [f"{section}.{f.name}"
                                   for section, cls in SECTIONS.items()
                                   for f in dataclasses.fields(cls)])

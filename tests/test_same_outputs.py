@@ -23,10 +23,12 @@ def _entries(*names):
 
 def test_matrix_covers_the_workloads_algorithms_and_commands():
     names = [e[0] for e in same_outputs.matrix()]
-    assert len(names) == len(set(names)) == 14
+    assert len(names) == len(set(names)) == 17
     assert {"linreg-compare@42", "linreg-compare@7",
             "logreg-minibatch-run@1010", "ring50-theory-shrink@7",
-            "validate", "gen-data", "sweep-h"} <= set(names)
+            "validate", "gen-data", "sweep-h",
+            "run-GEN_EXTRA_SGLD-scaled-identity-T0", "logreg-compare",
+            "logreg-sweep-h"} <= set(names)
     assert {f"run-{a}" for a in same_outputs.ALGORITHMS} <= set(names)
     assert {e[1] for e in same_outputs.matrix()} == {
         "compare", "run", "theory", "validate", "gen-data", "sweep-h"}
@@ -43,7 +45,7 @@ def test_scaled_de_sgld_noise_is_flagged(tmp_path, capsys):
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     samplers = tmp_path / "src" / "exlg" / "samplers.py"
-    rule = "return mix_apply(w, x) - eta * g + scale_x * wblk"
+    rule = "noise = noise_fn(lambda b: scale_x * b)"
     text = samplers.read_text()
     assert text.count(rule) == 1
     samplers.write_text(text.replace(rule, rule.replace(

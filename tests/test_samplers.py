@@ -148,9 +148,11 @@ class TestNoiseStream:
             assert np.array_equal(head, ref.integers(0, 2**40, 3))
 
     def test_mixed_calls_equal_a_fresh_philox(self):
-        # gaussian_block, with and without ``out``, interleaved with
-        # batch_rng streams left partly used: every draw must equal a
-        # generator built fresh at its counter, whatever came before.
+        # gaussian_block, with and without ``out``, and gaussian_blocks of
+        # one block and of many into a replica's slice of a chain's chunk
+        # array, interleaved with batch_rng streams left partly used: every
+        # draw must equal a generator built fresh at its counter, whatever
+        # came before.
         seed = derive_seed(3, "replica", 0)
 
         def fresh(k, i, tag):
@@ -160,10 +162,20 @@ class TestNoiseStream:
         s = NoiseStream(seed, 4, 2)
         order = np.random.default_rng(0)
         buf = np.empty((3, 4, 2))
-        for _ in range(60):
+        for _ in range(80):
             k = (0, 1, 2, 5, 2**40, 2**64 - 1)[order.integers(0, 6)]
             i = int(order.integers(0, 4))
-            kind = order.integers(0, 3)
+            kind = order.integers(0, 4)
+            if kind == 3:
+                c = (1, 7)[order.integers(0, 2)]
+                k0 = min(k, 2**64 - c)  # the last block at most 2^64 - 1
+                chunk = np.empty((c, 3, 4, 2))  # (steps, replicas, N, d)
+                got = s.gaussian_blocks(k0, chunk[:, i % 3])
+                assert np.shares_memory(got, chunk)
+                for j in range(c):
+                    assert np.array_equal(chunk[j, i % 3], fresh(
+                        k0 + j, 0, 1).standard_normal((4, 2)))
+                continue
             if kind == 0:
                 got = s.gaussian_block(k)
             elif kind == 1:
@@ -427,24 +439,58 @@ def _written_out_chain(task, cfg, seed, ms):
                                           temp)
             g_prev, w_prev = g, w_new
         else:
-            x, v = step_gen_extra(x, v, grads(x, k),
-                                  mix_apply(ms.w_tilde, x) / eta,
-                                  ms.w_tilde, ms.u, eta, w_new, temp)
+            bx = (cfg.b_scale * x if cfg.b_mode == "scaled-identity"
+                  else mix_apply(ms.w_tilde, x) / eta)
+            x, v = step_gen_extra(x, v, grads(x, k), bx, ms.w_tilde, ms.u,
+                                  eta, w_new, temp)
         xs.append(x)
         vs.append(v)
     gen = algo == "GEN_EXTRA_SGLD"
     return np.stack(xs), np.stack(vs) if gen else None
 
 
-@pytest.mark.parametrize("batch", [None, 2], ids=["full", "batch2"])
-@pytest.mark.parametrize("algo", ALGORITHMS)
-def test_chain_matches_step_functions(algo, batch):
+def _chain_cases():
+    """(algo, batch, noise chunk, other SamplerConfig fields): every
+    algorithm at full batch and at batch 2, with the default noise chunk
+    and with 3 steps a chunk (25 steps leave a last chunk of 1), then the
+    scaled-identity B and temperature 0."""
+    for chunk in (None, 3):
+        for algo in ALGORITHMS:
+            for batch, bid in ((None, "full"), (2, "batch2")):
+                yield pytest.param(algo, batch, chunk, {}, id=f"{algo}-{bid}"
+                                   + ("" if chunk is None else "-chunk3"))
+    yield pytest.param("GEN_EXTRA_SGLD", None, 3,
+                       {"b_mode": "scaled-identity", "b_scale": 0.7},
+                       id="GEN_EXTRA_SGLD-scaled-identity-chunk3")
+    yield pytest.param("GEN_EXTRA_SGLD", 2, 3, {"temperature": 0.0},
+                       id="GEN_EXTRA_SGLD-batch2-temperature0-chunk3")
+
+
+@pytest.mark.parametrize("algo, batch, chunk, fields", _chain_cases())
+def test_chain_matches_step_functions(monkeypatch, algo, batch, chunk,
+                                      fields):
     task = _toy_task(seed=21, n_i=6)
     ms = build_mixing_set(ring(6), h=0.35, delta=0.2)
-    cfg = SamplerConfig(algo, eta=0.02, steps=25, batch=batch)
+    cfg = SamplerConfig(algo, eta=0.02, steps=25, batch=batch, **fields)
+    rows = 1 if algo == "ULA" else task.n_agents
+    if chunk is not None:  # the noise budget of `chunk` steps of blocks
+        monkeypatch.setattr(samplers, "_NOISE_BYTES",
+                            chunk * 8 * rows * task.dim)
+    drawn = []
+
+    class Recorded(NoiseStream):
+        def gaussian_blocks(self, k0, out):
+            drawn.append(range(k0, k0 + len(out)))
+            return super().gaussian_blocks(k0, out)
+
     res = run_ensemble(
-        task, cfg, [33],
+        task, cfg, [33], noises=[Recorded(33, rows, task.dim)],
         mixing=None if algo in ("ULA", "REFERENCE_CHAIN") else ms)
+    # blocks 1 .. steps, each once, one call a chunk; the default budget
+    # holds all 25 steps
+    size = chunk or cfg.steps
+    assert drawn == [range(k, min(k + size, cfg.steps + 1))
+                     for k in range(1, cfg.steps + 1, size)]
     xs, vs = _written_out_chain(task, cfg, 33, ms)
     assert np.array_equal(res.ks, np.arange(cfg.steps + 1))
     assert np.array_equal(res.xs[:, 0], xs)
@@ -748,11 +794,10 @@ class TestPermutationEquivariance:
                 self.base, self.perm = base, perm
                 self.n_agents, self.dim = base.n_agents, base.dim
 
-            def gaussian_block(self, k, out=None):
-                blk = self.base.gaussian_block(k)[self.perm]
-                if out is not None:
-                    out[...] = blk
-                return blk
+            def gaussian_blocks(self, k0, out):
+                for j, blk in enumerate(out):
+                    blk[...] = self.base.gaussian_block(k0 + j)[self.perm]
+                return out
 
         cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=120)
         base_noise = NoiseStream(31, n, 2)
@@ -846,11 +891,11 @@ class TestChainMechanics:
                 super().__init__(seed, 6, 3)
                 self.at = at
 
-            def gaussian_block(self, k, out=None):
-                blk = super().gaussian_block(k, out)
-                if k == self.at:
-                    blk *= 1e300
-                return blk
+            def gaussian_blocks(self, k0, out):
+                super().gaussian_blocks(k0, out)
+                if 0 <= self.at - k0 < len(out):
+                    out[self.at - k0] *= 1e300
+                return out
 
         task = _toy_task()
         ms = build_mixing_set(ring(6), h=0.3, delta=0.2)

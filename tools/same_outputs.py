@@ -12,7 +12,11 @@ changed):
 - each benchmark workload at its pinned seed and at seed 7;
 - ``run`` of each of the five algorithms on the ``linreg-compare`` config;
 - ``validate`` and ``gen-data`` on that config;
-- a 3-point ``sweep-h`` on that config.
+- a 3-point ``sweep-h`` on that config;
+- a generalized-EXTRA ``run`` on that config with B = I
+  (``b_mode = scaled-identity``) at temperature 0;
+- ``compare`` of the five algorithms and a 3-point ``sweep-h`` on the
+  minibatch ``logreg-minibatch-run`` config.
 
 For each command the exit code, stdout, stderr and every written file
 are compared; ``manifest.json`` without its ``out`` and ``wall_clock_s``
@@ -59,7 +63,17 @@ def matrix() -> list:
         for a in ALGORITHMS]
     entries += [("validate", "validate", base), ("gen-data", "gen-data", base),
                 ("sweep-h", "sweep-h",
-                 base + "[sweep]\nh_min = 0.1\nh_max = 0.4\npoints = 3\n")]
+                 base + "[sweep]\nh_min = 0.1\nh_max = 0.4\npoints = 3\n"),
+                ("run-GEN_EXTRA_SGLD-scaled-identity-T0", "run",
+                 base.replace("algorithm = GEN_EXTRA_SGLD\n",
+                              "algorithm = GEN_EXTRA_SGLD\n"
+                              "b_mode = scaled-identity\ntemperature = 0\n"))]
+    log = workloads.WORKLOADS["logreg-minibatch-run"]
+    log_base = log.config_text(log.pinned_seed, "out")
+    entries += [("logreg-compare", "compare", log_base
+                 + f"[compare]\nalgorithms = {' '.join(ALGORITHMS)}\n"),
+                ("logreg-sweep-h", "sweep-h", log_base
+                 + "[sweep]\nh_min = 0.02\nh_max = 0.056\npoints = 3\n")]
     return entries
 
 
