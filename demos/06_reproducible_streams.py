@@ -31,11 +31,14 @@ print("derive_seed(master, 'replica', 1)  =",
       derive_seed(master, "replica", 1))
 
 # --- random access into a stream ------------------------------------------
+# gaussian_blocks(k0, out) writes the (agents, dim) blocks of iterates
+# k0, k0 + 1, ... into out[0], out[1], ...
 stream = NoiseStream(seed=7, n_agents=4, dim=3)
-late = stream.gaussian_block(500)[2]
-early = stream.gaussian_block(3)[0]
-again = stream.gaussian_block(500)[2]
-print("\ndraw at (k=500, agent=2) twice, with another draw in between:")
+late = stream.gaussian_blocks(500, np.empty((1, 4, 3)))[0, 2]
+early = stream.gaussian_blocks(3, np.empty((1, 4, 3)))[0, 0]
+again = stream.gaussian_blocks(499, np.empty((2, 4, 3)))[1, 2]
+print("\ndraw at (k=500, agent=2) alone, then inside the run k = 499, 500,"
+      "\nwith another draw in between:")
 print(" first :", late)
 print(" second:", again)
 assert np.array_equal(late, again)

@@ -36,27 +36,31 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser: the command is a positional choice, and the five
+    options are the same for every command, before or after it."""
     parser = argparse.ArgumentParser(
         prog="exlg",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Decentralized Langevin sampling experiments: "
-                    "validate configs, run replica ensembles, compare "
-                    "algorithms, sweep h, and evaluate the W2 bounds.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__.splitlines()[0].lower()
-                           if fn.__doc__ else None)
-        p.add_argument("--config", required=True, metavar="PATH",
-                       help="experiment config file")
-        p.add_argument("--out", metavar="DIR",
-                       help="output directory (overrides run.out)")
-        p.add_argument("--seed", type=int, metavar="U64",
-                       help="master seed (overrides run.seed)")
-        p.add_argument("--replicas", type=int, metavar="R",
-                       help="replica count (overrides run.replicas)")
-        p.add_argument("--log-level", default="INFO",
-                       choices=("DEBUG", "INFO", "WARNING", "ERROR"),
-                       help="least severe log record shown on stderr "
-                            "(default INFO)")
+                    "validate configs, run replica\nensembles, compare "
+                    "algorithms, sweep h, and evaluate the W2 bounds.",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<10} {fn.__doc__.splitlines()[0]}"
+            for name, fn in _COMMANDS.items()))
+    parser.add_argument("command", choices=list(_COMMANDS),
+                        help="one of the commands listed below")
+    parser.add_argument("--config", required=True, metavar="PATH",
+                        help="experiment config file")
+    parser.add_argument("--out", metavar="DIR",
+                        help="output directory (overrides run.out)")
+    parser.add_argument("--seed", type=int, metavar="U64",
+                        help="master seed (overrides run.seed)")
+    parser.add_argument("--replicas", type=int, metavar="R",
+                        help="replica count (overrides run.replicas)")
+    parser.add_argument("--log-level", default="INFO",
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                        help="least severe log record shown on stderr "
+                             "(default INFO)")
     return parser
 
 

@@ -1,6 +1,6 @@
 """Experiment orchestration: data, networks, replicas, metrics, CSVs.
 
-Each ``cmd_*`` function implements one CLI subcommand and returns a
+Each ``cmd_*`` function implements one CLI command and returns a
 process exit code (0 success, 2 config error, 3 assumption violation,
 4 divergence; the CLI maps raised errors to the same codes).  A run's
 replicas advance together as one ensemble (``samplers.run_ensemble``),

@@ -1,14 +1,16 @@
-"""Dense symmetric eigensolves, PSD square roots, and block mixing.
+"""Dense symmetric eigensolves, PSD square roots, and the mixing check.
 
 Everything downstream (mixing matrices, Wasserstein distances, theory
-constants) funnels through three operations here, kept deliberately small:
+constants) funnels through the operations here, kept deliberately small:
 `sym_eig`, one LAPACK ``eigh`` call on the read-only (a + a^T)/2 that
 `symmetrized` makes of a square, finite input, returning ``eigh``'s
-``(values, vectors)`` pair; `psd_sqrt`, an eigendecomposition-based root
-with a fixed relative clip window; and `mix_apply`, a block-apply that
-contracts only over the agent axis (`mixing_matrix` checks it).  Each
-takes one matrix or block, or a stack of them along leading axes; a
-stacked call gives every slice the bits of the call on that slice alone.
+``(values, vectors)`` pair; and `psd_sqrt`, an eigendecomposition-based
+root with a fixed relative clip window.  Each takes one matrix or a
+stack of them along leading axes; a stacked call gives every slice the
+bits of the call on that slice alone.  `mixing_matrix` checks that an
+(N, N) matrix contracts only over the agent axis of an (..., N, d)
+block; the chains then mix with ``np.matmul``, one BLAS call per (N, d)
+slice, identical to the call on that slice alone.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ __all__ = [
     "sym_eig",
     "psd_sqrt",
     "mixing_matrix",
-    "mix_apply",
 ]
 
 
@@ -97,8 +98,8 @@ def psd_sqrt(a) -> np.ndarray:
 
 
 def mixing_matrix(m, shape) -> np.ndarray:
-    """``m`` as the float (N, N) matrix that `mix_apply` applies to a
-    block of ``shape`` (..., N, d); ``ValueError`` when it does not fit."""
+    """``m`` as the float (N, N) matrix that mixes a block of ``shape``
+    (..., N, d) by ``np.matmul``; ``ValueError`` when it does not fit."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"mixing matrix must be square, got shape {m.shape}")
@@ -107,15 +108,3 @@ def mixing_matrix(m, shape) -> np.ndarray:
                          f"with {m.shape[0]} agents")
     return m
 
-
-def mix_apply(m, x: np.ndarray) -> np.ndarray:
-    """Apply an (N, N) mixing matrix across the agent axis of an (..., N, d)
-    block.
-
-    Row i of the result is sum_j m[i, j] * x[..., j, :]; equivalent to
-    (m kron I_d) acting on the stacked vector, without ever forming the
-    Kronecker product.  A stacked block is one ``np.matmul``: one BLAS
-    call per (N, d) slice, identical to the call on that slice alone.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.matmul(mixing_matrix(m, x.shape), x)

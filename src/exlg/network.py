@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import mix_apply, sym_eig
+from .linalg import sym_eig
 
 __all__ = [
     "TOPOLOGY_KINDS",
@@ -348,7 +348,7 @@ def validate_assumptions(ms: MixingSet) -> Report:
         f"dim null(U) = {null_dim}, required exactly 1 (span of ones)")
 
     ones = np.ones(n) / np.sqrt(n)
-    resid = float(np.max(np.abs(mix_apply(ms.u, ones[:, None]))))
+    resid = float(np.max(np.abs(np.matmul(ms.u, ones[:, None]))))
     add("ones-in-null", resid <= 1e-10,
         f"max |U 1|/sqrt(n) = {resid:.3e} (<= 1e-10)")
 

@@ -19,8 +19,8 @@ references it again (the EXTRA difference term), so minibatch noise enters
 each recursion exactly the way the gradient-noise variable does in the
 algebra.
 The same gradient draw and the same Gaussian block feed both halves of the
-generalized update.  Temperature 0 switches every noise term off and leaves
-the optimization skeleton (DGD, EXTRA).
+generalized update.  Temperature 0 switches every noise term off, draws
+no Gaussian block, and leaves the optimization skeleton (DGD, EXTRA).
 
 `run_ensemble` advances R replicas together: the state is one
 (R, rows, d) array, where rows is the agent count (1 for ULA and the
@@ -151,9 +151,9 @@ def derive_seed(master: int, *parts) -> int:
 class NoiseStream:
     """Counter-based Gaussian supply, deterministic in (seed, k, i).
 
-    ``gaussian_block(k)`` returns the (N, d) block for iterate k, row i
-    agent i's draw, and ``gaussian_blocks(k0, out)`` those of a run of
-    iterates, in one call.  ``batch_rng(k, i)`` hands out an independent
+    ``gaussian_blocks(k0, out)`` writes the (N, d) blocks of iterates k0,
+    k0 + 1, ... into ``out``, in one call; row i of a block is agent i's
+    draw.  ``batch_rng(k, i)`` hands out an independent
     Generator for agent i's minibatch indices at iterate k.  Streams are
     separated in the high Philox counter words, so no amount of drawing
     from one can reach another.
@@ -197,12 +197,6 @@ class NoiseStream:
             bits.state = fresh
             normal(shape, out=blk)
         return out
-
-    def gaussian_block(self, k: int, out=None) -> np.ndarray:
-        """The (N, d) block for iterate k, written into ``out`` (a float64
-        (N, d) array) when given."""
-        out = np.empty(self._shape) if out is None else out
-        return self.gaussian_blocks(k, out[None])[0]
 
     def batch_rng(self, k: int, i: int) -> np.random.Generator:
         self._ctr[1:] = k, i, _TAG_BATCH
@@ -508,6 +502,8 @@ def _step_fn(oracle, cfg: SamplerConfig, mixing, noises):
 
     def noise_fn(form):
         def draw(k, c):
+            if not cfg.temperature:  # every noise term is 0: draw no block
+                return form(np.zeros((c,) + shape))
             blocks = np.empty((c,) + shape)
             for r, nz in enumerate(noises):
                 nz.gaussian_blocks(k + 1, blocks[:, r])
@@ -526,7 +522,8 @@ def _step_fn(oracle, cfg: SamplerConfig, mixing, noises):
         noise = noise_fn(lambda b: scale_x * b.mean(axis=2, keepdims=True))
         return lambda k, x, v: (x - s * grad_sum(x, k) + noise(k), v)
 
-    # mix_apply's checks, once; then each product is its one np.matmul
+    # the shape checks of mixing_matrix, once; then each product is its
+    # one np.matmul
     w, w_tilde, u = (mixing_matrix(m, shape)
                      for m in (mixing.w, mixing.w_tilde, mixing.u))
 

@@ -257,10 +257,12 @@ class LinRegTask(_ShardedTask):
 
     def __init__(self, xs, ys, prior_var):
         super().__init__(xs, ys, prior_var)
-        self._gram = np.stack([2.0 * (x.T @ x) for x in self.xs])
+        # one stacked product each, with every agent's 2 X^T X and 2 X^T y
+        # bits (tests/test_tasks.py holds them to the per-agent products)
+        xt = self.xs.swapaxes(1, 2)
+        self._gram = 2.0 * (xt @ self.xs)
         self._gram_t = self._gram.transpose(2, 0, 1)  # [j][a, c] = G_a[c, j]
-        self._xty = np.stack(
-            [2.0 * (x.T @ y) for x, y in zip(self.xs, self.ys)])
+        self._xty = 2.0 * (xt @ self.ys[..., None])[..., 0]
         xy = np.concatenate([self.xs, self.ys[..., None]], -1)
         self._flat = np.ascontiguousarray(xy.reshape(-1, self.dim + 1).T)
 

@@ -8,13 +8,15 @@ values must equal these functions on one record, and every value of
 ``run_ensemble`` advances every replica with one step-table entry; each
 transition must equal the ``step_*`` function of its chain on one
 replica.  ``RawMixing`` drives a sampler with hand-built matrices.
+``mix`` is the chains' mixing product and ``gaussian_block`` one block
+of a `NoiseStream`, drawn alone.
 """
 
 import dataclasses
 
 import numpy as np
 
-from exlg.linalg import mix_apply, psd_sqrt
+from exlg.linalg import mixing_matrix, psd_sqrt
 from exlg.tasks import GaussianDist
 
 
@@ -95,13 +97,25 @@ class RawMixing:
         return np.asarray(self.w).shape[0]
 
 
+def mix(m, x):
+    """An (N, N) mixing matrix applied across the agent axis of an
+    (..., N, d) block, as the chains apply it."""
+    return np.matmul(mixing_matrix(m, x.shape), x)
+
+
+def gaussian_block(stream, k):
+    """A stream's (N, d) block for iterate k, drawn on its own."""
+    return stream.gaussian_blocks(k, np.empty((1, stream.n_agents,
+                                               stream.dim)))[0]
+
+
 def step_ula(x, grad_sum, eta, noise, temperature=1.0):
     return x - eta * grad_sum + temperature * np.sqrt(2.0 * eta) * noise
 
 
 def step_de_sgld(x, grads, w, eta, noise, temperature=1.0):
     return (
-        mix_apply(w, x) - eta * grads + temperature * np.sqrt(2.0 * eta) * noise
+        mix(w, x) - eta * grads + temperature * np.sqrt(2.0 * eta) * noise
     )
 
 
@@ -112,14 +126,14 @@ def step_gen_extra(x, v, grads, bx, w_tilde, u, eta, noise, temperature=1.0):
     both halves consume the same arrays.
     """
     x_next = (
-        mix_apply(w_tilde, x)
+        mix(w_tilde, x)
         - eta * (grads + v)
         + temperature * np.sqrt(2.0 * eta) * noise
     )
     v_next = (
         v
-        - mix_apply(u, v + grads - bx)
-        + temperature * np.sqrt(2.0 / eta) * mix_apply(u, noise)
+        - mix(u, v + grads - bx)
+        + temperature * np.sqrt(2.0 / eta) * mix(u, noise)
     )
     return x_next, v_next
 
@@ -135,8 +149,8 @@ def step_extra_two(
     """
     return (
         x_curr
-        + mix_apply(w, x_curr)
-        - mix_apply(w_tilde, x_prev)
+        + mix(w, x_curr)
+        - mix(w_tilde, x_prev)
         - eta * (grads_curr - grads_prev)
         + temperature * np.sqrt(2.0 * eta) * noise_diff
     )

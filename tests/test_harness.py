@@ -13,6 +13,7 @@ import logging
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -159,6 +160,46 @@ def read_metrics(path):
             k, label, value = line.strip().split(",")
             series.setdefault(label, []).append((int(k), value))
     return series
+
+
+class TestCli:
+    def test_help_lists_every_command(self, capsys):
+        from exlg.cli import _COMMANDS
+
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        for name, fn in _COMMANDS.items():
+            line = fn.__doc__.splitlines()[0]
+            assert re.search(rf"^  {re.escape(name)} +{re.escape(line)}$",
+                             out, re.MULTILINE), name
+
+    def test_command_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["theory", "--help"])
+        assert exit_.value.code == 0
+        assert "--config PATH" in capsys.readouterr().out
+
+    def test_unknown_command_exits_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["thoery", "--config", make_cfg(tmp_path)])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'thoery'" in capsys.readouterr().err
+
+    def test_options_may_precede_the_command(self, tmp_path):
+        path = make_cfg(tmp_path, text=BASE + "\n[theory]\nshrink = true\n")
+
+        def csvs(argv, out):
+            assert main(argv) == EXIT_OK
+            return {n: (out / n).read_bytes() for n in sorted(os.listdir(out))
+                    if n.endswith(".csv")}
+
+        a, b, c = (tmp_path / name for name in "abc")
+        usual = csvs(["theory", "--config", path, "--out", str(a)], a)
+        assert usual
+        assert csvs(["--config", path, "theory", "--out", str(b)], b) == usual
+        assert csvs(["--out", str(c), "--config", path, "theory"], c) == usual
 
 
 class TestValidate:

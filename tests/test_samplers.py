@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exlg.linalg import mix_apply
 from exlg.network import build_mixing_set, ring
 from exlg import samplers
 from exlg.samplers import (
@@ -38,6 +37,8 @@ from exlg.tasks import (
 
 from oracles import (
     RawMixing,
+    gaussian_block,
+    mix,
     step_de_sgld,
     step_extra_two,
     step_gen_extra,
@@ -97,26 +98,27 @@ class TestNoiseStream:
     def test_deterministic_in_seed_k_i(self):
         a = NoiseStream(99, 4, 3)
         b = NoiseStream(99, 4, 3)
-        assert np.array_equal(a.gaussian_block(5)[2], b.gaussian_block(5)[2])
-        assert np.array_equal(a.gaussian_block(17), b.gaussian_block(17))
+        assert np.array_equal(gaussian_block(a, 5)[2], gaussian_block(b, 5)[2])
+        assert np.array_equal(gaussian_block(a, 17), gaussian_block(b, 17))
 
     def test_streams_independent_of_draw_order(self):
         s = NoiseStream(2, 3, 2)
-        early = s.gaussian_block(50).copy()
+        early = gaussian_block(s, 50)
         for k in range(50):
-            s.gaussian_block(k)
-        assert np.array_equal(s.gaussian_block(50), early)
+            gaussian_block(s, k)
+        assert np.array_equal(gaussian_block(s, 50), early)
 
     def test_distinct_k_and_seed(self):
         s = NoiseStream(3, 2, 2)
-        assert not np.array_equal(s.gaussian_block(0), s.gaussian_block(1))
+        assert not np.array_equal(gaussian_block(s, 0), gaussian_block(s, 1))
         other = NoiseStream(4, 2, 2)
-        assert not np.array_equal(s.gaussian_block(0), other.gaussian_block(0))
+        assert not np.array_equal(gaussian_block(s, 0),
+                                  gaussian_block(other, 0))
 
     def test_batch_rng_separate_from_gaussians(self):
         s = NoiseStream(5, 2, 2)
         draws1 = s.batch_rng(0, 1).integers(0, 100, size=5)
-        s.gaussian_block(0)
+        gaussian_block(s, 0)
         draws2 = s.batch_rng(0, 1).integers(0, 100, size=5)
         assert np.array_equal(draws1, draws2)
 
@@ -132,7 +134,7 @@ class TestNoiseStream:
 
         s = NoiseStream(seed, 5, 3)
         for k, i in ((0, 0), (1, 4), (7, 2), (1, 4), (123456, 3), (0, 0)):
-            assert np.array_equal(s.gaussian_block(k),
+            assert np.array_equal(gaussian_block(s, k),
                                   fresh(k, 0, 1).standard_normal((5, 3)))
             assert np.array_equal(s.batch_rng(k, i).choice(40, 8,
                                                            replace=False),
@@ -142,14 +144,14 @@ class TestNoiseStream:
             # a partly used generator, then a reset in the middle of it
             rng = s.batch_rng(k, i)
             head = rng.integers(0, 2**40, 3)
-            assert np.array_equal(s.gaussian_block(k)[1],
+            assert np.array_equal(gaussian_block(s, k)[1],
                                   fresh(k, 0, 1).standard_normal((5, 3))[1])
             ref = fresh(k, i, 2)
             assert np.array_equal(head, ref.integers(0, 2**40, 3))
 
     def test_mixed_calls_equal_a_fresh_philox(self):
-        # gaussian_block, with and without ``out``, and gaussian_blocks of
-        # one block and of many into a replica's slice of a chain's chunk
+        # gaussian_blocks of one block into a fresh array or into a kept
+        # buffer, and of many into a replica's slice of a chain's chunk
         # array, interleaved with batch_rng streams left partly used: every
         # draw must equal a generator built fresh at its counter, whatever
         # came before.
@@ -177,9 +179,9 @@ class TestNoiseStream:
                         k0 + j, 0, 1).standard_normal((4, 2)))
                 continue
             if kind == 0:
-                got = s.gaussian_block(k)
+                got = gaussian_block(s, k)
             elif kind == 1:
-                got = s.gaussian_block(k, buf[i % 3])
+                got = s.gaussian_blocks(k, buf[i % 3][None])
                 assert np.shares_memory(got, buf[i % 3])
                 got = buf[i % 3].copy()
             else:
@@ -194,7 +196,7 @@ class TestNoiseStream:
         # the reset state is held in Python ints: the largest counter word
         # and both key words at 2^64 - 1 must reach Philox unchanged
         seed, k = 2**128 - 1, 2**64 - 1
-        got = NoiseStream(seed, 3, 2).gaussian_block(k)
+        got = gaussian_block(NoiseStream(seed, 3, 2), k)
         ref = np.random.Generator(np.random.Philox(
             key=seed, counter=np.array([0, k, 0, 1], dtype=np.uint64)))
         assert np.array_equal(got, ref.standard_normal((3, 2)))
@@ -422,7 +424,7 @@ def _written_out_chain(task, cfg, seed, ms):
     xs, vs = [x], [v]
     x_prev = g_prev = w_prev = None
     for k in range(cfg.steps):
-        w_new = noise.gaussian_block(k + 1)
+        w_new = gaussian_block(noise, k + 1)
         if algo == "ULA":
             x = step_ula(x, grad_sum(x, k), eta, w_new[:1], temp)
         elif algo == "REFERENCE_CHAIN":
@@ -440,7 +442,7 @@ def _written_out_chain(task, cfg, seed, ms):
             g_prev, w_prev = g, w_new
         else:
             bx = (cfg.b_scale * x if cfg.b_mode == "scaled-identity"
-                  else mix_apply(ms.w_tilde, x) / eta)
+                  else mix(ms.w_tilde, x) / eta)
             x, v = step_gen_extra(x, v, grads(x, k), bx, ms.w_tilde, ms.u,
                                   eta, w_new, temp)
         xs.append(x)
@@ -453,7 +455,8 @@ def _chain_cases():
     """(algo, batch, noise chunk, other SamplerConfig fields): every
     algorithm at full batch and at batch 2, with the default noise chunk
     and with 3 steps a chunk (25 steps leave a last chunk of 1), then the
-    scaled-identity B and temperature 0."""
+    scaled-identity B, and temperature 0 (DGD, EXTRA and the generalized
+    skeleton)."""
     for chunk in (None, 3):
         for algo in ALGORITHMS:
             for batch, bid in ((None, "full"), (2, "batch2")):
@@ -464,6 +467,9 @@ def _chain_cases():
                        id="GEN_EXTRA_SGLD-scaled-identity-chunk3")
     yield pytest.param("GEN_EXTRA_SGLD", 2, 3, {"temperature": 0.0},
                        id="GEN_EXTRA_SGLD-batch2-temperature0-chunk3")
+    for algo in ("DE_SGLD", "EXTRA_SGLD"):
+        yield pytest.param(algo, None, 3, {"temperature": 0.0},
+                           id=f"{algo}-full-temperature0-chunk3")
 
 
 @pytest.mark.parametrize("algo, batch, chunk, fields", _chain_cases())
@@ -486,11 +492,12 @@ def test_chain_matches_step_functions(monkeypatch, algo, batch, chunk,
     res = run_ensemble(
         task, cfg, [33], noises=[Recorded(33, rows, task.dim)],
         mixing=None if algo in ("ULA", "REFERENCE_CHAIN") else ms)
-    # blocks 1 .. steps, each once, one call a chunk; the default budget
-    # holds all 25 steps
+    # blocks 1 .. steps, each once, one call a chunk (the default budget
+    # holds all 25 steps); none at temperature 0
     size = chunk or cfg.steps
     assert drawn == [range(k, min(k + size, cfg.steps + 1))
-                     for k in range(1, cfg.steps + 1, size)]
+                     for k in range(1, cfg.steps + 1, size)
+                     if cfg.temperature]
     xs, vs = _written_out_chain(task, cfg, 33, ms)
     assert np.array_equal(res.ks, np.arange(cfg.steps + 1))
     assert np.array_equal(res.xs[:, 0], xs)
@@ -796,7 +803,7 @@ class TestPermutationEquivariance:
 
             def gaussian_blocks(self, k0, out):
                 for j, blk in enumerate(out):
-                    blk[...] = self.base.gaussian_block(k0 + j)[self.perm]
+                    blk[...] = gaussian_block(self.base, k0 + j)[self.perm]
                 return out
 
         cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=120)

@@ -381,6 +381,24 @@ def test_stacked_gram_solve_gives_each_shard_its_own_bits(kind):
         assert np.array_equal(whole_vecs[i], vecs)
 
 
+@pytest.mark.parametrize("n_agents, rows, dim", [
+    (1, 7, 3), (4, 1, 3), (4, 6, 1), (1, 1, 1), (5, 200, 9), (50, 100, 2)],
+    ids=["one-agent", "one-row", "one-feature", "all-one", "wide",
+         "ring50"])
+def test_stacked_statistics_equal_the_per_agent_products(n_agents, rows,
+                                                         dim):
+    # the Gram and X^T y stacks are one batched product each; every slice
+    # must keep the bits of agent i's own 2 X_i^T X_i and 2 X_i^T y_i
+    rng = np.random.default_rng(n_agents * 1000 + rows * 10 + dim)
+    shards = [gen_linreg_data(rows, rng.standard_normal(dim), 1.0, rng)
+              for _ in range(n_agents)]
+    task = LinRegTask(*zip(*shards), prior_var=3.0)
+    assert np.array_equal(task._gram, np.stack(
+        [2.0 * (x.T @ x) for x in task.xs]))
+    assert np.array_equal(task._xty, np.stack(
+        [2.0 * (x.T @ y) for x, y in zip(task.xs, task.ys)]))
+
+
 @pytest.mark.parametrize("kind", ["linreg", "logreg"])
 class TestShardStacks:
     """Tasks hold their equal shards as one (N, n, d) stack."""

@@ -30,6 +30,8 @@ KNOWN_STALE = {
     "tasks.mu_L_bounds",
     "samplers.run_chain",
     "metrics.w2_gaussian",
+    "linalg.mix_apply",
+    "samplers.NoiseStream.gaussian_block",
 }
 
 

@@ -15,6 +15,10 @@ changed):
 - a 3-point ``sweep-h`` on that config;
 - a generalized-EXTRA ``run`` on that config with B = I
   (``b_mode = scaled-identity``) at temperature 0;
+- ``run`` of EXTRA-SGLD (whose noise carries a block across chunks) and
+  of DE-SGLD (which is then DGD) on that config at temperature 0;
+- ``run`` on that config with ``--seed 7 --replicas 3 --log-level
+  WARNING``, the flags that override the config;
 - ``compare`` of the five algorithms and a 3-point ``sweep-h`` on the
   minibatch ``logreg-minibatch-run`` config.
 
@@ -49,7 +53,8 @@ _UNSTABLE = ("out", "wall_clock_s")
 
 
 def matrix() -> list:
-    """(name, command, config text) of every command compared."""
+    """(name, command, config text, extra argv) of every command
+    compared."""
     entries = [(f"{w.name}@{seed}", w.command, w.config_text(seed, "out"))
                for w in workloads.WORKLOADS.values()
                for seed in (w.pinned_seed, 7)]
@@ -58,28 +63,38 @@ def matrix() -> list:
     if "algorithm = GEN_EXTRA_SGLD\n" not in base:
         raise RuntimeError("the linreg-compare config names no "
                            "GEN_EXTRA_SGLD algorithm line to replace")
-    entries += [(f"run-{a}", "run", base.replace(
-        "algorithm = GEN_EXTRA_SGLD\n", f"algorithm = {a}\n"))
-        for a in ALGORITHMS]
+
+    def algorithm(a, extra=""):
+        """The linreg-compare config running ``a``, with sampler lines
+        ``extra``."""
+        return base.replace("algorithm = GEN_EXTRA_SGLD\n",
+                            f"algorithm = {a}\n{extra}")
+
+    entries += [(f"run-{a}", "run", algorithm(a)) for a in ALGORITHMS]
     entries += [("validate", "validate", base), ("gen-data", "gen-data", base),
                 ("sweep-h", "sweep-h",
                  base + "[sweep]\nh_min = 0.1\nh_max = 0.4\npoints = 3\n"),
                 ("run-GEN_EXTRA_SGLD-scaled-identity-T0", "run",
-                 base.replace("algorithm = GEN_EXTRA_SGLD\n",
-                              "algorithm = GEN_EXTRA_SGLD\n"
-                              "b_mode = scaled-identity\ntemperature = 0\n"))]
+                 algorithm("GEN_EXTRA_SGLD",
+                           "b_mode = scaled-identity\ntemperature = 0\n"))]
+    entries += [(f"run-{a}-T0", "run", algorithm(a, "temperature = 0\n"))
+                for a in ("EXTRA_SGLD", "DE_SGLD")]
     log = workloads.WORKLOADS["logreg-minibatch-run"]
     log_base = log.config_text(log.pinned_seed, "out")
     entries += [("logreg-compare", "compare", log_base
                  + f"[compare]\nalgorithms = {' '.join(ALGORITHMS)}\n"),
                 ("logreg-sweep-h", "sweep-h", log_base
                  + "[sweep]\nh_min = 0.02\nh_max = 0.056\npoints = 3\n")]
-    return entries
+    flags = ("--seed", "7", "--replicas", "3", "--log-level", "WARNING")
+    return [(*e, ()) for e in entries] + [
+        ("run-flag-overrides", "run", base, flags)]
 
 
-def run(tree: str, command: str, config: str, work: str) -> dict:
-    """Run one command of ``tree`` in the fresh directory ``work``: its
-    exit code, stdout, stderr and {relative path: bytes} of what it wrote
+def run(tree: str, command: str, config: str, work: str,
+        extra=()) -> dict:
+    """Run one command of ``tree``, with the argv ``extra`` after its
+    config and output flags, in the fresh directory ``work``: its exit
+    code, stdout, stderr and {relative path: bytes} of what it wrote
     under ``out``."""
     os.makedirs(work)
     with open(os.path.join(work, "exp.ini"), "w") as fh:
@@ -88,7 +103,7 @@ def run(tree: str, command: str, config: str, work: str) -> dict:
                PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "exlg.cli", command, "--config", "exp.ini",
-         "--out", "out"], cwd=work, env=env, capture_output=True)
+         "--out", "out", *extra], cwd=work, env=env, capture_output=True)
     files = {}
     out = os.path.join(work, "out")
     for d, _, names in os.walk(out):
@@ -136,9 +151,9 @@ def compare_trees(parent: str, change: str, entries) -> bool:
     whether every entry is identical."""
     same = True
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
-        for i, (name, command, config) in enumerate(entries):
+        for i, (name, command, config, extra) in enumerate(entries):
             a, b = (run(tree, command, config,
-                        os.path.join(tmp, side, str(i)))
+                        os.path.join(tmp, side, str(i)), extra)
                     for side, tree in (("parent", parent),
                                        ("change", change)))
             found = differences(a, b)
