@@ -35,6 +35,10 @@ _COMMANDS = {
 }
 
 
+# main's log handler while the root logger has no other
+_STDERR = logging.StreamHandler()
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One parser: the command is a positional choice, and the five
     options are the same for every command, before or after it."""
@@ -66,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO,
+    _STDERR.stream = sys.stderr  # this call's, not the first call's
+    logging.basicConfig(handlers=[_STDERR], level=logging.INFO,
                         format="%(levelname)s %(message)s")
     logging.getLogger("exlg").setLevel(args.log_level)
     overrides = {

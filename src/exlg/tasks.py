@@ -17,14 +17,15 @@ Gradient conventions (the per-agent f_i everything samples from):
 
 ``partition_data`` cuts a dataset into the shards a task holds: one
 (N, n, d) feature stack and one (N, n) target stack, n rows per agent.
-Each task's ``grad_block(x, idx=None)`` evaluates these at every row of
-an (R, N, d) block in one call, with or without minibatch indices; it is
-the only gradient entry point.  Blocks are feature-major: a minibatch is
-one ``np.take`` of (features, replicas, agents, batch) from a flat
-(features, N*n) copy of the shards, made once.  A row's bits do not depend
-on how many rows share the call: products over the feature axis run as a
-fixed-order loop of elementwise operations, and sums over data rows run
-along a contiguous last axis.
+Each task's ``grad_block(x, rows=None)`` evaluates these at every row of
+an (R, N, d) block in one call, over whole shards or minibatch ``rows``;
+it is the only gradient entry point.  ``rows(idx)`` gathers the rows of
+one step's or a chunk's indices in one ``np.take`` from a flat
+(features, N*n) copy of the shards, made once: a step's are (features,
+replicas, agents, batch).  A row's bits do not depend on how many rows
+share the call: products over the feature axis run as a fixed-order loop
+of elementwise operations, and sums over data rows run along a
+contiguous last axis.
 
 A task answers for its model, so scoring and the bound ask it and never
 branch on its class: ``minimizer()`` is x*, ``mu_L()`` the (mu, L)
@@ -164,13 +165,13 @@ def _rmatvec(a, r):
 
 class _ShardedTask:
     """What both tasks share: the shard stacks, the block gradient's
-    argument handling and minibatch gather, and the prior term.
+    argument checks, the minibatch gather `rows`, and the prior term.
 
     ``xs`` and ``ys`` are the (N, n, d) feature stack and (N, n) target
     stack that ``partition_data`` cuts (or a sequence of equal shards,
     stacked); ``prior_var`` is lambda.  Each subclass keeps its model
     state and ``_flat``, the feature-major (c, N*n) copy of an (N, n, c)
-    stack of per-row data that `_gather` reads.
+    stack of per-row data that `rows` reads.
     """
 
     def __init__(self, xs, ys, prior_var):
@@ -217,21 +218,16 @@ class _ShardedTask:
     def _prior_grad(self, beta):
         return beta / self._lam_n
 
-    def _block_args(self, x, idx):
-        """x as an (R, N, d) float array, and idx as None or (R, N, b)
-        shard rows in [0, shard_size).  Indices obey numpy's rules for
-        indexing one shard: integers only, and negative ones count from
-        the end."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 3 or x.shape[1:] != self._rows:
-            raise ValueError(f"block shape {x.shape} is not "
-                             f"(R, {self.n_agents}, {self.dim})")
-        if idx is None:
-            return x, None
+    def rows(self, idx):
+        """The (..., c, R, N, b) `grad_block` rows of (..., R, N, b)
+        minibatch indices, one ``np.take``: entry j, for leading indices
+        j, is the rows of idx[j], agent i's in [0, shard_size).  Indices
+        obey numpy's rules for indexing one shard: integers only, and
+        negative ones count from the end."""
         idx = np.asarray(idx)
-        if idx.ndim != 3 or idx.shape[:2] != x.shape[:2]:
-            raise ValueError(
-                f"index shape {idx.shape} is not {x.shape[:2]} + (b,)")
+        if idx.ndim < 3 or idx.shape[-2] != self.n_agents:
+            raise ValueError(f"index shape {idx.shape} is not "
+                             f"(..., R, {self.n_agents}, b)")
         if idx.dtype.kind not in "iu":
             raise IndexError(
                 f"minibatch indices must be integers, not {idx.dtype}")
@@ -239,12 +235,22 @@ class _ShardedTask:
         lo = idx.min(initial=0)
         if lo < -n or idx.max(initial=0) >= n:
             raise IndexError(f"minibatch index outside [-{n}, {n})")
-        return x, idx % n if lo < 0 else idx
+        idx = idx % n if lo < 0 else idx
+        return np.moveaxis(
+            np.take(self._flat, np.add(self._row0[:, None], idx, order="C"),
+                    axis=1), 0, -4)
 
-    def _gather(self, idx):
-        """The ``_flat`` columns of shard rows ``idx`` (R, N, b), agent i
-        at row i: one feature-major (c, R, N, b) take."""
-        return np.take(self._flat, self._row0[:, None] + idx, axis=1)
+    def _block_args(self, x, rows):
+        """x as an (R, N, d) float array, checked, with ``rows`` None or
+        a (c, R, N, b) slice of `rows` for the same R and N."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 3 or x.shape[1:] != self._rows:
+            raise ValueError(f"block shape {x.shape} is not "
+                             f"(R, {self.n_agents}, {self.dim})")
+        if rows is not None and rows.shape[1:-1] != x.shape[:2]:
+            raise ValueError(f"index shape {rows.shape[1:]} is not "
+                             f"{x.shape[:2]} + (b,)")
+        return x
 
 
 class LinRegTask(_ShardedTask):
@@ -266,23 +272,22 @@ class LinRegTask(_ShardedTask):
         xy = np.concatenate([self.xs, self.ys[..., None]], -1)
         self._flat = np.ascontiguousarray(xy.reshape(-1, self.dim + 1).T)
 
-    def grad_block(self, x, idx=None):
+    def grad_block(self, x, rows=None):
         """Gradients at every row of an (R, N, d) block.
 
-        Row i of replica r gets grad f_i(x[r, i]).  With ``idx``
-        (R, N, b), the data part is the minibatch estimate over those
-        shard rows, scaled by n / b.  A row's bits do not depend on R or
-        on the other rows.
+        Row i of replica r gets grad f_i(x[r, i]).  With ``rows``, a
+        (c, R, N, b) slice of `rows`, the data part is the minibatch
+        estimate over those shard rows, scaled by n / b.  A row's bits do
+        not depend on R or on the other rows.
         """
-        x, idx = self._block_args(x, idx)
+        x = self._block_args(x, rows)
         xt = x.transpose(2, 0, 1)[..., None]
-        if idx is None:
+        if rows is None:
             data = _matvec(self._gram_t, xt) - self._xty
-        else:
-            blk = self._gather(idx)  # the d features, then y
-            resid = _matvec(blk[:-1], xt) - blk[-1]
-            data = (self.shard_size / idx.shape[-1]) \
-                * (2.0 * _rmatvec(blk[:-1], resid))
+        else:  # rows: the d features, then y
+            resid = _matvec(rows[:-1], xt) - rows[-1]
+            data = (self.shard_size / rows.shape[-1]) \
+                * (2.0 * _rmatvec(rows[:-1], resid))
         return data + self._prior_grad(x)
 
     def _normal_equations(self):
@@ -335,21 +340,21 @@ class LogRegTask(_ShardedTask):
         """None: the logistic posterior has no closed form."""
         return None
 
-    def grad_block(self, x, idx=None):
+    def grad_block(self, x, rows=None):
         """Gradients at every row of an (R, N, d) block.
 
-        Row i of replica r gets grad f_i(x[r, i]).  With ``idx``
-        (R, N, b), the data part is the minibatch estimate over those
-        shard rows, scaled by n / b.  A row's bits do not depend on R or
-        on the other rows.
+        Row i of replica r gets grad f_i(x[r, i]).  With ``rows``, a
+        (c, R, N, b) slice of `rows`, the data part is the minibatch
+        estimate over those shard rows, scaled by n / b.  A row's bits do
+        not depend on R or on the other rows.
         """
-        x, idx = self._block_args(x, idx)
+        x = self._block_args(x, rows)
         s = (self._flat.reshape(self.dim, 1, self.n_agents, -1)
-             if idx is None else self._gather(idx))
+             if rows is None else rows)
         z = _matvec(s, x.transpose(2, 0, 1)[..., None])
         data = -_rmatvec(s, _sigmoid_neg(z))
-        if idx is not None:
-            data = (self.shard_size / idx.shape[-1]) * data
+        if rows is not None:
+            data = (self.shard_size / rows.shape[-1]) * data
         return data + self._prior_grad(x)
 
     def minimizer(self) -> np.ndarray:

@@ -465,7 +465,8 @@ def _grad_noise(task, x: np.ndarray, batch: Optional[int]) -> float:
         return 0.0
     rows = task.grad_block(
         np.broadcast_to(x, (n, task.n_agents, task.dim)),
-        np.broadcast_to(np.arange(n)[:, None, None], (n, task.n_agents, 1)))
+        task.rows(np.broadcast_to(np.arange(n)[:, None, None],
+                                  (n, task.n_agents, 1))))
     return (1.0 / batch - 1.0 / n) * float(np.var(rows, axis=0, ddof=1).sum())
 
 

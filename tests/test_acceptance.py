@@ -313,8 +313,8 @@ def test_07_minibatch_unbiasedness():
     n_i = big.xs[0].shape[0]
     # agent 0's batch, given to every agent; row 0 reads agent 0's
     draws = np.array([
-        big.grad_block(block, np.broadcast_to(
-            rng.choice(n_i, 4, replace=False), (1, 3, 4)))[0, 0]
+        big.grad_block(block, big.rows(np.broadcast_to(
+            rng.choice(n_i, 4, replace=False), (1, 3, 4))))[0, 0]
         for _ in range(10_000)])
     se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - full) <= 3.0 * se + 1e-12)

@@ -6,6 +6,7 @@ seconds.  The determinism checks compare emitted bytes, not parsed
 values: that is the actual contract.
 """
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import exlg
-from exlg import __version__, harness, tasks, theory
+from exlg import __version__, cli, harness, tasks, theory
 from exlg.cli import main
 from exlg.config import ConfigError, load_config
 from exlg.harness import (
@@ -200,6 +201,31 @@ class TestCli:
         assert usual
         assert csvs(["--config", path, "theory", "--out", str(b)], b) == usual
         assert csvs(["--out", str(c), "--config", path, "theory"], c) == usual
+
+    def test_each_call_logs_to_its_own_stderr(self, tmp_path, monkeypatch):
+        # no handler of a caller's (pytest's are set aside), so main logs
+        # to stderr itself; the first file is closed before the second call
+        root = logging.getLogger()
+        monkeypatch.setattr(root, "handlers", [])
+        monkeypatch.setattr(root, "level", root.level)
+        path = make_cfg(tmp_path, text=BASE + "\n[theory]\nshrink = true\n")
+        logs = []
+        for name in ("first.log", "second.log"):
+            with open(tmp_path / name, "w") as fh, \
+                    contextlib.redirect_stderr(fh):
+                assert main(["theory", "--config", path]) == EXIT_OK
+            logs.append((tmp_path / name).read_text().splitlines())
+        assert logs[0] and logs[0] == logs[1]
+        assert all(re.match(r"^INFO \S", line) for line in logs[0])
+        assert root.handlers == [cli._STDERR]
+
+    def test_a_callers_handlers_stay(self, tmp_path, caplog, capsys):
+        path = make_cfg(tmp_path, text=BASE + "\n[theory]\nshrink = true\n")
+        with caplog.at_level(logging.INFO, logger="exlg"):
+            assert main(["theory", "--config", path]) == EXIT_OK
+        assert caplog.records
+        assert cli._STDERR not in logging.getLogger().handlers
+        assert "INFO" not in capsys.readouterr().err
 
 
 class TestValidate:
@@ -1114,7 +1140,7 @@ class SpikeOracle:
     n_agents: int = 6
     dim: int = 2
 
-    def grad_block(self, x, idx=None):
+    def grad_block(self, x, rows=None):
         return x - 1e16 * (np.arange(self.n_agents) == 3)[:, None]
 
 

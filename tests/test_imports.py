@@ -79,7 +79,8 @@ x, y = gen_logreg_data(24, np.array([1.0, -0.5]),
                        np.random.default_rng(0))
 task = LogRegTask(xs=x.reshape(4, 6, 2), ys=y.reshape(4, 6), prior_var=2.0)
 task.grad_block(np.zeros((2, 4, 2)))
-task.grad_block(np.zeros((2, 4, 2)), np.zeros((2, 4, 3), dtype=int))
+task.grad_block(np.zeros((2, 4, 2)),
+                task.rows(np.zeros((2, 4, 3), dtype=int)))
 task.minimizer()
 assert "scipy" not in sys.modules
 """

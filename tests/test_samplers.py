@@ -54,7 +54,7 @@ class QuadOracle:
     n_agents: int
     dim: int
 
-    def grad_block(self, x, idx=None):
+    def grad_block(self, x, rows=None):
         return x / self.n_agents
 
     def minimizer(self):
@@ -66,7 +66,7 @@ class ZeroOracle:
     n_agents: int
     dim: int
 
-    def grad_block(self, x, idx=None):
+    def grad_block(self, x, rows=None):
         return np.zeros(np.shape(x))
 
 
@@ -211,9 +211,17 @@ class TestPhiloxWords:
 
     @staticmethod
     def _check_mulhilo(values, m):
-        hi, lo = samplers._mulhilo(np.array(values, dtype=np.uint64), m)
+        a = np.array(values, dtype=np.uint64)
+        hi, lo = samplers._mulhilo(a, m)
+        assert np.array_equal(a, values)  # the input is not written
         for a, h, lo_word in zip(values, hi.tolist(), lo.tolist()):
-            assert (h, lo_word) == ((a * int(m)) >> 64, (a * int(m)) % 2**64)
+            assert (h, lo_word) == ((a * int(m[0])) >> 64,
+                                    (a * int(m[0])) % 2**64)
+
+    @pytest.mark.parametrize("m", samplers._PHILOX_M, ids=["m0", "m1"])
+    def test_multiplier_halves(self, m):
+        assert int(m[1]) + (int(m[2]) << 32) == int(m[0])
+        assert int(m[1]) < 2**32 and int(m[2]) < 2**32
 
     @pytest.mark.parametrize("m", samplers._PHILOX_M, ids=["m0", "m1"])
     def test_mulhilo_edges(self, m):
@@ -406,10 +414,10 @@ def _written_out_chain(task, cfg, seed, ms):
     def grad(i, xi, k):
         """Row i of a block with xi at every row (and agent i's batch
         as every agent's)."""
-        idx = None if cfg.batch is None else np.broadcast_to(
+        batch = None if cfg.batch is None else task.rows(np.broadcast_to(
             noise.batch_rng(k, i).choice(task.xs[i].shape[0], cfg.batch,
-                                         replace=False), (1, n, cfg.batch))
-        return task.grad_block(np.broadcast_to(xi, (1, n, d)), idx)[0, i]
+                                         replace=False), (1, n, cfg.batch)))
+        return task.grad_block(np.broadcast_to(xi, (1, n, d)), batch)[0, i]
 
     def grads(x, k):
         return np.stack([grad(i, x[i], k) for i in range(n)])
@@ -879,7 +887,7 @@ class TestChainMechanics:
         class SpikeOracle(QuadOracle):
             """Agent 3's gradient alone leaves the guard ball at once."""
 
-            def grad_block(self, x, idx=None):
+            def grad_block(self, x, rows=None):
                 return x - 1e16 * (np.arange(self.n_agents) == 3)[:, None]
 
         for algo in ("DE_SGLD", "EXTRA_SGLD", "GEN_EXTRA_SGLD"):
@@ -1038,8 +1046,9 @@ class TestBatchTable:
         assert np.array_equal(table, _scalar_table(noises, ks, 3, n, b))
 
     def test_floyd_bitmaps_in_blocks(self, monkeypatch):
-        # two streams' bitmaps a block: the 36 streams take 18 blocks
-        monkeypatch.setattr(samplers, "_TABLE_BYTES", 250)
+        # two streams a block (100 + 32 * 17 bytes each): the 36 streams
+        # take 18 blocks
+        monkeypatch.setattr(samplers, "_STREAM_BYTES", 2 * (100 + 32 * 17))
         noises = [NoiseStream(s, 6, 2) for s in (3, 4)]
         assert np.array_equal(batch_table(noises, range(3), 6, 100, 9),
                               _scalar_table(noises, range(3), 6, 100, 9))
@@ -1107,8 +1116,9 @@ _FLOYD_GRID = [(1, 1), (7, 1), (5, 5), (100, 32), (100, 100), (300, 17),
 
 
 class TestFloydKernel:
-    """`_floyd_rows` on a flat bitmap and a (b, S) output equals the
-    row-per-stream kernel it replaced, rows and rejection masks alike."""
+    """`_floyd_rows` on (draws, S) rows, a flat bitmap and a (b, S) output
+    equals the row-per-stream kernel it replaced, rows and rejection masks
+    alike."""
 
     @pytest.mark.parametrize("n, b", _FLOYD_GRID)
     def test_random_draws_equal_reference(self, n, b):
@@ -1124,7 +1134,7 @@ class TestFloydKernel:
         if n_draws:
             u32[hit, rng.integers(0, n_draws, hit.size)] = 0
         rows, rejected = _reference_floyd_rows(u32, n, b)
-        cols, mask = samplers._floyd_rows(u32, n, b)
+        cols, mask = samplers._floyd_rows(u32.T.astype(np.uint64), n, b)
         assert cols.shape == (b, n_streams) and cols.dtype == np.int64
         assert np.array_equal(cols.T, rows)
         assert np.array_equal(mask, rejected)
@@ -1137,8 +1147,10 @@ class TestFloydKernel:
     @pytest.mark.parametrize("n, b", _FLOYD_GRID)
     def test_table_in_blocks_that_do_not_divide_the_streams(
             self, monkeypatch, n, b):
-        # 4 streams a bitmap block; 3 steps x 2 replicas x 3 agents = 18
-        monkeypatch.setattr(samplers, "_TABLE_BYTES", 4 * n)
+        # 4 streams a block; 3 steps x 2 replicas x 3 agents = 18
+        n_draws = 2 * b - 1 - (n == b)
+        monkeypatch.setattr(samplers, "_STREAM_BYTES",
+                            4 * (n + 32 * n_draws))
         noises = [NoiseStream(derive_seed(9, "replica", r), 3, 2)
                   for r in range(2)]
         assert np.array_equal(batch_table(noises, [0, 5, 11], 3, n, b),
@@ -1157,19 +1169,59 @@ def _logreg_chain_vs_written_out(steps, batch_rng_calls=None):
     assert np.array_equal(res.vs[:, 0], vs)
 
 
+@pytest.fixture
+def table_calls(monkeypatch):
+    """The ks of every batch_table call: one a chunk of rows."""
+    calls = []
+    real = samplers.batch_table
+
+    def counted(noises, ks, *args):
+        calls.append(list(ks))
+        return real(noises, ks, *args)
+
+    monkeypatch.setattr(samplers, "batch_table", counted)
+    return calls
+
+
 @pytest.mark.parametrize("steps", ["0", "1", "chunk-1", "chunk+1"])
-def test_minibatch_chain_across_table_chunks(monkeypatch, steps):
-    # a table chunk of 7 steps for the 6 streams a step of this chain
+def test_minibatch_chain_across_table_chunks(monkeypatch, table_calls,
+                                             steps):
+    # chunks of 7 steps for the 6 streams of 3 rows a step of this chain
     chunk = 7
     monkeypatch.setattr(samplers, "_TABLE_BYTES",
-                        chunk * 6 * (50 * 3 + 8))
-    assert samplers._table_steps(6, 8, 3) == chunk
-    _logreg_chain_vs_written_out({"0": 0, "1": 1, "chunk-1": chunk - 1,
-                                  "chunk+1": chunk + 1}[steps])
+                        chunk * samplers._chunk_bytes(6 * 3, 3))
+    steps = {"0": 0, "1": 1, "chunk-1": chunk - 1, "chunk+1": chunk + 1}[steps]
+    _logreg_chain_vs_written_out(steps)
+    assert table_calls == [list(range(k, min(k + chunk, steps)))
+                           for k in range(0, steps, chunk)]
 
 
 def test_minibatch_chain_at_default_chunk_draws_no_scalar_batches(
-        batch_rng_calls):
-    steps = samplers._table_steps(6, 8, 3) + 1
+        table_calls, batch_rng_calls):
+    steps = samplers._TABLE_BYTES // samplers._chunk_bytes(6 * 3, 3) + 1
     assert steps < 3000
     _logreg_chain_vs_written_out(steps, batch_rng_calls)
+    assert [len(ks) for ks in table_calls] == [steps - 1, 1]
+
+
+@pytest.mark.parametrize("kind", ["linreg", "logreg"])
+def test_minibatch_ensemble_bits_do_not_depend_on_the_chunk(monkeypatch,
+                                                             kind):
+    """Chunks of 1 and 3 steps of rows, and the default, give the same
+    trajectories, for every algorithm that moves x by its gradients."""
+    task = _toy_logreg(seed=8) if kind == "logreg" else _toy_task(seed=8,
+                                                                  n_i=8)
+    ms = build_mixing_set(ring(6), h=0.35, delta=0.2)
+    seeds = [3, 4]
+    per_step = samplers._chunk_bytes(len(seeds) * 6 * 3, task.dim)
+    for algo in ALGORITHMS:
+        cfg = SamplerConfig(algo, eta=0.02, steps=10, batch=3)
+        mixing = None if algo in samplers.CENTRALIZED else ms
+        runs = []
+        for budget in (None, 1, 3):
+            if budget is not None:
+                monkeypatch.setattr(samplers, "_TABLE_BYTES",
+                                    budget * per_step)
+            runs.append(run_ensemble(task, cfg, seeds, mixing=mixing).xs)
+        for xs in runs[1:]:
+            assert np.array_equal(xs, runs[0]), algo

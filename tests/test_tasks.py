@@ -47,9 +47,9 @@ def _grad(task, i, beta, idx=None):
     block gives every agent the same rows)."""
     x = np.broadcast_to(np.asarray(beta, dtype=float),
                         (1, task.n_agents, task.dim))
-    if idx is not None:
-        idx = np.broadcast_to(idx, (1, task.n_agents, len(idx)))
-    return task.grad_block(x, idx)[0, i]
+    rows = None if idx is None else task.rows(
+        np.broadcast_to(idx, (1, task.n_agents, len(idx))))
+    return task.grad_block(x, rows)[0, i]
 
 
 def _linreg_f(task, i, beta):
@@ -457,13 +457,17 @@ class TestShardStacks:
         (np.zeros((1, 2, 2)), None,
          r"block shape \(1, 2, 2\) is not \(R, 3, 2\)"),
         (np.zeros((2, 3, 2)), np.zeros((2, 3), dtype=int),
-         r"index shape \(2, 3\) is not \(2, 3\) \+ \(b,\)"),
+         r"index shape \(2, 3\) is not \(\.\.\., R, 3, b\)"),
         (np.zeros((2, 3, 2)), np.zeros((1, 3, 1), dtype=int),
          r"index shape \(1, 3, 1\) is not \(2, 3\) \+ \(b,\)"),
-    ], ids=["2-d", "agents", "index-2-d", "index-replicas"])
+        (np.zeros((2, 3, 2)), np.zeros((2, 2, 1), dtype=int),
+         r"index shape \(2, 2, 1\) is not \(\.\.\., R, 3, b\)"),
+    ], ids=["2-d", "agents", "index-2-d", "index-replicas", "index-agents"])
     def test_grad_block_shapes_checked(self, kind, x, idx, message):
+        # a 2-d index, or one for other agents, fails in ``rows``
+        task = _sharded(kind, (4, 4, 4))
         with pytest.raises(ValueError, match=f"^{message}$"):
-            _sharded(kind, (4, 4, 4)).grad_block(x, idx)
+            task.grad_block(x, None if idx is None else task.rows(idx))
 
 
 def test_logistic_labels_must_be_0_or_1():
@@ -504,8 +508,8 @@ class TestBlockCallersMatchAgentLoops:
         task = _sharded("logreg", sizes)
         got = task.minimizer()
 
-        def per_column(self, x, idx=None):
-            assert idx is None
+        def per_column(self, x, rows=None):
+            assert rows is None
             return _oracle_grad_block(self, x)
 
         monkeypatch.setattr(LogRegTask, "grad_block", per_column)
@@ -768,7 +772,8 @@ def _oracle_grad_block(task, x, idx=None):
 
 @dataclasses.dataclass(frozen=True)
 class _OracleGradients:
-    """A task whose grad_block is the per-column oracle."""
+    """A task whose grad_block is the per-column oracle: its rows are the
+    indices themselves, gathered at each call."""
 
     task: object
 
@@ -776,8 +781,11 @@ class _OracleGradients:
     dim = property(lambda self: self.task.dim)
     shard_size = property(lambda self: self.task.shard_size)
 
-    def grad_block(self, x, idx=None):
-        return _oracle_grad_block(self.task, x, idx)
+    def rows(self, idx):
+        return np.asarray(idx)
+
+    def grad_block(self, x, rows=None):
+        return _oracle_grad_block(self.task, x, rows)
 
 
 def _oracle_case_task(kind, d, n_agents=4, n=310, seed=90):
@@ -805,7 +813,7 @@ def test_grad_block_matches_per_column_oracle(kind, d):
             idx = None if b is None else np.array([
                 [rng.choice(task.shard_size, b, replace=False)
                  for _ in range(task.n_agents)] for _ in range(reps)])
-            got = task.grad_block(x, idx)
+            got = task.grad_block(x, None if idx is None else task.rows(idx))
             assert got.flags.c_contiguous
             assert np.array_equal(got, _oracle_grad_block(task, x, idx)), \
                 (reps, b)
@@ -830,18 +838,21 @@ class TestMinibatchIndices:
         x = np.zeros((1, 3, 2))
         # 6 and -7 are outside agent 1's shard; read flat, 6 would be
         # agent 2's first row and -7 agent 0's last
+        oracle = _OracleGradients(task)
         for bad in (6, -7, 2**40):
             idx = np.zeros((1, 3, 2), dtype=int)
             idx[0, 1, 1] = bad
-            for grad in (task.grad_block,
-                         _OracleGradients(task).grad_block):
-                with pytest.raises(IndexError):
-                    grad(x, idx)
+            with pytest.raises(IndexError, match=r"^minibatch index "
+                                                 r"outside \[-6, 6\)$"):
+                task.rows(idx)
+            with pytest.raises(IndexError):
+                oracle.grad_block(x, oracle.rows(idx))
         for idx in (np.zeros((1, 3, 2)), np.zeros((1, 3, 2), dtype=bool)):
-            for grad in (task.grad_block,
-                         _OracleGradients(task).grad_block):
-                with pytest.raises(IndexError):
-                    grad(x, idx)
+            with pytest.raises(IndexError, match="^minibatch indices must "
+                                                 "be integers, not"):
+                task.rows(idx)
+            with pytest.raises(IndexError):
+                oracle.grad_block(x, oracle.rows(idx))
 
     def test_negative_indices_read_the_same_rows(self, kind):
         task = _oracle_case_task(kind, 2, n_agents=3, n=6)
@@ -849,10 +860,29 @@ class TestMinibatchIndices:
         x = rng.standard_normal((2, 3, 2))
         idx = rng.integers(-6, 6, size=(2, 3, 4))
         idx[0, 0] = [-6, -1, 5, 0]
-        got = task.grad_block(x, idx)
+        got = task.grad_block(x, task.rows(idx))
         assert np.array_equal(got, _oracle_grad_block(task, x, idx))
-        assert np.array_equal(got, task.grad_block(x, idx % 6))
+        assert np.array_equal(got, task.grad_block(x, task.rows(idx % 6)))
         # numpy reads an unsigned 2**64 - 1 as -1, the last row
         top = np.full((2, 3, 4), 2**64 - 1, dtype=np.uint64)
-        assert np.array_equal(task.grad_block(x, top),
+        assert np.array_equal(task.grad_block(x, task.rows(top)),
                               _oracle_grad_block(task, x, top))
+
+
+@pytest.mark.parametrize("kind", ["linreg", "logreg"])
+def test_chunk_rows_equal_per_step_gathers(kind):
+    """One gather of a chunk's (C, R, N, b) indices gives, at every step t,
+    the rows and the gradients of a gather of that step's indices alone."""
+    task = _oracle_case_task(kind, 3, n_agents=4, n=20)
+    rng = np.random.default_rng(5)
+    idx = rng.integers(-20, 20, size=(5, 2, 4, 6))
+    rows = task.rows(idx)
+    assert rows.shape == (5, task._flat.shape[0], 2, 4, 6)
+    x = rng.standard_normal((2, 4, 3))
+    for t in range(len(idx)):
+        step = task.rows(idx[t])
+        assert np.array_equal(rows[t], step)
+        assert np.array_equal(task.grad_block(x, rows[t]),
+                              task.grad_block(x, step))
+        assert np.array_equal(task.grad_block(x, step),
+                              _oracle_grad_block(task, x, idx[t]))

@@ -645,7 +645,7 @@ class TestProblemParamsFrom:
 
         x = np.broadcast_to(task.minimizer(), (draws, 4, 2))
         idx = np.argsort(rng.random((draws, 4, n)), axis=-1)[..., :b]
-        xi = task.grad_block(x, idx) - task.grad_block(x[:1])
+        xi = task.grad_block(x, task.rows(idx)) - task.grad_block(x[:1])
         power = np.sum(xi * xi, axis=(1, 2))
         mc, se = power.mean(), power.std(ddof=1) / np.sqrt(draws)
         assert abs(sigma2 - mc) <= 3.0 * se

@@ -19,8 +19,12 @@ changed):
   of DE-SGLD (which is then DGD) on that config at temperature 0;
 - ``run`` on that config with ``--seed 7 --replicas 3 --log-level
   WARNING``, the flags that override the config;
+- minibatch ``run``s of generalized EXTRA and EXTRA on that config with
+  ``batch = 10``;
 - ``compare`` of the five algorithms and a 3-point ``sweep-h`` on the
-  minibatch ``logreg-minibatch-run`` config.
+  minibatch ``logreg-minibatch-run`` config, and ``run`` on it with
+  ``batch = 100`` (every shard row) and with 61 steps (not a multiple of
+  the steps a chunk of minibatch rows holds).
 
 For each command the exit code, stdout, stderr and every written file
 are compared; ``manifest.json`` without its ``out`` and ``wall_clock_s``
@@ -79,12 +83,22 @@ def matrix() -> list:
                            "b_mode = scaled-identity\ntemperature = 0\n"))]
     entries += [(f"run-{a}-T0", "run", algorithm(a, "temperature = 0\n"))
                 for a in ("EXTRA_SGLD", "DE_SGLD")]
+    entries += [(f"run-{a}-batch10", "run", algorithm(a, "batch = 10\n"))
+                for a in ("GEN_EXTRA_SGLD", "EXTRA_SGLD")]
     log = workloads.WORKLOADS["logreg-minibatch-run"]
     log_base = log.config_text(log.pinned_seed, "out")
+    for line in ("batch = 32\n", "steps = 500\n"):
+        if line not in log_base:
+            raise RuntimeError(f"the logreg-minibatch-run config has no "
+                               f"{line.strip()!r} line to replace")
     entries += [("logreg-compare", "compare", log_base
                  + f"[compare]\nalgorithms = {' '.join(ALGORITHMS)}\n"),
                 ("logreg-sweep-h", "sweep-h", log_base
-                 + "[sweep]\nh_min = 0.02\nh_max = 0.056\npoints = 3\n")]
+                 + "[sweep]\nh_min = 0.02\nh_max = 0.056\npoints = 3\n"),
+                ("logreg-run-batch100", "run",
+                 log_base.replace("batch = 32\n", "batch = 100\n")),
+                ("logreg-run-61-steps", "run",
+                 log_base.replace("steps = 500\n", "steps = 61\n"))]
     flags = ("--seed", "7", "--replicas", "3", "--log-level", "WARNING")
     return [(*e, ()) for e in entries] + [
         ("run-flag-overrides", "run", base, flags)]
