@@ -216,6 +216,7 @@ def series_for_run(task, xs_all, holdout: Optional[tuple],
     cells = agents * dim * max(reps, dim if target is not None else 1)
     if holdout is not None and xstar is None:  # a sign per holdout point
         cells = max(cells, reps * len(holdout[1]))
+        holdout = holdout[0], holdout[1].astype(bool)  # labels are 0 or 1
     step = max(1, _CHUNK_CELLS // cells)
     chunks = [_score(xs_all[j:j + step], xstar, target, holdout)
               for j in range(0, n_rec, step)]
@@ -228,7 +229,7 @@ _CHUNK_CELLS = 1 << 16  # float cells in a _score chunk's largest temporary
 
 def _score(xs_chunk, xstar, target, holdout) -> dict:
     """Every series of one (c, R, A, d) record chunk, as {label: (c,)}.
-    ``xstar`` replaces W2 and accuracy."""
+    ``xstar`` replaces W2 and accuracy; ``holdout`` is (X, bool labels)."""
     means = xs_chunk.mean(axis=2)
     dev = xs_chunk - means[:, :, None]
     out = {"consensus": np.sqrt(np.sum(dev * dev, axis=(2, 3))).mean(axis=1)}
@@ -250,8 +251,11 @@ def _score(xs_chunk, xstar, target, holdout) -> dict:
         # each record's agents summed in agent order, whatever the chunk
         out["w2_agents"] = np.add.accumulate(w2, axis=0)[-1] / len(w2)
     if holdout is not None:
-        pred = (holdout[0] @ means[..., None])[..., 0] >= 0.0  # b^T x >= 0
-        out["accuracy"] = (pred == holdout[1]).mean(axis=-1).mean(axis=1)
+        x, labels = holdout
+        pred = (x @ means[..., None])[..., 0] >= 0.0  # b^T x >= 0
+        # an exact count over H: the bits of the mean of the bools
+        hits = np.count_nonzero(pred == labels, axis=-1) / len(labels)
+        out["accuracy"] = hits.mean(axis=1)
     return out
 
 

@@ -25,8 +25,9 @@ no Gaussian block, and leaves the optimization skeleton (DGD, EXTRA).
 `run_ensemble` advances R replicas together: the state is one
 (R, rows, d) array, where rows is the agent count (1 for ULA and the
 reference chain), and every chain starts at x = v = 0.  Each transition
-is ``x, v = step(k, x, v)``, followed by one divergence guard and one
-recording block.  ``step`` is the algorithm's step function, which
+is ``x, v = step(k, x, v)``, followed by one recording block, and the
+divergence guard checks a chunk of transitions at once (see below).
+``step`` is the algorithm's step function, which
 computes the update rule above term for term on the whole array,
 with the run's constants resolved once and, in the generalized chain,
 W~ x and g + v formed once for both halves; the tests hold them
@@ -66,9 +67,13 @@ which stays the definition of the stream; the copy was verified on numpy
 2.4.6, and the tests compare the two and pin digests.
 
 The dual average v-bar stays at exactly zero up to accumulated roundoff
-because U's column sums vanish; the guard checks it at every step of the
-generalized chain, replica by replica only when a check over the whole
-array fails.  `run_ensemble` never materializes the integrated dual q.
+because U's column sums vanish.  The divergence guard checks every step:
+the guard ball for x (and v), and the generalized chain's dual average.
+`run_ensemble` keeps the iterates of a chunk of steps (about
+_GUARD_BYTES) and checks them in one pass; only a chunk that fails is
+searched step by step, and a step replica by replica, so the error names
+the earliest iteration and the lowest replica, as a check after every
+step would.  `run_ensemble` never materializes the integrated dual q.
 """
 
 import dataclasses
@@ -218,6 +223,9 @@ _TABLE_BYTES = 1 << 20
 _STREAM_BYTES = 3 << 20
 # bytes of the Gaussian blocks a chain draws ahead at once
 _NOISE_BYTES = 1 << 17
+# bytes of the iterates (x, and v in the generalized chain) a chain keeps
+# between divergence checks
+_GUARD_BYTES = 1 << 17
 
 
 def _mulhilo(a, m):
@@ -305,7 +313,7 @@ def batch_table(noises, ks, n_agents, n, batch) -> np.ndarray:
         raise ValueError(f"batch size {batch} outside [1, {n}]")
     ks = np.asarray(ks, dtype=np.uint64)
     shape = (ks.size, len(noises), n_agents)
-    if n > 10000 and batch > n // 50:
+    if n > 10000 and batch > n // 50 or not ks.size:  # or no step to draw
         table = np.empty(shape + (batch,), dtype=np.int64)
         scalar = np.ones(shape, dtype=bool)
     else:
@@ -430,12 +438,13 @@ def _inside(a):
 
 
 def _dual_inside(v):
-    """Whether every replica's dual drift max |sum_i v_i| / N of the
-    (R, N, d) ``v`` is within _DUAL_TOL; a sum of squares first, as in
-    `_inside`."""
-    s, n = v.sum(axis=1), v.shape[1]
-    return (np.vdot(s, s) <= (0.5 * _DUAL_TOL * n) ** 2
-            or np.max(np.abs(s)) / n <= _DUAL_TOL)
+    """Whether the dual drift max |sum_i v_i| / N of every (N, d) block of
+    the (..., N, d) ``v`` is within half of _DUAL_TOL, by a sum of squares
+    of the agent sums.  The half leaves room for the summation order of
+    the one matmul, which need not be the search's."""
+    n = v.shape[-2]
+    s = np.matmul(np.ones(n), v)
+    return np.vdot(s, s) <= (0.5 * _DUAL_TOL * n) ** 2
 
 
 def _guard(algo, k, x, v=None):
@@ -445,9 +454,10 @@ def _guard(algo, k, x, v=None):
     x and v are (R, rows, d).  The lowest such replica is named; for it x
     is checked before v, and v before the dual average.  One global check
     passes a step first: every entry in the ball and every replica's dual
-    drift within _DUAL_TOL, the least of the per-replica limits.  Only a
-    step that fails it is searched replica by replica, and a replica's
-    dual drift is summed only from a v inside the ball.
+    drift within half of _DUAL_TOL, the least of the per-replica limits
+    (`_dual_inside`).  Only a step that fails it is searched replica by
+    replica, and a replica's dual drift is summed only from a v inside
+    the ball.
     """
     if _inside(x) and (v is None or _inside(v) and _dual_inside(v)):
         return  # no replica near a limit: nothing to search
@@ -471,6 +481,21 @@ def _guard(algo, k, x, v=None):
                 f"{algo} dual average left zero at iteration {k}: "
                 f"max |sum_i v_i|/N = {drift:.6e} (limit {limit:.1e})",
                 algorithm=algo, replica=r, k=k, agent=None, value=drift)
+
+
+def _guard_chunk(algo, k0, xs, vs=None):
+    """`_guard` of every step of the (G, R, rows, d) iterates ``xs`` (and
+    ``vs``), step t at iteration k0 + t.
+
+    One check over the whole chunk passes it: every entry in the ball, and
+    every (step, replica) dual drift within the bound of `_dual_inside`.
+    Only a chunk that fails it is searched step by step, so the error
+    names the earliest iteration, as a guard after every step would.
+    """
+    if _inside(xs) and (vs is None or _inside(vs) and _dual_inside(vs)):
+        return
+    for t, x in enumerate(xs):
+        _guard(algo, k0 + t, x, None if vs is None else vs[t])
 
 
 def _chunk_bytes(n_rows, dim):
@@ -623,9 +648,10 @@ def run_ensemble(
     into ``out[j]`` for every j of the (C, rows, d) view ``out``.  Row r
     equals the one-seed ensemble at ``seeds[r]`` bit for bit, whatever R
     is, and reruns with identical arguments are bit-identical.  A
-    divergence names the earliest iteration at which
-    any replica left the ball, and the lowest replica index at that
-    iteration.
+    divergence names the earliest iteration at which any replica left the
+    ball, and the lowest replica index at that iteration.  The guard
+    checks a chunk of steps at once, so it raises up to a chunk's steps
+    after that iteration, with the error a check after every step raises.
     """
     ks = record_ks(cfg.steps, record_every)
     algo = cfg.algorithm
@@ -655,11 +681,21 @@ def run_ensemble(
     vs = np.zeros_like(xs) if dual else None
     x = np.zeros_like(xs[0])
     v = np.zeros_like(x)
+    # the iterates of a chunk of steps, guarded together (about _GUARD_BYTES)
+    chunk = max(1, _GUARD_BYTES // ((1 + dual) * x.nbytes))
+    x_buf = np.empty((min(chunk, cfg.steps),) + x.shape)
+    v_buf = np.empty_like(x_buf) if dual else None
     j = 1  # the next record
     with np.errstate(over="ignore", invalid="ignore"):  # _guard: inf, NaN
         for k in range(cfg.steps):
             x, v = step(k, x, v)
-            _guard(algo, k + 1, x, v if dual else None)
+            t = k % chunk  # the step's place in its chunk
+            x_buf[t] = x
+            if dual:
+                v_buf[t] = v
+            if t == chunk - 1 or k + 1 == cfg.steps:
+                _guard_chunk(algo, k + 1 - t, x_buf[:t + 1],
+                             v_buf[:t + 1] if dual else None)
             if k + 1 == ks[j]:
                 xs[j] = x
                 if dual:

@@ -1267,6 +1267,30 @@ def _linreg_task(agents):
                             prior_var=1.0)
 
 
+@pytest.mark.parametrize("h", [1, 7, 1000, 4099])
+def test_accuracy_count_equals_the_float_mean(h):
+    # record 0's replica 0 predicts every holdout label and replica 1 (its
+    # negation) none; the rest are random
+    rng = np.random.default_rng(h)
+    x = rng.standard_normal((h, 3))
+    xs = rng.standard_normal((4, 5, 2, 3))
+    xs[0, 1] = -xs[0, 0]
+    labels = x @ xs[0, 0].mean(axis=0) >= 0.0
+    pred = (x @ xs.mean(axis=2)[..., None])[..., 0] >= 0.0
+    hits = pred == labels
+    assert hits[0, 0].all() and not hits[0, 1].any()
+    assert np.array_equal(np.count_nonzero(hits, axis=-1) / h,
+                          hits.mean(axis=-1))
+    # _score with bool labels, against the float mean of float labels
+    got = harness._score(xs, None, None, (x, labels))["accuracy"]
+    want = (pred == labels.astype(float)).mean(axis=-1).mean(axis=1)
+    assert np.array_equal(got, want)
+    assert harness._score(xs[:1, :1], None, None, (x, labels))[
+        "accuracy"].tolist() == [1.0]
+    assert harness._score(xs[:1, 1:2], None, None, (x, labels))[
+        "accuracy"].tolist() == [0.0]
+
+
 def test_one_record_matches_the_per_record_loops():
     # numpy would sum a one-record (A, 1) column of 20 agents pairwise
     task = _linreg_task(20)

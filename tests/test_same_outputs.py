@@ -23,14 +23,15 @@ def _entries(*names):
 
 def test_matrix_covers_the_workloads_algorithms_and_commands():
     names = [e[0] for e in same_outputs.matrix()]
-    assert len(names) == len(set(names)) == 24
+    assert len(names) == len(set(names)) == 25
     assert {"linreg-compare@42", "linreg-compare@7",
             "logreg-minibatch-run@1010", "ring50-theory-shrink@7",
             "validate", "gen-data", "sweep-h",
             "run-GEN_EXTRA_SGLD-scaled-identity-T0", "run-EXTRA_SGLD-T0",
             "run-DE_SGLD-T0", "run-flag-overrides", "logreg-compare",
             "logreg-sweep-h", "run-GEN_EXTRA_SGLD-batch10",
-            "run-EXTRA_SGLD-batch10", "logreg-run-batch100",
+            "run-EXTRA_SGLD-batch10", "run-GEN_EXTRA_SGLD-eta0.02",
+            "logreg-run-batch100",
             "logreg-run-61-steps"} <= set(names)
     assert {f"run-{a}" for a in same_outputs.ALGORITHMS} <= set(names)
     flags = {e[0]: e[3] for e in same_outputs.matrix() if e[3]}

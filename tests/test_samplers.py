@@ -70,6 +70,21 @@ class ZeroOracle:
         return np.zeros(np.shape(x))
 
 
+class Burst(NoiseStream):
+    """Gaussian block ``at`` of a 6-agent, 3-D stream is scaled far out of
+    the ball."""
+
+    def __init__(self, seed, at):
+        super().__init__(seed, 6, 3)
+        self.at = at
+
+    def gaussian_blocks(self, k0, out):
+        super().gaussian_blocks(k0, out)
+        if 0 <= self.at - k0 < len(out):
+            out[self.at - k0] *= 1e300
+        return out
+
+
 def _toy_task(seed=0, n_agents=6, n_i=5, d=3, prior_var=10.0):
     rng = np.random.default_rng(seed)
     beta = rng.standard_normal(d)
@@ -712,6 +727,123 @@ def test_guard_matches_replica_search(name, x, v, want):
         assert got[0].startswith(f"GEN_EXTRA_SGLD {message}")
 
 
+@pytest.fixture
+def guard_chunks(monkeypatch):
+    """The length of every chunk samplers._guard_chunk checks."""
+    lengths = []
+    real = samplers._guard_chunk
+
+    def counted(algo, k0, xs, vs=None):
+        lengths.append(len(xs))
+        return real(algo, k0, xs, vs)
+
+    monkeypatch.setattr(samplers, "_guard_chunk", counted)
+    return lengths
+
+
+@dataclasses.dataclass(frozen=True)
+class FarOracle(QuadOracle):
+    """Agent gradients 4e10 apart: the generalized chain's v tracks them
+    out to about 1e11 within 10 steps and stays inside the ball."""
+
+    def grad_block(self, x, rows=None):
+        return x - 4e10 * (np.arange(self.n_agents) - 2.5)[:, None]
+
+
+class TestChunkedGuard:
+    """The guard checks a chunk of steps at once.  Forced to chunks of 3
+    (iterations 1-3, 4-6, 7-9, ...), it raises what a guard after every
+    step raises: the same message, replica, iteration, agent and value."""
+
+    @staticmethod
+    def _raised(monkeypatch, steps, step_bytes, run):
+        """What ``run()`` raises with the guard's chunk set to ``steps``
+        steps of ``step_bytes`` each."""
+        monkeypatch.setattr(samplers, "_GUARD_BYTES", steps * step_bytes)
+        with pytest.raises(ChainDivergenceError) as info:
+            run()
+        e = info.value
+        return str(e), e.algorithm, e.replica, e.k, e.agent, repr(e.value)
+
+    @pytest.mark.parametrize("at", [7, 8, 9], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("algo", ["DE_SGLD", "EXTRA_SGLD",
+                                      "GEN_EXTRA_SGLD"])
+    def test_burst_at_each_step_of_a_chunk(self, monkeypatch, guard_chunks,
+                                           algo, at):
+        task = _toy_task()
+        ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
+        cfg = SamplerConfig(algo, eta=0.01, steps=20)
+        step_bytes = (1 + (algo == "GEN_EXTRA_SGLD")) * 8 * 3 * 6 * 3
+
+        def run():
+            # replica 0 bursts one step later than replicas 1 and 2
+            noises = [Burst(1, at + 1), Burst(2, at), Burst(3, at)]
+            run_ensemble(task, cfg, [1, 2, 3], mixing=ms, noises=noises)
+
+        chunked = self._raised(monkeypatch, 3, step_bytes, run)
+        assert guard_chunks == [3, 3, 3]
+        guard_chunks.clear()
+        assert chunked == self._raised(monkeypatch, 1, step_bytes, run)
+        assert guard_chunks == [1] * at
+        assert chunked[2:4] == (1, at)
+        assert chunked[0].startswith(
+            f"{algo} diverged at iteration {at}, agent ")
+
+    @pytest.mark.parametrize("extra, replica, k", [
+        (None, 0, 1), (2e-9, 2, 2), (1.5e-9, 2, 3), (8e-10, 1, 6)])
+    def test_u_with_nonzero_column_sums(self, monkeypatch, guard_chunks,
+                                        extra, replica, k):
+        # U = 0.1 I, or the mixing set's U plus extra * I: column sums that
+        # move the dual average from the first step, or a few steps on
+        task = _toy_task()
+        ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
+        u = 0.1 * np.eye(6) if extra is None else ms.u + extra * np.eye(6)
+        raw = RawMixing(w=ms.w, w_tilde=ms.w_tilde, u=u)
+        cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=20)
+
+        step_bytes = 2 * 8 * 3 * 6 * 3  # x and v of 3 replicas
+
+        def run():
+            run_ensemble(task, cfg, [1, 2, 3], mixing=raw)
+
+        chunked = self._raised(monkeypatch, 3, step_bytes, run)
+        assert guard_chunks == [3] * -(-k // 3)
+        assert chunked == self._raised(monkeypatch, 1, step_bytes, run)
+        assert chunked[0].startswith(
+            f"GEN_EXTRA_SGLD dual average left zero at iteration {k}: ")
+        assert chunked[2:5] == (replica, k, None)
+
+    def test_far_chunks_inside_the_ball_run_to_the_end(self, monkeypatch,
+                                                       guard_chunks):
+        ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
+        cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=30)
+        searched = []
+        real = samplers._guard
+
+        def counted(algo, k, x, v=None):
+            searched.append(k)
+            return real(algo, k, x, v)
+
+        monkeypatch.setattr(samplers, "_guard", counted)
+        monkeypatch.setattr(samplers, "_GUARD_BYTES", 3 * 2 * 8 * 2 * 6 * 2)
+        res = run_ensemble(FarOracle(6, 2), cfg, [1, 2], mixing=ms)
+        assert guard_chunks == [3] * 10
+        # v's sums of squares, and the roundoff of its agent sums (about
+        # 1e-6 a step), fail the fast bounds of every chunk, so every step
+        # is searched; none is out of the ball or past its dual limit
+        assert searched == list(range(1, 31))
+        vs = res.vs[7:]  # iterations 7 to 30: each one's peak |v| ~ 1e11
+        peaks = np.abs(vs).max(axis=(1, 2, 3))
+        assert (9e10 < peaks).all() and (peaks < 2e11).all()
+        assert np.vdot(vs, vs) > (0.5 * samplers._DIVERGENCE_LIMIT) ** 2
+        assert not any(samplers._dual_inside(v) for v in res.vs[1:])
+        # the guard moves no bit
+        monkeypatch.setattr(samplers, "_GUARD_BYTES", 1)
+        one = run_ensemble(FarOracle(6, 2), cfg, [1, 2], mixing=ms)
+        assert np.array_equal(one.xs, res.xs)
+        assert np.array_equal(one.vs, res.vs)
+
+
 class TestDualAverage:
     def test_vbar_exactly_zero_within_tolerance(self):
         task = _toy_task()
@@ -899,19 +1031,6 @@ class TestChainMechanics:
                              mixing=ms)
 
     def test_earliest_iteration_wins_over_lower_replica(self):
-        class Burst(NoiseStream):
-            """Gaussian block ``at`` is scaled far out of the ball."""
-
-            def __init__(self, seed, at):
-                super().__init__(seed, 6, 3)
-                self.at = at
-
-            def gaussian_blocks(self, k0, out):
-                super().gaussian_blocks(k0, out)
-                if 0 <= self.at - k0 < len(out):
-                    out[self.at - k0] *= 1e300
-                return out
-
         task = _toy_task()
         ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
         cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=20)
@@ -1080,6 +1199,14 @@ class TestBatchTable:
         with pytest.raises(ValueError, match=re.escape(
                 f"batch size {batch} outside [1, {n}]")):
             batch_table([nz], [0], 2, n, batch)
+
+    @pytest.mark.parametrize("n, b", [(100, 32), (10001, 201)],
+                             ids=["floyd", "tail-shuffle"])
+    def test_no_steps_give_an_empty_table(self, n, b, batch_rng_calls):
+        noises = [NoiseStream(s, 3, 2) for s in (1, 2)]
+        table = batch_table(noises, [], 3, n, b)
+        assert table.shape == (0, 2, 3, b) and table.dtype == np.int64
+        assert batch_rng_calls == []
 
 
 _LO32 = np.uint64(0xFFFFFFFF)

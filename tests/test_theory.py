@@ -210,6 +210,21 @@ class TestConstantsGuards:
         with pytest.raises(InadmissibleSpectrumError):
             compute_constants(_params_from_set(s))
 
+    def test_zero_gain_is_inadmissible(self):
+        # |lam2_wt|^2 rounds to 0.6666666666666671, where gamma_wtilde's
+        # last branch is exactly 0: the constants refuse it, and the
+        # certificate reports it as a note instead of raising
+        l2wt = 0.8164965809277263
+        assert gamma_wtilde(l2wt ** 2) == 0.0
+        p = _params_from_set(dict(SET_A, l2wt=l2wt))
+        with pytest.raises(InadmissibleSpectrumError,
+                           match="zeroes the spectral gain"):
+            compute_constants(p)
+        rep = validate_stepsize(p)
+        assert not rep.ok
+        assert len(rep.notes) == 1
+        assert "zeroes the spectral gain" in rep.notes[0]
+
     def test_coupling_denominator_guard(self):
         s = dict(SET_A, h=0.3)  # h*gamma1*gamma2 far above 1
         with pytest.raises(ValueError, match="gamma1"):

@@ -21,6 +21,8 @@ changed):
   WARNING``, the flags that override the config;
 - minibatch ``run``s of generalized EXTRA and EXTRA on that config with
   ``batch = 10``;
+- a generalized-EXTRA ``run`` on that config at ``eta = 0.02``, which
+  diverges on its dual v partway through a chunk of guarded steps;
 - ``compare`` of the five algorithms and a 3-point ``sweep-h`` on the
   minibatch ``logreg-minibatch-run`` config, and ``run`` on it with
   ``batch = 100`` (every shard row) and with 61 steps (not a multiple of
@@ -85,6 +87,11 @@ def matrix() -> list:
                 for a in ("EXTRA_SGLD", "DE_SGLD")]
     entries += [(f"run-{a}-batch10", "run", algorithm(a, "batch = 10\n"))
                 for a in ("GEN_EXTRA_SGLD", "EXTRA_SGLD")]
+    if "eta = 0.009\n" not in base:
+        raise RuntimeError("the linreg-compare config has no 'eta = 0.009' "
+                           "line to replace")
+    entries.append(("run-GEN_EXTRA_SGLD-eta0.02", "run",
+                    base.replace("eta = 0.009\n", "eta = 0.02\n")))
     log = workloads.WORKLOADS["logreg-minibatch-run"]
     log_base = log.config_text(log.pinned_seed, "out")
     for line in ("batch = 32\n", "steps = 500\n"):
