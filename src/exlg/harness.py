@@ -314,17 +314,162 @@ def _cell_format(kind: type) -> str:
 
 
 def _trajectory_chunks(ks, xs_all):
-    """`write_csv` chunks, one replica block each, filled into one ``%``
-    template: ``r,k,agent,`` as text, ``%.17g`` per coordinate."""
-    n_agents, dim = xs_all.shape[2:]
-    row = ",".join(["%.17g"] * dim) + "\n"
-    # the leading "" makes join put "r," before every line, and no row
-    # at all when there are no records
-    lines = [""] + [f"{k},{a},{row}" for k in np.asarray(ks).tolist()
-                    for a in range(n_agents)]
-    for r in range(xs_all.shape[1]):
-        yield (f"{r},".join(lines) % tuple(xs_all[:, r].ravel().tolist()),
-               len(lines) - 1)
+    """`write_csv` chunks, one replica block each: ``r,k,agent`` and then
+    ``,%.17g`` per coordinate on every line.
+
+    Each block is laid out in one byte buffer of NUL-padded slots (the
+    prefix's numbers, each coordinate's ``_g17_fields`` field and the
+    newline), and the chunk is the buffer's non-NUL bytes."""
+    n_rec, n_rep, n_agents, dim = xs_all.shape
+    rows = n_rec * n_agents
+    ks_text = np.array([str(k).encode() for k in np.asarray(ks).tolist()],
+                       dtype=bytes)
+    agents = np.array([str(a).encode() for a in range(n_agents)],
+                      dtype=bytes)
+    w_rep = len(str(max(n_rep - 1, 0))) + 1     # "r,"
+    w_k = ks_text.dtype.itemsize + 1            # "k,"
+    w_a = agents.dtype.itemsize
+    pre = -(-(w_rep + w_k + w_a) // 4)          # prefix words
+    words = np.zeros((n_rec, n_agents, pre + dim * _G17_WORDS + 1),
+                     dtype=np.uint32)
+    text = words.view(np.uint8)
+    text[..., w_rep:w_rep + w_k - 1] = ks_text.view(np.uint8).reshape(
+        n_rec, 1, w_k - 1)
+    text[..., w_rep + w_k - 1] = ord(",")
+    text[..., w_rep + w_k:w_rep + w_k + w_a] = agents.view(np.uint8).reshape(
+        n_agents, w_a)
+    words[..., -1] = np.frombuffer(b"\n\0\0\0", dtype=np.uint32)
+    fields = words[..., pre:-1].reshape(n_rec, n_agents, dim, _G17_WORDS)
+    flat = words.reshape(-1)
+    for r in range(n_rep):
+        text[..., :w_rep] = np.frombuffer(f"{r},".encode().ljust(w_rep, b"\0"),
+                                          dtype=np.uint8)
+        fields[...] = np.moveaxis(
+            _g17_fields(xs_all[:, r].ravel()).reshape(_G17_WORDS, n_rec,
+                                                      n_agents, dim), 0, -1)
+        # a word pass first: about two in five words of a block are NUL
+        flat_text = flat[flat != 0].view(np.uint8)
+        yield flat_text[flat_text != 0].tobytes().decode("ascii"), rows
+
+
+# `_g17_fields` lays out ``,%.17g`` of a value in 11 uint32 words, 44 bytes:
+#   bytes  0-19  sep, sign, NUL, d0, d1 .. d16: the integer digits
+#   bytes 20-21  '0' when the value is below 1, and the point
+#   bytes 24-43  '0' '0' '0' d0 .. d16: the leading zeros and the fraction
+# where d0..d16 are the 17 significant digits; a mask per (exponent,
+# digits kept) NULs every byte that ``%.17g`` does not print.  Every word
+# is made from bytes and meets only bitwise operations, so the bytes keep
+# their text order on either byte order.
+_G17_WORDS = 11
+_TEN8 = 10 ** 8
+# "0000" .. "9999" as bytes and as words, and the trailing zeros of each
+_DIGITS4 = np.stack(np.meshgrid(
+    *[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
+    indexing="ij"), -1).reshape(10000, 4)
+_G17_GROUPS = _DIGITS4.view(np.uint32).ravel()
+_G17_ZEROS = np.logical_and.accumulate(_DIGITS4[:, ::-1] == ord("0"),
+                                       axis=1).sum(axis=1, dtype=np.uint8)
+_G17_POINT = np.frombuffer(b"0.\0\0", dtype=np.uint32)
+_G17_SIGN = np.frombuffer(b",\0\0\0,-\0\0", dtype=np.uint32)
+
+
+def _g17_mask():
+    """The (11, 21 * 18) word masks of each (e + 4) * 18 + digits kept,
+    e = -4 .. 16."""
+    e = np.arange(-4, 17)[:, None, None]
+    kept = np.arange(18)[None, :, None]
+    j = np.arange(17)
+    keep = np.zeros((21, 18, 4 * _G17_WORDS), dtype=bool)
+    keep[..., 3:20] = j <= e
+    keep[..., 20] = e[..., 0] < 0
+    keep[..., 21] = kept[..., 0] > e[..., 0] + 1
+    keep[..., 24:27] = np.arange(3) < -e - 1
+    keep[..., 27:] = (e < j) & (j < kept)
+    mask = keep.view(np.uint8) * np.uint8(255)
+    return np.ascontiguousarray(
+        mask.view(np.uint32).reshape(-1, _G17_WORDS).T)
+
+
+def _veltkamp(x):
+    """(hi, lo) halves of x with at most 26 significant bits each."""
+    c = 134217729.0 * x                         # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+_G17_MASK = _g17_mask()
+_POW10 = np.array([float(10 ** k) for k in range(21)])     # all exact
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+
+
+def _scaled(a, k):
+    """a * 10^k as an unevaluated sum hi + lo of two doubles, exactly
+    (Dekker's product), for 0 <= k <= 20."""
+    hi = a * _POW10.take(k)
+    a_hi, a_lo = _veltkamp(a)
+    p_hi, p_lo = _POW10_HI.take(k), _POW10_LO.take(k)
+    return hi, ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+
+
+def _g17_fields(v) -> np.ndarray:
+    """``"," + "%.17g" % x`` of each x in the 1-d float array ``v``, as the
+    NUL-padded (11, len(v)) uint32 words of one 44-byte field per value.
+
+    For 1e-4 <= |x| < 1e17 the digits are computed here: e = floor(log10
+    |x|) makes |x| 10^(16 - e) lie in [10^16, 10^17), the power 10^(16 - e)
+    is an exact double, so the product is exact as hi + lo, and rounding
+    it to the nearest integer, ties to even, gives the 17 digits ``%.17g``
+    prints.  No double below a power of ten rounds up to it at 17 digits,
+    so the digits never carry into an 18th.  ``%.17g`` prints such values
+    in fixed notation, without trailing zeros.  Every other value (0, -0,
+    tiny, huge, inf, NaN) takes ``"%.17g" % x``.
+    """
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e17)
+    a = np.where(fast, a, 1.0)
+    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
+    hi, lo = _scaled(a, 16 - e)
+    # log10 can be off by one next to a power of ten; the exact product
+    # decides
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    off = np.flatnonzero(below | above)
+    if off.size:
+        e[off] += above[off].astype(np.int64) - below[off]
+        hi[off], lo[off] = _scaled(a[off], 16 - e[off])
+    # hi >= 10^16 > 2^53 is an even integer, so hi + rint(lo) is hi + lo
+    # rounded to an integer, ties to even
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # d's digits as five groups: the first digit, then four of four
+    g = np.empty((5, v.size), dtype=np.int64)
+    top = d // _TEN8
+    low = d - top * _TEN8
+    np.floor_divide(top, _TEN8, out=g[0])
+    top -= g[0] * _TEN8
+    np.floor_divide(top, 10000, out=g[1])
+    np.subtract(top, g[1] * 10000, out=g[2])
+    np.floor_divide(low, 10000, out=g[3])
+    np.subtract(low, g[3] * 10000, out=g[4])
+    zeros = np.zeros(v.size, dtype=np.int64)
+    trailing = np.ones(v.size, dtype=bool)
+    for group in g[4:0:-1]:
+        zeros += trailing * _G17_ZEROS.take(group)
+        trailing &= group == 0
+    words = np.empty((_G17_WORDS, v.size), dtype=np.uint32)
+    _G17_GROUPS.take(g, out=words[:5], mode="clip")
+    words[5] = _G17_POINT
+    words[6:] = words[:5]
+    code = (e + 4) * 18 + (17 - zeros)
+    for row, mask in zip(words, _G17_MASK):
+        row &= mask.take(code)
+    words[0] |= _G17_SIGN.take((v < 0).view(np.uint8))
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = b"".join(("," + "%.17g" % x).encode().ljust(44, b"\0")
+                        for x in v[slow].tolist())
+        words[:, slow] = np.frombuffer(text, dtype=np.uint32).reshape(
+            -1, _G17_WORDS).T
+    return words
 
 
 def metric_rows(ks, series: dict):

@@ -47,9 +47,11 @@ def w2_batch(xs: np.ndarray, target: GaussianDist) -> np.ndarray:
     GaussianDist's PSD window; an inner product outside psd_sqrt's clip
     window raises ``NotPSDError``.
 
-    A value whose square overflows is scored again from its block and the
-    target scaled by one power of two, 2^-e, which scales W2 by exactly
-    2^-e, and the result is scaled back; every other value keeps its bits.
+    A value whose square overflows, or whose block's fit overflows
+    (finite draws whose spread squares past the float range), is scored
+    again from its block and the target scaled by one power of two, 2^-e,
+    which scales W2 by exactly 2^-e, and the result is scaled back; every
+    other value keeps its bits.
     """
     xs = np.ascontiguousarray(xs, dtype=float)
     if xs.ndim < 2:
@@ -72,11 +74,15 @@ def w2_batch(xs: np.ndarray, target: GaussianDist) -> np.ndarray:
 
 def _w2(xs, mean_t, cov_t):
     """`w2_batch` of (..., R, d) blocks against N(mean_t, cov_t), without
-    its input checks; inf or NaN where a square overflows."""
-    mean = xs.mean(axis=-2)
-    centered = xs - mean[..., None, :]
-    cov = checked_cov(centered.swapaxes(-1, -2) @ centered
-                      / (xs.shape[-2] - 1))
+    its input checks; inf or NaN where a square overflows, and inf where
+    the fit of finite draws overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = xs.mean(axis=-2)
+        centered = xs - mean[..., None, :]
+        cov = centered.swapaxes(-1, -2) @ centered / (xs.shape[-2] - 1)
+    over = (~np.isfinite(cov).all(axis=(-2, -1))
+            & np.isfinite(xs).all(axis=(-2, -1)))
+    cov = checked_cov(np.where(over[..., None, None], 0.0, cov))
     root = psd_sqrt(cov_t)
     cross = np.trace(psd_sqrt(root @ cov @ root), axis1=-2, axis2=-1)
     same = np.all(mean == mean_t, axis=-1) & np.all(cov == cov_t,
@@ -86,7 +92,8 @@ def _w2(xs, mean_t, cov_t):
         w2sq = (diff @ diff.swapaxes(-1, -2))[..., 0, 0] + (
             np.trace(cov, axis1=-2, axis2=-1) + np.trace(cov_t)
         ) - 2.0 * cross
-        return np.where(same, 0.0, np.sqrt(np.maximum(w2sq, 0.0)))
+        return np.where(over, np.inf,
+                        np.where(same, 0.0, np.sqrt(np.maximum(w2sq, 0.0))))
 
 
 def plateau(values) -> float:

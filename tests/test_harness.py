@@ -19,6 +19,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from exlg.harness import (
     cmd_sweep_h,
     cmd_theory,
     cmd_validate,
+    _g17_fields,
     _row_lines,
     _trajectory_chunks,
     write_csv,
@@ -1429,6 +1431,13 @@ def _trajectory_header(dim):
 
 
 _ODD_CELLS = (float("nan"), float("inf"), float("-inf"), -0.0, 5e-324)
+# either side of the formatter's fast range [1e-4, 1e17), a power of ten
+# and its neighbours, exact ties at the 18th digit, and subnormals
+_EDGE_CELLS = (np.nextafter(1e-4, 0.0), 1e-4, -np.nextafter(1e-4, 1.0),
+               np.nextafter(1e17, 0.0), -1e17, np.nextafter(1e17, np.inf),
+               np.nextafter(1000.0, 0.0), 1000.0, np.nextafter(1000.0, 2e3),
+               -0.1, 1234567890123456.75, 1234567890123456.25, -2.5e-3,
+               2.2250738585072014e-308 / 3, -5e-324, 0.0)
 
 
 class TestStreamingWriter:
@@ -1458,6 +1467,8 @@ class TestStreamingWriter:
         xs = np.random.default_rng(3).standard_normal(shape)
         every_third = np.arange(0, xs.size, 3)
         xs.reshape(-1)[every_third] = np.resize(_ODD_CELLS, every_third.size)
+        next_cells = np.arange(1, xs.size, 3)
+        xs.reshape(-1)[next_cells] = np.resize(_EDGE_CELLS, next_cells.size)
         ks = 3 * np.arange(shape[0])
         ks[-1:] += 1                # a final record off the stride
         header = _trajectory_header(shape[3])
@@ -1485,6 +1496,108 @@ class TestStreamingWriter:
                                         else [])
         if existing:
             assert path.read_bytes() == b"old,bytes\n"
+
+
+def _g17_text(values):
+    """The non-NUL bytes of `_g17_fields` over ``values``, as text."""
+    fields = _g17_fields(np.asarray(values, dtype=float))
+    text = np.ascontiguousarray(fields.T).view(np.uint8).ravel()
+    return text[text != 0].tobytes().decode("ascii")
+
+
+def _assert_g17(values):
+    """`_g17_fields` writes ``"," + "%.17g" % x`` for each x, checked
+    2^16 values at a time to bound a long test's memory."""
+    values = np.asarray(values, dtype=float)
+    for start in range(0, values.size, 2 ** 16):
+        block = values[start:start + 2 ** 16].tolist()
+        got = _g17_text(block)[1:].split(",")
+        wrong = [(x, text, "%.17g" % x) for x, text in zip(block, got)
+                 if text != "%.17g" % x]
+        assert len(got) == len(block) and not wrong, wrong[:5]
+
+
+def _exact_ties(rng, per_decade):
+    """{e: doubles in [10^e, 10^(e+1)) halfway between two 17-digit
+    decimals} for e = -4 .. 15: M / 2^(17 - e) with M odd, so that
+    x 10^(16 - e) = M 5^(16 - e) / 2 is an odd number of halves."""
+    ties = {}
+    for e in range(-4, 16):
+        lo = math.ceil(Fraction(10) ** e * 2 ** (17 - e))
+        hi = min(math.ceil(Fraction(10) ** (e + 1) * 2 ** (17 - e)), 2 ** 53)
+        m = rng.integers(lo // 2, hi // 2, per_decade) * 2 + 1
+        ties[e] = np.ldexp(m.astype(float), e - 17)
+    return ties
+
+
+def _below_powers_of_ten():
+    """The largest double below 10^k for k = -3 .. 17."""
+    out = []
+    for k in range(-3, 18):
+        x = float(Fraction(10) ** k)
+        out.append(x if Fraction(x) < Fraction(10) ** k
+                   else float(np.nextafter(x, 0.0)))
+    return np.array(out)
+
+
+class TestG17Fields:
+    """`_g17_fields` writes the bytes of ``"," + "%.17g" % x``."""
+
+    def test_random_bit_patterns(self):
+        # 1M patterns with exponents from 2^-20 to 2^63, most of them in
+        # the computed range, and 100k with any exponent
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2 ** 64, 1_100_000, dtype=np.uint64)
+        exponent = np.uint64(0x7FF) << np.uint64(52)
+        bits[:1_000_000] &= ~exponent
+        bits[:1_000_000] |= rng.integers(
+            1023 - 20, 1023 + 64, 1_000_000).astype(np.uint64) << np.uint64(52)
+        _assert_g17(bits.view(np.float64))
+
+    def test_random_magnitudes(self):
+        rng = np.random.default_rng(6)
+        _assert_g17(rng.random(200_000) * 10.0 ** rng.uniform(-9, 19, 200_000)
+                    * rng.choice([-1.0, 1.0], 200_000))
+
+    @pytest.mark.parametrize("values", [
+        pytest.param(np.concatenate(list(_exact_ties(
+            np.random.default_rng(7), 2000).values())), id="exact-ties"),
+        pytest.param(1234567890123456.75 + np.arange(-5000, 5000) / 4,
+                     id="ties-near-1e15"),
+        pytest.param(np.concatenate([
+            np.nextafter(10.0 ** np.arange(-6, 19), 0.0),
+            10.0 ** np.arange(-6, 19),
+            np.nextafter(10.0 ** np.arange(-6, 19), np.inf)]),
+            id="powers-of-ten"),
+        pytest.param(np.random.default_rng(8).integers(
+            0, 2 ** 60, 100_000).astype(float), id="integers"),
+        pytest.param(np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324,
+                               -5e-324, 2.2250738585072014e-308 / 3,
+                               1.7976931348623157e308,
+                               -1.7976931348623157e308,
+                               np.nextafter(1e-4, 0.0), 1e-4,
+                               np.nextafter(1e17, 0.0), 1e17, 0.5, 100.0,
+                               -1e16, 9007199254740993.0]), id="specials"),
+    ])
+    def test_edge_sets(self, values):
+        _assert_g17(values)
+        _assert_g17(-values)
+
+    def test_exact_ties_round_half_to_even(self):
+        for e, ties in _exact_ties(np.random.default_rng(9), 50).items():
+            scale = Fraction(10) ** (16 - e)
+            for x, text in zip(ties.tolist(), _g17_text(ties)[1:].split(",")):
+                halves = Fraction(x) * scale
+                assert halves % 1 == Fraction(1, 2)
+                down = math.floor(halves)
+                assert Fraction(text) * scale == down + down % 2
+
+    def test_no_double_rounds_up_to_a_power_of_ten(self):
+        # so 17 digits never carry into an 18th
+        below = _below_powers_of_ten()
+        for k, x in zip(range(-3, 18), below.tolist()):
+            assert Fraction("%.17g" % x) < Fraction(10) ** k
+        _assert_g17(below)
 
 
 LOGREG_MINIBATCH = {"kind = linreg": "kind = logreg-synthetic\nholdout = 100",

@@ -216,6 +216,22 @@ class TestW2Batch:
                                           target.cov * s * s))
         assert got[1] == pytest.approx(scaled / s, rel=1e-12, abs=0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_fit_whose_covariance_overflows_is_rescaled(self):
+        # block 1's draws all round to 1e200, but their mean is one ulp
+        # (1.7e184) below it, so the fitted covariance, about 3e368,
+        # overflows; its W2 is the mean's distance to the target, which
+        # is finite, and the other blocks keep their bits
+        rng = np.random.default_rng(0)
+        target = GaussianDist(np.zeros(2), np.eye(2))
+        xs = rng.standard_normal((3, 8, 2))
+        xs[1] = rng.standard_normal((8, 2)) + 1e200
+        mean = xs[1].mean(axis=0)
+        assert np.all(mean == np.nextafter(1e200, 0))
+        got = w2_batch(xs, target)
+        assert np.array_equal(got[[0, 2]], w2_batch(xs[[0, 2]], target))
+        assert got[1] == pytest.approx(np.hypot(*mean), rel=1e-15, abs=0)
+
     def test_needs_replicas_and_matching_dim(self):
         target = GaussianDist(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError, match="2 replicas"):

@@ -23,7 +23,7 @@ def _entries(*names):
 
 def test_matrix_covers_the_workloads_algorithms_and_commands():
     names = [e[0] for e in same_outputs.matrix()]
-    assert len(names) == len(set(names)) == 25
+    assert len(names) == len(set(names)) == 27
     assert {"linreg-compare@42", "linreg-compare@7",
             "logreg-minibatch-run@1010", "ring50-theory-shrink@7",
             "validate", "gen-data", "sweep-h",
@@ -31,8 +31,8 @@ def test_matrix_covers_the_workloads_algorithms_and_commands():
             "run-DE_SGLD-T0", "run-flag-overrides", "logreg-compare",
             "logreg-sweep-h", "run-GEN_EXTRA_SGLD-batch10",
             "run-EXTRA_SGLD-batch10", "run-GEN_EXTRA_SGLD-eta0.02",
-            "logreg-run-batch100",
-            "logreg-run-61-steps"} <= set(names)
+            "logreg-run-batch100", "logreg-run-61-steps",
+            "run-tiny-T0", "run-beta-1e9"} <= set(names)
     assert {f"run-{a}" for a in same_outputs.ALGORITHMS} <= set(names)
     flags = {e[0]: e[3] for e in same_outputs.matrix() if e[3]}
     assert list(flags) == ["run-flag-overrides"]

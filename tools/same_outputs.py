@@ -23,6 +23,10 @@ changed):
   ``batch = 10``;
 - a generalized-EXTRA ``run`` on that config at ``eta = 0.02``, which
   diverges on its dual v partway through a chunk of guarded steps;
+- generalized-EXTRA ``run``s on that config with ``beta_true`` scaled by
+  1e-6 (and ``noise_std = 1e-6``, at temperature 0), whose trajectory
+  lies below 1e-4, and scaled by 1e9, whose coordinates have ten-digit
+  integer parts: the two sides of the trajectory formatter;
 - ``compare`` of the five algorithms and a 3-point ``sweep-h`` on the
   minibatch ``logreg-minibatch-run`` config, and ``run`` on it with
   ``batch = 100`` (every shard row) and with 61 steps (not a multiple of
@@ -41,6 +45,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -92,6 +97,21 @@ def matrix() -> list:
                            "line to replace")
     entries.append(("run-GEN_EXTRA_SGLD-eta0.02", "run",
                     base.replace("eta = 0.009\n", "eta = 0.02\n")))
+    beta = re.search(r"^beta_true = (.*)\n", base, re.MULTILINE)
+    if beta is None:
+        raise RuntimeError("the linreg-compare config has no beta_true "
+                           "line to replace")
+
+    def beta_times(scale):
+        """The beta_true line with every entry times ``scale``."""
+        return "beta_true = " + " ".join(
+            repr(float(b) * scale) for b in beta[1].split()) + "\n"
+
+    entries += [("run-tiny-T0", "run", algorithm(
+                    "GEN_EXTRA_SGLD", "temperature = 0\n").replace(
+                    beta[0], beta_times(1e-6) + "noise_std = 1e-6\n")),
+                ("run-beta-1e9", "run", base.replace(beta[0],
+                                                     beta_times(1e9)))]
     log = workloads.WORKLOADS["logreg-minibatch-run"]
     log_base = log.config_text(log.pinned_seed, "out")
     for line in ("batch = 32\n", "steps = 500\n"):
