@@ -7,7 +7,9 @@ Exit codes: 0 success, 2 config error, 3 assumption violation,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import logging
+import os
 import sys
 
 from .config import ConfigError, load_config
@@ -37,6 +39,35 @@ _COMMANDS = {
 
 # main's log handler while the root logger has no other
 _STDERR = logging.StreamHandler()
+
+# glibc's mallopt parameter number for M_TOP_PAD, and the pad main sets
+_M_TOP_PAD = -2
+_TOP_PAD = 16 << 20
+_heap_kept = False
+
+
+def _keep_freed_heap() -> None:
+    """Once per process, on glibc only: have malloc keep up to _TOP_PAD of
+    freed memory at the heap top instead of returning it to the kernel.
+
+    Each chunk of a chain frees its index table, rows and record buffers
+    and allocates them again for the next chunk; with the pages returned,
+    every chunk faults them back in.  Outputs do not change.  A library
+    caller that never calls main keeps its allocator as it was."""
+    global _heap_kept
+    if _heap_kept:
+        return
+    _heap_kept = True
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):  # no confstr, or no name
+        return
+    if libc.startswith("glibc "):
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is not None:  # int mallopt(int param, int value)
+            mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+            mallopt.restype = ctypes.c_int
+            mallopt(_M_TOP_PAD, _TOP_PAD)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,6 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     args = build_parser().parse_args(argv)
     _STDERR.stream = sys.stderr  # this call's, not the first call's
     logging.basicConfig(handlers=[_STDERR], level=logging.INFO,

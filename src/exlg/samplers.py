@@ -216,11 +216,11 @@ _32 = np.uint64(32)
 _PHILOX_M = tuple((m, m & _LO32, m >> _32) for m in (
     np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)))
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
-# bytes of the minibatch rows a chain gathers ahead at once, with their
-# index table (`_chunk_bytes` a step)
-_TABLE_BYTES = 1 << 20
 # bytes of the draws and bitmaps of the streams batch_table runs at once
 _STREAM_BYTES = 3 << 20
+# bytes of the minibatch rows and indices a chain gathers ahead at once,
+# at most (`_chunk_steps`)
+_TABLE_BYTES = 2 << 20
 # bytes of the Gaussian blocks a chain draws ahead at once
 _NOISE_BYTES = 1 << 17
 # bytes of the iterates (x, and v in the generalized chain) a chain keeps
@@ -296,6 +296,12 @@ def _floyd_rows(draws, n, b):
     return out, rejected
 
 
+def _stream_block(n, batch):
+    """Streams of ``batch`` indices out of ``n`` in about _STREAM_BYTES of
+    draws and bitmaps."""
+    return max(1, _STREAM_BYTES // (n + 32 * (2 * batch - 1 - (n == batch))))
+
+
 def batch_table(noises, ks, n_agents, n, batch) -> np.ndarray:
     """Minibatch indices of every (step, replica, agent): a (len(ks), R,
     n_agents, batch) int64 table whose entry [t, r, i] equals
@@ -326,7 +332,7 @@ def batch_table(noises, ks, n_agents, n, batch) -> np.ndarray:
         n_draws = 2 * batch - 1 - (n == batch)
         n_blocks = max(1, -(-n_draws // 8))  # 8 32-bit draws a block
         block_ctr = np.arange(1, n_blocks + 1, dtype=np.uint64)[:, None]
-        step = max(1, _STREAM_BYTES // (n + 32 * n_draws))
+        step = _stream_block(n, batch)
         cols, rejected = [], []
         for s in range(0, k_word.size, step):
             e = min(s + step, k_word.size)
@@ -498,10 +504,14 @@ def _guard_chunk(algo, k0, xs, vs=None):
         _guard(algo, k0 + t, x, None if vs is None else vs[t])
 
 
-def _chunk_bytes(n_rows, dim):
-    """Bytes of a step's ``n_rows`` minibatch rows (at most dim + 1 floats
-    each) and their indices."""
-    return 8 * (dim + 2) * n_rows
+def _chunk_steps(streams, n, batch, dim):
+    """Steps of minibatch rows a chain gathers at once, for ``streams``
+    (replica, agent) streams a step: one block of `batch_table` streams,
+    cut to _TABLE_BYTES of rows (at most dim + 1 floats each) and
+    indices."""
+    per_block = min(_stream_block(n, batch),
+                    _TABLE_BYTES // (8 * (dim + 2) * batch))
+    return max(1, per_block // streams)
 
 
 def _ahead(steps, chunk, draw, drop=False):
@@ -525,15 +535,15 @@ def _grads_fn(oracle, cfg: SamplerConfig, noises):
     and row i of an (R, N, d) block, from one ``oracle.grad_block`` call.
 
     Minibatch indices for (r, k, i) come from stream (k, i) of noises[r]:
-    ``oracle.rows`` gathers the rows of a chunk's `batch_table` (about
-    _TABLE_BYTES) at once, and a step reads its slice.
+    ``oracle.rows`` gathers the rows of a chunk's `batch_table`
+    (`_chunk_steps`) at once, and a step reads its slice.
     """
     batch, grad_block = cfg.batch, oracle.grad_block
     if batch is None:
         return lambda x, _k: grad_block(x)
     n_agents, n = oracle.n_agents, oracle.shard_size
-    step = _chunk_bytes(len(noises) * n_agents * batch, oracle.dim)
-    rows = _ahead(cfg.steps, max(1, _TABLE_BYTES // step),
+    chunk = _chunk_steps(len(noises) * n_agents, n, batch, oracle.dim)
+    rows = _ahead(cfg.steps, chunk,
                   lambda k, c: oracle.rows(batch_table(
                       noises, range(k, k + c), n_agents, n, batch)), drop=True)
     return lambda x, k: grad_block(x, rows(k))

@@ -529,9 +529,11 @@ def shrink_to_admissible(p: ProblemParams, ms: MixingSet,
     (Wtilde and U rebuilt, Wtilde alone eigensolved); ||B|| is
     ``sampler``'s `SamplerConfig.norm_b` at that eta.  W, delta and the
     task-side inputs (mu, L, sigma^2, ||grad F(x*)||^2, the initial
-    moments and w2_init) stay as ``ms`` and ``p`` have them.  The loop
-    stops where a pass lands on the current pair (to 1e-9 relative),
-    where a limit underflows or ||B||^2 overflows, or after
+    moments and w2_init) stay as ``ms`` and ``p`` have them.  A pass whose
+    eta target makes ||B||^2 overflow, or leaves no h limit above 0,
+    keeps eta and moves h alone; the next pass tries eta again at the new
+    h.  The loop stops where a pass lands on the current pair (to 1e-9
+    relative), where the h limit at the current pair underflows, or after
     ``_SHRINK_ITERS`` passes.  Returns the admissible ``(params,
     mixing_set)`` pair.  Raises ``RuntimeError`` naming the failing
     clauses and notes when no pair passes, or naming the binding h clause
@@ -549,10 +551,14 @@ def shrink_to_admissible(p: ProblemParams, ms: MixingSet,
 
     cur_ms, q = ms, p
     for _ in range(_SHRINK_ITERS):
-        q_eta = at(cur_ms, _SHRINK_FRAC * validate_stepsize(q).max_eta)
-        if q_eta is None:
-            break
-        rep_h = validate_stepsize(q_eta)
+        rep = validate_stepsize(q)
+        q_eta = at(cur_ms, _SHRINK_FRAC * rep.max_eta)
+        rep_h = None if q_eta is None else validate_stepsize(q_eta)
+        if rep_h is None or rep_h.max_h <= 0.0:
+            # ||B||^2 overflows at the eta target, or no h limit is above
+            # 0 there: move h alone, at the current eta, and try eta again
+            # next pass
+            q_eta, rep_h = q, rep
         h = _SHRINK_FRAC * rep_h.max_h  # max_h <= 1/2 (h-half)
         if h <= 0.0 or (math.isclose(h, q.h, rel_tol=1e-9)
                         and math.isclose(q_eta.eta, q.eta, rel_tol=1e-9)):

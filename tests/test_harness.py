@@ -19,6 +19,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -165,7 +166,84 @@ def read_metrics(path):
     return series
 
 
+def _on_glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc ")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def _no_confstr(name):
+    raise ValueError("unrecognized configuration name")
+
+
+# two in-process runs of one command; prints the second's minor page faults
+_SECOND_RUN_FAULTS = """
+import contextlib, io, resource, sys
+from exlg.cli import main
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 class TestCli:
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        """main's allocator call, not yet made, against a glibc whose
+        mallopt records its calls in ``calls``."""
+        libc = types.SimpleNamespace(calls=[])
+        libc.mallopt = lambda param, value: libc.calls.append(
+            (param, value)) or 1
+        monkeypatch.setattr(cli, "_heap_kept", False)
+        monkeypatch.setattr(cli, "ctypes", types.SimpleNamespace(
+            CDLL=lambda name: libc, c_int=cli.ctypes.c_int))
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        return libc
+
+    def test_heap_pad_is_set_once_per_process(self, tmp_path, libc):
+        path = make_cfg(tmp_path)
+        for _ in range(2):
+            assert main(["validate", "--config", path]) == EXIT_OK
+        assert libc.calls == [(-2, 16 << 20)]  # M_TOP_PAD, 16 MiB
+
+    @pytest.mark.parametrize("confstr", [
+        lambda name: None, lambda name: "musl 1.2", _no_confstr, None],
+        ids=["unset", "other-libc", "unknown-name", "no-confstr"])
+    def test_heap_pad_needs_glibc(self, tmp_path, monkeypatch, libc,
+                                  confstr):
+        if confstr is None:
+            monkeypatch.delattr(os, "confstr")
+        else:
+            monkeypatch.setattr(os, "confstr", confstr)
+        assert main(["validate", "--config", make_cfg(tmp_path)]) == EXIT_OK
+        assert libc.calls == []
+
+    def test_heap_pad_needs_mallopt(self, tmp_path, monkeypatch, libc):
+        monkeypatch.delattr(libc, "mallopt")
+        assert main(["validate", "--config", make_cfg(tmp_path)]) == EXIT_OK
+        assert cli._heap_kept and libc.calls == []
+
+    @pytest.mark.skipif(not _on_glibc(),
+                        reason="M_TOP_PAD is a parameter of glibc's malloc")
+    def test_second_minibatch_run_keeps_its_pages(self, tmp_path):
+        # a fresh interpreter, so the first main call sets the pad; the
+        # second run took 16-19 minor faults with it and 450-989 without
+        src = os.path.dirname(os.path.dirname(os.path.abspath(exlg.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        path = make_cfg(tmp_path, **{**LOGREG_MINIBATCH,
+                                     "steps = 40": "steps = 500\nbatch = 8"})
+        proc = subprocess.run(
+            [sys.executable, "-c", _SECOND_RUN_FAULTS, "run", "--config",
+             path, "--log-level", "WARNING"],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 150
+
     def test_help_lists_every_command(self, capsys):
         from exlg.cli import _COMMANDS
 

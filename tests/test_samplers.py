@@ -1310,13 +1310,16 @@ def table_calls(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("budget", ["_TABLE_BYTES", "_STREAM_BYTES"])
 @pytest.mark.parametrize("steps", ["0", "1", "chunk-1", "chunk+1"])
 def test_minibatch_chain_across_table_chunks(monkeypatch, table_calls,
-                                             steps):
-    # chunks of 7 steps for the 6 streams of 3 rows a step of this chain
+                                             budget, steps):
+    # chunks of 7 steps for the 6 streams of 3 rows a step of this chain:
+    # 3 rows of 5 words (3 dimensions, label, index) a stream, or 8 + 32 * 5
+    # bytes of draws and bitmaps a stream out of 8 shard rows
     chunk = 7
-    monkeypatch.setattr(samplers, "_TABLE_BYTES",
-                        chunk * samplers._chunk_bytes(6 * 3, 3))
+    per_stream = {"_TABLE_BYTES": 3 * 8 * 5, "_STREAM_BYTES": 8 + 32 * 5}
+    monkeypatch.setattr(samplers, budget, chunk * 6 * per_stream[budget])
     steps = {"0": 0, "1": 1, "chunk-1": chunk - 1, "chunk+1": chunk + 1}[steps]
     _logreg_chain_vs_written_out(steps)
     assert table_calls == [list(range(k, min(k + chunk, steps)))
@@ -1325,7 +1328,7 @@ def test_minibatch_chain_across_table_chunks(monkeypatch, table_calls,
 
 def test_minibatch_chain_at_default_chunk_draws_no_scalar_batches(
         table_calls, batch_rng_calls):
-    steps = samplers._TABLE_BYTES // samplers._chunk_bytes(6 * 3, 3) + 1
+    steps = samplers._chunk_steps(6, 8, 3, 3) + 1  # 8 rows a shard
     assert steps < 3000
     _logreg_chain_vs_written_out(steps, batch_rng_calls)
     assert [len(ks) for ks in table_calls] == [steps - 1, 1]
@@ -1340,7 +1343,7 @@ def test_minibatch_ensemble_bits_do_not_depend_on_the_chunk(monkeypatch,
                                                                   n_i=8)
     ms = build_mixing_set(ring(6), h=0.35, delta=0.2)
     seeds = [3, 4]
-    per_step = samplers._chunk_bytes(len(seeds) * 6 * 3, task.dim)
+    per_step = len(seeds) * 6 * 3 * 8 * (task.dim + 2)
     for algo in ALGORITHMS:
         cfg = SamplerConfig(algo, eta=0.02, steps=10, batch=3)
         mixing = None if algo in samplers.CENTRALIZED else ms

@@ -731,22 +731,57 @@ out = {out}
 shrink = true
 """
 
+# the minibatch logistic probe config of tests/test_config.py
+LOGPROBE = """[task]
+kind = logreg-synthetic
+n_points = 120
+dim = 2
+beta_true = 1.0 -0.5
+holdout = 40
+prior_var = {prior_var}
+[network]
+topology = ring
+n = 6
+h = {h}
+delta = 0.2
+[sampler]
+algorithm = GEN_EXTRA_SGLD
+eta = {eta}
+steps = 5
+batch = 4
+[run]
+seed = 7
+replicas = 2
+out = {out}
+[theory]
+shrink = true
+"""
+
 
 class TestShrinkFixedPoint:
     """Each pass takes eta at the current set, then h at that eta, so the
     shrunk pair does not depend on the configured one."""
 
     @staticmethod
-    def _config(tmp_path, h=0.2, eta=0.5, prior_var=1.0):
-        path = tmp_path / f"logring6-{h}-{eta}-{prior_var}.ini"
-        path.write_text(LOGRING6.format(h=h, eta=eta, prior_var=prior_var,
-                                        out=tmp_path / "out"))
+    def _config(tmp_path, h=0.2, eta=0.5, prior_var=1.0, text=LOGRING6):
+        path = tmp_path / f"start-{h}-{eta}-{prior_var}.ini"
+        path.write_text(text.format(h=h, eta=eta, prior_var=prior_var,
+                                    out=tmp_path / "out"))
         return str(path)
 
-    def test_pair_does_not_depend_on_the_start(self, tmp_path):
+    @pytest.mark.parametrize("text, prior_var, starts", [
+        (LOGRING6, 1.0, ((0.2, 0.5), (0.05, 0.01), (0.5, 1e-6))),
+        # mu = 1 / (prior_var N) puts the eta limit near 1e-106 at h = 0.3,
+        # where the first eta target leaves every h limit at 0 (its ||B||
+        # is 5e105): that pass moves h alone, and the next retries eta
+        (LOGPROBE, 1e30, ((0.3, 0.01), (1e-100, 0.01), (1e-200, 1e-3))),
+    ], ids=["logring6", "flat-prior-probe"])
+    def test_pair_does_not_depend_on_the_start(self, tmp_path, text,
+                                               prior_var, starts):
         pairs = set()
-        for h, eta in ((0.2, 0.5), (0.05, 0.01), (0.5, 1e-6)):
-            cfg = load_config(self._config(tmp_path, h, eta))
+        for h, eta in starts:
+            cfg = load_config(self._config(tmp_path, h, eta, prior_var,
+                                           text))
             task, ms = build_task(cfg)[0], build_mixing(cfg)
             p, _ = shrink_to_admissible(
                 problem_params_from(task, ms, cfg.sampler), ms, cfg.sampler)
