@@ -40,20 +40,27 @@ _COMMANDS = {
 # main's log handler while the root logger has no other
 _STDERR = logging.StreamHandler()
 
-# glibc's mallopt parameter number for M_TOP_PAD, and the pad main sets
-_M_TOP_PAD = -2
+# glibc's mallopt parameter numbers for M_TOP_PAD and M_MMAP_THRESHOLD,
+# and the values main sets
+_M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3
 _TOP_PAD = 16 << 20
+_MMAP_THRESHOLD = 4 << 20
 _heap_kept = False
 
 
 def _keep_freed_heap() -> None:
     """Once per process, on glibc only: have malloc keep up to _TOP_PAD of
-    freed memory at the heap top instead of returning it to the kernel.
+    freed memory at the heap top instead of returning it to the kernel,
+    and serve blocks below _MMAP_THRESHOLD from the heap.
 
     Each chunk of a chain frees its index table, rows and record buffers
     and allocates them again for the next chunk; with the pages returned,
-    every chunk faults them back in.  Outputs do not change.  A library
-    caller that never calls main keeps its allocator as it was."""
+    every chunk faults them back in.  Setting M_TOP_PAD also freezes
+    glibc's mmap threshold at 128 KiB, so a chunk's temporaries of 128 KiB
+    and more that the heap top cannot hold at that moment would each be
+    mapped and faulted in afresh; 4 MiB is above every chunk budget of
+    `samplers` and below a run's record arrays.  Outputs do not change.  A
+    library caller that never calls main keeps its allocator as it was."""
     global _heap_kept
     if _heap_kept:
         return
@@ -68,6 +75,7 @@ def _keep_freed_heap() -> None:
             mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
             mallopt.restype = ctypes.c_int
             mallopt(_M_TOP_PAD, _TOP_PAD)
+            mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,6 +15,10 @@ slice, identical to the call on that slice alone.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
+
 import numpy as np
 
 __all__ = [
@@ -28,6 +32,10 @@ __all__ = [
 
 # psd_sqrt clamps eigenvalues down to -_PSD_CLIP times the spectral norm
 _PSD_CLIP = 1e-10
+
+# (get, set) of the thread count of numpy's bundled OpenBLAS, looked up by
+# `_blas_threads` on first use; () where numpy bundles no such library
+_blas_calls = None
 
 
 class NotPSDError(ValueError):
@@ -72,7 +80,39 @@ def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
         If the input is not square or not finite, or if LAPACK fails to
         converge (``np.linalg.LinAlgError`` is a ``ValueError``).
     """
-    return np.linalg.eigh(symmetrized(a))
+    a = symmetrized(a)
+    calls = _blas_threads()
+    if not calls:
+        return np.linalg.eigh(a)
+    get, put = calls
+    threads = get()
+    put(1)  # on large matrices eigh's bits depend on the thread count
+    try:
+        return np.linalg.eigh(a)
+    finally:
+        put(threads)
+
+
+def _blas_threads():
+    """``(get, set)``: ``scipy_openblas_get_num_threads64_`` and
+    ``scipy_openblas_set_num_threads64_`` of the OpenBLAS that numpy's
+    wheel bundles (``numpy.libs``), loaded through ctypes once; () where
+    there is none, e.g. a numpy built against another BLAS."""
+    global _blas_calls
+    if _blas_calls is None:
+        _blas_calls = ()
+        libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                            "numpy.libs", "libscipy_openblas*")
+        for path in sorted(glob.glob(libs)):
+            lib = ctypes.CDLL(path)  # the copy numpy has loaded already
+            get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+            put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                _blas_calls = (get, put)
+                break
+    return _blas_calls
 
 
 def psd_sqrt(a) -> np.ndarray:

@@ -24,30 +24,33 @@ no Gaussian block, and leaves the optimization skeleton (DGD, EXTRA).
 
 `run_ensemble` advances R replicas together: the state is one
 (R, rows, d) array, where rows is the agent count (1 for ULA and the
-reference chain), and every chain starts at x = v = 0.  Each transition
-is ``x, v = step(k, x, v)``, followed by one recording block, and the
-divergence guard checks a chunk of transitions at once (see below).
-``step`` is the algorithm's step function, which
-computes the update rule above term for term on the whole array,
-with the run's constants resolved once and, in the generalized chain,
-W~ x and g + v formed once for both halves; the tests hold them
-bit-identical to per-chain reference steps.  Mixing is one BLAS product
-per replica slice, and ``grad_block``, the one gradient method of the
-oracle (see `run_ensemble`), returns every (replica, agent) gradient in
-one call.  The noise is drawn ahead of the state: one ``gaussian_blocks``
-call per replica fills a chunk of steps, and each step function forms
-its noise terms from the whole chunk in one expression (elementwise, or
-one matmul per slice), so a step does only the work that depends on x.
+reference chain), and every chain starts at x = v = 0.  The steps run in
+chunks, whose length one rule sets (`_chunk_steps`), and the state-free
+work of a chunk is done once: one ``gaussian_blocks`` call per replica
+draws its Gaussian blocks, the algorithm's ``form`` turns them into the
+chunk's noise terms in one expression (elementwise, or one matmul per
+slice), and on a minibatch chain `batch_table` and the oracle's ``rows``
+gather its rows.  Each transition is ``x, v = step(k, x, v, noise,
+rows)`` on its step's slices, written into the chunk's (C, R, rows, d)
+buffer; the divergence guard checks that buffer once (see below), and
+the chunk's records leave it in one copy.  ``step`` is the algorithm's
+step function, which computes the update rule above term for term on the
+whole array, with the run's constants resolved once and, in the
+generalized chain, W~ x and g + v formed once for both halves; the tests
+hold them bit-identical to per-chain reference steps.  Mixing is one BLAS
+product per replica slice, and ``grad_block``, the one gradient method
+of the oracle (see `run_ensemble`), returns every (replica, agent)
+gradient in one call, so a step does only the work that depends on x.
 The five algorithms take four step functions.  ULA and the reference
 chain share the centralized one, x+ = x - s sum_i g_i(x) + sqrt(2 eta)
 w-bar, which sums every agent's gradient at the one shared row: s is eta
 for ULA and eta/N for the reference chain, and w-bar is the mean of the
 stream's rows (ULA's stream has one row, so w-bar is that row exactly).
 EXTRA's bootstrap calls the DE-SGLD rule with w^0 = 0, its closure keeps
-the previous iterate and gradient, and its noise carries the last block
-of a chunk into the next.  Only the generalized chain moves v, so only it
-guards and records v.  `run_ensemble` is the one way to run chains: a
-single chain is a one-seed ensemble.
+the previous iterate and gradient, and its ``form`` carries the last
+block of a chunk into the next.  Only the generalized chain moves v, so
+only it guards and records v.  `run_ensemble` is the one way to run
+chains: a single chain is a one-seed ensemble.
 
 Replica r draws from its own stream, keyed by its seed, and each draw
 depends on (seed, k, i) alone.  With row bits that do not depend on how
@@ -69,8 +72,7 @@ which stays the definition of the stream; the copy was verified on numpy
 The dual average v-bar stays at exactly zero up to accumulated roundoff
 because U's column sums vanish.  The divergence guard checks every step:
 the guard ball for x (and v), and the generalized chain's dual average.
-`run_ensemble` keeps the iterates of a chunk of steps (about
-_GUARD_BYTES) and checks them in one pass; only a chunk that fails is
+It checks a chunk's iterates in one pass; only a chunk that fails is
 searched step by step, and a step replica by replica, so the error names
 the earliest iteration and the lowest replica, as a check after every
 step would.  `run_ensemble` never materializes the integrated dual q.
@@ -167,8 +169,9 @@ class NoiseStream:
     for every draw, which yields exactly the draws of a fresh
     ``Philox(key=seed, counter=[0, k, i, tag])``.  So a Generator
     returned by ``batch_rng`` is valid only until the next draw from the
-    same stream: use it at once.  The reset state is kept in plain ints,
-    which numpy's setter reads faster than it unboxes numpy arrays.
+    same stream: use it at once.  The reset states, one per tag, are kept
+    in plain ints, which numpy's setter reads faster than it unboxes numpy
+    arrays.
 
     Agent i's minibatch at iterate k is ``batch_rng(k, i).choice(n, b,
     replace=False)``.  Chains read it from `batch_table` instead, which
@@ -184,28 +187,29 @@ class NoiseStream:
         self._bits = np.random.Philox(key=self.seed)
         self._rng = np.random.Generator(self._bits)
         self._normal = self._rng.standard_normal
-        self._shape = (self.n_agents, self.dim)
-        self._fresh = self._bits.state  # key set, buffer empty
-        st = self._fresh["state"]
-        st["key"], self._fresh["buffer"] = [int(w) for w in st["key"]], [0] * 4
-        # the setter copies the counter, so it is rewritten in place
-        self._ctr = st["counter"] = [0, 0, 0, 0]
+        fresh = self._bits.state  # key set, buffer empty
+        key, fresh["buffer"] = [int(w) for w in fresh["state"]["key"]], [0] * 4
+        # the reset states of the noise and batch streams; the setter
+        # copies a counter, so each is rewritten in place
+        self._noise, self._batch = (
+            {**fresh, "state": {"key": key, "counter": [0, 0, 0, tag]}}
+            for tag in (_TAG_NOISE, _TAG_BATCH))
 
     def gaussian_blocks(self, k0: int, out) -> np.ndarray:
         """Block k0 + j into ``out[j]`` of a (C, N, d) float64 array or view
         whose (N, d) slices are contiguous."""
-        ctr, bits, fresh, normal, shape = (self._ctr, self._bits, self._fresh,
-                                           self._normal, self._shape)
-        ctr[2:] = 0, _TAG_NOISE
-        for j, blk in enumerate(out):
-            ctr[1] = k0 + j
+        bits, fresh, normal = self._bits, self._noise, self._normal
+        ctr = fresh["state"]["counter"]
+        for blk in out:
+            ctr[1] = k0
+            k0 += 1
             bits.state = fresh
-            normal(shape, out=blk)
+            normal(out=blk)  # the block's shape: faster than passing it
         return out
 
     def batch_rng(self, k: int, i: int) -> np.random.Generator:
-        self._ctr[1:] = k, i, _TAG_BATCH
-        self._bits.state = self._fresh
+        self._batch["state"]["counter"][1:3] = k, i
+        self._bits.state = self._batch
         return self._rng
 
 
@@ -216,16 +220,14 @@ _32 = np.uint64(32)
 _PHILOX_M = tuple((m, m & _LO32, m >> _32) for m in (
     np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)))
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
-# bytes of the draws and bitmaps of the streams batch_table runs at once
+# The budgets, in bytes.  batch_table runs its streams in blocks of
+# _STREAM_BYTES of draws and bitmaps; a chain's chunk of steps
+# (`_chunk_steps`) holds _NOISE_BYTES of Gaussian blocks, and on a
+# minibatch chain at most one such block of streams and _TABLE_BYTES of
+# rows and indices.
 _STREAM_BYTES = 3 << 20
-# bytes of the minibatch rows and indices a chain gathers ahead at once,
-# at most (`_chunk_steps`)
 _TABLE_BYTES = 2 << 20
-# bytes of the Gaussian blocks a chain draws ahead at once
 _NOISE_BYTES = 1 << 17
-# bytes of the iterates (x, and v in the generalized chain) a chain keeps
-# between divergence checks
-_GUARD_BYTES = 1 << 17
 
 
 def _mulhilo(a, m):
@@ -504,85 +506,45 @@ def _guard_chunk(algo, k0, xs, vs=None):
         _guard(algo, k0 + t, x, None if vs is None else vs[t])
 
 
-def _chunk_steps(streams, n, batch, dim):
-    """Steps of minibatch rows a chain gathers at once, for ``streams``
-    (replica, agent) streams a step: one block of `batch_table` streams,
-    cut to _TABLE_BYTES of rows (at most dim + 1 floats each) and
-    indices."""
-    per_block = min(_stream_block(n, batch),
-                    _TABLE_BYTES // (8 * (dim + 2) * batch))
-    return max(1, per_block // streams)
+def _chunk_steps(shape, oracle, batch):
+    """The steps of one chunk, the one chunk rule: _NOISE_BYTES of the
+    chain's (R, rows, d) Gaussian blocks ``shape``, and on a minibatch
+    chain (``batch`` set) at most one block of `batch_table` streams,
+    R * N a step, and _TABLE_BYTES of rows (at most d + 1 floats each)
+    and indices."""
+    steps = _NOISE_BYTES // (8 * math.prod(shape))
+    if batch is not None:
+        per_block = min(_stream_block(oracle.shard_size, batch),
+                        _TABLE_BYTES // (8 * (oracle.dim + 2) * batch))
+        steps = min(steps, per_block // (shape[0] * oracle.n_agents))
+    return max(1, steps)
 
 
-def _ahead(steps, chunk, draw, drop=False):
-    """``at(k)``: entry k - k0 of ``draw(k0, c)``, the state-free values of
-    steps k0 .. k0 + c - 1 for c <= ``chunk``, none past ``steps``; with
-    ``drop``, a chunk is released before the next is drawn."""
-    k0, table = 0, ()
+def _step_fn(oracle, cfg: SamplerConfig, mixing, shape):
+    """``(form, step)`` of cfg.algorithm over (R, rows, d) arrays.
 
-    def at(k):
-        nonlocal k0, table
-        if not k0 <= k < k0 + len(table):
-            if drop:  # the rows: 0.6 MB less peak; the noise: 5% slower
-                table = ()
-            k0, table = k, draw(k, min(chunk, steps - k))
-        return table[k - k0]
-    return at
-
-
-def _grads_fn(oracle, cfg: SamplerConfig, noises):
-    """``grads(x, k)``: agent i's gradient at x[r, i] for every replica r
-    and row i of an (R, N, d) block, from one ``oracle.grad_block`` call.
-
-    Minibatch indices for (r, k, i) come from stream (k, i) of noises[r]:
-    ``oracle.rows`` gathers the rows of a chunk's `batch_table`
-    (`_chunk_steps`) at once, and a step reads its slice.
-    """
-    batch, grad_block = cfg.batch, oracle.grad_block
-    if batch is None:
-        return lambda x, _k: grad_block(x)
-    n_agents, n = oracle.n_agents, oracle.shard_size
-    chunk = _chunk_steps(len(noises) * n_agents, n, batch, oracle.dim)
-    rows = _ahead(cfg.steps, chunk,
-                  lambda k, c: oracle.rows(batch_table(
-                      noises, range(k, k + c), n_agents, n, batch)), drop=True)
-    return lambda x, k: grad_block(x, rows(k))
-
-
-def _step_fn(oracle, cfg: SamplerConfig, mixing, noises):
-    """The transition (k, x^k, v^k) -> (x^{k+1}, v^{k+1}) of cfg.algorithm,
-    over (R, rows, d) arrays with replica r drawing from noises[r]; each
-    entry computes its update rule term for term, with its noise terms
-    formed from (C, R, rows, d) chunks of blocks (about _NOISE_BYTES)."""
-    eta, algo = cfg.eta, cfg.algorithm
+    ``form`` maps a chunk's (C, R, rows, d) Gaussian blocks (``shape``
+    each) to its noise terms in one expression, entry t those of the
+    chunk's step t.  ``step(k, x^k, v^k, noise, rows)`` is the transition
+    to (x^{k+1}, v^{k+1}) from its step's noise terms and minibatch rows
+    (None at full batch), computing the update rule term for term."""
+    eta, algo, grad_block = cfg.eta, cfg.algorithm, oracle.grad_block
     scale_x = scale_v = 0.0  # temperature 0: no noise, even where 2/eta = inf
     if cfg.temperature:
         scale_x, scale_v = np.sqrt(2.0 * eta), np.sqrt(2.0 / eta)
-    grads = _grads_fn(oracle, cfg, noises)
-    shape = (len(noises), noises[0].n_agents, noises[0].dim)
-    chunk = max(1, _NOISE_BYTES // (8 * math.prod(shape)))
-
-    def noise_fn(form):
-        def draw(k, c):
-            if not cfg.temperature:  # every noise term is 0: draw no block
-                return form(np.zeros((c,) + shape))
-            blocks = np.empty((c,) + shape)
-            for r, nz in enumerate(noises):
-                nz.gaussian_blocks(k + 1, blocks[:, r])
-            return form(blocks)
-        return _ahead(cfg.steps, chunk, draw)
-
-    def grad_sum(x, k):
-        # every agent's gradient at the one shared row, summed in agent
-        # order (accumulate never reorders the additions)
-        shared = np.broadcast_to(x, (x.shape[0], oracle.n_agents, x.shape[2]))
-        return np.add.accumulate(grads(shared, k), axis=1)[:, -1:]
 
     if algo in CENTRALIZED:
         # eta for ULA, eta/N for the reference chain
         s = eta / oracle.n_agents if algo == "REFERENCE_CHAIN" else eta
-        noise = noise_fn(lambda b: scale_x * b.mean(axis=2, keepdims=True))
-        return lambda k, x, v: (x - s * grad_sum(x, k) + noise(k), v)
+
+        def central(_k, x, v, nk, rows):
+            # every agent's gradient at the one shared row, summed in
+            # agent order (accumulate never reorders the additions)
+            shared = np.broadcast_to(x, (x.shape[0], oracle.n_agents,
+                                         x.shape[2]))
+            g = np.add.accumulate(grad_block(shared, rows), axis=1)[:, -1:]
+            return x - s * g + nk, v
+        return lambda b: scale_x * b.mean(axis=2, keepdims=True), central
 
     # the shape checks of mixing_matrix, once; then each product is its
     # one np.matmul
@@ -593,20 +555,20 @@ def _step_fn(oracle, cfg: SamplerConfig, mixing, noises):
         return np.matmul(w, x) - eta * g + nk
 
     if algo == "DE_SGLD":
-        noise = noise_fn(lambda b: scale_x * b)
-        return lambda k, x, v: (de_sgld_x(x, grads(x, k), noise(k)), v)
+        def de_sgld(_k, x, v, nk, rows):
+            return de_sgld_x(x, grad_block(x, rows), nk), v
+        return lambda b: scale_x * b, de_sgld
 
     if algo == "GEN_EXTRA_SGLD":
         bx = cfg.b_apply()
-        noise = noise_fn(lambda b: np.stack(
-            (scale_x * b, scale_v * np.matmul(u, b)), axis=1))
 
-        def gen_extra(k, x, v):
-            g, wx, nk = grads(x, k), np.matmul(w_tilde, x), noise(k)
+        def gen_extra(_k, x, v, nk, rows):
+            g, wx = grad_block(x, rows), np.matmul(w_tilde, x)
             gv = g + v
             return (wx - eta * gv + nk[0],
                     v - np.matmul(u, gv - bx(x, wx)) + nk[1])
-        return gen_extra
+        return lambda b: np.stack(
+            (scale_x * b, scale_v * np.matmul(u, b)), axis=1), gen_extra
 
     last = np.zeros(shape)  # w^0 = 0: the bootstrap's term is sqrt(2 eta) w^1
 
@@ -615,12 +577,11 @@ def _step_fn(oracle, cfg: SamplerConfig, mixing, noises):
         diff = np.diff(b, axis=0, prepend=last[None])
         last = b[-1].copy()
         return scale_x * diff
-    noise = noise_fn(extra_noise)
     prev = None  # EXTRA's (x^{k-1}, g^{k-1})
 
-    def extra(k, x, v):
+    def extra(k, x, v, nk, rows):
         nonlocal prev
-        g, nk = grads(x, k), noise(k)
+        g = grad_block(x, rows)
         if k == 0:  # the W-based bootstrap is one DE-SGLD transition
             x_next = de_sgld_x(x, g, nk)
         else:
@@ -629,7 +590,7 @@ def _step_fn(oracle, cfg: SamplerConfig, mixing, noises):
                 - eta * (g - g_prev) + nk
         prev = (x, g)
         return x_next, v
-    return extra
+    return extra_noise, extra
 
 
 def run_ensemble(
@@ -650,6 +611,15 @@ def run_ensemble(
     (C, R, N, b) indices makes ``grad_block`` the minibatch estimate
     over the shard rows of idx[t].
 
+    The steps run in chunks [k0, k0 + C) (the last one may be shorter).
+    C is one rule, `_chunk_steps`: the steps whose Gaussian blocks fill
+    _NOISE_BYTES, and on a minibatch chain at most those whose index
+    streams fill one `batch_table` block and whose rows and indices fit
+    _TABLE_BYTES.  Per chunk the noise terms are drawn and formed once and
+    the rows gathered once, the C steps write their iterates into one
+    (C, R, rows, d) buffer (and one for v), the guard checks that buffer
+    once, and the records that fall in the chunk leave it in one copy.
+
     Records every ``record_every`` iterates (k = 0 and the final iterate
     always); ``xs`` is (n_rec, R, rows, d).  ``noises`` holds one
     `NoiseStream` (or subclass) per seed, in place of the default
@@ -657,13 +627,12 @@ def run_ensemble(
     ``seed``, and ``gaussian_blocks(k0, out)`` must write block k0 + j
     into ``out[j]`` for every j of the (C, rows, d) view ``out``.  Row r
     equals the one-seed ensemble at ``seeds[r]`` bit for bit, whatever R
-    is, and reruns with identical arguments are bit-identical.  A
+    or C is, and reruns with identical arguments are bit-identical.  A
     divergence names the earliest iteration at which any replica left the
-    ball, and the lowest replica index at that iteration.  The guard
-    checks a chunk of steps at once, so it raises up to a chunk's steps
-    after that iteration, with the error a check after every step raises.
+    ball, and the lowest replica index at that iteration; it is raised at
+    the end of its chunk, with the error a check after every step raises.
     """
-    ks = record_ks(cfg.steps, record_every)
+    ks = np.array(record_ks(cfg.steps, record_every), dtype=int)
     algo = cfg.algorithm
     centralized = algo in CENTRALIZED
     if not centralized and mixing is None:
@@ -683,7 +652,9 @@ def run_ensemble(
             f"need one noise stream per seed, got {len(noises)} streams "
             f"for {len(seeds)} seeds"
         )
-    step = _step_fn(oracle, cfg, mixing, noises)
+    shape = (len(noises), noises[0].n_agents, noises[0].dim)
+    form, step = _step_fn(oracle, cfg, mixing, shape)
+    chunk = _chunk_steps(shape, oracle, cfg.batch)
     dual = algo == "GEN_EXTRA_SGLD"  # the only chain that moves v
 
     # record 0 is the zero start
@@ -691,25 +662,37 @@ def run_ensemble(
     vs = np.zeros_like(xs) if dual else None
     x = np.zeros_like(xs[0])
     v = np.zeros_like(x)
-    # the iterates of a chunk of steps, guarded together (about _GUARD_BYTES)
-    chunk = max(1, _GUARD_BYTES // ((1 + dual) * x.nbytes))
-    x_buf = np.empty((min(chunk, cfg.steps),) + x.shape)
+    # each stream's slice of the chunk's blocks; at temperature 0 every
+    # noise term is 0, and no block is drawn
+    blocks = np.zeros((min(chunk, cfg.steps),) + shape)
+    draws = [(nz.gaussian_blocks, blocks[:, r])
+             for r, nz in enumerate(noises)] if cfg.temperature else []
+    x_buf = np.empty((len(blocks),) + x.shape)
     v_buf = np.empty_like(x_buf) if dual else None
     j = 1  # the next record
     with np.errstate(over="ignore", invalid="ignore"):  # _guard: inf, NaN
-        for k in range(cfg.steps):
-            x, v = step(k, x, v)
-            t = k % chunk  # the step's place in its chunk
-            x_buf[t] = x
-            if dual:
-                v_buf[t] = v
-            if t == chunk - 1 or k + 1 == cfg.steps:
-                _guard_chunk(algo, k + 1 - t, x_buf[:t + 1],
-                             v_buf[:t + 1] if dual else None)
-            if k + 1 == ks[j]:
-                xs[j] = x
+        for k0 in range(0, cfg.steps, chunk):
+            c = min(chunk, cfg.steps - k0)
+            if c < len(blocks):  # the last chunk, cut short
+                blocks = blocks[:c]
+                draws = [(draw, out[:c]) for draw, out in draws]
+            for draw, out in draws:
+                draw(k0 + 1, out)
+            noise = form(blocks)
+            rows = [None] * c if cfg.batch is None else oracle.rows(
+                batch_table(noises, range(k0, k0 + c), oracle.n_agents,
+                            oracle.shard_size, cfg.batch))
+            for t in range(c):
+                x, v = step(k0 + t, x, v, noise[t], rows[t])
+                x_buf[t] = x
                 if dual:
-                    vs[j] = v
-                j += 1
+                    v_buf[t] = v
+            del rows  # released before the next chunk's: 0.6 MB less peak
+            _guard_chunk(algo, k0 + 1, x_buf[:c], v_buf[:c] if dual else None)
+            e = np.searchsorted(ks, k0 + c, side="right")
+            xs[j:e] = x_buf[ks[j:e] - k0 - 1]
+            if dual:
+                vs[j:e] = v_buf[ks[j:e] - k0 - 1]
+            j = e
 
-    return ChainResult(ks=np.array(ks, dtype=int), xs=xs, vs=vs)
+    return ChainResult(ks=ks, xs=xs, vs=vs)

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import exlg
-from exlg import __version__, cli, harness, tasks, theory
+from exlg import __version__, cli, harness, linalg, tasks, theory
 from exlg.cli import main
 from exlg.config import ConfigError, load_config
 from exlg.harness import (
@@ -207,7 +207,8 @@ class TestCli:
         path = make_cfg(tmp_path)
         for _ in range(2):
             assert main(["validate", "--config", path]) == EXIT_OK
-        assert libc.calls == [(-2, 16 << 20)]  # M_TOP_PAD, 16 MiB
+        # M_TOP_PAD, 16 MiB, and M_MMAP_THRESHOLD, 4 MiB
+        assert libc.calls == [(-2, 16 << 20), (-3, 4 << 20)]
 
     @pytest.mark.parametrize("confstr", [
         lambda name: None, lambda name: "musl 1.2", _no_confstr, None],
@@ -228,15 +229,22 @@ class TestCli:
 
     @pytest.mark.skipif(not _on_glibc(),
                         reason="M_TOP_PAD is a parameter of glibc's malloc")
-    def test_second_minibatch_run_keeps_its_pages(self, tmp_path):
-        # a fresh interpreter, so the first main call sets the pad; the
-        # second run took 16-19 minor faults with it and 450-989 without
+    @pytest.mark.parametrize("edits", [
+        {"steps = 40": "steps = 500\nbatch = 8"},
+        {"steps = 40": "steps = 60\nbatch = 8",
+         "replicas = 3": "replicas = 200"}],
+        ids=["3-replicas", "200-replicas"])
+    def test_second_minibatch_run_keeps_its_pages(self, tmp_path, edits):
+        # a fresh interpreter, so the first main call sets the allocator;
+        # the second 3-replica run took 16-19 minor faults with the pad
+        # and 450-989 without; the 200-replica one, whose rows of a step
+        # take 230 KB, about 7 with the 4 MiB mmap threshold and about
+        # 590 with the pad alone
         src = os.path.dirname(os.path.dirname(os.path.abspath(exlg.__file__)))
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
-        path = make_cfg(tmp_path, **{**LOGREG_MINIBATCH,
-                                     "steps = 40": "steps = 500\nbatch = 8"})
+        path = make_cfg(tmp_path, **{**LOGREG_MINIBATCH, **edits})
         proc = subprocess.run(
             [sys.executable, "-c", _SECOND_RUN_FAULTS, "run", "--config",
              path, "--log-level", "WARNING"],
@@ -472,15 +480,19 @@ class TestDeterminism:
 
     def test_blas_threads_do_not_change_bytes(self, tmp_path):
         # run and theory (whose shrink loop is eigensolve-bound) in fresh
-        # interpreters, since BLAS reads its thread count at load time
+        # interpreters, since BLAS reads its thread count at load time; at
+        # 1 and 2 threads and at the default count (no variable set)
         src = os.path.dirname(os.path.dirname(os.path.abspath(exlg.__file__)))
         pythonpath = os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))
 
         def outputs(command, text, edits, threads, out_name):
             path = make_cfg(tmp_path, out_name=out_name, text=text, **edits)
-            env = dict(os.environ, OMP_NUM_THREADS=threads,
-                       OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+            env = dict(os.environ, PYTHONPATH=pythonpath)
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+                env.pop(var, None)
+                if threads is not None:
+                    env[var] = threads
             proc = subprocess.run(
                 [sys.executable, "-c",
                  "import sys; from exlg.cli import main; "
@@ -492,14 +504,29 @@ class TestDeterminism:
             return {n: (out / n).read_bytes() for n in sorted(os.listdir(out))
                     if n.endswith(".csv")}
 
-        for command, text, edits in (
-                ("theory", BASE + "\n[theory]\nshrink = true\n",
-                 {"n = 6": "n = 30", "n_points = 120": "n_points = 600"}),
-                ("run", BASE, {})):
-            one = outputs(command, text, edits, "1", f"{command}1")
+        shrink = BASE + "\n[theory]\nshrink = true\n"
+        cases = [("theory", shrink,
+                  {"n = 6": "n = 30", "n_points = 120": "n_points = 600"}),
+                 ("run", BASE, {})]
+        # a ring of 400 is above OpenBLAS's threading threshold: its
+        # theory_constants.csv depends on the thread count unless
+        # linalg.sym_eig runs eigh on one thread
+        pinned = bool(linalg._blas_threads())
+        if pinned:
+            cases.append(("theory", shrink, {
+                "n = 6": "n = 400", "h = 0.3": "h = 0.38",
+                "delta = 0.2": "delta = 0.125",
+                "n_points = 120": "n_points = 5000\nper_agent = 10",
+                "eta = 0.01": "eta = 0.009"}))
+        for i, (command, text, edits) in enumerate(cases):
+            one = outputs(command, text, edits, "1", f"{i}-1")
             assert one
-            assert outputs(command, text, edits, "2", f"{command}2") == one
-            assert outputs(command, text, edits, "1", f"{command}1b") == one
+            assert outputs(command, text, edits, "2", f"{i}-2") == one
+            assert outputs(command, text, edits, None, f"{i}-default") == one
+            assert outputs(command, text, edits, "1", f"{i}-1b") == one
+        if not pinned:
+            pytest.skip("numpy bundles no scipy_openblas thread calls: "
+                        "the ring of 400 was not checked")
 
     def test_seed_changes_trajectories(self, tmp_path):
         a = self._run(tmp_path, "out1", {})

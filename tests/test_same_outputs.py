@@ -23,7 +23,7 @@ def _entries(*names):
 
 def test_matrix_covers_the_workloads_algorithms_and_commands():
     names = [e[0] for e in same_outputs.matrix()]
-    assert len(names) == len(set(names)) == 27
+    assert len(names) == len(set(names)) == 32
     assert {"linreg-compare@42", "linreg-compare@7",
             "logreg-minibatch-run@1010", "ring50-theory-shrink@7",
             "validate", "gen-data", "sweep-h",
@@ -32,7 +32,11 @@ def test_matrix_covers_the_workloads_algorithms_and_commands():
             "logreg-sweep-h", "run-GEN_EXTRA_SGLD-batch10",
             "run-EXTRA_SGLD-batch10", "run-GEN_EXTRA_SGLD-eta0.02",
             "logreg-run-batch100", "logreg-run-61-steps",
-            "run-tiny-T0", "run-beta-1e9"} <= set(names)
+            "run-tiny-T0", "run-beta-1e9",
+            "run-GEN_EXTRA_SGLD-batch10-eta0.02", "run-EXTRA_SGLD-203-steps",
+            "run-GEN_EXTRA_SGLD-203-steps",
+            "run-EXTRA_SGLD-batch10-203-steps",
+            "ring400-theory-shrink"} <= set(names)
     assert {f"run-{a}" for a in same_outputs.ALGORITHMS} <= set(names)
     flags = {e[0]: e[3] for e in same_outputs.matrix() if e[3]}
     assert list(flags) == ["run-flag-overrides"]
@@ -53,7 +57,7 @@ def test_scaled_de_sgld_noise_is_flagged(tmp_path, capsys):
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     samplers = tmp_path / "src" / "exlg" / "samplers.py"
-    rule = "noise = noise_fn(lambda b: scale_x * b)"
+    rule = "return lambda b: scale_x * b, de_sgld"
     text = samplers.read_text()
     assert text.count(rule) == 1
     samplers.write_text(text.replace(rule, rule.replace(

@@ -752,14 +752,15 @@ class FarOracle(QuadOracle):
 
 class TestChunkedGuard:
     """The guard checks a chunk of steps at once.  Forced to chunks of 3
-    (iterations 1-3, 4-6, 7-9, ...), it raises what a guard after every
-    step raises: the same message, replica, iteration, agent and value."""
+    (iterations 1-3, 4-6, 7-9, ...) by the chunk rule's noise budget, it
+    raises what a guard after every step raises: the same message,
+    replica, iteration, agent and value."""
 
     @staticmethod
     def _raised(monkeypatch, steps, step_bytes, run):
-        """What ``run()`` raises with the guard's chunk set to ``steps``
-        steps of ``step_bytes`` each."""
-        monkeypatch.setattr(samplers, "_GUARD_BYTES", steps * step_bytes)
+        """What ``run()`` raises with chunks of ``steps`` steps of
+        ``step_bytes`` of Gaussian blocks each."""
+        monkeypatch.setattr(samplers, "_NOISE_BYTES", steps * step_bytes)
         with pytest.raises(ChainDivergenceError) as info:
             run()
         e = info.value
@@ -773,7 +774,7 @@ class TestChunkedGuard:
         task = _toy_task()
         ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
         cfg = SamplerConfig(algo, eta=0.01, steps=20)
-        step_bytes = (1 + (algo == "GEN_EXTRA_SGLD")) * 8 * 3 * 6 * 3
+        step_bytes = 8 * 3 * 6 * 3  # the blocks of 3 replicas
 
         def run():
             # replica 0 bursts one step later than replicas 1 and 2
@@ -801,7 +802,7 @@ class TestChunkedGuard:
         raw = RawMixing(w=ms.w, w_tilde=ms.w_tilde, u=u)
         cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=20)
 
-        step_bytes = 2 * 8 * 3 * 6 * 3  # x and v of 3 replicas
+        step_bytes = 8 * 3 * 6 * 3  # the blocks of 3 replicas
 
         def run():
             run_ensemble(task, cfg, [1, 2, 3], mixing=raw)
@@ -825,7 +826,7 @@ class TestChunkedGuard:
             return real(algo, k, x, v)
 
         monkeypatch.setattr(samplers, "_guard", counted)
-        monkeypatch.setattr(samplers, "_GUARD_BYTES", 3 * 2 * 8 * 2 * 6 * 2)
+        monkeypatch.setattr(samplers, "_NOISE_BYTES", 3 * 8 * 2 * 6 * 2)
         res = run_ensemble(FarOracle(6, 2), cfg, [1, 2], mixing=ms)
         assert guard_chunks == [3] * 10
         # v's sums of squares, and the roundoff of its agent sums (about
@@ -838,7 +839,7 @@ class TestChunkedGuard:
         assert np.vdot(vs, vs) > (0.5 * samplers._DIVERGENCE_LIMIT) ** 2
         assert not any(samplers._dual_inside(v) for v in res.vs[1:])
         # the guard moves no bit
-        monkeypatch.setattr(samplers, "_GUARD_BYTES", 1)
+        monkeypatch.setattr(samplers, "_NOISE_BYTES", 1)
         one = run_ensemble(FarOracle(6, 2), cfg, [1, 2], mixing=ms)
         assert np.array_equal(one.xs, res.xs)
         assert np.array_equal(one.vs, res.vs)
@@ -1328,7 +1329,8 @@ def test_minibatch_chain_across_table_chunks(monkeypatch, table_calls,
 
 def test_minibatch_chain_at_default_chunk_draws_no_scalar_batches(
         table_calls, batch_rng_calls):
-    steps = samplers._chunk_steps(6, 8, 3, 3) + 1  # 8 rows a shard
+    # one replica of 6 agents in 3 dimensions, 3 of 8 rows a shard
+    steps = samplers._chunk_steps((1, 6, 3), _toy_logreg(seed=5), 3) + 1
     assert steps < 3000
     _logreg_chain_vs_written_out(steps, batch_rng_calls)
     assert [len(ks) for ks in table_calls] == [steps - 1, 1]
@@ -1336,8 +1338,9 @@ def test_minibatch_chain_at_default_chunk_draws_no_scalar_batches(
 
 @pytest.mark.parametrize("kind", ["linreg", "logreg"])
 def test_minibatch_ensemble_bits_do_not_depend_on_the_chunk(monkeypatch,
+                                                             table_calls,
                                                              kind):
-    """Chunks of 1 and 3 steps of rows, and the default, give the same
+    """Chunks of 1 and 3 steps, and the default, give the same
     trajectories, for every algorithm that moves x by its gradients."""
     task = _toy_logreg(seed=8) if kind == "logreg" else _toy_task(seed=8,
                                                                   n_i=8)
@@ -1349,9 +1352,14 @@ def test_minibatch_ensemble_bits_do_not_depend_on_the_chunk(monkeypatch,
         mixing = None if algo in samplers.CENTRALIZED else ms
         runs = []
         for budget in (None, 1, 3):
-            if budget is not None:
-                monkeypatch.setattr(samplers, "_TABLE_BYTES",
-                                    budget * per_step)
-            runs.append(run_ensemble(task, cfg, seeds, mixing=mixing).xs)
+            table_calls.clear()
+            with monkeypatch.context() as m:
+                if budget is not None:
+                    m.setattr(samplers, "_TABLE_BYTES", budget * per_step)
+                runs.append(run_ensemble(task, cfg, seeds,
+                                         mixing=mixing).xs)
+            size = budget or cfg.steps
+            assert [len(ks) for ks in table_calls] == [
+                min(size, cfg.steps - k) for k in range(0, cfg.steps, size)]
         for xs in runs[1:]:
             assert np.array_equal(xs, runs[0]), algo

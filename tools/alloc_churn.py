@@ -1,21 +1,32 @@
-"""Minor page faults and CPU time of each benchmark workload's command.
+"""Minor page faults and CPU time of the benchmark's commands, and three more.
 
-    python tools/alloc_churn.py [--tree TREE] [--repeat N] [WORKLOAD ...]
+    python tools/alloc_churn.py [--tree TREE] [--repeat N] [COMMAND ...]
 
-For each workload of ``perfbench/workloads.py`` (read, not changed; all
-three when none is named) the command runs ``N`` times (default 10) in
-one process, through ``exlg.cli.main`` as the benchmark's loop calls it,
-and then once as a fresh ``python -m exlg.cli`` process.  Each command
-gets one line: its minor page faults (``ru_minflt``), user and system
-milliseconds and wall milliseconds, from ``resource.getrusage`` of the
-loop process and from ``os.wait4`` of the fresh one, whose line also
-counts interpreter start-up and imports and gives its ``ru_maxrss``.
-A line per workload gives the medians of the in-process commands after
-the first, and the loop process's ``ru_maxrss`` at its end.
+The commands (all of them when none is named) are each workload of
+``perfbench/workloads.py`` (read, not changed) at its pinned seed, and
+three that the benchmark does not run, derived from those configs:
+
+- ``desk-sweep-h``: ``sweep-h`` on the ``linreg-compare`` config at 200
+  replicas, 9 points, h from 0.05 to 0.45;
+- ``minibatch-sweep-h``: the same sweep on the ``logreg-minibatch-run``
+  config;
+- ``compare-2000``: ``compare`` on the ``linreg-compare`` config at 100
+  replicas and 2000 steps, recording every step.
+
+Each command runs ``N`` times (default 10) in one process, through
+``exlg.cli.main`` as the benchmark's loop calls it, and then once as a
+fresh ``python -m exlg.cli`` process; ``--repeat 0`` runs the fresh
+process alone.  Each run gets one line: its minor page faults
+(``ru_minflt``), user and system milliseconds and wall milliseconds,
+from ``resource.getrusage`` of the loop process and from ``os.wait4`` of
+the fresh one, whose line also counts interpreter start-up and imports
+and gives its ``ru_maxrss``.  A line per command gives the medians of
+the in-process runs after the first, and the loop process's
+``ru_maxrss`` at its end.
 
 ``TREE`` is a checkout of this repository (default: the one holding this
 script); its ``src`` goes first on ``PYTHONPATH``.  Every process runs
-with one BLAS thread, at the workload's pinned seed, in a temporary
+with one BLAS thread, at its workload's pinned seed, in a temporary
 directory.  Standard library only.  The exit code is 1 when a command
 exits non-zero, else 0.
 """
@@ -59,6 +70,33 @@ for _ in range(n):
 """
 
 
+_SWEEP = "[sweep]\nh_min = 0.05\nh_max = 0.45\npoints = 9\n"
+
+
+def commands() -> dict:
+    """{name: (command, config text)} of every command the tool runs."""
+    texts = {name: (w.command, w.config_text(w.pinned_seed, "out"))
+             for name, w in workloads.WORKLOADS.items()}
+    lin, log = texts["linreg-compare"][1], texts["logreg-minibatch-run"][1]
+    edits = {"desk-sweep-h": ("sweep-h", lin, {"replicas = 10\n":
+                                               "replicas = 200\n"}, _SWEEP),
+             "minibatch-sweep-h": ("sweep-h", log, {"replicas = 5\n":
+                                                    "replicas = 200\n"},
+                                   _SWEEP),
+             "compare-2000": ("compare", lin, {
+                 "replicas = 10\n": "replicas = 100\n",
+                 "steps = 200\n": "steps = 2000\n",
+                 "record_every = 10\n": "record_every = 1\n"}, "")}
+    for name, (command, text, lines, tail) in edits.items():
+        for old, new in lines.items():
+            if old not in text:
+                raise RuntimeError(f"{name}: no {old.strip()!r} line to "
+                                   f"replace in its workload's config")
+            text = text.replace(old, new)
+        texts[name] = (command, text + tail)
+    return texts
+
+
 def _line(label: str, code, minflt, user, sys_, wall, maxrss=None) -> str:
     return (f"  {label:<12} exit {code!s:<3} minflt {minflt:>7.0f}  "
             f"user {user:7.1f} ms  sys {sys_:6.1f} ms  wall {wall:7.1f} ms"
@@ -66,17 +104,17 @@ def _line(label: str, code, minflt, user, sys_, wall, maxrss=None) -> str:
 
 
 def churn(tree: str, name: str, repeat: int) -> bool:
-    """Print one workload's commands; whether each exited 0."""
-    w = workloads.WORKLOADS[name]
+    """Print one command's runs; whether each exited 0."""
+    command, text = commands()[name]
     env = dict(os.environ, **_ONE_THREAD,
                PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     ok = True
-    print(f"{name} ({w.command}), {tree}", flush=True)
+    print(f"{name} ({command}), {tree}", flush=True)
     with tempfile.TemporaryDirectory(prefix="alloc-churn-") as tmp:
         cfg = os.path.join(tmp, "exp.ini")
         with open(cfg, "w") as fh:
-            fh.write(w.config_text(w.pinned_seed, os.path.join(tmp, "out")))
-        argv = w.argv(cfg, os.path.join(tmp, "out"))
+            fh.write(text)
+        argv = [command, "--config", cfg, "--out", os.path.join(tmp, "out")]
         loop = subprocess.run(
             [sys.executable, "-c", _LOOP, json.dumps(argv),
              os.path.join(tmp, "out"), str(repeat)],
@@ -110,21 +148,22 @@ def churn(tree: str, name: str, repeat: int) -> bool:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("workloads", nargs="*", metavar="WORKLOAD",
-                    help="workloads to run (default: all): "
-                         + ", ".join(workloads.WORKLOADS))
+    names = list(commands())
+    ap.add_argument("names", nargs="*", metavar="COMMAND",
+                    help="commands to run (default: all): "
+                         + ", ".join(names))
     ap.add_argument("--tree", default=ROOT,
                     help="checkout whose src runs (default: this one)")
     ap.add_argument("--repeat", type=int, default=10, metavar="N",
-                    help="in-process commands per workload (default 10)")
-    args = ap.parse_args(argv)
-    if args.repeat < 1:
-        ap.error("--repeat must be >= 1")
-    unknown = set(args.workloads) - set(workloads.WORKLOADS)
+                    help="in-process runs per command (default 10)")
+    args = ap.parse_intermixed_args(argv)
+    if args.repeat < 0:
+        ap.error("--repeat must be >= 0")
+    unknown = set(args.names) - set(names)
     if unknown:
-        ap.error(f"unknown workloads: {', '.join(sorted(unknown))}")
+        ap.error(f"unknown commands: {', '.join(sorted(unknown))}")
     ok = True
-    for name in args.workloads or workloads.WORKLOADS:
+    for name in args.names or names:
         ok = churn(args.tree, name, args.repeat) and ok
     return 0 if ok else 1
 

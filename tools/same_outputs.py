@@ -21,12 +21,22 @@ changed):
   WARNING``, the flags that override the config;
 - minibatch ``run``s of generalized EXTRA and EXTRA on that config with
   ``batch = 10``;
-- a generalized-EXTRA ``run`` on that config at ``eta = 0.02``, which
-  diverges on its dual v partway through a chunk of guarded steps;
+- generalized-EXTRA ``run``s on that config at ``eta = 0.02``, at full
+  batch and with ``batch = 10``, which diverge on their dual v partway
+  through a chunk of steps (at iteration 32 of a 40-step chunk, and at
+  iteration 31 of a 23-step chunk of minibatch rows);
+- ``run``s of EXTRA and generalized EXTRA on that config with 203 steps,
+  and of EXTRA with ``batch = 10`` and 203 steps: none a multiple of the
+  steps a chunk holds (40 at full batch, 23 with minibatch rows), so
+  EXTRA's noise and the rows cross a chunk boundary into a short last
+  chunk;
 - generalized-EXTRA ``run``s on that config with ``beta_true`` scaled by
   1e-6 (and ``noise_std = 1e-6``, at temperature 0), whose trajectory
   lies below 1e-4, and scaled by 1e9, whose coordinates have ten-digit
   integer parts: the two sides of the trajectory formatter;
+- ``theory`` with shrink on the ``ring50-theory-shrink`` config at
+  ``n = 400`` and ``per_agent = 10``, whose eigensolves are above
+  OpenBLAS's threading threshold;
 - ``compare`` of the five algorithms and a 3-point ``sweep-h`` on the
   minibatch ``logreg-minibatch-run`` config, and ``run`` on it with
   ``batch = 100`` (every shard row) and with 61 steps (not a multiple of
@@ -95,8 +105,20 @@ def matrix() -> list:
     if "eta = 0.009\n" not in base:
         raise RuntimeError("the linreg-compare config has no 'eta = 0.009' "
                            "line to replace")
-    entries.append(("run-GEN_EXTRA_SGLD-eta0.02", "run",
-                    base.replace("eta = 0.009\n", "eta = 0.02\n")))
+    entries += [("run-GEN_EXTRA_SGLD-eta0.02", "run",
+                 base.replace("eta = 0.009\n", "eta = 0.02\n")),
+                ("run-GEN_EXTRA_SGLD-batch10-eta0.02", "run",
+                 algorithm("GEN_EXTRA_SGLD", "batch = 10\n").replace(
+                     "eta = 0.009\n", "eta = 0.02\n"))]
+    if "steps = 200\n" not in base:
+        raise RuntimeError("the linreg-compare config has no 'steps = 200' "
+                           "line to replace")
+    entries += [(f"run-{name}-203-steps", "run", algorithm(a, extra).replace(
+                    "steps = 200\n", "steps = 203\n"))
+                for name, a, extra in (
+                    ("EXTRA_SGLD", "EXTRA_SGLD", ""),
+                    ("GEN_EXTRA_SGLD", "GEN_EXTRA_SGLD", ""),
+                    ("EXTRA_SGLD-batch10", "EXTRA_SGLD", "batch = 10\n"))]
     beta = re.search(r"^beta_true = (.*)\n", base, re.MULTILINE)
     if beta is None:
         raise RuntimeError("the linreg-compare config has no beta_true "
@@ -112,6 +134,15 @@ def matrix() -> list:
                     beta[0], beta_times(1e-6) + "noise_std = 1e-6\n")),
                 ("run-beta-1e9", "run", base.replace(beta[0],
                                                      beta_times(1e9)))]
+    ring = workloads.WORKLOADS["ring50-theory-shrink"]
+    ring400 = ring.config_text(ring.pinned_seed, "out")
+    for old, new in (("n = 50\n", "n = 400\n"),
+                     ("per_agent = 50\n", "per_agent = 10\n")):
+        if old not in ring400:
+            raise RuntimeError(f"the ring50-theory-shrink config has no "
+                               f"{old.strip()!r} line to replace")
+        ring400 = ring400.replace(old, new)
+    entries.append(("ring400-theory-shrink", "theory", ring400))
     log = workloads.WORKLOADS["logreg-minibatch-run"]
     log_base = log.config_text(log.pinned_seed, "out")
     for line in ("batch = 32\n", "steps = 500\n"):
