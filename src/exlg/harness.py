@@ -340,16 +340,13 @@ def _trajectory_chunks(ks, xs_all):
         n_agents, w_a)
     words[..., -1] = np.frombuffer(b"\n\0\0\0", dtype=np.uint32)
     fields = words[..., pre:-1].reshape(n_rec, n_agents, dim, _G17_WORDS)
-    flat = words.reshape(-1)
     for r in range(n_rep):
         text[..., :w_rep] = np.frombuffer(f"{r},".encode().ljust(w_rep, b"\0"),
                                           dtype=np.uint8)
         fields[...] = np.moveaxis(
             _g17_fields(xs_all[:, r].ravel()).reshape(_G17_WORDS, n_rec,
                                                       n_agents, dim), 0, -1)
-        # a word pass first: about two in five words of a block are NUL
-        flat_text = flat[flat != 0].view(np.uint8)
-        yield flat_text[flat_text != 0].tobytes().decode("ascii"), rows
+        yield words.tobytes().translate(None, b"\0").decode("ascii"), rows
 
 
 # `_g17_fields` lays out ``,%.17g`` of a value in 11 uint32 words, 44 bytes:

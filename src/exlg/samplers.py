@@ -72,10 +72,10 @@ which stays the definition of the stream; the copy was verified on numpy
 The dual average v-bar stays at exactly zero up to accumulated roundoff
 because U's column sums vanish.  The divergence guard checks every step:
 the guard ball for x (and v), and the generalized chain's dual average.
-It checks a chunk's iterates in one pass; only a chunk that fails is
-searched step by step, and a step replica by replica, so the error names
-the earliest iteration and the lowest replica, as a check after every
-step would.  `run_ensemble` never materializes the integrated dual q.
+One fast check bounds a chunk's iterates; a chunk that fails it is judged
+(step, replica) pair by pair in one pass, so the error names the earliest
+iteration and the lowest replica, as a check after every step would.
+`run_ensemble` never materializes the integrated dual q.
 """
 
 import dataclasses
@@ -434,76 +434,65 @@ class ChainResult:
 
 
 def _inside(a):
-    """Whether every entry of ``a`` is in the guard ball (NaN is not).
-
-    A sum of squares within a quarter of the limit's square bounds every
-    entry with room to spare for its rounding, in one pass; ``np.vdot``,
-    unlike ``@``, stays silent when that sum overflows.  Anything else gets
-    the exact test.
-    """
-    return (np.vdot(a, a) <= (0.5 * _DIVERGENCE_LIMIT) ** 2
-            or a.max() <= _DIVERGENCE_LIMIT and a.min() >= -_DIVERGENCE_LIMIT)
+    """Whether the sum of squares of ``a`` is within a quarter of the
+    limit's square, which bounds every entry inside the guard ball with
+    room to spare for its rounding (NaN fails); ``np.vdot``, unlike
+    ``@``, stays silent when that sum overflows."""
+    return np.vdot(a, a) <= (0.5 * _DIVERGENCE_LIMIT) ** 2
 
 
 def _dual_inside(v):
     """Whether the dual drift max |sum_i v_i| / N of every (N, d) block of
     the (..., N, d) ``v`` is within half of _DUAL_TOL, by a sum of squares
     of the agent sums.  The half leaves room for the summation order of
-    the one matmul, which need not be the search's."""
+    the one matmul, which need not be the exact pass's."""
     n = v.shape[-2]
     s = np.matmul(np.ones(n), v)
     return np.vdot(s, s) <= (0.5 * _DUAL_TOL * n) ** 2
 
 
-def _guard(algo, k, x, v=None):
-    """Raise ChainDivergenceError if some replica's x (or v, when given)
-    left the ball, or its dual average left zero.
+def _guard(algo, k0, xs, vs=None):
+    """Raise ChainDivergenceError if, at some step of the (G, R, rows, d)
+    iterates ``xs`` (and ``vs``), step t at iteration k0 + t, a replica's
+    x (or v) left the ball, or its dual average left zero.
 
-    x and v are (R, rows, d).  The lowest such replica is named; for it x
-    is checked before v, and v before the dual average.  One global check
-    passes a step first: every entry in the ball and every replica's dual
-    drift within half of _DUAL_TOL, the least of the per-replica limits
-    (`_dual_inside`).  Only a step that fails it is searched replica by
-    replica, and a replica's dual drift is summed only from a v inside
-    the ball.
+    The earliest such step is named, and at it the lowest replica; for
+    that pair x is checked before v, and v before the dual average, as a
+    check after every step would.  The chunk's fast bounds pass it first:
+    `_inside` of every iterate, and `_dual_inside`, the least of the
+    per-pair dual limits.  A chunk that fails them is judged pair by pair
+    in one pass: each (step, replica) peak |x| and |v|, and its dual
+    drift against _DUAL_TOL * max(1, peak |v|).
     """
-    if _inside(x) and (v is None or _inside(v) and _dual_inside(v)):
-        return  # no replica near a limit: nothing to search
-    for r in range(x.shape[0]):
-        blocks = [("x", x[r])] if v is None else [("x", x[r]), ("v", v[r])]
-        for name, blk in blocks:
-            m = float(np.max(np.abs(blk)))
-            if not m <= _DIVERGENCE_LIMIT:  # NaN counts as out
-                agent = int(np.argmax(np.abs(blk)) // blk.shape[1])
-                raise ChainDivergenceError(
-                    f"{algo} diverged at iteration {k}, agent {agent}: "
-                    f"max |{name}| entry = {m:.6e} "
-                    f"(limit {_DIVERGENCE_LIMIT:.1e})",
-                    algorithm=algo, replica=r, k=k, agent=agent, value=m)
-        if v is None:
-            continue
-        drift = float(np.max(np.abs(v[r].sum(axis=0)))) / v.shape[1]
-        limit = _DUAL_TOL * max(1.0, m)  # m is v[r]'s peak
-        if drift > limit:
+    blocks = [("x", xs)] if vs is None else [("x", xs), ("v", vs)]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, NaN
+        if all(_inside(a) for _, a in blocks) and (
+                vs is None or _dual_inside(vs)):
+            return  # no pair near a limit: nothing to judge
+        peaks = [np.abs(a).max(axis=(2, 3)) for _, a in blocks]
+        bad = ~(peaks[0] <= _DIVERGENCE_LIMIT)  # NaN counts as out
+        if vs is not None:
+            drift = np.abs(vs.sum(axis=2)).max(axis=2) / vs.shape[2]
+            limit = _DUAL_TOL * np.maximum(1.0, peaks[1])
+            bad |= ~(peaks[1] <= _DIVERGENCE_LIMIT) | (drift > limit)
+        if not bad.any():
+            return
+    t, r = (int(i) for i in np.argwhere(bad)[0])
+    k = k0 + t
+    for (name, a), peak in zip(blocks, peaks):
+        m = float(peak[t, r])
+        if not m <= _DIVERGENCE_LIMIT:
+            agent = int(np.argmax(np.abs(a[t, r])) // a.shape[3])
             raise ChainDivergenceError(
-                f"{algo} dual average left zero at iteration {k}: "
-                f"max |sum_i v_i|/N = {drift:.6e} (limit {limit:.1e})",
-                algorithm=algo, replica=r, k=k, agent=None, value=drift)
-
-
-def _guard_chunk(algo, k0, xs, vs=None):
-    """`_guard` of every step of the (G, R, rows, d) iterates ``xs`` (and
-    ``vs``), step t at iteration k0 + t.
-
-    One check over the whole chunk passes it: every entry in the ball, and
-    every (step, replica) dual drift within the bound of `_dual_inside`.
-    Only a chunk that fails it is searched step by step, so the error
-    names the earliest iteration, as a guard after every step would.
-    """
-    if _inside(xs) and (vs is None or _inside(vs) and _dual_inside(vs)):
-        return
-    for t, x in enumerate(xs):
-        _guard(algo, k0 + t, x, None if vs is None else vs[t])
+                f"{algo} diverged at iteration {k}, agent {agent}: "
+                f"max |{name}| entry = {m:.6e} "
+                f"(limit {_DIVERGENCE_LIMIT:.1e})",
+                algorithm=algo, replica=r, k=k, agent=agent, value=m)
+    value = float(drift[t, r])
+    raise ChainDivergenceError(
+        f"{algo} dual average left zero at iteration {k}: "
+        f"max |sum_i v_i|/N = {value:.6e} (limit {float(limit[t, r]):.1e})",
+        algorithm=algo, replica=r, k=k, agent=None, value=value)
 
 
 def _chunk_steps(shape, oracle, batch):
@@ -670,7 +659,7 @@ def run_ensemble(
     x_buf = np.empty((len(blocks),) + x.shape)
     v_buf = np.empty_like(x_buf) if dual else None
     j = 1  # the next record
-    with np.errstate(over="ignore", invalid="ignore"):  # _guard: inf, NaN
+    with np.errstate(over="ignore", invalid="ignore"):  # diverging steps
         for k0 in range(0, cfg.steps, chunk):
             c = min(chunk, cfg.steps - k0)
             if c < len(blocks):  # the last chunk, cut short
@@ -688,7 +677,7 @@ def run_ensemble(
                 if dual:
                     v_buf[t] = v
             del rows  # released before the next chunk's: 0.6 MB less peak
-            _guard_chunk(algo, k0 + 1, x_buf[:c], v_buf[:c] if dual else None)
+            _guard(algo, k0 + 1, x_buf[:c], v_buf[:c] if dual else None)
             e = np.searchsorted(ks, k0 + c, side="right")
             xs[j:e] = x_buf[ks[j:e] - k0 - 1]
             if dual:

@@ -352,10 +352,8 @@ class LogRegTask(_ShardedTask):
         s = (self._flat.reshape(self.dim, 1, self.n_agents, -1)
              if rows is None else rows)
         z = _matvec(s, x.transpose(2, 0, 1)[..., None])
-        data = -_rmatvec(s, _sigmoid_neg(z))
-        if rows is not None:
-            data = (self.shard_size / rows.shape[-1]) * data
-        return data + self._prior_grad(x)
+        scale = -1.0 if rows is None else -(self.shard_size / rows.shape[-1])
+        return self._prior_grad(x) + scale * _rmatvec(s, _sigmoid_neg(z))
 
     def minimizer(self) -> np.ndarray:
         """argmin of sum_i f_i by damped Newton (backtracking line search)."""

@@ -586,8 +586,9 @@ def test_u_with_nonzero_column_sums_trips_the_dual_check():
 
 
 def _guard_reference(algo, k, x, v=None):
-    """The divergence guard before its global fast path: every step
-    searched replica by replica.  The oracle of `samplers._guard`."""
+    """The divergence guard of one step, without fast bounds: its (R,
+    rows, d) x (and v) judged replica by replica.  Step by step, the
+    oracle of `samplers._guard`."""
     limit, tol = samplers._DIVERGENCE_LIMIT, samplers._DUAL_TOL
     blocks = [("x", x)] if v is None else [("x", x), ("v", v)]
     peaks = [np.max(np.abs(blk), axis=(1, 2)) for _name, blk in blocks]
@@ -618,12 +619,19 @@ def _guard_reference(algo, k, x, v=None):
         algorithm=algo, replica=r, k=k, agent=None, value=value)
 
 
-def _guard_outcome(guard, x, v):
+def _guard_outcome(guard, k, x, v):
     try:
-        guard("GEN_EXTRA_SGLD", 7, x, v)
+        guard("GEN_EXTRA_SGLD", k, x, v)
     except ChainDivergenceError as e:
         return (str(e), e.algorithm, e.replica, e.k, e.agent, repr(e.value))
     return None
+
+
+def _chunk_reference(algo, k0, xs, vs=None):
+    """`_guard_reference` of every step of a (G, R, rows, d) chunk, step t
+    at iteration k0 + t, in step order."""
+    for t, x in enumerate(xs):
+        _guard_reference(algo, k0 + t, x, None if vs is None else vs[t])
 
 
 def _guard_cases():
@@ -716,28 +724,67 @@ def _guard_cases():
 def test_guard_matches_replica_search(name, x, v, want):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _guard_outcome(samplers._guard, x, v)
+        got = _guard_outcome(samplers._guard, 7, x[None],
+                             None if v is None else v[None])
     with np.errstate(invalid="ignore"):  # the reference sums every v
-        assert got == _guard_outcome(_guard_reference, x, v)
+        assert got == _guard_outcome(_guard_reference, 7, x, v)
     if want is None:
         assert got is None
     else:
         replica, message = want
         assert got[2] == replica
         assert got[0].startswith(f"GEN_EXTRA_SGLD {message}")
+    # the case as the first, middle and last step of a 3-step chunk whose
+    # other steps are clean: the same outcome, at the same iteration
+    _, clean_x, clean_v, _ = _guard_cases()[0]
+    for at in range(3):
+        xs = np.stack([x if t == at else clean_x for t in range(3)])
+        vs = None if v is None else np.stack(
+            [v if t == at else clean_v for t in range(3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _guard_outcome(samplers._guard, 7 - at, xs, vs) == got
+
+
+@pytest.mark.parametrize("dual, nan_v, big_x, want", [
+    ((1, 2), (1, 3), (2, 0), (1, 2, "dual average left zero at iteration "
+                                    "8: ")),
+    ((2, 0), (1, 3), (1, 1), (1, 1, "diverged at iteration 8, agent 2: "
+                                    "max |x| entry = 1.000000e+12")),
+    ((2, 1), (0, 2), (0, 3), (0, 2, "diverged at iteration 7, agent 4: "
+                                    "max |v| entry = nan")),
+    ((0, 3), (2, 1), (0, 3), (0, 3, "diverged at iteration 7, agent 2: "
+                                    "max |x|")),
+], ids=["dual-first", "x-first", "v-first", "x-before-dual-of-one-pair"])
+def test_guard_names_the_earliest_pair_of_a_chunk(dual, nan_v, big_x, want):
+    # a dual failure, a NaN in v and an x past the limit, each at its own
+    # (step, replica) pair of one 3-step chunk from iteration 7
+    _, x, v, _ = _guard_cases()[0]
+    xs, vs = np.stack([x] * 3), np.stack([v] * 3)
+    vs[dual][:, 1] += 1.0
+    vs[nan_v][4, 0] = np.nan
+    xs[big_x][2, 1] = np.nextafter(-1e12, -np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _guard_outcome(samplers._guard, 7, xs, vs)
+    with np.errstate(invalid="ignore"):
+        assert got == _guard_outcome(_chunk_reference, 7, xs, vs)
+    step, replica, message = want
+    assert got[2:4] == (replica, 7 + step)
+    assert got[0].startswith(f"GEN_EXTRA_SGLD {message}")
 
 
 @pytest.fixture
 def guard_chunks(monkeypatch):
-    """The length of every chunk samplers._guard_chunk checks."""
+    """The length of every chunk samplers._guard checks."""
     lengths = []
-    real = samplers._guard_chunk
+    real = samplers._guard
 
     def counted(algo, k0, xs, vs=None):
         lengths.append(len(xs))
         return real(algo, k0, xs, vs)
 
-    monkeypatch.setattr(samplers, "_guard_chunk", counted)
+    monkeypatch.setattr(samplers, "_guard", counted)
     return lengths
 
 
@@ -818,21 +865,13 @@ class TestChunkedGuard:
                                                        guard_chunks):
         ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
         cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=30)
-        searched = []
-        real = samplers._guard
-
-        def counted(algo, k, x, v=None):
-            searched.append(k)
-            return real(algo, k, x, v)
-
-        monkeypatch.setattr(samplers, "_guard", counted)
         monkeypatch.setattr(samplers, "_NOISE_BYTES", 3 * 8 * 2 * 6 * 2)
         res = run_ensemble(FarOracle(6, 2), cfg, [1, 2], mixing=ms)
+        # one guard call a chunk: v's sums of squares, and the roundoff of
+        # its agent sums (about 1e-6 a step), fail the fast bounds of every
+        # chunk, so each is judged pair by pair; no pair is out of the
+        # ball or past its dual limit
         assert guard_chunks == [3] * 10
-        # v's sums of squares, and the roundoff of its agent sums (about
-        # 1e-6 a step), fail the fast bounds of every chunk, so every step
-        # is searched; none is out of the ball or past its dual limit
-        assert searched == list(range(1, 31))
         vs = res.vs[7:]  # iterations 7 to 30: each one's peak |v| ~ 1e11
         peaks = np.abs(vs).max(axis=(1, 2, 3))
         assert (9e10 < peaks).all() and (peaks < 2e11).all()
