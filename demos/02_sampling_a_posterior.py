@@ -48,7 +48,7 @@ def ensemble(algo):
     """(mean-iterate W2 series, per-agent W2 series) for one algorithm."""
     seeds = [derive_seed(MASTER, algo, r) for r in range(REPLICAS)]
     cfg = SamplerConfig(algo, eta=ETA, steps=STEPS)
-    xs = run_ensemble(task, cfg, seeds, mixing=ms, record_every=EVERY).xs
+    xs = run_ensemble(task, cfg, seeds, mixing=ms, record_every=EVERY)
     series = series_for_run(task, xs, None, 1.0)
     return series["w2_mean"], series["w2_agents"]
 

@@ -25,8 +25,8 @@ print("minimizer:", np.round(xstar, 6))
 
 def worst_agent_error(algo, eta, steps=10_000):
     cfg = SamplerConfig(algo, eta=eta, steps=steps, temperature=0.0)
-    res = run_ensemble(task, cfg, [1], mixing=ms, record_every=steps)
-    return float(np.max(np.linalg.norm(res.xs[-1, 0] - xstar, axis=1)))
+    xs = run_ensemble(task, cfg, [1], mixing=ms, record_every=steps)
+    return float(np.max(np.linalg.norm(xs[-1, 0] - xstar, axis=1)))
 
 
 print(f"\n{'eta':>8s} {'DGD error':>12s} {'EXTRA error':>12s}")

@@ -39,7 +39,7 @@ task = LinRegTask(xs=xs, ys=ys, prior_var=1.0)
 def per_agent_w2(algo, ms):
     seeds = [derive_seed(MASTER, algo, r) for r in range(REPLICAS)]
     cfg = SamplerConfig(algo, eta=0.009, steps=STEPS)
-    block = run_ensemble(task, cfg, seeds, mixing=ms, record_every=10).xs
+    block = run_ensemble(task, cfg, seeds, mixing=ms, record_every=10)
     return series_for_run(task, block, None, 1.0)["w2_agents"]
 
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from exlg.metrics import w2_batch
 from exlg.network import build_mixing_set, make_topology
-from exlg.samplers import SamplerConfig, derive_seed, run_ensemble
+from exlg.samplers import (SamplerConfig, derive_seed, record_ks,
+                           run_ensemble)
 from exlg.tasks import LinRegTask, gen_linreg_data, partition_data
 from exlg.theory import (
     bound_w2_mean,
@@ -54,10 +55,10 @@ for name, value in tc.as_rows():
     print(f"  {name:12s} {value:.6g}")
 
 seeds = [derive_seed(MASTER, "GEN_EXTRA_SGLD", r) for r in range(reps)]
-res = run_ensemble(task, dataclasses.replace(sampler, eta=p.eta), seeds,
-                   mixing=ms_adm, record_every=every)
-ks = res.ks.tolist()
-emp = w2_batch(res.xs.mean(axis=2), task.target())  # W2 of x-bar
+xs = run_ensemble(task, dataclasses.replace(sampler, eta=p.eta), seeds,
+                  mixing=ms_adm, record_every=every)
+ks = record_ks(steps, every)
+emp = w2_batch(xs.mean(axis=2), task.target())  # W2 of x-bar
 
 print(f"\n{'k':>5s} {'bound':>12s} {'measured W2':>12s}")
 for k, e in zip(ks, emp):

@@ -63,15 +63,15 @@ task = LinRegTask(xs=xs, ys=ys, prior_var=1.0)
 ms = build_mixing_set(make_topology("ring", 4), h=0.3, delta=0.2)
 cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=500)
 
-a = run_ensemble(task, cfg, [2024], mixing=ms).xs
-b = run_ensemble(task, cfg, [2024], mixing=ms).xs
+a = run_ensemble(task, cfg, [2024], mixing=ms)
+b = run_ensemble(task, cfg, [2024], mixing=ms)
 print("\ntwo runs of the same chain are bit-identical:",
       np.array_equal(a, b))
 
 # --- replica count --------------------------------------------------------
 seeds = [derive_seed(master, "replica", r) for r in range(8)]
-alone = run_ensemble(task, cfg, seeds[:1], mixing=ms).xs[:, 0]
-of_eight = run_ensemble(task, cfg, seeds, mixing=ms).xs[:, 0]
+alone = run_ensemble(task, cfg, seeds[:1], mixing=ms)[:, 0]
+of_eight = run_ensemble(task, cfg, seeds, mixing=ms)[:, 0]
 print("replica 0 at R = 1 and at R = 8 is bit-identical:",
       np.array_equal(alone, of_eight))
 assert np.array_equal(alone, of_eight)

@@ -558,12 +558,11 @@ def _chain_and_score(cfg: ExperimentConfig, task, holdout,
                      algorithm: str, seeds, ms: Optional[MixingSet]):
     """One variant: run ``algorithm``'s replicas (one per seed, over ``ms``,
     which a centralized chain ignores) on ``task`` and score them.
-    Returns the `run_ensemble` result and its metric series."""
-    res = run_ensemble(task,
-                       dataclasses.replace(cfg.sampler, algorithm=algorithm),
-                       seeds, mixing=ms, record_every=cfg.run.record_every)
-    return res, series_for_run(task, res.xs, holdout,
-                               cfg.sampler.temperature)
+    Returns the `run_ensemble` records and their metric series."""
+    xs = run_ensemble(task,
+                      dataclasses.replace(cfg.sampler, algorithm=algorithm),
+                      seeds, mixing=ms, record_every=cfg.run.record_every)
+    return xs, series_for_run(task, xs, holdout, cfg.sampler.temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -617,14 +616,15 @@ def _run(cfg: ExperimentConfig, task, holdout, manifest: ManifestWriter,
     mixing set (None for a centralized algorithm), its files written
     through ``manifest``; returns the metric series it wrote."""
     seeds = _replica_seeds(cfg.run.seed, cfg.run.replicas)
-    res, series = _chain_and_score(cfg, task, holdout, cfg.sampler.algorithm,
-                                   seeds, ms)
+    xs, series = _chain_and_score(cfg, task, holdout, cfg.sampler.algorithm,
+                                  seeds, ms)
+    ks = record_ks(cfg.sampler.steps, cfg.run.record_every)
 
-    coords = [f"coord_{j}" for j in range(res.xs.shape[-1])]
+    coords = [f"coord_{j}" for j in range(xs.shape[-1])]
     manifest.write_csv("trajectory.csv", ["replica", "k", "agent", *coords],
-                       _trajectory_chunks(res.ks, res.xs))
+                       _trajectory_chunks(ks, xs))
     manifest.write_csv("metrics.csv", ["k", "label", "value"],
-                       _row_lines(metric_rows(res.ks, series)))
+                       _row_lines(metric_rows(ks, series)))
     manifest.write_csv("plateau.csv", ["algorithm", "label", "plateau"],
                        _row_lines((cfg.sampler.algorithm, label, plateau(v))
                                   for label, v in series.items()))

@@ -33,7 +33,7 @@ slice), and on a minibatch chain `batch_table` and the oracle's ``rows``
 gather its rows.  Each transition is ``x, v = step(k, x, v, noise,
 rows)`` on its step's slices, written into the chunk's (C, R, rows, d)
 buffer; the divergence guard checks that buffer once (see below), and
-the chunk's records leave it in one copy.  ``step`` is the algorithm's
+the chunk's x records leave it in one copy.  ``step`` is the algorithm's
 step function, which computes the update rule above term for term on the
 whole array, with the run's constants resolved once and, in the
 generalized chain, W~ x and g + v formed once for both halves; the tests
@@ -49,8 +49,8 @@ stream's rows (ULA's stream has one row, so w-bar is that row exactly).
 EXTRA's bootstrap calls the DE-SGLD rule with w^0 = 0, its closure keeps
 the previous iterate and gradient, and its ``form`` carries the last
 block of a chunk into the next.  Only the generalized chain moves v, so
-only it guards and records v.  `run_ensemble` is the one way to run
-chains: a single chain is a one-seed ensemble.
+only it guards v.  `run_ensemble` is the one way to run chains: a single
+chain is a one-seed ensemble.
 
 Replica r draws from its own stream, keyed by its seed, and each draw
 depends on (seed, k, i) alone.  With row bits that do not depend on how
@@ -92,7 +92,6 @@ __all__ = [
     "CENTRALIZED",
     "ChainDivergenceError",
     "SamplerConfig",
-    "ChainResult",
     "NoiseStream",
     "derive_seed",
     "philox4x64",
@@ -419,20 +418,6 @@ def record_ks(steps: int, record_every: int) -> list:
     return sorted({*range(0, steps + 1, record_every), steps})
 
 
-@dataclasses.dataclass(frozen=True)
-class ChainResult:
-    """Recorded trajectory: ks ascending, xs[j] the (R, rows, d) block at
-    iterate ks[j], so ``xs`` is (n_rec, R, rows, d).  The final iterate is
-    always recorded, so ``xs[-1]`` is the end state.  ``vs`` holds the
-    dual blocks of the generalized chain and is None for the others,
-    whose v stays zero.
-    """
-
-    ks: np.ndarray
-    xs: np.ndarray
-    vs: np.ndarray | None
-
-
 def _inside(a):
     """Whether the sum of squares of ``a`` is within a quarter of the
     limit's square, which bounds every entry inside the guard ball with
@@ -589,7 +574,7 @@ def run_ensemble(
     mixing=None,
     record_every: int = 1,
     noises=None,
-) -> ChainResult:
+) -> np.ndarray:
     """Run one chain per seed, all advancing together as one
     (R, rows, d) array from x = v = 0, for cfg.steps transitions.
 
@@ -607,10 +592,12 @@ def run_ensemble(
     _TABLE_BYTES.  Per chunk the noise terms are drawn and formed once and
     the rows gathered once, the C steps write their iterates into one
     (C, R, rows, d) buffer (and one for v), the guard checks that buffer
-    once, and the records that fall in the chunk leave it in one copy.
+    once, and the x records that fall in the chunk leave it in one copy.
 
-    Records every ``record_every`` iterates (k = 0 and the final iterate
-    always); ``xs`` is (n_rec, R, rows, d).  ``noises`` holds one
+    Returns the (n_rec, R, rows, d) records of x: entry j is iterate
+    ``record_ks(cfg.steps, record_every)[j]`` (every ``record_every``-th,
+    and the last, so entry -1 is the end state).  v is never recorded;
+    each chunk's v is the guard's input alone.  ``noises`` holds one
     `NoiseStream` (or subclass) per seed, in place of the default
     ``NoiseStream(seeds[r], ...)``; minibatch indices are keyed by their
     ``seed``, and ``gaussian_blocks(k0, out)`` must write block k0 + j
@@ -648,7 +635,6 @@ def run_ensemble(
 
     # record 0 is the zero start
     xs = np.zeros((len(ks), len(seeds), n_rows, oracle.dim))
-    vs = np.zeros_like(xs) if dual else None
     x = np.zeros_like(xs[0])
     v = np.zeros_like(x)
     # each stream's slice of the chunk's blocks; at temperature 0 every
@@ -680,8 +666,5 @@ def run_ensemble(
             _guard(algo, k0 + 1, x_buf[:c], v_buf[:c] if dual else None)
             e = np.searchsorted(ks, k0 + c, side="right")
             xs[j:e] = x_buf[ks[j:e] - k0 - 1]
-            if dual:
-                vs[j:e] = v_buf[ks[j:e] - k0 - 1]
             j = e
-
-    return ChainResult(ks=ks, xs=xs, vs=vs)
+    return xs

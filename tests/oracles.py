@@ -7,7 +7,9 @@ values must equal these functions on one record, and every value of
 ``metrics.w2_batch`` must equal ``w2_gaussian`` of its block's fit.
 ``run_ensemble`` advances every replica with one step-table entry; each
 transition must equal the ``step_*`` function of its chain on one
-replica.  ``RawMixing`` drives a sampler with hand-built matrices.
+replica.  A chain records x alone; `GuardSpy` sees every iterate of x
+and v where the divergence guard sees it.  ``RawMixing`` drives a
+sampler with hand-built matrices.
 ``mix`` is the chains' mixing product and ``gaussian_block`` one block
 of a `NoiseStream`, drawn alone.
 """
@@ -16,6 +18,7 @@ import dataclasses
 
 import numpy as np
 
+from exlg import samplers
 from exlg.linalg import mixing_matrix, psd_sqrt
 from exlg.tasks import GaussianDist
 
@@ -95,6 +98,39 @@ class RawMixing:
     @property
     def n(self) -> int:
         return np.asarray(self.w).shape[0]
+
+
+class GuardSpy:
+    """Stands in for ``samplers._guard`` (through ``monkeypatch``) and
+    keeps a copy of each chunk's ``(k0, xs, vs)`` before the guard judges
+    it: a run writes its next chunk into the same buffers."""
+
+    def __init__(self, monkeypatch):
+        self.chunks = []
+        guard = samplers._guard
+
+        def spy(algo, k0, xs, vs=None):
+            self.chunks.append(
+                (k0, xs.copy(), None if vs is None else vs.copy()))
+            return guard(algo, k0, xs, vs)
+        monkeypatch.setattr(samplers, "_guard", spy)
+
+    @property
+    def lengths(self):
+        """The steps of every chunk checked so far."""
+        return [len(xs) for _, xs, _ in self.chunks]
+
+    def iterates(self, shape):
+        """(x, v) at iterates 0, 1, ... of the chunks checked so far, each
+        (K + 1, *shape) from the zero start of (R, rows, d) ``shape``; v is
+        None when a chunk had none (every chain but the generalized)."""
+        assert [k0 for k0, _, _ in self.chunks] == [
+            1 + sum(self.lengths[:i]) for i in range(len(self.chunks))]
+        start = np.zeros((1, *shape))
+        x = np.concatenate([start] + [xs for _, xs, _ in self.chunks])
+        if any(vs is None for _, _, vs in self.chunks):
+            return x, None
+        return x, np.concatenate([start] + [vs for _, _, vs in self.chunks])
 
 
 def mix(m, x):

@@ -54,6 +54,7 @@ from exlg.samplers import (
     ChainDivergenceError,
     SamplerConfig,
     derive_seed,
+    record_ks,
     run_ensemble,
 )
 from exlg.tasks import gen_linreg_data
@@ -1730,10 +1731,11 @@ def test_run_and_sweep_trajectories_equal_reference(tmp_path, monkeypatch):
     outs = [tmp_path / "run"] + [tmp_path / "sweep" / f"h_{h:.6g}"
                                  for h in (0.1, 0.2, 0.3)]
     assert len(ensembles) == len(outs)
-    for out, res in zip(outs, ensembles):
-        assert res.xs.shape == (41, 3, 6, 2)
+    for out, xs in zip(outs, ensembles):
+        assert xs.shape == (41, 3, 6, 2)
         want, count = _reference_csv(
-            _trajectory_header(2), _reference_trajectory_rows(res.ks, res.xs))
+            _trajectory_header(2),
+            _reference_trajectory_rows(record_ks(40, 1), xs))
         assert (out / "trajectory.csv").read_bytes() == want.encode()
         with open(out / "manifest.json") as fh:
             assert json.load(fh)["files"]["trajectory.csv"] == {

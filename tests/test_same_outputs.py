@@ -23,7 +23,7 @@ def _entries(*names):
 
 def test_matrix_covers_the_workloads_algorithms_and_commands():
     names = [e[0] for e in same_outputs.matrix()]
-    assert len(names) == len(set(names)) == 33
+    assert len(names) == len(set(names)) == 34
     assert {"linreg-compare@42", "linreg-compare@7",
             "logreg-minibatch-run@1010", "ring50-theory-shrink@7",
             "validate", "gen-data", "sweep-h",
@@ -33,6 +33,7 @@ def test_matrix_covers_the_workloads_algorithms_and_commands():
             "run-EXTRA_SGLD-batch10", "run-GEN_EXTRA_SGLD-eta0.02",
             "logreg-run-batch100", "logreg-run-61-steps",
             "run-tiny-T0", "run-beta-1e9", "run-beta-1e9-r200",
+            "run-GEN_EXTRA_SGLD-r200-every1",
             "run-GEN_EXTRA_SGLD-batch10-eta0.02", "run-EXTRA_SGLD-203-steps",
             "run-GEN_EXTRA_SGLD-203-steps",
             "run-EXTRA_SGLD-batch10-203-steps",

@@ -7,6 +7,7 @@ vs its special cases) under shared noise, and the exact-zero dual average.
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -36,6 +37,7 @@ from exlg.tasks import (
 )
 
 from oracles import (
+    GuardSpy,
     RawMixing,
     gaussian_block,
     mix,
@@ -321,8 +323,9 @@ class TestUlaStationary:
         # 1/(1 - eta/2); 1e5 steps must land within [0.9, 1.1] of it.
         eta = 0.1
         cfg = SamplerConfig(algorithm="ULA", eta=eta, steps=100_000)
-        res = run_ensemble(QuadOracle(1, 1), cfg, [404], record_every=10)
-        samples = res.xs[res.ks > 1000, 0, 0, 0]
+        xs = run_ensemble(QuadOracle(1, 1), cfg, [404], record_every=10)
+        ks = np.array(record_ks(cfg.steps, 10))
+        samples = xs[ks > 1000, 0, 0, 0]
         target = 1.0 / (1.0 - eta / 2.0)
         assert 0.9 * target < samples.var() < 1.1 * target
 
@@ -344,7 +347,7 @@ class TestReductions:
             task, SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=200),
             [seed], mixing=raw,
         )
-        assert np.max(np.abs(de.xs - gen.xs)) <= 1e-8
+        assert np.max(np.abs(de - gen)) <= 1e-8
 
     def test_gen_with_wtilde_over_eta_is_extra(self):
         task = _toy_task()
@@ -365,7 +368,7 @@ class TestReductions:
             [seed],
             mixing=ms,
         )
-        assert np.max(np.abs(extra.xs - gen.xs)) <= 1e-8
+        assert np.max(np.abs(extra - gen)) <= 1e-8
 
     def test_extra_with_wtilde_equal_w_is_de_sgld(self):
         task = _toy_task()
@@ -380,7 +383,7 @@ class TestReductions:
             task, SamplerConfig("EXTRA_SGLD", eta=0.01, steps=200), [seed],
             mixing=raw,
         )
-        assert np.max(np.abs(de.xs - extra.xs)) <= 1e-8
+        assert np.max(np.abs(de - extra)) <= 1e-8
 
     def test_single_agent_collapses_to_ula(self):
         task = _toy_task(n_agents=1, n_i=8)
@@ -396,7 +399,7 @@ class TestReductions:
                 task, SamplerConfig(algo, eta=0.01, steps=150), [seed],
                 mixing=raw,
             )
-            assert np.max(np.abs(ula.xs - other.xs)) <= 1e-8, algo
+            assert np.max(np.abs(ula - other)) <= 1e-8, algo
 
     def test_reductions_hold_with_minibatches(self):
         task = _toy_task(n_i=6)
@@ -411,7 +414,7 @@ class TestReductions:
             SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=100, batch=2),
             [seed], mixing=ms,
         )
-        assert np.max(np.abs(extra.xs - gen.xs)) <= 1e-8
+        assert np.max(np.abs(extra - gen)) <= 1e-8
 
 
 def _written_out_chain(task, cfg, seed, ms):
@@ -496,8 +499,8 @@ def _chain_cases():
 
 
 @pytest.mark.parametrize("algo, batch, chunk, fields", _chain_cases())
-def test_chain_matches_step_functions(monkeypatch, algo, batch, chunk,
-                                      fields):
+def test_chain_matches_step_functions(monkeypatch, guard_spy, algo, batch,
+                                      chunk, fields):
     task = _toy_task(seed=21, n_i=6)
     ms = build_mixing_set(ring(6), h=0.35, delta=0.2)
     cfg = SamplerConfig(algo, eta=0.02, steps=25, batch=batch, **fields)
@@ -515,6 +518,7 @@ def test_chain_matches_step_functions(monkeypatch, algo, batch, chunk,
     res = run_ensemble(
         task, cfg, [33], noises=[Recorded(33, rows, task.dim)],
         mixing=None if algo in ("ULA", "REFERENCE_CHAIN") else ms)
+    seen_x, seen_v = guard_spy.iterates(res.shape[1:])
     # blocks 1 .. steps, each once, one call a chunk (the default budget
     # holds all 25 steps); none at temperature 0
     size = chunk or cfg.steps
@@ -522,12 +526,13 @@ def test_chain_matches_step_functions(monkeypatch, algo, batch, chunk,
                      for k in range(1, cfg.steps + 1, size)
                      if cfg.temperature]
     xs, vs = _written_out_chain(task, cfg, 33, ms)
-    assert np.array_equal(res.ks, np.arange(cfg.steps + 1))
-    assert np.array_equal(res.xs[:, 0], xs)
+    assert len(res) == cfg.steps + 1
+    assert np.array_equal(res[:, 0], xs)
+    assert np.array_equal(seen_x, res)  # the guard saw every iterate
     if vs is None:
-        assert res.vs is None
+        assert seen_v is None
     else:
-        assert np.array_equal(res.vs[:, 0], vs)
+        assert np.array_equal(seen_v[:, 0], vs)
 
 
 def _toy_logreg(seed=0, n_agents=6, n_i=8, d=3, prior_var=10.0):
@@ -547,7 +552,8 @@ def _toy_logreg(seed=0, n_agents=6, n_i=8, d=3, prior_var=10.0):
 @pytest.mark.parametrize("kind", ["linreg", "logreg"])
 @pytest.mark.parametrize("batch", [None, 2], ids=["full", "batch2"])
 @pytest.mark.parametrize("algo", ALGORITHMS)
-def test_replica_values_do_not_depend_on_replica_count(algo, batch, kind,
+def test_replica_values_do_not_depend_on_replica_count(guard_spy, algo,
+                                                       batch, kind,
                                                        record_every, ks):
     task = _toy_task(seed=8, n_i=6) if kind == "linreg" else _toy_logreg(8)
     ms = build_mixing_set(ring(6), h=0.35, delta=0.2)
@@ -556,16 +562,18 @@ def test_replica_values_do_not_depend_on_replica_count(algo, batch, kind,
     seeds = [derive_seed(5, "replica", r) for r in range(4)]
     ens = run_ensemble(task, cfg, seeds, mixing=mixing,
                        record_every=record_every)
-    assert ens.ks.tolist() == ks
-    assert ens.xs.shape[:2] == (len(ks), 4)
-    assert not ens.xs[0].any()  # every chain starts at zero
+    _, ens_v = guard_spy.iterates(ens.shape[1:])
+    assert (ens_v is None) == (algo != "GEN_EXTRA_SGLD")
+    assert ens.shape[:2] == (len(ks), 4)
+    assert not ens[0].any()  # every chain starts at zero
     for r, seed in enumerate(seeds):
+        guard_spy.chunks.clear()
         one = run_ensemble(task, cfg, [seed], mixing=mixing,
                            record_every=record_every)
-        assert np.array_equal(ens.ks, one.ks)
-        assert np.array_equal(ens.xs[:, r], one.xs[:, 0])
-        if one.vs is not None:
-            assert np.array_equal(ens.vs[:, r], one.vs[:, 0])
+        _, one_v = guard_spy.iterates(one.shape[1:])
+        assert np.array_equal(ens[:, r], one[:, 0])
+        if one_v is not None:  # v at every iterate, recorded or not
+            assert np.array_equal(ens_v[:, r], one_v[:, 0])
 
 
 def test_u_with_nonzero_column_sums_trips_the_dual_check():
@@ -775,17 +783,9 @@ def test_guard_names_the_earliest_pair_of_a_chunk(dual, nan_v, big_x, want):
 
 
 @pytest.fixture
-def guard_chunks(monkeypatch):
-    """The length of every chunk samplers._guard checks."""
-    lengths = []
-    real = samplers._guard
-
-    def counted(algo, k0, xs, vs=None):
-        lengths.append(len(xs))
-        return real(algo, k0, xs, vs)
-
-    monkeypatch.setattr(samplers, "_guard", counted)
-    return lengths
+def guard_spy(monkeypatch):
+    """Every chunk samplers._guard checks, copied: see `GuardSpy`."""
+    return GuardSpy(monkeypatch)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -816,7 +816,7 @@ class TestChunkedGuard:
     @pytest.mark.parametrize("at", [7, 8, 9], ids=["first", "middle", "last"])
     @pytest.mark.parametrize("algo", ["DE_SGLD", "EXTRA_SGLD",
                                       "GEN_EXTRA_SGLD"])
-    def test_burst_at_each_step_of_a_chunk(self, monkeypatch, guard_chunks,
+    def test_burst_at_each_step_of_a_chunk(self, monkeypatch, guard_spy,
                                            algo, at):
         task = _toy_task()
         ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
@@ -829,17 +829,17 @@ class TestChunkedGuard:
             run_ensemble(task, cfg, [1, 2, 3], mixing=ms, noises=noises)
 
         chunked = self._raised(monkeypatch, 3, step_bytes, run)
-        assert guard_chunks == [3, 3, 3]
-        guard_chunks.clear()
+        assert guard_spy.lengths == [3, 3, 3]
+        guard_spy.chunks.clear()
         assert chunked == self._raised(monkeypatch, 1, step_bytes, run)
-        assert guard_chunks == [1] * at
+        assert guard_spy.lengths == [1] * at
         assert chunked[2:4] == (1, at)
         assert chunked[0].startswith(
             f"{algo} diverged at iteration {at}, agent ")
 
     @pytest.mark.parametrize("extra, replica, k", [
         (None, 0, 1), (2e-9, 2, 2), (1.5e-9, 2, 3), (8e-10, 1, 6)])
-    def test_u_with_nonzero_column_sums(self, monkeypatch, guard_chunks,
+    def test_u_with_nonzero_column_sums(self, monkeypatch, guard_spy,
                                         extra, replica, k):
         # U = 0.1 I, or the mixing set's U plus extra * I: column sums that
         # move the dual average from the first step, or a few steps on
@@ -855,14 +855,14 @@ class TestChunkedGuard:
             run_ensemble(task, cfg, [1, 2, 3], mixing=raw)
 
         chunked = self._raised(monkeypatch, 3, step_bytes, run)
-        assert guard_chunks == [3] * -(-k // 3)
+        assert guard_spy.lengths == [3] * -(-k // 3)
         assert chunked == self._raised(monkeypatch, 1, step_bytes, run)
         assert chunked[0].startswith(
             f"GEN_EXTRA_SGLD dual average left zero at iteration {k}: ")
         assert chunked[2:5] == (replica, k, None)
 
     def test_far_chunks_inside_the_ball_run_to_the_end(self, monkeypatch,
-                                                       guard_chunks):
+                                                       guard_spy):
         ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
         cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=30)
         monkeypatch.setattr(samplers, "_NOISE_BYTES", 3 * 8 * 2 * 6 * 2)
@@ -871,29 +871,50 @@ class TestChunkedGuard:
         # its agent sums (about 1e-6 a step), fail the fast bounds of every
         # chunk, so each is judged pair by pair; no pair is out of the
         # ball or past its dual limit
-        assert guard_chunks == [3] * 10
-        vs = res.vs[7:]  # iterations 7 to 30: each one's peak |v| ~ 1e11
+        assert guard_spy.lengths == [3] * 10
+        _, v_all = guard_spy.iterates(res.shape[1:])
+        vs = v_all[7:]  # iterations 7 to 30: each one's peak |v| ~ 1e11
         peaks = np.abs(vs).max(axis=(1, 2, 3))
         assert (9e10 < peaks).all() and (peaks < 2e11).all()
         assert np.vdot(vs, vs) > (0.5 * samplers._DIVERGENCE_LIMIT) ** 2
-        assert not any(samplers._dual_inside(v) for v in res.vs[1:])
+        assert not any(samplers._dual_inside(v) for v in v_all[1:])
         # the guard moves no bit
+        guard_spy.chunks.clear()
         monkeypatch.setattr(samplers, "_NOISE_BYTES", 1)
         one = run_ensemble(FarOracle(6, 2), cfg, [1, 2], mixing=ms)
-        assert np.array_equal(one.xs, res.xs)
-        assert np.array_equal(one.vs, res.vs)
+        assert guard_spy.lengths == [1] * 30
+        assert np.array_equal(one, res)
+        assert np.array_equal(guard_spy.iterates(one.shape[1:])[1], v_all)
 
 
 class TestDualAverage:
-    def test_vbar_exactly_zero_within_tolerance(self):
+    def test_vbar_exactly_zero_within_tolerance(self, guard_spy):
         task = _toy_task()
         ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
         res = run_ensemble(
             task, SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=300),
             [77], mixing=ms,
         )
-        vbar = res.vs[:, 0].mean(axis=1)
+        _, vs = guard_spy.iterates(res.shape[1:])
+        assert len(vs) == 301
+        vbar = vs[:, 0].mean(axis=1)
         assert np.max(np.abs(vbar)) <= 1e-10
+
+    def test_v_costs_no_record_memory(self):
+        # x records of 20 replicas over 2000 steps fill 3.8 MB; a chain
+        # that also kept v's would peak at twice DE-SGLD's
+        task = _toy_task(d=2)
+        ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
+        peaks = {}
+        for algo in ("DE_SGLD", "GEN_EXTRA_SGLD"):
+            tracemalloc.start()
+            try:
+                run_ensemble(task, SamplerConfig(algo, eta=0.01, steps=2000),
+                             list(range(20)), mixing=ms)
+                peaks[algo] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["GEN_EXTRA_SGLD"] <= 1.3 * peaks["DE_SGLD"], peaks
 
 
 class TestZeroTemperature:
@@ -911,7 +932,7 @@ class TestZeroTemperature:
             record_every=8000,
         )
         gen_err = np.max(
-            np.linalg.norm(gen.xs[-1, 0] - star[None, :], axis=1)
+            np.linalg.norm(gen[-1, 0] - star[None, :], axis=1)
         )
         assert gen_err <= 1e-8
 
@@ -926,7 +947,7 @@ class TestZeroTemperature:
                 record_every=20000,
             )
             return np.max(
-                np.linalg.norm(res.xs[-1, 0] - star[None, :], axis=1)
+                np.linalg.norm(res[-1, 0] - star[None, :], axis=1)
             )
 
         e1 = dgd_err(0.01)
@@ -943,7 +964,7 @@ class TestZeroTemperature:
         task = _toy_task(seed=5, n_agents=4, n_i=5, d=2)
         ms = build_mixing_set(ring(4), h=0.4, delta=0.2)
         cfg = SamplerConfig(algo, eta=5e-324, steps=3, temperature=0.0)
-        xs = run_ensemble(task, cfg, [1, 2], mixing=ms).xs
+        xs = run_ensemble(task, cfg, [1, 2], mixing=ms)
         assert np.all(np.isfinite(xs))
         assert np.array_equal(xs[:, 0], xs[:, 1])
 
@@ -993,7 +1014,7 @@ class TestPermutationEquivariance:
             task_p, cfg, [31], mixing=ms,
             noises=[PermNoise(base_noise, perm)],
         )
-        assert np.max(np.abs(res_p.xs - res.xs[:, :, perm, :])) <= 1e-12
+        assert np.max(np.abs(res_p - res[:, :, perm, :])) <= 1e-12
 
 
 class TestChainMechanics:
@@ -1004,27 +1025,26 @@ class TestChainMechanics:
             task, SamplerConfig("DE_SGLD", eta=0.01, steps=0), [1],
             mixing=ms,
         )
-        assert list(res.ks) == [0]
-        assert np.array_equal(res.xs[0], np.zeros((1, 6, 3)))
+        assert np.array_equal(res, np.zeros((1, 1, 6, 3)))
 
     def test_record_every_includes_final(self):
         task = _toy_task()
         ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
-        res = run_ensemble(
-            task, SamplerConfig("DE_SGLD", eta=0.01, steps=20), [1],
-            mixing=ms,
-            record_every=7,
-        )
-        assert list(res.ks) == [0, 7, 14, 20]
+        cfg = SamplerConfig("DE_SGLD", eta=0.01, steps=20)
+        res = run_ensemble(task, cfg, [1], mixing=ms, record_every=7)
+        every = run_ensemble(task, cfg, [1], mixing=ms)
+        assert np.array_equal(res, every[[0, 7, 14, 20]])
 
-    def test_bit_identical_rerun(self):
+    def test_bit_identical_rerun(self, guard_spy):
         task = _toy_task()
         ms = build_mixing_set(ring(6), h=0.3, delta=0.2)
         cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.01, steps=60)
         a = run_ensemble(task, cfg, [3], mixing=ms)
+        a_v = guard_spy.iterates(a.shape[1:])[1]
+        guard_spy.chunks.clear()
         b = run_ensemble(task, cfg, [3], mixing=ms)
-        assert np.array_equal(a.xs, b.xs)
-        assert np.array_equal(a.vs, b.vs)
+        assert np.array_equal(a, b)
+        assert np.array_equal(a_v, guard_spy.iterates(b.shape[1:])[1])
 
     def test_batch_changes_draws_but_stays_deterministic(self):
         task = _toy_task(n_i=5)
@@ -1041,8 +1061,8 @@ class TestChainMechanics:
             task, SamplerConfig("DE_SGLD", eta=0.01, steps=30, batch=2),
             [4], mixing=ms,
         )
-        assert np.array_equal(b1.xs, b2.xs)
-        assert not np.array_equal(full.xs, b1.xs)
+        assert np.array_equal(b1, b2)
+        assert not np.array_equal(full, b1)
 
     def test_divergence_guard_names_iteration(self):
         task = _toy_task()
@@ -1089,7 +1109,7 @@ class TestChainMechanics:
             ZeroOracle(n, d),
             SamplerConfig("REFERENCE_CHAIN", eta=eta, steps=1), [8],
         )
-        var = res.xs[-1].var()
+        var = res[-1].var()
         expect = 2.0 * eta / n
         assert abs(var - expect) <= 5.0 * expect * np.sqrt(2.0 / d)
 
@@ -1324,7 +1344,7 @@ class TestFloydKernel:
                               _scalar_table(noises, [0, 5, 11], 3, n, b))
 
 
-def _logreg_chain_vs_written_out(steps, batch_rng_calls=None):
+def _logreg_chain_vs_written_out(guard_spy, steps, batch_rng_calls=None):
     task = _toy_logreg(seed=5)
     ms = build_mixing_set(ring(6), h=0.35, delta=0.2)
     cfg = SamplerConfig("GEN_EXTRA_SGLD", eta=0.02, steps=steps, batch=3)
@@ -1332,8 +1352,8 @@ def _logreg_chain_vs_written_out(steps, batch_rng_calls=None):
     if batch_rng_calls is not None:
         assert batch_rng_calls == []
     xs, vs = _written_out_chain(task, cfg, 41, ms)
-    assert np.array_equal(res.xs[:, 0], xs)
-    assert np.array_equal(res.vs[:, 0], vs)
+    assert np.array_equal(res[:, 0], xs)
+    assert np.array_equal(guard_spy.iterates(res.shape[1:])[1][:, 0], vs)
 
 
 @pytest.fixture
@@ -1353,7 +1373,7 @@ def table_calls(monkeypatch):
 @pytest.mark.parametrize("budget", ["_TABLE_BYTES", "_STREAM_BYTES"])
 @pytest.mark.parametrize("steps", ["0", "1", "chunk-1", "chunk+1"])
 def test_minibatch_chain_across_table_chunks(monkeypatch, table_calls,
-                                             budget, steps):
+                                             guard_spy, budget, steps):
     # chunks of 7 steps for the 6 streams of 3 rows a step of this chain:
     # 3 rows of 5 words (3 dimensions, label, index) a stream, or 8 + 32 * 5
     # bytes of draws and bitmaps a stream out of 8 shard rows
@@ -1361,17 +1381,17 @@ def test_minibatch_chain_across_table_chunks(monkeypatch, table_calls,
     per_stream = {"_TABLE_BYTES": 3 * 8 * 5, "_STREAM_BYTES": 8 + 32 * 5}
     monkeypatch.setattr(samplers, budget, chunk * 6 * per_stream[budget])
     steps = {"0": 0, "1": 1, "chunk-1": chunk - 1, "chunk+1": chunk + 1}[steps]
-    _logreg_chain_vs_written_out(steps)
+    _logreg_chain_vs_written_out(guard_spy, steps)
     assert table_calls == [list(range(k, min(k + chunk, steps)))
                            for k in range(0, steps, chunk)]
 
 
 def test_minibatch_chain_at_default_chunk_draws_no_scalar_batches(
-        table_calls, batch_rng_calls):
+        table_calls, batch_rng_calls, guard_spy):
     # one replica of 6 agents in 3 dimensions, 3 of 8 rows a shard
     steps = samplers._chunk_steps((1, 6, 3), _toy_logreg(seed=5), 3) + 1
     assert steps < 3000
-    _logreg_chain_vs_written_out(steps, batch_rng_calls)
+    _logreg_chain_vs_written_out(guard_spy, steps, batch_rng_calls)
     assert [len(ks) for ks in table_calls] == [steps - 1, 1]
 
 
@@ -1396,7 +1416,7 @@ def test_minibatch_ensemble_bits_do_not_depend_on_the_chunk(monkeypatch,
                 if budget is not None:
                     m.setattr(samplers, "_TABLE_BYTES", budget * per_step)
                 runs.append(run_ensemble(task, cfg, seeds,
-                                         mixing=mixing).xs)
+                                         mixing=mixing))
             size = budget or cfg.steps
             assert [len(ks) for ks in table_calls] == [
                 min(size, cfg.steps - k) for k in range(0, cfg.steps, size)]

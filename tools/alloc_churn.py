@@ -1,11 +1,13 @@
-"""Minor page faults and CPU time of the benchmark's commands, and three more.
+"""Minor page faults and CPU time of the benchmark's commands, and four more.
 
     python tools/alloc_churn.py [--tree TREE] [--repeat N] [COMMAND ...]
 
 The commands (all of them when none is named) are each workload of
 ``perfbench/workloads.py`` (read, not changed) at its pinned seed, and
-three that the benchmark does not run, derived from those configs:
+four that the benchmark does not run, derived from those configs:
 
+- ``desk-run``: a generalized-EXTRA ``run`` on the ``linreg-compare``
+  config at 200 replicas, recording every step;
 - ``desk-sweep-h``: ``sweep-h`` on the ``linreg-compare`` config at 200
   replicas, 9 points, h from 0.05 to 0.45;
 - ``minibatch-sweep-h``: the same sweep on the ``logreg-minibatch-run``
@@ -78,7 +80,10 @@ def commands() -> dict:
     texts = {name: (w.command, w.config_text(w.pinned_seed, "out"))
              for name, w in workloads.WORKLOADS.items()}
     lin, log = texts["linreg-compare"][1], texts["logreg-minibatch-run"][1]
-    edits = {"desk-sweep-h": ("sweep-h", lin, {"replicas = 10\n":
+    edits = {"desk-run": ("run", lin, {"replicas = 10\n": "replicas = 200\n",
+                                       "record_every = 10\n":
+                                       "record_every = 1\n"}, ""),
+             "desk-sweep-h": ("sweep-h", lin, {"replicas = 10\n":
                                                "replicas = 200\n"}, _SWEEP),
              "minibatch-sweep-h": ("sweep-h", log, {"replicas = 5\n":
                                                     "replicas = 200\n"},

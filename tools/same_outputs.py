@@ -36,6 +36,8 @@ changed):
   integer parts: the two sides of the trajectory formatter; and the
   latter at 200 replicas, whose dual v (max |v| about 1e10) fails the
   guard's fast bounds in every chunk without diverging;
+- a generalized-EXTRA ``run`` on that config at 200 replicas, recording
+  every step (``record_every = 1``);
 - ``theory`` with shrink on the ``ring50-theory-shrink`` config at
   ``n = 400`` and ``per_agent = 10``, whose eigensolves are above
   OpenBLAS's threading threshold;
@@ -131,16 +133,20 @@ def matrix() -> list:
         return "beta_true = " + " ".join(
             repr(float(b) * scale) for b in beta[1].split()) + "\n"
 
-    if "replicas = 10\n" not in base:
-        raise RuntimeError("the linreg-compare config has no "
-                           "'replicas = 10' line to replace")
+    for line in ("replicas = 10\n", "record_every = 10\n"):
+        if line not in base:
+            raise RuntimeError(f"the linreg-compare config has no "
+                               f"{line.strip()!r} line to replace")
     big = base.replace(beta[0], beta_times(1e9))
     entries += [("run-tiny-T0", "run", algorithm(
                     "GEN_EXTRA_SGLD", "temperature = 0\n").replace(
                     beta[0], beta_times(1e-6) + "noise_std = 1e-6\n")),
                 ("run-beta-1e9", "run", big),
                 ("run-beta-1e9-r200", "run",
-                 big.replace("replicas = 10\n", "replicas = 200\n"))]
+                 big.replace("replicas = 10\n", "replicas = 200\n")),
+                ("run-GEN_EXTRA_SGLD-r200-every1", "run",
+                 base.replace("replicas = 10\n", "replicas = 200\n").replace(
+                     "record_every = 10\n", "record_every = 1\n"))]
     ring = workloads.WORKLOADS["ring50-theory-shrink"]
     ring400 = ring.config_text(ring.pinned_seed, "out")
     for old, new in (("n = 50\n", "n = 400\n"),
